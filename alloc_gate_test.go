@@ -1,0 +1,68 @@
+package db2rdf_test
+
+import (
+	"runtime"
+	"testing"
+
+	"db2rdf"
+	"db2rdf/internal/rel"
+)
+
+// TestWarmQueryAllocs gates what one execution of a cached plan
+// allocates: a point lookup (LQ1) and a five-pattern join (LQ8) over
+// LUBM(4). A warm query does no parsing, binding or planning, so its
+// allocations are the executor's intermediate rows plus result decoding
+// — the cost that grew with the width of DPH/RPH until scans, probes
+// and joins started reading only the columns the SQL names. The
+// ceilings sit about 10% over the measured values; one worker keeps the
+// counts deterministic.
+func TestWarmQueryAllocs(t *testing.T) {
+	ds := lubmData()
+	s, err := db2rdf.Open(db2rdf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadTriples(ds.Triples); err != nil {
+		t.Fatal(err)
+	}
+	rel.SetParallelism(1, 0)
+	defer rel.SetParallelism(0, 0)
+
+	for _, tc := range []struct {
+		name      string
+		maxAllocs float64
+		maxBytes  uint64
+	}{
+		{"LQ1", 197, 31 << 10},  // measured 179 allocs, 27.3 KB (486 and 56.6 KB at 66-wide rows)
+		{"LQ8", 610, 255 << 10}, // measured 555 allocs, 231 KB (1252 and 498 KB)
+	} {
+		var q string
+		for _, cand := range ds.Queries {
+			if cand.Name == tc.name {
+				q = cand.SPARQL
+			}
+		}
+		run := func() {
+			if _, err := s.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // compile and cache the plan
+		const runs = 50
+		allocs := testing.AllocsPerRun(runs, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s warm: %.0f allocs, %d B per query", tc.name, allocs, bytes)
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s warm: %.0f allocs per query, ceiling %.0f", tc.name, allocs, tc.maxAllocs)
+		}
+		if bytes > tc.maxBytes {
+			t.Errorf("%s warm: %d B allocated per query, ceiling %d", tc.name, bytes, tc.maxBytes)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 package db2rdf_test
 
-// TestBenchBaseline is the `make bench` entry point: it measures bulk
+// TestBenchBaseline is the `make bench-legacy` entry point: it measures bulk
 // load, cold-plan query and warm-plan (cache-hit) query latencies with
 // testing.Benchmark and writes them as JSON to the file named by the
 // DB2RDF_BENCH_OUT environment variable (BENCH_PR10.json from the

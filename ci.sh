@@ -9,6 +9,8 @@ echo "== go vet =="
 go vet ./...
 echo "== go test -race =="
 go test -race ./...
+echo "== bench module (stage chain vs Store.Query, metric names vs BENCHMARK.json) =="
+(cd bench && go vet ./... && go test -race ./...)
 echo "== kernel equivalence (parallel on/off) and plan cache =="
 go test -race -run 'TestKernelEquivalence|TestPlanCache' -count=1 .
 echo "== storage equivalence (encoded / raw columnar / rows) =="

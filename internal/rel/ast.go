@@ -6,9 +6,14 @@ import "strings"
 // translators is modeled; see the package comment for the inventory.
 
 // Query is a full statement: optional CTEs plus a select body.
+// ParseQuery also attaches the query's bound form (bind.go): the
+// analysis the executor needs on every run, computed once and never
+// written again, so a cached Query is shared by concurrent executions.
 type Query struct {
 	CTEs []CTE
 	Body *Select
+
+	bound *boundQuery
 }
 
 // CTE is one WITH entry: name AS (select).
@@ -69,10 +74,22 @@ type OrderItem struct {
 // Expr is a SQL expression node.
 type Expr interface{ exprNode() }
 
-// ColRef references alias.column or a bare column name.
+// ColRef references alias.column or a bare column name. The parser
+// also records both identifiers lower-cased, the form every relation
+// stores its column names in; a hand-built ColRef lower-cases per use.
 type ColRef struct {
 	Alias  string // may be ""
 	Column string
+
+	alias, column string
+}
+
+// lowered returns the reference's lower-cased alias and column.
+func (c *ColRef) lowered() (alias, column string) {
+	if c.column == "" {
+		return strings.ToLower(c.Alias), strings.ToLower(c.Column)
+	}
+	return c.alias, c.column
 }
 
 // Lit is a literal constant value.
@@ -139,36 +156,33 @@ func conjuncts(e Expr, out []Expr) []Expr {
 	return append(out, e)
 }
 
-// exprAliases collects the lower-cased FROM aliases referenced by e.
-func exprAliases(e Expr, set map[string]bool) {
+// colRefs appends every column reference in e to out, in source order.
+func colRefs(e Expr, out []*ColRef) []*ColRef {
 	switch x := e.(type) {
 	case *ColRef:
-		if x.Alias != "" {
-			set[strings.ToLower(x.Alias)] = true
-		}
+		out = append(out, x)
 	case *BinOp:
-		exprAliases(x.L, set)
-		exprAliases(x.R, set)
+		out = colRefs(x.R, colRefs(x.L, out))
 	case *UnOp:
-		exprAliases(x.X, set)
+		out = colRefs(x.X, out)
 	case *IsNullExpr:
-		exprAliases(x.X, set)
+		out = colRefs(x.X, out)
 	case *InExpr:
-		exprAliases(x.X, set)
+		out = colRefs(x.X, out)
 		for _, a := range x.List {
-			exprAliases(a, set)
+			out = colRefs(a, out)
 		}
 	case *CaseExpr:
 		for _, w := range x.Whens {
-			exprAliases(w.Cond, set)
-			exprAliases(w.Result, set)
+			out = colRefs(w.Result, colRefs(w.Cond, out))
 		}
 		if x.Else != nil {
-			exprAliases(x.Else, set)
+			out = colRefs(x.Else, out)
 		}
 	case *FuncCall:
 		for _, a := range x.Args {
-			exprAliases(a, set)
+			out = colRefs(a, out)
 		}
 	}
+	return out
 }

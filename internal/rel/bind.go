@@ -1,0 +1,247 @@
+package rel
+
+import (
+	"slices"
+	"strings"
+)
+
+// The bound form of a Query: everything the executor needs to know
+// about a statement that does not depend on the database it runs
+// against, worked out once by ParseQuery. Per SELECT core that is the
+// WHERE clause split into conjuncts with each conjunct's alias set,
+// the columns every FROM alias is referenced by (items, WHERE and
+// every JOIN … ON), the output names, and which items the CTE
+// dead-column analysis (deadcols.go) found unobservable; identifiers
+// are lower-cased here and nowhere at run time.
+//
+// The referenced-column sets are what lets the executor read narrow:
+// a base-table relation is shaped from its alias's set only, so a
+// 66-column DPH row costs the 3–7 columns the SQL names. An alias gets
+// every column when the core cannot say which it means: `*` (every
+// alias of the core), `T.*` (alias T), or any unqualified column
+// reference (every alias of the core, since resolution by unique
+// suffix needs all the names in view to find — or refuse — a match).
+//
+// Nothing in a bound form is written after bindQuery returns. A
+// cached plan is executed by many goroutines at once; they share this
+// structure without synchronization.
+
+type boundQuery struct {
+	ctes []boundCTE
+	body *boundSelect
+}
+
+type boundCTE struct {
+	name string // lower-cased
+	sel  *boundSelect
+}
+
+type boundSelect struct {
+	sel   *Select
+	cores []*boundCore
+}
+
+type boundCore struct {
+	core  *SelectCore
+	conjs []boundConj  // WHERE, split on top-level AND
+	from  []*boundFrom // aligned with core.From
+	prims []*boundFrom // from, flattened: every item and every right side of its join chain
+	// names are the output column names, nil when a star item makes
+	// them depend on the input shape.
+	names []string
+	// dead marks items no later select can observe (nil = none): an
+	// expression item that is dead is not evaluated, its slot left NULL.
+	dead []bool
+}
+
+// boundConj is one conjunct of a WHERE or ON clause.
+type boundConj struct {
+	expr    Expr
+	aliases []string // distinct aliases referenced
+	bare    []string // unqualified column names referenced
+	// l and r are set for `colref = colref`, the join-link shape.
+	l, r *ColRef
+	// col and constant are set for `colref = <expr without column
+	// references>` (either way round), the index-lookup shape.
+	col      *ColRef
+	constant Expr
+}
+
+// only reports whether the conjunct references alias and no other.
+func (c *boundConj) only(alias string) bool {
+	return len(c.aliases) == 1 && c.aliases[0] == alias
+}
+
+// boundFrom is one table reference, CTE reference or derived table.
+type boundFrom struct {
+	alias string       // lower-cased
+	table string       // lower-cased; "" for a derived table
+	sub   *boundSelect // derived table
+	// cols are the columns the core references through alias; all
+	// overrides it (see the header comment).
+	cols  []string
+	all   bool
+	joins []boundJoin
+}
+
+type boundJoin struct {
+	left  bool // LEFT OUTER JOIN
+	right *boundFrom
+	on    []boundConj
+}
+
+// primaries appends f and every right side of its join chain to out.
+func (f *boundFrom) primaries(out []*boundFrom) []*boundFrom {
+	out = append(out, f)
+	for i := range f.joins {
+		out = f.joins[i].right.primaries(out)
+	}
+	return out
+}
+
+func bindQuery(q *Query) *boundQuery {
+	live := cteLiveColumns(q)
+	b := &boundQuery{ctes: make([]boundCTE, len(q.CTEs))}
+	for i, cte := range q.CTEs {
+		b.ctes[i] = boundCTE{name: strings.ToLower(cte.Name), sel: bindSelect(cte.Select, live[i])}
+	}
+	b.body = bindSelect(q.Body, nil)
+	return b
+}
+
+// bindSelect binds s. live (nil = all) names the output columns a
+// later select can observe; it only applies when s cannot observe its
+// own dead columns, which rules out UNION, DISTINCT and ORDER BY.
+func bindSelect(s *Select, live map[string]bool) *boundSelect {
+	if len(s.Cores) > 1 || s.Cores[0].Distinct || len(s.OrderBy) > 0 {
+		live = nil
+	}
+	bs := &boundSelect{sel: s, cores: make([]*boundCore, len(s.Cores))}
+	for i, core := range s.Cores {
+		bs.cores[i] = bindCore(core, live)
+	}
+	return bs
+}
+
+func bindCore(core *SelectCore, live map[string]bool) *boundCore {
+	bc := &boundCore{core: core, from: make([]*boundFrom, len(core.From))}
+	star := false
+	for _, item := range core.Items {
+		star = star || item.Star
+	}
+	if !star {
+		bc.names = make([]string, len(core.Items))
+		for i, item := range core.Items {
+			bc.names[i] = itemName(item, i)
+		}
+		// Star expansion would shift the positional names the liveness
+		// analysis used, so pruning needs a star-free item list.
+		if live != nil {
+			bc.dead = make([]bool, len(core.Items))
+			for i, name := range bc.names {
+				bc.dead[i] = !live[name]
+			}
+		}
+	}
+	for i, fi := range core.From {
+		bc.from[i] = bindFrom(fi)
+		bc.prims = bc.from[i].primaries(bc.prims)
+	}
+	if core.Where != nil {
+		bc.conjs = bindConjuncts(core.Where)
+	}
+
+	// Referenced columns per alias.
+	var refs []*ColRef
+	everything := false
+	for i, item := range core.Items {
+		if item.Star {
+			sa := strings.ToLower(item.StarAlias)
+			if sa == "" {
+				everything = true
+			}
+			for _, f := range bc.prims {
+				if f.alias == sa {
+					f.all = true
+				}
+			}
+			continue
+		}
+		if _, direct := item.Expr.(*ColRef); !direct && bc.dead != nil && bc.dead[i] {
+			continue // never evaluated, so its inputs are not reads
+		}
+		refs = colRefs(item.Expr, refs)
+	}
+	if core.Where != nil {
+		refs = colRefs(core.Where, refs)
+	}
+	for _, f := range bc.prims {
+		for _, j := range f.joins {
+			for _, c := range j.on {
+				refs = colRefs(c.expr, refs)
+			}
+		}
+	}
+	for _, c := range refs {
+		alias, col := c.lowered()
+		if alias == "" {
+			everything = true
+			continue
+		}
+		for _, f := range bc.prims {
+			if f.alias == alias && !slices.Contains(f.cols, col) {
+				f.cols = append(f.cols, col)
+			}
+		}
+	}
+	if everything {
+		for _, f := range bc.prims {
+			f.all = true
+		}
+	}
+	return bc
+}
+
+func bindFrom(fi FromItem) *boundFrom {
+	f := &boundFrom{alias: strings.ToLower(fi.Alias), table: strings.ToLower(fi.Table)}
+	if fi.Sub != nil {
+		f.sub = bindSelect(fi.Sub, nil)
+	}
+	for _, jc := range fi.Joins {
+		f.joins = append(f.joins, boundJoin{left: jc.Left, right: bindFrom(jc.Right), on: bindConjuncts(jc.On)})
+	}
+	return f
+}
+
+func bindConjuncts(e Expr) []boundConj {
+	exprs := conjuncts(e, nil)
+	out := make([]boundConj, len(exprs))
+	for i, c := range exprs {
+		bc := boundConj{expr: c}
+		for _, cr := range colRefs(c, nil) {
+			alias, col := cr.lowered()
+			switch {
+			case alias == "":
+				bc.bare = append(bc.bare, col)
+			case !slices.Contains(bc.aliases, alias):
+				bc.aliases = append(bc.aliases, alias)
+			}
+		}
+		if b, ok := c.(*BinOp); ok && b.Op == "=" {
+			l, lok := b.L.(*ColRef)
+			r, rok := b.R.(*ColRef)
+			switch {
+			case lok && rok:
+				bc.l, bc.r = l, r
+			case lok && !hasColRef(b.R):
+				bc.col, bc.constant = l, b.R
+			case rok && !hasColRef(b.L):
+				bc.col, bc.constant = r, b.L
+			}
+		}
+		out[i] = bc
+	}
+	return out
+}
+
+func hasColRef(e Expr) bool { return len(colRefs(e, nil)) > 0 }

@@ -40,7 +40,7 @@ func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
 		if rel == nil {
 			return errExpr(fmt.Errorf("sql: column reference %s outside row context", colRefString(x)))
 		}
-		i := rel.colIndex(x.Alias, x.Column)
+		i := rel.colIndex(x)
 		if i < 0 {
 			return errExpr(fmt.Errorf("sql: unknown column %s (have %v)", colRefString(x), rel.cols))
 		}
@@ -305,7 +305,7 @@ func (db *DB) compileIntEquality(x *BinOp, rel *relation) compiledExpr {
 	if !ok || l.V.K != KindInt {
 		return nil
 	}
-	i := rel.colIndex(c.Alias, c.Column)
+	i := rel.colIndex(c)
 	if i < 0 {
 		return nil // fall back to the generic path's lazy error
 	}

@@ -9,20 +9,19 @@ import (
 // translator builds queries as pipelines of CTEs, and intermediate
 // columns (extracted predicate values, spill-resolved lids) often go
 // unused by the final SELECT — but each costs a compiled CASE or
-// COALESCE evaluation per row. Before executing, Exec computes which
-// output columns of each CTE any later select can actually observe;
-// the projection step then skips dead expression items, leaving NULL
-// in their slot. Row counts, join multiplicities and column shapes
+// COALESCE evaluation per row. When a query is bound (bind.go), this
+// analysis computes which output columns of each CTE any later select
+// can actually observe; the bound form marks the rest dead, and the
+// projection step then skips dead expression items, leaving NULL in
+// their slot — and the columns only they read are not gathered from
+// the base table. Row counts, join multiplicities and column shapes
 // are untouched, so the pruned execution is indistinguishable to any
 // consumer of the live columns.
 //
 // The analysis over-approximates uses: anything it cannot resolve
 // precisely (unqualified references, star projections, UNION /
 // DISTINCT / ORDER BY selects, forward references) marks the relevant
-// CTEs fully live. The Query AST is never mutated — plans stay
-// shareable across concurrent executions.
-
-// liveAll is the nil map meaning "keep every column".
+// CTEs fully live.
 
 // cteLiveColumns returns one live-column set per CTE, aligned with
 // q.CTEs; a nil entry keeps everything.
@@ -48,7 +47,7 @@ func cteLiveColumns(q *Query) []map[string]bool {
 	}
 	markCol := func(name, col string) {
 		if s, ok := used[name]; ok {
-			s.cols[strings.ToLower(col)] = true
+			s.cols[col] = true
 		}
 	}
 
@@ -102,18 +101,19 @@ func cteLiveColumns(q *Query) []map[string]bool {
 				walkFrom(fi)
 			}
 			useExpr := func(e Expr) {
-				walkColRefs(e, func(c *ColRef) {
-					if c.Alias == "" {
+				for _, c := range colRefs(e, nil) {
+					alias, col := c.lowered()
+					if alias == "" {
 						// Unqualified: could resolve into any unit.
 						for _, cte := range aliases {
 							markAll(cte)
 						}
-						return
+						continue
 					}
-					if cte, ok := aliases[strings.ToLower(c.Alias)]; ok {
-						markCol(cte, c.Column)
+					if cte, ok := aliases[alias]; ok {
+						markCol(cte, col)
 					}
-				})
+				}
 			}
 			for i, item := range core.Items {
 				if item.Star {
@@ -181,39 +181,8 @@ func itemName(item SelectItem, pos int) string {
 		return strings.ToLower(item.Alias)
 	}
 	if cr, ok := item.Expr.(*ColRef); ok {
-		return strings.ToLower(cr.Column)
+		_, col := cr.lowered()
+		return col
 	}
 	return fmt.Sprintf("col%d", pos+1)
-}
-
-// walkColRefs visits every column reference in e.
-func walkColRefs(e Expr, fn func(*ColRef)) {
-	switch x := e.(type) {
-	case *ColRef:
-		fn(x)
-	case *BinOp:
-		walkColRefs(x.L, fn)
-		walkColRefs(x.R, fn)
-	case *UnOp:
-		walkColRefs(x.X, fn)
-	case *IsNullExpr:
-		walkColRefs(x.X, fn)
-	case *InExpr:
-		walkColRefs(x.X, fn)
-		for _, a := range x.List {
-			walkColRefs(a, fn)
-		}
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			walkColRefs(w.Cond, fn)
-			walkColRefs(w.Result, fn)
-		}
-		if x.Else != nil {
-			walkColRefs(x.Else, fn)
-		}
-	case *FuncCall:
-		for _, a := range x.Args {
-			walkColRefs(a, fn)
-		}
-	}
 }

@@ -3,6 +3,7 @@ package rel
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -66,71 +67,57 @@ func (db *DB) execContext(ctx context.Context, q *Query, lim Limits, prof *profi
 			prof.stats.BudgetBytesCharged = ex.gov.bytes.Load()
 		}()
 	}
-	env := make(map[string]*relation)
-	live := cteLiveColumns(q)
-	for i, cte := range q.CTEs {
+	b := q.bound
+	if b == nil { // a Query built by hand rather than by ParseQuery
+		b = bindQuery(q)
+	}
+	env := make(map[string]*relation, len(b.ctes))
+	for i := range b.ctes {
 		if err := ex.gov.check(CkCore); err != nil {
 			return nil, err
 		}
-		name := strings.ToLower(cte.Name)
+		cte := &b.ctes[i]
 		if prof != nil {
-			prof.scope = name
+			prof.scope = cte.name
 		}
-		rs, err := ex.evalSelectLive(cte.Select, env, live[i])
+		rs, err := ex.evalSelect(cte.sel, env)
 		if err != nil {
-			return nil, fmt.Errorf("in CTE %s: %w", cte.Name, err)
+			return nil, fmt.Errorf("in CTE %s: %w", q.CTEs[i].Name, err)
 		}
 		if prof != nil {
-			prof.stats.CTERows[name] = int64(len(rs.Rows))
+			prof.stats.CTERows[cte.name] = int64(len(rs.Rows))
 		}
-		env[name] = resultToRelation(rs)
+		env[cte.name] = resultToRelation(rs)
 	}
 	if prof != nil {
 		prof.scope = ""
 	}
-	return ex.evalSelect(q.Body, env)
+	return ex.evalSelect(b.body, env)
 }
 
-// resultToRelation wraps a result set as an unqualified relation.
+// resultToRelation wraps a result set (whose column names project
+// already lower-cased) as an unqualified relation.
 func resultToRelation(rs *ResultSet) *relation {
-	cols := make([]string, len(rs.Columns))
+	cols := make([]relCol, len(rs.Columns))
 	for i, c := range rs.Columns {
-		cols[i] = strings.ToLower(c)
+		cols[i].name = c
 	}
-	r := newRelation(cols)
-	r.rows = rs.Rows
-	return r
+	return &relation{cols: cols, rows: rs.Rows}
 }
 
 // aliased returns a copy of base with columns qualified by alias.
 func aliased(base *relation, alias string) *relation {
-	alias = strings.ToLower(alias)
-	cols := make([]string, len(base.cols))
+	cols := make([]relCol, len(base.cols))
 	for i, c := range base.cols {
-		// Strip any existing qualification.
-		if j := strings.LastIndexByte(c, '.'); j >= 0 {
-			c = c[j+1:]
-		}
-		cols[i] = alias + "." + c
+		cols[i] = relCol{alias: alias, name: c.name}
 	}
-	r := newRelation(cols)
-	r.rows = base.rows
-	r.aliases[alias] = true
-	return r
+	return &relation{cols: cols, rows: base.rows, aliases: []string{alias}}
 }
 
-func (ex *exec) evalSelect(s *Select, env map[string]*relation) (*ResultSet, error) {
-	return ex.evalSelectLive(s, env, nil)
-}
-
-// evalSelectLive is evalSelect with a live-output-column set (nil =
-// all): expression items outside it are skipped, their slots left
-// NULL. Pruning is only sound when the select cannot observe its own
-// dead columns, so it is disabled under UNION, DISTINCT and ORDER BY.
-func (ex *exec) evalSelectLive(s *Select, env map[string]*relation, live map[string]bool) (*ResultSet, error) {
-	if len(s.Cores) > 1 || s.Cores[0].Distinct || len(s.OrderBy) > 0 {
-		live = nil
-	}
+// evalSelect evaluates one select: its cores, UNION-ed, then ORDER BY
+// and LIMIT/OFFSET over the combined rows.
+func (ex *exec) evalSelect(bs *boundSelect, env map[string]*relation) (*ResultSet, error) {
+	s := bs.sel
 	var out *ResultSet
 	// LIMIT pushdown: with a single core, no ORDER BY and no DISTINCT,
 	// projection is an order-preserving 1:1 row map, so only the first
@@ -142,8 +129,8 @@ func (ex *exec) evalSelectLive(s *Select, env map[string]*relation, live map[str
 			rowCap += s.Offset
 		}
 	}
-	for i, core := range s.Cores {
-		rs, err := ex.evalCore(core, env, rowCap, live)
+	for i, core := range bs.cores {
+		rs, err := ex.evalCore(core, env, rowCap)
 		if err != nil {
 			return nil, err
 		}
@@ -299,24 +286,18 @@ func dedupRows(rows []Row, g *govern) ([]Row, error) {
 // evalCore evaluates one SELECT core. rowCap >= 0 bounds the number of
 // projected rows (LIMIT pushdown); the caller guarantees projection
 // order is final (no ORDER BY, no DISTINCT), so only the first rowCap
-// joined rows can appear in the result. live (nil = all) names the
-// output columns any later select can observe; projection skips the
-// expression items outside it.
-func (ex *exec) evalCore(core *SelectCore, env map[string]*relation, rowCap int64, live map[string]bool) (*ResultSet, error) {
+// joined rows can appear in the result.
+func (ex *exec) evalCore(bc *boundCore, env map[string]*relation, rowCap int64) (*ResultSet, error) {
 	if err := ex.gov.check(CkCore); err != nil {
 		return nil, err
 	}
-	// Split WHERE into conjuncts.
-	var conjs []Expr
-	if core.Where != nil {
-		conjs = conjuncts(core.Where, nil)
-	}
+	conjs := bc.conjs
 	applied := make([]bool, len(conjs))
 
 	// Build each FROM unit, pushing single-alias filters into pure base scans.
-	units := make([]*relation, 0, len(core.From))
-	for _, fi := range core.From {
-		u, err := ex.buildUnit(fi, conjs, applied, env)
+	units := make([]*relation, 0, len(bc.from))
+	for _, bf := range bc.from {
+		u, err := ex.buildUnit(bc, bf, applied, env)
 		if err != nil {
 			return nil, err
 		}
@@ -334,9 +315,9 @@ func (ex *exec) evalCore(core *SelectCore, env map[string]*relation, rowCap int6
 
 	// Any unapplied conjunct must now be fully bound.
 	var residual []Expr
-	for i, c := range conjs {
+	for i := range conjs {
 		if !applied[i] {
-			residual = append(residual, c)
+			residual = append(residual, conjs[i].expr)
 			applied[i] = true
 		}
 	}
@@ -355,22 +336,23 @@ func (ex *exec) evalCore(core *SelectCore, env map[string]*relation, rowCap int6
 		trimmed.rows = cur.rows[:rowCap]
 		cur = &trimmed
 	}
-	return ex.project(core, cur, live)
+	return ex.project(bc, cur)
 }
 
 // buildUnit materializes one FROM item including its explicit join chain.
-func (ex *exec) buildUnit(fi FromItem, conjs []Expr, applied []bool, env map[string]*relation) (*relation, error) {
-	pushable := len(fi.Joins) == 0
-	left, err := ex.buildPrimary(fi, conjs, applied, env, pushable)
+func (ex *exec) buildUnit(bc *boundCore, bf *boundFrom, applied []bool, env map[string]*relation) (*relation, error) {
+	push := len(bf.joins) == 0
+	left, err := ex.buildPrimary(bc, bf, applied, env, push)
 	if err != nil {
 		return nil, err
 	}
-	for _, jc := range fi.Joins {
-		right, err := ex.buildPrimary(jc.Right, nil, nil, env, false)
+	for i := range bf.joins {
+		jc := &bf.joins[i]
+		right, err := ex.buildPrimary(bc, jc.right, nil, env, false)
 		if err != nil {
 			return nil, err
 		}
-		left, err = ex.joinOn(left, right, jc.On, jc.Left)
+		left, err = ex.joinOn(left, right, jc.on, jc.left)
 		if err != nil {
 			return nil, err
 		}
@@ -379,226 +361,181 @@ func (ex *exec) buildUnit(fi FromItem, conjs []Expr, applied []bool, env map[str
 }
 
 // buildPrimary resolves a table name, CTE, or derived table. When push
-// is true and the item is a base table, single-alias equality filters
-// from conjs are pushed into the scan (index-accelerated) and marked
-// applied.
-func (ex *exec) buildPrimary(fi FromItem, conjs []Expr, applied []bool, env map[string]*relation, push bool) (*relation, error) {
-	alias := strings.ToLower(fi.Alias)
-	if fi.Sub != nil {
-		rs, err := ex.evalSelect(fi.Sub, env)
+// is true, the single-alias conjuncts of the core's WHERE are pushed
+// into the item — index-accelerated on a base table — and marked
+// applied. A base table is shaped from the columns the core references
+// through the item's alias, nothing else.
+func (ex *exec) buildPrimary(bc *boundCore, bf *boundFrom, applied []bool, env map[string]*relation, push bool) (*relation, error) {
+	if bf.sub != nil {
+		rs, err := ex.evalSelect(bf.sub, env)
 		if err != nil {
 			return nil, err
 		}
-		return aliased(resultToRelation(rs), alias), nil
+		return aliased(resultToRelation(rs), bf.alias), nil
 	}
-	if cte, ok := env[strings.ToLower(fi.Table)]; ok {
-		r := aliased(cte, alias)
+	if cte, ok := env[bf.table]; ok {
+		r := aliased(cte, bf.alias)
 		if push {
-			return ex.pushFilters(r, alias, conjs, applied)
+			return ex.pushFilters(r, bf.alias, bc.conjs, applied)
 		}
 		return r, nil
 	}
-	t := ex.db.Table(fi.Table)
+	t := ex.db.table(bf.table)
 	if t == nil {
-		return nil, fmt.Errorf("sql: unknown table %q", fi.Table)
+		return nil, fmt.Errorf("sql: unknown table %q", bf.table)
 	}
-	cols := make([]string, len(t.Schema))
-	for i, c := range t.Schema {
-		cols[i] = alias + "." + strings.ToLower(c.Name)
+	r := &relation{base: t, src: t.columnSet(bf), aliases: []string{bf.alias}, scan: true}
+	r.cols = make([]relCol, len(r.src))
+	for i, c := range r.src {
+		r.cols[i] = relCol{alias: bf.alias, name: t.names[c]}
 	}
-	r := newRelation(cols)
-	r.aliases[alias] = true
 	if push {
-		return ex.scanWithFilters(t, r, alias, conjs, applied)
-	}
-	r.base = t
-	if t.Columnar() {
-		r.scan = true
-	} else {
-		r.rows = t.Rows()
+		return ex.scanWithFilters(r, bc, bf, applied, env)
 	}
 	return r, nil
 }
 
-// scanWithFilters scans a base table applying this alias's conjuncts,
-// using a hash index for the first "col = constant" conjunct if any.
-func (ex *exec) scanWithFilters(t *Table, shape *relation, alias string, conjs []Expr, applied []bool) (*relation, error) {
-	var mine []Expr
-	var mineIdx []int
-	for i, c := range conjs {
+// columnSet resolves the columns bf references to table positions, in
+// schema order. Names the table does not have are left out; the
+// reference then fails to resolve, as it would against the full width.
+func (t *Table) columnSet(bf *boundFrom) []int {
+	if bf.all {
+		src := make([]int, len(t.Schema))
+		for i := range src {
+			src[i] = i
+		}
+		return src
+	}
+	src := make([]int, 0, len(bf.cols))
+	for _, name := range bf.cols {
+		if c, ok := t.colIdx[name]; ok {
+			src = append(src, c)
+		}
+	}
+	sort.Ints(src)
+	return src
+}
+
+// scanWithFilters scans the base table behind r applying the core's
+// conjuncts over bf's alias alone, using a hash index for the first
+// "col = constant" conjunct if any.
+func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, applied []bool, env map[string]*relation) (*relation, error) {
+	t := r.base
+	var mine []*boundConj
+	for i := range bc.conjs {
+		c := &bc.conjs[i]
 		if applied[i] {
 			continue
 		}
-		set := map[string]bool{}
-		exprAliases(c, set)
-		ok := len(set) == 1 && set[alias]
-		if len(set) == 0 {
-			// Unqualified references: claim the conjunct when every
-			// bare column resolves in this table's schema.
-			bare := bareCols(c, nil)
-			ok = len(bare) > 0
-			for _, col := range bare {
-				if t.ColumnIndex(col) < 0 {
-					ok = false
-					break
-				}
-			}
+		ok := c.only(bf.alias)
+		if len(c.aliases) == 0 && len(c.bare) > 0 {
+			// Unqualified references: claim the conjunct when this item
+			// and no other of the core can resolve its columns, which is
+			// when colIndex resolves them against the joined relation.
+			ok = ex.soleResolver(bc, bf, c.bare, env)
 		}
 		if ok {
 			mine = append(mine, c)
-			mineIdx = append(mineIdx, i)
+			applied[i] = true
 		}
 	}
 	// Look for an index-usable equality.
 	indexCol, indexVal := "", Null
 	indexConj := -1
 	for k, c := range mine {
-		b, ok := c.(*BinOp)
-		if !ok || b.Op != "=" {
+		if c.col == nil || !t.HasIndex(c.col.Column) {
 			continue
 		}
-		col, lit, ok := constEquality(b, alias, ex.db)
-		if !ok {
+		v, err := evalExpr(c.constant, &rowCtx{db: ex.db})
+		if err != nil {
 			continue
 		}
-		if t.HasIndex(col) {
-			indexCol, indexVal, indexConj = col, lit, k
-			break
-		}
+		indexCol, indexVal, indexConj = c.col.Column, v, k
+		break
 	}
 	var rest []Expr
-	for k := range mine {
+	for k, c := range mine {
 		if k != indexConj {
-			rest = append(rest, mine[k])
+			rest = append(rest, c.expr)
 		}
 	}
-	out := newRelation(shape.cols)
-	out.aliases[alias] = true
-	if indexConj >= 0 {
-		t0 := ex.opStart()
-		pred := ex.db.compilePred(rest, out)
-		ids, _ := t.lookup(indexCol, indexVal)
-		rd := t.reader()
-		arena := rowArena{gov: ex.gov}
-		tk := ticker{g: ex.gov, site: CkFilter}
-		if err := tk.flush(); err != nil {
-			return nil, err
-		}
-		for _, id := range ids {
-			row := rd.rowAt(int(id))
-			ok, err := pred(row)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				if !rd.shared() {
-					// Columnar reads land in the reader's scratch
-					// buffer; copy survivors into the arena.
-					row = arena.clone(row)
-				}
-				out.rows = append(out.rows, row)
-				if err := tk.emit(); err != nil {
-					return nil, err
-				}
-			} else if err := tk.step(); err != nil {
-				return nil, err
-			}
-		}
-		if err := tk.flush(); err != nil {
-			return nil, err
-		}
-		ex.opEnd(t0, OpStat{Kind: "index-scan", Label: t.Name + "." + indexCol, RowsIn: int64(len(ids)), RowsOut: int64(len(out.rows)), Workers: 1})
-	} else {
+	if indexConj < 0 {
 		// Defer the filters: a later index nested-loop join can apply
-		// them per probed row, avoiding a filtered copy of the table —
-		// and on a columnar table the whole scan stays unmaterialized
-		// until the vectorized path runs it.
-		out.base = t
-		out.pending = rest
-		if t.Columnar() {
-			out.scan = true
-		} else {
-			out.rows = t.Rows()
+		// them per probed row, avoiding a filtered copy of the table,
+		// and otherwise the scan runs them chunk-wise.
+		r.pending = rest
+		return r, nil
+	}
+	t0 := ex.opStart()
+	pred := ex.db.compilePred(rest, r)
+	ids, _ := t.lookup(indexCol, indexVal)
+	rd := t.reader(r.src)
+	arena := rowArena{gov: ex.gov}
+	tk := ticker{g: ex.gov, site: CkFilter}
+	if err := tk.flush(); err != nil {
+		return nil, err
+	}
+	out := &relation{cols: r.cols, aliases: r.aliases}
+	for _, id := range ids {
+		row := rd.rowAt(int(id))
+		ok, err := pred(row)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out.rows = append(out.rows, arena.clone(row))
+			if err := tk.emit(); err != nil {
+				return nil, err
+			}
+		} else if err := tk.step(); err != nil {
+			return nil, err
 		}
 	}
-	for _, i := range mineIdx {
-		applied[i] = true
+	if err := tk.flush(); err != nil {
+		return nil, err
 	}
+	ex.opEnd(t0, OpStat{Kind: "index-scan", Label: t.Name + "." + indexCol, RowsIn: int64(len(ids)), RowsOut: int64(len(out.rows)),
+		ColsRead: len(r.src), ColsTotal: len(t.Schema), Workers: 1})
 	return out, nil
 }
 
-// bareCols collects unqualified column names referenced by e.
-func bareCols(e Expr, out []string) []string {
-	switch x := e.(type) {
-	case *ColRef:
-		if x.Alias == "" {
-			out = append(out, x.Column)
-		}
-	case *BinOp:
-		out = bareCols(x.L, out)
-		out = bareCols(x.R, out)
-	case *UnOp:
-		out = bareCols(x.X, out)
-	case *IsNullExpr:
-		out = bareCols(x.X, out)
-	case *InExpr:
-		out = bareCols(x.X, out)
-		for _, a := range x.List {
-			out = bareCols(a, out)
-		}
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			out = bareCols(w.Cond, out)
-			out = bareCols(w.Result, out)
-		}
-		if x.Else != nil {
-			out = bareCols(x.Else, out)
-		}
-	case *FuncCall:
-		for _, a := range x.Args {
-			out = bareCols(a, out)
+// soleResolver reports whether bf is the one FROM item of the core
+// (join chains included) that has every column in cols, and no other
+// item has any of them — the condition under which relation.colIndex
+// resolves the unqualified names instead of calling them ambiguous.
+func (ex *exec) soleResolver(bc *boundCore, bf *boundFrom, cols []string, env map[string]*relation) bool {
+	for _, f := range bc.prims {
+		for _, col := range cols {
+			if ex.hasColumn(f, col, env) != (f == bf) {
+				return false
+			}
 		}
 	}
-	return out
+	return true
 }
 
-// constEquality recognizes "alias.col = <constant expr>" (either side,
-// the column possibly unqualified) and returns the column and value.
-func constEquality(b *BinOp, alias string, db *DB) (string, Value, bool) {
-	try := func(l, r Expr) (string, Value, bool) {
-		cr, ok := l.(*ColRef)
-		if !ok || (cr.Alias != "" && !strings.EqualFold(cr.Alias, alias)) {
-			return "", Null, false
-		}
-		set := map[string]bool{}
-		exprAliases(r, set)
-		if len(set) != 0 {
-			return "", Null, false
-		}
-		v, err := evalExpr(r, &rowCtx{db: db})
-		if err != nil {
-			return "", Null, false
-		}
-		return cr.Column, v, true
+// hasColumn reports whether FROM item f exposes a column named col. A
+// derived table with a star item is assumed to: its names are only
+// known once it has run.
+func (ex *exec) hasColumn(f *boundFrom, col string, env map[string]*relation) bool {
+	if f.sub != nil {
+		names := f.sub.cores[0].names
+		return names == nil || slices.Contains(names, col)
 	}
-	if col, v, ok := try(b.L, b.R); ok {
-		return col, v, true
+	if cte, ok := env[f.table]; ok {
+		return slices.ContainsFunc(cte.cols, func(c relCol) bool { return c.name == col })
 	}
-	return try(b.R, b.L)
+	t := ex.db.table(f.table)
+	return t != nil && t.ColumnIndex(col) >= 0
 }
 
 // pushFilters applies this alias's single-alias conjuncts to an already
 // materialized relation (CTE reference).
-func (ex *exec) pushFilters(r *relation, alias string, conjs []Expr, applied []bool) (*relation, error) {
+func (ex *exec) pushFilters(r *relation, alias string, conjs []boundConj, applied []bool) (*relation, error) {
 	var mine []Expr
-	for i, c := range conjs {
-		if applied[i] {
-			continue
-		}
-		set := map[string]bool{}
-		exprAliases(c, set)
-		if len(set) == 1 && set[alias] {
-			mine = append(mine, c)
+	for i := range conjs {
+		if !applied[i] && conjs[i].only(alias) {
+			mine = append(mine, conjs[i].expr)
 			applied[i] = true
 		}
 	}
@@ -611,16 +548,13 @@ func (ex *exec) pushFilters(r *relation, alias string, conjs []Expr, applied []b
 func (ex *exec) filterRelation(r *relation, conds []Expr) (*relation, error) {
 	if r.scan {
 		// Fold the conjuncts into the scan's pending set and run the
-		// vectorized scan once instead of materializing first.
+		// scan once instead of materializing first.
 		s := *r
 		s.pending = append(append([]Expr(nil), r.pending...), conds...)
-		return ex.vecScan(&s)
+		return ex.materialize(&s)
 	}
 	t0 := ex.opStart()
-	out := newRelation(r.cols)
-	for a := range r.aliases {
-		out.aliases[a] = true
-	}
+	out := &relation{cols: r.cols, aliases: r.aliases}
 	pred := ex.db.compilePred(conds, r)
 	w := planWorkers(len(r.rows))
 	parts := make([][]Row, w)
@@ -661,7 +595,7 @@ func (ex *exec) filterRelation(r *relation, conds []Expr) (*relation, error) {
 // joinUnits combines the comma-separated FROM units using the WHERE
 // conjuncts: greedy ordering, hash joins on equality predicates,
 // cross products as a last resort.
-func (ex *exec) joinUnits(units []*relation, conjs []Expr, applied []bool) (*relation, error) {
+func (ex *exec) joinUnits(units []*relation, conjs []boundConj, applied []bool) (*relation, error) {
 	if len(units) == 1 {
 		return units[0], nil
 	}
@@ -698,12 +632,9 @@ func (ex *exec) joinUnits(units []*relation, conjs []Expr, applied []bool) (*rel
 		}
 		// Apply any conjunct now fully bound.
 		var ready []Expr
-		for i, c := range conjs {
-			if applied[i] {
-				continue
-			}
-			if boundIn(c, cur) {
-				ready = append(ready, c)
+		for i := range conjs {
+			if !applied[i] && boundIn(&conjs[i], cur) {
+				ready = append(ready, conjs[i].expr)
 				applied[i] = true
 			}
 		}
@@ -717,11 +648,10 @@ func (ex *exec) joinUnits(units []*relation, conjs []Expr, applied []bool) (*rel
 	return cur, nil
 }
 
-func boundIn(c Expr, r *relation) bool {
-	set := map[string]bool{}
-	exprAliases(c, set)
-	for a := range set {
-		if !r.aliases[a] {
+// boundIn reports whether every alias c references is part of r.
+func boundIn(c *boundConj, r *relation) bool {
+	for _, a := range c.aliases {
+		if !slices.Contains(r.aliases, a) {
 			return false
 		}
 	}
@@ -735,29 +665,23 @@ type eqLink struct {
 	ri   int // column position in right
 }
 
-func eqLinks(l, r *relation, conjs []Expr, applied []bool) []eqLink {
+// eqLinks lists the `colref = colref` conjuncts (skipping applied
+// ones when applied is non-nil) that link a column of l to one of r.
+func eqLinks(l, r *relation, conjs []boundConj, applied []bool) []eqLink {
 	var out []eqLink
-	for i, c := range conjs {
-		if applied != nil && applied[i] {
+	for i := range conjs {
+		c := &conjs[i]
+		if c.l == nil || (applied != nil && applied[i]) {
 			continue
 		}
-		b, ok := c.(*BinOp)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		lc, lok := b.L.(*ColRef)
-		rc, rok := b.R.(*ColRef)
-		if !lok || !rok {
-			continue
-		}
-		if li := l.colIndex(lc.Alias, lc.Column); li >= 0 {
-			if ri := r.colIndex(rc.Alias, rc.Column); ri >= 0 {
+		if li := l.colIndex(c.l); li >= 0 {
+			if ri := r.colIndex(c.r); ri >= 0 {
 				out = append(out, eqLink{conj: i, li: li, ri: ri})
 				continue
 			}
 		}
-		if li := l.colIndex(rc.Alias, rc.Column); li >= 0 {
-			if ri := r.colIndex(lc.Alias, lc.Column); ri >= 0 {
+		if li := l.colIndex(c.r); li >= 0 {
+			if ri := r.colIndex(c.l); ri >= 0 {
 				out = append(out, eqLink{conj: i, li: li, ri: ri})
 			}
 		}
@@ -765,25 +689,26 @@ func eqLinks(l, r *relation, conjs []Expr, applied []bool) []eqLink {
 	return out
 }
 
-func countEqLinks(l, r *relation, conjs []Expr, applied []bool) int {
+func countEqLinks(l, r *relation, conjs []boundConj, applied []bool) int {
 	return len(eqLinks(l, r, conjs, applied))
 }
 
-// materialize applies any pending filters, detaching the relation from
-// its base table. Columnar scans run the vectorized path (zone-map
-// pruning, selection vectors) whether or not filters are pending.
+// materialize runs a deferred base-table scan with its pending
+// filters, detaching the relation from its base table. Columnar tables
+// run the vectorized path (zone-map pruning, selection vectors); the
+// row layout copies its live rows narrow and filters them row by row.
 func (ex *exec) materialize(r *relation) (*relation, error) {
-	if r.scan {
-		return ex.vecScan(r)
-	}
-	if len(r.pending) == 0 {
+	if !r.scan {
 		return r, nil
 	}
-	out, err := ex.filterRelation(r, r.pending)
-	if err != nil {
-		return nil, err
+	if r.base.Columnar() {
+		return ex.vecScan(r)
 	}
-	return out, nil
+	out := &relation{cols: r.cols, aliases: r.aliases, rows: r.base.reader(r.src).liveRows()}
+	if len(r.pending) == 0 {
+		return out, nil
+	}
+	return ex.filterRelation(out, r.pending)
 }
 
 // indexLink finds a join link whose probe side is an indexed column of
@@ -797,10 +722,7 @@ func indexLink(r *relation, links []eqLink, right bool) (int, string) {
 		if !right {
 			pos = lk.li
 		}
-		col := r.cols[pos]
-		if j := strings.LastIndexByte(col, '.'); j >= 0 {
-			col = col[j+1:]
-		}
+		col := r.cols[pos].name
 		if r.base.HasIndex(col) {
 			return i, col
 		}
@@ -810,7 +732,7 @@ func indexLink(r *relation, links []eqLink, right bool) (int, string) {
 
 // joinPair joins cur with next using the available equality conjuncts
 // (hash join) or a cross product when none apply.
-func (ex *exec) joinPair(cur, next *relation, conjs []Expr, applied []bool) (*relation, error) {
+func (ex *exec) joinPair(cur, next *relation, conjs []boundConj, applied []bool) (*relation, error) {
 	links := eqLinks(cur, next, conjs, applied)
 	out := combineShape(cur, next)
 	if len(links) == 0 {
@@ -920,9 +842,9 @@ func (ex *exec) indexProbe(out *relation, probe, indexed *relation, links []eqLi
 		}
 		var local []Row
 		arena := rowArena{gov: ex.gov}
-		// Each worker owns its reader: columnar reads share a per-reader
-		// scratch row, consumed before the next rowAt (combine copies).
-		rd := indexed.base.reader()
+		// Each worker owns its reader: reads share a per-reader scratch
+		// row, consumed before the next rowAt (combine copies).
+		rd := indexed.base.reader(indexed.src)
 		for _, pr := range probe.rows[lo:hi] {
 			if err := tk.step(); err != nil {
 				return err
@@ -972,7 +894,8 @@ func (ex *exec) indexProbe(out *relation, probe, indexed *relation, links []eqLi
 	for _, p := range parts {
 		out.rows = append(out.rows, p...)
 	}
-	ex.opEnd(t0, OpStat{Kind: "index-join", Label: indexed.base.Name + "." + col, RowsIn: int64(len(probe.rows)), RowsOut: int64(len(out.rows)), Workers: w})
+	ex.opEnd(t0, OpStat{Kind: "index-join", Label: indexed.base.Name + "." + col, RowsIn: int64(len(probe.rows)), RowsOut: int64(len(out.rows)),
+		ColsRead: len(indexed.src), ColsTotal: len(indexed.base.Schema), Workers: w})
 	return nil
 }
 
@@ -1123,16 +1046,12 @@ func (ex *exec) intHashJoin(out *relation, cur, next *relation, link eqLink) (bo
 }
 
 func combineShape(l, r *relation) *relation {
-	cols := make([]string, 0, len(l.cols)+len(r.cols))
-	cols = append(cols, l.cols...)
-	cols = append(cols, r.cols...)
-	out := newRelation(cols)
-	for a := range l.aliases {
-		out.aliases[a] = true
+	out := &relation{
+		cols:    make([]relCol, 0, len(l.cols)+len(r.cols)),
+		aliases: make([]string, 0, len(l.aliases)+len(r.aliases)),
 	}
-	for a := range r.aliases {
-		out.aliases[a] = true
-	}
+	out.cols = append(append(out.cols, l.cols...), r.cols...)
+	out.aliases = append(append(out.aliases, l.aliases...), r.aliases...)
 	return out
 }
 
@@ -1206,7 +1125,7 @@ func (a *rowArena) allocRows(n, width int) []Row {
 }
 
 // joinOn implements explicit [LEFT OUTER] JOIN ... ON.
-func (ex *exec) joinOn(left, right *relation, on Expr, outer bool) (*relation, error) {
+func (ex *exec) joinOn(left, right *relation, on []boundConj, outer bool) (*relation, error) {
 	var err error
 	// The left side is always iterated row-by-row; the right side stays
 	// unmaterialized only on the index path below.
@@ -1215,37 +1134,19 @@ func (ex *exec) joinOn(left, right *relation, on Expr, outer bool) (*relation, e
 	}
 	t0 := ex.opStart()
 	out := combineShape(left, right)
-	onConjs := conjuncts(on, nil)
-	// Equality links usable for hashing.
-	var links []eqLink
+	// Equality links usable for hashing; the rest is checked per pair.
+	links := eqLinks(left, right, on, nil)
 	var residual []Expr
-	for _, c := range onConjs {
-		b, ok := c.(*BinOp)
-		if ok && b.Op == "=" {
-			lc, lok := b.L.(*ColRef)
-			rc, rok := b.R.(*ColRef)
-			if lok && rok {
-				if li := left.colIndex(lc.Alias, lc.Column); li >= 0 {
-					if ri := right.colIndex(rc.Alias, rc.Column); ri >= 0 {
-						links = append(links, eqLink{li: li, ri: ri})
-						continue
-					}
-				}
-				if li := left.colIndex(rc.Alias, rc.Column); li >= 0 {
-					if ri := right.colIndex(lc.Alias, lc.Column); ri >= 0 {
-						links = append(links, eqLink{li: li, ri: ri})
-						continue
-					}
-				}
-			}
+	for i := range on {
+		if !slices.ContainsFunc(links, func(lk eqLink) bool { return lk.conj == i }) {
+			residual = append(residual, on[i].expr)
 		}
-		residual = append(residual, c)
 	}
 	nulls := make(Row, len(right.cols))
 	resOK := ex.db.compilePred(residual, out)
 	if li, col := indexLink(right, links, true); li >= 0 && len(left.rows) < right.rowCount() {
 		idx := right.base.indexFor(col)
-		rd := right.base.reader()
+		rd := right.base.reader(right.src)
 		tk := ticker{g: ex.gov, site: CkJoinOn}
 		if err := tk.flush(); err != nil {
 			return nil, err
@@ -1293,7 +1194,8 @@ func (ex *exec) joinOn(left, right *relation, on Expr, outer bool) (*relation, e
 		if err := tk.flush(); err != nil {
 			return nil, err
 		}
-		ex.opEnd(t0, OpStat{Kind: "join-on", Label: "index " + right.base.Name + "." + col, RowsIn: int64(len(left.rows)), RowsOut: int64(len(out.rows)), Workers: 1})
+		ex.opEnd(t0, OpStat{Kind: "join-on", Label: "index " + right.base.Name + "." + col, RowsIn: int64(len(left.rows)), RowsOut: int64(len(out.rows)),
+			ColsRead: len(right.src), ColsTotal: len(right.base.Schema), Workers: 1})
 		return out, nil
 	}
 	if right, err = ex.materialize(right); err != nil {
@@ -1412,68 +1314,57 @@ func (ex *exec) joinOn(left, right *relation, on Expr, outer bool) (*relation, e
 	return out, nil
 }
 
-// project evaluates the SELECT list over the joined relation. live
-// (nil = all) is the set of output columns any downstream select can
-// observe: dead expression items are not evaluated, their slot left
-// NULL, which is indistinguishable to consumers of the live columns.
-func (ex *exec) project(core *SelectCore, r *relation, live map[string]bool) (*ResultSet, error) {
-	var names []string
+// project evaluates the SELECT list over the joined relation. Items
+// the bound form marks dead (no downstream select can observe them) are
+// not evaluated when they are expressions: their slot is left NULL,
+// which is indistinguishable to consumers of the live columns.
+func (ex *exec) project(bc *boundCore, r *relation) (*ResultSet, error) {
+	core := bc.core
+	names := bc.names
 	var exprs []Expr // nil entry means direct column copy at positions[i]
 	var positions []int
-	for _, item := range core.Items {
-		if item.Star {
-			alias := strings.ToLower(item.StarAlias)
-			for i, c := range r.cols {
-				if alias != "" && !strings.HasPrefix(c, alias+".") {
-					continue
-				}
-				name := c
-				if j := strings.LastIndexByte(c, '.'); j >= 0 {
-					name = c[j+1:]
-				}
-				names = append(names, name)
-				exprs = append(exprs, nil)
-				positions = append(positions, i)
-			}
-			continue
-		}
-		name := item.Alias
-		if name == "" {
-			if cr, ok := item.Expr.(*ColRef); ok {
-				name = cr.Column
-			} else {
-				name = fmt.Sprintf("col%d", len(names)+1)
-			}
-		}
-		names = append(names, strings.ToLower(name))
-		if cr, ok := item.Expr.(*ColRef); ok {
-			if i := r.colIndex(cr.Alias, cr.Column); i >= 0 {
-				exprs = append(exprs, nil)
-				positions = append(positions, i)
-				continue
-			}
-		}
-		exprs = append(exprs, item.Expr)
-		positions = append(positions, -1)
-	}
-	if live != nil {
-		// Dead-column pruning (see deadcols.go). Only expression items
-		// are worth skipping — direct copies are a pointer move — and
-		// only when no star item shifted the positional names the
-		// analysis computed. positions[i] = -2 marks a dead slot: never
-		// read from the input row, left NULL in the output.
-		star := false
+	if names == nil {
+		// A star item: the names depend on the input shape.
 		for _, item := range core.Items {
 			if item.Star {
-				star = true
+				alias := strings.ToLower(item.StarAlias)
+				for i, c := range r.cols {
+					if alias != "" && c.alias != alias {
+						continue
+					}
+					names = append(names, c.name)
+					exprs = append(exprs, nil)
+					positions = append(positions, i)
+				}
+				continue
+			}
+			names = append(names, itemName(item, len(names)))
+			exprs = append(exprs, item.Expr)
+			positions = append(positions, -1)
+		}
+	} else {
+		exprs = make([]Expr, len(names))
+		positions = make([]int, len(names))
+		for i, item := range core.Items {
+			exprs[i], positions[i] = item.Expr, -1
+		}
+	}
+	for i, e := range exprs {
+		if cr, ok := e.(*ColRef); ok {
+			if p := r.colIndex(cr); p >= 0 {
+				exprs[i], positions[i] = nil, p
 			}
 		}
-		if !star {
-			for i := range names {
-				if exprs[i] != nil && !live[names[i]] {
-					exprs[i] = nil
-					positions[i] = -2
-				}
+	}
+	if bc.dead != nil {
+		// Dead-column pruning (see deadcols.go). Only expression items
+		// are worth skipping: direct copies are a pointer move.
+		// positions[i] = -2 marks a dead slot: never read from the input
+		// row, left NULL in the output.
+		for i := range names {
+			if exprs[i] != nil && bc.dead[i] {
+				exprs[i] = nil
+				positions[i] = -2
 			}
 		}
 	}

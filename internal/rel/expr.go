@@ -1,21 +1,33 @@
 package rel
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
+
+// relCol names one column of a relation: the lower-cased FROM alias
+// that qualifies it ("" for the unqualified output of a select) and
+// the lower-cased column name.
+type relCol struct{ alias, name string }
+
+func (c relCol) String() string {
+	if c.alias == "" {
+		return c.name
+	}
+	return c.alias + "." + c.name
+}
 
 // relation is a materialized intermediate result during execution.
-// Column names are stored lower-cased and alias-qualified
-// ("alias.col"); unqualified lookups resolve by unique suffix.
+// Unqualified lookups resolve by unique name across the aliases.
 type relation struct {
-	cols    []string
+	cols    []relCol
 	rows    []Row
-	aliases map[string]bool
+	aliases []string
 	// base points at the backing table when this relation is a full
 	// scan of it; joins can then use the table's hash indexes (index
-	// nested-loop) instead of building a fresh hash.
+	// nested-loop) instead of building a fresh hash. src maps each
+	// relation position to its table column: the relation carries only
+	// the columns its core references (see bind.go), in schema order,
+	// and every read of base goes through Table.reader(src).
 	base *Table
+	src  []int
 	// pending holds single-relation filters that have not been applied
 	// yet: base scans defer them so an index nested-loop join can
 	// evaluate them per probed row instead of materializing a filtered
@@ -40,35 +52,30 @@ func (r *relation) rowCount() int {
 	return len(r.rows)
 }
 
-func newRelation(cols []string) *relation {
-	return &relation{cols: cols, aliases: make(map[string]bool)}
-}
-
-// colIndex resolves an (alias, column) reference to a position, or -1.
-func (r *relation) colIndex(alias, col string) int {
-	alias = strings.ToLower(alias)
-	col = strings.ToLower(col)
+// colIndex resolves a column reference to a position, or -1.
+func (r *relation) colIndex(c *ColRef) int {
+	alias, col := c.lowered()
 	if alias != "" {
-		want := alias + "." + col
-		for i, c := range r.cols {
-			if c == want {
+		for i, rc := range r.cols {
+			if rc.name == col && rc.alias == alias {
 				return i
 			}
 		}
 		return -1
 	}
-	// Unqualified: exact match first, then unique suffix match.
+	// Unqualified: exact match first, then unique match across aliases.
 	found := -1
-	for i, c := range r.cols {
-		if c == col {
+	for i, rc := range r.cols {
+		if rc.name != col {
+			continue
+		}
+		if rc.alias == "" {
 			return i
 		}
-		if strings.HasSuffix(c, "."+col) {
-			if found >= 0 {
-				return -1 // ambiguous
-			}
-			found = i
+		if found >= 0 {
+			return -1 // ambiguous
 		}
+		found = i
 	}
 	return found
 }
@@ -106,7 +113,7 @@ func evalExpr(e Expr, ctx *rowCtx) (Value, error) {
 			}
 		}
 		if !cached {
-			i = ctx.rel.colIndex(x.Alias, x.Column)
+			i = ctx.rel.colIndex(x)
 			if ctx.cache != nil {
 				ctx.cache[x] = i
 			}

@@ -259,6 +259,50 @@ func TestBudgetTripInArena(t *testing.T) {
 	checkUsable(t, db)
 }
 
+// TestMemoryBudgetFollowsReadWidth: the arena charges what it
+// allocates, and a scan allocates the columns its core names. Five
+// columns of a 66-column sparse table fit a budget that the full width
+// — which every query used to gather — overruns; a budget below the
+// five columns still trips, with the typed error.
+func TestMemoryBudgetFollowsReadWidth(t *testing.T) {
+	db := NewDB()
+	schema := make(Schema, 66)
+	for i := range schema {
+		schema[i] = Column{Name: "c" + itoa(i), Type: TInt}
+	}
+	wide := mustTable(t, db, "wide", schema, nil)
+	const rows = 2000
+	for i := 0; i < rows; i++ {
+		r := make(Row, len(schema))
+		r[0] = Int(int64(i))
+		for c := 1 + i%7; c < len(r); c += 7 {
+			r[c] = Int(int64(c))
+		}
+		if err := wide.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	five := mustParse(t, "SELECT T.c0, T.c3, T.c17, T.c40, T.c65 FROM wide AS T WHERE T.c0 >= 0")
+	all := mustParse(t, "SELECT * FROM wide AS T WHERE T.c0 >= 0")
+	// 2000 rows cost 400 KB at five columns and 5.3 MB at 66.
+	budget := Limits{MaxBytes: 1 << 20}
+	rs, err := db.ExecContext(context.Background(), five, budget)
+	if err != nil {
+		t.Fatalf("five of 66 columns must fit %d bytes: %v", budget.MaxBytes, err)
+	}
+	if len(rs.Rows) != rows || len(rs.Rows[0]) != 5 {
+		t.Fatalf("got %d rows of width %d, want %d of 5", len(rs.Rows), len(rs.Rows[0]), rows)
+	}
+	var be *BudgetError
+	if _, err := db.ExecContext(context.Background(), all, budget); !errors.As(err, &be) || be.Budget != "memory" {
+		t.Fatalf("all 66 columns must overrun %d bytes with a memory *BudgetError, got %v", budget.MaxBytes, err)
+	}
+	be = nil
+	if _, err := db.ExecContext(context.Background(), five, Limits{MaxBytes: 100 << 10}); !errors.As(err, &be) || be.Budget != "memory" {
+		t.Fatalf("five columns of 2000 rows must overrun 100 KB with a memory *BudgetError, got %v", err)
+	}
+}
+
 // TestExecNilContext ensures a nil context behaves like Background.
 func TestExecNilContext(t *testing.T) {
 	db := peopleDB(t)

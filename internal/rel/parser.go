@@ -20,6 +20,7 @@ func ParseQuery(sql string) (*Query, error) {
 	if !p.atEOF() {
 		return nil, p.errf("trailing input starting at %q", p.peek().text)
 	}
+	q.bound = bindQuery(q)
 	return q, nil
 }
 
@@ -590,9 +591,9 @@ func (p *sqlParser) primaryExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &ColRef{Alias: name, Column: col}, nil
+			return &ColRef{Alias: name, Column: col, alias: strings.ToLower(name), column: strings.ToLower(col)}, nil
 		}
-		return &ColRef{Column: name}, nil
+		return &ColRef{Column: name, column: strings.ToLower(name)}, nil
 	}
 	return nil, p.errf("unexpected token %q", t.text)
 }

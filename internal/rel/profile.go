@@ -36,12 +36,17 @@ type OpStat struct {
 	Chunks        int64 // columnar chunks covered by a scan
 	ChunksSkipped int64 // chunks pruned by zone maps without per-row work
 
+	// ColsRead of the base table's ColsTotal columns were gathered into
+	// rows; set on the operators that read a base table ("scan",
+	// "index-scan", "index-join" and the index kernel of "join-on").
+	ColsRead, ColsTotal int
+
 	Workers   int   // morsel workers the operator fanned out across
 	ElapsedNs int64 // wall time spent in the operator
 }
 
 // String renders one operator line, e.g.
-// "[qt3] scan dph: in=5000 out=120 chunks=5 skipped=3 workers=4 (1.2ms)".
+// "[qt3] scan dph: in=5000 out=120 chunks=5 skipped=3 cols=5/66 workers=4 (1.2ms)".
 func (s OpStat) String() string {
 	var b strings.Builder
 	if s.Scope != "" {
@@ -57,6 +62,9 @@ func (s OpStat) String() string {
 	}
 	if s.Chunks > 0 {
 		fmt.Fprintf(&b, " chunks=%d skipped=%d", s.Chunks, s.ChunksSkipped)
+	}
+	if s.ColsTotal > 0 {
+		fmt.Fprintf(&b, " cols=%d/%d", s.ColsRead, s.ColsTotal)
 	}
 	fmt.Fprintf(&b, " workers=%d (%s)", s.Workers, time.Duration(s.ElapsedNs))
 	return b.String()

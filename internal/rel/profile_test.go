@@ -64,8 +64,62 @@ func TestAnalyzeContextProfile(t *testing.T) {
 	if scan.Scope != "c1" {
 		t.Fatalf("scan scope = %q, want c1", scan.Scope)
 	}
-	if !strings.Contains(stats.String(), "scan z") {
-		t.Fatalf("stats rendering lacks the scan line:\n%s", stats.String())
+	// The core names z.v alone, of z's four columns.
+	if scan.ColsRead != 1 || scan.ColsTotal != 4 {
+		t.Fatalf("scan read %d of %d columns, want 1 of 4", scan.ColsRead, scan.ColsTotal)
+	}
+	if out := stats.String(); !strings.Contains(out, "scan z") || !strings.Contains(out, " cols=1/4 ") {
+		t.Fatalf("stats rendering lacks the scan line or its width:\n%s", out)
+	}
+}
+
+// TestAnalyzeReportsColumnsRead: every operator that turns base-table
+// cells into rows — scan, index scan, index join, and JOIN … ON over an
+// index — reports how many of the table's columns it gathered, and
+// operators over intermediate rows report none.
+func TestAnalyzeReportsColumnsRead(t *testing.T) {
+	db := NewDB()
+	big := mustTable(t, db, "big", Schema{{Name: "k", Type: TInt}, {Name: "a", Type: TInt}, {Name: "b", Type: TInt}, {Name: "c", Type: TString}, {Name: "d", Type: TInt}}, nil)
+	for i := 0; i < 500; i++ {
+		if err := big.Insert(Row{Int(int64(i % 50)), Int(int64(i)), Int(int64(i % 3)), Str("x"), Null}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := big.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	mustTable(t, db, "small", Schema{{Name: "k", Type: TInt}, {Name: "n", Type: TInt}}, []Row{{Int(3), Int(1)}, {Int(7), Int(2)}})
+	for _, tc := range []struct {
+		sql, kind, label string
+		read, total      int
+	}{
+		{"SELECT T.a FROM big AS T WHERE T.b = 1", "scan", "big", 2, 5},
+		{"SELECT * FROM big AS T WHERE T.b = 1", "scan", "big", 5, 5},
+		{"SELECT T.a FROM big AS T WHERE T.k = 7 AND T.b = 1", "index-scan", "big.k", 3, 5},
+		{"SELECT S.n, T.a FROM small AS S, big AS T WHERE T.k = S.k", "index-join", "big.k", 2, 5},
+		{"SELECT S.n, T.c FROM small AS S LEFT OUTER JOIN big AS T ON S.k = T.k AND T.b = 0", "join-on", "index big.k", 3, 5},
+	} {
+		_, stats, err := db.AnalyzeContext(context.Background(), mustParse(t, tc.sql), Limits{})
+		if err != nil {
+			t.Fatalf("%q: %v", tc.sql, err)
+		}
+		found := false
+		for _, op := range stats.Ops {
+			switch {
+			case op.Kind == tc.kind && op.Label == tc.label:
+				found = true
+				if op.ColsRead != tc.read || op.ColsTotal != tc.total {
+					t.Fatalf("%q: %s read %d of %d columns, want %d of %d", tc.sql, op.Kind, op.ColsRead, op.ColsTotal, tc.read, tc.total)
+				}
+			case op.Kind == "project" || op.Kind == "filter" || op.Kind == "hash-join":
+				if op.ColsTotal != 0 || strings.Contains(op.String(), "cols=") {
+					t.Fatalf("%q: %s reads no base table but reports a width: %s", tc.sql, op.Kind, op)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("%q: no %s %s operator:\n%s", tc.sql, tc.kind, tc.label, stats)
+		}
 	}
 }
 
@@ -165,13 +219,13 @@ func TestZoneMapExceptionPruning(t *testing.T) {
 	colDB := excDB(t, StorageColumnar)
 	rowDB := excDB(t, StorageRows)
 	queries := []string{
-		"SELECT e.id FROM e AS e WHERE e.v = 500",  // only the Float exception; zone map alone would skip the chunk
-		"SELECT e.id FROM e AS e WHERE e.v > 300",  // ditto, range form
-		"SELECT e.id FROM e AS e WHERE e.v >= 500", // boundary
-		"SELECT e.id FROM e AS e WHERE e.v > 79 AND e.v < 81",  // Float 79.5 between int neighbors
-		"SELECT e.id FROM e AS e WHERE e.v = 50",   // int literal at an index whose row was replaced
-		"SELECT e.id FROM e AS e WHERE e.v != 0",   // inequality across exceptions
-		"SELECT e.id FROM e AS e WHERE e.v < 10",   // exceptions all fail the predicate
+		"SELECT e.id FROM e AS e WHERE e.v = 500",             // only the Float exception; zone map alone would skip the chunk
+		"SELECT e.id FROM e AS e WHERE e.v > 300",             // ditto, range form
+		"SELECT e.id FROM e AS e WHERE e.v >= 500",            // boundary
+		"SELECT e.id FROM e AS e WHERE e.v > 79 AND e.v < 81", // Float 79.5 between int neighbors
+		"SELECT e.id FROM e AS e WHERE e.v = 50",              // int literal at an index whose row was replaced
+		"SELECT e.id FROM e AS e WHERE e.v != 0",              // inequality across exceptions
+		"SELECT e.id FROM e AS e WHERE e.v < 10",              // exceptions all fail the predicate
 		"SELECT e.id FROM e AS e WHERE e.v IS NULL",
 		"SELECT e.id FROM e AS e WHERE e.v IS NOT NULL",
 	}

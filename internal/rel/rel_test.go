@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -234,6 +235,52 @@ func TestStringIndex(t *testing.T) {
 	rs := queryRows(t, db, "SELECT s FROM t WHERE s = 'a'")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(rs.Rows))
+	}
+}
+
+// TestUnqualifiedPushdownAgreesWithColIndex: a conjunct over a bare
+// column is pushed into a base scan only when that FROM item alone can
+// resolve it. The scan used to claim `k = 5` for the first item whose
+// schema had k and mark it applied, silently filtering one side of a
+// reference the joined relation calls ambiguous.
+func TestUnqualifiedPushdownAgreesWithColIndex(t *testing.T) {
+	db := NewDB()
+	a := mustTable(t, db, "a", Schema{{Name: "k", Type: TInt}, {Name: "v", Type: TInt}}, []Row{{Int(5), Int(1)}, {Int(6), Int(2)}})
+	mustTable(t, db, "b", Schema{{Name: "k", Type: TInt}, {Name: "w", Type: TInt}}, []Row{{Int(5), Int(10)}, {Int(6), Int(20)}})
+	if err := a.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query("SELECT x.v, y.w FROM a AS x, b AS y WHERE k = 5 AND x.v < y.w"); err == nil {
+		t.Fatal("k names a column of both FROM items: want the ambiguity error, got rows")
+	}
+	// Through a join chain too: y is not a pushdown target, but it still
+	// resolves k.
+	if _, err := db.Query("SELECT x.v FROM a AS x, b AS z JOIN b AS y ON z.w = y.w WHERE k = 5"); err == nil {
+		t.Fatal("k is ambiguous across a join chain: want an error, got rows")
+	}
+	// Next to bare columns that do resolve, k stays ambiguous.
+	if _, err := db.Query("SELECT v, w FROM a AS x, b AS y WHERE v = 1 AND k = 5 AND w = 10"); err == nil {
+		t.Fatal("k is ambiguous next to resolvable bare columns: want an error, got rows")
+	}
+	// A bare column only one item has is still pushed down, and the
+	// scan still finds the index.
+	q, err := ParseQuery("SELECT x.k, w FROM a AS x, b AS y WHERE v = 1 AND x.k = 5 AND w = 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, stats, err := db.AnalyzeContext(context.Background(), q, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rows) != 1 || rs.Rows[0][0].I != 5 || rs.Rows[0][1].I != 10 {
+		t.Fatalf("unexpected rows %v", rs.Rows)
+	}
+	var indexScan bool
+	for _, op := range stats.Ops {
+		indexScan = indexScan || op.Kind == "index-scan"
+	}
+	if !indexScan {
+		t.Fatalf("sole-resolver conjuncts should still reach the index scan:\n%s", stats)
 	}
 }
 

@@ -135,12 +135,13 @@ type Table struct {
 	mu      sync.RWMutex
 	storage Storage
 	nrows   int
-	cols    []*colVec // columnar layout
-	rows    []Row     // row layout
-	tomb    []*tombChunk // per-chunk tombstone bitmaps; nil entry = no deletes (see tombstone.go)
-	dead    int          // total tombstoned rows
+	cols    []*colVec             // columnar layout
+	rows    []Row                 // row layout
+	tomb    []*tombChunk          // per-chunk tombstone bitmaps; nil entry = no deletes (see tombstone.go)
+	dead    int                   // total tombstoned rows
 	indexes map[string]*hashIndex // by lower-cased column name
 	colIdx  map[string]int        // lower-cased column name → position
+	names   []string              // lower-cased column names, by position
 
 	wgen        uint64 // writer generation: bumped by Publish; 0 = never published
 	tombGen     uint64 // generation that owns the tomb slice
@@ -159,9 +160,11 @@ func NewTable(name string, schema Schema) *Table {
 		storage: DefaultStorage(),
 		indexes: make(map[string]*hashIndex),
 		colIdx:  make(map[string]int, len(schema)),
+		names:   make([]string, len(schema)),
 	}
 	for i, c := range schema {
-		t.colIdx[strings.ToLower(c.Name)] = i
+		t.names[i] = strings.ToLower(c.Name)
+		t.colIdx[t.names[i]] = i
 	}
 	if t.storage == StorageColumnar {
 		t.cols = make([]*colVec, len(schema))
@@ -300,10 +303,10 @@ func (t *Table) CellAt(i, j int) Value {
 }
 
 // SetCell updates the single cell (row i, column j). On the row layout
-// the row is copied before mutation, because query results may alias
-// table rows; the columnar layout mutates the vector in place (readers
-// always materialize copies). Indexed columns must not change value
-// unless reindexed by the caller.
+// the row is copied before mutation, because published snapshots and
+// Rows() callers share it; the columnar layout mutates the vector
+// copy-on-write. Indexed columns must not change value unless reindexed
+// by the caller.
 func (t *Table) SetCell(i, j int, v Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -400,36 +403,59 @@ func (t *Table) materializeAllLocked() []Row {
 	return out
 }
 
-// reader returns a snapshot for repeated point reads (index probes).
-// For a columnar table rowAt fills a single scratch buffer, so the
-// returned row is valid only until the next rowAt call and must be
-// copied (rowArena.combine does) before being retained. One reader
-// belongs to exactly one goroutine.
-func (t *Table) reader() *tableReader {
+// reader returns a snapshot for reading the table columns src (table
+// positions, in the order the reader's rows carry them). It is the one
+// way the executor turns table cells into rows, so a query pays for the
+// columns it names and not for the table's width. rowAt fills a single
+// scratch buffer: the returned row is valid only until the next rowAt
+// call and must be copied (rowArena.combine and clone do) before being
+// retained. One reader belongs to exactly one goroutine.
+func (t *Table) reader(src []int) *tableReader {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	rd := &tableReader{src: src, nrows: t.nrows, tomb: t.tomb}
 	if t.storage == StorageRows {
-		return &tableReader{rows: t.rows}
+		rd.rows = t.rows
+		return rd
 	}
-	return &tableReader{columnar: true, cols: t.cols, buf: make(Row, len(t.cols))}
+	rd.cols = make([]*colVec, len(src))
+	for j, c := range src {
+		rd.cols[j] = t.cols[c]
+	}
+	return rd
 }
 
 type tableReader struct {
-	columnar bool
-	rows     []Row
-	cols     []*colVec
-	buf      Row
+	src   []int
+	cols  []*colVec // columnar layout: the vectors of src, in src order
+	rows  []Row     // row layout: the full-width rows
+	tomb  []*tombChunk
+	nrows int
+	buf   Row // rowAt's scratch, allocated on first use
 }
 
-// rowAt returns row i; see Table.reader for the aliasing contract.
+// rowAt returns row i in the scratch buffer; see Table.reader.
 func (rd *tableReader) rowAt(i int) Row {
-	if !rd.columnar {
-		return rd.rows[i]
+	if rd.buf == nil {
+		rd.buf = make(Row, len(rd.src))
 	}
-	// Hot path for index probes over wide sparse tables: compute the
-	// chunk coordinates once, and settle absent cells (nil chunk or
-	// cleared presence bit — the common case for DPH/RPH predicate
-	// columns) without the call into colVec.get.
+	rd.rowInto(rd.buf, i)
+	return rd.buf
+}
+
+// rowInto gathers the reader's columns of row i into dst.
+func (rd *tableReader) rowInto(dst Row, i int) {
+	if rd.cols == nil {
+		full := rd.rows[i]
+		for j, c := range rd.src {
+			dst[j] = full[c]
+		}
+		return
+	}
+	// Hot path for index probes over sparse tables: compute the chunk
+	// coordinates once, and settle absent cells (nil chunk or cleared
+	// presence bit — the common case for DPH/RPH predicate columns)
+	// without the call into colVec.get.
 	ci, off := i>>chunkShift, i&chunkMask
 	word, bit := uint(off)>>6, uint64(1)<<(uint(off)&63)
 	for j, c := range rd.cols {
@@ -438,21 +464,42 @@ func (rd *tableReader) rowAt(i int) Row {
 			ck = c.chunks[ci]
 		}
 		if ck == nil || ck.bits[word]&bit == 0 {
-			rd.buf[j] = Null
+			dst[j] = Null
 			continue
 		}
 		if ck.exc == nil && c.typ == TInt {
-			rd.buf[j] = Int(ck.intAt(ck.rank(off)))
+			dst[j] = Int(ck.intAt(ck.rank(off)))
 			continue
 		}
-		rd.buf[j] = c.get(i)
+		dst[j] = c.get(i)
 	}
-	return rd.buf
 }
 
-// shared reports whether rowAt returns long-lived rows (row layout)
-// as opposed to a reused scratch buffer.
-func (rd *tableReader) shared() bool { return !rd.columnar }
+// gatherChunk materializes chunk ci of a columnar table into rows,
+// which must be zeroed (absent cells are left untouched).
+func (rd *tableReader) gatherChunk(ci int, rows []Row) {
+	for j, c := range rd.cols {
+		c.gatherChunk(ci, rows, j)
+	}
+}
+
+// liveRows materializes every live row (the row layout's scan; the
+// columnar layout scans chunk-wise in vecscan.go).
+func (rd *tableReader) liveRows() []Row {
+	width := len(rd.src)
+	out := make([]Row, 0, rd.nrows)
+	block := make([]Value, rd.nrows*width)
+	for i := 0; i < rd.nrows; i++ {
+		if tombstoned(rd.tomb, i) {
+			continue
+		}
+		row := block[:width:width]
+		block = block[width:]
+		rd.rowInto(row, i)
+		out = append(out, row)
+	}
+	return out
+}
 
 // CreateIndex builds (or rebuilds) a hash index on the named column.
 func (t *Table) CreateIndex(col string) error {
@@ -655,9 +702,9 @@ func (t *Table) ResidentBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	const (
-		sliceHeader = 24
+		sliceHeader  = 24
 		stringHeader = 16
-		mapEntry    = 64 // rough per-entry cost of a small map
+		mapEntry     = 64 // rough per-entry cost of a small map
 	)
 	if t.storage == StorageRows {
 		total := int64(sliceHeader) + int64(cap(t.rows))*sliceHeader
@@ -741,9 +788,14 @@ func (db *DB) DropTable(name string) {
 
 // Table returns the named table, or nil.
 func (db *DB) Table(name string) *Table {
+	return db.table(strings.ToLower(name))
+}
+
+// table is Table for an already lower-cased name.
+func (db *DB) table(lower string) *Table {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.tables[strings.ToLower(name)]
+	return db.tables[lower]
 }
 
 // TableNames lists all tables in sorted order.

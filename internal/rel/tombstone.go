@@ -60,12 +60,12 @@ func (tc *tombChunk) has(off int) bool {
 
 // deadLocked reports whether row i is tombstoned; the caller holds the
 // table lock (either mode).
-func (t *Table) deadLocked(i int) bool {
+func (t *Table) deadLocked(i int) bool { return tombstoned(t.tomb, i) }
+
+// tombstoned reports whether row i is dead in the tombstone directory.
+func tombstoned(tomb []*tombChunk, i int) bool {
 	ci := i >> chunkShift
-	if ci >= len(t.tomb) || t.tomb[ci] == nil {
-		return false
-	}
-	return t.tomb[ci].has(i & chunkMask)
+	return ci < len(tomb) && tomb[ci] != nil && tomb[ci].has(i&chunkMask)
 }
 
 // LiveLen returns the number of live (non-deleted) rows.

@@ -19,6 +19,9 @@ import "math/bits"
 //     but only for rows that survived step 2;
 //  4. gather — survivors are materialized into arena rows.
 //
+// Rows — scratch and gathered alike — carry only the relation's
+// columns (relation.src), read through the table's narrow reader.
+//
 // Governance (see govern.go): selected rows are emitted — charged
 // against the row budget — exactly like the row-at-a-time filter;
 // evaluated-but-rejected rows tick the checkpoint counter without
@@ -40,8 +43,9 @@ const (
 	vecNotNull
 )
 
-// vecFilter is one vectorizable conjunct: schema column `col`
-// compared against the int literal `val` (unused for the null tests).
+// vecFilter is one vectorizable conjunct: the column at relation
+// position `col` compared against the int literal `val` (unused for
+// the null tests).
 type vecFilter struct {
 	col int
 	op  vecOp
@@ -52,8 +56,8 @@ var cmpFlip = map[string]vecOp{"=": vecEq, "!=": vecNe, "<": vecGt, "<=": vecGe,
 var cmpFwd = map[string]vecOp{"=": vecEq, "!=": vecNe, "<": vecLt, "<=": vecLe, ">": vecGt, ">=": vecGe}
 
 // compileVecFilters splits conds into vectorizable filters and the
-// residual row-at-a-time predicates. r must be a scan relation over t
-// (column positions == schema positions). Exception values
+// residual row-at-a-time predicates. r must be a scan relation over t;
+// column types resolve through r.src. Exception values
 // (kind-mismatched cells; see column.go) are handled per chunk: a
 // chunk carrying exceptions is never zone-pruned by a comparison
 // (the zone map only bounds the conforming ints) and its exception
@@ -65,7 +69,7 @@ func compileVecFilters(t *Table, r *relation, conds []Expr) (vfs []vecFilter, re
 		switch x := c.(type) {
 		case *IsNullExpr:
 			if cr, ok := x.X.(*ColRef); ok {
-				if pos := r.colIndex(cr.Alias, cr.Column); pos >= 0 {
+				if pos := r.colIndex(cr); pos >= 0 {
 					op := vecIsNull
 					if x.Not {
 						op = vecNotNull
@@ -108,8 +112,8 @@ func vecCompare(t *Table, r *relation, l, rhs Expr, fwd, flip vecOp) (vecFilter,
 }
 
 func vecIntCol(t *Table, r *relation, cr *ColRef) int {
-	pos := r.colIndex(cr.Alias, cr.Column)
-	if pos < 0 || t.Schema[pos].Type != TInt {
+	pos := r.colIndex(cr)
+	if pos < 0 || t.Schema[r.src[pos]].Type != TInt {
 		return -1
 	}
 	return pos
@@ -561,15 +565,11 @@ func (f vecFilter) refine(ck *colChunk, sel []int32) []int32 {
 func (ex *exec) vecScan(r *relation) (*relation, error) {
 	t0 := ex.opStart()
 	t := r.base
-	out := newRelation(r.cols)
-	for a := range r.aliases {
-		out.aliases[a] = true
-	}
-	t.mu.RLock()
-	cols := t.cols
-	nrows := t.nrows
-	tomb := t.tomb
-	t.mu.RUnlock()
+	out := &relation{cols: r.cols, aliases: r.aliases}
+	// Workers share the head reader's snapshot of the table (column
+	// vectors, row count, tombstones) and each take their own scratch.
+	head := t.reader(r.src)
+	cols, nrows, tomb := head.cols, head.nrows, head.tomb
 	vfs, residual := compileVecFilters(t, r, r.pending)
 	var rowPred func(Row) (bool, error)
 	if len(residual) > 0 {
@@ -596,7 +596,7 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 		var local []Row
 		arena := rowArena{gov: ex.gov}
 		var sel []int32
-		var scratch Row
+		rd := *head
 	chunks:
 		for ci := clo; ci < chi; ci++ {
 			base := ci << chunkShift
@@ -640,9 +640,7 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 					// to the selection-vector path so the tombstone
 					// filter below applies.)
 					rows := arena.allocRows(n, width)
-					for j, col := range cols {
-						col.gatherChunk(ci, rows, j)
-					}
+					rd.gatherChunk(ci, rows)
 					local = append(local, rows...)
 					if err := tk.emitN(n); err != nil {
 						return err
@@ -674,15 +672,9 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 				sel = kept
 			}
 			if rowPred != nil && len(sel) > 0 {
-				if scratch == nil {
-					scratch = make(Row, width)
-				}
 				kept := sel[:0]
 				for _, off := range sel {
-					for j, col := range cols {
-						scratch[j] = col.get(base + int(off))
-					}
-					ok, err := rowPred(scratch)
+					ok, err := rowPred(rd.rowAt(base + int(off)))
 					if err != nil {
 						return err
 					}
@@ -694,9 +686,7 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 			}
 			for _, off := range sel {
 				row := arena.alloc(width)
-				for j, col := range cols {
-					row[j] = col.get(base + int(off))
-				}
+				rd.rowInto(row, base+int(off))
 				local = append(local, row)
 				if err := tk.emit(); err != nil {
 					return err
@@ -723,7 +713,7 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 			skipped += s
 		}
 		ex.opEnd(t0, OpStat{Kind: "scan", Label: t.Name, RowsIn: int64(nrows), RowsOut: int64(len(out.rows)),
-			Chunks: int64(nchunks), ChunksSkipped: skipped, Workers: w})
+			Chunks: int64(nchunks), ChunksSkipped: skipped, ColsRead: width, ColsTotal: len(t.Schema), Workers: w})
 	}
 	return out, nil
 }

@@ -42,6 +42,7 @@ func (t *Table) Publish() *Table {
 		nrows:   t.nrows,
 		dead:    t.dead,
 		colIdx:  t.colIdx,
+		names:   t.names,
 		indexes: make(map[string]*hashIndex, len(t.indexes)),
 
 		compactions: t.compactions,

@@ -177,9 +177,26 @@ func TestAnalyzeEstimateVsActual(t *testing.T) {
 		if !an.Results.IsAsk && an.Stats.Rows != int64(len(an.Results.Rows)) {
 			t.Fatalf("%s: stats.Rows=%d but %d result rows", cq.Name, an.Stats.Rows, len(an.Results.Rows))
 		}
-		// Operator-local row conservation.
+		// Operator-local row conservation, and the read width of every
+		// operator over a base table.
 		lastInScope := map[string]db2rdf.OpStat{}
+		hashReads := 0
 		for _, op := range an.Stats.Ops {
+			switch op.Kind {
+			case "scan", "index-scan", "index-join":
+				if op.ColsTotal == 0 || op.ColsRead > op.ColsTotal {
+					t.Fatalf("%s: %s must report the columns it read: %+v", cq.Name, op.Kind, op)
+				}
+				if strings.Contains(op.Label, "DPH") || strings.Contains(op.Label, "RPH") {
+					hashReads++
+					// LQ1 is two single-predicate lookups: entry plus the
+					// (pred, val) pairs of the predicate's two candidate
+					// columns, of the 2k+2 the table has.
+					if cq.Name == "LQ1" && (op.ColsRead >= 10 || op.ColsTotal < 60) {
+						t.Fatalf("%s: a single-predicate lookup read %d of %d columns: %+v", cq.Name, op.ColsRead, op.ColsTotal, op)
+					}
+				}
+			}
 			switch op.Kind {
 			case "scan", "index-scan", "filter", "dedup", "limit":
 				if op.RowsOut > op.RowsIn {
@@ -198,6 +215,9 @@ func TestAnalyzeEstimateVsActual(t *testing.T) {
 				t.Fatalf("%s: bad op %+v", cq.Name, op)
 			}
 			lastInScope[op.Scope] = op
+		}
+		if hashReads == 0 {
+			t.Fatalf("%s: no operator read DPH or RPH:\n%s", cq.Name, an.Stats)
 		}
 		// The last operator of each CTE is the one that produced its
 		// rows: child out == parent in across the CTE boundary.
