@@ -11,8 +11,9 @@ echo "== go test -race =="
 go test -race ./...
 echo "== bench module (stage chain vs Store.Query, metric names vs BENCHMARK.json) =="
 (cd bench && go vet ./... && go test -race ./...)
-echo "== kernel equivalence (parallel on/off) and plan cache =="
-go test -race -run 'TestKernelEquivalence|TestPlanCache' -count=1 .
+echo "== kernel equivalence (parallel on/off), variable-predicate shapes vs the oracle, lateral unpivot, plan cache =="
+go test -race -run 'TestKernelEquivalence|TestPlanCache|TestVariablePredicate' -count=1 .
+go test -race -run 'TestLateral|Unpivot' -count=1 ./internal/rel/
 echo "== storage equivalence (encoded / raw columnar / rows) =="
 go test -race -run 'TestStorageEquivalence' -count=1 .
 echo "== abort paths (governance, fault injection, panic containment) =="

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -251,5 +252,64 @@ func TestExplainGovernance(t *testing.T) {
 	}
 	if !ex.Deadline.IsZero() || ex.MaxResultRows != 0 || ex.MaxMemoryBytes != 0 {
 		t.Fatalf("ungoverned store should report no limits: %+v", ex)
+	}
+}
+
+// TestFaultInVariablePredicateAccess: every abort mode at the lateral
+// unpivot's checkpoint, reached through a variable-predicate query with
+// the entity unbound (the scan) and bound upstream (the index probe),
+// inside morsel workers. The typed error crosses the API, the cached
+// plan and the store keep answering, and no goroutine is left behind.
+func TestFaultInVariablePredicateAccess(t *testing.T) {
+	rel.SetParallelism(4, 1)
+	defer rel.SetParallelism(0, 0)
+	s := chainStore(t, db2rdf.Options{}, 300)
+	before := runtime.NumGoroutine()
+	for _, q := range []string{
+		`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`,
+		`SELECT ?b ?p ?o WHERE { <http://gov/e7> <http://gov/linked> ?b . ?b ?p ?o }`,
+	} {
+		want, err := s.Query(q) // compiles and caches the plan
+		if err != nil || len(want.Rows) == 0 {
+			t.Fatalf("reference run: %d rows, %v", len(want.Rows), err)
+		}
+		for _, m := range []struct {
+			mode rel.FaultMode
+			want error
+		}{
+			{rel.FaultCancel, db2rdf.ErrCanceled},
+			{rel.FaultDeadline, db2rdf.ErrDeadlineExceeded},
+			{rel.FaultBudget, db2rdf.ErrBudgetExceeded},
+			{rel.FaultPanic, nil},
+		} {
+			for _, nth := range []int64{1, 2} {
+				rel.InjectFault(rel.CkUnpivot, m.mode, nth)
+				_, err := s.Query(q)
+				fired := rel.FaultFired()
+				rel.ClearFault()
+				if !fired {
+					t.Fatalf("%s: visit %d of the unpivot checkpoint never happened", q, nth)
+				}
+				var pe *db2rdf.PanicError
+				if m.want == nil && (!errors.As(err, &pe) || !strings.Contains(err.Error(), q)) {
+					t.Fatalf("%s: want a *PanicError carrying the query text, got %v", q, err)
+				}
+				if m.want != nil && !errors.Is(err, m.want) {
+					t.Fatalf("%s, visit %d: want %v, got %v", q, nth, m.want, err)
+				}
+				got, err := s.Query(q)
+				if err != nil || len(got.Rows) != len(want.Rows) {
+					t.Fatalf("%s: rerun after the abort: %v", q, err)
+				}
+			}
+		}
+	}
+	checkStoreUsable(t, s, 1)
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d running, baseline %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -49,13 +49,24 @@ type SelectItem struct {
 	Alias     string
 }
 
-// FromItem is a table reference or subquery, optionally followed by a
-// chain of explicit joins.
+// FromItem is a table reference, subquery or lateral VALUES item,
+// optionally followed by a chain of explicit joins.
 type FromItem struct {
-	Table string  // table or CTE name when Sub is nil
-	Sub   *Select // derived table
-	Alias string
-	Joins []JoinClause
+	Table   string   // table or CTE name when Sub and Lateral are nil
+	Sub     *Select  // derived table
+	Lateral *Lateral // TABLE(VALUES …) AS Alias(Cols…)
+	Alias   string
+	Joins   []JoinClause
+}
+
+// Lateral is the DB2 spelling of a lateral unpivot (the paper's
+// Fig. 13): TABLE(VALUES (c, c, …), (c, c, …), …) AS L(name, …). It
+// yields one row per VALUES row for every row of the FROM item its
+// cells refer to. A cell is a qualified column reference or a literal,
+// and all column references name the same, earlier, FROM alias.
+type Lateral struct {
+	Rows [][]Expr // each len(Cols) wide; *ColRef or *Lit
+	Cols []string
 }
 
 // JoinClause is an explicit join hanging off a FromItem.

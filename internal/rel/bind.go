@@ -21,6 +21,10 @@ import (
 // alias of the core), `T.*` (alias T), or any unqualified column
 // reference (every alias of the core, since resolution by unique
 // suffix needs all the names in view to find — or refuse — a match).
+// The columns only the cells of a lateral TABLE(VALUES …) item name
+// are kept apart (latCols): the unpivot kernel reads them straight
+// from the chunks, so they never widen the rows of the item they
+// correlate to.
 //
 // Nothing in a bound form is written after bindQuery returns. A
 // cached plan is executed by many goroutines at once; they share this
@@ -67,21 +71,36 @@ type boundConj struct {
 	constant Expr
 }
 
-// only reports whether the conjunct references alias and no other.
-func (c *boundConj) only(alias string) bool {
-	return len(c.aliases) == 1 && c.aliases[0] == alias
-}
-
-// boundFrom is one table reference, CTE reference or derived table.
+// boundFrom is one table reference, CTE reference, derived table or
+// lateral item.
 type boundFrom struct {
 	alias string       // lower-cased
-	table string       // lower-cased; "" for a derived table
+	table string       // lower-cased; "" for a derived table or lateral item
 	sub   *boundSelect // derived table
+	lat   *boundLateral
 	// cols are the columns the core references through alias; all
-	// overrides it (see the header comment).
-	cols  []string
-	all   bool
-	joins []boundJoin
+	// overrides it (see the header comment). latCols are the columns
+	// only lateral cells reference.
+	cols    []string
+	latCols []string
+	all     bool
+	joins   []boundJoin
+	// laterals are the lateral items of the core that correlate to an
+	// alias of this item's join chain (or to one of its own columns,
+	// when the item is itself lateral), in FROM order. They are
+	// evaluated as part of this item's unit.
+	laterals []*boundFrom
+}
+
+// boundLateral is a TABLE(VALUES …) AS alias(names…) item: rows of
+// cells over the columns of dep, the alias it correlates to.
+type boundLateral struct {
+	names []string // lower-cased
+	rows  [][]Expr // *ColRef on dep, or *Lit
+	dep   string
+	// hosted is false when no earlier FROM item introduces dep, which
+	// the parser rejects; only a hand-built Query can get here.
+	hosted bool
 }
 
 type boundJoin struct {
@@ -145,6 +164,9 @@ func bindCore(core *SelectCore, live map[string]bool) *boundCore {
 	}
 	for i, fi := range core.From {
 		bc.from[i] = bindFrom(fi)
+		if bc.from[i].lat != nil {
+			bindLateral(bc, bc.from[i])
+		}
 		bc.prims = bc.from[i].primaries(bc.prims)
 	}
 	if core.Where != nil {
@@ -202,10 +224,51 @@ func bindCore(core *SelectCore, live map[string]bool) *boundCore {
 	return bc
 }
 
+// bindLateral attaches lateral item f to the earlier FROM item that
+// introduces the alias its cells correlate to, and records the columns
+// the cells name on that alias.
+func bindLateral(bc *boundCore, f *boundFrom) {
+	for _, host := range bc.from {
+		if host == nil || host == f {
+			break
+		}
+		for _, prim := range host.primaries(nil) {
+			if prim.alias != f.lat.dep {
+				continue
+			}
+			host.laterals = append(host.laterals, f)
+			f.lat.hosted = true
+			for _, row := range f.lat.rows {
+				for _, cell := range row {
+					if c, ok := cell.(*ColRef); ok {
+						if _, col := c.lowered(); !slices.Contains(prim.latCols, col) {
+							prim.latCols = append(prim.latCols, col)
+						}
+					}
+				}
+			}
+			return
+		}
+	}
+}
+
 func bindFrom(fi FromItem) *boundFrom {
 	f := &boundFrom{alias: strings.ToLower(fi.Alias), table: strings.ToLower(fi.Table)}
 	if fi.Sub != nil {
 		f.sub = bindSelect(fi.Sub, nil)
+	}
+	if l := fi.Lateral; l != nil {
+		f.lat = &boundLateral{names: make([]string, len(l.Cols)), rows: l.Rows}
+		for i, name := range l.Cols {
+			f.lat.names[i] = strings.ToLower(name)
+		}
+		for _, row := range l.Rows {
+			for _, cell := range row {
+				if c, ok := cell.(*ColRef); ok {
+					f.lat.dep, _ = c.lowered()
+				}
+			}
+		}
 	}
 	for _, jc := range fi.Joins {
 		f.joins = append(f.joins, boundJoin{left: jc.Left, right: bindFrom(jc.Right), on: bindConjuncts(jc.On)})

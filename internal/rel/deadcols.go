@@ -80,7 +80,7 @@ func cteLiveColumns(q *Query) []map[string]bool {
 			walkFrom = func(fi FromItem) {
 				if fi.Sub != nil {
 					collect(fi.Sub, nil, minIndex)
-				} else {
+				} else if fi.Lateral == nil {
 					tbl := strings.ToLower(fi.Table)
 					if _, ok := used[tbl]; ok {
 						a := strings.ToLower(fi.Alias)
@@ -133,6 +133,16 @@ func cteLiveColumns(q *Query) []map[string]bool {
 			}
 			if core.Where != nil {
 				useExpr(core.Where)
+			}
+			for _, fi := range core.From {
+				if fi.Lateral != nil {
+					// The cells read the item they correlate to.
+					for _, row := range fi.Lateral.Rows {
+						for _, cell := range row {
+							useExpr(cell)
+						}
+					}
+				}
 			}
 			var walkOn func(fi FromItem)
 			walkOn = func(fi FromItem) {

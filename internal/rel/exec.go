@@ -297,11 +297,25 @@ func (ex *exec) evalCore(bc *boundCore, env map[string]*relation, rowCap int64) 
 	// Build each FROM unit, pushing single-alias filters into pure base scans.
 	units := make([]*relation, 0, len(bc.from))
 	for _, bf := range bc.from {
+		if bf.lat != nil {
+			// Built as part of the unit of the item it correlates to.
+			if !bf.lat.hosted {
+				return nil, fmt.Errorf("sql: TABLE(VALUES ...) AS %s refers to unknown alias %q", bf.alias, bf.lat.dep)
+			}
+			continue
+		}
 		u, err := ex.buildUnit(bc, bf, applied, env)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, u)
+	}
+	if rowCap >= 0 && len(units) == 1 && units[0].unpivot != nil && !slices.Contains(applied, false) {
+		// The unit's rows are the core's rows: the unpivot can stop at
+		// the cap instead of producing rows the trim below drops.
+		capped := *units[0]
+		capped.rowCap = rowCap
+		units[0] = &capped
 	}
 
 	cur, err := ex.joinUnits(units, conjs, applied)
@@ -346,6 +360,14 @@ func (ex *exec) buildUnit(bc *boundCore, bf *boundFrom, applied []bool, env map[
 	if err != nil {
 		return nil, err
 	}
+	if left, err = ex.joinChain(bc, bf, left, env); err != nil {
+		return nil, err
+	}
+	return ex.applyLaterals(bc, bf, left, applied, env)
+}
+
+// joinChain applies bf's explicit joins to left.
+func (ex *exec) joinChain(bc *boundCore, bf *boundFrom, left *relation, env map[string]*relation) (*relation, error) {
 	for i := range bf.joins {
 		jc := &bf.joins[i]
 		right, err := ex.buildPrimary(bc, jc.right, nil, env, false)
@@ -376,7 +398,7 @@ func (ex *exec) buildPrimary(bc *boundCore, bf *boundFrom, applied []bool, env m
 	if cte, ok := env[bf.table]; ok {
 		r := aliased(cte, bf.alias)
 		if push {
-			return ex.pushFilters(r, bf.alias, bc.conjs, applied)
+			return ex.pushBound(r, bc.conjs, applied)
 		}
 		return r, nil
 	}
@@ -384,10 +406,23 @@ func (ex *exec) buildPrimary(bc *boundCore, bf *boundFrom, applied []bool, env m
 	if t == nil {
 		return nil, fmt.Errorf("sql: unknown table %q", bf.table)
 	}
-	r := &relation{base: t, src: t.columnSet(bf), aliases: []string{bf.alias}, scan: true}
+	// A lateral item over a pure scan of a columnar table is fused
+	// with the read (unpivot.go): its cells are then read from the
+	// chunks per pair and stay out of the rows.
+	var up *unpivot
+	if push && len(bf.laterals) > 0 && t.Columnar() {
+		up = newUnpivot(t, bf.laterals[0])
+	}
+	r := &relation{base: t, src: t.columnSet(bf, up == nil), aliases: []string{bf.alias}, scan: true, unpivot: up}
 	r.cols = make([]relCol, len(r.src))
 	for i, c := range r.src {
 		r.cols[i] = relCol{alias: bf.alias, name: t.names[c]}
+	}
+	if up != nil {
+		for _, name := range up.lat.names {
+			r.cols = append(r.cols, relCol{alias: up.alias, name: name})
+		}
+		r.aliases = append(r.aliases, up.alias)
 	}
 	if push {
 		return ex.scanWithFilters(r, bc, bf, applied, env)
@@ -396,9 +431,10 @@ func (ex *exec) buildPrimary(bc *boundCore, bf *boundFrom, applied []bool, env m
 }
 
 // columnSet resolves the columns bf references to table positions, in
-// schema order. Names the table does not have are left out; the
-// reference then fails to resolve, as it would against the full width.
-func (t *Table) columnSet(bf *boundFrom) []int {
+// schema order; lateral adds the columns only lateral cells name.
+// Names the table does not have are left out; the reference then fails
+// to resolve, as it would against the full width.
+func (t *Table) columnSet(bf *boundFrom, lateral bool) []int {
 	if bf.all {
 		src := make([]int, len(t.Schema))
 		for i := range src {
@@ -412,13 +448,21 @@ func (t *Table) columnSet(bf *boundFrom) []int {
 			src = append(src, c)
 		}
 	}
+	if lateral {
+		for _, name := range bf.latCols {
+			if c, ok := t.colIdx[name]; ok && !slices.Contains(src, c) {
+				src = append(src, c)
+			}
+		}
+	}
 	sort.Ints(src)
 	return src
 }
 
 // scanWithFilters scans the base table behind r applying the core's
-// conjuncts over bf's alias alone, using a hash index for the first
-// "col = constant" conjunct if any.
+// conjuncts over bf's alias alone — and, when a lateral item is fused
+// into r, over its alias too — using a hash index for the first
+// "col = constant" conjunct on the table if any.
 func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, applied []bool, env map[string]*relation) (*relation, error) {
 	t := r.base
 	var mine []*boundConj
@@ -427,7 +471,9 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 		if applied[i] {
 			continue
 		}
-		ok := c.only(bf.alias)
+		// r's aliases are bf's and, when a lateral item is fused into
+		// it, that item's.
+		ok := len(c.aliases) > 0 && boundIn(c, r)
 		if len(c.aliases) == 0 && len(c.bare) > 0 {
 			// Unqualified references: claim the conjunct when this item
 			// and no other of the core can resolve its columns, which is
@@ -445,6 +491,9 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 	for k, c := range mine {
 		if c.col == nil || !t.HasIndex(c.col.Column) {
 			continue
+		}
+		if a, _ := c.col.lowered(); a != "" && a != bf.alias {
+			continue // a lateral column that shares an indexed column's name
 		}
 		v, err := evalExpr(c.constant, &rowCtx{db: ex.db})
 		if err != nil {
@@ -467,35 +516,50 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 		return r, nil
 	}
 	t0 := ex.opStart()
-	pred := ex.db.compilePred(rest, r)
+	pre, run := ex.startUnpivot(r, rest)
+	pred := ex.db.compilePred(pre, r)
 	ids, _ := t.lookup(indexCol, indexVal)
 	rd := t.reader(r.src)
 	arena := rowArena{gov: ex.gov}
 	tk := ticker{g: ex.gov, site: CkFilter}
+	if run != nil {
+		tk.site = CkUnpivot
+	}
 	if err := tk.flush(); err != nil {
 		return nil, err
 	}
 	out := &relation{cols: r.cols, aliases: r.aliases}
+	uw := run.worker(ex.gov)
 	for _, id := range ids {
 		row := rd.rowAt(int(id))
 		ok, err := pred(row)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
+		switch {
+		case !ok:
+			err = tk.step()
+		case run != nil:
+			err = uw.expand(int(id), row, run.all, nil, nil, false)
+		default:
 			out.rows = append(out.rows, arena.clone(row))
-			if err := tk.emit(); err != nil {
-				return nil, err
-			}
-		} else if err := tk.step(); err != nil {
+			err = tk.emit()
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
 	if err := tk.flush(); err != nil {
 		return nil, err
 	}
-	ex.opEnd(t0, OpStat{Kind: "index-scan", Label: t.Name + "." + indexCol, RowsIn: int64(len(ids)), RowsOut: int64(len(out.rows)),
-		ColsRead: len(r.src), ColsTotal: len(t.Schema), Workers: 1})
+	if run != nil {
+		var err error
+		if out.rows, err = uw.finish(); err != nil {
+			return nil, err
+		}
+	}
+	ex.opEnd(t0, run.opStat(OpStat{Kind: "index-scan", Label: t.Name + "." + indexCol, RowsIn: int64(len(ids)), RowsOut: int64(len(out.rows)),
+		ColsRead: len(r.src), ColsTotal: len(t.Schema), Workers: 1}))
 	return out, nil
 }
 
@@ -518,6 +582,9 @@ func (ex *exec) soleResolver(bc *boundCore, bf *boundFrom, cols []string, env ma
 // derived table with a star item is assumed to: its names are only
 // known once it has run.
 func (ex *exec) hasColumn(f *boundFrom, col string, env map[string]*relation) bool {
+	if f.lat != nil {
+		return slices.Contains(f.lat.names, col)
+	}
 	if f.sub != nil {
 		names := f.sub.cores[0].names
 		return names == nil || slices.Contains(names, col)
@@ -529,12 +596,13 @@ func (ex *exec) hasColumn(f *boundFrom, col string, env map[string]*relation) bo
 	return t != nil && t.ColumnIndex(col) >= 0
 }
 
-// pushFilters applies this alias's single-alias conjuncts to an already
-// materialized relation (CTE reference).
-func (ex *exec) pushFilters(r *relation, alias string, conjs []boundConj, applied []bool) (*relation, error) {
+// pushBound applies every unapplied conjunct whose aliases are all part
+// of r, an already materialized relation (a CTE reference, or a unit a
+// lateral item has just been evaluated over).
+func (ex *exec) pushBound(r *relation, conjs []boundConj, applied []bool) (*relation, error) {
 	var mine []Expr
 	for i := range conjs {
-		if !applied[i] && conjs[i].only(alias) {
+		if !applied[i] && len(conjs[i].aliases) > 0 && boundIn(&conjs[i], r) {
 			mine = append(mine, conjs[i].expr)
 			applied[i] = true
 		}
@@ -722,6 +790,9 @@ func indexLink(r *relation, links []eqLink, right bool) (int, string) {
 		if !right {
 			pos = lk.li
 		}
+		if pos >= len(r.src) {
+			continue // a fused lateral column, not a table column
+		}
 		col := r.cols[pos].name
 		if r.base.HasIndex(col) {
 			return i, col
@@ -832,16 +903,27 @@ func (ex *exec) indexProbe(out *relation, probe, indexed *relation, links []eqLi
 	if !indexedIsRight {
 		keyPos = links[li].ri
 	}
-	pendOK := ex.db.compilePred(indexed.pending, indexed)
+	// With a lateral item fused into indexed, the pending filters and
+	// links over table columns are settled on the narrow row, the rest
+	// per pair inside expand.
+	pending, run := ex.startUnpivot(indexed, indexed.pending)
+	site := CkIndexProbe
+	var pairLinks []eqLink
+	if run != nil {
+		site = CkUnpivot
+		links, pairLinks = run.splitLinks(links, indexedIsRight)
+	}
+	pendOK := ex.db.compilePred(pending, indexed)
 	w := planWorkers(len(probe.rows))
 	parts := make([][]Row, w)
 	err := parallelChunks(len(probe.rows), w, func(chunk, lo, hi int) error {
-		tk := ticker{g: ex.gov, site: CkIndexProbe}
+		tk := ticker{g: ex.gov, site: site}
 		if err := tk.flush(); err != nil {
 			return err
 		}
 		var local []Row
 		arena := rowArena{gov: ex.gov}
+		uw := run.worker(ex.gov)
 		// Each worker owns its reader: reads share a per-reader scratch
 		// row, consumed before the next rowAt (combine copies).
 		rd := indexed.base.reader(indexed.src)
@@ -872,17 +954,26 @@ func (ex *exec) indexProbe(out *relation, probe, indexed *relation, links []eqLi
 				if err != nil {
 					return err
 				}
-				if !ok {
-					continue cand
-				}
-				if indexedIsRight {
+				switch {
+				case !ok:
+				case uw != nil:
+					err = uw.expand(int(id), ir, run.all, pr, pairLinks, indexedIsRight)
+				case indexedIsRight:
 					local = append(local, arena.combine(pr, ir))
-				} else {
+					err = tk.emit()
+				default:
 					local = append(local, arena.combine(ir, pr))
+					err = tk.emit()
 				}
-				if err := tk.emit(); err != nil {
+				if err != nil {
 					return err
 				}
+			}
+		}
+		if uw != nil {
+			var err error
+			if local, err = uw.finish(); err != nil {
+				return err
 			}
 		}
 		parts[chunk] = local
@@ -894,8 +985,8 @@ func (ex *exec) indexProbe(out *relation, probe, indexed *relation, links []eqLi
 	for _, p := range parts {
 		out.rows = append(out.rows, p...)
 	}
-	ex.opEnd(t0, OpStat{Kind: "index-join", Label: indexed.base.Name + "." + col, RowsIn: int64(len(probe.rows)), RowsOut: int64(len(out.rows)),
-		ColsRead: len(indexed.src), ColsTotal: len(indexed.base.Schema), Workers: w})
+	ex.opEnd(t0, run.opStat(OpStat{Kind: "index-join", Label: indexed.base.Name + "." + col, RowsIn: int64(len(probe.rows)), RowsOut: int64(len(out.rows)),
+		ColsRead: len(indexed.src), ColsTotal: len(indexed.base.Schema), Workers: w}))
 	return nil
 }
 

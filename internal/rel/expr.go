@@ -39,6 +39,12 @@ type relation struct {
 	// (vecscan.go) instead of copying the table up front. Size the
 	// relation with rowCount, not len(rows).
 	scan bool
+	// unpivot is set on a base scan that carries a fused lateral item
+	// (unpivot.go): cols[len(src):] are the lateral's columns, which no
+	// table read fills — the operator that runs the scan expands each
+	// row id into its pairs. rowCap > 0 lets that operator stop early.
+	unpivot *unpivot
+	rowCap  int64
 }
 
 // rowCount is the relation's input cardinality for plan sizing: the

@@ -129,10 +129,14 @@ const (
 	CkOrderBy
 	// CkDedup is the DISTINCT/UNION dedup loop.
 	CkDedup
+	// CkUnpivot is the lateral unpivot: every scan, index scan and
+	// index probe that expands base rows into pairs (morsel workers),
+	// and the row-at-a-time form over materialized rows.
+	CkUnpivot
 )
 
 var ckNames = [...]string{"any", "core", "filter", "hash-build", "hash-probe",
-	"index-probe", "join-on", "cross", "project", "order-by", "dedup"}
+	"index-probe", "join-on", "cross", "project", "order-by", "dedup", "unpivot"}
 
 // String names the site.
 func (s CheckSite) String() string {

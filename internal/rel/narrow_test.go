@@ -249,33 +249,41 @@ func TestNarrowReadEquivalence(t *testing.T) {
 // detector checks and the identical results confirm.
 func TestBoundQueryConcurrentExecutions(t *testing.T) {
 	db := narrowDB(t, rand.New(rand.NewSource(5)))
-	q, err := ParseQuery("WITH P AS (SELECT B.k AS k FROM v AS B WHERE B.n < 25), " +
-		"J AS (SELECT p.k AS k, T.c4 AS a, CASE WHEN T.c6 = 7 THEN T.c7 ELSE NULL END AS unused FROM P AS p, w AS T WHERE T.c0 = p.k AND (T.c5 < 60 OR T.c5 IS NULL)) " +
-		"SELECT j.k, j.a FROM J AS j LEFT OUTER JOIN v AS S ON j.a = S.n ORDER BY k, a LIMIT 200")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := db.Exec(q)
-	if err != nil || len(want.Rows) == 0 {
-		t.Fatalf("reference execution: %d rows, err %v", len(want.Rows), err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				got, err := db.Exec(q)
-				if err != nil {
-					t.Error(err)
-					return
+	for _, sql := range []string{
+		"WITH P AS (SELECT B.k AS k FROM v AS B WHERE B.n < 25), " +
+			"J AS (SELECT p.k AS k, T.c4 AS a, CASE WHEN T.c6 = 7 THEN T.c7 ELSE NULL END AS unused FROM P AS p, w AS T WHERE T.c0 = p.k AND (T.c5 < 60 OR T.c5 IS NULL)) " +
+			"SELECT j.k, j.a FROM J AS j LEFT OUTER JOIN v AS S ON j.a = S.n ORDER BY k, a LIMIT 200",
+		// A lateral item's bound form is shared too.
+		"WITH P AS (SELECT B.k AS k, B.n AS n FROM v AS B WHERE B.n < 25), " +
+			"J AS (SELECT p.k AS k, L.p AS p, L.v AS v FROM P AS p, w AS T, " + pairsOfW + " WHERE T.c0 = p.k AND L.p IS NOT NULL AND L.p != p.n) " +
+			"SELECT j.k, j.p, j.v FROM J AS j ORDER BY k, p LIMIT 200",
+	} {
+		q, err := ParseQuery(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.Exec(q)
+		if err != nil || len(want.Rows) == 0 {
+			t.Fatalf("reference execution: %d rows, err %v", len(want.Rows), err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					got, err := db.Exec(q)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !sameRows(got.Rows, want.Rows) {
+						t.Errorf("concurrent execution returned %d rows that differ from the reference %d", len(got.Rows), len(want.Rows))
+						return
+					}
 				}
-				if !sameRows(got.Rows, want.Rows) {
-					t.Errorf("concurrent execution returned %d rows that differ from the reference %d", len(got.Rows), len(want.Rows))
-					return
-				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }

@@ -229,6 +229,11 @@ func (p *sqlParser) selectCore() (*SelectCore, error) {
 		if err != nil {
 			return nil, err
 		}
+		if fi.Lateral != nil {
+			if err := p.checkLateral(fi, core.From); err != nil {
+				return nil, err
+			}
+		}
 		core.From = append(core.From, fi)
 		if !p.acceptPunct(",") {
 			break
@@ -286,7 +291,7 @@ func (p *sqlParser) fromItem() (FromItem, error) {
 			if err := p.expectKeyword("JOIN"); err != nil {
 				return FromItem{}, err
 			}
-			right, err := p.fromPrimary()
+			right, err := p.joinRight()
 			if err != nil {
 				return FromItem{}, err
 			}
@@ -305,7 +310,7 @@ func (p *sqlParser) fromItem() (FromItem, error) {
 			if err := p.expectKeyword("JOIN"); err != nil {
 				return FromItem{}, err
 			}
-			right, err := p.fromPrimary()
+			right, err := p.joinRight()
 			if err != nil {
 				return FromItem{}, err
 			}
@@ -323,7 +328,145 @@ func (p *sqlParser) fromItem() (FromItem, error) {
 	}
 }
 
+// joinRight parses the right side of an explicit join. A lateral item
+// depends on the rows to its left, which ON-driven join kernels do not
+// feed it, so it is only accepted as a comma-separated FROM item.
+func (p *sqlParser) joinRight() (FromItem, error) {
+	if p.atLateral() {
+		return FromItem{}, p.errf("TABLE(VALUES ...) cannot be the right side of a JOIN")
+	}
+	return p.fromPrimary()
+}
+
+// atLateral reports whether the input continues with `TABLE (`. TABLE
+// and VALUES stay ordinary identifiers everywhere else.
+func (p *sqlParser) atLateral() bool {
+	t := p.peek()
+	if t.kind != tokIdent || !strings.EqualFold(t.text, "TABLE") {
+		return false
+	}
+	n := p.toks[p.pos+1]
+	return n.kind == tokPunct && n.text == "("
+}
+
+// lateral parses TABLE(VALUES (cell, ...), ...) AS alias(col, ...).
+func (p *sqlParser) lateral() (FromItem, error) {
+	p.pos += 2 // TABLE (
+	if t := p.peek(); t.kind != tokIdent || !strings.EqualFold(t.text, "VALUES") {
+		return FromItem{}, p.errf("expected VALUES, got %q", t.text)
+	}
+	p.pos++
+	lat := &Lateral{}
+	for {
+		if err := p.expectPunct("("); err != nil {
+			return FromItem{}, err
+		}
+		var row []Expr
+		for {
+			e, err := p.expr()
+			if err != nil {
+				return FromItem{}, err
+			}
+			switch c := e.(type) {
+			case *Lit:
+			case *ColRef:
+				if c.Alias == "" {
+					return FromItem{}, p.errf("TABLE(VALUES ...) column %s must be qualified", c.Column)
+				}
+			default:
+				return FromItem{}, p.errf("TABLE(VALUES ...) cells must be column references or literals")
+			}
+			row = append(row, e)
+			if !p.acceptPunct(",") {
+				break
+			}
+		}
+		if err := p.expectPunct(")"); err != nil {
+			return FromItem{}, err
+		}
+		lat.Rows = append(lat.Rows, row)
+		if !p.acceptPunct(",") {
+			break
+		}
+	}
+	if err := p.expectPunct(")"); err != nil {
+		return FromItem{}, err
+	}
+	if err := p.expectKeyword("AS"); err != nil {
+		return FromItem{}, err
+	}
+	alias, err := p.ident()
+	if err != nil {
+		return FromItem{}, err
+	}
+	if err := p.expectPunct("("); err != nil {
+		return FromItem{}, err
+	}
+	for {
+		col, err := p.ident()
+		if err != nil {
+			return FromItem{}, err
+		}
+		lat.Cols = append(lat.Cols, col)
+		if !p.acceptPunct(",") {
+			break
+		}
+	}
+	if err := p.expectPunct(")"); err != nil {
+		return FromItem{}, err
+	}
+	for i, row := range lat.Rows {
+		if len(row) != len(lat.Cols) {
+			return FromItem{}, p.errf("TABLE(VALUES ...) row %d has %d values, AS %s names %d columns", i+1, len(row), alias, len(lat.Cols))
+		}
+	}
+	return FromItem{Lateral: lat, Alias: alias}, nil
+}
+
+// checkLateral verifies that the cells of lateral item fi refer to one
+// alias introduced by the FROM items before it.
+func (p *sqlParser) checkLateral(fi FromItem, before []FromItem) error {
+	dep := ""
+	for _, row := range fi.Lateral.Rows {
+		for _, cell := range row {
+			c, ok := cell.(*ColRef)
+			if !ok {
+				continue
+			}
+			if dep == "" {
+				dep = c.alias
+			} else if c.alias != dep {
+				return p.errf("TABLE(VALUES ...) AS %s refers to both %s and %s; one FROM item is supported", fi.Alias, dep, c.alias)
+			}
+		}
+	}
+	if dep == "" {
+		return p.errf("TABLE(VALUES ...) AS %s refers to no FROM item", fi.Alias)
+	}
+	var known func(fi FromItem) bool
+	known = func(fi FromItem) bool {
+		if strings.ToLower(fi.Alias) == dep {
+			return true
+		}
+		for _, j := range fi.Joins {
+			if known(j.Right) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, b := range before {
+		if known(b) {
+			return nil
+		}
+	}
+	return p.errf("TABLE(VALUES ...) AS %s refers to unknown alias %q", fi.Alias, dep)
+}
+
 func (p *sqlParser) fromPrimary() (FromItem, error) {
+	if p.atLateral() {
+		return p.lateral()
+	}
 	var fi FromItem
 	if p.acceptPunct("(") {
 		sel, err := p.selectStmt()

@@ -25,7 +25,7 @@ import (
 
 // OpStat records the actual runtime behavior of one executor operator.
 type OpStat struct {
-	Kind  string // "scan", "index-scan", "filter", "hash-join", "index-join", "cross-join", "join-on", "project", "dedup", "order-by", "limit"
+	Kind  string // "scan", "index-scan", "filter", "hash-join", "index-join", "cross-join", "join-on", "unpivot", "project", "dedup", "order-by", "limit"
 	Label string // detail: table/index name, join kernel ("int", "generic"), ...
 	Scope string // lower-cased CTE name the operator ran under ("" = outer query body)
 
@@ -40,6 +40,12 @@ type OpStat struct {
 	// rows; set on the operators that read a base table ("scan",
 	// "index-scan", "index-join" and the index kernel of "join-on").
 	ColsRead, ColsTotal int
+
+	// Pairs is the number of VALUES rows of an "unpivot". Fused with a
+	// base-table read, the operator is labelled with the access path it
+	// ran under ("scan dph", "index-join rph.entry"), RowsIn counts the
+	// base rows it expanded and ColsRead includes the cell columns.
+	Pairs int
 
 	Workers   int   // morsel workers the operator fanned out across
 	ElapsedNs int64 // wall time spent in the operator
@@ -65,6 +71,9 @@ func (s OpStat) String() string {
 	}
 	if s.ColsTotal > 0 {
 		fmt.Fprintf(&b, " cols=%d/%d", s.ColsRead, s.ColsTotal)
+	}
+	if s.Pairs > 0 {
+		fmt.Fprintf(&b, " pairs=%d", s.Pairs)
 	}
 	fmt.Fprintf(&b, " workers=%d (%s)", s.Workers, time.Duration(s.ElapsedNs))
 	return b.String()

@@ -1,9 +1,10 @@
 // Package rel implements the relational substrate that stands in for
 // IBM DB2 in this reproduction: typed in-memory tables with hash
 // indexes, a SQL subset (WITH/CTEs, SELECT, comma and LEFT OUTER joins,
-// UNION [ALL], CASE, COALESCE, DISTINCT, ORDER BY, LIMIT/OFFSET,
-// scalar functions), and a cost-aware executor that performs filter
-// pushdown, index lookups, greedy join ordering and hash joins.
+// the lateral TABLE(VALUES …) AS L(…) FROM item, UNION [ALL], CASE,
+// COALESCE, DISTINCT, ORDER BY, LIMIT/OFFSET, scalar functions), and a
+// cost-aware executor that performs filter pushdown, index lookups,
+// greedy join ordering and hash joins.
 //
 // The paper (Bornea et al., SIGMOD 2013) treats SQL as "a procedural
 // implementation language" for SPARQL plans; this package supplies the

@@ -570,7 +570,14 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 	// vectors, row count, tombstones) and each take their own scratch.
 	head := t.reader(r.src)
 	cols, nrows, tomb := head.cols, head.nrows, head.tomb
-	vfs, residual := compileVecFilters(t, r, r.pending)
+	// With a lateral item fused into r, every selected row is expanded
+	// into its pairs (unpivot.go) instead of being gathered as it is.
+	pending, run := ex.startUnpivot(r, r.pending)
+	site := CkFilter
+	if run != nil {
+		site = CkUnpivot
+	}
+	vfs, residual := compileVecFilters(t, r, pending)
 	var rowPred func(Row) (bool, error)
 	if len(residual) > 0 {
 		rowPred = ex.db.compilePred(residual, r)
@@ -589,16 +596,17 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 		skips = make([]int64, w)
 	}
 	err := parallelChunks(nchunks, w, func(chunk, clo, chi int) error {
-		tk := ticker{g: ex.gov, site: CkFilter}
+		tk := ticker{g: ex.gov, site: site}
 		if err := tk.flush(); err != nil {
 			return err
 		}
 		var local []Row
 		arena := rowArena{gov: ex.gov}
-		var sel []int32
+		uw := run.worker(ex.gov)
+		var sel, live []int32
 		rd := *head
 	chunks:
-		for ci := clo; ci < chi; ci++ {
+		for ci := clo; ci < chi && !uw.full(); ci++ {
 			base := ci << chunkShift
 			n := nrows - base
 			if n > chunkRows {
@@ -634,7 +642,7 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 			}
 			sel = sel[:0]
 			if len(vfs) == 0 {
-				if rowPred == nil && (tc == nil || tc.dead == 0) {
+				if rowPred == nil && (tc == nil || tc.dead == 0) && uw == nil {
 					// Unfiltered scan over a fully live chunk: gather it
 					// column-wise. (A chunk with dead rows falls through
 					// to the selection-vector path so the tombstone
@@ -684,17 +692,35 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 				}
 				sel = kept
 			}
-			for _, off := range sel {
-				row := arena.alloc(width)
-				rd.rowInto(row, base+int(off))
-				local = append(local, row)
-				if err := tk.emit(); err != nil {
-					return err
+			if uw != nil {
+				live = run.livePairs(ci, live)
+				for _, off := range sel {
+					if uw.full() {
+						break
+					}
+					if err := uw.expand(base+int(off), rd.rowAt(base+int(off)), live, nil, nil, false); err != nil {
+						return err
+					}
+				}
+			} else {
+				for _, off := range sel {
+					row := arena.alloc(width)
+					rd.rowInto(row, base+int(off))
+					local = append(local, row)
+					if err := tk.emit(); err != nil {
+						return err
+					}
 				}
 			}
 			// Rejected rows are work done but not rows produced: tick
 			// the checkpoint cadence without charging the row budget.
 			if err := tk.stepN(n - len(sel)); err != nil {
+				return err
+			}
+		}
+		if uw != nil {
+			var err error
+			if local, err = uw.finish(); err != nil {
 				return err
 			}
 		}
@@ -712,8 +738,8 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 		for _, s := range skips {
 			skipped += s
 		}
-		ex.opEnd(t0, OpStat{Kind: "scan", Label: t.Name, RowsIn: int64(nrows), RowsOut: int64(len(out.rows)),
-			Chunks: int64(nchunks), ChunksSkipped: skipped, ColsRead: width, ColsTotal: len(t.Schema), Workers: w})
+		ex.opEnd(t0, run.opStat(OpStat{Kind: "scan", Label: t.Name, RowsIn: int64(nrows), RowsOut: int64(len(out.rows)),
+			Chunks: int64(nchunks), ChunksSkipped: skipped, ColsRead: width, ColsTotal: len(t.Schema), Workers: w}))
 	}
 	return out, nil
 }

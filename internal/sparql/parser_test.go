@@ -371,3 +371,132 @@ func TestUnifySkipsSelectStar(t *testing.T) {
 		t.Fatal("SELECT *: unification must not apply")
 	}
 }
+
+// filterDropQuery is the reproduction of the dropped-FILTER bug: the
+// group's filter slice is grown by append (spare capacity), the first
+// and third filters unify, and the old in-place rewrite then overwrote
+// entries it had not read yet — losing `?a < 3` and keeping a
+// degenerate `?c = ?c`.
+const filterDropQuery = `SELECT ?s WHERE { ?s <p> ?a . ?s <q> ?b . ?s <r> ?c . ?s <t> ?d . OPTIONAL { ?s <zz> ?z }
+	FILTER(?a = ?b) FILTER(?c > 0) FILTER(?c = ?d) FILTER(?a > 5) FILTER(?a < 3) }`
+
+func filterStrings(q *Query) []string {
+	var render func(e Expr) string
+	render = func(e Expr) string {
+		switch x := e.(type) {
+		case *EVar:
+			return "?" + x.Name
+		case *ELit:
+			return x.Term.Value
+		case *EBin:
+			return render(x.L) + " " + x.Op + " " + render(x.R)
+		case *EUn:
+			return x.Op + render(x.X)
+		case *ECall:
+			args := make([]string, len(x.Args))
+			for i, a := range x.Args {
+				args[i] = render(a)
+			}
+			return x.Name + "(" + strings.Join(args, ", ") + ")"
+		}
+		return "?"
+	}
+	var out []string
+	for _, f := range q.Where.Filters {
+		out = append(out, render(f))
+	}
+	return out
+}
+
+func TestUnifyKeepsEveryOtherFilter(t *testing.T) {
+	q := parseOK(t, filterDropQuery)
+	if cap(q.Where.Filters) == len(q.Where.Filters) {
+		t.Log("the parser left no spare capacity; the hand-built case below still covers it")
+	}
+	UnifyEqualityFilters(q)
+	if got, want := strings.Join(filterStrings(q), " ; "), "?c > 0 ; ?a > 5 ; ?a < 3"; got != want {
+		t.Fatalf("filters after unification: %s\nwant: %s", got, want)
+	}
+
+	// The same through a hand-built pattern whose filter slice has
+	// cap > len, whatever the parser does.
+	v := func(n string) Expr { return &EVar{Name: n} }
+	bin := func(op string, l, r Expr) Expr { return &EBin{Op: op, L: l, R: r} }
+	num := &ELit{Term: rdf.NewInteger(4)}
+	root := &Pattern{Kind: Simple}
+	for i, po := range [][2]string{{"p", "a"}, {"q", "b"}, {"r", "c"}, {"t", "d"}} {
+		root.Triples = append(root.Triples, &TriplePattern{ID: i + 1, S: Variable("s"), P: Constant(rdf.NewIRI(po[0])), O: Variable(po[1]), Parent: root})
+	}
+	root.Filters = make([]Expr, 0, 16)
+	root.Filters = append(root.Filters, bin("=", v("a"), v("b")), bin(">", v("c"), num), bin("=", v("c"), v("d")), bin(">", v("b"), num), bin("<", v("d"), num))
+	hand := &Query{Vars: []string{"s"}, Where: root, Limit: -1}
+	UnifyEqualityFilters(hand)
+	if got, want := strings.Join(filterStrings(hand), " ; "), "?c > 4 ; ?a > 4 ; ?c < 4"; got != want {
+		t.Fatalf("hand-built filters after unification: %s\nwant: %s", got, want)
+	}
+}
+
+// TestUnifyFoldsIRIEquality: an equality with an IRI constant moves
+// into the triples under the same conditions as a variable pair; the
+// rest of the list stays a filter.
+func TestUnifyFoldsIRIEquality(t *testing.T) {
+	const star = `?x <type> <A> . ?x ?p ?v`
+	for _, tc := range []struct {
+		name, query string
+		folded      bool
+	}{
+		{"var = iri", `SELECT ?x WHERE { ` + star + ` . FILTER (?p = <pages>) }`, true},
+		{"iri = var", `SELECT ?x WHERE { ` + star + ` . FILTER (<pages> = ?p) }`, true},
+		{"sameTerm", `SELECT ?x WHERE { ` + star + ` . FILTER (sameTerm(?p, <pages>)) }`, true},
+		{"sameTerm reversed", `SELECT ?x WHERE { ` + star + ` . FILTER (sameTerm(<pages>, ?p)) }`, true},
+		{"ask", `ASK { ` + star + ` . FILTER (?p = <pages>) }`, true},
+		{"projected", `SELECT ?x ?p WHERE { ` + star + ` . FILTER (?p = <pages>) }`, false},
+		{"order by key", `SELECT ?x WHERE { ` + star + ` . FILTER (?p = <pages>) } ORDER BY ?p`, false},
+		{"select star", `SELECT * WHERE { ` + star + ` . FILTER (?p = <pages>) }`, false},
+		{"not equal", `SELECT ?x WHERE { ` + star + ` . FILTER (?p != <pages>) }`, false},
+		{"disjunction", `SELECT ?x WHERE { ` + star + ` . FILTER (?p = <pages> || ?p = <title>) }`, false},
+		{"conjunction", `SELECT ?x WHERE { ` + star + ` . FILTER (?p = <pages> && ?p = <title>) }`, false},
+		{"plain literal", `SELECT ?x WHERE { ` + star + ` . FILTER (?v = "42") }`, false},
+		{"numeric literal", `SELECT ?x WHERE { ` + star + ` . FILTER (?v = 42) }`, false},
+		{"bound only in OPTIONAL", `SELECT ?x WHERE { ?x <type> <A> OPTIONAL { ?x ?p ?v } FILTER (?p = <pages>) }`, false},
+		{"bound only in UNION", `SELECT ?x WHERE { ?x <type> <A> { ?x ?p ?v } UNION { ?v ?p ?x } FILTER (?p = <pages>) }`, false},
+		{"filter in a nested group", `SELECT ?x WHERE { ?x <type> <A> OPTIONAL { ?x ?p ?v FILTER (?p = <pages>) } }`, false},
+		{"mentioned by another filter", `SELECT ?x WHERE { ` + star + ` . FILTER (?p = <pages>) FILTER (bound(?p)) }`, false},
+		{"mentioned in a nested filter", `SELECT ?x WHERE { ` + star + ` OPTIONAL { ?x <q> ?w FILTER (?w != ?p) } FILTER (?p = <pages>) }`, false},
+	} {
+		q := parseOK(t, tc.query)
+		before := len(q.Where.AllFilters())
+		UnifyEqualityFilters(q)
+		after := len(q.Where.AllFilters())
+		constantPred := false
+		for _, tp := range q.Where.AllTriples() {
+			if !tp.P.IsVar && tp.P.Term == rdf.NewIRI("pages") {
+				constantPred = true
+			}
+		}
+		if tc.folded && (after != before-1 || !constantPred) {
+			t.Errorf("%s: the equality should be folded into the triple: %d -> %d filters, triples %v", tc.name, before, after, q.Where.AllTriples())
+		}
+		if !tc.folded && (after != before || constantPred) {
+			t.Errorf("%s: the filter must stay: %d -> %d filters, triples %v", tc.name, before, after, q.Where.AllTriples())
+		}
+	}
+
+	// Two equalities on one variable: each is mentioned by the other,
+	// so both stay (and contradict each other as filters).
+	q := parseOK(t, `SELECT ?x WHERE { `+star+` . FILTER (?p = <pages>) FILTER (?p = <title>) }`)
+	UnifyEqualityFilters(q)
+	if got := len(q.Where.Filters); got != 2 {
+		t.Errorf("two equalities on ?p: %d filters left, want 2", got)
+	}
+	// The folded variable disappears from every position it held.
+	q = parseOK(t, `SELECT ?o WHERE { ?s <p> ?o . ?s ?s ?o . FILTER (?s = <a>) }`)
+	UnifyEqualityFilters(q)
+	for _, tp := range q.Where.AllTriples() {
+		for _, v := range tp.Vars() {
+			if v == "s" {
+				t.Errorf("?s survives in %v", tp)
+			}
+		}
+	}
+}

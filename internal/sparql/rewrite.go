@@ -1,24 +1,41 @@
 package sparql
 
-// UnifyEqualityFilters performs the classic filter-to-join rewrite:
-// a top-level FILTER (?a = ?b) between two variables is replaced by
-// substituting one variable for the other throughout the pattern, so
-// the optimizer sees a shared variable (a join) instead of a
-// cross-product followed by a selection. SP2Bench's Q5a/Q5b pair is
-// designed to expose exactly this difference.
+import "db2rdf/internal/rdf"
+
+// UnifyEqualityFilters performs the classic filter-to-pattern rewrites
+// on the root group's FILTERs:
+//
+//   - FILTER (?a = ?b) between two variables is replaced by
+//     substituting one variable for the other throughout the pattern,
+//     so the optimizer sees a shared variable (a join) instead of a
+//     cross-product followed by a selection. SP2Bench's Q5a/Q5b pair is
+//     designed to expose exactly this difference.
+//   - FILTER (?v = <iri>), (<iri> = ?v) or sameTerm(?v, <iri>) is
+//     replaced by substituting the IRI for ?v in the triples, so the
+//     constant reaches the access path: SP2Bench's Q3 family turns from
+//     a variable-predicate scan plus a selection into a two-triple
+//     star. Only IRIs qualify — on them SPARQL "=" is term identity,
+//     which is what a constant in a triple pattern means; a literal
+//     constant compares by value and stays a filter.
 //
 // The rewrite is deliberately conservative; it applies only when
 //
 //   - the filter sits on the root pattern (variables may not leak
 //     across an enclosing scope we did not inspect),
-//   - both variables are bound by required (non-OPTIONAL, non-UNION)
-//     triples, so "unbound makes the filter false" semantics are
-//     preserved by the substitution, and
+//   - every variable involved is bound by a required (non-OPTIONAL,
+//     non-UNION) triple, so "unbound makes the filter false" semantics
+//     are preserved by the substitution,
 //   - the variable being removed is neither projected nor used in
-//     ORDER BY.
+//     ORDER BY, and the query is not SELECT *, and
+//   - for the IRI form, no other filter anywhere mentions the variable:
+//     a constant is not accepted everywhere a variable is (bound(?v),
+//     arithmetic), and an expression over it is better left reading
+//     the binding.
 func UnifyEqualityFilters(q *Query) {
 	root := q.Where
-	if root == nil {
+	if root == nil || q.Star {
+		// SELECT * projects everything; removing a variable would
+		// change the result shape.
 		return
 	}
 	protected := map[string]bool{}
@@ -28,54 +45,105 @@ func UnifyEqualityFilters(q *Query) {
 	for _, k := range q.OrderBy {
 		ExprVars(k.Expr, protected)
 	}
-	if q.Star {
-		// SELECT * projects everything; removing a variable would
-		// change the result shape.
-		return
-	}
-	kept := root.Filters[:0]
-	for _, f := range root.Filters {
-		va, vb, ok := varEquality(f)
+	// The root's filters are taken off the pattern while they are
+	// rewritten: kept (decided, staying) and filters[i+1:] (undecided)
+	// are the explicit lists a substitution has to reach besides the
+	// tree. kept is a fresh slice — filters may have spare capacity, and
+	// appending into it would overwrite entries not yet read.
+	filters := root.Filters
+	root.Filters = nil
+	kept := make([]Expr, 0, len(filters))
+	for i, f := range filters {
+		remove, to, ok := foldable(f, protected)
+		if ok && !to.IsVar {
+			others := map[string]bool{}
+			for _, g := range root.AllFilters() {
+				ExprVars(g, others)
+			}
+			for j, g := range filters {
+				if j != i {
+					ExprVars(g, others)
+				}
+			}
+			ok = !others[remove]
+		}
+		if ok {
+			ok = boundByRequiredTriple(root, remove) && (!to.IsVar || boundByRequiredTriple(root, to.Var))
+		}
 		if !ok {
 			kept = append(kept, f)
 			continue
 		}
-		// Decide which side to remove.
-		var remove, keep string
-		switch {
-		case !protected[vb]:
-			remove, keep = vb, va
-		case !protected[va]:
-			remove, keep = va, vb
-		default:
-			kept = append(kept, f)
-			continue
-		}
-		if !boundByRequiredTriple(root, va) || !boundByRequiredTriple(root, vb) {
-			kept = append(kept, f)
-			continue
-		}
-		substituteVar(root, remove, keep)
-		// Apply the substitution to the remaining filters as well.
-		for _, g := range append(kept, root.Filters...) {
-			substituteExprVar(g, remove, keep)
+		root.Walk(func(p *Pattern) {
+			for _, t := range p.Triples {
+				for _, pos := range []*TermOrVar{&t.S, &t.P, &t.O} {
+					if pos.IsVar && pos.Var == remove {
+						*pos = to
+					}
+				}
+			}
+			if to.IsVar {
+				for _, g := range p.Filters {
+					renameExprVar(g, remove, to.Var)
+				}
+			}
+		})
+		if to.IsVar {
+			for _, g := range kept {
+				renameExprVar(g, remove, to.Var)
+			}
+			for _, g := range filters[i+1:] {
+				renameExprVar(g, remove, to.Var)
+			}
 		}
 	}
 	root.Filters = kept
 }
 
-// varEquality recognizes FILTER (?a = ?b) over two distinct variables.
-func varEquality(f Expr) (string, string, bool) {
-	b, ok := f.(*EBin)
-	if !ok || b.Op != "=" {
-		return "", "", false
+// foldable recognizes the filters UnifyEqualityFilters can fold into
+// the pattern and decides the substitution: "=" or sameTerm over two
+// distinct variables, at least one of them unprotected (that one is
+// removed in favour of the other, the right-hand one first), or over
+// an unprotected variable and an IRI constant.
+func foldable(f Expr, protected map[string]bool) (remove string, to TermOrVar, ok bool) {
+	var l, r Expr
+	switch x := f.(type) {
+	case *EBin:
+		if x.Op != "=" {
+			return "", TermOrVar{}, false
+		}
+		l, r = x.L, x.R
+	case *ECall:
+		if x.Name != "sameterm" || len(x.Args) != 2 {
+			return "", TermOrVar{}, false
+		}
+		l, r = x.Args[0], x.Args[1]
+	default:
+		return "", TermOrVar{}, false
 	}
-	va, ok1 := b.L.(*EVar)
-	vb, ok2 := b.R.(*EVar)
-	if !ok1 || !ok2 || va.Name == vb.Name {
-		return "", "", false
+	lv, lIsVar := l.(*EVar)
+	rv, rIsVar := r.(*EVar)
+	switch {
+	case lIsVar && rIsVar:
+		if lv.Name == rv.Name {
+			return "", TermOrVar{}, false
+		}
+		if !protected[rv.Name] {
+			return rv.Name, Variable(lv.Name), true
+		}
+		if !protected[lv.Name] {
+			return lv.Name, Variable(rv.Name), true
+		}
+	case lIsVar:
+		if c, isLit := r.(*ELit); isLit && c.Term.Kind == rdf.IRI && !protected[lv.Name] {
+			return lv.Name, Constant(c.Term), true
+		}
+	case rIsVar:
+		if c, isLit := l.(*ELit); isLit && c.Term.Kind == rdf.IRI && !protected[rv.Name] {
+			return rv.Name, Constant(c.Term), true
+		}
 	}
-	return va.Name, vb.Name, true
+	return "", TermOrVar{}, false
 }
 
 // boundByRequiredTriple reports whether v occurs in a triple reachable
@@ -98,42 +166,21 @@ func boundByRequiredTriple(p *Pattern, v string) bool {
 	return false
 }
 
-// substituteVar renames every occurrence of from to to in the pattern
-// subtree (triples and filters).
-func substituteVar(p *Pattern, from, to string) {
-	p.Walk(func(q *Pattern) {
-		for _, t := range q.Triples {
-			if t.S.IsVar && t.S.Var == from {
-				t.S.Var = to
-			}
-			if t.P.IsVar && t.P.Var == from {
-				t.P.Var = to
-			}
-			if t.O.IsVar && t.O.Var == from {
-				t.O.Var = to
-			}
-		}
-		for _, f := range q.Filters {
-			substituteExprVar(f, from, to)
-		}
-	})
-}
-
-// substituteExprVar renames variables inside a filter expression.
-func substituteExprVar(e Expr, from, to string) {
+// renameExprVar renames variables inside a filter expression.
+func renameExprVar(e Expr, from, to string) {
 	switch x := e.(type) {
 	case *EVar:
 		if x.Name == from {
 			x.Name = to
 		}
 	case *EBin:
-		substituteExprVar(x.L, from, to)
-		substituteExprVar(x.R, from, to)
+		renameExprVar(x.L, from, to)
+		renameExprVar(x.R, from, to)
 	case *EUn:
-		substituteExprVar(x.X, from, to)
+		renameExprVar(x.X, from, to)
 	case *ECall:
 		for _, a := range x.Args {
-			substituteExprVar(a, from, to)
+			renameExprVar(a, from, to)
 		}
 	}
 }

@@ -273,11 +273,12 @@ func (b *DB2RDF) Access(g *Gen, n *PlanNode, in Ctx) (Ctx, error) {
 	return Ctx{Cte: name, Vars: outVars}, nil
 }
 
-// orFlip implements the paper's "flip" of an OR-merged access (the
-// lateral TABLE(...) of Figure 13) as a UNION ALL with one arm per
-// disjunct, guarded by presence of that disjunct's value. Each arm
-// joins DS/RS for its own disjunct only — a shared join would
-// cross-join the member lists of different disjuncts.
+// orFlip flips an OR-merged access into one row per disjunct present:
+// a UNION ALL with one arm per merged disjunct (a handful, not k — the
+// k-pair flip of a variable predicate is varPredNode's lateral),
+// guarded by presence of that disjunct's value. Each arm joins DS/RS
+// for its own disjunct only — a shared join would cross-join the member
+// lists of different disjuncts.
 func (b *DB2RDF) orFlip(g *Gen, n *PlanNode, infos []*itemInfo, cur string, outVars map[string]bool, secondary string) (Ctx, error) {
 	method := n.Method
 	// Variables newly bound by arms.
@@ -345,8 +346,12 @@ func (b *DB2RDF) orFlip(g *Gen, n *PlanNode, infos []*itemInfo, cur string, outV
 	return Ctx{Cte: name, Vars: outVars}, nil
 }
 
-// varPredNode translates a triple whose predicate is a variable: a
-// UNION ALL over all k predicate columns.
+// varPredNode translates a triple whose predicate is a variable. The
+// k (pred_i, val_i) pairs of the entity's row are flipped into rows by
+// one lateral TABLE(VALUES ...) over the primary relation (Figure 13),
+// so the triple costs one access of the row; the ways the predicate can
+// already be determined — bound upstream, or repeating the entity
+// variable — are conditions on the flipped L.pred.
 func (b *DB2RDF) varPredNode(g *Gen, n *PlanNode, in Ctx, primary, secondary string, reverse bool, k int) (Ctx, error) {
 	t := n.Items[0].Triple
 	method := n.Method
@@ -359,49 +364,41 @@ func (b *DB2RDF) varPredNode(g *Gen, n *PlanNode, in Ctx, primary, secondary str
 		outVars[v] = true
 	}
 
-	entityCond := ""
+	sel := g.Carry(in, "P")
+	var conds []string
 	exposeEntity := false
 	switch {
 	case !entity.IsVar:
-		entityCond = fmt.Sprintf("T.entry = %d", g.IDOf(entity.Term))
+		conds = append(conds, fmt.Sprintf("T.entry = %d", g.IDOf(entity.Term)))
 	case in.Vars[entity.Var]:
-		entityCond = fmt.Sprintf("T.entry = P.%s", g.ColFor(entity.Var))
+		conds = append(conds, fmt.Sprintf("T.entry = P.%s", g.ColFor(entity.Var)))
 	default:
 		exposeEntity = true
+		sel = append(sel, fmt.Sprintf("T.entry AS %s", g.ColFor(entity.Var)))
 	}
+	conds = append(conds, "L.pred IS NOT NULL")
 
 	predBound := in.Vars[pv]
 	// "?a ?a ?b": the predicate variable repeats the entity variable,
 	// which becomes an equality on the row rather than a second
 	// exposure.
 	predSameAsEntity := entity.IsVar && entity.Var == pv
-	var arms []string
-	for c := 0; c < k; c++ {
-		sel := g.Carry(in, "P")
-		if exposeEntity {
-			sel = append(sel, fmt.Sprintf("T.entry AS %s", g.ColFor(entity.Var)))
-		}
-		if !predBound && !predSameAsEntity {
-			sel = append(sel, fmt.Sprintf("T.pred%d AS %s", c, g.ColFor(pv)))
-		}
-		sel = append(sel, fmt.Sprintf("T.val%d AS r0", c))
-		conds := []string{fmt.Sprintf("T.pred%d IS NOT NULL", c)}
-		if entityCond != "" {
-			conds = append(conds, entityCond)
-		}
-		if predBound {
-			conds = append(conds, fmt.Sprintf("T.pred%d = P.%s", c, g.ColFor(pv)))
-		} else if predSameAsEntity {
-			conds = append(conds, fmt.Sprintf("T.pred%d = T.entry", c))
-		}
-		from := fmt.Sprintf("%s AS T", primary)
-		if in.Cte != "" {
-			from = fmt.Sprintf("%s AS P, %s AS T", in.Cte, primary)
-		}
-		arms = append(arms, fmt.Sprintf("SELECT %s FROM %s WHERE %s",
-			strings.Join(sel, ", "), from, strings.Join(conds, " AND ")))
+	switch {
+	case predBound:
+		conds = append(conds, fmt.Sprintf("L.pred = P.%s", g.ColFor(pv)))
+	case predSameAsEntity:
+		conds = append(conds, "L.pred = T.entry")
+	default:
+		sel = append(sel, fmt.Sprintf("L.pred AS %s", g.ColFor(pv)))
 	}
-	cur := g.Emit(strings.Join(arms, "\nUNION ALL\n"))
+	sel = append(sel, "L.val AS r0")
+
+	from := fmt.Sprintf("%s AS T, %s", primary, pairFlip("T", k))
+	if in.Cte != "" {
+		from = fmt.Sprintf("%s AS P, %s", in.Cte, from)
+	}
+	cur := g.Emit(fmt.Sprintf("SELECT %s FROM %s WHERE %s",
+		strings.Join(sel, ", "), from, strings.Join(conds, " AND ")))
 	if exposeEntity {
 		outVars[entity.Var] = true
 	}
@@ -448,6 +445,16 @@ func (b *DB2RDF) varPredNode(g *Gen, n *PlanNode, in Ctx, primary, secondary str
 	}
 	name := g.Emit(body3)
 	return Ctx{Cte: name, Vars: outVars}, nil
+}
+
+// pairFlip renders the lateral item that flips the k (pred_i, val_i)
+// pairs of alias's row into rows L(pred, val) (Figure 13).
+func pairFlip(alias string, k int) string {
+	pairs := make([]string, k)
+	for i := range pairs {
+		pairs[i] = fmt.Sprintf("(%s.pred%d, %s.val%d)", alias, i, alias, i)
+	}
+	return "TABLE(VALUES " + strings.Join(pairs, ", ") + ") AS L(pred, val)"
 }
 
 // clipCols drops candidate columns beyond the physical budget.

@@ -1,6 +1,7 @@
 package translator
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -283,16 +284,48 @@ func TestUnsupportedFilterErrors(t *testing.T) {
 	}
 }
 
-func TestVarPredicateUnionOverColumns(t *testing.T) {
+// TestVarPredicateLateralShape pins the access CTE of a variable-
+// predicate triple to the paper's Figure 13 form: one pass over the
+// primary relation with the k (pred, val) pairs flipped into rows by a
+// lateral TABLE(VALUES ...), not one UNION arm per pair.
+func TestVarPredicateLateralShape(t *testing.T) {
 	st := fig1Store(t)
-	parsed, plan, backend := planFor(t, st, `SELECT ?p ?o WHERE { <Charles_Flint> ?p ?o }`)
+	pairs := make([]string, st.K(false))
+	for c := range pairs {
+		pairs[c] = fmt.Sprintf("(T.pred%d, T.val%d)", c, c)
+	}
+	lateral := "TABLE(VALUES " + strings.Join(pairs, ", ") + ") AS L(pred, val)"
+	flint, _ := st.LookupID(rdf.NewIRI("Charles_Flint"))
+	for _, c := range []struct{ query, qt1 string }{
+		{`SELECT ?p ?o WHERE { <Charles_Flint> ?p ?o }`,
+			fmt.Sprintf("SELECT L.pred AS v_p, L.val AS r0 FROM DPH AS T, %s WHERE T.entry = %d AND L.pred IS NOT NULL", lateral, flint)},
+		{`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`,
+			"SELECT T.entry AS v_s, L.pred AS v_p, L.val AS r0 FROM DPH AS T, " + lateral + " WHERE L.pred IS NOT NULL"},
+		{`SELECT ?s ?o WHERE { ?s ?s ?o }`,
+			"SELECT T.entry AS v_s, L.val AS r0 FROM DPH AS T, " + lateral + " WHERE L.pred IS NOT NULL AND L.pred = T.entry"},
+	} {
+		parsed, plan, backend := planFor(t, st, c.query)
+		res, err := Translate(parsed, plan, backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "WITH QT1 AS (" + c.qt1 + "),\n"; !strings.HasPrefix(res.SQL, want) {
+			t.Errorf("%s:\nwant prefix %s\ngot %s", c.query, want, res.SQL)
+		}
+		if strings.Contains(res.SQL, "UNION") {
+			t.Errorf("%s: variable-predicate access must not union over the pair columns:\n%s", c.query, res.SQL)
+		}
+	}
+
+	// Entity and predicate bound by an earlier access: both become
+	// conditions of the one lateral core.
+	parsed, plan, backend := planFor(t, st, `SELECT ?x ?o WHERE { ?x <born> ?p . ?x ?p ?o }`)
 	res, err := Translate(parsed, plan, backend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One UNION arm per predicate column (K=16).
-	if got := strings.Count(res.SQL, "UNION ALL"); got != 15 {
-		t.Fatalf("want 15 UNION ALL separators for K=16, got %d", got)
+	if want := " AS P, DPH AS T, " + lateral + " WHERE T.entry = P.v_x AND L.pred IS NOT NULL AND L.pred = P.v_p)"; !strings.Contains(res.SQL, want) {
+		t.Errorf("bound entity and predicate:\nwant %s\nin %s", want, res.SQL)
 	}
 }
 

@@ -161,7 +161,33 @@ func TestSlowQueryLog(t *testing.T) {
 // with an actual cardinality for every access pattern.
 func TestAnalyzeEstimateVsActual(t *testing.T) {
 	s, ds := obsStore(t, db2rdf.Options{})
-	for _, cq := range ds.Queries {
+	queries := ds.Queries
+	// SP2Bench's variable-predicate queries, on their own store: SQ9 has
+	// two variable-predicate patterns, each answered by one unpivot over
+	// the entity's row; SQ3a's filter folds its variable predicate into a
+	// constant, leaving none.
+	sp2b := gen.SP2B(5000)
+	sq, err := db2rdf.Open(db2rdf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sq.LoadTriples(sp2b.Triples); err != nil {
+		t.Fatal(err)
+	}
+	unpivots := map[string]int{"SQ3a": 0, "SQ9": 2}
+	tablesRead := map[string]int{"SQ3a": 2, "SQ9": 4} // one access per triple pattern
+	for _, cq := range sp2b.Queries {
+		if _, ok := unpivots[cq.Name]; ok {
+			queries = append(queries[:len(queries):len(queries)], cq)
+		}
+	}
+	if len(queries) != len(ds.Queries)+len(unpivots) {
+		t.Fatalf("SP2Bench templates %v not found", unpivots)
+	}
+	for i, cq := range queries {
+		if i >= len(ds.Queries) {
+			s = sq
+		}
 		an, err := s.Analyze(cq.SPARQL)
 		if err != nil {
 			t.Fatalf("%s: %v", cq.Name, err)
@@ -180,9 +206,15 @@ func TestAnalyzeEstimateVsActual(t *testing.T) {
 		// Operator-local row conservation, and the read width of every
 		// operator over a base table.
 		lastInScope := map[string]db2rdf.OpStat{}
-		hashReads := 0
+		hashReads, flips := 0, 0
 		for _, op := range an.Stats.Ops {
 			switch op.Kind {
+			case "unpivot":
+				flips++
+				if op.Pairs != 32 || op.ColsRead != 65 || !strings.Contains(op.String(), "cols=65/66 pairs=32") {
+					t.Fatalf("%s: an unpivot over DPH/RPH reads entry and the 32 pairs: %s", cq.Name, op)
+				}
+				fallthrough
 			case "scan", "index-scan", "index-join":
 				if op.ColsTotal == 0 || op.ColsRead > op.ColsTotal {
 					t.Fatalf("%s: %s must report the columns it read: %+v", cq.Name, op.Kind, op)
@@ -214,13 +246,21 @@ func TestAnalyzeEstimateVsActual(t *testing.T) {
 			if op.Workers < 1 || op.ElapsedNs < 0 {
 				t.Fatalf("%s: bad op %+v", cq.Name, op)
 			}
+			if prev := lastInScope[op.Scope]; op.Kind == "project" && prev.Kind == "project" {
+				// The next arm of a UNION ALL: the CTE holds every arm's rows.
+				op.RowsOut += prev.RowsOut
+			}
 			lastInScope[op.Scope] = op
 		}
 		if hashReads == 0 {
 			t.Fatalf("%s: no operator read DPH or RPH:\n%s", cq.Name, an.Stats)
 		}
-		// The last operator of each CTE is the one that produced its
-		// rows: child out == parent in across the CTE boundary.
+		if want, ok := unpivots[cq.Name]; ok && (flips != want || hashReads != tablesRead[cq.Name]) {
+			t.Fatalf("%s: %d unpivots and %d reads of DPH/RPH, want %d and %d:\n%s", cq.Name, flips, hashReads, want, tablesRead[cq.Name], an.Stats)
+		}
+		// The last operator of each CTE (of each arm, for a UNION ALL) is
+		// the one that produced its rows: child out == parent in across
+		// the CTE boundary.
 		for cte, rows := range an.Stats.CTERows {
 			last, ok := lastInScope[cte]
 			if !ok {
