@@ -123,9 +123,9 @@ func (s *Store) AnalyzeContext(ctx context.Context, q string) (an *Analysis, err
 		if an != nil {
 			res, stats = an.Results, an.Stats
 		}
-		s.observeQuery(q, time.Since(start), res, stats, err)
+		s.observeQuery(q, time.Since(start), res.rowCount(), stats, err)
 	}()
-	defer guard(q, nil, &err)
+	defer guard(q, &err)
 	ctx, cancel := s.governCtx(ctx)
 	defer cancel()
 	// Explanation and execution run on the same snapshot, so the
@@ -135,7 +135,11 @@ func (s *Store) AnalyzeContext(ctx context.Context, q string) (an *Analysis, err
 	if err != nil {
 		return nil, attachQuery(q, err)
 	}
-	res, stats, cp, err := s.queryFull(ctx, snap, q, true)
+	sol, stats, cp, err := s.queryFull(ctx, snap, q, true)
+	var res *Results
+	if err == nil {
+		res, err = sol.Results()
+	}
 	an = &Analysis{Explanation: expl, Results: res, Stats: stats}
 	if cp != nil && cp.tr != nil && stats != nil {
 		an.Patterns = patternStats(cp, stats)

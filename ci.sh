@@ -33,13 +33,13 @@ go test -race -count=1 \
 echo "== crash recovery (kill points, bit flips, WAL replay, reclamation) =="
 go test -race -count=1 \
     -run 'TestDurableCloseReopen|TestWALOnlyCrashReopen|TestKillPointRecovery|TestBitFlipFaultInjection|TestSnapshotReclaimsDeletedState|TestBackgroundSnapshotRotation|TestDurableConfigMismatch' .
-echo "== SPARQL endpoint (protocol matrix, conneg, 503 mapping, shedding, drain) =="
+echo "== SPARQL endpoint (protocol matrix, conneg, 503 mapping, shedding, drain, streaming from ids) =="
 go test -race -count=1 \
-    -run 'TestProtocolMatrix|TestContentNegotiation|TestWritableUpdates|TestGovernanceMapsTo503|TestDeadlineMapsTo503|TestAdmissionControlSheds|TestConcurrentMixedTraffic|TestOversizeBodyRejected|TestGracefulDrain' \
+    -run 'TestProtocolMatrix|TestContentNegotiation|TestWritableUpdates|TestGovernanceMapsTo503|TestDeadlineMapsTo503|TestAdmissionControlSheds|TestConcurrentMixedTraffic|TestOversizeBodyRejected|TestGracefulDrain|TestClientLeavesMidBody|TestWireEncodeAllocs' \
     ./server/
 echo "== endpoint smoke gate (real binary: startup, query, update, metrics, SIGTERM drain) =="
 go test -race -count=1 -run '^TestServerBinarySmoke$' ./server/
-echo "== wire serialization round-trips and database/sql driver corpus =="
+echo "== wire serialization round-trips, byte identity with the reference writers, database/sql driver corpus =="
 go test -race -count=1 ./results/ ./driver/
 echo "== hot-path perf gates (instrumentation disabled; reads during load) =="
 DB2RDF_PERF_GATE=1 go test -count=1 -run '^TestPerfGate' -v .
@@ -52,4 +52,5 @@ go test -run '^$' -fuzz '^FuzzParseUpdate$' -fuzztime 5s .
 go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 5s .
 go test -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 5s ./internal/wal/
 go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime 5s ./internal/rel/
+go test -run '^$' -fuzz '^FuzzEncodeMatchesReference$' -fuzztime 5s ./results/
 echo "ok"

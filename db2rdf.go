@@ -283,23 +283,49 @@ func (s *Store) Query(q string) (*Results, error) {
 // translator, or a worker goroutine in the executor — is recovered and
 // returned as a *PanicError with the query text attached; the store
 // stays fully usable (path temporaries dropped, plan cache intact).
+//
+// QueryContext is SolveContext followed by Solutions.Results.
 func (s *Store) QueryContext(ctx context.Context, q string) (res *Results, err error) {
 	start := time.Now()
 	var stats *ExecStats
 	// Deferred observation runs after guard has normalized panics into
 	// the final err, so the metrics see every outcome and the
 	// slow-query callback may itself use the store.
-	defer func() { s.observeQuery(q, time.Since(start), res, stats, err) }()
-	defer guard(q, &res, &err)
+	defer func() { s.observeQuery(q, time.Since(start), res.rowCount(), stats, err) }()
+	defer guard(q, &err)
+	var sol *Solutions
+	if sol, stats, err = s.solve(ctx, q); err != nil {
+		return nil, err
+	}
+	return sol.Results()
+}
+
+// SolveContext runs q exactly like QueryContext — same governance, plan
+// cache and execution — but stops before decoding: the answer stays in
+// dictionary ids, every one checked to be a term the returned Solutions
+// can render. The HTTP endpoint encodes results from it, so every
+// failure a query can have surfaces here, before a status line is
+// written. A query that does not parse fails with a *SyntaxError.
+func (s *Store) SolveContext(ctx context.Context, q string) (sol *Solutions, err error) {
+	start := time.Now()
+	var stats *ExecStats
+	defer func() { s.observeQuery(q, time.Since(start), sol.Len(), stats, err) }()
+	defer guard(q, &err)
+	sol, stats, err = s.solve(ctx, q)
+	return sol, err
+}
+
+// solve is the step QueryContext and SolveContext share: governance,
+// one snapshot, and queryFull.
+func (s *Store) solve(ctx context.Context, q string) (*Solutions, *ExecStats, error) {
 	ctx, cancel := s.governCtx(ctx)
 	defer cancel()
 	// One snapshot load pins the whole query — data, spill/multi state,
 	// and the epoch the plan cache keys on — to a single published
 	// version; writers publishing meanwhile are invisible.
 	snap := s.inner.Snapshot()
-	res, stats, _, err = s.queryFull(ctx, snap, q, s.profileQueries())
-	err = attachQuery(q, err)
-	return res, err
+	sol, stats, _, err := s.queryFull(ctx, snap, q, s.profileQueries())
+	return sol, stats, attachQuery(q, err)
 }
 
 // profileQueries reports whether public queries should run with
@@ -311,11 +337,7 @@ func (s *Store) profileQueries() bool {
 
 // observeQuery feeds one served query into the metrics registry and
 // the slow-query log. Called with the store lock released.
-func (s *Store) observeQuery(q string, dur time.Duration, res *Results, stats *ExecStats, err error) {
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
-	}
+func (s *Store) observeQuery(q string, dur time.Duration, rows int, stats *ExecStats, err error) {
 	s.metrics.observeQuery(dur, rows, err)
 	if t := s.opts.SlowQueryThreshold; t > 0 && dur >= t {
 		s.metrics.slowQueries.Add(1)
@@ -347,12 +369,10 @@ func (s *Store) limits() rel.Limits {
 // optimizer, translator — stages outside the executor's own recovery)
 // into the same *PanicError shape, with the query text attached. It
 // runs outermost, after the deferred lock release and temp-table
-// cleanup, so the store is already consistent when it fires.
-func guard(q string, res **Results, err *error) {
+// cleanup, so the store is already consistent when it fires. The
+// callers' results are still nil then: a panicking call never returns.
+func guard(q string, err *error) {
 	if p := recover(); p != nil {
-		if res != nil {
-			*res = nil
-		}
 		*err = attachQuery(q, rel.NewPanicError(p))
 	}
 }
@@ -381,15 +401,18 @@ func attachQuery(q string, err error) error {
 // property-path closures are compiled afresh each time (their SQL
 // references per-query temp tables).
 func (s *Store) queryOn(ctx context.Context, snap *store.Snapshot, q string) (*Results, error) {
-	res, _, _, err := s.queryFull(ctx, snap, q, false)
-	return res, err
+	sol, _, _, err := s.queryFull(ctx, snap, q, false)
+	if err != nil {
+		return nil, err
+	}
+	return sol.Results()
 }
 
-// queryFull is queryOn returning the execution profile (nil unless
+// queryFull compiles q on a plan-cache miss and executes it once,
+// returning the undecoded solutions, the execution profile (nil unless
 // profile is set) and the compiled plan (nil when compilation itself
-// failed) alongside the results, for EXPLAIN ANALYZE and the
-// slow-query log.
-func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, profile bool) (*Results, *ExecStats, *compiledPlan, error) {
+// failed), for EXPLAIN ANALYZE and the slow-query log.
+func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, profile bool) (*Solutions, *ExecStats, *compiledPlan, error) {
 	// A live (write-lock) snapshot sees mid-update content that is
 	// newer than the published state of the same epoch, so it must
 	// bypass the plan cache in both directions.
@@ -397,11 +420,11 @@ func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, p
 	epoch := snap.Epoch()
 	if cacheable {
 		if cp, ok := s.plans.get(q, epoch); ok {
-			res, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
-			return res, stats, cp, err
+			sol, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
+			return sol, stats, cp, err
 		}
 	}
-	parsed, err := sparql.Parse(q)
+	parsed, err := parseQuery(q)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -427,8 +450,8 @@ func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, p
 	if cacheable && len(parsed.Closures) == 0 {
 		s.plans.put(cp)
 	}
-	res, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
-	return res, stats, cp, err
+	sol, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
+	return sol, stats, cp, err
 }
 
 // Explanation reports how a query would run.
@@ -466,7 +489,7 @@ func (s *Store) Explain(q string) (*Explanation, error) {
 // ExplainContext is Explain under a context; the reported governance
 // fields reflect ctx's deadline combined with the store options.
 func (s *Store) ExplainContext(ctx context.Context, q string) (expl *Explanation, err error) {
-	defer guard(q, nil, &err)
+	defer guard(q, &err)
 	ctx, cancel := s.governCtx(ctx)
 	defer cancel()
 	return s.explainOn(ctx, s.inner.Snapshot(), q)
@@ -475,7 +498,7 @@ func (s *Store) ExplainContext(ctx context.Context, q string) (expl *Explanation
 // explainOn is ExplainContext against a specific snapshot (EXPLAIN
 // ANALYZE reuses it before executing on the same snapshot).
 func (s *Store) explainOn(ctx context.Context, snap *store.Snapshot, q string) (expl *Explanation, err error) {
-	parsed, err := sparql.Parse(q)
+	parsed, err := parseQuery(q)
 	if err != nil {
 		return nil, err
 	}
@@ -553,8 +576,11 @@ func (s *Store) execute(ctx context.Context, snap *store.Snapshot, parsed *sparq
 			return nil, fmt.Errorf("db2rdf: parsing generated SQL: %w", err)
 		}
 	}
-	res, _, err := s.executeCompiledStats(ctx, snap, cp, false)
-	return res, err
+	sol, _, err := s.executeCompiledStats(ctx, snap, cp, false)
+	if err != nil {
+		return nil, err
+	}
+	return sol.Results()
 }
 
 // executeCompiledStats runs a compiled plan against the snapshot's
@@ -564,9 +590,9 @@ func (s *Store) execute(ctx context.Context, snap *store.Snapshot, parsed *sparq
 // diagnosed). The plan's fields are read-only, so concurrent readers
 // may execute the same cached plan; an aborted execution leaves the
 // cached plan valid.
-func (s *Store) executeCompiledStats(ctx context.Context, snap *store.Snapshot, cp *compiledPlan, profile bool) (*Results, *ExecStats, error) {
+func (s *Store) executeCompiledStats(ctx context.Context, snap *store.Snapshot, cp *compiledPlan, profile bool) (*Solutions, *ExecStats, error) {
 	tr := cp.tr
-	out := &Results{IsAsk: tr.Ask}
+	out := &Solutions{IsAsk: tr.Ask, dict: s.inner.Dict}
 	if cp.rq == nil {
 		// Empty pattern: ASK {} is true; SELECT over {} yields one
 		// empty solution (the SPARQL unit solution mapping), with every
@@ -576,7 +602,7 @@ func (s *Store) executeCompiledStats(ctx context.Context, snap *store.Snapshot, 
 			return out, nil, nil
 		}
 		out.Vars = cp.parsed.ProjectedVars()
-		out.Rows = append(out.Rows, make([]Binding, len(out.Vars)))
+		out.rows = []rel.Row{make(rel.Row, len(out.Vars))}
 		return out, nil, nil
 	}
 	var rs *rel.ResultSet
@@ -600,22 +626,11 @@ func (s *Store) executeCompiledStats(ctx context.Context, snap *store.Snapshot, 
 		out.Ask = len(rs.Rows) > 0
 		return out, stats, nil
 	}
-	keep := len(tr.Columns) - tr.Hidden
-	out.Vars = tr.Columns[:keep]
-	for _, row := range rs.Rows {
-		decoded := make([]Binding, keep)
-		for i := 0; i < keep; i++ {
-			v := row[i]
-			if v.IsNull() {
-				continue
-			}
-			t, err := s.inner.Dict.Decode(v.I)
-			if err != nil {
-				return nil, stats, fmt.Errorf("db2rdf: decoding result id %d: %w", v.I, err)
-			}
-			decoded[i] = Binding{Bound: true, Term: t}
-		}
-		out.Rows = append(out.Rows, decoded)
+	out.Vars = tr.Columns[:len(tr.Columns)-tr.Hidden]
+	out.rows = rs.Rows
+	out.terms = snap.Terms()
+	if err := out.check(); err != nil {
+		return nil, stats, err
 	}
 	return out, stats, nil
 }

@@ -13,7 +13,8 @@
 // so this cuts the resident id→term bytes severalfold while decoding a
 // key stays two slices and at most one concatenation. Decode parses the
 // rebuilt key with rdf.TermFromKey, whose Terms alias the key's backing
-// bytes, so no per-field copies are made either.
+// bytes, so no per-field copies are made either; View.AppendKey copies
+// the two slices into a caller's buffer and allocates nothing.
 package dict
 
 import (
@@ -51,37 +52,52 @@ type fcBlock struct {
 	end  [fcBlockSize - 1]uint32
 }
 
-// key returns block entry j (0 ≤ j < fcBlockSize).
-func (b *fcBlock) key(j int) string {
-	if j == 0 {
-		return b.head
-	}
-	var start uint32
-	if j > 1 {
-		start = b.end[j-2]
-	}
-	suffix := b.blob[start:b.end[j-1]]
-	l := b.lcp[j-1]
-	if l == 0 {
-		return suffix
-	}
-	return b.head[:l] + suffix
-}
-
-// fcStore is an immutable published view of the interned terms: the
+// View is an immutable published state of the id→term store: the
 // sealed blocks plus the raw keys that have not filled a block yet.
-// Decode reads one of these lock-free via the atomic pointer.
-type fcStore struct {
+// Decode reads one lock-free via the atomic pointer; a query keeps the
+// one current when it finished executing to render its answer's keys
+// (AppendKey).
+type View struct {
 	blocks []fcBlock
 	tail   []string
 	n      int
 }
 
-func (st *fcStore) keyAt(i int) string {
-	if bi := i / fcBlockSize; bi < len(st.blocks) {
-		return st.blocks[bi].key(i % fcBlockSize)
+// parts addresses entry i (id i+1): its key is prefix followed by
+// suffix. Every read of the store goes through here.
+func (v *View) parts(i int) (prefix, suffix string) {
+	bi, j := i/fcBlockSize, i%fcBlockSize
+	if bi >= len(v.blocks) {
+		return "", v.tail[i-len(v.blocks)*fcBlockSize]
 	}
-	return st.tail[i-len(st.blocks)*fcBlockSize]
+	b := &v.blocks[bi]
+	if j == 0 {
+		return "", b.head
+	}
+	var start uint32
+	if j > 1 {
+		start = b.end[j-2]
+	}
+	return b.head[:b.lcp[j-1]], b.blob[start:b.end[j-1]]
+}
+
+func (v *View) keyAt(i int) string {
+	prefix, suffix := v.parts(i)
+	if prefix == "" {
+		return suffix
+	}
+	return prefix + suffix
+}
+
+// Covers reports whether id is a term id of this view. A nil view (an
+// empty dictionary) covers nothing.
+func (v *View) Covers(id int64) bool { return v != nil && id >= 1 && id <= int64(v.n) }
+
+// AppendKey appends the stored key (Term.Key) of a covered term id to
+// dst without allocating beyond dst's growth.
+func (v *View) AppendKey(dst []byte, id int64) []byte {
+	prefix, suffix := v.parts(int(id - 1))
+	return append(append(dst, prefix...), suffix...)
 }
 
 // Dict interns RDF terms and hands out list ids. It is safe for
@@ -103,7 +119,7 @@ type Dict struct {
 	nextLid int64
 	rawLen  int64 // what the raw []rdf.Term layout would hold in string bytes
 
-	pub atomic.Pointer[fcStore] // published store for lock-free Decode
+	pub atomic.Pointer[View] // published store for lock-free Decode
 }
 
 // New returns an empty dictionary.
@@ -160,12 +176,23 @@ func (d *Dict) appendLocked(key string) int64 {
 // semantics, so a reader that sees the new n also sees every key that
 // backs it.
 func (d *Dict) publishLocked() {
-	d.pub.Store(&fcStore{
+	d.pub.Store(&View{
 		blocks: d.blocks[:len(d.blocks):len(d.blocks)],
 		tail:   append([]string(nil), d.pend...),
 		n:      d.n,
 	})
 }
+
+// lockedView is the writer's current state as a View; valid only while
+// the caller holds the lock.
+func (d *Dict) lockedView() View {
+	return View{blocks: d.blocks, tail: d.pend, n: d.n}
+}
+
+// View returns the published store: every term id that any published
+// relation snapshot references, readable lock-free and never changing.
+// It is nil while the dictionary is empty.
+func (d *Dict) View() *View { return d.pub.Load() }
 
 // Encode interns t, returning its id (allocating one if new).
 func (d *Dict) Encode(t rdf.Term) int64 {
@@ -213,19 +240,16 @@ func termFromStoredKey(key string) rdf.Term {
 // published), so a miss here is a genuinely unknown id — but fall back
 // to the locked state to keep the error path exact under races.
 func (d *Dict) Decode(id int64) (rdf.Term, error) {
-	if st := d.pub.Load(); st != nil && id >= 1 && id <= int64(st.n) {
-		return termFromStoredKey(st.keyAt(int(id - 1))), nil
+	if v := d.pub.Load(); v.Covers(id) {
+		return termFromStoredKey(v.keyAt(int(id - 1))), nil
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if id < 1 || id > int64(d.n) {
+	v := d.lockedView()
+	if !v.Covers(id) {
 		return rdf.Term{}, fmt.Errorf("dict: unknown term id %d", id)
 	}
-	i := int(id - 1)
-	if bi := i / fcBlockSize; bi < len(d.blocks) {
-		return termFromStoredKey(d.blocks[bi].key(i % fcBlockSize)), nil
-	}
-	return termFromStoredKey(d.pend[i-len(d.blocks)*fcBlockSize]), nil
+	return termFromStoredKey(v.keyAt(int(id - 1))), nil
 }
 
 // MustDecode is Decode for callers that already validated the id.
@@ -292,14 +316,10 @@ func (d *Dict) RawBytes() int64 {
 func (d *Dict) SnapshotState() ([]rdf.Term, int64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	terms := make([]rdf.Term, 0, d.n)
-	for i := range d.blocks {
-		for j := 0; j < fcBlockSize; j++ {
-			terms = append(terms, termFromStoredKey(d.blocks[i].key(j)))
-		}
-	}
-	for _, k := range d.pend {
-		terms = append(terms, termFromStoredKey(k))
+	terms := make([]rdf.Term, d.n)
+	v := d.lockedView()
+	for i := range terms {
+		terms[i] = termFromStoredKey(v.keyAt(i))
 	}
 	return terms, d.nextLid
 }

@@ -146,3 +146,41 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestViewAppendKey reads every id of a dictionary spanning sealed
+// blocks and the tail back as its key, without allocating, from a view
+// that later interning does not change.
+func TestViewAppendKey(t *testing.T) {
+	d := New()
+	if d.View().Covers(1) {
+		t.Fatal("the view of an empty dictionary covers id 1")
+	}
+	var terms []rdf.Term
+	for i := 0; i < 3*fcBlockSize+5; i++ {
+		terms = append(terms, rdf.NewIRI(fmt.Sprintf("http://example.org/shared/prefix/%d", i)),
+			rdf.NewLangLiteral(fmt.Sprintf("v%d", i), "en"))
+	}
+	for _, term := range terms {
+		d.Encode(term)
+	}
+	v := d.View()
+	d.Encode(rdf.NewIRI("http://example.org/after-the-view"))
+	for _, id := range []int64{0, -1, int64(len(terms)) + 1, LidBase} {
+		if v.Covers(id) {
+			t.Errorf("view covers id %d", id)
+		}
+	}
+	buf := make([]byte, 0, 128)
+	for i, term := range terms {
+		id := int64(i + 1)
+		if !v.Covers(id) {
+			t.Fatalf("view does not cover id %d", id)
+		}
+		if got := string(v.AppendKey(buf[:0], id)); got != term.Key() {
+			t.Fatalf("AppendKey(%d) = %q, want %q", id, got, term.Key())
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf = v.AppendKey(buf[:0], 2*fcBlockSize+3) }); allocs != 0 {
+		t.Errorf("AppendKey allocates %.0f times", allocs)
+	}
+}

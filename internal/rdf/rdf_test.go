@@ -249,3 +249,38 @@ func TestTripleString(t *testing.T) {
 		t.Fatalf("got %q", tr.String())
 	}
 }
+
+// TestParseKeyMatchesTermFromKey holds the byte view of a key to the
+// term TermFromKey builds from it, and its N-Triples rendering to
+// Term.String, including invalid UTF-8 and the escaped characters.
+func TestParseKeyMatchesTermFromKey(t *testing.T) {
+	for _, term := range []Term{
+		NewIRI("http://x/a b"),
+		NewBlank("n\xff1"),
+		NewLiteral(""),
+		NewLiteral("tab\tnl\nquote\"back\\cr\r\xff\xc3 \u2028é"),
+		NewLangLiteral("bonjour\n", "fr"),
+		NewTypedLiteral("3.14", XSDDecimal),
+	} {
+		key := term.Key()
+		v, err := ParseKey([]byte(key))
+		if err != nil {
+			t.Fatalf("%q: %v", key, err)
+		}
+		back, _ := TermFromKey(key)
+		if v.Kind != back.Kind || string(v.Value) != back.Value || string(v.Lang) != back.Lang || string(v.Datatype) != back.Datatype {
+			t.Errorf("ParseKey(%q) = %+v, TermFromKey = %#v", key, v, back)
+		}
+		if got, want := string(v.AppendNTriples([]byte("x"))), "x"+term.String(); got != want {
+			t.Errorf("AppendNTriples = %q, want %q", got, want)
+		}
+	}
+	for _, key := range []string{"", "@en-missing-separator", "^dt", "?x"} {
+		if _, err := ParseKey([]byte(key)); err == nil {
+			t.Errorf("ParseKey(%q) must error", key)
+		}
+	}
+	if got, want := NewLiteral("a\xffb").String(), "\"a\uFFFDb\""; got != want {
+		t.Errorf("invalid UTF-8 renders %q, want %q", got, want)
+	}
+}

@@ -10,9 +10,11 @@
 package rdf
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three kinds of RDF terms.
@@ -117,20 +119,56 @@ func (t Term) String() string {
 	case Blank:
 		return "_:" + t.Value
 	default:
-		var b strings.Builder
-		b.WriteByte('"')
-		escapeLiteral(&b, t.Value)
-		b.WriteByte('"')
-		if t.Lang != "" {
-			b.WriteByte('@')
-			b.WriteString(t.Lang)
-		} else if t.Datatype != "" {
-			b.WriteString("^^<")
-			b.WriteString(t.Datatype)
-			b.WriteByte('>')
-		}
-		return b.String()
+		b := make([]byte, 0, len(t.Value)+len(t.Lang)+len(t.Datatype)+6)
+		return string(appendLiteral(b, t.Value, t.Lang, t.Datatype))
 	}
+}
+
+// appendLiteral appends a literal in N-Triples syntax: the lexical form
+// quoted with \t \n \r " \ escaped and invalid UTF-8 replaced by
+// U+FFFD, then @lang or ^^<datatype>.
+func appendLiteral[S ~string | ~[]byte](dst []byte, value, lang, datatype S) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(value); {
+		c := value[i]
+		if c < utf8.RuneSelf {
+			var esc byte
+			switch c {
+			case '"', '\\':
+				esc = c
+			case '\n':
+				esc = 'n'
+			case '\r':
+				esc = 'r'
+			case '\t':
+				esc = 't'
+			default:
+				i++
+				continue
+			}
+			dst = append(append(dst, value[start:i]...), '\\', esc)
+			i++
+			start = i
+			continue
+		}
+		// Only a ≤4-byte window is converted, so the string stays on
+		// the stack for []byte values.
+		n := min(len(value)-i, utf8.UTFMax)
+		r, size := utf8.DecodeRuneInString(string(value[i : i+n]))
+		i += size
+		if r == utf8.RuneError && size == 1 {
+			dst = append(append(dst, value[start:i-1]...), "\uFFFD"...)
+			start = i
+		}
+	}
+	dst = append(append(dst, value[start:]...), '"')
+	if len(lang) > 0 {
+		dst = append(append(dst, '@'), lang...)
+	} else if len(datatype) > 0 {
+		dst = append(append(append(dst, "^^<"...), datatype...), '>')
+	}
+	return dst
 }
 
 // Key returns a canonical string key that uniquely identifies the term
@@ -155,50 +193,88 @@ func (t Term) Key() string {
 
 // TermFromKey is the inverse of Term.Key.
 func TermFromKey(key string) (Term, error) {
-	if key == "" {
-		return Term{}, fmt.Errorf("rdf: empty term key")
+	kind, value, lang, datatype, ok := splitKey(key, strings.IndexByte)
+	if !ok {
+		return Term{}, keyError(key)
 	}
-	rest := key[1:]
-	switch key[0] {
-	case '<':
-		return NewIRI(rest), nil
-	case '_':
-		return NewBlank(rest), nil
-	case '"':
-		return NewLiteral(rest), nil
-	case '@':
-		i := strings.IndexByte(rest, 0)
-		if i < 0 {
-			return Term{}, fmt.Errorf("rdf: malformed lang literal key %q", key)
-		}
-		return NewLangLiteral(rest[i+1:], rest[:i]), nil
-	case '^':
-		i := strings.IndexByte(rest, 0)
-		if i < 0 {
-			return Term{}, fmt.Errorf("rdf: malformed typed literal key %q", key)
-		}
-		return NewTypedLiteral(rest[i+1:], rest[:i]), nil
-	}
-	return Term{}, fmt.Errorf("rdf: malformed term key %q", key)
+	return Term{Kind: kind, Value: value, Lang: lang, Datatype: datatype}, nil
 }
 
-func escapeLiteral(b *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
-		}
+// KeyView is a term read in place from the bytes of its key: the
+// fields alias the key, so a view costs no allocation and is valid only
+// while those bytes are.
+type KeyView struct {
+	Kind                  TermKind
+	Value, Lang, Datatype []byte
+}
+
+// ParseKey views a key produced by Term.Key; it is TermFromKey over
+// bytes.
+func ParseKey(key []byte) (KeyView, error) {
+	kind, value, lang, datatype, ok := splitKey(key, bytes.IndexByte)
+	if !ok {
+		return KeyView{}, keyError(string(key))
 	}
+	return KeyView{Kind: kind, Value: value, Lang: lang, Datatype: datatype}, nil
+}
+
+// AppendNTriples appends the term in N-Triples syntax, byte for byte
+// what Term.String returns.
+func (v KeyView) AppendNTriples(dst []byte) []byte {
+	switch v.Kind {
+	case IRI:
+		return append(append(append(dst, '<'), v.Value...), '>')
+	case Blank:
+		return append(append(dst, "_:"...), v.Value...)
+	default:
+		return appendLiteral(dst, v.Value, v.Lang, v.Datatype)
+	}
+}
+
+// splitKey parses the key format Term.Key writes: one kind byte, then
+// the value, with the language tag or datatype IRI and a NUL before the
+// value for tagged and typed literals. indexByte is strings.IndexByte
+// or bytes.IndexByte. ok is false for a malformed key (keyError says
+// why).
+func splitKey[S ~string | ~[]byte](key S, indexByte func(S, byte) int) (kind TermKind, value, lang, datatype S, ok bool) {
+	if len(key) == 0 {
+		return
+	}
+	value = key[1:]
+	switch key[0] {
+	case '<':
+		return IRI, value, lang, datatype, true
+	case '_':
+		return Blank, value, lang, datatype, true
+	case '"':
+		return Literal, value, lang, datatype, true
+	case '@':
+		lang, value, ok = cutNUL(value, indexByte)
+	case '^':
+		datatype, value, ok = cutNUL(value, indexByte)
+	}
+	return Literal, value, lang, datatype, ok
+}
+
+// cutNUL splits s around its first NUL byte.
+func cutNUL[S ~string | ~[]byte](s S, indexByte func(S, byte) int) (before, after S, found bool) {
+	if i := indexByte(s, 0); i >= 0 {
+		return s[:i], s[i+1:], true
+	}
+	return before, after, false
+}
+
+// keyError describes why splitKey rejected key.
+func keyError(key string) error {
+	switch {
+	case key == "":
+		return fmt.Errorf("rdf: empty term key")
+	case key[0] == '@':
+		return fmt.Errorf("rdf: malformed lang literal key %q", key)
+	case key[0] == '^':
+		return fmt.Errorf("rdf: malformed typed literal key %q", key)
+	}
+	return fmt.Errorf("rdf: malformed term key %q", key)
 }
 
 // Triple is one RDF statement.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"db2rdf/internal/coloring"
+	"db2rdf/internal/dict"
 	"db2rdf/internal/rdf"
 	"db2rdf/internal/rel"
 )
@@ -184,6 +185,11 @@ func (sn *Snapshot) EncodeID(t rdf.Term) int64 { return sn.store.Dict.Encode(t) 
 // Decode resolves an id from this snapshot's relations to its term
 // (lock-free on the published dictionary version).
 func (sn *Snapshot) Decode(id int64) (rdf.Term, error) { return sn.store.Dict.Decode(id) }
+
+// Terms returns the published dictionary view. Loaded after a query has
+// executed on this snapshot, it covers every term id the query can
+// have produced (ids are interned before the rows naming them publish).
+func (sn *Snapshot) Terms() *dict.View { return sn.store.Dict.View() }
 
 // SpillPredicates returns the spill-involved predicate set of one side
 // as of this snapshot. The returned map is immutable (copy-on-write on

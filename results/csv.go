@@ -9,69 +9,85 @@ package results
 // for what ReadCSV can and cannot reconstruct.
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"db2rdf"
 	"db2rdf/internal/rdf"
 )
 
-// WriteCSV encodes r per the SPARQL 1.1 CSV results format. The
-// records are written by a hand-rolled RFC 4180 encoder:
-// encoding/csv's Writer rewrites a field-internal LF to CRLF and
+// WriteCSV encodes r per the SPARQL 1.1 CSV results format.
+func WriteCSV(w io.Writer, r *db2rdf.Results) error {
+	return writeCSV(w, &resultsSource{res: r})
+}
+
+// writeCSV is the one CSV encoder. Its records are hand-rolled RFC
+// 4180: encoding/csv's Writer rewrites a field-internal LF to CRLF and
 // drops a field-internal CR when UseCRLF is set, both of which break
 // lexical round-tripping of literals holding control characters.
-func WriteCSV(w io.Writer, r *db2rdf.Results) error {
-	bw := bufio.NewWriter(w)
-	writeRecord := func(fields []string) {
-		for i, f := range fields {
-			if i > 0 {
-				bw.WriteByte(',')
+func writeCSV(w io.Writer, src source) error {
+	e := newEncoder(w)
+	if isAsk, answer := src.ask(); isAsk {
+		e.buf = append(e.buf, "ask\r\n"...)
+		e.buf = strconv.AppendBool(e.buf, answer)
+		e.buf = append(e.buf, "\r\n"...)
+		return e.close()
+	}
+	vars := src.vars()
+	for i, v := range vars {
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		e.buf = appendCSVField(e.buf, "", v)
+	}
+	e.buf = append(e.buf, "\r\n"...)
+	for r, n := 0, src.rows(); r < n; r++ {
+		for c := range vars {
+			if c > 0 {
+				e.buf = append(e.buf, ',')
 			}
-			if strings.ContainsAny(f, ",\"\r\n") {
-				bw.WriteByte('"')
-				bw.WriteString(strings.ReplaceAll(f, `"`, `""`))
-				bw.WriteByte('"')
-			} else {
-				bw.WriteString(f)
+			v, ok := src.cell(r, c)
+			switch {
+			case !ok:
+			case v.Kind == rdf.Blank:
+				e.buf = appendCSVField(e.buf, "_:", v.Value)
+			default: // bare IRI or literal lexical form
+				e.buf = appendCSVField(e.buf, "", v.Value)
 			}
 		}
-		bw.WriteString("\r\n")
-	}
-	if r.IsAsk {
-		writeRecord([]string{"ask"})
-		writeRecord([]string{boolLex(r.Ask)})
-		return bw.Flush()
-	}
-	writeRecord(r.Vars)
-	record := make([]string, len(r.Vars))
-	for _, row := range r.Rows {
-		for i := range record {
-			record[i] = ""
-			if i < len(row) && row[i].Bound {
-				record[i] = csvLexical(row[i].Term)
-			}
+		e.buf = append(e.buf, "\r\n"...)
+		if !e.endRow() {
+			break
 		}
-		writeRecord(record)
 	}
-	return bw.Flush()
+	return e.close()
 }
 
-// csvLexical renders one term as its CSV field value.
-func csvLexical(t rdf.Term) string {
-	if t.Kind == rdf.Blank {
-		return "_:" + t.Value
+// appendCSVField appends the field prefix+value, quoted with inner
+// quotes doubled when it holds a comma, quote, CR or LF. The prefix
+// ("_:" for blank nodes) never does.
+func appendCSVField[S ~string | ~[]byte](dst []byte, prefix string, value S) []byte {
+	quote := false
+	for i := 0; i < len(value) && !quote; i++ {
+		switch value[i] {
+		case ',', '"', '\r', '\n':
+			quote = true
+		}
 	}
-	return t.Value // bare IRI or literal lexical form
-}
-
-func boolLex(b bool) string {
-	if b {
-		return "true"
+	if !quote {
+		return append(append(dst, prefix...), value...)
 	}
-	return "false"
+	dst = append(append(dst, '"'), prefix...)
+	start := 0
+	for i := 0; i < len(value); i++ {
+		if value[i] == '"' {
+			dst = append(append(dst, value[start:i]...), '"', '"')
+			start = i + 1
+		}
+	}
+	return append(append(dst, value[start:]...), '"')
 }
 
 // ReadCSV decodes a SPARQL CSV result document with a strict RFC 4180

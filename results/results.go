@@ -3,8 +3,9 @@
 // 1.1 Query Results JSON Format, and the CSV and TSV formats (W3C
 // "SPARQL 1.1 Query Results CSV and TSV Formats").
 //
-// Each format has a symmetric encoder/decoder pair so the boundary is
-// testable as a round trip:
+// Each format has one hand-written encoder, which reads either decoded
+// Results or Solutions still in dictionary ids (encode.go), and a
+// decoder, so the boundary is testable as a round trip:
 //
 //   - JSON and TSV are lossless: every term kind (IRI, plain,
 //     language-tagged and datatyped literals, blank nodes) survives
@@ -73,28 +74,45 @@ func (f Format) ContentType() string {
 
 // Write encodes r in this format.
 func (f Format) Write(w io.Writer, r *db2rdf.Results) error {
+	return f.write(w, &resultsSource{res: r})
+}
+
+// WriteSolutions encodes s in this format straight from its dictionary
+// ids, with the same bytes Write produces for s.Results(). The only
+// error it can return is w's.
+func (f Format) WriteSolutions(w io.Writer, s *db2rdf.Solutions) error {
+	return f.write(w, &solutionsSource{sol: s})
+}
+
+func (f Format) write(w io.Writer, src source) error {
 	switch f {
 	case CSV:
-		return WriteCSV(w, r)
+		return writeCSV(w, src)
 	case TSV:
-		return WriteTSV(w, r)
+		return writeTSV(w, src)
 	default:
-		return WriteJSON(w, r)
+		return writeJSON(w, src)
 	}
 }
 
-// mediaFormats maps acceptable media ranges to formats. Bare
-// application/json is accepted as an alias for the SPARQL JSON type.
-var mediaFormats = map[string]Format{
-	"application/sparql-results+json": JSON,
-	"application/json":                JSON,
-	"text/csv":                        CSV,
-	"text/tab-separated-values":       TSV,
+// mediaFormats lists the acceptable media types in order of preference,
+// which decides a wildcard range such as text/*: lossless before lossy,
+// so JSON, then TSV, then CSV. Bare application/json is accepted as an
+// alias for the SPARQL JSON type.
+var mediaFormats = []struct {
+	name string
+	f    Format
+}{
+	{"application/sparql-results+json", JSON},
+	{"application/json", JSON},
+	{"text/tab-separated-values", TSV},
+	{"text/csv", CSV},
 }
 
 // Negotiate picks the response format for an Accept header per RFC
 // 9110 semantics: media ranges are weighted by q-value, more specific
-// ranges win ties, and an empty header means "anything" (JSON). The
+// ranges win ties, then header order, then the preference order of
+// mediaFormats; an empty header means "anything" (JSON). The
 // second return is false when the client accepts none of the
 // supported formats — an HTTP 406.
 func Negotiate(accept string) (Format, bool) {
@@ -127,14 +145,17 @@ func Negotiate(accept string) (Format, bool) {
 			choices = append(choices, choice{JSON, q, 0, i})
 		case strings.HasSuffix(mt, "/*"):
 			prefix := strings.TrimSuffix(mt, "*")
-			for name, f := range mediaFormats {
-				if strings.HasPrefix(name, prefix) {
-					choices = append(choices, choice{f, q, 1, i})
+			for _, m := range mediaFormats {
+				if strings.HasPrefix(m.name, prefix) {
+					choices = append(choices, choice{m.f, q, 1, i})
 				}
 			}
 		default:
-			if f, ok := mediaFormats[mt]; ok {
-				choices = append(choices, choice{f, q, 2, i})
+			for _, m := range mediaFormats {
+				if m.name == mt {
+					choices = append(choices, choice{m.f, q, 2, i})
+					break
+				}
 			}
 		}
 	}

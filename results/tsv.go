@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"db2rdf"
@@ -20,33 +21,44 @@ import (
 
 // WriteTSV encodes r per the SPARQL 1.1 TSV results format.
 func WriteTSV(w io.Writer, r *db2rdf.Results) error {
-	bw := bufio.NewWriter(w)
-	if r.IsAsk {
-		fmt.Fprintf(bw, "?ask\n\"%s\"^^<%s>\n", boolLex(r.Ask), rdf.XSDBoolean)
-		return bw.Flush()
+	return writeTSV(w, &resultsSource{res: r})
+}
+
+// writeTSV is the one TSV encoder. A bound field is the term's
+// N-Triples form (rdf.KeyView.AppendNTriples, the same bytes as
+// Term.String), which escapes \t \n \r " \\ inside literals: exactly
+// the TSV field form.
+func writeTSV(w io.Writer, src source) error {
+	e := newEncoder(w)
+	if isAsk, answer := src.ask(); isAsk {
+		e.buf = append(e.buf, "?ask\n\""...)
+		e.buf = strconv.AppendBool(e.buf, answer)
+		e.buf = append(e.buf, "\"^^<"+rdf.XSDBoolean+">\n"...)
+		return e.close()
 	}
-	for i, v := range r.Vars {
+	vars := src.vars()
+	for i, v := range vars {
 		if i > 0 {
-			bw.WriteByte('\t')
+			e.buf = append(e.buf, '\t')
 		}
-		bw.WriteByte('?')
-		bw.WriteString(v)
+		e.buf = append(append(e.buf, '?'), v...)
 	}
-	bw.WriteByte('\n')
-	for _, row := range r.Rows {
-		for i := range r.Vars {
-			if i > 0 {
-				bw.WriteByte('\t')
+	e.buf = append(e.buf, '\n')
+	for r, n := 0, src.rows(); r < n; r++ {
+		for c := range vars {
+			if c > 0 {
+				e.buf = append(e.buf, '\t')
 			}
-			if i < len(row) && row[i].Bound {
-				// Term.String() is N-Triples syntax with \t \n \r " \
-				// escaped inside literals — exactly the TSV field form.
-				bw.WriteString(row[i].Term.String())
+			if v, ok := src.cell(r, c); ok {
+				e.buf = v.AppendNTriples(e.buf)
 			}
 		}
-		bw.WriteByte('\n')
+		e.buf = append(e.buf, '\n')
+		if !e.endRow() {
+			break
+		}
 	}
-	return bw.Flush()
+	return e.close()
 }
 
 // ReadTSV decodes a SPARQL TSV result document losslessly: each field

@@ -9,10 +9,11 @@
 // client's fault (400); a request shed by the admission semaphore or
 // aborted by query governance — deadline, row/memory budget,
 // cancellation — is a capacity signal (503 with Retry-After, the store
-// itself is healthy); a contained panic is a server bug (500). Results
-// are fully materialized by QueryContext before the first response
-// byte is written, so a 200 always carries a complete result set —
-// governance aborts can never truncate a 200 mid-body.
+// itself is healthy); a contained panic is a server bug (500). A query
+// has executed in full under its governance — and every term id of its
+// answer has been checked against the dictionary — before the status
+// line is written; the body is then encoded straight from those ids.
+// Only a client that stops reading can cut a 200 short.
 package server
 
 import (
@@ -194,10 +195,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q string) {
 			"no acceptable result format; supported: application/sparql-results+json, text/csv, text/tab-separated-values", "")
 		return
 	}
-	if err := db2rdf.ValidateQuery(q); err != nil {
-		s.textError(w, http.StatusBadRequest, fmt.Sprintf("malformed query: %v", err), "")
-		return
-	}
 	if !s.admit() {
 		s.overloaded(w, "server at capacity")
 		return
@@ -205,16 +202,16 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q string) {
 	defer s.release()
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	res, err := s.cfg.Store.QueryContext(ctx, q)
+	sol, err := s.cfg.Store.SolveContext(ctx, q)
 	if err != nil {
 		s.execError(w, err)
 		return
 	}
-	// The result set is complete in memory here: the 200 and its body
-	// can no longer be truncated by governance.
+	// Execution and its governance are over and every id renders: the
+	// 200 and its body can no longer be truncated by the server.
 	w.Header().Set("Content-Type", format.ContentType())
 	w.WriteHeader(http.StatusOK)
-	_ = format.Write(w, res) // a failed write means the client left
+	_ = format.WriteSolutions(w, sol) // a failed write means the client left
 }
 
 // serveUpdate executes one SPARQL update request.
@@ -247,12 +244,16 @@ func (s *Server) serveUpdate(w http.ResponseWriter, r *http.Request, u string) {
 	})
 }
 
-// execError maps an execution failure to a status code: governance
-// aborts (deadline, budget, cancellation) are 503 capacity signals;
-// contained panics and anything else are 500.
+// execError maps an execution failure to a status code: a query that
+// does not parse is 400; governance aborts (deadline, budget,
+// cancellation) are 503 capacity signals; contained panics and anything
+// else are 500.
 func (s *Server) execError(w http.ResponseWriter, err error) {
+	var se *db2rdf.SyntaxError
 	var pe *db2rdf.PanicError
 	switch {
+	case errors.As(err, &se):
+		s.textError(w, http.StatusBadRequest, fmt.Sprintf("malformed query: %v", se), "")
 	case errors.As(err, &pe):
 		s.textError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", err), "")
 	case db2rdf.IsGovernanceError(err):
