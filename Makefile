@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench-module bench bench-legacy bench-all verify
+.PHONY: build vet test race bench-module bench bench-all verify
 
 build:
 	$(GO) build ./...
@@ -25,12 +25,6 @@ bench-module:
 # per-layer numbers: bash bench/run.sh --workload sp2b_scan_join --trace 1
 bench:
 	bash bench/run.sh
-
-# bench-legacy records the PR 10 point set (load, cold/warm plan,
-# resident bytes, q-errors, during-load reads, recovery, HTTP) to
-# BENCH_PR10.json.
-bench-legacy:
-	DB2RDF_BENCH_OUT=BENCH_PR10.json $(GO) test -run '^TestBenchBaseline$$' -count=1 -v .
 
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -3,6 +3,8 @@
 set -eu
 cd "$(dirname "$0")"
 
+echo "== gofmt =="
+test -z "$(gofmt -l .)"
 echo "== go build =="
 go build ./...
 echo "== go vet =="
@@ -14,7 +16,7 @@ echo "== bench module (stage chain vs Store.Query, metric names vs BENCHMARK.jso
 echo "== kernel equivalence (parallel on/off), variable-predicate shapes vs the oracle, lateral unpivot, plan cache =="
 go test -race -run 'TestKernelEquivalence|TestPlanCache|TestVariablePredicate' -count=1 .
 go test -race -run 'TestLateral|Unpivot' -count=1 ./internal/rel/
-echo "== storage equivalence (encoded / raw columnar / rows) =="
+echo "== load paths vs the brute-force oracle (sequential / parallel loader, workers 1 / 4) =="
 go test -race -run 'TestStorageEquivalence' -count=1 .
 echo "== abort paths (governance, fault injection, panic containment) =="
 go test -race -count=1 \
@@ -41,9 +43,9 @@ echo "== endpoint smoke gate (real binary: startup, query, update, metrics, SIGT
 go test -race -count=1 -run '^TestServerBinarySmoke$' ./server/
 echo "== wire serialization round-trips, byte identity with the reference writers, database/sql driver corpus =="
 go test -race -count=1 ./results/ ./driver/
-echo "== hot-path perf gates (instrumentation disabled; reads during load) =="
+echo "== hot-path perf gate (reads during load) =="
 DB2RDF_PERF_GATE=1 go test -count=1 -run '^TestPerfGate' -v .
-echo "== resident-bytes gate (encoded <= 0.5x raw tables, fc dict <= 0.7x raw terms) =="
+echo "== resident-bytes gate (encoded tables <= 0.35x logical size, fc dict <= 0.7x raw terms) =="
 DB2RDF_PERF_GATE=1 go test -count=1 -run '^TestResidentBytesGate$' -v .
 echo "== fuzz smoke (5s per target) =="
 go test -run '^$' -fuzz '^FuzzLoadReader$' -fuzztime 5s .

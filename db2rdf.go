@@ -211,11 +211,10 @@ func (s *Store) Len() int {
 
 // StorageBytes returns the resident in-memory size of the store's
 // data: the four DB2RDF relations (DPH, DS, RPH, RS) plus the
-// dictionary's id→term store. Relation bytes cover vector/row storage,
-// null bitmaps, and string contents — the number the columnar layout
-// (rel.StorageColumnar, the default) and publish-time chunk sealing
-// are designed to shrink; dictionary bytes cover the front-coded term
-// blocks.
+// dictionary's id→term store. Relation bytes cover column vectors,
+// null bitmaps, and string contents — the number publish-time chunk
+// sealing is designed to shrink; dictionary bytes cover the front-coded
+// term blocks.
 func (s *Store) StorageBytes() int64 {
 	return s.inner.Snapshot().StorageBytes()
 }

@@ -104,19 +104,6 @@ var denseBits = func() *[chunkWords]uint64 {
 	return &b
 }()
 
-// chunkEncodingOff disables seal-at-publish when set. The zero value
-// means encoding is ON; the knob exists for the encoded-vs-raw
-// equivalence tests and the resident-bytes benchmarks.
-var chunkEncodingOff atomic.Bool
-
-// SetChunkEncoding toggles sealing chunks into the compressed form at
-// publish time (on by default). Affects tables published after the
-// call; already-sealed chunks stay sealed.
-func SetChunkEncoding(on bool) { chunkEncodingOff.Store(!on) }
-
-// ChunkEncoding reports whether publish-time chunk encoding is enabled.
-func ChunkEncoding() bool { return !chunkEncodingOff.Load() }
-
 // sealedChunksTotal counts chunk seal events process-wide (monotonic;
 // exported as the db2rdf_encoded_chunks_total metric).
 var sealedChunksTotal atomic.Int64

@@ -8,25 +8,45 @@ import (
 	"testing"
 )
 
-// Tests for the columnar layout (column.go, vecscan.go): round-trip
-// equivalence against the row layout across randomized mutation
+// Tests for the chunked column storage (column.go, vecscan.go):
+// round-trip against a plain-rows model across randomized mutation
 // sequences, packed insert/delete transitions, exception values,
-// zone-map pruning correctness, the cached column-name lookup, the
-// float-index regression, and governance semantics of the vectorized
-// scan.
+// zone-map pruning correctness against Go predicates, the cached
+// column-name lookup, the float-index regression, and governance
+// semantics of the vectorized scan. Every oracle is a model kept in
+// test code; chunk-state coverage comes from running the same checks on
+// raw (never published) and published tables.
 
-// buildBoth creates the same table under both layouts.
-func buildBoth(t *testing.T, schema Schema) (col, row *Table) {
-	t.Helper()
-	defer SetDefaultStorage(StorageColumnar)
-	SetDefaultStorage(StorageColumnar)
-	col = NewTable("c", schema)
-	SetDefaultStorage(StorageRows)
-	row = NewTable("r", schema)
-	if !col.Columnar() || row.Columnar() {
-		t.Fatal("SetDefaultStorage not honored")
+// chunkState is the state of a table's chunks when a test mutates or
+// reads it. Production has exactly two: raw, the writer-private form
+// of a table that has never published (temp tables, a writer's fresh
+// chunks), and published, where Publish has sealed every chunk and the
+// writer's later mutations clone the chunks they touch back into raw
+// form under a new generation.
+type chunkState int
+
+const (
+	stateRaw chunkState = iota
+	statePublished
+)
+
+var chunkStates = []chunkState{stateRaw, statePublished}
+
+func (s chunkState) String() string {
+	if s == stateRaw {
+		return "raw"
 	}
-	return col, row
+	return "published"
+}
+
+// prepare brings db's tables into state s and returns the snapshot
+// published on the way (nil for raw), so tests can check it stays
+// untouched by the mutations that follow.
+func (s chunkState) prepare(db *DB) *DB {
+	if s == statePublished {
+		return db.Publish()
+	}
+	return nil
 }
 
 // randValue draws a value for a column of type typ; about a third are
@@ -56,41 +76,77 @@ func randValue(r *rand.Rand, typ ColumnType) Value {
 	}
 }
 
-func sameTable(t *testing.T, col, row *Table, what string) {
-	t.Helper()
-	if col.Len() != row.Len() {
-		t.Fatalf("%s: Len %d vs %d", what, col.Len(), row.Len())
-	}
-	for i := 0; i < col.Len(); i++ {
-		cr, rr := col.RowAt(i), row.RowAt(i)
-		if !reflect.DeepEqual(cr, rr) {
-			t.Fatalf("%s: RowAt(%d): %v vs %v", what, i, cr, rr)
-		}
-		for j := range cr {
-			if cv, rv := col.CellAt(i, j), row.CellAt(i, j); !reflect.DeepEqual(cv, rv) {
-				t.Fatalf("%s: CellAt(%d,%d): %v vs %v", what, i, j, cv, rv)
+// logicalBytes is EstimateBytes' cost model evaluated over plain rows:
+// an 8-byte header per row, 8 bytes per number, length plus 4 per
+// string, 1 per other non-NULL value and one bit per NULL.
+func logicalBytes(rows []Row) int64 {
+	var total, nulls int64
+	for _, r := range rows {
+		total += 8
+		for _, v := range r {
+			switch v.K {
+			case KindNull:
+				nulls++
+			case KindInt, KindFloat:
+				total += 8
+			case KindString:
+				total += int64(len(v.S)) + 4
+			default:
+				total++
 			}
 		}
 	}
-	if !reflect.DeepEqual(col.Rows(), row.Rows()) && col.Len() > 0 {
-		t.Fatalf("%s: Rows() diverge", what)
+	return total + (nulls+7)/8
+}
+
+// cloneRows deep-copies a model so later mutations leave it intact.
+func cloneRows(rows []Row) []Row {
+	out := make([]Row, len(rows))
+	for i, r := range rows {
+		out[i] = append(Row(nil), r...)
 	}
-	if cb, rb := col.EstimateBytes(), row.EstimateBytes(); cb != rb {
-		t.Fatalf("%s: EstimateBytes %d vs %d (must be layout-independent)", what, cb, rb)
+	return out
+}
+
+// checkModel requires tbl to hold exactly the rows of want, through
+// every read path, and EstimateBytes to match the model's logical size.
+func checkModel(t *testing.T, tbl *Table, want []Row, what string) {
+	t.Helper()
+	if tbl.Len() != len(want) {
+		t.Fatalf("%s: Len %d, model %d", what, tbl.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := tbl.RowAt(i); !reflect.DeepEqual(got, w) {
+			t.Fatalf("%s: RowAt(%d): %v, model %v", what, i, got, w)
+		}
+		for j := range w {
+			if got := tbl.CellAt(i, j); !reflect.DeepEqual(got, w[j]) {
+				t.Fatalf("%s: CellAt(%d,%d): %v, model %v", what, i, j, got, w[j])
+			}
+		}
+	}
+	if !sameRows(tbl.Rows(), want) {
+		t.Fatalf("%s: Rows() diverges from the model", what)
+	}
+	if got, w := tbl.EstimateBytes(), logicalBytes(want); got != w {
+		t.Fatalf("%s: EstimateBytes %d, model %d", what, got, w)
 	}
 }
 
-// TestColumnarRoundTrip drives randomized appends, batch appends,
-// cell updates and row updates through both layouts and requires
+// TestColumnarRoundTrip drives randomized appends, batch appends and
+// cell updates through a table and a plain-rows model and requires
 // identical logical content after every phase — including NULL↔value
-// transitions that shift the packed vectors, and exception values.
+// transitions that shift the packed vectors, exception values, and
+// writes into chunks a Publish has sealed (the published snapshot must
+// keep its contents throughout).
 func TestColumnarRoundTrip(t *testing.T) {
 	schema := Schema{
 		{Name: "i", Type: TInt},
 		{Name: "s", Type: TString},
 		{Name: "f", Type: TFloat},
 	}
-	col, row := buildBoth(t, schema)
+	tbl := NewTable("c", schema)
+	var model []Row
 	r := rand.New(rand.NewSource(42))
 	mkRow := func() Row {
 		out := make(Row, len(schema))
@@ -102,60 +158,54 @@ func TestColumnarRoundTrip(t *testing.T) {
 	// Appends crossing several chunk boundaries.
 	for i := 0; i < 2600; i++ {
 		rw := mkRow()
-		if err := col.Insert(rw); err != nil {
+		if err := tbl.Insert(rw); err != nil {
 			t.Fatal(err)
 		}
-		if err := row.Insert(rw); err != nil {
-			t.Fatal(err)
-		}
+		model = append(model, rw)
 	}
-	sameTable(t, col, row, "after appends")
+	checkModel(t, tbl, model, "after appends")
 
 	batch := make([]Row, 1500)
 	for i := range batch {
 		batch[i] = mkRow()
 	}
-	cb, err := col.AppendRows(batch)
+	base, err := tbl.AppendRows(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := row.AppendRows(batch)
-	if err != nil {
-		t.Fatal(err)
+	if base != len(model) {
+		t.Fatalf("AppendRows base %d, want %d", base, len(model))
 	}
-	if cb != rb {
-		t.Fatalf("AppendRows base %d vs %d", cb, rb)
-	}
-	sameTable(t, col, row, "after batch")
+	model = append(model, batch...)
+	checkModel(t, tbl, model, "after batch")
+
+	snap, frozen := tbl.Publish(), cloneRows(model)
+	checkModel(t, snap, frozen, "sealed snapshot")
 
 	for n := 0; n < 3000; n++ {
-		i, j := r.Intn(col.Len()), r.Intn(len(schema))
+		i, j := r.Intn(len(model)), r.Intn(len(schema))
 		v := randValue(r, schema[j].Type)
-		if err := col.SetCell(i, j, v); err != nil {
+		if err := tbl.SetCell(i, j, v); err != nil {
 			t.Fatal(err)
 		}
-		if err := row.SetCell(i, j, v); err != nil {
-			t.Fatal(err)
-		}
+		model[i][j] = v
 	}
-	sameTable(t, col, row, "after SetCell churn")
+	checkModel(t, tbl, model, "after SetCell churn")
 
-	for n := 0; n < 200; n++ {
-		i := r.Intn(col.Len())
+	// Appends into the sealed partial tail chunk.
+	for i := 0; i < 300; i++ {
 		rw := mkRow()
-		if err := col.UpdateRow(i, rw); err != nil {
+		if err := tbl.Insert(rw); err != nil {
 			t.Fatal(err)
 		}
-		if err := row.UpdateRow(i, rw); err != nil {
-			t.Fatal(err)
-		}
+		model = append(model, rw)
 	}
-	sameTable(t, col, row, "after UpdateRow churn")
+	checkModel(t, tbl, model, "after appends past publish")
+	checkModel(t, snap, frozen, "snapshot after writer churn")
 }
 
 // TestSetCellOutOfRange pins the error contract.
 func TestSetCellOutOfRange(t *testing.T) {
-	SetDefaultStorage(StorageColumnar)
 	tbl := NewTable("t", Schema{{Name: "a", Type: TInt}})
 	if err := tbl.Insert(Row{Int(1)}); err != nil {
 		t.Fatal(err)
@@ -165,28 +215,6 @@ func TestSetCellOutOfRange(t *testing.T) {
 	}
 	if err := tbl.SetCell(0, 1, Int(2)); err == nil {
 		t.Fatal("column out of range must error")
-	}
-}
-
-// TestRowLayoutSetCellCopies: on the row layout a SetCell must not
-// mutate rows already handed out to readers (query results alias
-// table rows there).
-func TestRowLayoutSetCellCopies(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	SetDefaultStorage(StorageRows)
-	tbl := NewTable("t", Schema{{Name: "a", Type: TInt}})
-	if err := tbl.Insert(Row{Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	seen := tbl.RowAt(0)
-	if err := tbl.SetCell(0, 0, Int(2)); err != nil {
-		t.Fatal(err)
-	}
-	if seen[0].I != 1 {
-		t.Fatal("SetCell mutated a row aliased by a reader")
-	}
-	if got := tbl.CellAt(0, 0); got.I != 2 {
-		t.Fatalf("update lost: %v", got)
 	}
 }
 
@@ -206,10 +234,10 @@ func TestTableColumnIndexCached(t *testing.T) {
 // columns (CreateIndex refused them) and float values stored in
 // indexed TInt columns were never indexed, so an index scan missed
 // rows a full scan would find. Floats now index by class: integral
-// floats in the int map (1 finds 1.0), others by bit pattern.
+// floats in the int map (1 finds 1.0), others by bit pattern. The
+// indexes are built over raw chunks and over sealed ones.
 func TestFloatIndexRegression(t *testing.T) {
-	for _, storage := range []Storage{StorageColumnar, StorageRows} {
-		SetDefaultStorage(storage)
+	for _, st := range chunkStates {
 		db := NewDB()
 		tbl := mustTable(t, db, "m", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TFloat}}, []Row{
 			{Int(0), Float(1.5)},
@@ -218,17 +246,21 @@ func TestFloatIndexRegression(t *testing.T) {
 			{Int(3), Float(1.5)},
 			{Int(4), Int(7)}, // int stored in the float column
 		})
+		ti := mustTable(t, db, "n", Schema{{Name: "k", Type: TInt}}, []Row{
+			{Int(1)}, {Float(1)}, {Float(2.5)},
+		})
+		st.prepare(db)
 		if err := tbl.CreateIndex("v"); err != nil {
-			t.Fatalf("%v: TFloat index must be supported: %v", storage, err)
+			t.Fatalf("%v: TFloat index must be supported: %v", st, err)
 		}
 		lookup := func(v Value, want int) {
 			t.Helper()
 			ids, ok := tbl.lookup("v", v)
 			if !ok {
-				t.Fatalf("%v: index vanished", storage)
+				t.Fatalf("%v: index vanished", st)
 			}
 			if len(ids) != want {
-				t.Fatalf("%v: lookup(%v) = %v, want %d ids", storage, v, ids, want)
+				t.Fatalf("%v: lookup(%v) = %v, want %d ids", st, v, ids, want)
 			}
 		}
 		lookup(Float(1.5), 2)
@@ -244,43 +276,26 @@ func TestFloatIndexRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(rs.Rows) != 2 {
-			t.Fatalf("%v: indexed float equality: want 2 rows, got %v", storage, rs.Rows)
+			t.Fatalf("%v: indexed float equality: want 2 rows, got %v", st, rs.Rows)
 		}
 
 		// Float values inside an indexed TInt column must be indexed too.
-		ti := mustTable(t, db, "n", Schema{{Name: "k", Type: TInt}}, []Row{
-			{Int(1)}, {Float(1)}, {Float(2.5)},
-		})
 		if err := ti.CreateIndex("k"); err != nil {
 			t.Fatal(err)
 		}
 		if ids, _ := ti.lookup("k", Int(1)); len(ids) != 2 {
-			t.Fatalf("%v: int probe must see the integral float: %v", storage, ids)
+			t.Fatalf("%v: int probe must see the integral float: %v", st, ids)
 		}
 		if ids, _ := ti.lookup("k", Float(2.5)); len(ids) != 1 {
-			t.Fatalf("%v: non-integral float must be indexed by bit pattern: %v", storage, ids)
+			t.Fatalf("%v: non-integral float must be indexed by bit pattern: %v", st, ids)
 		}
 	}
-	SetDefaultStorage(StorageColumnar)
 }
 
-// zoneDB builds one DB per layout holding the same 8192-row table:
-// "v" is clustered (ascending, so zone maps prune aggressively), "u"
-// is shuffled (no pruning), "s" is a string tag, "n" is NULL on odd
-// rows.
-func zoneDB(t *testing.T, storage Storage) *DB {
-	t.Helper()
-	SetDefaultStorage(storage)
-	db := NewDB()
-	tbl, err := db.CreateTable("z", Schema{
-		{Name: "v", Type: TInt},
-		{Name: "u", Type: TInt},
-		{Name: "s", Type: TString},
-		{Name: "n", Type: TInt},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// zoneRows generates the 8192 rows of zoneDB's table: v is clustered
+// (ascending, so zone maps prune aggressively), u is shuffled (no
+// pruning), s is a string tag, n is NULL on odd rows.
+func zoneRows() []Row {
 	r := rand.New(rand.NewSource(3))
 	perm := r.Perm(8192)
 	rows := make([]Row, 8192)
@@ -291,7 +306,23 @@ func zoneDB(t *testing.T, storage Storage) *DB {
 		}
 		rows[i] = Row{Int(int64(i)), Int(int64(perm[i])), Str(fmt.Sprintf("tag%d", i%7)), nv}
 	}
-	if _, err := tbl.AppendRows(rows); err != nil {
+	return rows
+}
+
+// zoneDB builds a DB holding zoneRows as table z(v, u, s, n).
+func zoneDB(t *testing.T) *DB {
+	t.Helper()
+	db := NewDB()
+	tbl, err := db.CreateTable("z", Schema{
+		{Name: "v", Type: TInt},
+		{Name: "u", Type: TInt},
+		{Name: "s", Type: TString},
+		{Name: "n", Type: TInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.AppendRows(zoneRows()); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -299,52 +330,58 @@ func zoneDB(t *testing.T, storage Storage) *DB {
 
 // TestVectorizedScanEquivalence runs scan-shaped queries — equality,
 // ranges, inequality, null tests, residual string predicates, and
-// mixes — against both layouts under sequential and parallel
-// execution; results must match row for row.
+// mixes — each paired with its WHERE clause as a Go predicate over
+// zoneRows. The expected rows (in row-id order) must come back from
+// raw chunks and from sealed ones (FoR bit-packing, shared dense
+// bitmaps), under sequential and parallel execution.
 func TestVectorizedScanEquivalence(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
 	defer SetParallelism(0, 0)
-	colDB := zoneDB(t, StorageColumnar)
-	rowDB := zoneDB(t, StorageRows)
-	// Publishing seals the columnar chunks (FoR bit-packing, shared
-	// dense bitmaps), so the frozen DB exercises the packed scan fast
-	// paths against the same queries.
-	sealDB := colDB.Publish()
-	queries := []string{
-		"SELECT z.v FROM z AS z WHERE z.v = 5000",
-		"SELECT z.v FROM z AS z WHERE z.v = 100000",    // zone-skips every chunk
-		"SELECT z.v FROM z AS z WHERE z.v < 100",       // prunes all but chunk 0
-		"SELECT z.v FROM z AS z WHERE z.v >= 8100",     // prunes all but the tail
-		"SELECT z.v FROM z AS z WHERE z.v != 0",        // no pruning possible
-		"SELECT z.v FROM z AS z WHERE 2048 <= z.v AND z.v <= 2050", // literal on the left
-		"SELECT z.u FROM z AS z WHERE z.u = 5000",      // shuffled: no chunk pruned
-		"SELECT z.v FROM z AS z WHERE z.n IS NULL AND z.v < 64",
-		"SELECT z.v FROM z AS z WHERE z.n IS NOT NULL AND z.v > 8000",
-		"SELECT z.v FROM z AS z WHERE z.v < 300 AND z.s = 'tag3'",  // residual predicate
-		"SELECT z.s FROM z AS z WHERE z.s = 'tag5' AND z.u < 40",
-		"SELECT z.v, z.u FROM z AS z",                   // unfiltered dense gather
-		"SELECT z.v FROM z AS z WHERE z.v + 0 = 77",     // non-vectorizable arithmetic
+	const v, u, s, n = 0, 1, 2, 3
+	cases := []struct {
+		q    string
+		cols []int          // the SELECT list, as columns of z
+		keep func(Row) bool // the WHERE clause
+	}{
+		{"SELECT z.v FROM z AS z WHERE z.v = 5000", []int{v}, func(r Row) bool { return r[v].I == 5000 }},
+		{"SELECT z.v FROM z AS z WHERE z.v = 100000", []int{v}, func(r Row) bool { return false }},                                           // zone-skips every chunk
+		{"SELECT z.v FROM z AS z WHERE z.v < 100", []int{v}, func(r Row) bool { return r[v].I < 100 }},                                       // prunes all but chunk 0
+		{"SELECT z.v FROM z AS z WHERE z.v >= 8100", []int{v}, func(r Row) bool { return r[v].I >= 8100 }},                                   // prunes all but the tail
+		{"SELECT z.v FROM z AS z WHERE z.v != 0", []int{v}, func(r Row) bool { return r[v].I != 0 }},                                         // no pruning possible
+		{"SELECT z.v FROM z AS z WHERE 2048 <= z.v AND z.v <= 2050", []int{v}, func(r Row) bool { return 2048 <= r[v].I && r[v].I <= 2050 }}, // literal on the left
+		{"SELECT z.u FROM z AS z WHERE z.u = 5000", []int{u}, func(r Row) bool { return r[u].I == 5000 }},                                    // shuffled: no chunk pruned
+		{"SELECT z.v FROM z AS z WHERE z.n IS NULL AND z.v < 64", []int{v}, func(r Row) bool { return r[n].IsNull() && r[v].I < 64 }},
+		{"SELECT z.v FROM z AS z WHERE z.n IS NOT NULL AND z.v > 8000", []int{v}, func(r Row) bool { return !r[n].IsNull() && r[v].I > 8000 }},
+		{"SELECT z.v FROM z AS z WHERE z.v < 300 AND z.s = 'tag3'", []int{v}, func(r Row) bool { return r[v].I < 300 && r[s].S == "tag3" }}, // residual predicate
+		{"SELECT z.s FROM z AS z WHERE z.s = 'tag5' AND z.u < 40", []int{s}, func(r Row) bool { return r[s].S == "tag5" && r[u].I < 40 }},
+		{"SELECT z.v, z.u FROM z AS z", []int{v, u}, func(r Row) bool { return true }},                    // unfiltered dense gather
+		{"SELECT z.v FROM z AS z WHERE z.v + 0 = 77", []int{v}, func(r Row) bool { return r[v].I == 77 }}, // non-vectorizable arithmetic
 	}
-	for _, q := range queries {
+	rows := zoneRows()
+	raw, sealed := zoneDB(t), zoneDB(t).Publish()
+	for _, c := range cases {
+		var want []Row
+		for _, r := range rows {
+			if c.keep(r) {
+				out := make(Row, len(c.cols))
+				for i, col := range c.cols {
+					out[i] = r[col]
+				}
+				want = append(want, out)
+			}
+		}
 		for _, workers := range []int{1, 4} {
 			SetParallelism(workers, 1)
-			a, err := colDB.Query(q)
-			if err != nil {
-				t.Fatalf("columnar %q: %v", q, err)
-			}
-			b, err := rowDB.Query(q)
-			if err != nil {
-				t.Fatalf("rows %q: %v", q, err)
-			}
-			if !reflect.DeepEqual(a.Rows, b.Rows) {
-				t.Fatalf("workers=%d %q: columnar %d rows vs row-layout %d rows", workers, q, len(a.Rows), len(b.Rows))
-			}
-			c, err := sealDB.Query(q)
-			if err != nil {
-				t.Fatalf("sealed %q: %v", q, err)
-			}
-			if !reflect.DeepEqual(c.Rows, b.Rows) {
-				t.Fatalf("workers=%d %q: sealed %d rows vs row-layout %d rows", workers, q, len(c.Rows), len(b.Rows))
+			for _, db := range []struct {
+				name string
+				db   *DB
+			}{{"raw", raw}, {"sealed", sealed}} {
+				rs, err := db.db.Query(c.q)
+				if err != nil {
+					t.Fatalf("%s %q: %v", db.name, c.q, err)
+				}
+				if !sameRows(rs.Rows, want) {
+					t.Fatalf("workers=%d %q: %s chunks return %d rows, want %d", workers, c.q, db.name, len(rs.Rows), len(want))
+				}
 			}
 			SetParallelism(0, 0)
 		}
@@ -356,8 +393,7 @@ func TestVectorizedScanEquivalence(t *testing.T) {
 // row budget — never the rows of skipped chunks — while a scan that
 // actually produces many rows must still trip.
 func TestVecScanBudgetChargesSelectedRows(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar)
+	db := zoneDB(t)
 	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v < 10")
 	if err != nil {
 		t.Fatal(err)
@@ -379,8 +415,7 @@ func TestVecScanBudgetChargesSelectedRows(t *testing.T) {
 // TestVecScanFaultInjection: the vectorized scan must keep honoring
 // CkFilter checkpoints (cancellation inside the chunk loop).
 func TestVecScanFaultInjection(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar)
+	db := zoneDB(t)
 	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v != -1")
 	if err != nil {
 		t.Fatal(err)

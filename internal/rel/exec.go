@@ -406,11 +406,11 @@ func (ex *exec) buildPrimary(bc *boundCore, bf *boundFrom, applied []bool, env m
 	if t == nil {
 		return nil, fmt.Errorf("sql: unknown table %q", bf.table)
 	}
-	// A lateral item over a pure scan of a columnar table is fused
-	// with the read (unpivot.go): its cells are then read from the
-	// chunks per pair and stay out of the rows.
+	// A lateral item over a pure scan of a base table is fused with the
+	// read (unpivot.go): its cells are then read from the chunks per
+	// pair and stay out of the rows.
 	var up *unpivot
-	if push && len(bf.laterals) > 0 && t.Columnar() {
+	if push && len(bf.laterals) > 0 {
 		up = newUnpivot(t, bf.laterals[0])
 	}
 	r := &relation{base: t, src: t.columnSet(bf, up == nil), aliases: []string{bf.alias}, scan: true, unpivot: up}
@@ -762,21 +762,13 @@ func countEqLinks(l, r *relation, conjs []boundConj, applied []bool) int {
 }
 
 // materialize runs a deferred base-table scan with its pending
-// filters, detaching the relation from its base table. Columnar tables
-// run the vectorized path (zone-map pruning, selection vectors); the
-// row layout copies its live rows narrow and filters them row by row.
+// filters on the vectorized path (zone-map pruning, selection vectors),
+// detaching the relation from its base table.
 func (ex *exec) materialize(r *relation) (*relation, error) {
 	if !r.scan {
 		return r, nil
 	}
-	if r.base.Columnar() {
-		return ex.vecScan(r)
-	}
-	out := &relation{cols: r.cols, aliases: r.aliases, rows: r.base.reader(r.src).liveRows()}
-	if len(r.pending) == 0 {
-		return out, nil
-	}
-	return ex.filterRelation(out, r.pending)
+	return ex.vecScan(r)
 }
 
 // indexLink finds a join link whose probe side is an indexed column of

@@ -34,7 +34,7 @@ type relation struct {
 	// copy of the whole table. Consumers must call DB.materialize (or
 	// check pending per probe) before using rows.
 	pending []Expr
-	// scan marks an unmaterialized full scan of a columnar base table:
+	// scan marks an unmaterialized full scan of a base table:
 	// rows is nil and materialize routes through the vectorized scan
 	// (vecscan.go) instead of copying the table up front. Size the
 	// relation with rowCount, not len(rows).
@@ -48,9 +48,8 @@ type relation struct {
 }
 
 // rowCount is the relation's input cardinality for plan sizing: the
-// base table's row count for an unmaterialized columnar scan (an
-// upper bound when filters are pending, exactly like the row layout's
-// deferred scans), len(rows) otherwise.
+// base table's live row count for an unmaterialized scan (an upper
+// bound when filters are pending), len(rows) otherwise.
 func (r *relation) rowCount() int {
 	if r.scan {
 		return r.base.LiveLen()

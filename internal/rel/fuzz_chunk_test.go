@@ -60,10 +60,7 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		if seal {
 			src.Publish() // seal everything, including post-delete clones
 		}
-		buf, err := src.EncodeSnapshot(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		buf := src.EncodeSnapshot(nil)
 		dst := NewTable("F", src.Schema)
 		if err := dst.DecodeSnapshot(buf); err != nil {
 			t.Fatal(err)
@@ -74,10 +71,7 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		}
 		// Second trip through the decoded (sealed/dense-shared) chunks.
 		dst.Publish()
-		buf2, err := dst.EncodeSnapshot(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		buf2 := dst.EncodeSnapshot(nil)
 		dst2 := NewTable("F", src.Schema)
 		if err := dst2.DecodeSnapshot(buf2); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package rel
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,8 +16,7 @@ import (
 // rows as ExecContext plus a populated profile — per-CTE actuals, a
 // scan operator with chunk-skip counts, totals matching the result.
 func TestAnalyzeContextProfile(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar)
+	db := zoneDB(t)
 	sql := "WITH C1 AS (SELECT z.v FROM z AS z WHERE z.v < 100) SELECT c.v FROM C1 AS c WHERE c.v > 10"
 	q, err := ParseQuery(sql)
 	if err != nil {
@@ -127,8 +127,7 @@ func TestAnalyzeReportsColumnsRead(t *testing.T) {
 // charged against row/memory budgets, and must be returned (partial)
 // even when the budget aborts the query.
 func TestAnalyzeCapturesBudgets(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar)
+	db := zoneDB(t)
 	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v < 100")
 	if err != nil {
 		t.Fatal(err)
@@ -174,12 +173,11 @@ func TestExecContextRecordsNothing(t *testing.T) {
 	}
 }
 
-// excDB builds the same table under both layouts: one chunk of int
-// literals 0..n-1 in column v, plus exception cells (kind-mismatched
-// values stored out of line) interleaved in the same chunk.
-func excDB(t *testing.T, storage Storage) *DB {
+// excDB builds one chunk of int literals 0..n-1 in column v, plus
+// exception cells (kind-mismatched values stored out of line)
+// interleaved in the same chunk.
+func excDB(t *testing.T) *DB {
 	t.Helper()
-	SetDefaultStorage(storage)
 	db := NewDB()
 	tbl, err := db.CreateTable("e", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TInt}})
 	if err != nil {
@@ -194,9 +192,9 @@ func excDB(t *testing.T, storage Storage) *DB {
 		case i == 60:
 			v = Float(79.5) // inside the int range, matches v > 79
 		case i == 70:
-			v = Str("tag") // string: matched only by kind-aware predicates
+			v = Str("tag") // string: orders above every number
 		case i == 80:
-			v = Bool(true)
+			v = Bool(true) // bool: orders above strings and numbers
 		case i%11 == 3:
 			v = Null
 		default:
@@ -213,50 +211,61 @@ func excDB(t *testing.T, storage Storage) *DB {
 // TestZoneMapExceptionPruning (regression): a chunk whose exception
 // map holds kind-mismatched values must not be zone-skipped when the
 // predicate could match an exception — Float(500) satisfies v = 500
-// even though the chunk's int zone map tops out at 199.
+// even though the chunk's int zone map tops out at 199. Each query's
+// ids follow from excDB's hand-built rows; they must come back from the
+// raw chunk and from its sealed copy.
 func TestZoneMapExceptionPruning(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	colDB := excDB(t, StorageColumnar)
-	rowDB := excDB(t, StorageRows)
-	queries := []string{
-		"SELECT e.id FROM e AS e WHERE e.v = 500",             // only the Float exception; zone map alone would skip the chunk
-		"SELECT e.id FROM e AS e WHERE e.v > 300",             // ditto, range form
-		"SELECT e.id FROM e AS e WHERE e.v >= 500",            // boundary
-		"SELECT e.id FROM e AS e WHERE e.v > 79 AND e.v < 81", // Float 79.5 between int neighbors
-		"SELECT e.id FROM e AS e WHERE e.v = 50",              // int literal at an index whose row was replaced
-		"SELECT e.id FROM e AS e WHERE e.v != 0",              // inequality across exceptions
-		"SELECT e.id FROM e AS e WHERE e.v < 10",              // exceptions all fail the predicate
-		"SELECT e.id FROM e AS e WHERE e.v IS NULL",
-		"SELECT e.id FROM e AS e WHERE e.v IS NOT NULL",
-	}
-	for _, q := range queries {
-		a, err := colDB.Query(q)
-		if err != nil {
-			t.Fatalf("columnar %q: %v", q, err)
+	// Rows with i%11 == 3 are NULL, except 80 (the Bool).
+	nulls := []int64{3, 14, 25, 36, 47, 58, 69, 91, 102, 113, 124, 135, 146, 157, 168, 179, 190}
+	// allBut lists ids 0..199 in order, leaving out the given ones.
+	allBut := func(skip ...int64) []int64 {
+		var out []int64
+		for id := int64(0); id < 200; id++ {
+			if !slices.Contains(skip, id) {
+				out = append(out, id)
+			}
 		}
-		b, err := rowDB.Query(q)
-		if err != nil {
-			t.Fatalf("rows %q: %v", q, err)
-		}
-		if !reflect.DeepEqual(a.Rows, b.Rows) {
-			t.Fatalf("%q: columnar %v vs row-layout %v", q, a.Rows, b.Rows)
-		}
+		return out
 	}
-	// The Float(500) row specifically must be found.
-	rs, err := colDB.Query("SELECT e.id FROM e AS e WHERE e.v = 500")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		q   string
+		ids []int64
+	}{
+		{"SELECT e.id FROM e AS e WHERE e.v = 500", []int64{50}},                       // only the Float exception; zone map alone would skip the chunk
+		{"SELECT e.id FROM e AS e WHERE e.v > 300", []int64{50, 70, 80}},               // ditto, range form; string and bool order above numbers
+		{"SELECT e.id FROM e AS e WHERE e.v >= 500", []int64{50, 70, 80}},              // boundary
+		{"SELECT e.id FROM e AS e WHERE e.v > 79 AND e.v < 81", []int64{60}},           // Float 79.5 between int neighbors
+		{"SELECT e.id FROM e AS e WHERE e.v = 50", nil},                                // int literal at an index whose row was replaced
+		{"SELECT e.id FROM e AS e WHERE e.v != 0", allBut(append(nulls, 0)...)},        // inequality across exceptions
+		{"SELECT e.id FROM e AS e WHERE e.v < 10", []int64{0, 1, 2, 4, 5, 6, 7, 8, 9}}, // exceptions all fail the predicate
+		{"SELECT e.id FROM e AS e WHERE e.v IS NULL", nulls},
+		{"SELECT e.id FROM e AS e WHERE e.v IS NOT NULL", allBut(nulls...)},
 	}
-	if len(rs.Rows) != 1 || rs.Rows[0][0].I != 50 {
-		t.Fatalf("v = 500 must match the Float(500) exception at id 50, got %v", rs.Rows)
+	raw, sealed := excDB(t), excDB(t).Publish()
+	for _, c := range cases {
+		var want []Row
+		for _, id := range c.ids {
+			want = append(want, Row{Int(id)})
+		}
+		for _, db := range []struct {
+			name string
+			db   *DB
+		}{{"raw", raw}, {"sealed", sealed}} {
+			rs, err := db.db.Query(c.q)
+			if err != nil {
+				t.Fatalf("%s %q: %v", db.name, c.q, err)
+			}
+			if !sameRows(rs.Rows, want) {
+				t.Fatalf("%s %q: got %v, want ids %v", db.name, c.q, rs.Rows, c.ids)
+			}
+		}
 	}
 }
 
 // TestZoneMapStillPrunesCleanChunks: exception awareness must not cost
 // pruning on chunks without exceptions.
 func TestZoneMapStillPrunesCleanChunks(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar) // no exceptions anywhere
+	db := zoneDB(t) // no exceptions anywhere
 	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v = 100000")
 	if err != nil {
 		t.Fatal(err)
@@ -279,8 +288,7 @@ func TestZoneMapStillPrunesCleanChunks(t *testing.T) {
 // materialization), and both must equal the manually trimmed full
 // result.
 func TestLimitOffsetPathEquivalence(t *testing.T) {
-	defer SetDefaultStorage(StorageColumnar)
-	db := zoneDB(t, StorageColumnar)
+	db := zoneDB(t)
 	base := "SELECT z.v FROM z AS z WHERE z.v < 100"
 	full := queryRows(t, db, base) // 100 rows in storage (= ascending) order
 	cases := []struct{ limit, offset int }{

@@ -49,15 +49,12 @@ const (
 )
 
 // EncodeSnapshot appends the table's serialized contents to buf and
-// returns the extended slice. The table must use the columnar layout.
-// It is intended for frozen (published) tables but takes the read lock
-// so it is safe on any table with no concurrent writers.
-func (t *Table) EncodeSnapshot(buf []byte) ([]byte, error) {
+// returns the extended slice. It is intended for frozen (published)
+// tables but takes the read lock so it is safe on any table with no
+// concurrent writers.
+func (t *Table) EncodeSnapshot(buf []byte) []byte {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.storage != StorageColumnar {
-		return nil, fmt.Errorf("rel: table %s: snapshot serialization requires the columnar layout", t.Name)
-	}
 	buf = binary.AppendUvarint(buf, uint64(t.nrows))
 	buf = binary.AppendUvarint(buf, uint64(len(t.cols)))
 	// Tombstone bitmaps (bits only; counts are recomputed on decode).
@@ -78,7 +75,7 @@ func (t *Table) EncodeSnapshot(buf []byte) ([]byte, error) {
 			buf = t.encodeChunkLocked(buf, col, ck, ci)
 		}
 	}
-	return buf, nil
+	return buf
 }
 
 // encodeChunkLocked emits one column chunk with the chunk's tombstoned
@@ -303,16 +300,12 @@ func (c *cursor) u64() uint64 {
 }
 
 // DecodeSnapshot rebuilds the table's contents from data produced by
-// EncodeSnapshot. The table must be empty, columnar, and have the same
-// schema width as the encoder's. Indexes are not rebuilt; callers
+// EncodeSnapshot. The table must be empty and have the same schema
+// width as the encoder's. Indexes are not rebuilt; callers
 // re-run CreateIndex afterwards. Arbitrary (corrupt) input yields an
 // error, never a panic; on error the table is reset to empty.
 func (t *Table) DecodeSnapshot(data []byte) error {
 	t.mu.Lock()
-	if t.storage != StorageColumnar {
-		t.mu.Unlock()
-		return fmt.Errorf("rel: table %s: snapshot decode requires the columnar layout", t.Name)
-	}
 	if t.nrows != 0 {
 		t.mu.Unlock()
 		return fmt.Errorf("rel: table %s: snapshot decode into non-empty table", t.Name)

@@ -9,10 +9,7 @@ import (
 
 func snapshotRoundTrip(t *testing.T, src *Table) *Table {
 	t.Helper()
-	buf, err := src.EncodeSnapshot(nil)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	buf := src.EncodeSnapshot(nil)
 	dst := NewTable(src.Name, src.Schema)
 	if err := dst.DecodeSnapshot(buf); err != nil {
 		t.Fatalf("decode: %v", err)
@@ -87,10 +84,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // stable physical indices via the preserved tombstone bitmaps).
 func TestSnapshotReclaimsDeadCells(t *testing.T) {
 	src := buildMixedTable(t)
-	full, err := src.EncodeSnapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := src.EncodeSnapshot(nil)
 	for i := 0; i < src.Len(); i++ {
 		if i%8 != 0 {
 			if err := src.DeleteRow(i); err != nil {
@@ -98,10 +92,7 @@ func TestSnapshotReclaimsDeadCells(t *testing.T) {
 			}
 		}
 	}
-	small, err := src.EncodeSnapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := src.EncodeSnapshot(nil)
 	if len(small) >= len(full) {
 		t.Fatalf("delete-heavy encoding did not shrink: %d >= %d", len(small), len(full))
 	}
@@ -128,10 +119,7 @@ func TestSnapshotDecodeCorruption(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		src.DeleteRow(i * 3)
 	}
-	buf, err := src.EncodeSnapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := src.EncodeSnapshot(nil)
 	for cut := 0; cut < len(buf); cut += 17 {
 		dst := NewTable("T", src.Schema)
 		if err := dst.DecodeSnapshot(buf[:cut]); err == nil {
@@ -159,10 +147,7 @@ func TestSnapshotDecodeCorruption(t *testing.T) {
 func TestSnapshotDecodeGuards(t *testing.T) {
 	src := NewTable("T", Schema{{Name: "a", Type: TInt}})
 	src.Insert(Row{Int(1)})
-	buf, err := src.EncodeSnapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := src.EncodeSnapshot(nil)
 	wrong := NewTable("W", Schema{{Name: "a", Type: TInt}, {Name: "b", Type: TInt}})
 	if err := wrong.DecodeSnapshot(buf); err == nil {
 		t.Fatal("schema-width mismatch not rejected")
@@ -176,7 +161,7 @@ func TestSnapshotDecodeGuards(t *testing.T) {
 		t.Fatal("trailing bytes not rejected")
 	}
 	// Encoding must be deterministic for identical content.
-	buf2, _ := src.EncodeSnapshot(nil)
+	buf2 := src.EncodeSnapshot(nil)
 	if !bytes.Equal(buf, buf2) {
 		t.Fatal("encoding not deterministic")
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -52,30 +51,6 @@ func (s Schema) Names() []string {
 	return out
 }
 
-// Storage selects a table's backing layout.
-type Storage uint8
-
-const (
-	// StorageColumnar stores one typed vector per column with null
-	// bitmaps and zone maps (see column.go). The default.
-	StorageColumnar Storage = iota
-	// StorageRows stores []Row — the legacy layout, kept for the
-	// columnar/row equivalence tests and as a fallback.
-	StorageRows
-)
-
-// defaultStorage holds the Storage value new tables adopt.
-var defaultStorage atomic.Uint32
-
-// SetDefaultStorage selects the layout used by tables created after
-// the call. Existing tables keep their layout. Used by the
-// storage-equivalence tests to build a row-layout store next to a
-// columnar one.
-func SetDefaultStorage(s Storage) { defaultStorage.Store(uint32(s)) }
-
-// DefaultStorage reports the layout new tables will use.
-func DefaultStorage() Storage { return Storage(defaultStorage.Load()) }
-
 // hashIndex is an equality index on one column. Numeric indexes key
 // ints exactly and floats under join-key semantics: an integral float
 // lands in (and probes) the int map — 1 joins 1.0 — and non-integral
@@ -121,22 +96,21 @@ func (x *hashIndex) seal() *hashIndex {
 	return s
 }
 
-// Table is an in-memory relation with optional hash indexes.
-// Concurrent readers are safe once loading has finished; writes take an
-// exclusive lock. Publish freezes the current contents into an
-// immutable snapshot table that shares all chunk data; from then on
-// writers copy any shared chunk, bitmap or slice directory before
-// mutating it (generation stamps wgen/sgen/tombGen/rowsGen track
-// ownership), so snapshots never observe a mutation.
+// Table is an in-memory relation with optional hash indexes, stored
+// as one chunked vector per column (column.go). Concurrent readers are
+// safe once loading has finished; writes take an exclusive lock.
+// Publish freezes the current contents into an immutable snapshot table
+// that shares all chunk data; from then on writers copy any shared
+// chunk, bitmap or slice directory before mutating it (generation
+// stamps wgen/sgen/tombGen track ownership), so snapshots never observe
+// a mutation.
 type Table struct {
 	Name   string
 	Schema Schema
 
 	mu      sync.RWMutex
-	storage Storage
 	nrows   int
-	cols    []*colVec             // columnar layout
-	rows    []Row                 // row layout
+	cols    []*colVec
 	tomb    []*tombChunk          // per-chunk tombstone bitmaps; nil entry = no deletes (see tombstone.go)
 	dead    int                   // total tombstoned rows
 	indexes map[string]*hashIndex // by lower-cased column name
@@ -145,19 +119,17 @@ type Table struct {
 
 	wgen        uint64 // writer generation: bumped by Publish; 0 = never published
 	tombGen     uint64 // generation that owns the tomb slice
-	rowsGen     uint64 // generation that owns the rows slice (row layout)
 	compactions int64  // chunks compacted at publish time (metrics)
 }
 
-// NewTable creates an empty table using the current default storage
-// layout. The column-name cache is built here once; Schema is
-// immutable after table creation (there is no ALTER TABLE), so the
-// cache can never go stale.
+// NewTable creates an empty table. The column-name cache is built here
+// once; Schema is immutable after table creation (there is no ALTER
+// TABLE), so the cache can never go stale.
 func NewTable(name string, schema Schema) *Table {
 	t := &Table{
 		Name:    name,
 		Schema:  schema,
-		storage: DefaultStorage(),
+		cols:    make([]*colVec, len(schema)),
 		indexes: make(map[string]*hashIndex),
 		colIdx:  make(map[string]int, len(schema)),
 		names:   make([]string, len(schema)),
@@ -165,12 +137,7 @@ func NewTable(name string, schema Schema) *Table {
 	for i, c := range schema {
 		t.names[i] = strings.ToLower(c.Name)
 		t.colIdx[t.names[i]] = i
-	}
-	if t.storage == StorageColumnar {
-		t.cols = make([]*colVec, len(schema))
-		for i, c := range schema {
-			t.cols[i] = &colVec{typ: c.Type}
-		}
+		t.cols[i] = &colVec{typ: c.Type}
 	}
 	return t
 }
@@ -184,9 +151,6 @@ func (t *Table) ColumnIndex(name string) int {
 	}
 	return -1
 }
-
-// Columnar reports whether the table uses the columnar layout.
-func (t *Table) Columnar() bool { return t.storage == StorageColumnar }
 
 // Len returns the number of rows.
 func (t *Table) Len() int {
@@ -211,12 +175,8 @@ func (t *Table) AppendRow(r Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := t.nrows
-	if t.storage == StorageColumnar {
-		for j, col := range t.cols {
-			col.appendVal(t.wgen, id, r[j])
-		}
-	} else {
-		t.rows = append(t.rows, r)
+	for j, col := range t.cols {
+		col.appendVal(t.wgen, id, r[j])
 	}
 	t.nrows++
 	for _, idx := range t.indexes {
@@ -228,8 +188,8 @@ func (t *Table) AppendRow(r Row) (int, error) {
 // AppendRows appends a batch of rows under one lock acquisition and
 // returns the index of the first; row i of the batch lands at index
 // base+i. Used by the bulk loader to amortize locking and index
-// maintenance across a whole batch. Under the columnar layout the
-// batch is written column-wise, one vector at a time.
+// maintenance across a whole batch. The batch is written column-wise,
+// one vector at a time.
 func (t *Table) AppendRows(rs []Row) (int, error) {
 	for _, r := range rs {
 		if len(r) != len(t.Schema) {
@@ -239,14 +199,10 @@ func (t *Table) AppendRows(rs []Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	base := t.nrows
-	if t.storage == StorageColumnar {
-		for j, col := range t.cols {
-			for i, r := range rs {
-				col.appendVal(t.wgen, base+i, r[j])
-			}
+	for j, col := range t.cols {
+		for i, r := range rs {
+			col.appendVal(t.wgen, base+i, r[j])
 		}
-	} else {
-		t.rows = append(t.rows, rs...)
 	}
 	t.nrows += len(rs)
 	for i, r := range rs {
@@ -257,56 +213,18 @@ func (t *Table) AppendRows(rs []Row) (int, error) {
 	return base, nil
 }
 
-// UpdateRow replaces row i in place (used for filling predicate columns
-// of an existing entity row during RDF loading). Indexed columns must
-// not change value unless reindexed by the caller.
-func (t *Table) UpdateRow(i int, r Row) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= t.nrows {
-		return fmt.Errorf("rel: table %s: row %d out of range", t.Name, i)
-	}
-	if len(r) != len(t.Schema) {
-		return fmt.Errorf("rel: table %s: row width %d != schema width %d", t.Name, len(r), len(t.Schema))
-	}
-	if t.storage == StorageColumnar {
-		for j, col := range t.cols {
-			col.set(t.wgen, i, r[j])
-		}
-		return nil
-	}
-	t.mutableRowsLocked()
-	t.rows[i] = r
-	return nil
-}
-
-// mutableRowsLocked makes the rows slice writable in the current
-// generation: published snapshots capture it len-capped, so appends
-// are invisible to them but slot stores must copy the directory first.
-func (t *Table) mutableRowsLocked() {
-	if t.rowsGen != t.wgen {
-		t.rows = append([]Row(nil), t.rows...)
-		t.rowsGen = t.wgen
-	}
-}
-
 // CellAt returns the value at (row i, column j). Cheaper than RowAt
-// when only a few cells of a wide row are needed — on a columnar
-// table it reads one vector instead of materializing 2k+2 columns.
+// when only a few cells of a wide row are needed: it reads one vector
+// instead of materializing 2k+2 columns.
 func (t *Table) CellAt(i, j int) Value {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.storage == StorageColumnar {
-		return t.cols[j].get(i)
-	}
-	return t.rows[i][j]
+	return t.cols[j].get(i)
 }
 
-// SetCell updates the single cell (row i, column j). On the row layout
-// the row is copied before mutation, because published snapshots and
-// Rows() callers share it; the columnar layout mutates the vector
-// copy-on-write. Indexed columns must not change value unless reindexed
-// by the caller.
+// SetCell updates the single cell (row i, column j), mutating the
+// column vector copy-on-write. Indexed columns must not change value
+// unless reindexed by the caller.
 func (t *Table) SetCell(i, j int, v Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -316,27 +234,15 @@ func (t *Table) SetCell(i, j int, v Value) error {
 	if j < 0 || j >= len(t.Schema) {
 		return fmt.Errorf("rel: table %s: column %d out of range", t.Name, j)
 	}
-	if t.storage == StorageColumnar {
-		t.cols[j].set(t.wgen, i, v)
-		return nil
-	}
-	r := make(Row, len(t.rows[i]))
-	copy(r, t.rows[i])
-	r[j] = v
-	t.mutableRowsLocked()
-	t.rows[i] = r
+	t.cols[j].set(t.wgen, i, v)
 	return nil
 }
 
-// RowAt returns row i. The returned slice must not be modified. On a
-// columnar table this materializes a fresh row; prefer CellAt when
-// only a few columns are needed.
+// RowAt materializes row i as a fresh row; prefer CellAt when only a
+// few columns are needed.
 func (t *Table) RowAt(i int) Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.storage == StorageRows {
-		return t.rows[i]
-	}
 	r := make(Row, len(t.cols))
 	for j, col := range t.cols {
 		r[j] = col.get(i)
@@ -344,26 +250,11 @@ func (t *Table) RowAt(i int) Row {
 	return r
 }
 
-// Rows returns every live row. Under the row layout with no deletes
-// this is the backing slice and must be treated as read-only; with
-// deletes it is a filtered copy. Under the columnar layout it
-// materializes the whole table (the executor's scan paths read the
-// vectors directly instead — see vecscan.go).
+// Rows materializes every live row of the table (the executor's scan
+// paths read the vectors directly instead — see vecscan.go).
 func (t *Table) Rows() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.storage == StorageRows {
-		if t.dead == 0 {
-			return t.rows
-		}
-		out := make([]Row, 0, t.nrows-t.dead)
-		for i, r := range t.rows {
-			if !t.deadLocked(i) {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
 	rows := t.materializeAllLocked()
 	if t.dead == 0 {
 		return rows
@@ -413,12 +304,7 @@ func (t *Table) materializeAllLocked() []Row {
 func (t *Table) reader(src []int) *tableReader {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	rd := &tableReader{src: src, nrows: t.nrows, tomb: t.tomb}
-	if t.storage == StorageRows {
-		rd.rows = t.rows
-		return rd
-	}
-	rd.cols = make([]*colVec, len(src))
+	rd := &tableReader{cols: make([]*colVec, len(src)), nrows: t.nrows, tomb: t.tomb}
 	for j, c := range src {
 		rd.cols[j] = t.cols[c]
 	}
@@ -426,9 +312,7 @@ func (t *Table) reader(src []int) *tableReader {
 }
 
 type tableReader struct {
-	src   []int
-	cols  []*colVec // columnar layout: the vectors of src, in src order
-	rows  []Row     // row layout: the full-width rows
+	cols  []*colVec // the vectors of src, in src order
 	tomb  []*tombChunk
 	nrows int
 	buf   Row // rowAt's scratch, allocated on first use
@@ -437,7 +321,7 @@ type tableReader struct {
 // rowAt returns row i in the scratch buffer; see Table.reader.
 func (rd *tableReader) rowAt(i int) Row {
 	if rd.buf == nil {
-		rd.buf = make(Row, len(rd.src))
+		rd.buf = make(Row, len(rd.cols))
 	}
 	rd.rowInto(rd.buf, i)
 	return rd.buf
@@ -445,13 +329,6 @@ func (rd *tableReader) rowAt(i int) Row {
 
 // rowInto gathers the reader's columns of row i into dst.
 func (rd *tableReader) rowInto(dst Row, i int) {
-	if rd.cols == nil {
-		full := rd.rows[i]
-		for j, c := range rd.src {
-			dst[j] = full[c]
-		}
-		return
-	}
 	// Hot path for index probes over sparse tables: compute the chunk
 	// coordinates once, and settle absent cells (nil chunk or cleared
 	// presence bit — the common case for DPH/RPH predicate columns)
@@ -475,30 +352,12 @@ func (rd *tableReader) rowInto(dst Row, i int) {
 	}
 }
 
-// gatherChunk materializes chunk ci of a columnar table into rows,
-// which must be zeroed (absent cells are left untouched).
+// gatherChunk materializes chunk ci of the table into rows, which must
+// be zeroed (absent cells are left untouched).
 func (rd *tableReader) gatherChunk(ci int, rows []Row) {
 	for j, c := range rd.cols {
 		c.gatherChunk(ci, rows, j)
 	}
-}
-
-// liveRows materializes every live row (the row layout's scan; the
-// columnar layout scans chunk-wise in vecscan.go).
-func (rd *tableReader) liveRows() []Row {
-	width := len(rd.src)
-	out := make([]Row, 0, rd.nrows)
-	block := make([]Value, rd.nrows*width)
-	for i := 0; i < rd.nrows; i++ {
-		if tombstoned(rd.tomb, i) {
-			continue
-		}
-		row := block[:width:width]
-		block = block[width:]
-		rd.rowInto(row, i)
-		out = append(out, row)
-	}
-	return out
 }
 
 // CreateIndex builds (or rebuilds) a hash index on the named column.
@@ -515,21 +374,12 @@ func (t *Table) CreateIndex(col string) error {
 	idx := newHashIndex(ci, t.Schema[ci].Type)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.storage == StorageColumnar {
-		v := t.cols[ci]
-		for i := 0; i < t.nrows; i++ {
-			if t.deadLocked(i) {
-				continue
-			}
-			idx.add(v.get(i), int32(i))
+	v := t.cols[ci]
+	for i := 0; i < t.nrows; i++ {
+		if t.deadLocked(i) {
+			continue
 		}
-	} else {
-		for i, r := range t.rows {
-			if t.deadLocked(i) {
-				continue
-			}
-			idx.add(r[ci], int32(i))
-		}
+		idx.add(v.get(i), int32(i))
 	}
 	t.indexes[strings.ToLower(col)] = idx
 	return nil
@@ -618,34 +468,12 @@ func (x *hashIndex) add(v Value, id int32) {
 // EstimateBytes approximates the on-disk footprint of the table, used by
 // the NULL-storage experiment (§2.3). NULLs cost one bit (null bitmap /
 // value compression, as DB2 and Postgres do); ints cost 8, floats 8,
-// strings their length plus 4. Both storage layouts report identical
-// estimates for identical logical content.
+// strings their length plus 4. The estimate models the logical
+// content, not its encoding: a table reports the same number before and
+// after Publish seals its chunks.
 func (t *Table) EstimateBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.storage == StorageColumnar {
-		return t.estimateColumnarLocked()
-	}
-	var total, nulls int64
-	for _, r := range t.rows {
-		total += 8 // row header
-		for _, v := range r {
-			switch v.K {
-			case KindNull:
-				nulls++ // one bit in the null bitmap
-			case KindInt, KindFloat:
-				total += 8
-			case KindString:
-				total += int64(len(v.S)) + 4
-			default:
-				total++
-			}
-		}
-	}
-	return total + (nulls+7)/8
-}
-
-func (t *Table) estimateColumnarLocked() int64 {
 	total := int64(t.nrows) * 8 // row headers
 	var nulls int64
 	for _, col := range t.cols {
@@ -660,8 +488,7 @@ func (t *Table) estimateColumnarLocked() int64 {
 			case TInt, TFloat:
 				// By logical value count, not physical slice length:
 				// the estimate must be identical across raw and
-				// sealed/bit-packed layouts (it models the row count,
-				// not the encoding).
+				// sealed/bit-packed chunks.
 				total += int64(ck.n) * 8
 			default:
 				for _, s := range ck.strs {
@@ -693,31 +520,16 @@ func (t *Table) estimateColumnarLocked() int64 {
 }
 
 // ResidentBytes reports the actual in-process memory footprint of the
-// table's data (excluding indexes, which are layout-independent):
-// slice headers, Value structs and string contents for the row layout;
-// chunk directories, bitmaps, packed vectors and exception maps for
-// the columnar layout. This is the number behind the
-// table_resident_bytes benchmark metric.
+// table's data, excluding indexes: chunk directories, bitmaps, packed
+// vectors, string contents and exception maps. This is the number
+// behind the table_resident_bytes benchmark metric.
 func (t *Table) ResidentBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	const (
-		sliceHeader  = 24
 		stringHeader = 16
 		mapEntry     = 64 // rough per-entry cost of a small map
 	)
-	if t.storage == StorageRows {
-		total := int64(sliceHeader) + int64(cap(t.rows))*sliceHeader
-		for _, r := range t.rows {
-			total += int64(cap(r)) * valueBytes
-			for _, v := range r {
-				if v.K == KindString {
-					total += int64(len(v.S))
-				}
-			}
-		}
-		return total
-	}
 	chunkFixed := int64(unsafe.Sizeof(colChunk{}))
 	var total int64
 	for _, col := range t.cols {

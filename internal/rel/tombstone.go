@@ -9,10 +9,9 @@ import (
 // physical index (so every row id handed out by AppendRow stays stable)
 // but is marked dead in the owning chunk's tombstone bitmap and removed
 // from every hash index immediately. Scans — the vectorized chunk
-// pipeline (vecscan.go), Rows(), materializeAllLocked and CreateIndex —
-// filter dead rows out; index probes need no check at all, because a
-// dead row's ids are gone from the posting lists before the delete
-// returns.
+// pipeline (vecscan.go), Rows() and CreateIndex — filter dead rows out;
+// index probes need no check at all, because a dead row's ids are gone
+// from the posting lists before the delete returns.
 //
 // The bitmap is table-level rather than per colVec chunk: the DPH/RPH
 // relations carry 2k+2 columns (66 on the K=32 default), and a row is
@@ -104,13 +103,7 @@ func (t *Table) DeleteRow(i int) error {
 	tc := t.mutableTombLocked(ci)
 	// Unindex before the bit is set (the cell values are still intact).
 	for _, idx := range t.indexes {
-		var v Value
-		if t.storage == StorageColumnar {
-			v = t.cols[idx.col].get(i)
-		} else {
-			v = t.rows[i][idx.col]
-		}
-		idx.remove(v, int32(i))
+		idx.remove(t.cols[idx.col].get(i), int32(i))
 	}
 	tc.bits[off>>6] |= 1 << (uint(off) & 63)
 	tc.dead++
@@ -148,9 +141,6 @@ func (t *Table) mutableTombLocked(ci int) *tombChunk {
 // published invariant holds: no chunk carries tombCompactDead or more
 // dirty cells. Caller holds the table write lock.
 func (t *Table) compactPendingLocked() {
-	if t.storage != StorageColumnar {
-		return
-	}
 	for ci, tc := range t.tomb {
 		if tc == nil || tc.dirty < tombCompactDead {
 			continue
@@ -219,13 +209,10 @@ func (t *Table) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nrows, t.dead = 0, 0
-	t.rows, t.tomb = nil, nil
-	t.rowsGen, t.tombGen = t.wgen, t.wgen
-	if t.storage == StorageColumnar {
-		t.cols = make([]*colVec, len(t.Schema))
-		for i, c := range t.Schema {
-			t.cols[i] = &colVec{typ: c.Type, sgen: t.wgen}
-		}
+	t.tomb, t.tombGen = nil, t.wgen
+	t.cols = make([]*colVec, len(t.Schema))
+	for i, c := range t.Schema {
+		t.cols[i] = &colVec{typ: c.Type, sgen: t.wgen}
 	}
 	for _, idx := range t.indexes {
 		idx.reset()

@@ -6,15 +6,16 @@ import (
 )
 
 // Tests for row deletion (tombstone.go): scan/index/Rows visibility,
-// double-delete idempotence, compaction, Clear, zone-map soundness
-// when a chunk's min/max witnesses are tombstoned, and row-layout
-// parity.
+// double-delete idempotence, compaction, Clear, and zone-map soundness
+// when a chunk's min/max witnesses are tombstoned. The looped tests run
+// once per chunk state; their subtests are named storage=0 (raw) and
+// storage=1 (published, then mutated by the test).
 
-func tombTable(t *testing.T, storage Storage, n int) (*DB, *Table) {
+// tombTable builds table t(id, v) with n rows and an index on id, in
+// chunk state st; it also returns the snapshot st published, if any.
+func tombTable(t *testing.T, st chunkState, n int) (db *DB, tbl *Table, snap *DB) {
 	t.Helper()
-	defer SetDefaultStorage(StorageColumnar)
-	SetDefaultStorage(storage)
-	db := NewDB()
+	db = NewDB()
 	tbl, err := db.CreateTable("t", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TInt}})
 	if err != nil {
 		t.Fatal(err)
@@ -27,13 +28,13 @@ func tombTable(t *testing.T, storage Storage, n int) (*DB, *Table) {
 			t.Fatal(err)
 		}
 	}
-	return db, tbl
+	return db, tbl, st.prepare(db)
 }
 
 func TestDeleteRowVisibility(t *testing.T) {
-	for _, storage := range []Storage{StorageColumnar, StorageRows} {
-		t.Run(fmt.Sprintf("storage=%d", storage), func(t *testing.T) {
-			db, tbl := tombTable(t, storage, 100)
+	for _, st := range chunkStates {
+		t.Run(fmt.Sprintf("storage=%d", st), func(t *testing.T) {
+			db, tbl, snap := tombTable(t, st, 100)
 			if err := tbl.DeleteRow(7); err != nil {
 				t.Fatal(err)
 			}
@@ -72,6 +73,12 @@ func TestDeleteRowVisibility(t *testing.T) {
 			if got := len(tbl.Rows()); got != 99 {
 				t.Fatalf("Rows() returned %d, want 99", got)
 			}
+			// The snapshot published before the delete still sees it.
+			if snap != nil {
+				if rs := queryRows(t, snap, "SELECT id FROM t WHERE id = 7"); len(rs.Rows) != 1 {
+					t.Fatalf("delete leaked into the published snapshot: %v", rs.Rows)
+				}
+			}
 		})
 	}
 }
@@ -81,7 +88,7 @@ func TestDeleteRowVisibility(t *testing.T) {
 // must not be pruned (the widen-only bounds still cover live data) and
 // the dead extremes must not match.
 func TestDeleteZoneWitness(t *testing.T) {
-	db, tbl := tombTable(t, StorageColumnar, 0)
+	db, tbl, _ := tombTable(t, stateRaw, 0)
 	// One chunk: v in [0, 990]; min witness row 0, max witness row 99.
 	for i := 0; i < 100; i++ {
 		if err := tbl.Insert(Row{Int(int64(i)), Int(int64(i * 10))}); err != nil {
@@ -120,7 +127,7 @@ func TestDeleteZoneWitness(t *testing.T) {
 // checks the chunk is rewritten correctly at the next publish: dead
 // cells cleared, zone map rebuilt over survivors, scans unchanged.
 func TestDeleteCompaction(t *testing.T) {
-	db, tbl := tombTable(t, StorageColumnar, chunkRows)
+	db, tbl, _ := tombTable(t, stateRaw, chunkRows)
 	// Delete the top quarter of the chunk — the rows carrying the
 	// largest v values — to push dirty past tombCompactDead.
 	for i := chunkRows - tombCompactDead; i < chunkRows; i++ {
@@ -173,7 +180,7 @@ func TestDeleteCompaction(t *testing.T) {
 // TestDeleteFullChunkSkip kills a whole chunk and verifies the scan
 // still returns the other chunks' rows.
 func TestDeleteFullChunkSkip(t *testing.T) {
-	db, tbl := tombTable(t, StorageColumnar, 3*chunkRows)
+	db, tbl, _ := tombTable(t, stateRaw, 3*chunkRows)
 	for i := chunkRows; i < 2*chunkRows; i++ {
 		if err := tbl.DeleteRow(i); err != nil {
 			t.Fatal(err)
@@ -189,9 +196,9 @@ func TestDeleteFullChunkSkip(t *testing.T) {
 }
 
 func TestTableClear(t *testing.T) {
-	for _, storage := range []Storage{StorageColumnar, StorageRows} {
-		t.Run(fmt.Sprintf("storage=%d", storage), func(t *testing.T) {
-			db, tbl := tombTable(t, storage, 50)
+	for _, st := range chunkStates {
+		t.Run(fmt.Sprintf("storage=%d", st), func(t *testing.T) {
+			db, tbl, _ := tombTable(t, st, 50)
 			if err := tbl.DeleteRow(3); err != nil {
 				t.Fatal(err)
 			}
@@ -220,9 +227,9 @@ func TestTableClear(t *testing.T) {
 // TestCreateIndexAfterDelete builds an index on a table that already
 // has tombstones: dead rows must not enter the posting lists.
 func TestCreateIndexAfterDelete(t *testing.T) {
-	for _, storage := range []Storage{StorageColumnar, StorageRows} {
-		t.Run(fmt.Sprintf("storage=%d", storage), func(t *testing.T) {
-			_, tbl := tombTable(t, storage, 20)
+	for _, st := range chunkStates {
+		t.Run(fmt.Sprintf("storage=%d", st), func(t *testing.T) {
+			_, tbl, _ := tombTable(t, st, 20)
 			if err := tbl.DeleteRow(4); err != nil {
 				t.Fatal(err)
 			}

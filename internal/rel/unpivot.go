@@ -8,7 +8,7 @@ import (
 // Lateral unpivot. A TABLE(VALUES (T.pred0, T.val0), …) AS L(pred, val)
 // item flips the k (pred_i, val_i) pairs of one wide DPH/RPH row into
 // up to k narrow rows (the paper's Fig. 13). When the item correlates
-// to a pure scan of a columnar base table the flip is fused with the
+// to a pure scan of a base table the flip is fused with the
 // read of that table: the relation keeps the table's narrow columns in
 // src and carries the lateral's columns after them, and every operator
 // that turns row ids into rows — the vectorized scan, the index scan
@@ -18,8 +18,8 @@ import (
 // never built: a pair whose required cell is absent costs a pointer
 // test (nil chunk) or a bit test.
 //
-// Any other correlation (a CTE, a derived table, a joined unit, the row
-// layout) runs lateralRows over the materialized rows of the unit.
+// Any other correlation (a CTE, a derived table, a joined unit) runs
+// lateralRows over the materialized rows of the unit.
 
 // unpivot is a lateral item resolved against the base table it reads.
 type unpivot struct {

@@ -557,11 +557,11 @@ func (f vecFilter) refine(ck *colChunk, sel []int32) []int32 {
 	return kept
 }
 
-// vecScan materializes a columnar scan relation (r.scan), applying its
-// pending conjuncts with the chunk pipeline described at the top of
+// vecScan materializes a base-table scan relation (r.scan), applying
+// its pending conjuncts with the chunk pipeline described at the top of
 // the file. Chunks are partitioned across morsel workers and the
 // per-worker outputs concatenated in chunk order, so the result is
-// row-for-row identical to the sequential row-layout scan.
+// row-for-row identical to a sequential scan in row-id order.
 func (ex *exec) vecScan(r *relation) (*relation, error) {
 	t0 := ex.opStart()
 	t := r.base

@@ -32,13 +32,10 @@ func (t *Table) Publish() *Table {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.compactPendingLocked()
-	if t.storage == StorageColumnar {
-		t.sealChunksLocked()
-	}
+	t.sealChunksLocked()
 	f := &Table{
 		Name:    t.Name,
 		Schema:  t.Schema,
-		storage: t.storage,
 		nrows:   t.nrows,
 		dead:    t.dead,
 		colIdx:  t.colIdx,
@@ -50,17 +47,13 @@ func (t *Table) Publish() *Table {
 	for name, idx := range t.indexes {
 		f.indexes[name] = idx.seal()
 	}
-	if t.storage == StorageColumnar {
-		f.cols = make([]*colVec, len(t.cols))
-		for i, c := range t.cols {
-			f.cols[i] = &colVec{
-				typ:      c.typ,
-				chunks:   c.chunks[:len(c.chunks):len(c.chunks)],
-				excCount: c.excCount,
-			}
+	f.cols = make([]*colVec, len(t.cols))
+	for i, c := range t.cols {
+		f.cols[i] = &colVec{
+			typ:      c.typ,
+			chunks:   c.chunks[:len(c.chunks):len(c.chunks)],
+			excCount: c.excCount,
 		}
-	} else {
-		f.rows = t.rows[:len(t.rows):len(t.rows)]
 	}
 	f.tomb = t.tomb[:len(t.tomb):len(t.tomb)]
 	t.wgen++
@@ -74,11 +67,8 @@ func (t *Table) Publish() *Table {
 // unsealed chunk implies the directory was already made private to the
 // current generation by the mutation that created it, so the slot
 // stores are invisible to every published snapshot; mutableDir covers
-// the remaining first-publish / encoding-toggled cases.
+// the remaining first-publish case.
 func (t *Table) sealChunksLocked() {
-	if !ChunkEncoding() {
-		return
-	}
 	for _, c := range t.cols {
 		for ci, ck := range c.chunks {
 			if ck == nil || ck.sealed {

@@ -364,11 +364,7 @@ func listSnapshots(dir string) ([]snapInfo, error) {
 func (s *Store) writeSnapshot(sn *Snapshot) error {
 	d := s.dur
 	start := time.Now()
-	buf, err := s.encodeSnapshotFile(sn)
-	if err == nil {
-		err = writeFileAtomic(d.dir, snapName(sn.Epoch()), buf)
-	}
-	if err != nil {
+	if err := writeFileAtomic(d.dir, snapName(sn.Epoch()), s.encodeSnapshotFile(sn)); err != nil {
 		d.met.snapErrors.Add(1)
 		return fmt.Errorf("store: snapshot (epoch %d): %w", sn.Epoch(), err)
 	}
@@ -378,7 +374,7 @@ func (s *Store) writeSnapshot(sn *Snapshot) error {
 	return nil
 }
 
-func (s *Store) encodeSnapshotFile(sn *Snapshot) ([]byte, error) {
+func (s *Store) encodeSnapshotFile(sn *Snapshot) []byte {
 	buf := []byte(snapMagic)
 	buf = binary.LittleEndian.AppendUint64(buf, sn.Epoch())
 	buf = binary.AppendUvarint(buf, uint64(s.Opts.K))
@@ -392,16 +388,12 @@ func (s *Store) encodeSnapshotFile(sn *Snapshot) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(nextLid-dict.LidBase))
 	for _, t := range []*rel.Table{sn.dph, sn.ds, sn.rph, sn.rs} {
-		blob, err := t.EncodeSnapshot(nil)
-		if err != nil {
-			return nil, err
-		}
+		blob := t.EncodeSnapshot(nil)
 		buf = binary.AppendUvarint(buf, uint64(len(blob)))
 		buf = append(buf, blob...)
 	}
 	crc := crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli))
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	return buf, nil
+	return binary.LittleEndian.AppendUint32(buf, crc)
 }
 
 // writeFileAtomic writes data to dir/name via a temp file + rename so

@@ -241,9 +241,6 @@ func New(db *rel.DB, opts Options) (*Store, error) {
 	s.reverse = newSide(s.rph, s.rs, opts.ReverseMapping, opts.KReverse)
 	s.RegisterSPARQLFuncs()
 	if opts.Durability.Dir != "" {
-		if rel.DefaultStorage() != rel.StorageColumnar {
-			return nil, fmt.Errorf("store: durability requires the columnar storage layout")
-		}
 		// Recover from the data directory (or initialize it) and
 		// publish the recovered state as the initial snapshot.
 		s.mu.Lock()
@@ -330,9 +327,9 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool
 
 	// Already present? Then extend to (or within) a multi-value list.
 	// Cell-level access (CellAt/SetCell) reads just the candidate
-	// predicate columns instead of materializing the 2k+2-wide row —
-	// on the columnar layout a RowAt here would cost ~66 vector reads
-	// per probed row on the K=32 default schema.
+	// predicate columns instead of materializing the 2k+2-wide row — a
+	// RowAt here would cost ~66 vector reads per probed row on the K=32
+	// default schema.
 	for _, ri := range rows {
 		for _, c := range cols {
 			pc, vc := 2+2*c, 2+2*c+1
@@ -570,9 +567,8 @@ func (s *Store) EntityCount(reverse bool) int {
 }
 
 // TableBytes returns the resident in-memory size of the four DB2RDF
-// relations (DPH, DS, RPH, RS): row headers and value slots under the
-// row layout, or packed column vectors, null bitmaps and exception
-// maps under the columnar layout, plus string contents in either case.
+// relations (DPH, DS, RPH, RS): packed column vectors, null bitmaps,
+// exception maps and string contents.
 // Caller holds the store read lock or otherwise excludes writers.
 func (s *Store) TableBytes() int64 {
 	var total int64

@@ -1,128 +1,76 @@
 package db2rdf_test
 
-// End-to-end storage equivalence across all three layouts: the same
-// datasets loaded into an encoded-columnar store (the default:
-// publish-time chunk sealing on), a raw-columnar store
-// (rel.SetChunkEncoding(false)) and a legacy row-layout store
-// (rel.SetDefaultStorage) must answer the whole benchmark corpus plus
-// random BGPs byte-identically, with morsel parallelism forced off
-// and on. ci.sh runs this under -race next to the parallel on/off
-// gate, which also probes the vectorized scan's chunk partitioning
-// and the sealed chunks' packed fast paths for data races.
+// TestStorageEquivalence is the load-path oracle test. The same random
+// datasets go through the incremental loader (LoadTriples, which fills
+// entity rows cell by cell) and the partitioned bulk loader
+// (LoadTriplesParallel, which appends whole batches); both stores must
+// export identical graphs and answer random BGPs exactly as the
+// brute-force matcher does, with morsel parallelism forced off and on.
+// Every load publishes, so the queries read sealed chunks. The
+// benchmark corpus is refereed against the triple-store baseline by
+// TestAllWorkloadQueriesAgreeWithTripleStore. ci.sh runs this under
+// -race next to the parallel on/off gate.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"db2rdf"
-	"db2rdf/internal/gen"
-	"db2rdf/internal/rdf"
 	"db2rdf/internal/rel"
 )
 
-// openUnder opens an empty store whose tables use the given layout.
-func openUnder(t *testing.T, storage rel.Storage) *db2rdf.Store {
-	t.Helper()
-	rel.SetDefaultStorage(storage)
-	defer rel.SetDefaultStorage(rel.StorageColumnar)
-	s, err := db2rdf.Open(db2rdf.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func TestStorageEquivalence(t *testing.T) {
-	defer rel.SetDefaultStorage(rel.StorageColumnar)
 	defer rel.SetParallelism(0, 0)
-	defer rel.SetChunkEncoding(true)
-
-	type tcase struct {
-		name     string
-		triples  []rdf.Triple
-		queries  []gen.Query
-		parallel bool // load via the parallel bulk loader
-	}
-	var cases []tcase
-	for i, ds := range []*gen.Dataset{gen.Micro(3000), gen.LUBM(1)} {
-		// Alternate load paths so both the incremental insert
-		// (CellAt/SetCell) and the partitioned bulk append
-		// (AppendRows) feed the comparison.
-		cases = append(cases, tcase{ds.Name, ds.Triples, ds.Queries, i%2 == 1})
-	}
+	vars := []string{"a", "b", "c", "d"}
 	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 8; i++ {
-		triples := randomDataset(r)
-		var queries []gen.Query
-		for j := 0; j < 6; j++ {
-			_, sparqlText := randomBGP(r)
-			queries = append(queries, gen.Query{Name: fmt.Sprintf("bgp%d_%d", i, j), SPARQL: sparqlText})
+	for trial := 0; trial < 40; trial++ {
+		data := randomDataset(r)
+		// Small K forces spill rows and multi-value lists through both
+		// loaders.
+		k := 2 + r.Intn(6)
+		loaders := []struct {
+			name string
+			load func(*db2rdf.Store) error
+		}{
+			{"sequential", func(s *db2rdf.Store) error { return s.LoadTriples(data) }},
+			{"parallel", func(s *db2rdf.Store) error { return s.LoadTriplesParallel(data, 4) }},
 		}
-		cases = append(cases, tcase{fmt.Sprintf("random%d", i), triples, queries, i%2 == 0})
-	}
-
-	for _, c := range cases {
-		load := func(s *db2rdf.Store) error {
-			if c.parallel {
-				return s.LoadTriplesParallel(c.triples, 4)
+		stores := make([]*db2rdf.Store, len(loaders))
+		exports := make([][]byte, len(loaders))
+		for i, l := range loaders {
+			s, err := db2rdf.Open(db2rdf.Options{K: k})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return s.LoadTriples(c.triples)
+			if err := l.load(s); err != nil {
+				t.Fatalf("trial %d: %s load: %v", trial, l.name, err)
+			}
+			var buf bytes.Buffer
+			if _, err := s.Export(&buf); err != nil {
+				t.Fatal(err)
+			}
+			stores[i], exports[i] = s, buf.Bytes()
 		}
-		// Encoded columnar (the default): chunks seal at publish.
-		encStore := openUnder(t, rel.StorageColumnar)
-		if err := load(encStore); err != nil {
-			t.Fatalf("%s: encoded-columnar load: %v", c.name, err)
+		if !bytes.Equal(exports[0], exports[1]) {
+			t.Fatalf("trial %d (K=%d): sequential and parallel loads export different graphs:\n%s\nvs\n%s",
+				trial, k, exports[0], exports[1])
 		}
-		// Raw columnar: sealing suppressed, chunks stay as typed slices.
-		// The knob matters only while loads publish, so it is restored
-		// before the comparison queries run.
-		rel.SetChunkEncoding(false)
-		rawStore := openUnder(t, rel.StorageColumnar)
-		rawErr := load(rawStore)
-		rel.SetChunkEncoding(true)
-		if rawErr != nil {
-			t.Fatalf("%s: raw-columnar load: %v", c.name, rawErr)
-		}
-		rowStore := openUnder(t, rel.StorageRows)
-		if err := load(rowStore); err != nil {
-			t.Fatalf("%s: row-layout load: %v", c.name, err)
-		}
-		for _, q := range c.queries {
-			for _, workers := range []int{1, 4} {
-				rel.SetParallelism(workers, 1)
-				encRes, err := encStore.Query(q.SPARQL)
-				if err != nil {
-					t.Fatalf("%s/%s (encoded, workers=%d): %v", c.name, q.Name, workers, err)
-				}
-				rawRes, err := rawStore.Query(q.SPARQL)
-				if err != nil {
-					t.Fatalf("%s/%s (raw columnar, workers=%d): %v", c.name, q.Name, workers, err)
-				}
-				rowRes, err := rowStore.Query(q.SPARQL)
-				rel.SetParallelism(0, 0)
-				if err != nil {
-					t.Fatalf("%s/%s (rows, workers=%d): %v", c.name, q.Name, workers, err)
-				}
-				row := canonical(renderResults(rowRes))
-				for _, alt := range []struct {
-					layout string
-					rows   []string
-				}{
-					{"encoded", canonical(renderResults(encRes))},
-					{"raw-columnar", canonical(renderResults(rawRes))},
-				} {
-					if len(alt.rows) != len(row) {
-						t.Errorf("%s/%s workers=%d: row count differs: %s=%d rows=%d",
-							c.name, q.Name, workers, alt.layout, len(alt.rows), len(row))
-						continue
+		for j := 0; j < 6; j++ {
+			pats, query := randomBGP(r)
+			want := canonical(bruteForce(data, pats, vars))
+			for i, s := range stores {
+				for _, workers := range []int{1, 4} {
+					rel.SetParallelism(workers, 1)
+					res, err := s.Query(query)
+					rel.SetParallelism(0, 0)
+					where := fmt.Sprintf("trial %d (K=%d), %s load, workers=%d", trial, k, loaders[i].name, workers)
+					if err != nil {
+						t.Fatalf("%s: %v\n%s", where, err, query)
 					}
-					for i := range alt.rows {
-						if alt.rows[i] != row[i] {
-							t.Errorf("%s/%s workers=%d: row %d differs:\n%s: %s\nrows: %s",
-								c.name, q.Name, workers, i, alt.layout, alt.rows[i], row[i])
-							break
-						}
+					if got := canonical(renderStore(res)); !sameCanonical(got, want) {
+						t.Fatalf("%s:\n got %v\nwant %v\n%s", where, got, want, query)
 					}
 				}
 			}

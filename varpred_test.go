@@ -284,22 +284,19 @@ func sameCanonical(a, b []string) bool {
 
 func TestVariablePredicateShapes(t *testing.T) {
 	defer rel.SetParallelism(0, 0)
-	defer rel.SetChunkEncoding(true)
 	shapes := varPredShapes()
 	type config struct {
 		name      string
 		k         int
 		colored   bool
 		noMerging bool
-		raw       bool // chunks stay unsealed
 	}
 	configs := []config{
 		{name: "K=32", k: 32},
 		{name: "K=2 (spills)", k: 2},
 		{name: "K=4 colored", k: 4, colored: true},
 		{name: "K=32 no merging", k: 32, noMerging: true},
-		{name: "K=4 raw chunks", k: 4, raw: true},
-		{name: "K=2 colored no merging raw chunks", k: 2, colored: true, noMerging: true, raw: true},
+		{name: "K=2 colored no merging", k: 2, colored: true, noMerging: true},
 	}
 	nonEmpty := map[string]bool{}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -325,11 +322,7 @@ func TestVariablePredicateShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The knob matters while loads and deletes publish.
-			rel.SetChunkEncoding(!c.raw)
-			err = s.LoadTriples(data)
-			rel.SetChunkEncoding(true)
-			if err != nil {
+			if err := s.LoadTriples(data); err != nil {
 				t.Fatal(err)
 			}
 			stores[i] = s
@@ -338,9 +331,7 @@ func TestVariablePredicateShapes(t *testing.T) {
 		for phase, live := range [][]rdf.Triple{data, rest} {
 			if phase == 1 {
 				for i, s := range stores {
-					rel.SetChunkEncoding(!configs[i].raw)
 					n, err := s.DeleteTriples(doomed)
-					rel.SetChunkEncoding(true)
 					if err != nil || n != len(doomed) {
 						t.Fatalf("seed %d, %s: deleted %d of %d triples: %v", seed, configs[i].name, n, len(doomed), err)
 					}
