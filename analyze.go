@@ -128,20 +128,22 @@ func (s *Store) AnalyzeContext(ctx context.Context, q string) (an *Analysis, err
 	defer guard(q, &err)
 	ctx, cancel := s.governCtx(ctx)
 	defer cancel()
-	// Explanation and execution run on the same snapshot, so the
-	// reported plan is exactly the one that ran.
+	// One compile (none on a cache hit): the explanation is rendered
+	// from the plan that ran. The plan-cache state is read before the
+	// lookup, so PlanCached says whether this run found its plan.
 	snap := s.inner.Snapshot()
-	expl, err := s.explainOn(ctx, snap, q)
-	if err != nil {
+	expl := s.explanation(ctx, snap, q)
+	sol, stats, cp, err := s.queryFull(ctx, snap, q, true)
+	if cp == nil {
 		return nil, attachQuery(q, err)
 	}
-	sol, stats, cp, err := s.queryFull(ctx, snap, q, true)
+	expl.render(cp)
 	var res *Results
 	if err == nil {
 		res, err = sol.Results()
 	}
 	an = &Analysis{Explanation: expl, Results: res, Stats: stats}
-	if cp != nil && cp.tr != nil && stats != nil {
+	if stats != nil {
 		an.Patterns = patternStats(cp, stats)
 	}
 	an.Duration = time.Since(start)

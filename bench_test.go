@@ -447,8 +447,8 @@ func BenchmarkParallelLoad(b *testing.B) {
 }
 
 // BenchmarkConcurrentQuery measures query throughput under increasing
-// goroutine counts: queries take only the store read lock, so they
-// should scale with available parallelism rather than serialize.
+// goroutine counts: queries read a published snapshot without locking,
+// so they should scale with available parallelism rather than serialize.
 func BenchmarkConcurrentQuery(b *testing.B) {
 	ds := lubmData()
 	s, err := db2rdf.Open(db2rdf.Options{})

@@ -16,6 +16,9 @@ echo "== bench module (stage chain vs Store.Query, metric names vs BENCHMARK.jso
 echo "== kernel equivalence (parallel on/off), variable-predicate shapes vs the oracle, lateral unpivot, plan cache =="
 go test -race -run 'TestKernelEquivalence|TestPlanCache|TestVariablePredicate' -count=1 .
 go test -race -run 'TestLateral|Unpivot' -count=1 ./internal/rel/
+echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="
+go test -race -count=1 \
+    -run 'TestSyntaxErrorIsTyped|TestDescribe|TestInference|TestAnalyze|TestExplainArtifacts|TestPathExplain' .
 echo "== load paths vs the brute-force oracle (sequential / parallel loader, workers 1 / 4) =="
 go test -race -run 'TestStorageEquivalence' -count=1 .
 echo "== abort paths (governance, fault injection, panic containment) =="

@@ -51,7 +51,10 @@ type Options struct {
 	DisableMerging bool
 	// Inference enables RDFS subclass reasoning: type patterns match
 	// instances of subclasses via a subClassOf* closure rewrite (the
-	// expansion the paper applies by hand to LUBM queries in §4.1).
+	// expansion the paper applies by hand to LUBM queries in §4.1). The
+	// rewrite applies to every WHERE clause: SELECT and ASK, CONSTRUCT
+	// and DESCRIBE, and the WHERE of a SPARQL Update. Templates are
+	// never rewritten: DELETE WHERE deletes only the triples it names.
 	Inference bool
 
 	// QueryTimeout is the per-query deadline applied to every query on
@@ -78,9 +81,8 @@ type Options struct {
 	// and execution stays uninstrumented.
 	SlowQueryThreshold time.Duration
 	// SlowQueryLog receives one SlowQuery record per offending query.
-	// It is called after the store's read lock is released, so the
-	// callback may itself query the store; it must be safe for
-	// concurrent calls.
+	// It is called after the query has finished, so the callback may
+	// itself query the store; it must be safe for concurrent calls.
 	SlowQueryLog func(SlowQuery)
 
 	// DataDir enables durability: a write-ahead log of checksummed
@@ -146,7 +148,8 @@ func ColorTriples(triples []rdf.Triple, k, kRev int) (coloring.Mapping, coloring
 }
 
 // Insert adds one triple. Writers and readers may run concurrently:
-// loads take the store's write lock, queries its read lock.
+// loads take the store's write lock, queries read a published snapshot
+// without locking.
 func (s *Store) Insert(t rdf.Triple) error {
 	start := time.Now()
 	err := s.inner.Insert(t)
@@ -335,7 +338,7 @@ func (s *Store) profileQueries() bool {
 }
 
 // observeQuery feeds one served query into the metrics registry and
-// the slow-query log. Called with the store lock released.
+// the slow-query log, after the query has finished.
 func (s *Store) observeQuery(q string, dur time.Duration, rows int, stats *ExecStats, err error) {
 	s.metrics.observeQuery(dur, rows, err)
 	if t := s.opts.SlowQueryThreshold; t > 0 && dur >= t {
@@ -389,16 +392,8 @@ func attachQuery(q string, err error) error {
 // queryOn is Query against a specific snapshot. Internal callers that
 // run secondary queries while servicing a public call (closure
 // materialization, CONSTRUCT, Export) use it so every constituent
-// query reads the same published version; the Update path passes a
-// live snapshot while holding the write lock.
-//
-// Repeated query texts skip the whole compile pipeline (SPARQL parse,
-// flow optimization, plan building, SQL generation, SQL parse) via the
-// store's compiled-plan cache; keying the cache on the snapshot's
-// epoch guarantees a cached plan is only reused against the exact
-// store state it was compiled for. Queries that materialize
-// property-path closures are compiled afresh each time (their SQL
-// references per-query temp tables).
+// query reads the same published version; closures in an Update's
+// WHERE pass the live snapshot the write lock protects.
 func (s *Store) queryOn(ctx context.Context, snap *store.Snapshot, q string) (*Results, error) {
 	sol, _, _, err := s.queryFull(ctx, snap, q, false)
 	if err != nil {
@@ -407,18 +402,24 @@ func (s *Store) queryOn(ctx context.Context, snap *store.Snapshot, q string) (*R
 	return sol.Results()
 }
 
-// queryFull compiles q on a plan-cache miss and executes it once,
-// returning the undecoded solutions, the execution profile (nil unless
-// profile is set) and the compiled plan (nil when compilation itself
-// failed), for EXPLAIN ANALYZE and the slow-query log.
+// queryFull executes q once against snap, returning the undecoded
+// solutions, the execution profile (nil unless profile is set) and the
+// compiled plan that ran (nil when compilation itself failed), for
+// EXPLAIN ANALYZE and the slow-query log.
+//
+// Repeated query texts skip compile altogether via the store's
+// compiled-plan cache; keying the cache on the snapshot's epoch
+// guarantees a cached plan is only reused against the exact store
+// state it was compiled for. Queries that materialize property-path
+// closures are compiled afresh each time (their SQL references
+// per-query temp tables).
 func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, profile bool) (*Solutions, *ExecStats, *compiledPlan, error) {
 	// A live (write-lock) snapshot sees mid-update content that is
 	// newer than the published state of the same epoch, so it must
 	// bypass the plan cache in both directions.
 	cacheable := !snap.Live()
-	epoch := snap.Epoch()
 	if cacheable {
-		if cp, ok := s.plans.get(q, epoch); ok {
+		if cp, ok := s.plans.get(q, snap.Epoch()); ok {
 			sol, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
 			return sol, stats, cp, err
 		}
@@ -427,30 +428,79 @@ func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, p
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	cp, drop, err := s.compile(ctx, snap, parsed)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer drop()
+	cp.key = q
+	if cacheable && len(parsed.Closures) == 0 {
+		s.plans.put(cp)
+	}
+	sol, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
+	return sol, stats, cp, err
+}
+
+// compile is the one place a query is compiled, whichever entry point
+// it came through: the inference rewrite (under Options.Inference),
+// filter unification, property-path closure materialization, the
+// hybrid optimizer's data flow (§3.1) or the naive flow, the merged
+// query plan (§3.2), SQL generation (§3.3) and the parse of that SQL
+// into the relational AST. It rewrites parsed in place. The returned
+// func drops the closure temporaries the plan's SQL reads; call it
+// once the plan has executed.
+func (s *Store) compile(ctx context.Context, snap *store.Snapshot, parsed *sparql.Query) (*compiledPlan, func(), error) {
 	if s.opts.Inference {
 		inferenceRewrite(parsed)
 	}
 	sparql.UnifyEqualityFilters(parsed)
 	virtual, cleanup, err := s.materializeClosures(ctx, snap, parsed)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	defer cleanup()
-	tr, err := s.translate(snap, parsed, virtual)
-	if err != nil {
-		return nil, nil, nil, err
+	// A failed (or panicking) compile drops its temporaries itself.
+	compiled := false
+	defer func() {
+		if !compiled {
+			cleanup()
+		}
+	}()
+	cp := &compiledPlan{epoch: snap.Epoch(), parsed: parsed}
+	if s.opts.DisableHybridOptimizer {
+		cp.exec, cp.flow = optimizer.OptimizeNaive(parsed, s.inner.StatsView())
+	} else if cp.exec, cp.flow, err = optimizer.Optimize(parsed, s.inner.StatsView()); err != nil {
+		return nil, nil, err
 	}
-	cp := &compiledPlan{key: q, epoch: epoch, parsed: parsed, tr: tr}
-	if tr.SQL != "" {
-		if cp.rq, err = rel.ParseQuery(tr.SQL); err != nil {
-			return nil, nil, nil, fmt.Errorf("db2rdf: parsing generated SQL: %w", err)
+	backend := translator.NewDB2RDF(snap)
+	backend.Virtual = virtual
+	planner := translator.NewPlanner(backend)
+	planner.SetMerging(!s.opts.DisableMerging)
+	if cp.tr, err = translator.Translate(parsed, planner.BuildPlan(cp.exec), backend); err != nil {
+		return nil, nil, err
+	}
+	if cp.tr.SQL != "" {
+		if cp.rq, err = rel.ParseQuery(cp.tr.SQL); err != nil {
+			return nil, nil, fmt.Errorf("db2rdf: parsing generated SQL: %w", err)
 		}
 	}
-	if cacheable && len(parsed.Closures) == 0 {
-		s.plans.put(cp)
+	compiled = true
+	return cp, cleanup, nil
+}
+
+// run compiles and executes a query AST built inside the store
+// (DESCRIBE, Update's WHERE) once against snap, bypassing the plan
+// cache, and decodes the answer.
+func (s *Store) run(ctx context.Context, snap *store.Snapshot, parsed *sparql.Query) (*Results, error) {
+	cp, drop, err := s.compile(ctx, snap, parsed)
+	if err != nil {
+		return nil, err
 	}
-	sol, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
-	return sol, stats, cp, err
+	defer drop()
+	sol, _, err := s.executeCompiledStats(ctx, snap, cp, false)
+	if err != nil {
+		return nil, err
+	}
+	return sol.Results()
 }
 
 // Explanation reports how a query would run.
@@ -491,47 +541,40 @@ func (s *Store) ExplainContext(ctx context.Context, q string) (expl *Explanation
 	defer guard(q, &err)
 	ctx, cancel := s.governCtx(ctx)
 	defer cancel()
-	return s.explainOn(ctx, s.inner.Snapshot(), q)
-}
-
-// explainOn is ExplainContext against a specific snapshot (EXPLAIN
-// ANALYZE reuses it before executing on the same snapshot).
-func (s *Store) explainOn(ctx context.Context, snap *store.Snapshot, q string) (expl *Explanation, err error) {
+	snap := s.inner.Snapshot()
 	parsed, err := parseQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	if s.opts.Inference {
-		inferenceRewrite(parsed)
-	}
-	sparql.UnifyEqualityFilters(parsed)
-	virtual, cleanup, err := s.materializeClosures(ctx, snap, parsed)
+	cp, drop, err := s.compile(ctx, snap, parsed)
 	if err != nil {
 		return nil, attachQuery(q, err)
 	}
-	defer cleanup()
-	exec, flow, err := s.optimize(parsed)
-	if err != nil {
-		return nil, err
+	drop()
+	expl = s.explanation(ctx, snap, q)
+	expl.render(cp)
+	return expl, nil
+}
+
+// explanation records what applies to q when it runs: the plan cache's
+// state for q at snap and the governance under ctx. render completes it
+// from the plan.
+func (s *Store) explanation(ctx context.Context, snap *store.Snapshot, q string) *Explanation {
+	expl := &Explanation{
+		PlanCached:     s.plans.contains(q, snap.Epoch()),
+		MaxResultRows:  s.opts.MaxResultRows,
+		MaxMemoryBytes: s.opts.MaxMemoryBytes,
 	}
-	backend := translator.NewDB2RDF(snap)
-	backend.Virtual = virtual
-	planner := translator.NewPlanner(backend)
-	planner.SetMerging(!s.opts.DisableMerging)
-	plan := planner.BuildPlan(exec)
-	tr, err := translator.Translate(parsed, plan, backend)
-	if err != nil {
-		return nil, err
-	}
-	expl = &Explanation{Flow: flow.String(), Tree: exec.String(), Plan: plan.String(), SQL: tr.SQL}
-	expl.PlanCached = s.plans.contains(q, snap.Epoch())
 	expl.PlanCacheHits, expl.PlanCacheMisses = s.plans.stats()
 	if d, ok := ctx.Deadline(); ok {
 		expl.Deadline = d
 	}
-	expl.MaxResultRows = s.opts.MaxResultRows
-	expl.MaxMemoryBytes = s.opts.MaxMemoryBytes
-	return expl, nil
+	return expl
+}
+
+// render fills in the optimizer and translator artifacts of cp.
+func (e *Explanation) render(cp *compiledPlan) {
+	e.Flow, e.Tree, e.Plan, e.SQL = cp.flow.String(), cp.exec.String(), cp.tr.Plan.String(), cp.tr.SQL
 }
 
 // PlanCacheStats returns the lifetime hit and miss counts of the
@@ -542,45 +585,6 @@ func (s *Store) PlanCacheStats() (hits, misses uint64) { return s.plans.stats() 
 // Useful for cold-plan benchmarking; normal invalidation is automatic,
 // keyed on the store's write epoch.
 func (s *Store) ResetPlanCache() { s.plans.reset() }
-
-func (s *Store) optimize(parsed *sparql.Query) (*optimizer.ExecNode, *optimizer.Flow, error) {
-	if s.opts.DisableHybridOptimizer {
-		exec, flow := optimizer.OptimizeNaive(parsed, s.inner.StatsView())
-		return exec, flow, nil
-	}
-	return optimizer.Optimize(parsed, s.inner.StatsView())
-}
-
-func (s *Store) translate(snap *store.Snapshot, parsed *sparql.Query, virtual map[string]string) (*translator.Result, error) {
-	exec, _, err := s.optimize(parsed)
-	if err != nil {
-		return nil, err
-	}
-	backend := translator.NewDB2RDF(snap)
-	backend.Virtual = virtual
-	planner := translator.NewPlanner(backend)
-	planner.SetMerging(!s.opts.DisableMerging)
-	plan := planner.BuildPlan(exec)
-	return translator.Translate(parsed, plan, backend)
-}
-
-// execute compiles tr.SQL (when non-empty) and runs it against the
-// snapshot. Internal callers that build query ASTs directly
-// (CONSTRUCT, DESCRIBE) use it; these one-off plans bypass the cache.
-func (s *Store) execute(ctx context.Context, snap *store.Snapshot, parsed *sparql.Query, tr *translator.Result) (*Results, error) {
-	cp := &compiledPlan{parsed: parsed, tr: tr}
-	if tr.SQL != "" {
-		var err error
-		if cp.rq, err = rel.ParseQuery(tr.SQL); err != nil {
-			return nil, fmt.Errorf("db2rdf: parsing generated SQL: %w", err)
-		}
-	}
-	sol, _, err := s.executeCompiledStats(ctx, snap, cp, false)
-	if err != nil {
-		return nil, err
-	}
-	return sol.Results()
-}
 
 // executeCompiledStats runs a compiled plan against the snapshot's
 // database under ctx and the store's resource budgets, with optional

@@ -1,8 +1,10 @@
 package db2rdf
 
 import (
+	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"db2rdf/internal/rdf"
@@ -325,6 +327,39 @@ func TestExplainArtifacts(t *testing.T) {
 	}
 	if !strings.Contains(ex.SQL, "WITH") {
 		t.Errorf("SQL should use CTEs:\n%s", ex.SQL)
+	}
+}
+
+// TestAnalyzeCompilesOnce: EXPLAIN ANALYZE compiles the query once and
+// explains the plan it ran, so a property-path query materializes each
+// closure once, not once for the explanation and again to execute.
+func TestAnalyzeCompilesOnce(t *testing.T) {
+	s, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iri := rdf.NewIRI
+	if err := s.LoadTriples([]rdf.Triple{
+		rdf.NewTriple(iri("a"), iri("knows"), iri("b")),
+		rdf.NewTriple(iri("b"), iri("knows"), iri("c")),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := atomic.LoadInt64(&pathTableN)
+	an, err := s.Analyze(`SELECT ?y WHERE { <a> <knows>+ ?y }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := atomic.LoadInt64(&pathTableN) - before; n != 1 {
+		t.Fatalf("one Analyze materialized %d closure tables, want 1", n)
+	}
+	if len(an.Results.Rows) != 2 {
+		t.Fatalf("a knows+ ?y: %v", an.Results.Rows)
+	}
+	// The explanation is the plan that ran: its SQL reads the temporary
+	// this run created.
+	if want := fmt.Sprintf("PATHTMP_%d", before+1); !strings.Contains(an.Explanation.SQL, want) {
+		t.Fatalf("explanation SQL does not read %s:\n%s", want, an.Explanation.SQL)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"db2rdf/internal/rdf"
-	"db2rdf/internal/rel"
 	"db2rdf/internal/sparql"
 	"db2rdf/internal/store"
 )
@@ -30,23 +29,11 @@ func (s *Store) QueryGraphContext(ctx context.Context, q string) (out []rdf.Trip
 	// One metrics observation for the whole graph query (the secondary
 	// queries it runs internally are not counted separately); rows
 	// emitted counts the returned triples.
-	defer func() {
-		s.metrics.observeQuery(time.Since(start), len(out), err)
-		if t := s.opts.SlowQueryThreshold; t > 0 && time.Since(start) >= t {
-			s.metrics.slowQueries.Add(1)
-			if cb := s.opts.SlowQueryLog; cb != nil {
-				cb(SlowQuery{Query: q, Duration: time.Since(start), Rows: len(out), Err: err})
-			}
-		}
-	}()
-	defer func() {
-		if p := recover(); p != nil {
-			out, err = nil, attachQuery(q, rel.NewPanicError(p))
-		}
-	}()
+	defer func() { s.observeQuery(q, time.Since(start), len(out), nil, err) }()
+	defer guard(q, &err)
 	ctx, cancel := s.governCtx(ctx)
 	defer cancel()
-	parsed, err := sparql.Parse(q)
+	parsed, err := parseQuery(q)
 	if err != nil {
 		return nil, err
 	}
@@ -63,69 +50,25 @@ func (s *Store) QueryGraphContext(ctx context.Context, q string) (out []rdf.Trip
 }
 
 // construct runs the WHERE clause and instantiates the template once
-// per solution. Instantiations with unbound variables, literal
-// subjects or non-IRI predicates are skipped, per the SPARQL spec.
+// per solution (instantiateTemplate, shared with Update).
 func (s *Store) construct(ctx context.Context, snap *store.Snapshot, parsed *sparql.Query, original string) ([]rdf.Triple, error) {
 	res, err := s.queryOn(ctx, snap, original) // reparsed internally; keeps one code path
 	if err != nil {
 		return nil, err
 	}
-	varIdx := map[string]int{}
-	for i, v := range res.Vars {
-		varIdx[v] = i
-	}
-	resolve := func(tv sparql.TermOrVar, row []Binding) (rdf.Term, bool) {
-		if !tv.IsVar {
-			return tv.Term, true
-		}
-		i, ok := varIdx[tv.Var]
-		if !ok || !row[i].Bound {
-			return rdf.Term{}, false
-		}
-		return row[i].Term, true
-	}
-	var out []rdf.Triple
-	seen := map[rdf.Triple]bool{}
-	for _, row := range res.Rows {
-		for _, tmpl := range parsed.Construct {
-			sub, ok := resolve(tmpl.S, row)
-			if !ok || sub.IsLiteral() {
-				continue
-			}
-			pred, ok := resolve(tmpl.P, row)
-			if !ok || !pred.IsIRI() {
-				continue
-			}
-			obj, ok := resolve(tmpl.O, row)
-			if !ok {
-				continue
-			}
-			tr := rdf.NewTriple(sub, pred, obj)
-			if !seen[tr] {
-				seen[tr] = true
-				out = append(out, tr)
-			}
-		}
-	}
-	return out, nil
+	return instantiateTemplate(parsed.Construct, res, false), nil
 }
 
 // queryPattern builds a one-triple-pattern SELECT query directly as an
-// AST and runs it through optimize/translate/execute. Constructing the
-// AST (rather than rendering terms into a query string and reparsing)
-// keeps terms exact — escaped literals and blank nodes do not survive a
-// round trip through the SPARQL grammar — and skips a full parse per
-// lookup.
+// AST and runs it. Constructing the AST (rather than rendering terms
+// into a query string and reparsing) keeps terms exact — escaped
+// literals and blank nodes do not survive a round trip through the
+// SPARQL grammar — and skips a full parse per lookup.
 func (s *Store) queryPattern(ctx context.Context, snap *store.Snapshot, sub, pred, obj sparql.TermOrVar, vars []string) (*Results, error) {
 	where := &sparql.Pattern{Kind: sparql.Simple}
 	tp := &sparql.TriplePattern{ID: 1, S: sub, P: pred, O: obj, Parent: where}
 	where.Triples = []*sparql.TriplePattern{tp}
-	q := &sparql.Query{Vars: vars, Where: where, Limit: -1}
-	tr, err := s.translate(snap, q, nil)
-	if err != nil {
-		return nil, err
-	}
-	return s.execute(ctx, snap, q, tr)
+	return s.run(ctx, snap, &sparql.Query{Vars: vars, Where: where, Limit: -1})
 }
 
 // describe returns every triple in which each described resource
@@ -145,13 +88,7 @@ func (s *Store) describe(ctx context.Context, snap *store.Snapshot, parsed *spar
 		if len(parsed.Where.AllTriples()) == 0 {
 			return nil, fmt.Errorf("db2rdf: DESCRIBE with variables requires a WHERE clause")
 		}
-		// Re-render is avoidable: run the pattern via the normal
-		// pipeline using the parsed query (Star projection).
-		tr, err := s.translate(snap, parsed, nil)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.execute(ctx, snap, parsed, tr)
+		res, err := s.run(ctx, snap, parsed)
 		if err != nil {
 			return nil, err
 		}

@@ -97,6 +97,38 @@ func TestDescribeVariable(t *testing.T) {
 	}
 }
 
+// TestDescribePropertyPath: a DESCRIBE whose WHERE clause uses a
+// property path materializes the closure like any other query form.
+func TestDescribePropertyPath(t *testing.T) {
+	s := graphStore(t)
+	ts, err := s.QueryGraph(`PREFIX g: <http://g/>
+		DESCRIBE ?x WHERE { ?x g:knows+ g:carol }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ?x is alice (via bob) and bob.
+	g := func(s string) rdf.Term { return rdf.NewIRI("http://g/" + s) }
+	want := []rdf.Triple{
+		rdf.NewTriple(g("alice"), g("knows"), g("bob")),
+		rdf.NewTriple(g("alice"), g("age"), rdf.NewInteger(30)),
+		rdf.NewTriple(g("bob"), g("knows"), g("carol")),
+		rdf.NewTriple(g("bob"), g("age"), rdf.NewInteger(25)),
+	}
+	if got, w := sortedLines(ts), sortedLines(want); got != w {
+		t.Fatalf("describe ?x knows+ carol:\n%s\nwant:\n%s", got, w)
+	}
+}
+
+// sortedLines renders triples as sorted N-Triples lines.
+func sortedLines(ts []rdf.Triple) string {
+	lines := make([]string, len(ts))
+	for i, tr := range ts {
+		lines[i] = tr.String()
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
 func TestQueryGraphRejectsSelect(t *testing.T) {
 	s := graphStore(t)
 	if _, err := s.QueryGraph(`SELECT ?x WHERE { ?x ?p ?o }`); err == nil {

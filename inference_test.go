@@ -92,6 +92,49 @@ func TestInferenceDirectTypeStillWorks(t *testing.T) {
 	}
 }
 
+// TestInferenceEveryWhereClause: the subclass rewrite applies to the
+// WHERE of a DESCRIBE and of an Update exactly as to a SELECT's.
+func TestInferenceEveryWhereClause(t *testing.T) {
+	const prefixes = `PREFIX h: <http://h/> PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> `
+	inf := loadInference(t, true)
+	ts, err := inf.QueryGraph(prefixes + `DESCRIBE ?x WHERE { ?x rdf:type h:Person }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// gina (type and name), sam and pat (one type each).
+	if len(ts) != 4 {
+		t.Errorf("describe of every Person: want 4 triples, got %v", ts)
+	}
+	sel, err := inf.Query(prefixes + `SELECT ?x WHERE { ?x rdf:type h:Person }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := inf.Update(prefixes + `INSERT { ?x h:isPerson "y" } WHERE { ?x rdf:type h:Person }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Inserted != 3 || res.Inserted != len(sel.Rows) {
+		t.Fatalf("insert over every Person: inserted %d, SELECT returns %d rows, want 3", res.Inserted, len(sel.Rows))
+	}
+	// DELETE WHERE's template is its pattern as written: the WHERE
+	// matches every Person, but only the declared pat rdf:type h:Person
+	// exists to delete; gina's and sam's own type triples stay.
+	res, err = inf.Update(prefixes + `DELETE WHERE { ?x rdf:type h:Person }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Deleted != 1 {
+		t.Errorf("delete where over every Person: deleted %d, want 1", res.Deleted)
+	}
+	ask, err := inf.Query(prefixes + `ASK { <http://h/gina> rdf:type h:GraduateStudent . <http://h/sam> rdf:type h:Student }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ask.Ask {
+		t.Error("delete where over every Person removed gina's or sam's declared type")
+	}
+}
+
 func TestInferenceVariableClass(t *testing.T) {
 	// ?x rdf:type ?c under inference: every (instance, superclass) pair.
 	inf := loadInference(t, true)

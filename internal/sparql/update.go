@@ -140,7 +140,15 @@ func (p *parser) updateOp() (*UpdateOp, error) {
 				len(op.Where.Filters) > 0 || len(op.Closures) > 0 {
 				return nil, p.errf("DELETE WHERE requires a plain triple-pattern group")
 			}
-			op.DeleteTempl = op.Where.Triples
+			// The template gets its own copies: compiling the WHERE
+			// rewrites its triples in place (the inference rewrite
+			// replaces a type pattern's object with a fresh variable),
+			// and that must not change what is deleted.
+			for _, t := range op.Where.Triples {
+				c := *t
+				c.Parent = nil
+				op.DeleteTempl = append(op.DeleteTempl, &c)
+			}
 			return op, checkNoBlank(p, op.DeleteTempl)
 		}
 		tmpl, err := p.tripleTemplate("update templates")

@@ -198,6 +198,15 @@ func TestAnalyzeEstimateVsActual(t *testing.T) {
 		if an.Results == nil {
 			t.Fatalf("%s: no results", cq.Name)
 		}
+		// The analysis explains the plan that ran, which is the plan
+		// Explain compiles.
+		ex, err := s.Explain(cq.SPARQL)
+		if err != nil {
+			t.Fatalf("%s: %v", cq.Name, err)
+		}
+		if a := an.Explanation; a.Flow != ex.Flow || a.Tree != ex.Tree || a.Plan != ex.Plan || a.SQL != ex.SQL {
+			t.Fatalf("%s: Analyze explained\n%+v\nExplain says\n%+v", cq.Name, a, ex)
+		}
 		// Totals must match the decoded result set (ASK queries return
 		// at most one relational row).
 		if !an.Results.IsAsk && an.Stats.Rows != int64(len(an.Results.Rows)) {

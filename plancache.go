@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"db2rdf/internal/optimizer"
 	"db2rdf/internal/rel"
 	"db2rdf/internal/sparql"
 	"db2rdf/internal/translator"
@@ -27,21 +28,25 @@ import (
 const defaultPlanCacheSize = 256
 
 // compiledPlan is one fully compiled query: the rewritten SPARQL AST
-// (needed for projection of the unit solution), the translation
-// result, and the parsed relational AST, ready for rel.DB.Exec. All
-// fields are read-only after construction, so one compiledPlan may be
-// executed by any number of concurrent queries.
+// (needed for projection of the unit solution), the optimizer's flow
+// and execution tree (rendered by EXPLAIN ANALYZE), the translation
+// result (with the query plan), and the parsed relational AST, ready
+// for rel.DB.Exec. None of it references the snapshot it was compiled
+// on. All fields are read-only after construction, so one compiledPlan
+// may be executed by any number of concurrent queries.
 type compiledPlan struct {
 	key    string
 	epoch  uint64
 	parsed *sparql.Query
+	exec   *optimizer.ExecNode
+	flow   *optimizer.Flow
 	tr     *translator.Result
 	rq     *rel.Query // nil when tr.SQL is empty (empty-pattern query)
 }
 
 // planCache is a mutex-guarded LRU map from query text to compiled
-// plan. It is a leaf lock: nothing is acquired while holding it, and
-// it is taken by readers holding the store read lock.
+// plan. It is a leaf lock: nothing is acquired while holding it. Readers
+// take it without any store lock (they run on a published snapshot).
 //
 // Accounting: every counter is mutated under mu, in the same critical
 // section as the map/list change it describes, so a snapshot taken

@@ -57,6 +57,7 @@ func TestSyntaxErrorIsTyped(t *testing.T) {
 	_, checks["SolveContext"] = s.SolveContext(context.Background(), bad)
 	_, checks["Explain"] = s.Explain(bad)
 	_, checks["Analyze"] = s.Analyze(bad)
+	_, checks["QueryGraph"] = s.QueryGraph(bad)
 	for name, err := range checks {
 		var se *SyntaxError
 		if !errors.As(err, &se) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"db2rdf/internal/rdf"
-	"db2rdf/internal/rel"
 	"db2rdf/internal/sparql"
 )
 
@@ -65,11 +64,7 @@ func (s *Store) UpdateContext(ctx context.Context, u string) (res *UpdateResult,
 		}
 		s.metrics.observeUpdate(time.Since(start), deleted, err)
 	}()
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, attachQuery(u, rel.NewPanicError(p))
-		}
-	}()
+	defer guard(u, &err)
 	ctx, cancel := s.governCtx(ctx)
 	defer cancel()
 	parsed, err := sparql.ParseUpdate(u)
@@ -150,17 +145,7 @@ func (s *Store) applyModify(ctx context.Context, prefixes map[string]string, op 
 		Closures: op.Closures,
 		Limit:    -1,
 	}
-	snap := s.inner.LiveSnapshot()
-	virtual, cleanup, err := s.materializeClosures(ctx, snap, q)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	tr, err := s.translate(snap, q, virtual)
-	if err != nil {
-		return err
-	}
-	res, err := s.execute(ctx, snap, q, tr)
+	res, err := s.run(ctx, s.inner.LiveSnapshot(), q)
 	if err != nil {
 		return err
 	}
@@ -197,13 +182,14 @@ func (s *Store) applyModify(ctx context.Context, prefixes map[string]string, op 
 	return nil
 }
 
-// instantiateTemplate grounds a template against every solution,
-// mirroring CONSTRUCT instantiation: solutions leaving a template
-// variable unbound are skipped for that triple, as are ill-formed
-// instantiations (literal subject, non-IRI predicate). freshBlanks
-// controls blank node handling — an INSERT template's blank label
-// yields a fresh blank node per solution (shared across the triples of
-// that solution); DELETE templates have none (rejected at parse).
+// instantiateTemplate grounds a CONSTRUCT or DELETE/INSERT template
+// against every solution, deduplicated in first-seen order: solutions
+// leaving a template variable unbound are skipped for that triple, as
+// are ill-formed instantiations (literal subject, non-IRI predicate),
+// per the SPARQL spec. freshBlanks controls blank node handling — an
+// INSERT template's blank label yields a fresh blank node per solution
+// (shared across the triples of that solution); DELETE templates have
+// none (rejected at parse).
 func instantiateTemplate(tmpl []*sparql.TriplePattern, res *Results, freshBlanks bool) []rdf.Triple {
 	if len(tmpl) == 0 {
 		return nil
