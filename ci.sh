@@ -21,6 +21,8 @@ go test -race -count=1 \
     -run 'TestSyntaxErrorIsTyped|TestDescribe|TestInference|TestAnalyze|TestExplainArtifacts|TestPathExplain' .
 echo "== load paths vs the brute-force oracle (sequential / parallel loader, workers 1 / 4) =="
 go test -race -run 'TestStorageEquivalence' -count=1 .
+echo "== statistics (derived from the snapshot: held-snapshot plans repeat, counts match Export) =="
+go test -race -count=1 -run 'TestStatisticsFollowSnapshot|TestDerivedStatisticsMatchOracle' .
 echo "== abort paths (governance, fault injection, panic containment) =="
 go test -race -count=1 \
     -run 'TestExecContext|TestFault|TestPanic|TestAbort|Budget|TestQueryContext|TestDeadline|TestQueryTimeout|TestEarlierParent|TestGraphQueryGovernance|TestPathClosureGovernance|TestExplainGovernance' \

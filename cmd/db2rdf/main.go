@@ -157,17 +157,16 @@ func realMain(loads []string, query, queryFile, update string, explain, run, sta
 	}
 
 	if stats {
-		inner := store.Internal()
-		inner.RLock()
-		fmt.Printf("total triples: %.0f\n", inner.Stats().TotalTriples())
-		fmt.Printf("avg triples/subject: %.2f\n", inner.Stats().AvgPerSubject())
-		fmt.Printf("avg triples/object: %.2f\n", inner.Stats().AvgPerObject())
-		fmt.Printf("direct spills: %d, reverse spills: %d\n", inner.SpillCount(false), inner.SpillCount(true))
+		snap := store.Internal().Snapshot()
+		sv := snap.StatsView()
+		fmt.Printf("total triples: %.0f\n", sv.TotalTriples())
+		fmt.Printf("avg triples/subject: %.2f\n", sv.AvgPerSubject())
+		fmt.Printf("avg triples/object: %.2f\n", sv.AvgPerObject())
+		fmt.Printf("direct spills: %d, reverse spills: %d\n", snap.SpillCount(false), snap.SpillCount(true))
 		fmt.Println("top constants:")
-		for _, line := range inner.Stats().TopConstants(10, inner.Dict) {
+		for _, line := range snap.TopConstants(10) {
 			fmt.Println("  " + line)
 		}
-		inner.RUnlock()
 	}
 
 	if update != "" {

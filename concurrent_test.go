@@ -166,9 +166,6 @@ func TestLoadParallelMatchesSequential(t *testing.T) {
 		if a, _ := sv.ObjectCount(term); a != mustCount(pv.ObjectCount(term)) {
 			t.Errorf("object count for %s differs", term)
 		}
-		if a, _ := sv.PredicateCount(term); a != mustCount(pv.PredicateCount(term)) {
-			t.Errorf("predicate count for %s differs", term)
-		}
 	}
 }
 

@@ -467,8 +467,8 @@ func (s *Store) compile(ctx context.Context, snap *store.Snapshot, parsed *sparq
 	}()
 	cp := &compiledPlan{epoch: snap.Epoch(), parsed: parsed}
 	if s.opts.DisableHybridOptimizer {
-		cp.exec, cp.flow = optimizer.OptimizeNaive(parsed, s.inner.StatsView())
-	} else if cp.exec, cp.flow, err = optimizer.Optimize(parsed, s.inner.StatsView()); err != nil {
+		cp.exec, cp.flow = optimizer.OptimizeNaive(parsed, snap.StatsView())
+	} else if cp.exec, cp.flow, err = optimizer.Optimize(parsed, snap.StatsView()); err != nil {
 		return nil, nil, err
 	}
 	backend := translator.NewDB2RDF(snap)

@@ -41,7 +41,7 @@ type TripleStore struct {
 	DB    *rel.DB
 	Dict  *dict.Dict
 	table *rel.Table
-	stats *store.Stats
+	stats *counts
 	opts  TripleOptions
 	seen  map[[3]int64]bool
 }
@@ -72,11 +72,12 @@ func NewTripleStore(opts TripleOptions) (*TripleStore, error) {
 			return nil, err
 		}
 	}
+	d := dict.New()
 	ts := &TripleStore{
 		DB:    db,
-		Dict:  dict.New(),
+		Dict:  d,
 		table: t,
-		stats: store.NewStats(1000),
+		stats: newCounts(d),
 		seen:  make(map[[3]int64]bool),
 	}
 	registerValueFuncs(db, ts.Dict)
@@ -93,7 +94,7 @@ func (s *TripleStore) Insert(t rdf.Triple) error {
 		return nil
 	}
 	s.seen[key] = true
-	s.stats.Record(sid, pid, oid)
+	s.stats.record(sid, oid)
 	return s.table.Insert(rel.Row{rel.Int(sid), rel.Int(pid), rel.Int(oid)})
 }
 
@@ -128,12 +129,12 @@ func (s *TripleStore) Load(r io.Reader) (int, error) {
 
 // Query runs a SPARQL query against the baseline.
 func (s *TripleStore) Query(q string) (*Results, error) {
-	return runQuery(q, s.DB, s.Dict, store.NewStatsView(s.stats, s.Dict), s, s.opts.Naive)
+	return runQuery(q, s.DB, s.Dict, s.stats, s, s.opts.Naive)
 }
 
 // SQLFor returns the generated SQL for a query (for tests and Fig. 2).
 func (s *TripleStore) SQLFor(q string) (string, error) {
-	return sqlFor(q, s.Dict, store.NewStatsView(s.stats, s.Dict), s, s.opts.Naive)
+	return sqlFor(q, s.Dict, s.stats, s, s.opts.Naive)
 }
 
 // LookupID implements translator.Backend.

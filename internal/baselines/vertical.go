@@ -26,7 +26,7 @@ type VerticalOptions struct {
 type VerticalStore struct {
 	DB    *rel.DB
 	Dict  *dict.Dict
-	stats *store.Stats
+	stats *counts
 	opts  VerticalOptions
 	// tableFor maps a predicate id to its relation name.
 	tableFor map[int64]string
@@ -36,10 +36,11 @@ type VerticalStore struct {
 // NewVerticalStore creates an empty predicate-oriented baseline.
 func NewVerticalStore(opts VerticalOptions) (*VerticalStore, error) {
 	db := rel.NewDB()
+	d := dict.New()
 	vs := &VerticalStore{
 		DB:       db,
-		Dict:     dict.New(),
-		stats:    store.NewStats(1000),
+		Dict:     d,
+		stats:    newCounts(d),
 		opts:     opts,
 		tableFor: make(map[int64]string),
 		seen:     make(map[[3]int64]bool),
@@ -77,7 +78,7 @@ func (s *VerticalStore) Insert(t rdf.Triple) error {
 		}
 		s.tableFor[pid] = name
 	}
-	s.stats.Record(sid, pid, oid)
+	s.stats.record(sid, oid)
 	return s.DB.Table(name).Insert(rel.Row{rel.Int(sid), rel.Int(oid)})
 }
 
@@ -116,12 +117,12 @@ func (s *VerticalStore) TableCount() int { return len(s.tableFor) }
 
 // Query runs a SPARQL query against the baseline.
 func (s *VerticalStore) Query(q string) (*Results, error) {
-	return runQuery(q, s.DB, s.Dict, store.NewStatsView(s.stats, s.Dict), s, s.opts.Naive)
+	return runQuery(q, s.DB, s.Dict, s.stats, s, s.opts.Naive)
 }
 
 // SQLFor returns the generated SQL for a query (Fig. 2(d)).
 func (s *VerticalStore) SQLFor(q string) (string, error) {
-	return sqlFor(q, s.Dict, store.NewStatsView(s.stats, s.Dict), s, s.opts.Naive)
+	return sqlFor(q, s.Dict, s.stats, s, s.opts.Naive)
 }
 
 // LookupID implements translator.Backend.

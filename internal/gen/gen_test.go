@@ -46,17 +46,17 @@ func TestGeneratorsProduceValidRDF(t *testing.T) {
 func TestMicroDistribution(t *testing.T) {
 	ds := Micro(50000)
 	// Count subjects per predicate.
-	bySubj := map[string]map[string]bool{}
+	predsOf := map[string]map[string]bool{}
 	for _, tr := range ds.Triples {
-		if bySubj[tr.S.Value] == nil {
-			bySubj[tr.S.Value] = map[string]bool{}
+		if predsOf[tr.S.Value] == nil {
+			predsOf[tr.S.Value] = map[string]bool{}
 		}
-		bySubj[tr.S.Value][tr.P.Value] = true
+		predsOf[tr.S.Value][tr.P.Value] = true
 	}
-	total := len(bySubj)
+	total := len(predsOf)
 	withAllSV := 0
 	withSV5 := 0
-	for _, preds := range bySubj {
+	for _, preds := range predsOf {
 		if preds["http://micro/SV1"] && preds["http://micro/SV2"] && preds["http://micro/SV3"] && preds["http://micro/SV4"] {
 			withAllSV++
 		}
@@ -76,7 +76,7 @@ func TestMicroDistribution(t *testing.T) {
 	// Individual predicates are unselective: SV1 appears on ~74% of
 	// subjects (rows 1, 2, 3, 5 of Table 1).
 	withSV1 := 0
-	for _, preds := range bySubj {
+	for _, preds := range predsOf {
 		if preds["http://micro/SV1"] {
 			withSV1++
 		}

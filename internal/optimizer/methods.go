@@ -55,7 +55,6 @@ type Stats interface {
 	AvgPerObject() float64
 	SubjectCount(t rdf.Term) (float64, bool)
 	ObjectCount(t rdf.Term) (float64, bool)
-	PredicateCount(t rdf.Term) (float64, bool)
 }
 
 // TMC implements Definition 3.1 (Triple Method Cost): the estimated

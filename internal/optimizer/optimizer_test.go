@@ -25,9 +25,8 @@ func lookupPaper(t rdf.Term) (float64, bool) {
 	n, ok := paperCounts[t.Value]
 	return n, ok
 }
-func (paperStats) SubjectCount(t rdf.Term) (float64, bool)   { return lookupPaper(t) }
-func (paperStats) ObjectCount(t rdf.Term) (float64, bool)    { return lookupPaper(t) }
-func (paperStats) PredicateCount(t rdf.Term) (float64, bool) { return lookupPaper(t) }
+func (paperStats) SubjectCount(t rdf.Term) (float64, bool) { return lookupPaper(t) }
+func (paperStats) ObjectCount(t rdf.Term) (float64, bool)  { return lookupPaper(t) }
 
 const fig6Query = `
 SELECT ?x ?y ?z WHERE {
@@ -273,10 +272,6 @@ func (f fixedStats) SubjectCount(t rdf.Term) (float64, bool) {
 	return n, ok
 }
 func (f fixedStats) ObjectCount(t rdf.Term) (float64, bool) {
-	n, ok := f.counts[t.Value]
-	return n, ok
-}
-func (f fixedStats) PredicateCount(t rdf.Term) (float64, bool) {
 	n, ok := f.counts[t.Value]
 	return n, ok
 }

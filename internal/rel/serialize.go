@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+
+	"db2rdf/internal/binenc"
 )
 
 // Columnar snapshot serialization (DESIGN.md §9). A table's chunked
@@ -228,77 +230,6 @@ func appendValue(buf []byte, v Value) []byte {
 	return buf
 }
 
-// cursor is a bounds-checked decoder over a byte slice. Every read
-// records the first error and subsequently yields zero values, so
-// decode loops stay panic-free on arbitrary input.
-type cursor struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (c *cursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (c *cursor) remaining() int { return len(c.data) - c.off }
-
-func (c *cursor) u8() byte {
-	if c.err != nil || c.off >= len(c.data) {
-		c.fail("rel: snapshot decode: truncated input")
-		return 0
-	}
-	b := c.data[c.off]
-	c.off++
-	return b
-}
-
-func (c *cursor) bytes(n int) []byte {
-	if c.err != nil || n < 0 || n > c.remaining() {
-		c.fail("rel: snapshot decode: truncated input")
-		return nil
-	}
-	b := c.data[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
-func (c *cursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.data[c.off:])
-	if n <= 0 {
-		c.fail("rel: snapshot decode: bad uvarint")
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *cursor) varint() int64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(c.data[c.off:])
-	if n <= 0 {
-		c.fail("rel: snapshot decode: bad varint")
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	b := c.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
 // DecodeSnapshot rebuilds the table's contents from data produced by
 // EncodeSnapshot. The table must be empty and have the same schema
 // width as the encoder's. Indexes are not rebuilt; callers
@@ -320,11 +251,11 @@ func (t *Table) DecodeSnapshot(data []byte) error {
 }
 
 func (t *Table) decodeSnapshotLocked(data []byte) error {
-	c := &cursor{data: data}
-	nrows := c.uvarint()
-	ncols := c.uvarint()
-	if c.err != nil {
-		return c.err
+	c := binenc.NewReader(data)
+	nrows := c.Uvarint()
+	ncols := c.Uvarint()
+	if c.Err() != nil {
+		return decodeErr(c)
 	}
 	if ncols != uint64(len(t.Schema)) {
 		return fmt.Errorf("rel: table %s: snapshot has %d columns, schema has %d", t.Name, ncols, len(t.Schema))
@@ -333,20 +264,20 @@ func (t *Table) decodeSnapshotLocked(data []byte) error {
 	// Each encoded chunk consumes at least one byte, so a valid chunk
 	// count can never exceed the remaining input. This bounds every
 	// allocation below by the input size.
-	ntomb := c.uvarint()
-	if ntomb > maxChunks || ntomb > uint64(c.remaining()) {
+	ntomb := c.Uvarint()
+	if ntomb > maxChunks || ntomb > uint64(c.Remaining()) {
 		return fmt.Errorf("rel: table %s: bad tombstone chunk count %d", t.Name, ntomb)
 	}
 	var tomb []*tombChunk
 	dead := 0
-	for i := uint64(0); i < ntomb && c.err == nil; i++ {
-		if c.u8() == 0 {
+	for i := uint64(0); i < ntomb && c.Err() == nil; i++ {
+		if c.U8() == 0 {
 			tomb = append(tomb, nil)
 			continue
 		}
 		tc := &tombChunk{}
 		for w := 0; w < chunkWords; w++ {
-			tc.bits[w] = c.u64()
+			tc.bits[w] = c.U64()
 			tc.dead += bits.OnesCount64(tc.bits[w])
 		}
 		dead += tc.dead
@@ -355,28 +286,25 @@ func (t *Table) decodeSnapshotLocked(data []byte) error {
 	cols := make([]*colVec, len(t.Schema))
 	for j := range t.Schema {
 		v := &colVec{typ: t.Schema[j].Type}
-		nchunks := c.uvarint()
-		if nchunks > maxChunks || nchunks > uint64(c.remaining()) {
+		nchunks := c.Uvarint()
+		if nchunks > maxChunks || nchunks > uint64(c.Remaining()) {
 			return fmt.Errorf("rel: table %s: bad chunk count %d", t.Name, nchunks)
 		}
-		for ci := uint64(0); ci < nchunks && c.err == nil; ci++ {
-			ck, nexc, err := decodeChunk(c, v.typ)
-			if err != nil {
-				return err
-			}
+		for ci := uint64(0); ci < nchunks && c.Err() == nil; ci++ {
+			ck, nexc := decodeChunk(c, v.typ)
 			v.excCount += nexc
 			v.chunks = append(v.chunks, ck)
 		}
-		if c.err != nil {
-			return c.err
+		if c.Err() != nil {
+			return decodeErr(c)
 		}
 		cols[j] = v
 	}
-	if c.err != nil {
-		return c.err
+	if c.Err() != nil {
+		return decodeErr(c)
 	}
-	if c.remaining() != 0 {
-		return fmt.Errorf("rel: table %s: %d trailing bytes after snapshot", t.Name, c.remaining())
+	if c.Remaining() != 0 {
+		return fmt.Errorf("rel: table %s: %d trailing bytes after snapshot", t.Name, c.Remaining())
 	}
 	if dead > int(nrows) {
 		return fmt.Errorf("rel: table %s: %d tombstoned rows exceed %d total", t.Name, dead, nrows)
@@ -388,14 +316,21 @@ func (t *Table) decodeSnapshotLocked(data []byte) error {
 	return nil
 }
 
-func decodeChunk(c *cursor, typ ColumnType) (*colChunk, int, error) {
-	marker := c.u8()
+// decodeErr prefixes the reader's first error for DecodeSnapshot.
+func decodeErr(c *binenc.Reader) error {
+	return fmt.Errorf("rel: snapshot decode: %w", c.Err())
+}
+
+// decodeChunk reads one column chunk, recording any error in c (the
+// chunk is then nil).
+func decodeChunk(c *binenc.Reader, typ ColumnType) (*colChunk, int) {
+	marker := c.U8()
 	if marker == chunkAbsent {
-		return nil, 0, c.err
+		return nil, 0
 	}
 	if marker > chunkDensePacked {
-		c.fail("rel: snapshot decode: bad chunk marker %d", marker)
-		return nil, 0, c.err
+		c.Fail("bad chunk marker %d", marker)
+		return nil, 0
 	}
 	dense := marker == chunkDenseRaw || marker == chunkDensePacked
 	packed := marker == chunkPacked || marker == chunkDensePacked
@@ -410,72 +345,72 @@ func decodeChunk(c *cursor, typ ColumnType) (*colChunk, int, error) {
 	} else {
 		ck.bits = newBits()
 		for w := 0; w < chunkWords; w++ {
-			ck.bits[w] = c.u64()
+			ck.bits[w] = c.U64()
 			ck.n += bits.OnesCount64(ck.bits[w])
 		}
 	}
-	if c.err != nil {
-		return nil, 0, c.err
+	if c.Err() != nil {
+		return nil, 0
 	}
 	switch {
 	case packed:
 		if typ != TInt {
-			c.fail("rel: snapshot decode: packed chunk in non-int column")
-			return nil, 0, c.err
+			c.Fail("packed chunk in non-int column")
+			return nil, 0
 		}
 		ck.sealed = true
-		ck.ref = c.varint()
-		w := uint(c.u8())
-		nwords := c.uvarint()
+		ck.ref = c.Varint()
+		w := uint(c.U8())
+		nwords := c.Uvarint()
 		// The word count is fully determined by n and w, which bounds
 		// the allocation at chunkRows words.
 		if w > maxPackWidth {
-			c.fail("rel: snapshot decode: bad packed chunk (width %d, %d words)", w, nwords)
-			return nil, 0, c.err
+			c.Fail("bad packed chunk (width %d, %d words)", w, nwords)
+			return nil, 0
 		}
 		if nwords != uint64(packWords(ck.n, w)) {
-			c.fail("rel: snapshot decode: bad packed chunk (width %d, %d words)", w, nwords)
-			return nil, 0, c.err
+			c.Fail("bad packed chunk (width %d, %d words)", w, nwords)
+			return nil, 0
 		}
 		ck.packedW = uint8(w)
 		ck.packed = make([]uint64, nwords)
 		for i := range ck.packed {
-			ck.packed[i] = c.u64()
+			ck.packed[i] = c.U64()
 		}
 	case typ == TInt:
 		ck.ints = make([]int64, ck.n)
 		for k := range ck.ints {
-			ck.ints[k] = c.varint()
+			ck.ints[k] = c.Varint()
 		}
 	case typ == TFloat:
 		ck.floats = make([]float64, ck.n)
 		for k := range ck.floats {
-			ck.floats[k] = math.Float64frombits(c.u64())
+			ck.floats[k] = math.Float64frombits(c.U64())
 		}
 	default:
 		ck.strs = make([]string, ck.n)
 		for k := range ck.strs {
-			ln := c.uvarint()
-			if ln > uint64(c.remaining()) {
-				c.fail("rel: snapshot decode: string length %d beyond input", ln)
+			ln := c.Uvarint()
+			if ln > uint64(c.Remaining()) {
+				c.Fail("string length %d beyond input", ln)
 				break
 			}
-			ck.strs[k] = string(c.bytes(int(ln)))
+			ck.strs[k] = string(c.Bytes(int(ln)))
 		}
 	}
 	if typ == TInt {
-		ck.zoneInit = c.u8() == 1
-		ck.min = c.varint()
-		ck.max = c.varint()
+		ck.zoneInit = c.U8() == 1
+		ck.min = c.Varint()
+		ck.max = c.Varint()
 	}
-	nexc := c.uvarint()
-	if nexc > uint64(ck.n) || nexc > uint64(c.remaining()) {
-		c.fail("rel: snapshot decode: bad exception count %d", nexc)
+	nexc := c.Uvarint()
+	if nexc > uint64(ck.n) || nexc > uint64(c.Remaining()) {
+		c.Fail("bad exception count %d", nexc)
 	}
-	for i := uint64(0); i < nexc && c.err == nil; i++ {
-		off := c.uvarint()
+	for i := uint64(0); i < nexc && c.Err() == nil; i++ {
+		off := c.Uvarint()
 		if off >= chunkRows {
-			c.fail("rel: snapshot decode: exception offset %d out of range", off)
+			c.Fail("exception offset %d out of range", off)
 			break
 		}
 		v := decodeValue(c)
@@ -484,31 +419,31 @@ func decodeChunk(c *cursor, typ ColumnType) (*colChunk, int, error) {
 		}
 		ck.exc[uint16(off)] = v
 	}
-	if c.err != nil {
-		return nil, 0, c.err
+	if c.Err() != nil {
+		return nil, 0
 	}
-	return ck, len(ck.exc), nil
+	return ck, len(ck.exc)
 }
 
-func decodeValue(c *cursor) Value {
-	switch Kind(c.u8()) {
+func decodeValue(c *binenc.Reader) Value {
+	switch Kind(c.U8()) {
 	case KindNull:
 		return Null
 	case KindInt:
-		return Int(c.varint())
+		return Int(c.Varint())
 	case KindFloat:
-		return Float(math.Float64frombits(c.u64()))
+		return Float(math.Float64frombits(c.U64()))
 	case KindString:
-		ln := c.uvarint()
-		if ln > uint64(c.remaining()) {
-			c.fail("rel: snapshot decode: string length %d beyond input", ln)
+		ln := c.Uvarint()
+		if ln > uint64(c.Remaining()) {
+			c.Fail("string length %d beyond input", ln)
 			return Null
 		}
-		return Str(string(c.bytes(int(ln))))
+		return Str(string(c.Bytes(int(ln))))
 	case KindBool:
-		return Bool(c.u8() == 1)
+		return Bool(c.U8() == 1)
 	default:
-		c.fail("rel: snapshot decode: unknown value kind")
+		c.Fail("unknown value kind")
 		return Null
 	}
 }

@@ -106,13 +106,13 @@ func (s *Store) DeleteLocked(t rdf.Triple) (bool, error) {
 // ClearLocked is Clear with the write lock already held; it returns
 // the number of triples removed and does not publish.
 func (s *Store) ClearLocked() int {
-	n := int(s.stats.TotalTriples())
+	n := int(s.triples)
 	for _, t := range []*rel.Table{s.dph, s.ds, s.rph, s.rs} {
 		t.Clear()
 	}
 	s.direct.resetState()
 	s.reverse.resetState()
-	s.stats.reset()
+	s.triples = 0
 	s.markerDeletes = 0 // resetState made every marker exact again
 	if n > 0 {
 		// One clear op supersedes any deltas captured earlier in this
@@ -145,7 +145,7 @@ func (s *Store) deleteLocked(t rdf.Triple) (bool, error) {
 	if _, err := s.reverse.remove(oid, pid, sid, t.P.Value); err != nil {
 		return true, err
 	}
-	s.stats.unrecord(sid, pid, oid)
+	s.triples--
 	s.markerDeletes++
 	s.logDelta(wal.OpDelete, sid, pid, oid)
 	return true, nil
@@ -153,7 +153,7 @@ func (s *Store) deleteLocked(t rdf.Triple) (bool, error) {
 
 // recomputeMarkersLocked rebuilds one side's spill/multi predicate
 // markers and spill count exactly from the live registries — the same
-// state rebuildSideLocked derives after a snapshot recovery. The
+// state side.rebuildLocked derives after a snapshot recovery. The
 // entity-keyed registries (entityRows, spilled, lidSets) are maintained
 // exactly across deletes, so only the predicate-keyed aggregates need
 // the rescan. The caller holds the store write lock.
@@ -310,33 +310,4 @@ func (d *side) resetState() {
 	d.spillCount = 0
 	d.predShared = false
 	d.predMu.Unlock()
-}
-
-// unrecord reverses one record call; zero-count keys are dropped so
-// per-constant estimates for fully deleted terms report exact zero.
-func (st *Stats) unrecord(sid, pid, oid int64) {
-	st.mu.Lock()
-	st.total--
-	decrCount(st.bySubj, sid)
-	decrCount(st.byObj, oid)
-	decrCount(st.byPred, pid)
-	st.mu.Unlock()
-}
-
-func decrCount(m map[int64]int64, id int64) {
-	if n := m[id] - 1; n > 0 {
-		m[id] = n
-	} else {
-		delete(m, id)
-	}
-}
-
-// reset empties the statistics (Clear support).
-func (st *Stats) reset() {
-	st.mu.Lock()
-	st.total = 0
-	st.bySubj = make(map[int64]int64)
-	st.byObj = make(map[int64]int64)
-	st.byPred = make(map[int64]int64)
-	st.mu.Unlock()
 }

@@ -33,9 +33,9 @@ import (
 // DPH/RPH in one batch per bucket, which is also what makes the bulk
 // path faster than the incremental path on a single core.
 //
-// Per-worker statistics collectors are merged at the end; duplicates
-// are detected on the direct side exactly as in Insert, so a parallel
-// load of already-loaded data leaves the statistics untouched.
+// Duplicates are detected on the direct side exactly as in Insert, so
+// only fresh triples are counted and logged: a parallel load of
+// already-loaded data changes nothing.
 
 // encTriple is a dictionary-encoded triple plus the predicate URI the
 // column mapping is keyed by.
@@ -258,11 +258,11 @@ func (s *Store) encodeTriple(t rdf.Triple) encTriple {
 }
 
 // bulkLoadLocked partitions encoded triples by entity and inserts the
-// buckets concurrently, returning the number of fresh (non-duplicate)
-// triples so the caller can decide whether to bump the epoch. The
-// caller holds the store write lock. The count may overstate what
-// landed when a bucket errors mid-append — a spurious epoch bump is
-// harmless, a missed one is not.
+// buckets concurrently, adding the number of fresh (non-duplicate)
+// triples to the triple counter and returning it so the caller can
+// decide whether to bump the epoch. The caller holds the store write
+// lock. The count may overstate what landed when a bucket errors
+// mid-append — a spurious epoch bump is harmless, a missed one is not.
 func (s *Store) bulkLoadLocked(enc []encTriple, workers int) (int, error) {
 	if len(enc) == 0 {
 		return 0, nil
@@ -281,11 +281,8 @@ func (s *Store) bulkLoadLocked(enc []encTriple, workers int) (int, error) {
 
 	// A failed bucket sets abort so sibling workers stop at their next
 	// entity-group boundary instead of loading on; all of them still
-	// drain through wg.Wait, so no goroutine leaks. The per-worker
-	// stats are merged only when every bucket succeeded, so a failed
-	// load never leaves partially merged statistics behind (the first
-	// error, in deterministic bucket order, is returned).
-	statsParts := make([]*Stats, workers)
+	// drain through wg.Wait, so no goroutine leaks (the first error, in
+	// deterministic bucket order, is returned).
 	freshParts := make([]int, workers)
 	errs := make([]error, 2*workers)
 	// Per-worker WAL delta capture (nil slots when durability is off).
@@ -302,17 +299,15 @@ func (s *Store) bulkLoadLocked(enc []encTriple, workers int) (int, error) {
 		wg.Add(2)
 		go func(w int) {
 			defer wg.Done()
-			st := newStats(s.Opts.TopK)
-			statsParts[w] = st
 			var deltas *[]walDelta
 			if deltaParts != nil {
 				deltas = &deltaParts[w]
 			}
-			freshParts[w], errs[w] = s.direct.bulkInsert(s, directBuckets[w], st, false, &abort, deltas)
+			freshParts[w], errs[w] = s.direct.bulkInsert(s, directBuckets[w], false, &abort, deltas)
 		}(w)
 		go func(w int) {
 			defer wg.Done()
-			_, errs[workers+w] = s.reverse.bulkInsert(s, reverseBuckets[w], nil, true, &abort, nil)
+			_, errs[workers+w] = s.reverse.bulkInsert(s, reverseBuckets[w], true, &abort, nil)
 		}(w)
 	}
 	wg.Wait()
@@ -320,6 +315,7 @@ func (s *Store) bulkLoadLocked(enc []encTriple, workers int) (int, error) {
 	for _, f := range freshParts {
 		fresh += f
 	}
+	s.triples += int64(fresh)
 	// Merge captured deltas even when a bucket errored: whatever landed
 	// in the tables is about to be published, so it must be logged.
 	if s.dur != nil {
@@ -331,9 +327,6 @@ func (s *Store) bulkLoadLocked(enc []encTriple, workers int) (int, error) {
 		if err != nil {
 			return fresh, err
 		}
-	}
-	for _, st := range statsParts {
-		s.stats.merge(st)
 	}
 	return fresh, nil
 }
@@ -360,7 +353,7 @@ type entityRange struct {
 // back to the incremental insert path. abort is the load-wide failure
 // flag: set on the first error, polled at entity-group boundaries so
 // sibling buckets stop early instead of completing a doomed load.
-func (d *side) bulkInsert(s *Store, bucket []encTriple, stats *Stats, reverse bool, abort *atomic.Bool, deltas *[]walDelta) (int, error) {
+func (d *side) bulkInsert(s *Store, bucket []encTriple, reverse bool, abort *atomic.Bool, deltas *[]walDelta) (int, error) {
 	if len(bucket) == 0 {
 		return 0, nil
 	}
@@ -414,9 +407,6 @@ func (d *side) bulkInsert(s *Store, bucket []encTriple, stats *Stats, reverse bo
 				}
 				if fresh {
 					freshTotal++
-					if stats != nil {
-						stats.record(e.s, e.p, e.o)
-					}
 					if deltas != nil {
 						*deltas = append(*deltas, walDelta{op: wal.OpInsert, s: e.s, p: e.p, o: e.o})
 					}
@@ -434,9 +424,6 @@ func (d *side) bulkInsert(s *Store, bucket []encTriple, stats *Stats, reverse bo
 			pendingPrimary = rows
 			if fresh {
 				freshTotal++
-				if stats != nil {
-					stats.record(e.s, e.p, e.o)
-				}
 				if deltas != nil {
 					*deltas = append(*deltas, walDelta{op: wal.OpInsert, s: e.s, p: e.p, o: e.o})
 				}

@@ -7,43 +7,32 @@ import (
 	"db2rdf/internal/rdf"
 )
 
-// statsByTerm renames a count map's dictionary ids to term strings, so
-// collectors from stores with different id assignment orders compare.
-func statsByTerm(t *testing.T, s *Store, m map[int64]int64) map[string]int64 {
+// statsEqual compares two stores' optimizer statistics: the totals,
+// both averages, and the subject and object count of every term of ts
+// (ids are store-local, so counts are compared by term).
+func statsEqual(t *testing.T, label string, a, b *Store, ts []rdf.Triple) {
 	t.Helper()
-	out := make(map[string]int64, len(m))
-	for id, n := range m {
-		term, err := s.Dict.Decode(id)
-		if err != nil {
-			t.Fatalf("decode %d: %v", id, err)
-		}
-		out[term.String()] = n
+	av, bv := a.StatsView(), b.StatsView()
+	if av.TotalTriples() != bv.TotalTriples() {
+		t.Errorf("%s: total %v != %v", label, av.TotalTriples(), bv.TotalTriples())
 	}
-	return out
-}
-
-// statsEqual compares two stores' collectors term by term (ids are
-// store-local, so raw maps are not comparable).
-func statsEqual(t *testing.T, label string, a, b *Store) {
-	t.Helper()
-	as, bs := a.Stats(), b.Stats()
-	if as.total != bs.total {
-		t.Errorf("%s: total %d != %d", label, as.total, bs.total)
+	if av.AvgPerSubject() != bv.AvgPerSubject() || av.AvgPerObject() != bv.AvgPerObject() {
+		t.Errorf("%s: averages %v/%v != %v/%v", label, av.AvgPerSubject(), av.AvgPerObject(), bv.AvgPerSubject(), bv.AvgPerObject())
 	}
-	cmp := func(name string, am, bm map[int64]int64) {
-		at, bt := statsByTerm(t, a, am), statsByTerm(t, b, bm)
-		if len(at) != len(bt) {
-			t.Errorf("%s: %s size %d != %d", label, name, len(at), len(bt))
-		}
-		for term, n := range at {
-			if bt[term] != n {
-				t.Errorf("%s: %s[%s] = %d != %d", label, name, term, bt[term], n)
+	for _, tr := range ts {
+		for _, term := range []rdf.Term{tr.S, tr.P, tr.O} {
+			an, _ := av.SubjectCount(term)
+			bn, _ := bv.SubjectCount(term)
+			if an != bn {
+				t.Errorf("%s: subject count of %s %v != %v", label, term, an, bn)
+			}
+			an, _ = av.ObjectCount(term)
+			bn, _ = bv.ObjectCount(term)
+			if an != bn {
+				t.Errorf("%s: object count of %s %v != %v", label, term, an, bn)
 			}
 		}
 	}
-	cmp("bySubj", as.bySubj, bs.bySubj)
-	cmp("byObj", as.byObj, bs.byObj)
-	cmp("byPred", as.byPred, bs.byPred)
 }
 
 // TestDuplicateLoadStats checks that re-inserting triples the store
@@ -56,7 +45,7 @@ func TestDuplicateLoadStats(t *testing.T) {
 	if err := once.LoadTriples(ts); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := once.Stats().TotalTriples(), float64(len(ts)); got != want {
+	if got, want := once.StatsView().TotalTriples(), float64(len(ts)); got != want {
 		t.Fatalf("single load: total = %v, want %v", got, want)
 	}
 
@@ -67,7 +56,7 @@ func TestDuplicateLoadStats(t *testing.T) {
 	if err := twice.LoadTriples(ts); err != nil {
 		t.Fatal(err)
 	}
-	statsEqual(t, "sequential twice", once, twice)
+	statsEqual(t, "sequential twice", once, twice, ts)
 
 	par := newTestStore(t, Options{K: 16})
 	for i := 0; i < 2; i++ {
@@ -75,11 +64,11 @@ func TestDuplicateLoadStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	statsEqual(t, "parallel twice", once, par)
+	statsEqual(t, "parallel twice", once, par, ts)
 }
 
-// TestLoadParallelStats checks the parallel loader's merged per-worker
-// statistics match a sequential load of the same triples.
+// TestLoadParallelStats checks the statistics after a parallel load
+// match a sequential load of the same triples.
 func TestLoadParallelStats(t *testing.T) {
 	ts := fig1Triples()
 	seq := newTestStore(t, Options{K: 16})
@@ -91,7 +80,7 @@ func TestLoadParallelStats(t *testing.T) {
 		if err := par.LoadTriplesParallel(ts, workers); err != nil {
 			t.Fatal(err)
 		}
-		statsEqual(t, "workers", seq, par)
+		statsEqual(t, "workers", seq, par, ts)
 		if got, want := par.EntityCount(false), seq.EntityCount(false); got != want {
 			t.Errorf("workers=%d: direct entities %d, want %d", workers, got, want)
 		}
@@ -138,7 +127,7 @@ func TestLoadParallelBadInput(t *testing.T) {
 	if _, err := s.LoadParallel(strings.NewReader(doc), 4); err == nil {
 		t.Fatal("want parse error")
 	}
-	if got := s.Stats().TotalTriples(); got != 0 {
+	if got := s.StatsView().TotalTriples(); got != 0 {
 		t.Fatalf("failed load must not insert; stats total = %v", got)
 	}
 	if got := s.EntityCount(false); got != 0 {

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"db2rdf/internal/binenc"
 	"db2rdf/internal/dict"
 	"db2rdf/internal/rdf"
 	"db2rdf/internal/rel"
@@ -34,7 +35,7 @@ import (
 //
 // Recovery loads the newest snapshot whose whole-file CRC32C and
 // structure validate, rebuilds the derived in-memory state (entity row
-// registries, lid sets, spill markers, statistics, hash indexes) by
+// registries, lid sets, spill markers, triple count, hash indexes) by
 // scanning the decoded relations, and replays the WAL suffix through
 // the ordinary insert/delete machinery. Replay consumes whole batches
 // only (a batch = one published epoch, terminated by a commit marker)
@@ -518,50 +519,50 @@ func (s *Store) tryLoadSnapshotLocked(si snapInfo) (bool, error) {
 	if crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(tail) {
 		return false, nil
 	}
-	c := &snapCursor{data: body, off: len(snapMagic)}
-	epoch := c.u64()
-	k := c.uvarint()
-	kRev := c.uvarint()
-	if c.err != nil || epoch != si.epoch {
+	c := binenc.NewReader(body[len(snapMagic):])
+	epoch := c.U64()
+	k := c.Uvarint()
+	kRev := c.Uvarint()
+	if c.Err() != nil || epoch != si.epoch {
 		return false, nil
 	}
 	if k != uint64(s.Opts.K) || kRev != uint64(s.Opts.KReverse) {
 		return false, fmt.Errorf("store: snapshot %s was written with K=%d/KReverse=%d; store opened with K=%d/KReverse=%d",
 			filepath.Base(si.path), k, kRev, s.Opts.K, s.Opts.KReverse)
 	}
-	nterms := c.uvarint()
-	if nterms > uint64(c.remaining()) {
+	nterms := c.Uvarint()
+	if nterms > uint64(c.Remaining()) {
 		return false, nil
 	}
 	terms := make([]rdf.Term, 0, nterms)
-	for i := uint64(0); i < nterms && c.err == nil; i++ {
-		kl := c.uvarint()
-		if kl > uint64(c.remaining()) {
+	for i := uint64(0); i < nterms && c.Err() == nil; i++ {
+		kl := c.Uvarint()
+		if kl > uint64(c.Remaining()) {
 			return false, nil
 		}
-		t, terr := rdf.TermFromKey(string(c.bytes(int(kl))))
+		t, terr := rdf.TermFromKey(string(c.Bytes(int(kl))))
 		if terr != nil {
 			return false, nil
 		}
 		terms = append(terms, t)
 	}
-	nextLid := int64(c.uvarint()) + dict.LidBase
-	if c.err != nil || nextLid < dict.LidBase {
+	nextLid := int64(c.Uvarint()) + dict.LidBase
+	if c.Err() != nil || nextLid < dict.LidBase {
 		return false, nil
 	}
 	if err := s.Dict.Restore(terms, nextLid); err != nil {
 		return false, nil
 	}
 	for _, t := range []*rel.Table{s.dph, s.ds, s.rph, s.rs} {
-		bl := c.uvarint()
-		if c.err != nil || bl > uint64(c.remaining()) {
+		bl := c.Uvarint()
+		if c.Err() != nil || bl > uint64(c.Remaining()) {
 			return false, nil
 		}
-		if err := t.DecodeSnapshot(c.bytes(int(bl))); err != nil {
+		if err := t.DecodeSnapshot(c.Bytes(int(bl))); err != nil {
 			return false, nil
 		}
 	}
-	if c.err != nil || c.remaining() != 0 {
+	if c.Err() != nil || c.Remaining() != 0 {
 		return false, nil
 	}
 	for _, idx := range []struct {
@@ -585,54 +586,6 @@ func (s *Store) tryLoadSnapshotLocked(si snapInfo) (bool, error) {
 	return true, nil
 }
 
-// snapCursor is the snapshot-file twin of rel's decode cursor.
-type snapCursor struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (c *snapCursor) remaining() int { return len(c.data) - c.off }
-
-func (c *snapCursor) fail() {
-	if c.err == nil {
-		c.err = fmt.Errorf("store: snapshot truncated")
-	}
-}
-
-func (c *snapCursor) u64() uint64 {
-	if c.err != nil || c.remaining() < 8 {
-		c.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.data[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *snapCursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.data[c.off:])
-	if n <= 0 {
-		c.fail()
-		return 0
-	}
-	c.off += n
-	return v
-}
-
-func (c *snapCursor) bytes(n int) []byte {
-	if c.err != nil || n < 0 || n > c.remaining() {
-		c.fail()
-		return nil
-	}
-	b := c.data[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
 // resetContentLocked returns the store to empty after a failed
 // snapshot install so the next candidate decodes into clean tables.
 func (s *Store) resetContentLocked() {
@@ -641,26 +594,32 @@ func (s *Store) resetContentLocked() {
 	}
 	s.direct.resetState()
 	s.reverse.resetState()
-	s.stats.reset()
+	s.triples = 0
 	_ = s.Dict.Restore(nil, dict.LidBase)
 }
 
 // rebuildDerivedLocked reconstructs every piece of in-memory state the
 // snapshot file does not persist, by scanning the decoded relations:
-// per-entity row registries, spill flags, lid membership sets,
-// statistics, and the exact-live spill/multi predicate markers. The
+// per-entity row registries, spill flags, lid membership sets, the
+// triple count, and the exact-live spill/multi predicate markers. The
 // last point is the delete-reclamation half of the snapshot path: the
 // live store keeps those markers conservatively stale across deletes
 // (see delete.go), but a snapshot round-trip recomputes them from the
 // surviving rows, so dead spill entries do not persist forever.
 func (s *Store) rebuildDerivedLocked() error {
-	if err := s.rebuildSideLocked(s.direct, true); err != nil {
+	n, err := s.direct.rebuildLocked()
+	if err != nil {
 		return err
 	}
-	return s.rebuildSideLocked(s.reverse, false)
+	s.triples = n
+	_, err = s.reverse.rebuildLocked()
+	return err
 }
 
-func (s *Store) rebuildSideLocked(d *side, recordStats bool) error {
+// rebuildLocked rebuilds one side's derived state from its decoded
+// relations and returns the number of triples the side stores.
+func (d *side) rebuildLocked() (int64, error) {
+	var triples int64
 	// lid → member set from the secondary relation. Dead (tombstoned)
 	// rows were masked to all-NULL by the snapshot encoder.
 	lidMembers := make(map[int64]map[int64]bool)
@@ -671,7 +630,7 @@ func (s *Store) rebuildSideLocked(d *side, recordStats bool) error {
 		}
 		ev := d.secondary.CellAt(i, 1)
 		if ev.K != rel.KindInt {
-			return fmt.Errorf("store: recovery: %s row %d has lid without member", d.secondary.Name, i)
+			return 0, fmt.Errorf("store: recovery: %s row %d has lid without member", d.secondary.Name, i)
 		}
 		m := lidMembers[lv.I]
 		if m == nil {
@@ -698,22 +657,18 @@ func (s *Store) rebuildSideLocked(d *side, recordStats bool) error {
 			}
 			vv := d.primary.CellAt(i, 2+2*c+1)
 			if vv.K != rel.KindInt {
-				return fmt.Errorf("store: recovery: %s row %d has predicate without value", d.primary.Name, i)
+				return 0, fmt.Errorf("store: recovery: %s row %d has predicate without value", d.primary.Name, i)
 			}
 			if dict.IsLid(vv.I) {
 				members := lidMembers[vv.I]
 				if len(members) == 0 {
-					return fmt.Errorf("store: recovery: %s row %d references empty lid %d", d.primary.Name, i, vv.I)
+					return 0, fmt.Errorf("store: recovery: %s row %d references empty lid %d", d.primary.Name, i, vv.I)
 				}
 				sh.lidSets[vv.I] = members
 				d.multiPreds[pv.I] = true
-				if recordStats {
-					for m := range members {
-						s.stats.record(entity, pv.I, m)
-					}
-				}
-			} else if recordStats {
-				s.stats.record(entity, pv.I, vv.I)
+				triples += int64(len(members))
+			} else {
+				triples++
 			}
 		}
 	}
@@ -737,7 +692,7 @@ func (s *Store) rebuildSideLocked(d *side, recordStats bool) error {
 		}
 	}
 	d.spillCount = spillCount
-	return nil
+	return triples, nil
 }
 
 // replayWALLocked replays committed WAL batches with epochs after the

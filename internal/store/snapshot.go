@@ -13,7 +13,7 @@ import (
 // still holding the store write lock, freezes the current state into a
 // Snapshot — an immutable bundle of the frozen relational database
 // (rel.DB.Publish), the predicate-keyed translator inputs (spill and
-// multi-value sets), the entity counts, and the new epoch — and
+// multi-value sets), the entity and triple counts, and the new epoch — and
 // publishes it with one atomic pointer swap. Readers load the pointer
 // once and run the whole query against that snapshot without ever
 // touching the store-level lock: a bulk load on another goroutine can
@@ -45,6 +45,7 @@ type Snapshot struct {
 	dirMulti, revMulti           map[int64]bool
 	dirSpillCount, revSpillCount int
 	dirEntities, revEntities     int
+	triples                      int64
 }
 
 // Snapshot returns the most recently published snapshot. It never
@@ -113,6 +114,7 @@ func (s *Store) installLocked(epoch uint64) {
 	sn.revSpill, sn.revMulti, sn.revSpillCount = s.reverse.capturePreds()
 	sn.dirEntities = s.direct.entityCount()
 	sn.revEntities = s.reverse.entityCount()
+	sn.triples = s.triples
 	s.snap.Store(sn)
 }
 
@@ -279,7 +281,24 @@ func (sn *Snapshot) StorageBytes() int64 {
 	return sn.TableBytes() + sn.DictBytes()
 }
 
-// StatsView returns the optimizer statistics view. Statistics guide
-// plan choice only, never correctness, so they read the live
-// (internally synchronized) collector.
-func (sn *Snapshot) StatsView() *StatsView { return sn.store.StatsView() }
+// tripleCount returns the number of triples as of this snapshot.
+func (sn *Snapshot) tripleCount() int64 {
+	if sn.db == nil {
+		return sn.store.triples
+	}
+	return sn.triples
+}
+
+// tables returns one side's primary and secondary relations as of this
+// snapshot (the live ones on a pass-through snapshot).
+func (sn *Snapshot) tables(reverse bool) (primary, secondary *rel.Table) {
+	switch {
+	case sn.db == nil && reverse:
+		return sn.store.rph, sn.store.rs
+	case sn.db == nil:
+		return sn.store.dph, sn.store.ds
+	case reverse:
+		return sn.rph, sn.rs
+	}
+	return sn.dph, sn.ds
+}

@@ -9,7 +9,6 @@ package store
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -33,8 +32,6 @@ type Options struct {
 	// ReverseMapping assigns predicates to RPH columns; nil means a
 	// 2-way composed hash over KReverse columns.
 	ReverseMapping coloring.Mapping
-	// TopK bounds the per-constant statistics kept for the optimizer.
-	TopK int
 	// TablePrefix prefixes the relation names so several stores can
 	// share one rel.DB (used by the benchmark harness).
 	TablePrefix string
@@ -55,9 +52,6 @@ func (o *Options) fill() {
 	}
 	if o.ReverseMapping == nil {
 		o.ReverseMapping = coloring.NewHashMapping(o.KReverse, 2)
-	}
-	if o.TopK <= 0 {
-		o.TopK = 1000
 	}
 }
 
@@ -85,8 +79,13 @@ type Store struct {
 	direct  *side
 	reverse *side
 
-	mu    sync.RWMutex
-	stats *Stats
+	mu sync.RWMutex
+
+	// triples counts the stored triples: +1 per fresh insert, -1 per
+	// delete, 0 on clear, recounted on recovery. Guarded by the store
+	// write lock; each snapshot captures it (installLocked) for the
+	// optimizer's statistics (stats.go).
+	triples int64
 
 	// epoch counts publishes. Every writer that changed content bumps
 	// it (inside publishLocked) while holding the write lock, so two
@@ -193,7 +192,7 @@ func New(db *rel.DB, opts Options) (*Store, error) {
 	if db == nil {
 		db = rel.NewDB()
 	}
-	s := &Store{DB: db, Dict: dict.New(), Opts: opts, stats: newStats(opts.TopK)}
+	s := &Store{DB: db, Dict: dict.New(), Opts: opts}
 
 	mk := func(name string, k int) (*rel.Table, error) {
 		schema := rel.Schema{{Name: "entry", Type: rel.TInt}, {Name: "spill", Type: rel.TInt}}
@@ -297,9 +296,9 @@ func (s *Store) Insert(t rdf.Triple) error {
 }
 
 // insertLocked adds one triple, reporting whether it was new; the
-// caller holds the store write lock. Statistics are recorded once per
-// distinct triple: the direct side detects duplicates, so a re-load of
-// the same data leaves every count unchanged.
+// caller holds the store write lock. A triple is counted once: the
+// direct side detects duplicates, so a re-load of the same data leaves
+// the count unchanged.
 func (s *Store) insertLocked(t rdf.Triple) (bool, error) {
 	sid := s.Dict.Encode(t.S)
 	pid := s.Dict.Encode(t.P)
@@ -312,7 +311,7 @@ func (s *Store) insertLocked(t rdf.Triple) (bool, error) {
 		return fresh, err
 	}
 	if fresh {
-		s.stats.record(sid, pid, oid)
+		s.triples++
 		s.logDelta(wal.OpInsert, sid, pid, oid)
 	}
 	return fresh, nil
@@ -503,11 +502,6 @@ func (s *Store) LoadTriples(ts []rdf.Triple) (err error) {
 	return nil
 }
 
-// Stats returns the dataset statistics collected during loading. The
-// collector carries its own lock, so reads are safe while a load is in
-// progress on another goroutine.
-func (s *Store) Stats() *Stats { return s.stats }
-
 // SpillPredicates returns the set of predicate ids involved in spills
 // on the direct (subject) or reverse (object) side; the translator
 // consults it to decide whether star merging is safe (§3.2.1). The
@@ -661,183 +655,4 @@ func BuildMappings(triples []rdf.Triple, k, kRev int) (direct, reverse coloring.
 	direct = coloring.NewColoredMapping(dc, k, nil)
 	reverse = coloring.NewColoredMapping(rc, kRev, nil)
 	return direct, reverse, dc, rc
-}
-
-// Stats holds the dataset statistics of §3.1 (input 2 to the
-// optimizer): total triples, average triples per subject and object,
-// and top-k constants with exact counts. A Stats carries its own lock
-// and is safe for concurrent use; the parallel loader additionally
-// accumulates per-worker collectors and merges them at the end to keep
-// the lock out of the hot path.
-type Stats struct {
-	mu     sync.RWMutex
-	topK   int
-	total  int64
-	bySubj map[int64]int64
-	byObj  map[int64]int64
-	byPred map[int64]int64
-}
-
-// NewStats returns an empty statistics collector (exported for the
-// baseline stores, which share the optimizer and need the same
-// statistics shape).
-func NewStats(topK int) *Stats { return newStats(topK) }
-
-// Record adds one triple's ids to the statistics.
-func (st *Stats) Record(sid, pid, oid int64) { st.record(sid, pid, oid) }
-
-func newStats(topK int) *Stats {
-	return &Stats{
-		topK:   topK,
-		bySubj: make(map[int64]int64),
-		byObj:  make(map[int64]int64),
-		byPred: make(map[int64]int64),
-	}
-}
-
-func (st *Stats) record(sid, pid, oid int64) {
-	st.mu.Lock()
-	st.total++
-	st.bySubj[sid]++
-	st.byObj[oid]++
-	st.byPred[pid]++
-	st.mu.Unlock()
-}
-
-// merge folds another collector into st (used to combine the parallel
-// loader's per-worker statistics).
-func (st *Stats) merge(o *Stats) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.total += o.total
-	for id, n := range o.bySubj {
-		st.bySubj[id] += n
-	}
-	for id, n := range o.byObj {
-		st.byObj[id] += n
-	}
-	for id, n := range o.byPred {
-		st.byPred[id] += n
-	}
-}
-
-// TotalTriples returns the dataset size.
-func (st *Stats) TotalTriples() float64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return float64(st.total)
-}
-
-// AvgPerSubject returns the average number of triples per subject.
-func (st *Stats) AvgPerSubject() float64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if len(st.bySubj) == 0 {
-		return 1
-	}
-	return float64(st.total) / float64(len(st.bySubj))
-}
-
-// AvgPerObject returns the average number of triples per object.
-func (st *Stats) AvgPerObject() float64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if len(st.byObj) == 0 {
-		return 1
-	}
-	return float64(st.total) / float64(len(st.byObj))
-}
-
-// countIn looks up an id in one of st's count maps under the lock.
-func (st *Stats) countIn(m map[int64]int64, id int64, ok bool) (float64, bool) {
-	if !ok {
-		return 0, true // term absent from data: exact count 0
-	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	n, present := m[id]
-	if !present {
-		return 0, true
-	}
-	return float64(n), true
-}
-
-// StatsView returns an optimizer-facing view of the statistics that
-// resolves terms through the store's dictionary.
-func (s *Store) StatsView() *StatsView {
-	return &StatsView{st: s.stats, dict: s.Dict}
-}
-
-// NewStatsView builds a StatsView from a collector and a dictionary
-// (exported for the baseline stores).
-func NewStatsView(st *Stats, d *dict.Dict) *StatsView {
-	return &StatsView{st: st, dict: d}
-}
-
-// StatsView resolves rdf.Terms against collected statistics.
-type StatsView struct {
-	st   *Stats
-	dict *dict.Dict
-}
-
-// TotalTriples implements optimizer.Stats.
-func (v *StatsView) TotalTriples() float64 { return v.st.TotalTriples() }
-
-// AvgPerSubject implements optimizer.Stats.
-func (v *StatsView) AvgPerSubject() float64 { return v.st.AvgPerSubject() }
-
-// AvgPerObject implements optimizer.Stats.
-func (v *StatsView) AvgPerObject() float64 { return v.st.AvgPerObject() }
-
-// SubjectCount implements optimizer.Stats.
-func (v *StatsView) SubjectCount(t rdf.Term) (float64, bool) {
-	id, ok := v.dict.Lookup(t)
-	return v.st.countIn(v.st.bySubj, id, ok)
-}
-
-// ObjectCount implements optimizer.Stats.
-func (v *StatsView) ObjectCount(t rdf.Term) (float64, bool) {
-	id, ok := v.dict.Lookup(t)
-	return v.st.countIn(v.st.byObj, id, ok)
-}
-
-// PredicateCount implements optimizer.Stats.
-func (v *StatsView) PredicateCount(t rdf.Term) (float64, bool) {
-	id, ok := v.dict.Lookup(t)
-	return v.st.countIn(v.st.byPred, id, ok)
-}
-
-// TopConstants returns the k most frequent constants (by triple count)
-// across subjects and objects, for diagnostic output.
-func (st *Stats) TopConstants(k int, d *dict.Dict) []string {
-	type pair struct {
-		id int64
-		n  int64
-	}
-	st.mu.RLock()
-	var all []pair
-	for id, n := range st.bySubj {
-		all = append(all, pair{id, n})
-	}
-	for id, n := range st.byObj {
-		all = append(all, pair{id, n})
-	}
-	st.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].n > all[j].n })
-	var out []string
-	seen := map[int64]bool{}
-	for _, p := range all {
-		if seen[p.id] {
-			continue
-		}
-		seen[p.id] = true
-		t, err := d.Decode(p.id)
-		if err == nil {
-			out = append(out, fmt.Sprintf("%s: %d", t, p.n))
-		}
-		if len(out) >= k {
-			break
-		}
-	}
-	return out
 }

@@ -193,9 +193,10 @@ func TestStats(t *testing.T) {
 	if !ok || n != 0 {
 		t.Fatalf("ObjectCount(unknown) = %f, %v", n, ok)
 	}
-	n, ok = v.PredicateCount(rdf.NewIRI("industry"))
-	if !ok || n != 5 {
-		t.Fatalf("PredicateCount(industry) = %f, %v", n, ok)
+	// Google holds four triples: two of them as an industry list.
+	n, ok = v.SubjectCount(rdf.NewIRI("Google"))
+	if !ok || n != 4 {
+		t.Fatalf("SubjectCount(Google) = %f, %v", n, ok)
 	}
 }
 
@@ -286,9 +287,12 @@ func TestTopConstants(t *testing.T) {
 	if err := s.LoadTriples(fig1Triples()); err != nil {
 		t.Fatal(err)
 	}
-	top := s.Stats().TopConstants(3, s.Dict)
+	top := s.Snapshot().TopConstants(3)
 	if len(top) != 3 {
 		t.Fatalf("want 3 top constants, got %v", top)
+	}
+	if top[0] != "<IBM>: 5" {
+		t.Fatalf("top constant = %q, want IBM with 5 triples", top[0])
 	}
 }
 
@@ -324,7 +328,7 @@ func TestRandomLoadRetrievable(t *testing.T) {
 			}
 		}
 		// Statistics agree with the load.
-		if got := s.Stats().TotalTriples(); got != float64(len(triples)) {
+		if got := s.StatsView().TotalTriples(); got != float64(len(triples)) {
 			t.Fatalf("stats total = %f, want %d", got, len(triples))
 		}
 	}

@@ -351,7 +351,7 @@ func TestUpdateInterleavingEquivalence(t *testing.T) {
 		t.Fatalf("export diverges after interleaving:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 	// Statistics agree with the survivor count too.
-	if n := s.Internal().Stats().TotalTriples(); int(n) != len(survivors) {
+	if n := s.Internal().StatsView().TotalTriples(); int(n) != len(survivors) {
 		t.Fatalf("stats report %v triples, want %d", n, len(survivors))
 	}
 }
