@@ -23,6 +23,10 @@ echo "== load paths vs the brute-force oracle (sequential / parallel loader, wor
 go test -race -run 'TestStorageEquivalence' -count=1 .
 echo "== statistics (derived from the snapshot: held-snapshot plans repeat, counts match Export) =="
 go test -race -count=1 -run 'TestStatisticsFollowSnapshot|TestDerivedStatisticsMatchOracle' .
+echo "== write path derived from the tables (entry/lid/elm postings, parallel loads onto existing entities) =="
+go test -race -count=1 \
+    -run 'TestMarker|TestLoadParallel|TestDuplicateLoadStats|TestMultiValueConversion|TestSpills|TestDerivedStatisticsMatchOracle' \
+    . ./internal/store/
 echo "== abort paths (governance, fault injection, panic containment) =="
 go test -race -count=1 \
     -run 'TestExecContext|TestFault|TestPanic|TestAbort|Budget|TestQueryContext|TestDeadline|TestQueryTimeout|TestEarlierParent|TestGraphQueryGovernance|TestPathClosureGovernance|TestExplainGovernance' \

@@ -394,9 +394,14 @@ func (t *Table) HasIndex(col string) bool {
 }
 
 // lookup returns the matching row ids for col = v, and whether an index
-// was available.
+// was available. The probe runs under the table read lock, so it may
+// race appends to the same table (the parallel bulk loader's workers
+// do): the returned list is the index's own, and an append only ever
+// writes past its length.
 func (t *Table) lookup(col string, v Value) ([]int32, bool) {
-	idx := t.indexFor(col)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	idx := t.indexes[strings.ToLower(col)]
 	if idx == nil {
 		return nil, false
 	}

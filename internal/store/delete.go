@@ -1,33 +1,33 @@
 package store
 
 import (
-	"fmt"
-
 	"db2rdf/internal/dict"
 	"db2rdf/internal/rdf"
 	"db2rdf/internal/rel"
 	"db2rdf/internal/wal"
 )
 
-// Triple deletion. Removal is the mirror of side.insert: the (entity,
-// predicate) cell is located through the mapping's candidate columns
-// (the invariant that a pair lives in exactly one primary cell makes
-// the probe terminate at the first hit), and the value is removed from
-// whichever shape it is stored in — a direct cell, or a DS/RS
-// multi-value list. A two-element list collapses back to a direct
-// value; a row left with no predicates is tombstoned out of the
-// primary table (rel.Table.DeleteRow) and unregistered from the
-// entity's row list, so subsequent inserts rebuild it from scratch.
+// Triple deletion. Removal is the mirror of side.insert: the entity's
+// rows come from the entry index, the (entity, predicate) cell is
+// located through the mapping's candidate columns (a pair lives in
+// exactly one primary cell, so the probe stops at the first hit), and
+// the value is removed from whichever shape holds it — a direct cell,
+// or a DS/RS multi-value list, whose row is found through the lid and
+// elm indexes. A list left with one member collapses back to a direct
+// value read from its last lid posting; a row left with no predicates
+// is tombstoned (rel.Table.DeleteRow), which also unindexes it, so the
+// entity's rows are again exactly its entry postings.
 //
-// Conservative state: spillPreds, multiPreds and spillCount are NOT
-// decremented on delete. They only feed translator merge decisions and
-// DS/RS join insertion, where a stale-true answer costs an unnecessary
-// LEFT OUTER JOIN (COALESCE falls back to the direct value) or a
-// skipped merge — never a wrong result. Dictionary entries are likewise
-// retained; ids stay decodable so cached plans that embed them remain
-// valid. The staleness is bounded: a publish that compacts chunks
-// recomputes the markers exactly (recomputeMarkersLocked, triggered
-// from installLocked), matching what snapshot recovery would rebuild.
+// Conservative state: spillPreds and multiPreds are NOT shrunk on
+// delete. They only feed translator merge decisions and DS/RS join
+// insertion, where a stale-true answer costs an unnecessary LEFT OUTER
+// JOIN (COALESCE falls back to the direct value) or a skipped merge —
+// never a wrong result. Dictionary entries are likewise retained; ids
+// stay decodable so cached plans that embed them remain valid. The
+// staleness is bounded: a publish that compacts chunks derives the
+// markers exactly (deriveLocked, triggered from installLocked), as
+// recovery does. The entity and triple counts, and with them the spill
+// count, are exact after every delete.
 
 // Delete removes one triple, reporting whether it was present. The
 // epoch advances only when a triple was actually removed.
@@ -151,53 +151,12 @@ func (s *Store) deleteLocked(t rdf.Triple) (bool, error) {
 	return true, nil
 }
 
-// recomputeMarkersLocked rebuilds one side's spill/multi predicate
-// markers and spill count exactly from the live registries — the same
-// state side.rebuildLocked derives after a snapshot recovery. The
-// entity-keyed registries (entityRows, spilled, lidSets) are maintained
-// exactly across deletes, so only the predicate-keyed aggregates need
-// the rescan. The caller holds the store write lock.
-func (d *side) recomputeMarkersLocked() {
-	spill := make(map[int64]bool)
-	multi := make(map[int64]bool)
-	spillCount := 0
-	for _, sh := range d.shards {
-		for entity, rows := range sh.entityRows {
-			if len(rows) > 1 {
-				spillCount += len(rows) - 1
-			}
-			spilled := sh.spilled[entity]
-			for _, ri := range rows {
-				for c := 0; c < d.k; c++ {
-					pv := d.primary.CellAt(ri, 2+2*c)
-					if pv.K != rel.KindInt {
-						continue
-					}
-					if spilled {
-						spill[pv.I] = true
-					}
-					if vv := d.primary.CellAt(ri, 2+2*c+1); vv.K == rel.KindInt && dict.IsLid(vv.I) {
-						multi[pv.I] = true
-					}
-				}
-			}
-		}
-	}
-	d.predMu.Lock()
-	// Fresh maps replace the (possibly snapshot-shared) old ones, so a
-	// published snapshot's captured copies are never written.
-	d.spillPreds, d.multiPreds, d.spillCount = spill, multi, spillCount
-	d.predShared = false
-	d.predMu.Unlock()
-}
-
 // remove deletes (entity, pid) -> member from one side, reporting
 // whether the triple was stored there.
 func (d *side) remove(entity, pid, member int64, predURI string) (bool, error) {
 	cols := d.mapping.Columns(predURI)
-	sh := d.shard(entity)
-	rows := sh.entityRows[entity]
-	for _, ri := range rows {
+	for _, r := range d.rows(entity) {
+		ri := int(r)
 		for _, c := range cols {
 			pc, vc := 2+2*c, 2+2*c+1
 			pv := d.primary.CellAt(ri, pc)
@@ -207,38 +166,33 @@ func (d *side) remove(entity, pid, member int64, predURI string) (bool, error) {
 			// The unique cell for (entity, pid) across all rows.
 			cur := d.primary.CellAt(ri, vc)
 			if cur.K == rel.KindInt && dict.IsLid(cur.I) {
-				lid := cur.I
-				set := sh.lidSets[lid]
-				if !set[member] {
+				row := d.listRow(cur.I, member)
+				if row < 0 {
 					return false, nil // not in the list
 				}
-				delete(set, member)
-				if err := d.removeSecondary(lid, member); err != nil {
+				if err := d.secondary.DeleteRow(row); err != nil {
 					return true, err
 				}
-				if len(set) == 1 {
+				rest, _ := d.secondary.IndexLookup("lid", cur)
+				switch len(rest) {
+				case 0:
+					// Defensive: lists always hold ≥2 members, but an
+					// emptied list must still clear the cell.
+					return true, d.clearCell(entity, ri, pc, vc)
+				case 1:
 					// Collapse the one-element list to a direct value,
 					// mirroring the single→list conversion on insert.
-					var last int64
-					for m := range set {
-						last = m
-					}
-					if err := d.removeSecondary(lid, last); err != nil {
+					last := int(rest[0])
+					kept := d.secondary.CellAt(last, 1)
+					if err := d.secondary.DeleteRow(last); err != nil {
 						return true, err
 					}
-					delete(sh.lidSets, lid)
-					return true, d.primary.SetCell(ri, vc, rel.Int(last))
-				}
-				if len(set) == 0 {
-					// Defensive: lists always hold ≥2 members, but an
-					// empty set must still clear the cell.
-					delete(sh.lidSets, lid)
-					return true, d.clearCell(sh, entity, ri, pc, vc)
+					return true, d.primary.SetCell(ri, vc, kept)
 				}
 				return true, nil
 			}
 			if cur.K == rel.KindInt && cur.I == member {
-				return true, d.clearCell(sh, entity, ri, pc, vc)
+				return true, d.clearCell(entity, ri, pc, vc)
 			}
 			return false, nil // predicate present with a different value
 		}
@@ -247,8 +201,9 @@ func (d *side) remove(entity, pid, member int64, predURI string) (bool, error) {
 }
 
 // clearCell nulls the (pred, val) cell pair at row ri; a row left with
-// no predicates at all is tombstoned and unregistered.
-func (d *side) clearCell(sh *sideShard, entity int64, ri, pc, vc int) error {
+// no predicates at all is deleted, and an entity left with no rows
+// leaves the entity count.
+func (d *side) clearCell(entity int64, ri, pc, vc int) error {
 	if err := d.primary.SetCell(ri, pc, rel.Null); err != nil {
 		return err
 	}
@@ -263,51 +218,19 @@ func (d *side) clearCell(sh *sideShard, entity int64, ri, pc, vc int) error {
 	if err := d.primary.DeleteRow(ri); err != nil {
 		return err
 	}
-	rows := sh.entityRows[entity]
-	kept := rows[:0]
-	for _, r := range rows {
-		if r != ri {
-			kept = append(kept, r)
-		}
-	}
-	if len(kept) == 0 {
-		delete(sh.entityRows, entity)
-		delete(sh.spilled, entity)
-	} else {
-		sh.entityRows[entity] = kept
-	}
-	return nil
-}
-
-// removeSecondary deletes the (lid, member) row from the DS/RS table
-// via the lid index.
-func (d *side) removeSecondary(lid, member int64) error {
-	ids, ok := d.secondary.IndexLookup("lid", rel.Int(lid))
-	if !ok {
-		return fmt.Errorf("store: table %s has no lid index", d.secondary.Name)
-	}
-	for _, id := range ids {
-		if v := d.secondary.CellAt(int(id), 1); v.K == rel.KindInt && v.I == member {
-			return d.secondary.DeleteRow(int(id))
-		}
+	if len(d.rows(entity)) == 0 {
+		d.entities--
 	}
 	return nil
 }
 
 // resetState reinitializes a side's loading state (Clear support).
 func (d *side) resetState() {
-	for i := range d.shards {
-		d.shards[i] = &sideShard{
-			entityRows: make(map[int64][]int),
-			lidSets:    make(map[int64]map[int64]bool),
-			spilled:    make(map[int64]bool),
-		}
-	}
+	d.entities = 0
 	d.predMu.Lock()
 	// Fresh maps, so snapshot-captured copies are left untouched.
 	d.spillPreds = make(map[int64]bool)
 	d.multiPreds = make(map[int64]bool)
-	d.spillCount = 0
 	d.predShared = false
 	d.predMu.Unlock()
 }

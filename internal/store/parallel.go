@@ -24,9 +24,11 @@ import (
 //     subject, the reverse side by object — so that all triples of one
 //     entity land in exactly one bucket;
 //  3. insert the buckets concurrently: one goroutine per bucket per
-//     side. Because a bucket owns whole entity shards, entity-keyed
-//     state needs no locking; predicate-keyed state goes through the
-//     side's predMu, and the shared tables are appended to in batches.
+//     side. A worker reads only the entry and lid postings of entities
+//     its bucket owns, and elm postings, which other workers only
+//     append to past what it read; the tables lock each probe and
+//     append, predicate-keyed state goes through the side's predMu, and
+//     new entities' rows are appended in batches.
 //
 // Entities not seen before the load are built as rows in worker-local
 // memory (filled in place, no per-update row cloning) and appended to
@@ -267,14 +269,13 @@ func (s *Store) bulkLoadLocked(enc []encTriple, workers int) (int, error) {
 	if len(enc) == 0 {
 		return 0, nil
 	}
-	// Partition by state shard, then assign shards to workers: two
-	// entities in the same shard always land in the same bucket, so a
-	// shard is owned by exactly one goroutine per side.
+	// Partition by entity, so each entity is owned by exactly one
+	// goroutine per side.
 	directBuckets := make([][]encTriple, workers)
 	reverseBuckets := make([][]encTriple, workers)
 	for _, e := range enc {
-		dw := shardIndex(e.s) % workers
-		rw := shardIndex(e.o) % workers
+		dw := uint64(e.s) % uint64(workers)
+		rw := uint64(e.o) % uint64(workers)
 		directBuckets[dw] = append(directBuckets[dw], e)
 		reverseBuckets[rw] = append(reverseBuckets[rw], e)
 	}
@@ -332,18 +333,13 @@ func (s *Store) bulkLoadLocked(enc []encTriple, workers int) (int, error) {
 }
 
 // bulkAgg accumulates a bucket's predicate-keyed side effects so the
-// side's predMu is taken once per bucket instead of once per triple.
+// side's predMu is taken once per bucket instead of once per triple,
+// and the (lid, member) pairs of the lists its new entities build,
+// which are not in the secondary table until the bucket's batch lands.
 type bulkAgg struct {
 	spillPreds map[int64]bool
 	multiPreds map[int64]bool
-	spillCount int
-}
-
-// entityRange remembers where a freshly built entity's rows sit inside
-// the bucket's pending primary-row batch.
-type entityRange struct {
-	entity     int64
-	start, end int // indices into pending primary rows
+	listed     map[[2]int64]bool
 }
 
 // bulkInsert loads one bucket into the side, returning the number of
@@ -383,8 +379,8 @@ func (d *side) bulkInsert(s *Store, bucket []encTriple, reverse bool, abort *ato
 
 	var pendingPrimary []rel.Row
 	var pendingSecondary []rel.Row
-	var ranges []entityRange
-	agg := &bulkAgg{spillPreds: make(map[int64]bool), multiPreds: make(map[int64]bool)}
+	newEntities := 0
+	agg := &bulkAgg{spillPreds: make(map[int64]bool), multiPreds: make(map[int64]bool), listed: make(map[[2]int64]bool)}
 	freshTotal := 0
 
 	for gi, ent := range order {
@@ -392,8 +388,7 @@ func (d *side) bulkInsert(s *Store, bucket []encTriple, reverse bool, abort *ato
 			return freshTotal, nil // a sibling bucket failed; its error is reported
 		}
 		encs := byEntity[ent]
-		sh := d.shard(ent)
-		if len(sh.entityRows[ent]) > 0 {
+		if len(d.rows(ent)) > 0 {
 			// Entity already has table rows: incremental path.
 			for _, e := range encs {
 				entity, member := e.s, e.o
@@ -420,7 +415,7 @@ func (d *side) bulkInsert(s *Store, bucket []encTriple, reverse bool, abort *ato
 			if reverse {
 				entity, member = e.o, e.s
 			}
-			fresh, rows := d.insertLocal(s, pendingPrimary, start, sh, agg, &pendingSecondary, entity, e.p, member, colsFor(e.pred))
+			fresh, rows := d.insertLocal(s, pendingPrimary, start, agg, &pendingSecondary, entity, e.p, member, colsFor(e.pred))
 			pendingPrimary = rows
 			if fresh {
 				freshTotal++
@@ -429,23 +424,14 @@ func (d *side) bulkInsert(s *Store, bucket []encTriple, reverse bool, abort *ato
 				}
 			}
 		}
-		ranges = append(ranges, entityRange{entity: ent, start: start, end: len(pendingPrimary)})
+		newEntities++
 	}
 
-	// Batch-append the locally built rows and register their indices.
+	// Batch-append the locally built rows; the entry index registers them.
 	if len(pendingPrimary) > 0 {
-		base, err := d.primary.AppendRows(pendingPrimary)
-		if err != nil {
+		if _, err := d.primary.AppendRows(pendingPrimary); err != nil {
 			abort.Store(true)
 			return freshTotal, err
-		}
-		for _, r := range ranges {
-			sh := d.shard(r.entity)
-			indices := make([]int, 0, r.end-r.start)
-			for i := r.start; i < r.end; i++ {
-				indices = append(indices, base+i)
-			}
-			sh.entityRows[r.entity] = indices
 		}
 	}
 	if len(pendingSecondary) > 0 {
@@ -455,9 +441,10 @@ func (d *side) bulkInsert(s *Store, bucket []encTriple, reverse bool, abort *ato
 		}
 	}
 
-	// Fold the bucket's predicate-keyed effects into the side.
-	if len(agg.spillPreds) > 0 || len(agg.multiPreds) > 0 || agg.spillCount > 0 {
-		d.predMu.Lock()
+	// Fold the bucket's predicate-keyed effects and new entities into
+	// the side.
+	d.predMu.Lock()
+	if len(agg.spillPreds) > 0 || len(agg.multiPreds) > 0 {
 		d.mutablePredsLocked()
 		for pid := range agg.spillPreds {
 			d.spillPreds[pid] = true
@@ -465,9 +452,9 @@ func (d *side) bulkInsert(s *Store, bucket []encTriple, reverse bool, abort *ato
 		for pid := range agg.multiPreds {
 			d.multiPreds[pid] = true
 		}
-		d.spillCount += agg.spillCount
-		d.predMu.Unlock()
 	}
+	d.entities += newEntities
+	d.predMu.Unlock()
 	return freshTotal, nil
 }
 
@@ -476,7 +463,7 @@ func (d *side) bulkInsert(s *Store, bucket []encTriple, reverse bool, abort *ato
 // (rows[start:]), which live in worker-local memory and can therefore
 // be filled in place. It returns whether the triple was new and the
 // (possibly grown) pending row slice.
-func (d *side) insertLocal(s *Store, rows []rel.Row, start int, sh *sideShard, agg *bulkAgg, secondary *[]rel.Row, entity, pid, member int64, cols []int) (bool, []rel.Row) {
+func (d *side) insertLocal(s *Store, rows []rel.Row, start int, agg *bulkAgg, secondary *[]rel.Row, entity, pid, member int64, cols []int) (bool, []rel.Row) {
 	ent := rows[start:]
 
 	// Already present? Then extend to (or within) a multi-value list.
@@ -487,10 +474,10 @@ func (d *side) insertLocal(s *Store, rows []rel.Row, start int, sh *sideShard, a
 				cur := row[vc]
 				if cur.K == rel.KindInt && dict.IsLid(cur.I) {
 					lid := cur.I
-					if sh.lidSets[lid][member] {
+					if agg.listed[[2]int64{lid, member}] {
 						return false, rows // duplicate triple
 					}
-					sh.lidSets[lid][member] = true
+					agg.listed[[2]int64{lid, member}] = true
 					*secondary = append(*secondary, rel.Row{rel.Int(lid), rel.Int(member)})
 					return true, rows
 				}
@@ -500,7 +487,8 @@ func (d *side) insertLocal(s *Store, rows []rel.Row, start int, sh *sideShard, a
 				// Convert single value to a list.
 				agg.multiPreds[pid] = true
 				lid := s.Dict.NextLid()
-				sh.lidSets[lid] = map[int64]bool{cur.I: true, member: true}
+				agg.listed[[2]int64{lid, cur.I}] = true
+				agg.listed[[2]int64{lid, member}] = true
 				*secondary = append(*secondary, rel.Row{rel.Int(lid), cur}, rel.Row{rel.Int(lid), rel.Int(member)})
 				row[vc] = rel.Int(lid)
 				return true, rows
@@ -515,7 +503,7 @@ func (d *side) insertLocal(s *Store, rows []rel.Row, start int, sh *sideShard, a
 			if row[pc].IsNull() {
 				row[pc] = rel.Int(pid)
 				row[vc] = rel.Int(member)
-				if sh.spilled[entity] {
+				if ent[0][1] == rel.Int(1) {
 					agg.spillPreds[pid] = true
 				}
 				return true, rows
@@ -527,10 +515,8 @@ func (d *side) insertLocal(s *Store, rows []rel.Row, start int, sh *sideShard, a
 	spillFlag := int64(0)
 	if len(ent) > 0 {
 		spillFlag = 1
-		agg.spillCount++
 		agg.spillPreds[pid] = true
-		if !sh.spilled[entity] {
-			sh.spilled[entity] = true
+		if ent[0][1] != rel.Int(1) {
 			for _, row := range ent {
 				for c := 0; c < d.k; c++ {
 					if pv := row[2+2*c]; pv.K == rel.KindInt {

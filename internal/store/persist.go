@@ -34,14 +34,14 @@ import (
 // one plus its WAL suffix).
 //
 // Recovery loads the newest snapshot whose whole-file CRC32C and
-// structure validate, rebuilds the derived in-memory state (entity row
-// registries, lid sets, spill markers, triple count, hash indexes) by
-// scanning the decoded relations, and replays the WAL suffix through
-// the ordinary insert/delete machinery. Replay consumes whole batches
-// only (a batch = one published epoch, terminated by a commit marker)
-// and requires epochs to be contiguous, so a torn tail, a flipped bit,
-// or a truncation at any byte offset lands the store on some
-// previously published epoch — never a partial state. The log is then
+// structure validate, builds the hash indexes over the decoded
+// relations, derives the rest (spill/multi markers, entity and triple
+// counts) from them with deriveLocked, and replays the WAL suffix
+// through the ordinary insert/delete machinery. Replay consumes whole
+// batches only (a batch = one published epoch, terminated by a commit
+// marker) and requires epochs to be contiguous, so a torn tail, a
+// flipped bit, or a truncation at any byte offset lands the store on
+// some previously published epoch — never a partial state. The log is then
 // repaired in place (truncated at the last committed boundary, later
 // segments removed) so post-recovery appends continue consistently.
 
@@ -580,7 +580,7 @@ func (s *Store) tryLoadSnapshotLocked(si snapInfo) (bool, error) {
 			}
 		}
 	}
-	if err := s.rebuildDerivedLocked(); err != nil {
+	if err := s.deriveLocked(); err != nil {
 		return false, nil // structurally inconsistent content: treat as corrupt
 	}
 	return true, nil
@@ -596,103 +596,6 @@ func (s *Store) resetContentLocked() {
 	s.reverse.resetState()
 	s.triples = 0
 	_ = s.Dict.Restore(nil, dict.LidBase)
-}
-
-// rebuildDerivedLocked reconstructs every piece of in-memory state the
-// snapshot file does not persist, by scanning the decoded relations:
-// per-entity row registries, spill flags, lid membership sets, the
-// triple count, and the exact-live spill/multi predicate markers. The
-// last point is the delete-reclamation half of the snapshot path: the
-// live store keeps those markers conservatively stale across deletes
-// (see delete.go), but a snapshot round-trip recomputes them from the
-// surviving rows, so dead spill entries do not persist forever.
-func (s *Store) rebuildDerivedLocked() error {
-	n, err := s.direct.rebuildLocked()
-	if err != nil {
-		return err
-	}
-	s.triples = n
-	_, err = s.reverse.rebuildLocked()
-	return err
-}
-
-// rebuildLocked rebuilds one side's derived state from its decoded
-// relations and returns the number of triples the side stores.
-func (d *side) rebuildLocked() (int64, error) {
-	var triples int64
-	// lid → member set from the secondary relation. Dead (tombstoned)
-	// rows were masked to all-NULL by the snapshot encoder.
-	lidMembers := make(map[int64]map[int64]bool)
-	for i, n := 0, d.secondary.Len(); i < n; i++ {
-		lv := d.secondary.CellAt(i, 0)
-		if lv.K != rel.KindInt {
-			continue
-		}
-		ev := d.secondary.CellAt(i, 1)
-		if ev.K != rel.KindInt {
-			return 0, fmt.Errorf("store: recovery: %s row %d has lid without member", d.secondary.Name, i)
-		}
-		m := lidMembers[lv.I]
-		if m == nil {
-			m = make(map[int64]bool)
-			lidMembers[lv.I] = m
-		}
-		m[ev.I] = true
-	}
-	for i, n := 0, d.primary.Len(); i < n; i++ {
-		ev := d.primary.CellAt(i, 0)
-		if ev.K != rel.KindInt {
-			continue // dead row
-		}
-		entity := ev.I
-		sh := d.shard(entity)
-		sh.entityRows[entity] = append(sh.entityRows[entity], i)
-		if sv := d.primary.CellAt(i, 1); sv.K == rel.KindInt && sv.I == 1 {
-			sh.spilled[entity] = true
-		}
-		for c := 0; c < d.k; c++ {
-			pv := d.primary.CellAt(i, 2+2*c)
-			if pv.K != rel.KindInt {
-				continue
-			}
-			vv := d.primary.CellAt(i, 2+2*c+1)
-			if vv.K != rel.KindInt {
-				return 0, fmt.Errorf("store: recovery: %s row %d has predicate without value", d.primary.Name, i)
-			}
-			if dict.IsLid(vv.I) {
-				members := lidMembers[vv.I]
-				if len(members) == 0 {
-					return 0, fmt.Errorf("store: recovery: %s row %d references empty lid %d", d.primary.Name, i, vv.I)
-				}
-				sh.lidSets[vv.I] = members
-				d.multiPreds[pv.I] = true
-				triples += int64(len(members))
-			} else {
-				triples++
-			}
-		}
-	}
-	// Exact-live spill state from the rebuilt registries.
-	spillCount := 0
-	for _, sh := range d.shards {
-		for entity, rows := range sh.entityRows {
-			if len(rows) > 1 {
-				spillCount += len(rows) - 1
-			}
-			if !sh.spilled[entity] {
-				continue
-			}
-			for _, ri := range rows {
-				for c := 0; c < d.k; c++ {
-					if pv := d.primary.CellAt(ri, 2+2*c); pv.K == rel.KindInt {
-						d.spillPreds[pv.I] = true
-					}
-				}
-			}
-		}
-	}
-	d.spillCount = spillCount
-	return triples, nil
 }
 
 // replayWALLocked replays committed WAL batches with epochs after the

@@ -14,11 +14,13 @@ import (
 // Snapshot — an immutable bundle of the frozen relational database
 // (rel.DB.Publish), the predicate-keyed translator inputs (spill and
 // multi-value sets), the entity and triple counts, and the new epoch — and
-// publishes it with one atomic pointer swap. Readers load the pointer
-// once and run the whole query against that snapshot without ever
-// touching the store-level lock: a bulk load on another goroutine can
-// proceed concurrently and its partial state is invisible until its
-// own publish.
+// publishes it with one atomic pointer swap. Everything else a reader
+// asks about (an entity's rows and triples, spill rows) is read from
+// the frozen tables and their indexes. Readers load the pointer once
+// and run the whole query against that snapshot without ever touching
+// the store-level lock: a bulk load on another goroutine can proceed
+// concurrently and its partial state is invisible until its own
+// publish.
 //
 // The captured spill/multi maps are shared with the live side until a
 // writer next mutates them; the predShared flag makes that mutation
@@ -41,11 +43,10 @@ type Snapshot struct {
 
 	dph, ds, rph, rs *rel.Table // frozen relations (nil on live)
 
-	dirSpill, revSpill           map[int64]bool
-	dirMulti, revMulti           map[int64]bool
-	dirSpillCount, revSpillCount int
-	dirEntities, revEntities     int
-	triples                      int64
+	dirSpill, revSpill       map[int64]bool
+	dirMulti, revMulti       map[int64]bool
+	dirEntities, revEntities int
+	triples                  int64
 }
 
 // Snapshot returns the most recently published snapshot. It never
@@ -97,23 +98,22 @@ func (s *Store) installLocked(epoch uint64) {
 	preCompactions := s.Compactions()
 	db := s.DB.Publish()
 	if s.markerDeletes > 0 && s.Compactions() > preCompactions {
-		// This publish compacted chunks after delete churn: recompute
-		// the conservatively-stale spill/multi markers exactly, so the
+		// This publish compacted chunks after delete churn: derive the
+		// conservatively-stale spill/multi markers exactly, so the
 		// snapshot (and every plan compiled against its epoch) sees the
-		// same translator inputs a restarted store would.
-		s.direct.recomputeMarkersLocked()
-		s.reverse.recomputeMarkersLocked()
-		s.markerDeletes = 0
+		// same translator inputs a restarted store would. The live
+		// tables keep every invariant derive checks, so it cannot fail.
+		_ = s.deriveLocked()
 	}
 	sn := &Snapshot{store: s, epoch: epoch, db: db}
 	sn.dph = sn.db.Table(s.TableName("DPH"))
 	sn.ds = sn.db.Table(s.TableName("DS"))
 	sn.rph = sn.db.Table(s.TableName("RPH"))
 	sn.rs = sn.db.Table(s.TableName("RS"))
-	sn.dirSpill, sn.dirMulti, sn.dirSpillCount = s.direct.capturePreds()
-	sn.revSpill, sn.revMulti, sn.revSpillCount = s.reverse.capturePreds()
-	sn.dirEntities = s.direct.entityCount()
-	sn.revEntities = s.reverse.entityCount()
+	sn.dirSpill, sn.dirMulti = s.direct.capturePreds()
+	sn.revSpill, sn.revMulti = s.reverse.capturePreds()
+	sn.dirEntities = s.direct.entities
+	sn.revEntities = s.reverse.entities
 	sn.triples = s.triples
 	s.snap.Store(sn)
 }
@@ -126,21 +126,11 @@ func (s *Store) PublishLocked() error { return s.publishLocked() }
 // capturePreds hands out the side's predicate-keyed maps for a
 // snapshot, marking them shared so the next writer mutation clones
 // them first.
-func (d *side) capturePreds() (spill, multi map[int64]bool, spillCount int) {
+func (d *side) capturePreds() (spill, multi map[int64]bool) {
 	d.predMu.Lock()
 	defer d.predMu.Unlock()
 	d.predShared = true
-	return d.spillPreds, d.multiPreds, d.spillCount
-}
-
-// entityCount counts distinct entities across the side's shards; the
-// caller holds the store write lock.
-func (d *side) entityCount() int {
-	n := 0
-	for _, sh := range d.shards {
-		n += len(sh.entityRows)
-	}
-	return n
+	return d.spillPreds, d.multiPreds
 }
 
 // Live reports whether this is a pass-through snapshot of the live
@@ -231,15 +221,10 @@ func (sn *Snapshot) AnyMultiValued(reverse bool) bool {
 }
 
 // SpillCount returns the number of spill rows on one side as of this
-// snapshot.
+// snapshot: live DPH or RPH rows beyond each entity's first.
 func (sn *Snapshot) SpillCount(reverse bool) int {
-	if sn.db == nil {
-		return sn.store.SpillCount(reverse)
-	}
-	if reverse {
-		return sn.revSpillCount
-	}
-	return sn.dirSpillCount
+	primary, _ := sn.tables(reverse)
+	return primary.LiveLen() - sn.EntityCount(reverse)
 }
 
 // EntityCount returns the number of distinct entities on one side as

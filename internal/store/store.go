@@ -101,11 +101,11 @@ type Store struct {
 	snap atomic.Pointer[Snapshot]
 
 	// markerDeletes counts triple removals since the spill/multi
-	// predicate markers were last recomputed exactly. Deletes leave the
+	// predicate markers were last derived exactly. Deletes leave the
 	// markers conservatively stale (see delete.go); the next publish
-	// that also compacts chunks recomputes them from the surviving rows
-	// (recomputeMarkersLocked), so a long-running server converges to
-	// the same translator inputs a restarted (snapshot-recovered) store
+	// that also compacts chunks derives them from the surviving rows
+	// (deriveLocked, the function recovery uses), so a long-running
+	// server converges to the same translator inputs a restarted store
 	// would compute. Guarded by the store write lock.
 	markerDeletes int
 
@@ -120,37 +120,28 @@ type Store struct {
 // read from a snapshot whose Epoch() is E.
 func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
-// RLock takes the store-wide read lock, excluding writers. The query
-// pipeline no longer uses it (queries run on published snapshots);
-// it remains for tools that inspect live loading state directly.
-func (s *Store) RLock() { s.mu.RLock() }
-
-// RUnlock releases the store-wide read lock.
-func (s *Store) RUnlock() { s.mu.RUnlock() }
-
-// numShards is the number of entity-keyed state shards per side. The
-// parallel bulk loader partitions work by shard (entity id modulo
-// numShards), so per-entity state never needs a lock: one worker owns
-// each shard for the duration of a load.
-const numShards = 64
-
-// side holds the loading state for one direction (subject-keyed DPH/DS
-// or object-keyed RPH/RS). Entity-keyed state is sharded by entity id;
-// predicate-keyed state (which any worker may touch, since a predicate
-// is not confined to one entity shard) sits behind predMu.
+// side holds one direction (subject-keyed DPH/DS or object-keyed
+// RPH/RS). Everything about an entity — its rows, whether it spilled,
+// the members of its lists — is read from the tables through the
+// DPH/RPH entry index and the DS/RS lid and elm indexes. Only the
+// predicate-keyed markers, which any bulk worker may touch, and the
+// entity count are kept beside them.
 type side struct {
 	primary   *rel.Table
 	secondary *rel.Table
 	mapping   coloring.Mapping
 	k         int
 
-	shards [numShards]*sideShard
+	// entities counts the entities with at least one live primary row:
+	// +1 when an entity's first row is appended, -1 when its last is
+	// deleted. Guarded by the store write lock; bulk workers fold their
+	// new entities in under predMu.
+	entities int
 
 	predMu     sync.Mutex
 	spillPreds map[int64]bool // predicate ids involved in spills
 	multiPreds map[int64]bool // predicate ids that own at least one lid
-	spillCount int
-	predShared bool // maps captured by a snapshot: clone before mutating
+	predShared bool           // maps captured by a snapshot: clone before mutating
 }
 
 // mutablePredsLocked makes the predicate maps private to the writer
@@ -173,18 +164,38 @@ func (d *side) mutablePredsLocked() {
 	d.predShared = false
 }
 
-// sideShard is the entity-keyed loading state for one shard of a side.
-type sideShard struct {
-	entityRows map[int64][]int          // entity id -> primary row indices
-	lidSets    map[int64]map[int64]bool // lid -> member ids (dedup)
-	spilled    map[int64]bool           // entities with >1 rows
+// rows returns the entity's live primary row ids, in row order, from
+// the entry index. The list is the index's own: it must not be held
+// across a delete of one of its rows.
+func (d *side) rows(entity int64) []int32 {
+	ids, _ := d.primary.IndexLookup("entry", rel.Int(entity))
+	return ids
 }
 
-// shardIndex maps an entity id to its state shard.
-func shardIndex(entity int64) int { return int(uint64(entity) % numShards) }
+// spilled reports whether an entity with the given rows has ever needed
+// more than one row: every row of such an entity carries spill = 1.
+func (d *side) spilled(rows []int32) bool {
+	return len(rows) > 0 && d.primary.CellAt(int(rows[0]), 1) == rel.Int(1)
+}
 
-// shard returns the state shard owning entity.
-func (d *side) shard(entity int64) *sideShard { return d.shards[shardIndex(entity)] }
+// listRow returns the secondary row holding member in list lid, or -1.
+// It walks whichever of the lid and elm postings is shorter, so a long
+// list, such as every subject of one rdf:type, is not scanned to test
+// one member.
+func (d *side) listRow(lid, member int64) int {
+	byLid, _ := d.secondary.IndexLookup("lid", rel.Int(lid))
+	byElm, _ := d.secondary.IndexLookup("elm", rel.Int(member))
+	ids, col, want := byLid, 1, member
+	if len(byElm) < len(byLid) {
+		ids, col, want = byElm, 0, lid
+	}
+	for _, id := range ids {
+		if d.secondary.CellAt(int(id), col) == rel.Int(want) {
+			return int(id)
+		}
+	}
+	return -1
+}
 
 // New creates an empty store backed by db (a fresh rel.DB when nil).
 func New(db *rel.DB, opts Options) (*Store, error) {
@@ -258,7 +269,7 @@ func New(db *rel.DB, opts Options) (*Store, error) {
 }
 
 func newSide(primary, secondary *rel.Table, m coloring.Mapping, k int) *side {
-	d := &side{
+	return &side{
 		primary:    primary,
 		secondary:  secondary,
 		mapping:    m,
@@ -266,14 +277,6 @@ func newSide(primary, secondary *rel.Table, m coloring.Mapping, k int) *side {
 		spillPreds: make(map[int64]bool),
 		multiPreds: make(map[int64]bool),
 	}
-	for i := range d.shards {
-		d.shards[i] = &sideShard{
-			entityRows: make(map[int64][]int),
-			lidSets:    make(map[int64]map[int64]bool),
-			spilled:    make(map[int64]bool),
-		}
-	}
-	return d
 }
 
 // TableName returns the prefixed name of one of the store's relations
@@ -321,25 +324,24 @@ func (s *Store) insertLocked(t rdf.Triple) (bool, error) {
 // the triple was new (false for an exact duplicate).
 func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool, error) {
 	cols := d.mapping.Columns(predURI)
-	sh := d.shard(entity)
-	rows := sh.entityRows[entity]
+	rows := d.rows(entity)
 
 	// Already present? Then extend to (or within) a multi-value list.
 	// Cell-level access (CellAt/SetCell) reads just the candidate
 	// predicate columns instead of materializing the 2k+2-wide row — a
 	// RowAt here would cost ~66 vector reads per probed row on the K=32
 	// default schema.
-	for _, ri := range rows {
+	for _, r := range rows {
+		ri := int(r)
 		for _, c := range cols {
 			pc, vc := 2+2*c, 2+2*c+1
 			if pv := d.primary.CellAt(ri, pc); pv.K == rel.KindInt && pv.I == pid {
 				cur := d.primary.CellAt(ri, vc)
 				if cur.K == rel.KindInt && dict.IsLid(cur.I) {
 					lid := cur.I
-					if sh.lidSets[lid][member] {
+					if d.listRow(lid, member) >= 0 {
 						return false, nil // duplicate triple
 					}
-					sh.lidSets[lid][member] = true
 					return true, d.secondary.Insert(rel.Row{rel.Int(lid), rel.Int(member)})
 				}
 				if cur.K == rel.KindInt && cur.I == member {
@@ -348,7 +350,6 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool
 				// Convert single value to a list.
 				d.setMultiPred(pid)
 				lid := s.Dict.NextLid()
-				sh.lidSets[lid] = map[int64]bool{cur.I: true, member: true}
 				if err := d.secondary.Insert(rel.Row{rel.Int(lid), cur}); err != nil {
 					return false, err
 				}
@@ -361,7 +362,8 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool
 	}
 
 	// Not present: find a free candidate column in an existing row.
-	for _, ri := range rows {
+	for _, r := range rows {
+		ri := int(r)
 		for _, c := range cols {
 			pc, vc := 2+2*c, 2+2*c+1
 			if d.primary.CellAt(ri, pc).IsNull() {
@@ -371,7 +373,7 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool
 				if err := d.primary.SetCell(ri, vc, rel.Int(member)); err != nil {
 					return false, err
 				}
-				if sh.spilled[entity] {
+				if d.spilled(rows) {
 					d.setSpillPred(pid)
 				}
 				return true, nil
@@ -383,28 +385,26 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool
 	spillFlag := int64(0)
 	if len(rows) > 0 {
 		spillFlag = 1
+		first := !d.spilled(rows)
 		d.predMu.Lock()
 		d.mutablePredsLocked()
-		d.spillCount++
 		d.spillPreds[pid] = true
-		d.predMu.Unlock()
-		if !sh.spilled[entity] {
-			sh.spilled[entity] = true
+		if first {
 			// Every predicate already stored for this entity is now
 			// involved in spills: a merged star lookup could miss it.
-			d.predMu.Lock()
-			d.mutablePredsLocked()
-			for _, ri := range rows {
+			for _, r := range rows {
 				for c := 0; c < d.k; c++ {
-					if pv := d.primary.CellAt(ri, 2+2*c); pv.K == rel.KindInt {
+					if pv := d.primary.CellAt(int(r), 2+2*c); pv.K == rel.KindInt {
 						d.spillPreds[pv.I] = true
 					}
 				}
 			}
-			d.predMu.Unlock()
+		}
+		d.predMu.Unlock()
+		if first {
 			// Flag prior rows as spilled.
-			for _, ri := range rows {
-				if err := d.primary.SetCell(ri, 1, rel.Int(1)); err != nil {
+			for _, r := range rows {
+				if err := d.primary.SetCell(int(r), 1, rel.Int(1)); err != nil {
 					return false, err
 				}
 			}
@@ -416,11 +416,12 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool
 	c := cols[0]
 	newRow[2+2*c] = rel.Int(pid)
 	newRow[2+2*c+1] = rel.Int(member)
-	ri, err := d.primary.AppendRow(newRow)
-	if err != nil {
+	if _, err := d.primary.AppendRow(newRow); err != nil {
 		return false, err
 	}
-	sh.entityRows[entity] = append(rows, ri)
+	if len(rows) == 0 {
+		d.entities++
+	}
 	return true, nil
 }
 
@@ -439,6 +440,88 @@ func (d *side) setSpillPred(pid int64) {
 	d.mutablePredsLocked()
 	d.spillPreds[pid] = true
 	d.predMu.Unlock()
+}
+
+// deriveLocked recomputes, from the tables alone, everything the store
+// keeps beside them: each side's spill/multi predicate markers (exact)
+// and entity count, and the triple count. Recovery calls it after
+// decoding a snapshot; installLocked calls it when a publish compacted
+// chunks after deletes, which left the markers conservatively stale.
+// An error means the tables break an invariant every writer keeps, so
+// only a decoded snapshot can return one. The caller holds the store
+// write lock.
+func (s *Store) deriveLocked() error {
+	triples, err := s.direct.derive()
+	if err != nil {
+		return err
+	}
+	if _, err := s.reverse.derive(); err != nil {
+		return err
+	}
+	s.triples = triples
+	s.markerDeletes = 0
+	return nil
+}
+
+// derive rebuilds one side's markers and entity count and returns the
+// number of triples the side stores. It visits each entity once, at its
+// first entry posting, and rejects content no writer produces: a
+// predicate without a value, and a lid with no members or with a
+// member-less row.
+func (d *side) derive() (int64, error) {
+	spill := make(map[int64]bool)
+	multi := make(map[int64]bool)
+	entities := 0
+	var triples int64
+	for i, n := 0, d.primary.Len(); i < n; i++ {
+		ev := d.primary.CellAt(i, 0)
+		if ev.K != rel.KindInt {
+			continue // dead row, cleared
+		}
+		rows := d.rows(ev.I)
+		if len(rows) == 0 || int(rows[0]) != i {
+			continue // dead row, or not the entity's first
+		}
+		entities++
+		spilled := d.spilled(rows)
+		for _, r := range rows {
+			for c := 0; c < d.k; c++ {
+				pv := d.primary.CellAt(int(r), 2+2*c)
+				if pv.K != rel.KindInt {
+					continue
+				}
+				if spilled {
+					spill[pv.I] = true
+				}
+				vv := d.primary.CellAt(int(r), 2+2*c+1)
+				switch {
+				case vv.K != rel.KindInt:
+					return 0, fmt.Errorf("store: %s row %d has predicate without value", d.primary.Name, r)
+				case dict.IsLid(vv.I):
+					members, _ := d.secondary.IndexLookup("lid", vv)
+					if len(members) == 0 {
+						return 0, fmt.Errorf("store: %s row %d references empty lid %d", d.primary.Name, r, vv.I)
+					}
+					for _, m := range members {
+						if d.secondary.CellAt(int(m), 1).K != rel.KindInt {
+							return 0, fmt.Errorf("store: %s row %d has lid without member", d.secondary.Name, m)
+						}
+					}
+					multi[pv.I] = true
+					triples += int64(len(members))
+				default:
+					triples++
+				}
+			}
+		}
+	}
+	d.predMu.Lock()
+	// Fresh maps replace the (possibly snapshot-shared) old ones, so a
+	// published snapshot's captured copies are never written.
+	d.spillPreds, d.multiPreds, d.predShared = spill, multi, false
+	d.predMu.Unlock()
+	d.entities = entities
+	return triples, nil
 }
 
 // Load reads N-Triples from r and inserts every triple. The store
@@ -536,28 +619,18 @@ func (s *Store) AnyMultiValued(reverse bool) bool {
 	return len(s.direct.multiPreds) > 0
 }
 
-// SpillCount returns the number of spill rows on one side. Caller holds
-// the store read lock or otherwise excludes writers.
-func (s *Store) SpillCount(reverse bool) int {
-	if reverse {
-		return s.reverse.spillCount
-	}
-	return s.direct.spillCount
-}
+// SpillCount returns the number of spill rows on one side: live DPH or
+// RPH rows beyond each entity's first. Caller excludes writers;
+// lock-free readers use Snapshot.SpillCount.
+func (s *Store) SpillCount(reverse bool) int { return s.LiveSnapshot().SpillCount(reverse) }
 
-// EntityCount returns the number of distinct entities on one side
-// (rows in DPH or RPH net of spills). Caller holds the store read lock
-// or otherwise excludes writers.
+// EntityCount returns the number of distinct entities on one side.
+// Caller excludes writers; lock-free readers use Snapshot.EntityCount.
 func (s *Store) EntityCount(reverse bool) int {
-	d := s.direct
 	if reverse {
-		d = s.reverse
+		return s.reverse.entities
 	}
-	n := 0
-	for _, sh := range d.shards {
-		n += len(sh.entityRows)
-	}
-	return n
+	return s.direct.entities
 }
 
 // TableBytes returns the resident in-memory size of the four DB2RDF

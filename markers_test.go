@@ -1,12 +1,11 @@
 package db2rdf_test
 
 // Regression tests for the delete-staleness of the spill/multi
-// predicate markers (ISSUE 10 satellite): the live store keeps
-// spillPreds/multiPreds/spillCount conservatively stale across deletes,
-// but a publish that compacts chunks must recompute them exactly, so a
-// long-running server converges to the same translator inputs (and
-// therefore the same EXPLAIN plans and SQL) as a store restarted from
-// its durable snapshot.
+// predicate markers: the live store keeps spillPreds/multiPreds
+// conservatively stale across deletes, but a publish that compacts
+// chunks must derive them exactly, so a long-running server converges
+// to the same translator inputs (and therefore the same EXPLAIN plans
+// and SQL) as a store restarted from its durable snapshot.
 
 import (
 	"fmt"
@@ -68,18 +67,17 @@ func markerChurn(t *testing.T, opts db2rdf.Options) (*db2rdf.Store, []rdf.Triple
 func TestMarkersRecomputedAtCompaction(t *testing.T) {
 	s, _, del := markerChurn(t, db2rdf.Options{K: 4})
 	inner := s.Internal()
-	inner.RLock()
 	mpid, ok := inner.LookupID(rdf.NewIRI("http://marker/mp"))
 	if !ok {
 		t.Fatal("multi predicate not interned")
 	}
-	if !inner.MultiValued(mpid, false) {
+	sn := inner.Snapshot()
+	if !sn.MultiValued(mpid, false) {
 		t.Fatal("mp must be multi-valued before the delete")
 	}
-	if len(inner.SpillPredicates(false)) == 0 {
+	if len(sn.SpillPredicates(false)) == 0 {
 		t.Fatal("expected direct-side spill predicates before the delete")
 	}
-	inner.RUnlock()
 
 	n, err := s.DeleteTriples(del)
 	if err != nil {
@@ -90,17 +88,17 @@ func TestMarkersRecomputedAtCompaction(t *testing.T) {
 	}
 
 	// The delete's publish compacted the filler-heavy chunks, so the
-	// markers must now be exact: the collapsed pair is single-valued
-	// again and the fully removed spilled subject left spillPreds.
-	inner.RLock()
-	defer inner.RUnlock()
+	// snapshot it published must hold exact markers: the collapsed pair
+	// is single-valued again and the fully removed spilled subject left
+	// spillPreds.
 	if inner.Compactions() == 0 {
 		t.Fatal("test did not trigger publish-time compaction; threshold assumptions broken")
 	}
-	if inner.MultiValued(mpid, false) {
+	sn = inner.Snapshot()
+	if sn.MultiValued(mpid, false) {
 		t.Fatal("mp still marked multi-valued after collapse + compaction")
 	}
-	for pid := range inner.SpillPredicates(false) {
+	for pid := range sn.SpillPredicates(false) {
 		term, err := inner.Dict.Decode(pid)
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +107,7 @@ func TestMarkersRecomputedAtCompaction(t *testing.T) {
 			t.Fatalf("deleted spill predicate %s still marked", term.Value)
 		}
 	}
-	if got := inner.SpillCount(false); got != 0 {
+	if got := sn.SpillCount(false); got != 0 {
 		t.Fatalf("direct spill count = %d, want 0 after deleting the spilled subject", got)
 	}
 }

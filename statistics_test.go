@@ -152,9 +152,9 @@ func TestDerivedStatisticsMatchOracle(t *testing.T) {
 				s = durOpen(t, dir, 0)
 			}
 			where := fmt.Sprintf("seed %d step %d (%s)", seed, step, label)
-			checkStatsOracle(t, where, s, s.inner.StatsView(), universe)
+			checkStatsOracle(t, where, s, s.inner.Snapshot(), universe)
 			s.inner.Lock()
-			checkStatsOracle(t, where+" live", s, s.inner.LiveSnapshot().StatsView(), universe)
+			checkStatsOracle(t, where+" live", s, s.inner.LiveSnapshot(), universe)
 			s.inner.Unlock()
 		}
 		if err := s.Close(); err != nil {
@@ -184,16 +184,33 @@ func exportTriples(t *testing.T, s *Store) []rdf.Triple {
 	}
 }
 
-// checkStatsOracle compares v with counts taken by brute force over the
-// store's Export: the total, both averages, and the subject and object
-// count of every term of universe.
-func checkStatsOracle(t *testing.T, where string, s *Store, v store.StatsView, universe []rdf.Term) {
+// checkStatsOracle compares sn with counts taken by brute force over
+// the store's Export: each side's entity count with the distinct
+// subjects or objects, its spill count with the live DPH/RPH rows
+// beyond each entity's first, and the statistics' total, both averages,
+// and the subject and object count of every term of universe.
+func checkStatsOracle(t *testing.T, where string, s *Store, sn *store.Snapshot, universe []rdf.Term) {
 	t.Helper()
+	v := sn.StatsView()
 	ts := exportTriples(t, s)
 	subj, obj := map[rdf.Term]int{}, map[rdf.Term]int{}
 	for _, tr := range ts {
 		subj[tr.S]++
 		obj[tr.O]++
+	}
+	for _, c := range []struct {
+		reverse  bool
+		table    string
+		distinct int
+	}{{false, "DPH", len(subj)}, {true, "RPH", len(obj)}} {
+		entities := sn.EntityCount(c.reverse)
+		if entities != c.distinct {
+			t.Fatalf("%s: EntityCount(reverse=%v) = %d, want %d", where, c.reverse, entities, c.distinct)
+		}
+		live := sn.DB().Table(sn.TableName(c.table)).LiveLen()
+		if got := sn.SpillCount(c.reverse); got != live-entities {
+			t.Fatalf("%s: SpillCount(reverse=%v) = %d, want %d live %s rows - %d entities", where, c.reverse, got, live, c.table, entities)
+		}
 	}
 	avg := func(entities int) float64 {
 		if entities == 0 {
