@@ -27,6 +27,9 @@ echo "== write path derived from the tables (entry/lid/elm postings, parallel lo
 go test -race -count=1 \
     -run 'TestMarker|TestLoadParallel|TestDuplicateLoadStats|TestMultiValueConversion|TestSpills|TestDerivedStatisticsMatchOracle' \
     . ./internal/store/
+# Bulk workers place every triple with side.insert, so they SetCell
+# concurrently; repeat the parallel-vs-sequential load under -race.
+go test -race -count=3 -run '^TestLoadParallelMatchesSequential$' .
 echo "== abort paths (governance, fault injection, panic containment) =="
 go test -race -count=1 \
     -run 'TestExecContext|TestFault|TestPanic|TestAbort|Budget|TestQueryContext|TestDeadline|TestQueryTimeout|TestEarlierParent|TestGraphQueryGovernance|TestPathClosureGovernance|TestExplainGovernance' \

@@ -185,7 +185,8 @@ func (s *Store) LoadTriples(ts []rdf.Triple) error {
 // parsing and dictionary encoding fan out over worker goroutines, the
 // encoded triples are partitioned by entity id, and the direct
 // (subject-sharded) and reverse (object-sharded) relations are filled
-// concurrently with batched appends. workers <= 0 means GOMAXPROCS.
+// concurrently, one goroutine per entity-disjoint bucket, through the
+// same per-triple insert as Load. workers <= 0 means GOMAXPROCS.
 // The final store state matches a sequential Load of the same data.
 func (s *Store) LoadParallel(r io.Reader, workers int) (int, error) {
 	start := time.Now()

@@ -122,8 +122,10 @@ func BenchmarkScanFilter(b *testing.B) {
 			}
 			rows[i] = Row{Int(v), Int(int64(i))}
 		}
-		if _, err := t.AppendRows(rows); err != nil {
-			b.Fatal(err)
+		for _, rw := range rows {
+			if err := t.Insert(rw); err != nil {
+				b.Fatal(err)
+			}
 		}
 		return db
 	}
@@ -177,8 +179,10 @@ func BenchmarkScanFilterLarge(b *testing.B) {
 			}
 			rows[i] = Row{Int(v), Int(int64(i))}
 		}
-		if _, err := t.AppendRows(rows); err != nil {
-			b.Fatal(err)
+		for _, rw := range rows {
+			if err := t.Insert(rw); err != nil {
+				b.Fatal(err)
+			}
 		}
 		if sealed {
 			t.Publish() // live directory now points at sealed chunks

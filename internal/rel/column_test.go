@@ -133,8 +133,8 @@ func checkModel(t *testing.T, tbl *Table, want []Row, what string) {
 	}
 }
 
-// TestColumnarRoundTrip drives randomized appends, batch appends and
-// cell updates through a table and a plain-rows model and requires
+// TestColumnarRoundTrip drives randomized appends (each landing at the
+// index AppendRow returns) and cell updates through a table and a plain-rows model and requires
 // identical logical content after every phase — including NULL↔value
 // transitions that shift the packed vectors, exception values, and
 // writes into chunks a Publish has sealed (the published snapshot must
@@ -165,19 +165,18 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 	checkModel(t, tbl, model, "after appends")
 
-	batch := make([]Row, 1500)
-	for i := range batch {
-		batch[i] = mkRow()
+	for i := 0; i < 1500; i++ {
+		rw := mkRow()
+		id, err := tbl.AppendRow(rw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != len(model) {
+			t.Fatalf("AppendRow index %d, want %d", id, len(model))
+		}
+		model = append(model, rw)
 	}
-	base, err := tbl.AppendRows(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base != len(model) {
-		t.Fatalf("AppendRows base %d, want %d", base, len(model))
-	}
-	model = append(model, batch...)
-	checkModel(t, tbl, model, "after batch")
+	checkModel(t, tbl, model, "after AppendRow")
 
 	snap, frozen := tbl.Publish(), cloneRows(model)
 	checkModel(t, snap, frozen, "sealed snapshot")
@@ -322,8 +321,10 @@ func zoneDB(t *testing.T) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.AppendRows(zoneRows()); err != nil {
-		t.Fatal(err)
+	for _, rw := range zoneRows() {
+		if err := tbl.Insert(rw); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return db
 }

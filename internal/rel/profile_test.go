@@ -202,8 +202,10 @@ func excDB(t *testing.T) *DB {
 		}
 		rows = append(rows, Row{Int(int64(i)), v})
 	}
-	if _, err := tbl.AppendRows(rows); err != nil {
-		t.Fatal(err)
+	for _, rw := range rows {
+		if err := tbl.Insert(rw); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return db
 }

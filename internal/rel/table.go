@@ -185,34 +185,6 @@ func (t *Table) AppendRow(r Row) (int, error) {
 	return id, nil
 }
 
-// AppendRows appends a batch of rows under one lock acquisition and
-// returns the index of the first; row i of the batch lands at index
-// base+i. Used by the bulk loader to amortize locking and index
-// maintenance across a whole batch. The batch is written column-wise,
-// one vector at a time.
-func (t *Table) AppendRows(rs []Row) (int, error) {
-	for _, r := range rs {
-		if len(r) != len(t.Schema) {
-			return 0, fmt.Errorf("rel: table %s: row width %d != schema width %d", t.Name, len(r), len(t.Schema))
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	base := t.nrows
-	for j, col := range t.cols {
-		for i, r := range rs {
-			col.appendVal(t.wgen, base+i, r[j])
-		}
-	}
-	t.nrows += len(rs)
-	for i, r := range rs {
-		for _, idx := range t.indexes {
-			idx.add(r[idx.col], int32(base+i))
-		}
-	}
-	return base, nil
-}
-
 // CellAt returns the value at (row i, column j). Cheaper than RowAt
 // when only a few cells of a wide row are needed: it reads one vector
 // instead of materializing 2k+2 columns.

@@ -10,9 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"db2rdf/internal/dict"
 	"db2rdf/internal/rdf"
-	"db2rdf/internal/rel"
 	"db2rdf/internal/wal"
 )
 
@@ -24,16 +22,16 @@ import (
 //     subject, the reverse side by object — so that all triples of one
 //     entity land in exactly one bucket;
 //  3. insert the buckets concurrently: one goroutine per bucket per
-//     side. A worker reads only the entry and lid postings of entities
-//     its bucket owns, and elm postings, which other workers only
-//     append to past what it read; the tables lock each probe and
-//     append, predicate-keyed state goes through the side's predMu, and
-//     new entities' rows are appended in batches.
+//     side, each placing its triples with side.insert, the same kernel
+//     Insert uses. A worker reads only the entry and lid postings of
+//     entities its bucket owns, and elm postings, which other workers
+//     only append to past what it read; the tables lock each probe,
+//     cell write and append, and predicate-keyed state goes through the
+//     side's predMu.
 //
-// Entities not seen before the load are built as rows in worker-local
-// memory (filled in place, no per-update row cloning) and appended to
-// DPH/RPH in one batch per bucket, which is also what makes the bulk
-// path faster than the incremental path on a single core.
+// The speed-up over Load is parallelism across entity-disjoint buckets.
+// A bucket is placed entity by entity in first-seen order, which keeps
+// each entity's rows and list members contiguous in the tables.
 //
 // Duplicates are detected on the direct side exactly as in Insert, so
 // only fresh triples are counted and logged: a parallel load of
@@ -263,8 +261,7 @@ func (s *Store) encodeTriple(t rdf.Triple) encTriple {
 // buckets concurrently, adding the number of fresh (non-duplicate)
 // triples to the triple counter and returning it so the caller can
 // decide whether to bump the epoch. The caller holds the store write
-// lock. The count may overstate what landed when a bucket errors
-// mid-append — a spurious epoch bump is harmless, a missed one is not.
+// lock.
 func (s *Store) bulkLoadLocked(enc []encTriple, workers int) (int, error) {
 	if len(enc) == 0 {
 		return 0, nil
@@ -332,38 +329,15 @@ func (s *Store) bulkLoadLocked(enc []encTriple, workers int) (int, error) {
 	return fresh, nil
 }
 
-// bulkAgg accumulates a bucket's predicate-keyed side effects so the
-// side's predMu is taken once per bucket instead of once per triple,
-// and the (lid, member) pairs of the lists its new entities build,
-// which are not in the secondary table until the bucket's batch lands.
-type bulkAgg struct {
-	spillPreds map[int64]bool
-	multiPreds map[int64]bool
-	listed     map[[2]int64]bool
-}
-
-// bulkInsert loads one bucket into the side, returning the number of
-// fresh (non-duplicate) triples it placed. Triples of entities the
-// store has never seen (the common bulk case) are built as rows in
-// local memory and batch-appended; entities with existing rows fall
-// back to the incremental insert path. abort is the load-wide failure
-// flag: set on the first error, polled at entity-group boundaries so
-// sibling buckets stop early instead of completing a doomed load.
+// bulkInsert places one bucket's triples on the side, entity by entity
+// in first-seen order, and returns the number of fresh (non-duplicate)
+// triples. Each fresh triple's WAL delta is captured once its insert
+// reports it fresh. The bucket's new entities are folded into the
+// side's count under predMu, also when a later triple fails: whatever
+// landed is about to be published. abort is the load-wide failure flag:
+// set on the first error, polled at entity-group boundaries so sibling
+// buckets stop early instead of completing a doomed load.
 func (d *side) bulkInsert(s *Store, bucket []encTriple, reverse bool, abort *atomic.Bool, deltas *[]walDelta) (int, error) {
-	if len(bucket) == 0 {
-		return 0, nil
-	}
-	colCache := make(map[string][]int)
-	colsFor := func(pred string) []int {
-		cols, ok := colCache[pred]
-		if !ok {
-			cols = d.mapping.Columns(pred)
-			colCache[pred] = cols
-		}
-		return cols
-	}
-
-	// Group the bucket by entity, preserving first-seen order.
 	order := make([]int64, 0, len(bucket)/2)
 	byEntity := make(map[int64][]encTriple, len(bucket)/2)
 	for _, e := range bucket {
@@ -377,46 +351,27 @@ func (d *side) bulkInsert(s *Store, bucket []encTriple, reverse bool, abort *ato
 		byEntity[ent] = append(byEntity[ent], e)
 	}
 
-	var pendingPrimary []rel.Row
-	var pendingSecondary []rel.Row
-	newEntities := 0
-	agg := &bulkAgg{spillPreds: make(map[int64]bool), multiPreds: make(map[int64]bool), listed: make(map[[2]int64]bool)}
-	freshTotal := 0
-
+	freshTotal, newEntities := 0, 0
+	var err error
+groups:
 	for gi, ent := range order {
 		if gi&63 == 0 && abort.Load() {
-			return freshTotal, nil // a sibling bucket failed; its error is reported
+			break // a sibling bucket failed; its error is reported
 		}
-		encs := byEntity[ent]
-		if len(d.rows(ent)) > 0 {
-			// Entity already has table rows: incremental path.
-			for _, e := range encs {
-				entity, member := e.s, e.o
-				if reverse {
-					entity, member = e.o, e.s
-				}
-				fresh, err := d.insert(s, entity, e.p, member, e.pred)
-				if err != nil {
-					abort.Store(true)
-					return freshTotal, err
-				}
-				if fresh {
-					freshTotal++
-					if deltas != nil {
-						*deltas = append(*deltas, walDelta{op: wal.OpInsert, s: e.s, p: e.p, o: e.o})
-					}
-				}
-			}
-			continue
-		}
-		start := len(pendingPrimary)
-		for _, e := range encs {
-			entity, member := e.s, e.o
+		for _, e := range byEntity[ent] {
+			member := e.o
 			if reverse {
-				entity, member = e.o, e.s
+				member = e.s
 			}
-			fresh, rows := d.insertLocal(s, pendingPrimary, start, agg, &pendingSecondary, entity, e.p, member, colsFor(e.pred))
-			pendingPrimary = rows
+			var fresh, first bool
+			fresh, first, err = d.insert(s, ent, e.p, member, e.pred)
+			if first {
+				newEntities++
+			}
+			if err != nil {
+				abort.Store(true)
+				break groups
+			}
 			if fresh {
 				freshTotal++
 				if deltas != nil {
@@ -424,114 +379,9 @@ func (d *side) bulkInsert(s *Store, bucket []encTriple, reverse bool, abort *ato
 				}
 			}
 		}
-		newEntities++
 	}
-
-	// Batch-append the locally built rows; the entry index registers them.
-	if len(pendingPrimary) > 0 {
-		if _, err := d.primary.AppendRows(pendingPrimary); err != nil {
-			abort.Store(true)
-			return freshTotal, err
-		}
-	}
-	if len(pendingSecondary) > 0 {
-		if _, err := d.secondary.AppendRows(pendingSecondary); err != nil {
-			abort.Store(true)
-			return freshTotal, err
-		}
-	}
-
-	// Fold the bucket's predicate-keyed effects and new entities into
-	// the side.
 	d.predMu.Lock()
-	if len(agg.spillPreds) > 0 || len(agg.multiPreds) > 0 {
-		d.mutablePredsLocked()
-		for pid := range agg.spillPreds {
-			d.spillPreds[pid] = true
-		}
-		for pid := range agg.multiPreds {
-			d.multiPreds[pid] = true
-		}
-	}
 	d.entities += newEntities
 	d.predMu.Unlock()
-	return freshTotal, nil
-}
-
-// insertLocal is the bulk twin of side.insert: it places
-// (entity, pred) -> member into the entity's pending rows
-// (rows[start:]), which live in worker-local memory and can therefore
-// be filled in place. It returns whether the triple was new and the
-// (possibly grown) pending row slice.
-func (d *side) insertLocal(s *Store, rows []rel.Row, start int, agg *bulkAgg, secondary *[]rel.Row, entity, pid, member int64, cols []int) (bool, []rel.Row) {
-	ent := rows[start:]
-
-	// Already present? Then extend to (or within) a multi-value list.
-	for _, row := range ent {
-		for _, c := range cols {
-			pc, vc := 2+2*c, 2+2*c+1
-			if row[pc].K == rel.KindInt && row[pc].I == pid {
-				cur := row[vc]
-				if cur.K == rel.KindInt && dict.IsLid(cur.I) {
-					lid := cur.I
-					if agg.listed[[2]int64{lid, member}] {
-						return false, rows // duplicate triple
-					}
-					agg.listed[[2]int64{lid, member}] = true
-					*secondary = append(*secondary, rel.Row{rel.Int(lid), rel.Int(member)})
-					return true, rows
-				}
-				if cur.K == rel.KindInt && cur.I == member {
-					return false, rows // duplicate triple
-				}
-				// Convert single value to a list.
-				agg.multiPreds[pid] = true
-				lid := s.Dict.NextLid()
-				agg.listed[[2]int64{lid, cur.I}] = true
-				agg.listed[[2]int64{lid, member}] = true
-				*secondary = append(*secondary, rel.Row{rel.Int(lid), cur}, rel.Row{rel.Int(lid), rel.Int(member)})
-				row[vc] = rel.Int(lid)
-				return true, rows
-			}
-		}
-	}
-
-	// Not present: find a free candidate column in an existing row.
-	for _, row := range ent {
-		for _, c := range cols {
-			pc, vc := 2+2*c, 2+2*c+1
-			if row[pc].IsNull() {
-				row[pc] = rel.Int(pid)
-				row[vc] = rel.Int(member)
-				if ent[0][1] == rel.Int(1) {
-					agg.spillPreds[pid] = true
-				}
-				return true, rows
-			}
-		}
-	}
-
-	// Spill: add a fresh row for the entity.
-	spillFlag := int64(0)
-	if len(ent) > 0 {
-		spillFlag = 1
-		agg.spillPreds[pid] = true
-		if ent[0][1] != rel.Int(1) {
-			for _, row := range ent {
-				for c := 0; c < d.k; c++ {
-					if pv := row[2+2*c]; pv.K == rel.KindInt {
-						agg.spillPreds[pv.I] = true
-					}
-				}
-				row[1] = rel.Int(1)
-			}
-		}
-	}
-	newRow := make(rel.Row, 2+2*d.k)
-	newRow[0] = rel.Int(entity)
-	newRow[1] = rel.Int(spillFlag)
-	c := cols[0]
-	newRow[2+2*c] = rel.Int(pid)
-	newRow[2+2*c+1] = rel.Int(member)
-	return true, append(rows, newRow)
+	return freshTotal, err
 }

@@ -613,33 +613,20 @@ func (s *Store) replayWALLocked(dir string) (replayed, truncated uint64, lastSeg
 	cur := s.epoch.Load()
 	stopSeg, stopOff := -1, int64(0)
 	// Runs of contiguous insert-only batches are coalesced and flushed
-	// through the partitioned bulk-load path (parallel.go) instead of
-	// one insertLocked per record: recovery of an insert-heavy log
-	// becomes a sequence of entity-sharded parallel loads. This is
-	// sound because an insert is only ever logged when it was fresh, so
-	// within a run (no deletes, no clears) the triples are distinct and
-	// absent from the store — exactly the bulk-load contract — and a
-	// flush happens before any non-insert batch is applied, preserving
-	// operation order. Epochs still advance batch by batch.
+	// through the partitioned bulk loader (parallel.go), which places
+	// every triple with the same side.insert as applyBatchLocked.
+	// Inserts commute, and a flush happens before any non-insert batch
+	// is applied, preserving operation order. Epochs still advance
+	// batch by batch.
 	var pending []rdf.Triple
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
 		}
-		if len(pending) >= replayBulkMin {
-			w := normWorkers(0)
-			if _, err := s.bulkLoadLocked(s.encodeSlice(pending, w), w); err != nil {
-				return err
-			}
-		} else {
-			for _, t := range pending {
-				if _, err := s.insertLocked(t); err != nil {
-					return err
-				}
-			}
-		}
+		w := normWorkers(0)
+		_, err := s.bulkLoadLocked(s.encodeSlice(pending, w), w)
 		pending = pending[:0]
-		return nil
+		return err
 	}
 	for si, seg := range segs {
 		data, rerr := os.ReadFile(seg.Path)
@@ -714,11 +701,6 @@ func (s *Store) replayWALLocked(dir string) (replayed, truncated uint64, lastSeg
 	}
 	return replayed, truncated, segs[len(segs)-1].Path, nil
 }
-
-// replayBulkMin is the coalesced-insert run length below which replay
-// falls back to sequential insertLocked calls: sharding and worker
-// startup don't pay for themselves under a chunk of rows.
-const replayBulkMin = 1024
 
 // batchInsertOnly reports whether every record of the batch is an
 // insert, making it eligible for replay coalescing.

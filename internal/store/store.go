@@ -306,11 +306,18 @@ func (s *Store) insertLocked(t rdf.Triple) (bool, error) {
 	sid := s.Dict.Encode(t.S)
 	pid := s.Dict.Encode(t.P)
 	oid := s.Dict.Encode(t.O)
-	fresh, err := s.direct.insert(s, sid, pid, oid, t.P.Value)
+	fresh, first, err := s.direct.insert(s, sid, pid, oid, t.P.Value)
+	if first {
+		s.direct.entities++
+	}
 	if err != nil {
 		return fresh, err
 	}
-	if _, err := s.reverse.insert(s, oid, pid, sid, t.P.Value); err != nil {
+	_, first, err = s.reverse.insert(s, oid, pid, sid, t.P.Value)
+	if first {
+		s.reverse.entities++
+	}
+	if err != nil {
 		return fresh, err
 	}
 	if fresh {
@@ -320,9 +327,14 @@ func (s *Store) insertLocked(t rdf.Triple) (bool, error) {
 	return fresh, nil
 }
 
-// insert places (entity, pred) -> member on one side, reporting whether
-// the triple was new (false for an exact duplicate).
-func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool, error) {
+// insert places (entity, pred) -> member on one side. It is the one
+// placement rule of §2 — a free candidate column of one of the entity's
+// rows, else a spill row, and a second value turns the cell into a
+// DS/RS list — for every writer: Insert, the loaders, Update and WAL
+// replay. fresh is false for an exact duplicate; first reports that the
+// entity's first row was appended, which the caller adds to the entity
+// count (bulk workers run insert concurrently, so it must not).
+func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fresh, first bool, err error) {
 	cols := d.mapping.Columns(predURI)
 	rows := d.rows(entity)
 
@@ -340,23 +352,23 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool
 				if cur.K == rel.KindInt && dict.IsLid(cur.I) {
 					lid := cur.I
 					if d.listRow(lid, member) >= 0 {
-						return false, nil // duplicate triple
+						return false, false, nil // duplicate triple
 					}
-					return true, d.secondary.Insert(rel.Row{rel.Int(lid), rel.Int(member)})
+					return true, false, d.secondary.Insert(rel.Row{rel.Int(lid), rel.Int(member)})
 				}
 				if cur.K == rel.KindInt && cur.I == member {
-					return false, nil // duplicate triple
+					return false, false, nil // duplicate triple
 				}
 				// Convert single value to a list.
 				d.setMultiPred(pid)
 				lid := s.Dict.NextLid()
 				if err := d.secondary.Insert(rel.Row{rel.Int(lid), cur}); err != nil {
-					return false, err
+					return false, false, err
 				}
 				if err := d.secondary.Insert(rel.Row{rel.Int(lid), rel.Int(member)}); err != nil {
-					return false, err
+					return false, false, err
 				}
-				return true, d.primary.SetCell(ri, vc, rel.Int(lid))
+				return true, false, d.primary.SetCell(ri, vc, rel.Int(lid))
 			}
 		}
 	}
@@ -368,15 +380,15 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool
 			pc, vc := 2+2*c, 2+2*c+1
 			if d.primary.CellAt(ri, pc).IsNull() {
 				if err := d.primary.SetCell(ri, pc, rel.Int(pid)); err != nil {
-					return false, err
+					return false, false, err
 				}
 				if err := d.primary.SetCell(ri, vc, rel.Int(member)); err != nil {
-					return false, err
+					return false, false, err
 				}
 				if d.spilled(rows) {
 					d.setSpillPred(pid)
 				}
-				return true, nil
+				return true, false, nil
 			}
 		}
 	}
@@ -405,7 +417,7 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool
 			// Flag prior rows as spilled.
 			for _, r := range rows {
 				if err := d.primary.SetCell(int(r), 1, rel.Int(1)); err != nil {
-					return false, err
+					return false, false, err
 				}
 			}
 		}
@@ -417,12 +429,9 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (bool
 	newRow[2+2*c] = rel.Int(pid)
 	newRow[2+2*c+1] = rel.Int(member)
 	if _, err := d.primary.AppendRow(newRow); err != nil {
-		return false, err
+		return false, false, err
 	}
-	if len(rows) == 0 {
-		d.entities++
-	}
-	return true, nil
+	return true, len(rows) == 0, nil
 }
 
 // setMultiPred marks a predicate as multi-valued (lock-protected: any
