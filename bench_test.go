@@ -202,11 +202,11 @@ func BenchmarkNullColumns(b *testing.B) {
 	const rows = 20000
 	for _, extra := range []int{0, 45, 95} {
 		db := rel.NewDB()
-		schema := rel.Schema{{Name: "entry", Type: rel.TInt}}
+		schema := rel.Schema{{Name: "entry"}}
 		total := 5 + extra
 		for i := 0; i < total; i++ {
-			schema = append(schema, rel.Column{Name: fmt.Sprintf("pred%d", i), Type: rel.TInt})
-			schema = append(schema, rel.Column{Name: fmt.Sprintf("val%d", i), Type: rel.TInt})
+			schema = append(schema, rel.Column{Name: fmt.Sprintf("pred%d", i)})
+			schema = append(schema, rel.Column{Name: fmt.Sprintf("val%d", i)})
 		}
 		t, err := db.CreateTable("DPH", schema)
 		if err != nil {

@@ -34,9 +34,13 @@ echo "== abort paths (governance, fault injection, panic containment) =="
 go test -race -count=1 \
     -run 'TestExecContext|TestFault|TestPanic|TestAbort|Budget|TestQueryContext|TestDeadline|TestQueryTimeout|TestEarlierParent|TestGraphQueryGovernance|TestPathClosureGovernance|TestExplainGovernance' \
     ./internal/rel/ .
+echo "== one cell type (int-only storage, snapshot bytes unchanged) =="
+go test -race -count=1 \
+    -run 'TestColumnarRoundTrip|TestVectorizedScanEquivalence|TestSnapshot|TestTableRejectsNonIntCells|TestFloatIndexRegression' \
+    ./internal/rel/
 echo "== observability: plan-cache accounting, metrics, analyze harness =="
 go test -race -count=1 \
-    -run 'TestPlanCacheAccountingConcurrent|TestPlanCacheStaleGetAccounting|TestMetricsRegistry|TestSlowQueryLog|TestAnalyzeEstimateVsActual|TestZoneMapExceptionPruning|TestLimitOffsetPathEquivalence' \
+    -run 'TestPlanCacheAccountingConcurrent|TestPlanCacheStaleGetAccounting|TestMetricsRegistry|TestSlowQueryLog|TestAnalyzeEstimateVsActual|TestZoneMapStillPrunesCleanChunks|TestLimitOffsetPathEquivalence' \
     ./internal/rel/ .
 echo "== update equivalence (interleaved insert/delete, concurrent readers) =="
 go test -race -count=1 \
@@ -66,5 +70,6 @@ go test -run '^$' -fuzz '^FuzzParseUpdate$' -fuzztime 5s .
 go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 5s .
 go test -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 5s ./internal/wal/
 go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime 5s ./internal/rel/
+go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 5s ./internal/rel/
 go test -run '^$' -fuzz '^FuzzEncodeMatchesReference$' -fuzztime 5s ./results/
 echo "ok"

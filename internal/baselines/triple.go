@@ -50,9 +50,9 @@ type TripleStore struct {
 func NewTripleStore(opts TripleOptions) (*TripleStore, error) {
 	db := rel.NewDB()
 	t, err := db.CreateTable("TRIPLES", rel.Schema{
-		{Name: "subj", Type: rel.TInt},
-		{Name: "pred", Type: rel.TInt},
-		{Name: "obj", Type: rel.TInt},
+		{Name: "subj"},
+		{Name: "pred"},
+		{Name: "obj"},
 	})
 	if err != nil {
 		return nil, err

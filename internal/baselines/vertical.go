@@ -64,8 +64,8 @@ func (s *VerticalStore) Insert(t rdf.Triple) error {
 	if !ok {
 		name = fmt.Sprintf("COL_%d", pid)
 		tbl, err := s.DB.CreateTable(name, rel.Schema{
-			{Name: "entry", Type: rel.TInt},
-			{Name: "val", Type: rel.TInt},
+			{Name: "entry"},
+			{Name: "val"},
 		})
 		if err != nil {
 			return err
@@ -197,7 +197,7 @@ func (s *VerticalStore) anyTable() string {
 	}
 	if len(names) == 0 {
 		if s.DB.Table("COL_EMPTY") == nil {
-			t, _ := s.DB.CreateTable("COL_EMPTY", rel.Schema{{Name: "entry", Type: rel.TInt}, {Name: "val", Type: rel.TInt}})
+			t, _ := s.DB.CreateTable("COL_EMPTY", rel.Schema{{Name: "entry"}, {Name: "val"}})
 			_ = t
 		}
 		return "COL_EMPTY"

@@ -9,9 +9,9 @@ func benchDB(b *testing.B, rows int) *DB {
 	b.Helper()
 	db := NewDB()
 	t, err := db.CreateTable("t", Schema{
-		{Name: "id", Type: TInt},
-		{Name: "grp", Type: TInt},
-		{Name: "val", Type: TInt},
+		{Name: "id"},
+		{Name: "grp"},
+		{Name: "val"},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -108,7 +108,7 @@ func BenchmarkScanFilter(b *testing.B) {
 	build := func(b *testing.B, clustered bool) *DB {
 		b.Helper()
 		db := NewDB()
-		t, err := db.CreateTable("sf", Schema{{Name: "v", Type: TInt}, {Name: "pad", Type: TInt}})
+		t, err := db.CreateTable("sf", Schema{{Name: "v"}, {Name: "pad"}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func BenchmarkScanFilterLarge(b *testing.B) {
 	build := func(b *testing.B, clustered, sealed bool) *DB {
 		b.Helper()
 		db := NewDB()
-		t, err := db.CreateTable("sf", Schema{{Name: "v", Type: TInt}, {Name: "pad", Type: TInt}})
+		t, err := db.CreateTable("sf", Schema{{Name: "v"}, {Name: "pad"}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func BenchmarkLeftOuterJoin(b *testing.B) {
 
 func BenchmarkInsertIndexed(b *testing.B) {
 	db := NewDB()
-	t, err := db.CreateTable("ins", Schema{{Name: "a", Type: TInt}, {Name: "b", Type: TInt}})
+	t, err := db.CreateTable("ins", Schema{{Name: "a"}, {Name: "b"}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package rel
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -10,7 +9,7 @@ import (
 // relations are wide and sparse by design — k (pred_i, val_i) pairs
 // per row, most NULL for any given subject — so storing rows as
 // []Value burns 40 bytes per absent predicate. A colVec instead keeps
-// one typed vector per column, split into fixed-size chunks of 1024
+// one int64 vector per column, split into fixed-size chunks of 1024
 // rows. Each chunk holds a presence bitmap (1 bit per row; a cleared
 // bit is NULL) and a densely packed slice of the present values, so a
 // NULL costs one bit and access is rank(popcount) into the packed
@@ -24,17 +23,11 @@ import (
 // `col = const`, range and IS [NOT] NULL conjuncts before any per-row
 // work.
 //
-// Values whose kind does not match the declared column type (a Bool
-// anywhere, a Float in a TInt column — possible because Insert is
-// dynamically typed) are stored out of line in the chunk's exception
-// map and counted on the vector. Exception handling is chunk-granular:
-// a chunk with exceptions is never zone-pruned (its int min/max say
-// nothing about the out-of-line values, which may still satisfy the
-// predicate — e.g. Float 5.0 matches `col = 5`), and the vectorized
-// comparators consult the exception map per row. Chunks without
-// exceptions keep the fast packed-only path; the RDF store itself only
-// writes dictionary ids into TInt columns, so production workloads
-// carry zero exceptions.
+// Every stored cell is an int64 or NULL: the RDF schemas hold only
+// dictionary ids, lids and flags, and Table's write methods reject any
+// other kind at the boundary (table.go), so a chunk's packed slice is
+// the whole truth about its present cells and the zone map bounds all
+// of them.
 //
 // Concurrency: colVec methods take no locks. The owning Table
 // serializes writers with its mutex; readers either hold the table
@@ -44,15 +37,15 @@ import (
 // chunk directory carries the writer generation (Table.wgen) that
 // created it, and a writer touching a chunk from an older generation —
 // one that a published snapshot may still reference — first clones it
-// (deep-copying the packed slices and exception map, since set() does
-// in-place rank writes and memmoves into them). Chunks created in the
+// (deep-copying the bitmap and packed slice, since set() does in-place
+// rank writes and memmoves into them). Chunks created in the
 // current generation are private to the writer and mutate in place; a
 // table that has never been published has wgen 0 and every mutation
 // stays in place, so temp tables pay nothing for the machinery.
 //
 // Compression (DESIGN.md §10): at publish time every raw chunk is
 // replaced — as a new object, never in place, since concurrent readers
-// may hold the raw pointer — by a sealed copy. Sealed TInt chunks store
+// may hold the raw pointer — by a sealed copy. Sealed chunks store
 // their values frame-of-reference bit-packed: ref is the minimum over
 // the packed slice and each value is kept as a packedW-bit delta in
 // packed, so a chunk of dictionary ids costs bits proportional to its
@@ -117,41 +110,33 @@ type colChunk struct {
 	bits *[chunkWords]uint64 // presence bitmap; clear bit = NULL. Sealed dense chunks share denseBits.
 	n    int                 // number of set bits (packed values)
 
-	// Exactly one of the packed slices is used, per the column type —
-	// unless the chunk is sealed with a non-nil packed, in which case
-	// ints is nil and the values live bit-packed in packed.
-	ints   []int64
-	floats []float64
-	strs   []string
+	// ints holds the present values in row order — unless the chunk is
+	// sealed with a non-nil packed, in which case ints is nil and the
+	// values live bit-packed in packed.
+	ints []int64
 
-	// Sealed frame-of-reference representation (TInt only): with
-	// lpw = 64/packedW lanes per word, value k is ref + the
-	// packedW-bit field at bit (k mod lpw)*packedW of packed[k/lpw].
-	// nil packed on a sealed chunk means the values stayed raw
-	// (non-int column, or spread wider than maxPackWidth).
-	packed  []uint64
-	packedW uint8
-	ref     int64
+	// Sealed frame-of-reference representation: with lpw = 64/packedW
+	// lanes per word, value k is ref + the packedW-bit field at bit
+	// (k mod lpw)*packedW of packed[k/lpw]. nil packed on a sealed chunk
+	// means the values stayed raw (spread wider than maxPackWidth).
+	packed []uint64
+	ref    int64
 
-	// sealed marks the chunk immutable (published in encoded form).
-	// mutableChunk clones a sealed chunk back to raw before mutation
-	// even when its generation matches the writer's.
-	sealed bool
-
-	// Zone map over packed int values: sound (possibly loose) bounds,
+	// Zone map over the present values: sound (possibly loose) bounds,
 	// widened on write, never narrowed. Valid only when zoneInit.
 	min, max int64
-	zoneInit bool
-
-	// exc holds values whose kind mismatches the column type, keyed by
-	// in-chunk offset. The packed slice carries a zero placeholder at
-	// the same rank so presence arithmetic stays uniform.
-	exc map[uint16]Value
 
 	// gen is the writer generation (Table.wgen) that created or cloned
 	// this chunk. A writer may only mutate chunks of the current
 	// generation; older chunks are shared with published snapshots.
 	gen uint64
+
+	packedW  uint8
+	zoneInit bool
+	// sealed marks the chunk immutable (published in encoded form).
+	// mutableChunk clones a sealed chunk back to raw before mutation
+	// even when its generation matches the writer's.
+	sealed bool
 }
 
 // newBits allocates a private presence bitmap.
@@ -159,18 +144,16 @@ func newBits() *[chunkWords]uint64 { return new([chunkWords]uint64) }
 
 // colVec is one column of a table.
 type colVec struct {
-	typ      ColumnType
-	chunks   []*colChunk // nil entry = all-NULL chunk
-	excCount int         // total exception values across all chunks
-	sgen     uint64      // generation that owns the chunks slice (slot stores require sgen == wgen)
+	chunks []*colChunk // nil entry = all-NULL chunk
+	sgen   uint64      // generation that owns the chunks slice (slot stores require sgen == wgen)
 }
 
 // clone deep-copies the chunk for mutation in generation wgen,
-// decoding a sealed chunk back into raw form. The bitmap, packed
-// slices and exception map must be copied, not shared: set() memmoves
-// and rank-writes into them in place, which would corrupt the
-// snapshot's view of the shared backing arrays (and a sealed dense
-// chunk's bitmap is the shared global).
+// decoding a sealed chunk back into raw form. The bitmap and packed
+// slice must be copied, not shared: set() memmoves and rank-writes into
+// them in place, which would corrupt the snapshot's view of the shared
+// backing arrays (and a sealed dense chunk's bitmap is the shared
+// global).
 func (c *colChunk) clone(wgen uint64) *colChunk {
 	nc := &colChunk{
 		bits:     newBits(),
@@ -187,36 +170,20 @@ func (c *colChunk) clone(wgen uint64) *colChunk {
 	} else if c.ints != nil {
 		nc.ints = append(make([]int64, 0, len(c.ints)+1), c.ints...)
 	}
-	if c.floats != nil {
-		nc.floats = append(make([]float64, 0, len(c.floats)+1), c.floats...)
-	}
-	if c.strs != nil {
-		nc.strs = append(make([]string, 0, len(c.strs)+1), c.strs...)
-	}
-	if c.exc != nil {
-		nc.exc = make(map[uint16]Value, len(c.exc))
-		for k, v := range c.exc {
-			nc.exc[k] = v
-		}
-	}
 	return nc
 }
 
 // seal returns an immutable encoded copy of the chunk for publication:
-// TInt values are frame-of-reference bit-packed (reference = minimum
-// over the packed slice, including exception placeholders, so every
-// delta is non-negative), a fully dense presence bitmap is replaced by
-// the shared global, and float/string slices are shared as-is. The
-// receiver is left untouched — concurrent readers may still hold it.
-func (c *colChunk) seal(typ ColumnType, gen uint64) *colChunk {
+// the values are frame-of-reference bit-packed (reference = minimum
+// over the packed slice, so every delta is non-negative) and a fully
+// dense presence bitmap is replaced by the shared global. The receiver
+// is left untouched — concurrent readers may still hold it.
+func (c *colChunk) seal(gen uint64) *colChunk {
 	nc := &colChunk{
 		n:        c.n,
 		min:      c.min,
 		max:      c.max,
 		zoneInit: c.zoneInit,
-		exc:      c.exc,
-		floats:   c.floats,
-		strs:     c.strs,
 		gen:      gen,
 		sealed:   true,
 	}
@@ -225,9 +192,9 @@ func (c *colChunk) seal(typ ColumnType, gen uint64) *colChunk {
 	} else {
 		nc.bits = c.bits
 	}
-	if typ != TInt || len(c.ints) == 0 {
+	sealedChunksTotal.Add(1)
+	if len(c.ints) == 0 {
 		nc.ints = c.ints
-		sealedChunksTotal.Add(1)
 		return nc
 	}
 	ref, maxv := c.ints[0], c.ints[0]
@@ -242,7 +209,6 @@ func (c *colChunk) seal(typ ColumnType, gen uint64) *colChunk {
 	w := uint(bits.Len64(uint64(maxv) - uint64(ref)))
 	if w > maxPackWidth {
 		nc.ints = c.ints
-		sealedChunksTotal.Add(1)
 		return nc
 	}
 	// Widen by one bit when that changes no word count: the spare top
@@ -254,7 +220,6 @@ func (c *colChunk) seal(typ ColumnType, gen uint64) *colChunk {
 	nc.ref = ref
 	nc.packedW = uint8(w)
 	nc.packed = packInts(c.ints, ref, w)
-	sealedChunksTotal.Add(1)
 	return nc
 }
 
@@ -374,19 +339,6 @@ func (c *colChunk) rank(off int) int {
 	return r
 }
 
-// conforms reports whether v can live in the packed slice of a column
-// of type typ (as opposed to the exception map).
-func conforms(typ ColumnType, v Value) bool {
-	switch typ {
-	case TInt:
-		return v.K == KindInt
-	case TFloat:
-		return v.K == KindFloat
-	default:
-		return v.K == KindString
-	}
-}
-
 // widen grows the chunk's int zone map to cover x.
 func (c *colChunk) widen(x int64) {
 	if !c.zoneInit {
@@ -409,181 +361,65 @@ func (v *colVec) grow(i int) {
 	}
 }
 
-// appendVal writes val at row i, which must be the next unwritten row
-// (append order). Appending within a chunk always lands past every
-// set bit, so the packed insert is a plain append. wgen is the owning
-// table's writer generation (COW discipline; see the header comment).
+// appendVal writes val (an Int or NULL; Table checks) at row i,
+// which must be the next unwritten row (append order). Appending
+// within a chunk always lands past every set bit, so the packed insert
+// is a plain append. wgen is the owning table's writer generation (COW
+// discipline; see the header comment).
 func (v *colVec) appendVal(wgen uint64, i int, val Value) {
 	v.grow(i + 1)
 	if val.IsNull() {
 		return
 	}
-	ci := i >> chunkShift
-	ck := v.mutableChunk(wgen, ci)
+	ck := v.mutableChunk(wgen, i>>chunkShift)
 	off := i & chunkMask
 	ck.bits[off>>6] |= 1 << (uint(off) & 63)
 	ck.n++
-	if !conforms(v.typ, val) {
-		v.appendPlaceholder(ck)
-		if ck.exc == nil {
-			ck.exc = make(map[uint16]Value)
-		}
-		ck.exc[uint16(off)] = val
-		v.excCount++
-		return
-	}
-	switch v.typ {
-	case TInt:
-		ck.widen(val.I)
-		ck.ints = append(ck.ints, val.I)
-	case TFloat:
-		ck.floats = append(ck.floats, val.F)
-	default:
-		ck.strs = append(ck.strs, val.S)
-	}
-}
-
-func (v *colVec) appendPlaceholder(ck *colChunk) {
-	switch v.typ {
-	case TInt:
-		ck.ints = append(ck.ints, 0)
-	case TFloat:
-		ck.floats = append(ck.floats, 0)
-	default:
-		ck.strs = append(ck.strs, "")
-	}
+	ck.widen(val.I)
+	ck.ints = append(ck.ints, val.I)
 }
 
 // get returns the value at row i (Null when absent). Lock-free; see
 // the concurrency note at the top of the file.
 func (v *colVec) get(i int) Value {
-	ci := i >> chunkShift
-	if ci >= len(v.chunks) {
-		return Null
-	}
-	ck := v.chunks[ci]
-	if ck == nil {
-		return Null
-	}
+	ck := v.chunkOf(i >> chunkShift)
 	off := i & chunkMask
-	if !ck.has(off) {
+	if ck == nil || !ck.has(off) {
 		return Null
 	}
-	if ck.exc != nil {
-		if ev, ok := ck.exc[uint16(off)]; ok {
-			return ev
-		}
-	}
-	switch v.typ {
-	case TInt:
-		return Int(ck.intAt(ck.rank(off)))
-	case TFloat:
-		return Float(ck.floats[ck.rank(off)])
-	default:
-		return Str(ck.strs[ck.rank(off)])
-	}
+	return Int(ck.intAt(ck.rank(off)))
 }
 
-// set replaces the value at row i, handling NULL↔value transitions
-// with a packed insert/delete at the row's rank. The memmove is
-// bounded by the chunk's packed size (≤1024 values). wgen is the
-// owning table's writer generation (COW discipline).
+// set replaces the value at row i with val (an Int or NULL; Table
+// checks), handling NULL↔value transitions with a packed insert/delete
+// at the row's rank. The memmove is bounded by the chunk's packed size
+// (≤1024 values). wgen is the owning table's writer generation (COW
+// discipline).
 func (v *colVec) set(wgen uint64, i int, val Value) {
 	v.grow(i + 1)
 	ci := i >> chunkShift
 	off := i & chunkMask
-	if ck := v.chunks[ci]; ck == nil {
-		if val.IsNull() {
-			return
-		}
-	} else if val.IsNull() && !ck.has(off) {
+	if ck := v.chunks[ci]; val.IsNull() && (ck == nil || !ck.has(off)) {
 		// NULL→NULL no-op: don't clone a shared chunk for nothing.
 		return
 	}
 	ck := v.mutableChunk(wgen, ci)
+	r := ck.rank(off)
 	present := ck.has(off)
-	if val.IsNull() {
-		if !present {
-			return
-		}
-		v.deletePacked(ck, ck.rank(off))
+	switch {
+	case val.IsNull():
+		ck.ints = append(ck.ints[:r], ck.ints[r+1:]...)
 		ck.bits[off>>6] &^= 1 << (uint(off) & 63)
 		ck.n--
-		if ck.exc != nil {
-			if _, ok := ck.exc[uint16(off)]; ok {
-				delete(ck.exc, uint16(off))
-				v.excCount--
-			}
-		}
 		return
-	}
-	r := ck.rank(off)
-	if !present {
-		v.insertPacked(ck, r)
-		ck.bits[off>>6] |= 1 << (uint(off) & 63)
-		ck.n++
-	} else if ck.exc != nil {
-		if _, ok := ck.exc[uint16(off)]; ok {
-			delete(ck.exc, uint16(off))
-			v.excCount--
-		}
-	}
-	if !conforms(v.typ, val) {
-		v.zeroPacked(ck, r)
-		if ck.exc == nil {
-			ck.exc = make(map[uint16]Value)
-		}
-		ck.exc[uint16(off)] = val
-		v.excCount++
-		return
-	}
-	switch v.typ {
-	case TInt:
-		ck.widen(val.I)
-		ck.ints[r] = val.I
-	case TFloat:
-		ck.floats[r] = val.F
-	default:
-		ck.strs[r] = val.S
-	}
-}
-
-func (v *colVec) insertPacked(ck *colChunk, r int) {
-	switch v.typ {
-	case TInt:
+	case !present:
 		ck.ints = append(ck.ints, 0)
 		copy(ck.ints[r+1:], ck.ints[r:])
-	case TFloat:
-		ck.floats = append(ck.floats, 0)
-		copy(ck.floats[r+1:], ck.floats[r:])
-	default:
-		ck.strs = append(ck.strs, "")
-		copy(ck.strs[r+1:], ck.strs[r:])
+		ck.bits[off>>6] |= 1 << (uint(off) & 63)
+		ck.n++
 	}
-}
-
-func (v *colVec) deletePacked(ck *colChunk, r int) {
-	switch v.typ {
-	case TInt:
-		ck.ints = append(ck.ints[:r], ck.ints[r+1:]...)
-	case TFloat:
-		ck.floats = append(ck.floats[:r], ck.floats[r+1:]...)
-	default:
-		copy(ck.strs[r:], ck.strs[r+1:])
-		ck.strs[len(ck.strs)-1] = "" // release the string for GC
-		ck.strs = ck.strs[:len(ck.strs)-1]
-	}
-}
-
-func (v *colVec) zeroPacked(ck *colChunk, r int) {
-	switch v.typ {
-	case TInt:
-		ck.ints[r] = 0
-	case TFloat:
-		ck.floats[r] = 0
-	default:
-		ck.strs[r] = ""
-	}
+	ck.widen(val.I)
+	ck.ints[r] = val.I
 }
 
 // chunkOf returns chunk ci, or nil when the chunk is all-NULL (or past
@@ -611,31 +447,8 @@ func (v *colVec) gatherChunk(ci int, rows []Row, colPos int) {
 		for word != 0 {
 			off := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			var val Value
-			switch v.typ {
-			case TInt:
-				val = Int(ck.intAt(k))
-			case TFloat:
-				val = Float(ck.floats[k])
-			default:
-				val = Str(ck.strs[k])
-			}
+			rows[off][colPos] = Int(ck.intAt(k))
 			k++
-			if ck.exc != nil {
-				if ev, ok := ck.exc[uint16(off)]; ok {
-					val = ev
-				}
-			}
-			rows[off][colPos] = val
 		}
 	}
-}
-
-// floatBitsKey canonicalizes a float for bit-pattern hashing: all NaN
-// payloads collapse to one key, mirroring keyCanon in hash.go.
-func floatBitsKey(f float64) uint64 {
-	if math.IsNaN(f) {
-		return math.Float64bits(math.NaN())
-	}
-	return math.Float64bits(f)
 }

@@ -2,17 +2,17 @@ package rel
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // Tests for the chunked column storage (column.go, vecscan.go):
 // round-trip against a plain-rows model across randomized mutation
-// sequences, packed insert/delete transitions, exception values,
-// zone-map pruning correctness against Go predicates, the cached
-// column-name lookup, the float-index regression, and governance
+// sequences, packed insert/delete transitions, the int-only write
+// boundary, zone-map pruning correctness against Go predicates, the
+// cached column-name lookup, the float-probe regression, and governance
 // semantics of the vectorized scan. Every oracle is a model kept in
 // test code; chunk-state coverage comes from running the same checks on
 // raw (never published) and published tables.
@@ -49,50 +49,35 @@ func (s chunkState) prepare(db *DB) *DB {
 	return nil
 }
 
-// randValue draws a value for a column of type typ; about a third are
-// NULL and a few are kind-mismatched (exception-path) values.
-func randValue(r *rand.Rand, typ ColumnType) Value {
-	switch n := r.Intn(10); {
-	case n < 3:
+// randValue draws a cell for column j of TestColumnarRoundTrip's
+// table: about a third are NULL; column 0 stays in a narrow range (it
+// bit-packs when sealed), column 1 spans the whole int64 range (sealing
+// keeps it raw), column 2 is mostly NULL.
+func randValue(r *rand.Rand, j int) Value {
+	if r.Intn(10) < 3 || (j == 2 && r.Intn(4) > 0) {
 		return Null
-	case n == 9: // kind mismatch
-		switch typ {
-		case TInt:
-			return Bool(r.Intn(2) == 0)
-		case TFloat:
-			return Int(int64(r.Intn(100)))
-		default:
-			return Float(r.Float64())
-		}
+	}
+	switch j {
+	case 0:
+		return Int(int64(r.Intn(2000) - 1000))
+	case 1:
+		return Int(r.Int63() - r.Int63())
 	default:
-		switch typ {
-		case TInt:
-			return Int(int64(r.Intn(2000) - 1000))
-		case TFloat:
-			return Float(r.NormFloat64())
-		default:
-			return Str(fmt.Sprintf("s%d", r.Intn(500)))
-		}
+		return Int(int64(r.Intn(64)))
 	}
 }
 
 // logicalBytes is EstimateBytes' cost model evaluated over plain rows:
-// an 8-byte header per row, 8 bytes per number, length plus 4 per
-// string, 1 per other non-NULL value and one bit per NULL.
+// an 8-byte header per row, 8 bytes per id and one bit per NULL.
 func logicalBytes(rows []Row) int64 {
 	var total, nulls int64
 	for _, r := range rows {
 		total += 8
 		for _, v := range r {
-			switch v.K {
-			case KindNull:
+			if v.IsNull() {
 				nulls++
-			case KindInt, KindFloat:
+			} else {
 				total += 8
-			case KindString:
-				total += int64(len(v.S)) + 4
-			default:
-				total++
 			}
 		}
 	}
@@ -134,24 +119,21 @@ func checkModel(t *testing.T, tbl *Table, want []Row, what string) {
 }
 
 // TestColumnarRoundTrip drives randomized appends (each landing at the
-// index AppendRow returns) and cell updates through a table and a plain-rows model and requires
-// identical logical content after every phase — including NULL↔value
-// transitions that shift the packed vectors, exception values, and
-// writes into chunks a Publish has sealed (the published snapshot must
-// keep its contents throughout).
+// index AppendRow returns) and cell updates through a table and a
+// plain-rows model and requires identical logical content after every
+// phase — including NULL↔value transitions that shift the packed
+// vectors, packed and wide-spread (raw when sealed) columns, and writes
+// into chunks a Publish has sealed (the published snapshot must keep its
+// contents throughout).
 func TestColumnarRoundTrip(t *testing.T) {
-	schema := Schema{
-		{Name: "i", Type: TInt},
-		{Name: "s", Type: TString},
-		{Name: "f", Type: TFloat},
-	}
+	schema := Schema{{Name: "narrow"}, {Name: "wide"}, {Name: "sparse"}}
 	tbl := NewTable("c", schema)
 	var model []Row
 	r := rand.New(rand.NewSource(42))
 	mkRow := func() Row {
 		out := make(Row, len(schema))
-		for j, c := range schema {
-			out[j] = randValue(r, c.Type)
+		for j := range schema {
+			out[j] = randValue(r, j)
 		}
 		return out
 	}
@@ -183,7 +165,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 
 	for n := 0; n < 3000; n++ {
 		i, j := r.Intn(len(model)), r.Intn(len(schema))
-		v := randValue(r, schema[j].Type)
+		v := randValue(r, j)
 		if err := tbl.SetCell(i, j, v); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +187,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 
 // TestSetCellOutOfRange pins the error contract.
 func TestSetCellOutOfRange(t *testing.T) {
-	tbl := NewTable("t", Schema{{Name: "a", Type: TInt}})
+	tbl := NewTable("t", Schema{{Name: "a"}})
 	if err := tbl.Insert(Row{Int(1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +202,7 @@ func TestSetCellOutOfRange(t *testing.T) {
 // TestTableColumnIndexCached: the per-table name cache must agree with
 // the linear Schema scan, case-insensitively.
 func TestTableColumnIndexCached(t *testing.T) {
-	schema := Schema{{Name: "Entry", Type: TInt}, {Name: "spill", Type: TInt}, {Name: "Pred0", Type: TInt}}
+	schema := Schema{{Name: "Entry"}, {Name: "spill"}, {Name: "Pred0"}}
 	tbl := NewTable("t", schema)
 	for _, name := range []string{"entry", "ENTRY", "Entry", "spill", "pred0", "PRED0", "nosuch"} {
 		if got, want := tbl.ColumnIndex(name), schema.ColumnIndex(name); got != want {
@@ -229,32 +211,73 @@ func TestTableColumnIndexCached(t *testing.T) {
 	}
 }
 
-// TestFloatIndexRegression: hashIndex used to silently skip TFloat
-// columns (CreateIndex refused them) and float values stored in
-// indexed TInt columns were never indexed, so an index scan missed
-// rows a full scan would find. Floats now index by class: integral
-// floats in the int map (1 finds 1.0), others by bit pattern. The
-// indexes are built over raw chunks and over sealed ones.
+// TestTableRejectsNonIntCells: every stored cell is an int64 id or
+// NULL, and the write methods are the one place that is enforced. A
+// Float, String or Bool handed to AppendRow, Insert or SetCell is
+// refused with an error naming the table and column, and the table —
+// its length, the cell and the index — is exactly as before.
+func TestTableRejectsNonIntCells(t *testing.T) {
+	for _, st := range chunkStates {
+		db := NewDB()
+		tbl := mustTable(t, db, "ids", Schema{{Name: "k"}, {Name: "v"}}, []Row{{Int(1), Int(10)}, {Int(2), Null}})
+		if err := tbl.CreateIndex("v"); err != nil {
+			t.Fatal(err)
+		}
+		st.prepare(db)
+		unchanged := func(what string) {
+			t.Helper()
+			if tbl.Len() != 2 {
+				t.Fatalf("%v: %s: Len %d, want 2", st, what, tbl.Len())
+			}
+			if got := tbl.RowAt(0); !reflect.DeepEqual(got, Row{Int(1), Int(10)}) {
+				t.Fatalf("%v: %s: row 0 is %v", st, what, got)
+			}
+			if got := tbl.CellAt(1, 1); !got.IsNull() {
+				t.Fatalf("%v: %s: cell (1,1) is %v, want NULL", st, what, got)
+			}
+			for _, probe := range []Value{Int(10), Float(1.5), Str("x"), Bool(true), Float(10)} {
+				ids, _ := tbl.IndexLookup("v", probe)
+				want := 0
+				if probe.K == KindInt || probe.K == KindFloat && probe.F == 10 {
+					want = 1
+				}
+				if len(ids) != want {
+					t.Fatalf("%v: %s: index lookup %v = %v, want %d ids", st, what, probe, ids, want)
+				}
+			}
+		}
+		for _, bad := range []Value{Float(1.5), Str("x"), Bool(true)} {
+			mustName := func(op string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), "table ids:") || !strings.Contains(err.Error(), "column v") {
+					t.Fatalf("%v: %s(%v): want an error naming table ids and column v, got %v", st, op, bad, err)
+				}
+				unchanged(op)
+			}
+			_, err := tbl.AppendRow(Row{Int(3), bad})
+			mustName("AppendRow", err)
+			mustName("Insert", tbl.Insert(Row{Int(3), bad}))
+			mustName("SetCell", tbl.SetCell(1, 1, bad))
+		}
+	}
+}
+
+// TestFloatIndexRegression: an index scan must find what a full scan
+// finds. An integral float probes an int column as that int (1 finds
+// 1.0, in a lookup and in SQL), and a non-integral float or any other
+// kind matches nothing. The index is built over raw chunks and over
+// sealed ones.
 func TestFloatIndexRegression(t *testing.T) {
 	for _, st := range chunkStates {
 		db := NewDB()
-		tbl := mustTable(t, db, "m", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TFloat}}, []Row{
-			{Int(0), Float(1.5)},
-			{Int(1), Float(2.0)},
-			{Int(2), Null},
-			{Int(3), Float(1.5)},
-			{Int(4), Int(7)}, // int stored in the float column
-		})
-		ti := mustTable(t, db, "n", Schema{{Name: "k", Type: TInt}}, []Row{
-			{Int(1)}, {Float(1)}, {Float(2.5)},
-		})
+		ti := mustTable(t, db, "n", Schema{{Name: "k"}}, []Row{{Int(1)}, {Int(1)}, {Int(2)}, {Null}})
 		st.prepare(db)
-		if err := tbl.CreateIndex("v"); err != nil {
-			t.Fatalf("%v: TFloat index must be supported: %v", st, err)
+		if err := ti.CreateIndex("k"); err != nil {
+			t.Fatal(err)
 		}
 		lookup := func(v Value, want int) {
 			t.Helper()
-			ids, ok := tbl.lookup("v", v)
+			ids, ok := ti.lookup("k", v)
 			if !ok {
 				t.Fatalf("%v: index vanished", st)
 			}
@@ -262,38 +285,31 @@ func TestFloatIndexRegression(t *testing.T) {
 				t.Fatalf("%v: lookup(%v) = %v, want %d ids", st, v, ids, want)
 			}
 		}
-		lookup(Float(1.5), 2)
-		lookup(Float(2.0), 1)
-		lookup(Int(2), 1)     // integral float found via int probe
-		lookup(Float(7), 1)   // stored int found via integral-float probe
-		lookup(Float(9.9), 0) // absent
+		lookup(Int(1), 2)
+		lookup(Float(1), 2)   // integral float found via int probe
+		lookup(Float(2.5), 0) // non-integral float matches nothing
+		lookup(Str("1"), 0)   // other kinds match nothing
 		lookup(Null, 0)       // NULL never matches
 
 		// End-to-end: the indexed scan path must agree with a full scan.
-		rs, err := db.Query("SELECT m.id FROM m AS m WHERE m.v = 1.5")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rs.Rows) != 2 {
-			t.Fatalf("%v: indexed float equality: want 2 rows, got %v", st, rs.Rows)
-		}
-
-		// Float values inside an indexed TInt column must be indexed too.
-		if err := ti.CreateIndex("k"); err != nil {
-			t.Fatal(err)
-		}
-		if ids, _ := ti.lookup("k", Int(1)); len(ids) != 2 {
-			t.Fatalf("%v: int probe must see the integral float: %v", st, ids)
-		}
-		if ids, _ := ti.lookup("k", Float(2.5)); len(ids) != 1 {
-			t.Fatalf("%v: non-integral float must be indexed by bit pattern: %v", st, ids)
+		for q, want := range map[string]int{
+			"SELECT n.k FROM n AS n WHERE n.k = 1.0": 2,
+			"SELECT n.k FROM n AS n WHERE n.k = 2.5": 0,
+		} {
+			rs, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rs.Rows) != want {
+				t.Fatalf("%v: %q: want %d rows, got %v", st, q, want, rs.Rows)
+			}
 		}
 	}
 }
 
 // zoneRows generates the 8192 rows of zoneDB's table: v is clustered
 // (ascending, so zone maps prune aggressively), u is shuffled (no
-// pruning), s is a string tag, n is NULL on odd rows.
+// pruning), s is a small tag, n is NULL on odd rows.
 func zoneRows() []Row {
 	r := rand.New(rand.NewSource(3))
 	perm := r.Perm(8192)
@@ -303,7 +319,7 @@ func zoneRows() []Row {
 		if i%2 == 1 {
 			nv = Null
 		}
-		rows[i] = Row{Int(int64(i)), Int(int64(perm[i])), Str(fmt.Sprintf("tag%d", i%7)), nv}
+		rows[i] = Row{Int(int64(i)), Int(int64(perm[i])), Int(int64(i % 7)), nv}
 	}
 	return rows
 }
@@ -312,12 +328,7 @@ func zoneRows() []Row {
 func zoneDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
-	tbl, err := db.CreateTable("z", Schema{
-		{Name: "v", Type: TInt},
-		{Name: "u", Type: TInt},
-		{Name: "s", Type: TString},
-		{Name: "n", Type: TInt},
-	})
+	tbl, err := db.CreateTable("z", Schema{{Name: "v"}, {Name: "u"}, {Name: "s"}, {Name: "n"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +341,8 @@ func zoneDB(t *testing.T) *DB {
 }
 
 // TestVectorizedScanEquivalence runs scan-shaped queries — equality,
-// ranges, inequality, null tests, residual string predicates, and
-// mixes — each paired with its WHERE clause as a Go predicate over
+// ranges, inequality, null tests, residual (non-int literal and
+// arithmetic) predicates, and mixes — each paired with its WHERE clause as a Go predicate over
 // zoneRows. The expected rows (in row-id order) must come back from
 // raw chunks and from sealed ones (FoR bit-packing, shared dense
 // bitmaps), under sequential and parallel execution.
@@ -352,8 +363,10 @@ func TestVectorizedScanEquivalence(t *testing.T) {
 		{"SELECT z.u FROM z AS z WHERE z.u = 5000", []int{u}, func(r Row) bool { return r[u].I == 5000 }},                                    // shuffled: no chunk pruned
 		{"SELECT z.v FROM z AS z WHERE z.n IS NULL AND z.v < 64", []int{v}, func(r Row) bool { return r[n].IsNull() && r[v].I < 64 }},
 		{"SELECT z.v FROM z AS z WHERE z.n IS NOT NULL AND z.v > 8000", []int{v}, func(r Row) bool { return !r[n].IsNull() && r[v].I > 8000 }},
-		{"SELECT z.v FROM z AS z WHERE z.v < 300 AND z.s = 'tag3'", []int{v}, func(r Row) bool { return r[v].I < 300 && r[s].S == "tag3" }}, // residual predicate
-		{"SELECT z.s FROM z AS z WHERE z.s = 'tag5' AND z.u < 40", []int{s}, func(r Row) bool { return r[s].S == "tag5" && r[u].I < 40 }},
+		{"SELECT z.v FROM z AS z WHERE z.v < 300 AND z.s = 3.0", []int{v}, func(r Row) bool { return r[v].I < 300 && r[s].I == 3 }}, // residual: float literal
+		{"SELECT z.v FROM z AS z WHERE z.v < 200 AND z.s < 'a'", []int{v}, func(r Row) bool { return r[v].I < 200 }},                // residual: numbers order below strings
+		{"SELECT z.v FROM z AS z WHERE z.v > 8000 AND z.s = 'tag3'", []int{v}, func(r Row) bool { return false }},                   // residual: an id never equals a string
+		{"SELECT z.s FROM z AS z WHERE z.s = 5 AND z.u < 40", []int{s}, func(r Row) bool { return r[s].I == 5 && r[u].I < 40 }},
 		{"SELECT z.v, z.u FROM z AS z", []int{v, u}, func(r Row) bool { return true }},                    // unfiltered dense gather
 		{"SELECT z.v FROM z AS z WHERE z.v + 0 = 77", []int{v}, func(r Row) bool { return r[v].I == 77 }}, // non-vectorizable arithmetic
 	}

@@ -1,8 +1,9 @@
 package rel
 
-// postMap is a layered copy-on-write posting map: the index structure
-// behind hashIndex that lets a published table snapshot keep reading
-// posting lists while the live table keeps mutating them.
+// postMap is a layered copy-on-write posting map from a stored int64
+// id to the rows holding it: the index structure behind hashIndex that
+// lets a published table snapshot keep reading posting lists while the
+// live table keeps mutating them.
 //
 // Layout: `dirty` holds the current unpublished generation's writes,
 // `layers` holds previously sealed generations (newest first), and
@@ -21,16 +22,16 @@ package rel
 // as many entries as base, seal folds everything into a fresh base
 // map, which keeps lookups O(1) amortized without ever mutating a map
 // a snapshot can still see.
-type postMap[K comparable] struct {
-	dirty  map[K][]int32
-	layers []map[K][]int32 // sealed generations, newest first
-	base   map[K][]int32
+type postMap struct {
+	dirty  map[int64][]int32
+	layers []map[int64][]int32 // sealed generations, newest first
+	base   map[int64][]int32
 }
 
 // find returns the current posting list for k (nil when absent or
 // deleted). Safe on sealed copies (dirty == nil) without any lock; on
 // the live map the caller must exclude writers.
-func (p *postMap[K]) find(k K) []int32 {
+func (p *postMap) find(k int64) []int32 {
 	if p.dirty != nil {
 		if l, ok := p.dirty[k]; ok {
 			return l
@@ -40,7 +41,7 @@ func (p *postMap[K]) find(k K) []int32 {
 }
 
 // findSealed is find restricted to the sealed layers and base.
-func (p *postMap[K]) findSealed(k K) []int32 {
+func (p *postMap) findSealed(k int64) []int32 {
 	for _, m := range p.layers {
 		if l, ok := m[k]; ok {
 			return l
@@ -54,9 +55,9 @@ func (p *postMap[K]) findSealed(k K) []int32 {
 
 // add appends id to k's posting list in the dirty generation, cloning
 // the sealed list on the first touch of k this generation.
-func (p *postMap[K]) add(k K, id int32) {
+func (p *postMap) add(k int64, id int32) {
 	if p.dirty == nil {
-		p.dirty = make(map[K][]int32)
+		p.dirty = make(map[int64][]int32)
 	}
 	if l, ok := p.dirty[k]; ok {
 		p.dirty[k] = append(l, id)
@@ -72,7 +73,7 @@ func (p *postMap[K]) add(k K, id int32) {
 // preserving order (probe determinism depends on posting-list order).
 // A list that empties stays in dirty as a deletion marker masking the
 // sealed generations.
-func (p *postMap[K]) remove(k K, id int32) {
+func (p *postMap) remove(k int64, id int32) {
 	if p.dirty != nil {
 		if l, ok := p.dirty[k]; ok {
 			p.dirty[k] = dropID(l, id)
@@ -94,7 +95,7 @@ func (p *postMap[K]) remove(k K, id int32) {
 	nl = append(nl, cur[:i]...)
 	nl = append(nl, cur[i+1:]...)
 	if p.dirty == nil {
-		p.dirty = make(map[K][]int32)
+		p.dirty = make(map[int64][]int32)
 	}
 	p.dirty[k] = nl
 }
@@ -102,13 +103,13 @@ func (p *postMap[K]) remove(k K, id int32) {
 // seal closes the dirty generation and returns an immutable copy for
 // the snapshot being published. The receiver keeps writing into a
 // fresh dirty map; the returned value's maps are never mutated again.
-func (p *postMap[K]) seal() postMap[K] {
+func (p *postMap) seal() postMap {
 	if len(p.dirty) > 0 {
 		if p.base == nil && len(p.layers) == 0 {
 			// First publish after a bulk build: adopt dirty wholesale.
 			p.base = p.dirty
 		} else {
-			nl := make([]map[K][]int32, 0, len(p.layers)+1)
+			nl := make([]map[int64][]int32, 0, len(p.layers)+1)
 			nl = append(nl, p.dirty)
 			nl = append(nl, p.layers...)
 			p.layers = nl
@@ -116,14 +117,14 @@ func (p *postMap[K]) seal() postMap[K] {
 		}
 		p.dirty = nil
 	}
-	return postMap[K]{layers: p.layers, base: p.base}
+	return postMap{layers: p.layers, base: p.base}
 }
 
 // maybeFold collapses the sealed layers into a fresh base map once
 // they are deep or carry as many entries as base itself. The old base
 // and layer maps are left untouched for snapshots that still hold
 // them.
-func (p *postMap[K]) maybeFold() {
+func (p *postMap) maybeFold() {
 	entries := 0
 	for _, m := range p.layers {
 		entries += len(m)
@@ -131,7 +132,7 @@ func (p *postMap[K]) maybeFold() {
 	if len(p.layers) <= 3 && entries < len(p.base) {
 		return
 	}
-	nb := make(map[K][]int32, len(p.base)+entries)
+	nb := make(map[int64][]int32, len(p.base)+entries)
 	for k, v := range p.base {
 		nb[k] = v
 	}
@@ -145,32 +146,4 @@ func (p *postMap[K]) maybeFold() {
 		}
 	}
 	p.base, p.layers = nb, nil
-}
-
-// entryCount returns the number of keys with a non-empty posting list
-// (diagnostics/tests only; O(keys)).
-func (p *postMap[K]) entryCount() int {
-	seen := make(map[K]bool)
-	n := 0
-	visit := func(m map[K][]int32) {
-		for k, v := range m {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if len(v) > 0 {
-				n++
-			}
-		}
-	}
-	if p.dirty != nil {
-		visit(p.dirty)
-	}
-	for _, m := range p.layers {
-		visit(m)
-	}
-	if p.base != nil {
-		visit(p.base)
-	}
-	return n
 }

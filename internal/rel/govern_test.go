@@ -18,7 +18,7 @@ import (
 
 // govQuery joins, filters, projects and sorts, touching most
 // checkpoint sites in one statement.
-const govQuery = "SELECT p.name AS pname, c.name AS cname FROM people AS p, cities AS c WHERE p.city = c.id AND p.age > 20 ORDER BY pname"
+const govQuery = "SELECT p.name AS pname, c.name AS cname FROM people_ids AS p, city_ids AS c WHERE p.city = c.id AND p.age > 20 ORDER BY pname"
 
 func mustParse(t *testing.T, sql string) *Query {
 	t.Helper()
@@ -205,7 +205,7 @@ func TestFaultPanicContained(t *testing.T) {
 func TestPanicInCompiledExpr(t *testing.T) {
 	db := peopleDB(t)
 	db.RegisterFunc("boom", func(args []Value) (Value, error) { panic("boom function") })
-	q := mustParse(t, "SELECT boom(age) FROM people")
+	q := mustParse(t, "SELECT boom(age) FROM people_ids")
 	for _, workers := range []int{1, 4} {
 		SetParallelism(workers, 1)
 		_, err := db.ExecContext(context.Background(), q, Limits{})
@@ -247,7 +247,7 @@ func TestBudgetTripInArena(t *testing.T) {
 	SetParallelism(4, 1)
 	defer SetParallelism(0, 0)
 	db := peopleDB(t)
-	q := mustParse(t, "SELECT p.name, c.name FROM people AS p, cities AS c WHERE p.city = c.id")
+	q := mustParse(t, "SELECT p.name, c.name FROM people_ids AS p, city_ids AS c WHERE p.city = c.id")
 	_, err := db.ExecContext(context.Background(), q, Limits{MaxBytes: 8})
 	var be *BudgetError
 	if !errors.As(err, &be) {
@@ -268,7 +268,7 @@ func TestMemoryBudgetFollowsReadWidth(t *testing.T) {
 	db := NewDB()
 	schema := make(Schema, 66)
 	for i := range schema {
-		schema[i] = Column{Name: "c" + itoa(i), Type: TInt}
+		schema[i] = Column{Name: "c" + itoa(i)}
 	}
 	wide := mustTable(t, db, "wide", schema, nil)
 	const rows = 2000

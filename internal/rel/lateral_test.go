@@ -25,7 +25,7 @@ func pairsDB(t *testing.T) *DB {
 	ints := func(names ...string) Schema {
 		s := make(Schema, len(names))
 		for i, n := range names {
-			s[i] = Column{Name: n, Type: TInt}
+			s[i] = Column{Name: n}
 		}
 		return s
 	}
@@ -157,7 +157,7 @@ func TestLateralErrors(t *testing.T) {
 	}
 	// TABLE and VALUES are still ordinary identifiers.
 	db2 := NewDB()
-	mustTable(t, db2, "table", Schema{{Name: "values", Type: TInt}}, []Row{{Int(3)}})
+	mustTable(t, db2, "table", Schema{{Name: "values"}}, []Row{{Int(3)}})
 	if rs, err := db2.Query("SELECT table.values FROM table WHERE table.values = 3"); err != nil || len(rs.Rows) != 1 {
 		t.Errorf("a table named table: %v, %v", rs, err)
 	}
@@ -454,10 +454,10 @@ func TestUnpivotAllocatesPerRowEmitted(t *testing.T) {
 	SetParallelism(1, 0)
 	defer SetParallelism(0, 0)
 	db := NewDB()
-	schema := Schema{{Name: "entry", Type: TInt}, {Name: "spill", Type: TInt}}
+	schema := Schema{{Name: "entry"}, {Name: "spill"}}
 	var pairs []string
 	for c := 0; c < 32; c++ {
-		schema = append(schema, Column{Name: "pred" + itoa(c), Type: TInt}, Column{Name: "val" + itoa(c), Type: TInt})
+		schema = append(schema, Column{Name: "pred" + itoa(c)}, Column{Name: "val" + itoa(c)})
 		pairs = append(pairs, fmt.Sprintf("(T.pred%d, T.val%d)", c, c))
 	}
 	dph := mustTable(t, db, "dph", schema, nil)
@@ -479,7 +479,7 @@ func TestUnpivotAllocatesPerRowEmitted(t *testing.T) {
 			keys[i/2] = Row{Int(int64(i))}
 		}
 	}
-	mustTable(t, db, "keys", Schema{{Name: "e", Type: TInt}}, keys)
+	mustTable(t, db, "keys", Schema{{Name: "e"}}, keys)
 	q := mustParse(t, "SELECT P.e, L.pred, L.val FROM keys AS P, dph AS T, TABLE(VALUES "+strings.Join(pairs, ", ")+") AS L(pred, val) WHERE T.entry = P.e AND L.pred IS NOT NULL")
 	run := func() int {
 		rs, err := db.Exec(q)

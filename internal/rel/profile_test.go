@@ -3,14 +3,13 @@ package rel
 import (
 	"context"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 )
 
-// Tests for EXPLAIN ANALYZE at the executor level (profile.go), the
-// zone-map exception-pruning regression, and LIMIT/OFFSET equivalence
-// between the pushdown and non-pushdown paths.
+// Tests for EXPLAIN ANALYZE at the executor level (profile.go), zone-map
+// pruning, and LIMIT/OFFSET equivalence between the pushdown and
+// non-pushdown paths.
 
 // TestAnalyzeContextProfile: a profiled execution must return the same
 // rows as ExecContext plus a populated profile — per-CTE actuals, a
@@ -79,16 +78,16 @@ func TestAnalyzeContextProfile(t *testing.T) {
 // operators over intermediate rows report none.
 func TestAnalyzeReportsColumnsRead(t *testing.T) {
 	db := NewDB()
-	big := mustTable(t, db, "big", Schema{{Name: "k", Type: TInt}, {Name: "a", Type: TInt}, {Name: "b", Type: TInt}, {Name: "c", Type: TString}, {Name: "d", Type: TInt}}, nil)
+	big := mustTable(t, db, "big", Schema{{Name: "k"}, {Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}}, nil)
 	for i := 0; i < 500; i++ {
-		if err := big.Insert(Row{Int(int64(i % 50)), Int(int64(i)), Int(int64(i % 3)), Str("x"), Null}); err != nil {
+		if err := big.Insert(Row{Int(int64(i % 50)), Int(int64(i)), Int(int64(i % 3)), Int(7), Null}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := big.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	mustTable(t, db, "small", Schema{{Name: "k", Type: TInt}, {Name: "n", Type: TInt}}, []Row{{Int(3), Int(1)}, {Int(7), Int(2)}})
+	mustTable(t, db, "small", Schema{{Name: "k"}, {Name: "n"}}, []Row{{Int(3), Int(1)}, {Int(7), Int(2)}})
 	for _, tc := range []struct {
 		sql, kind, label string
 		read, total      int
@@ -152,7 +151,7 @@ func TestAnalyzeCapturesBudgets(t *testing.T) {
 // accumulate operator stats (the instrumentation contract).
 func TestExecContextRecordsNothing(t *testing.T) {
 	db := peopleDB(t)
-	q, err := ParseQuery("SELECT p.name FROM people AS p WHERE p.age > 26")
+	q, err := ParseQuery("SELECT p.name FROM people_ids AS p WHERE p.age > 26")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,99 +172,8 @@ func TestExecContextRecordsNothing(t *testing.T) {
 	}
 }
 
-// excDB builds one chunk of int literals 0..n-1 in column v, plus
-// exception cells (kind-mismatched values stored out of line)
-// interleaved in the same chunk.
-func excDB(t *testing.T) *DB {
-	t.Helper()
-	db := NewDB()
-	tbl, err := db.CreateTable("e", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TInt}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]Row, 0, 200)
-	for i := 0; i < 200; i++ {
-		var v Value
-		switch {
-		case i == 50:
-			v = Float(500) // numerically matches v = 500, far above the int zone max
-		case i == 60:
-			v = Float(79.5) // inside the int range, matches v > 79
-		case i == 70:
-			v = Str("tag") // string: orders above every number
-		case i == 80:
-			v = Bool(true) // bool: orders above strings and numbers
-		case i%11 == 3:
-			v = Null
-		default:
-			v = Int(int64(i)) // zone map: min 0, max 199
-		}
-		rows = append(rows, Row{Int(int64(i)), v})
-	}
-	for _, rw := range rows {
-		if err := tbl.Insert(rw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return db
-}
-
-// TestZoneMapExceptionPruning (regression): a chunk whose exception
-// map holds kind-mismatched values must not be zone-skipped when the
-// predicate could match an exception — Float(500) satisfies v = 500
-// even though the chunk's int zone map tops out at 199. Each query's
-// ids follow from excDB's hand-built rows; they must come back from the
-// raw chunk and from its sealed copy.
-func TestZoneMapExceptionPruning(t *testing.T) {
-	// Rows with i%11 == 3 are NULL, except 80 (the Bool).
-	nulls := []int64{3, 14, 25, 36, 47, 58, 69, 91, 102, 113, 124, 135, 146, 157, 168, 179, 190}
-	// allBut lists ids 0..199 in order, leaving out the given ones.
-	allBut := func(skip ...int64) []int64 {
-		var out []int64
-		for id := int64(0); id < 200; id++ {
-			if !slices.Contains(skip, id) {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-	cases := []struct {
-		q   string
-		ids []int64
-	}{
-		{"SELECT e.id FROM e AS e WHERE e.v = 500", []int64{50}},                       // only the Float exception; zone map alone would skip the chunk
-		{"SELECT e.id FROM e AS e WHERE e.v > 300", []int64{50, 70, 80}},               // ditto, range form; string and bool order above numbers
-		{"SELECT e.id FROM e AS e WHERE e.v >= 500", []int64{50, 70, 80}},              // boundary
-		{"SELECT e.id FROM e AS e WHERE e.v > 79 AND e.v < 81", []int64{60}},           // Float 79.5 between int neighbors
-		{"SELECT e.id FROM e AS e WHERE e.v = 50", nil},                                // int literal at an index whose row was replaced
-		{"SELECT e.id FROM e AS e WHERE e.v != 0", allBut(append(nulls, 0)...)},        // inequality across exceptions
-		{"SELECT e.id FROM e AS e WHERE e.v < 10", []int64{0, 1, 2, 4, 5, 6, 7, 8, 9}}, // exceptions all fail the predicate
-		{"SELECT e.id FROM e AS e WHERE e.v IS NULL", nulls},
-		{"SELECT e.id FROM e AS e WHERE e.v IS NOT NULL", allBut(nulls...)},
-	}
-	raw, sealed := excDB(t), excDB(t).Publish()
-	for _, c := range cases {
-		var want []Row
-		for _, id := range c.ids {
-			want = append(want, Row{Int(id)})
-		}
-		for _, db := range []struct {
-			name string
-			db   *DB
-		}{{"raw", raw}, {"sealed", sealed}} {
-			rs, err := db.db.Query(c.q)
-			if err != nil {
-				t.Fatalf("%s %q: %v", db.name, c.q, err)
-			}
-			if !sameRows(rs.Rows, want) {
-				t.Fatalf("%s %q: got %v, want ids %v", db.name, c.q, rs.Rows, c.ids)
-			}
-		}
-	}
-}
-
-// TestZoneMapStillPrunesCleanChunks: exception awareness must not cost
-// pruning on chunks without exceptions.
+// TestZoneMapStillPrunesCleanChunks: an out-of-range equality must
+// skip every chunk on the zone map alone.
 func TestZoneMapStillPrunesCleanChunks(t *testing.T) {
 	db := zoneDB(t) // no exceptions anywhere
 	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v = 100000")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -22,20 +23,43 @@ func mustTable(t *testing.T, db *DB, name string, schema Schema, rows []Row) *Ta
 	return tbl
 }
 
+// peopleDB holds the ids behind the people and cities relations: the
+// names are stored as ids (in alphabetical order) and spelled out by
+// the CTEs peopleSQL puts in front of a query.
 func peopleDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
-	mustTable(t, db, "people", Schema{{Name: "id", Type: TInt}, {Name: "name", Type: TString}, {Name: "age", Type: TInt}, {Name: "city", Type: TInt}}, []Row{
-		{Int(1), Str("alice"), Int(30), Int(10)},
-		{Int(2), Str("bob"), Int(25), Int(10)},
-		{Int(3), Str("carol"), Int(35), Int(20)},
-		{Int(4), Str("dan"), Null, Int(30)},
+	mustTable(t, db, "people_ids", Schema{{Name: "id"}, {Name: "name"}, {Name: "age"}, {Name: "city"}}, []Row{
+		{Int(1), Int(1), Int(30), Int(10)},
+		{Int(2), Int(2), Int(25), Int(10)},
+		{Int(3), Int(3), Int(35), Int(20)},
+		{Int(4), Int(4), Null, Int(30)},
 	})
-	mustTable(t, db, "cities", Schema{{Name: "id", Type: TInt}, {Name: "name", Type: TString}}, []Row{
-		{Int(10), Str("nyc")},
-		{Int(20), Str("sfo")},
+	mustTable(t, db, "city_ids", Schema{{Name: "id"}, {Name: "name"}}, []Row{
+		{Int(10), Int(1)},
+		{Int(20), Int(2)},
 	})
 	return db
+}
+
+// peopleCTEs define people(id, name, age, city) and cities(id, name)
+// over peopleDB's tables, with the names as strings.
+const peopleCTEs = "people AS (SELECT p.id AS id, CASE WHEN p.name = 1 THEN 'alice' WHEN p.name = 2 THEN 'bob' " +
+	"WHEN p.name = 3 THEN 'carol' ELSE 'dan' END AS name, p.age AS age, p.city AS city FROM people_ids AS p), " +
+	"cities AS (SELECT c.id AS id, CASE WHEN c.name = 1 THEN 'nyc' ELSE 'sfo' END AS name FROM city_ids AS c)"
+
+// peopleSQL puts peopleCTEs in front of sql, merging with its own WITH.
+func peopleSQL(sql string) string {
+	if rest, ok := strings.CutPrefix(sql, "WITH "); ok {
+		return "WITH " + peopleCTEs + ", " + rest
+	}
+	return "WITH " + peopleCTEs + " " + sql
+}
+
+// queryPeople runs sql over peopleDB's people and cities.
+func queryPeople(t *testing.T, db *DB, sql string) *ResultSet {
+	t.Helper()
+	return queryRows(t, db, peopleSQL(sql))
 }
 
 func queryRows(t *testing.T, db *DB, sql string) *ResultSet {
@@ -49,7 +73,7 @@ func queryRows(t *testing.T, db *DB, sql string) *ResultSet {
 
 func TestSelectWhere(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT name FROM people WHERE age > 26")
+	rs := queryPeople(t, db, "SELECT name FROM people WHERE age > 26")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d: %v", len(rs.Rows), rs.Rows)
 	}
@@ -57,7 +81,7 @@ func TestSelectWhere(t *testing.T) {
 
 func TestSelectStar(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT * FROM people")
+	rs := queryPeople(t, db, "SELECT * FROM people")
 	if len(rs.Columns) != 4 || len(rs.Rows) != 4 {
 		t.Fatalf("got cols=%v rows=%d", rs.Columns, len(rs.Rows))
 	}
@@ -65,7 +89,7 @@ func TestSelectStar(t *testing.T) {
 
 func TestQualifiedStar(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT p.* FROM people AS p, cities AS c WHERE p.city = c.id")
+	rs := queryPeople(t, db, "SELECT p.* FROM people AS p, cities AS c WHERE p.city = c.id")
 	if len(rs.Columns) != 4 {
 		t.Fatalf("want 4 columns, got %v", rs.Columns)
 	}
@@ -76,7 +100,7 @@ func TestQualifiedStar(t *testing.T) {
 
 func TestCommaJoin(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT p.name, c.name FROM people AS p, cities AS c WHERE p.city = c.id AND c.name = 'nyc'")
+	rs := queryPeople(t, db, "SELECT p.name, c.name FROM people AS p, cities AS c WHERE p.city = c.id AND c.name = 'nyc'")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d: %v", len(rs.Rows), rs.Rows)
 	}
@@ -84,7 +108,7 @@ func TestCommaJoin(t *testing.T) {
 
 func TestLeftOuterJoin(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT p.name, c.name FROM people AS p LEFT OUTER JOIN cities AS c ON p.city = c.id")
+	rs := queryPeople(t, db, "SELECT p.name, c.name FROM people AS p LEFT OUTER JOIN cities AS c ON p.city = c.id")
 	if len(rs.Rows) != 4 {
 		t.Fatalf("want 4 rows, got %d", len(rs.Rows))
 	}
@@ -101,11 +125,11 @@ func TestLeftOuterJoin(t *testing.T) {
 
 func TestUnionDedup(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT city FROM people UNION SELECT city FROM people")
+	rs := queryPeople(t, db, "SELECT city FROM people UNION SELECT city FROM people")
 	if len(rs.Rows) != 3 {
 		t.Fatalf("want 3 distinct cities, got %d", len(rs.Rows))
 	}
-	rs = queryRows(t, db, "SELECT city FROM people UNION ALL SELECT city FROM people")
+	rs = queryPeople(t, db, "SELECT city FROM people UNION ALL SELECT city FROM people")
 	if len(rs.Rows) != 8 {
 		t.Fatalf("want 8 rows under UNION ALL, got %d", len(rs.Rows))
 	}
@@ -113,7 +137,7 @@ func TestUnionDedup(t *testing.T) {
 
 func TestOrderLimitOffset(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT name, age FROM people ORDER BY age DESC LIMIT 2")
+	rs := queryPeople(t, db, "SELECT name, age FROM people ORDER BY age DESC LIMIT 2")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(rs.Rows))
 	}
@@ -121,7 +145,7 @@ func TestOrderLimitOffset(t *testing.T) {
 	if rs.Rows[0][0].S != "dan" && rs.Rows[0][0].S != "carol" {
 		t.Fatalf("unexpected first row %v", rs.Rows[0])
 	}
-	rs = queryRows(t, db, "SELECT name, age FROM people ORDER BY age LIMIT 2 OFFSET 1")
+	rs = queryPeople(t, db, "SELECT name, age FROM people ORDER BY age LIMIT 2 OFFSET 1")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(rs.Rows))
 	}
@@ -132,7 +156,7 @@ func TestOrderLimitOffset(t *testing.T) {
 
 func TestDistinct(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT DISTINCT city FROM people")
+	rs := queryPeople(t, db, "SELECT DISTINCT city FROM people")
 	if len(rs.Rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(rs.Rows))
 	}
@@ -140,7 +164,7 @@ func TestDistinct(t *testing.T) {
 
 func TestCTE(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, `WITH adults AS (SELECT id, name FROM people WHERE age >= 30),
+	rs := queryPeople(t, db, `WITH adults AS (SELECT id, name FROM people WHERE age >= 30),
 		named AS (SELECT a.name AS nm FROM adults AS a)
 		SELECT nm FROM named ORDER BY nm`)
 	if len(rs.Rows) != 2 || rs.Rows[0][0].S != "alice" || rs.Rows[1][0].S != "carol" {
@@ -150,7 +174,7 @@ func TestCTE(t *testing.T) {
 
 func TestSubqueryInFrom(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT s.name FROM (SELECT name, age FROM people WHERE age < 31) AS s WHERE s.age > 26")
+	rs := queryPeople(t, db, "SELECT s.name FROM (SELECT name, age FROM people WHERE age < 31) AS s WHERE s.age > 26")
 	if len(rs.Rows) != 1 || rs.Rows[0][0].S != "alice" {
 		t.Fatalf("unexpected result %v", rs.Rows)
 	}
@@ -158,7 +182,7 @@ func TestSubqueryInFrom(t *testing.T) {
 
 func TestCaseCoalesce(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT name, CASE WHEN age IS NULL THEN 'unknown' ELSE 'known' END AS k, COALESCE(age, 0 - 1) AS a FROM people WHERE name = 'dan'")
+	rs := queryPeople(t, db, "SELECT name, CASE WHEN age IS NULL THEN 'unknown' ELSE 'known' END AS k, COALESCE(age, 0 - 1) AS a FROM people WHERE name = 'dan'")
 	if len(rs.Rows) != 1 {
 		t.Fatalf("want 1 row, got %d", len(rs.Rows))
 	}
@@ -169,11 +193,11 @@ func TestCaseCoalesce(t *testing.T) {
 
 func TestInExpr(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT name FROM people WHERE city IN (10, 20)")
+	rs := queryPeople(t, db, "SELECT name FROM people WHERE city IN (10, 20)")
 	if len(rs.Rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(rs.Rows))
 	}
-	rs = queryRows(t, db, "SELECT name FROM people WHERE city NOT IN (10)")
+	rs = queryPeople(t, db, "SELECT name FROM people WHERE city NOT IN (10)")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(rs.Rows))
 	}
@@ -181,11 +205,11 @@ func TestInExpr(t *testing.T) {
 
 func TestIsNull(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT name FROM people WHERE age IS NULL")
+	rs := queryPeople(t, db, "SELECT name FROM people WHERE age IS NULL")
 	if len(rs.Rows) != 1 || rs.Rows[0][0].S != "dan" {
 		t.Fatalf("unexpected %v", rs.Rows)
 	}
-	rs = queryRows(t, db, "SELECT name FROM people WHERE age IS NOT NULL")
+	rs = queryPeople(t, db, "SELECT name FROM people WHERE age IS NOT NULL")
 	if len(rs.Rows) != 3 {
 		t.Fatalf("want 3, got %d", len(rs.Rows))
 	}
@@ -193,7 +217,7 @@ func TestIsNull(t *testing.T) {
 
 func TestIndexLookupMatchesScan(t *testing.T) {
 	db := NewDB()
-	tbl := mustTable(t, db, "t", Schema{{Name: "k", Type: TInt}, {Name: "v", Type: TInt}}, nil)
+	tbl := mustTable(t, db, "t", Schema{{Name: "k"}, {Name: "v"}}, nil)
 	for i := 0; i < 1000; i++ {
 		if err := tbl.Insert(Row{Int(int64(i % 37)), Int(int64(i))}); err != nil {
 			t.Fatal(err)
@@ -211,7 +235,7 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 
 func TestIndexMaintainedOnInsert(t *testing.T) {
 	db := NewDB()
-	tbl := mustTable(t, db, "t", Schema{{Name: "k", Type: TInt}}, nil)
+	tbl := mustTable(t, db, "t", Schema{{Name: "k"}}, nil)
 	if err := tbl.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
@@ -226,18 +250,6 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 	}
 }
 
-func TestStringIndex(t *testing.T) {
-	db := NewDB()
-	tbl := mustTable(t, db, "t", Schema{{Name: "s", Type: TString}}, []Row{{Str("a")}, {Str("b")}, {Str("a")}})
-	if err := tbl.CreateIndex("s"); err != nil {
-		t.Fatal(err)
-	}
-	rs := queryRows(t, db, "SELECT s FROM t WHERE s = 'a'")
-	if len(rs.Rows) != 2 {
-		t.Fatalf("want 2 rows, got %d", len(rs.Rows))
-	}
-}
-
 // TestUnqualifiedPushdownAgreesWithColIndex: a conjunct over a bare
 // column is pushed into a base scan only when that FROM item alone can
 // resolve it. The scan used to claim `k = 5` for the first item whose
@@ -245,8 +257,8 @@ func TestStringIndex(t *testing.T) {
 // reference the joined relation calls ambiguous.
 func TestUnqualifiedPushdownAgreesWithColIndex(t *testing.T) {
 	db := NewDB()
-	a := mustTable(t, db, "a", Schema{{Name: "k", Type: TInt}, {Name: "v", Type: TInt}}, []Row{{Int(5), Int(1)}, {Int(6), Int(2)}})
-	mustTable(t, db, "b", Schema{{Name: "k", Type: TInt}, {Name: "w", Type: TInt}}, []Row{{Int(5), Int(10)}, {Int(6), Int(20)}})
+	a := mustTable(t, db, "a", Schema{{Name: "k"}, {Name: "v"}}, []Row{{Int(5), Int(1)}, {Int(6), Int(2)}})
+	mustTable(t, db, "b", Schema{{Name: "k"}, {Name: "w"}}, []Row{{Int(5), Int(10)}, {Int(6), Int(20)}})
 	if err := a.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
@@ -286,19 +298,19 @@ func TestUnqualifiedPushdownAgreesWithColIndex(t *testing.T) {
 
 func TestThreeWayJoinOrdering(t *testing.T) {
 	db := NewDB()
-	mustTable(t, db, "a", Schema{{Name: "x", Type: TInt}}, []Row{{Int(1)}, {Int(2)}, {Int(3)}})
-	mustTable(t, db, "b", Schema{{Name: "x", Type: TInt}, {Name: "y", Type: TInt}}, []Row{{Int(1), Int(10)}, {Int(2), Int(20)}})
-	mustTable(t, db, "c", Schema{{Name: "y", Type: TInt}, {Name: "z", Type: TString}}, []Row{{Int(10), Str("ten")}, {Int(30), Str("thirty")}})
+	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{Int(1)}, {Int(2)}, {Int(3)}})
+	mustTable(t, db, "b", Schema{{Name: "x"}, {Name: "y"}}, []Row{{Int(1), Int(10)}, {Int(2), Int(20)}})
+	mustTable(t, db, "c", Schema{{Name: "y"}, {Name: "z"}}, []Row{{Int(10), Int(100)}, {Int(30), Int(300)}})
 	rs := queryRows(t, db, "SELECT a.x, c.z FROM a AS a, b AS b, c AS c WHERE a.x = b.x AND b.y = c.y")
-	if len(rs.Rows) != 1 || rs.Rows[0][1].S != "ten" {
+	if len(rs.Rows) != 1 || rs.Rows[0][1].I != 100 {
 		t.Fatalf("unexpected %v", rs.Rows)
 	}
 }
 
 func TestCrossJoinFallback(t *testing.T) {
 	db := NewDB()
-	mustTable(t, db, "a", Schema{{Name: "x", Type: TInt}}, []Row{{Int(1)}, {Int(2)}})
-	mustTable(t, db, "b", Schema{{Name: "y", Type: TInt}}, []Row{{Int(3)}, {Int(4)}})
+	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{Int(1)}, {Int(2)}})
+	mustTable(t, db, "b", Schema{{Name: "y"}}, []Row{{Int(3)}, {Int(4)}})
 	rs := queryRows(t, db, "SELECT a.x, b.y FROM a AS a, b AS b")
 	if len(rs.Rows) != 4 {
 		t.Fatalf("want 4 rows, got %d", len(rs.Rows))
@@ -307,8 +319,8 @@ func TestCrossJoinFallback(t *testing.T) {
 
 func TestNullNeverJoins(t *testing.T) {
 	db := NewDB()
-	mustTable(t, db, "a", Schema{{Name: "x", Type: TInt}}, []Row{{Null}, {Int(1)}})
-	mustTable(t, db, "b", Schema{{Name: "x", Type: TInt}}, []Row{{Null}, {Int(1)}})
+	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{Null}, {Int(1)}})
+	mustTable(t, db, "b", Schema{{Name: "x"}}, []Row{{Null}, {Int(1)}})
 	rs := queryRows(t, db, "SELECT a.x FROM a AS a, b AS b WHERE a.x = b.x")
 	if len(rs.Rows) != 1 {
 		t.Fatalf("null keys must not join; got %d rows", len(rs.Rows))
@@ -323,11 +335,11 @@ func TestScalarFunctions(t *testing.T) {
 		}
 		return Int(args[0].I * 2), nil
 	})
-	rs := queryRows(t, db, "SELECT double(age) FROM people WHERE name = 'bob'")
+	rs := queryPeople(t, db, "SELECT double(age) FROM people WHERE name = 'bob'")
 	if rs.Rows[0][0].I != 50 {
 		t.Fatalf("want 50, got %v", rs.Rows[0][0])
 	}
-	rs = queryRows(t, db, "SELECT name FROM people WHERE contains(name, 'aro')")
+	rs = queryPeople(t, db, "SELECT name FROM people WHERE contains(name, 'aro')")
 	if len(rs.Rows) != 1 || rs.Rows[0][0].S != "carol" {
 		t.Fatalf("unexpected %v", rs.Rows)
 	}
@@ -335,7 +347,7 @@ func TestScalarFunctions(t *testing.T) {
 
 func TestArithmetic(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT age + 1, age * 2, age - 5, age / 5 FROM people WHERE name = 'alice'")
+	rs := queryPeople(t, db, "SELECT age + 1, age * 2, age - 5, age / 5 FROM people WHERE name = 'alice'")
 	r := rs.Rows[0]
 	if r[0].I != 31 || r[1].I != 60 || r[2].I != 25 || r[3].I != 6 {
 		t.Fatalf("unexpected %v", r)
@@ -344,7 +356,7 @@ func TestArithmetic(t *testing.T) {
 
 func TestUnionArityMismatch(t *testing.T) {
 	db := peopleDB(t)
-	_, err := db.Query("SELECT id FROM people UNION SELECT id, name FROM people")
+	_, err := db.Query(peopleSQL("SELECT id FROM people UNION SELECT id, name FROM people"))
 	if err == nil {
 		t.Fatal("want arity error")
 	}
@@ -352,10 +364,10 @@ func TestUnionArityMismatch(t *testing.T) {
 
 func TestUnknownTableAndColumn(t *testing.T) {
 	db := peopleDB(t)
-	if _, err := db.Query("SELECT x FROM nosuch"); err == nil {
+	if _, err := db.Query(peopleSQL("SELECT x FROM nosuch")); err == nil {
 		t.Fatal("want unknown table error")
 	}
-	if _, err := db.Query("SELECT nosuch FROM people"); err == nil {
+	if _, err := db.Query(peopleSQL("SELECT nosuch FROM people")); err == nil {
 		t.Fatal("want unknown column error")
 	}
 }
@@ -409,8 +421,8 @@ func TestValueKeyInjectiveForInts(t *testing.T) {
 func TestNullComparisonsAreUnknown(t *testing.T) {
 	db := peopleDB(t)
 	// dan has NULL age: neither < nor >= matches him.
-	lt := queryRows(t, db, "SELECT name FROM people WHERE age < 100")
-	ge := queryRows(t, db, "SELECT name FROM people WHERE age >= 100")
+	lt := queryPeople(t, db, "SELECT name FROM people WHERE age < 100")
+	ge := queryPeople(t, db, "SELECT name FROM people WHERE age >= 100")
 	if len(lt.Rows)+len(ge.Rows) != 3 {
 		t.Fatalf("NULL row leaked into comparison results: %d + %d", len(lt.Rows), len(ge.Rows))
 	}
@@ -418,10 +430,10 @@ func TestNullComparisonsAreUnknown(t *testing.T) {
 
 func TestEstimateBytesGrowsWithNulls(t *testing.T) {
 	db := NewDB()
-	schema := Schema{{Name: "a", Type: TInt}, {Name: "b", Type: TInt}}
+	schema := Schema{{Name: "a"}, {Name: "b"}}
 	tbl := mustTable(t, db, "t", schema, []Row{{Int(1), Int(2)}})
 	full := tbl.EstimateBytes()
-	wide := mustTable(t, db, "w", Schema{{Name: "a", Type: TInt}, {Name: "b", Type: TInt}, {Name: "c", Type: TInt}}, []Row{{Int(1), Int(2), Null}})
+	wide := mustTable(t, db, "w", Schema{{Name: "a"}, {Name: "b"}, {Name: "c"}}, []Row{{Int(1), Int(2), Null}})
 	if wide.EstimateBytes() <= full {
 		t.Fatal("null column must cost something")
 	}
@@ -432,7 +444,7 @@ func TestEstimateBytesGrowsWithNulls(t *testing.T) {
 
 func TestOrderByExpression(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT name, age FROM people WHERE age IS NOT NULL ORDER BY 0 - age")
+	rs := queryPeople(t, db, "SELECT name, age FROM people WHERE age IS NOT NULL ORDER BY 0 - age")
 	if rs.Rows[0][0].S != "carol" {
 		t.Fatalf("want carol first, got %v", rs.Rows[0])
 	}
@@ -440,7 +452,7 @@ func TestOrderByExpression(t *testing.T) {
 
 func TestResultColumnsNamed(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT name AS n, age FROM people")
+	rs := queryPeople(t, db, "SELECT name AS n, age FROM people")
 	want := []string{"n", "age"}
 	if !reflect.DeepEqual(rs.Columns, want) {
 		t.Fatalf("columns = %v, want %v", rs.Columns, want)
@@ -449,7 +461,7 @@ func TestResultColumnsNamed(t *testing.T) {
 
 func TestTableRowWidthMismatch(t *testing.T) {
 	db := NewDB()
-	tbl := mustTable(t, db, "t", Schema{{Name: "a", Type: TInt}}, nil)
+	tbl := mustTable(t, db, "t", Schema{{Name: "a"}}, nil)
 	if err := tbl.Insert(Row{Int(1), Int(2)}); err == nil {
 		t.Fatal("want width error")
 	}
@@ -457,15 +469,15 @@ func TestTableRowWidthMismatch(t *testing.T) {
 
 func TestDuplicateTable(t *testing.T) {
 	db := NewDB()
-	mustTable(t, db, "t", Schema{{Name: "a", Type: TInt}}, nil)
-	if _, err := db.CreateTable("T", Schema{{Name: "a", Type: TInt}}); err == nil {
+	mustTable(t, db, "t", Schema{{Name: "a"}}, nil)
+	if _, err := db.CreateTable("T", Schema{{Name: "a"}}); err == nil {
 		t.Fatal("want duplicate table error (case-insensitive)")
 	}
 }
 
 func TestParenthesizedUnionArm(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryRows(t, db, "SELECT id FROM people UNION ALL (SELECT id FROM cities)")
+	rs := queryPeople(t, db, "SELECT id FROM people UNION ALL (SELECT id FROM cities)")
 	if len(rs.Rows) != 6 {
 		t.Fatalf("want 6 rows, got %d", len(rs.Rows))
 	}
@@ -474,7 +486,7 @@ func TestParenthesizedUnionArm(t *testing.T) {
 func TestLeftJoinResidualOn(t *testing.T) {
 	db := peopleDB(t)
 	// ON has an extra non-equi condition restricting matches.
-	rs := queryRows(t, db, "SELECT p.name, c.name FROM people AS p LEFT OUTER JOIN cities AS c ON p.city = c.id AND p.age > 28")
+	rs := queryPeople(t, db, "SELECT p.name, c.name FROM people AS p LEFT OUTER JOIN cities AS c ON p.city = c.id AND p.age > 28")
 	nulls := 0
 	for _, r := range rs.Rows {
 		if r[1].IsNull() {

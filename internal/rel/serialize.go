@@ -3,38 +3,40 @@ package rel
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
-	"sort"
 
 	"db2rdf/internal/binenc"
 )
 
 // Columnar snapshot serialization (DESIGN.md §9). A table's chunked
 // column vectors are already a near-ideal on-disk format: EncodeSnapshot
-// emits the presence bitmaps, rank-packed value slices, zone maps,
-// exception maps and tombstone bitmaps directly, and DecodeSnapshot
-// rebuilds them into an empty table. Integers are varint-encoded (the
-// RDF schemas store dictionary ids, which are small), floats are fixed
-// 8 bytes, strings length-prefixed.
+// emits the presence bitmaps, rank-packed value slices, zone maps and
+// tombstone bitmaps directly, and DecodeSnapshot rebuilds them into an
+// empty table. Values are varint-encoded (the RDF schemas store
+// dictionary ids, which are small).
+//
+// Every chunk payload ends with a count of out-of-line cells. Storage
+// holds int64 ids only, so the encoder always writes 0 and the decoder
+// rejects anything else; the field keeps the byte layout of snapshots
+// written when columns could hold other kinds.
 //
 // Dead-cell reclamation: rows tombstoned since the last compaction may
 // still hold their cell values in the packed vectors ("dirty" dead
 // cells). The encoder masks them out — the emitted presence bitmaps
 // clear every tombstoned row's bit, the dead values are dropped from
-// the packed slices and exception maps, and the int zone maps are
-// recomputed over the surviving values — while the tombstone bitmaps
-// themselves are preserved so physical row indices stay stable and a
-// cleared cell never resurfaces as a live NULL. A decoded table is
-// therefore equivalent to the source table with every chunk fully
-// compacted, and delete-heavy snapshots shrink accordingly.
+// the packed slices, and the zone maps are recomputed over the
+// surviving values — while the tombstone bitmaps themselves are
+// preserved so physical row indices stay stable and a cleared cell
+// never resurfaces as a live NULL. A decoded table is therefore
+// equivalent to the source table with every chunk fully compacted, and
+// delete-heavy snapshots shrink accordingly.
 //
 // Chunk payloads are marker-tagged (chunkAbsent..chunkDensePacked): a
-// sealed bit-packed int chunk with no dead cells writes its packed
-// words verbatim (no per-value varint work on either side, and the
-// decoder rebuilds the sealed form directly), a fully dense presence
-// bitmap is elided entirely (the decoder shares the global denseBits),
-// and everything else falls back to the raw bitmap+values layout.
+// sealed bit-packed chunk with no dead cells writes its packed words
+// verbatim (no per-value varint work on either side, and the decoder
+// rebuilds the sealed form directly), a fully dense presence bitmap is
+// elided entirely (the decoder shares the global denseBits), and
+// everything else falls back to the raw bitmap+values layout.
 //
 // The format carries no checksums of its own: the store-level snapshot
 // file wraps every table section in a whole-file CRC32C, so the
@@ -49,6 +51,19 @@ const (
 	chunkPacked      = 3 // presence bitmap + FoR bit-packed ints
 	chunkDensePacked = 4 // dense + FoR bit-packed ints
 )
+
+// appendTrailer emits what every chunk payload ends with: the zone map
+// and the out-of-line cell count, always 0.
+func appendTrailer(buf []byte, init bool, min, max int64) []byte {
+	z := byte(0)
+	if init {
+		z = 1
+	}
+	buf = append(buf, z)
+	buf = binary.AppendVarint(buf, min)
+	buf = binary.AppendVarint(buf, max)
+	return append(buf, 0)
+}
 
 // EncodeSnapshot appends the table's serialized contents to buf and
 // returns the extended slice. It is intended for frozen (published)
@@ -74,7 +89,7 @@ func (t *Table) EncodeSnapshot(buf []byte) []byte {
 	for _, col := range t.cols {
 		buf = binary.AppendUvarint(buf, uint64(len(col.chunks)))
 		for ci, ck := range col.chunks {
-			buf = t.encodeChunkLocked(buf, col, ck, ci)
+			buf = t.encodeChunkLocked(buf, ck, ci)
 		}
 	}
 	return buf
@@ -82,7 +97,7 @@ func (t *Table) EncodeSnapshot(buf []byte) []byte {
 
 // encodeChunkLocked emits one column chunk with the chunk's tombstoned
 // cells masked out.
-func (t *Table) encodeChunkLocked(buf []byte, col *colVec, ck *colChunk, ci int) []byte {
+func (t *Table) encodeChunkLocked(buf []byte, ck *colChunk, ci int) []byte {
 	if ck == nil || ck.n == 0 {
 		return append(buf, 0)
 	}
@@ -121,24 +136,7 @@ func (t *Table) encodeChunkLocked(buf []byte, col *colVec, ck *colChunk, ci int)
 		for _, w := range ck.packed {
 			buf = binary.LittleEndian.AppendUint64(buf, w)
 		}
-		z := byte(0)
-		if ck.zoneInit {
-			z = 1
-		}
-		buf = append(buf, z)
-		buf = binary.AppendVarint(buf, ck.min)
-		buf = binary.AppendVarint(buf, ck.max)
-		excOut := make([]uint16, 0, len(ck.exc))
-		for off := range ck.exc {
-			excOut = append(excOut, off)
-		}
-		sort.Slice(excOut, func(i, j int) bool { return excOut[i] < excOut[j] })
-		buf = binary.AppendUvarint(buf, uint64(len(excOut)))
-		for _, off := range excOut {
-			buf = binary.AppendUvarint(buf, uint64(off))
-			buf = appendValue(buf, ck.exc[off])
-		}
-		return buf
+		return appendTrailer(buf, ck.zoneInit, ck.min, ck.max)
 	}
 	if dense {
 		buf = append(buf, chunkDenseRaw)
@@ -150,11 +148,9 @@ func (t *Table) encodeChunkLocked(buf []byte, col *colVec, ck *colChunk, ci int)
 	}
 	// Walk the ORIGINAL presence bits in order, advancing the packed
 	// cursor, and emit only surviving cells. Zone bounds are recomputed
-	// over the emitted packed values (exception placeholders included —
-	// loose but sound, matching compactChunkLocked).
+	// over the emitted values.
 	var zmin, zmax int64
 	zoneInit := false
-	var excOut []uint16
 	k := 0
 	for w := 0; w < chunkWords; w++ {
 		word := ck.bits[w]
@@ -166,68 +162,18 @@ func (t *Table) encodeChunkLocked(buf []byte, col *colVec, ck *colChunk, ci int)
 			if tombBits != nil && tombBits[off>>6]>>(uint(off)&63)&1 == 1 {
 				continue
 			}
-			isExc := false
-			if ck.exc != nil {
-				_, isExc = ck.exc[uint16(off)]
-			}
-			if isExc {
-				excOut = append(excOut, uint16(off))
-			}
-			switch col.typ {
-			case TInt:
-				x := ck.intAt(r)
-				buf = binary.AppendVarint(buf, x)
-				if !zoneInit {
-					zmin, zmax, zoneInit = x, x, true
-				} else if x < zmin {
-					zmin = x
-				} else if x > zmax {
-					zmax = x
-				}
-			case TFloat:
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ck.floats[r]))
-			default:
-				s := ck.strs[r]
-				buf = binary.AppendUvarint(buf, uint64(len(s)))
-				buf = append(buf, s...)
+			x := ck.intAt(r)
+			buf = binary.AppendVarint(buf, x)
+			if !zoneInit {
+				zmin, zmax, zoneInit = x, x, true
+			} else if x < zmin {
+				zmin = x
+			} else if x > zmax {
+				zmax = x
 			}
 		}
 	}
-	if col.typ == TInt {
-		z := byte(0)
-		if zoneInit {
-			z = 1
-		}
-		buf = append(buf, z)
-		buf = binary.AppendVarint(buf, zmin)
-		buf = binary.AppendVarint(buf, zmax)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(excOut)))
-	for _, off := range excOut {
-		buf = binary.AppendUvarint(buf, uint64(off))
-		buf = appendValue(buf, ck.exc[off])
-	}
-	return buf
-}
-
-func appendValue(buf []byte, v Value) []byte {
-	buf = append(buf, byte(v.K))
-	switch v.K {
-	case KindInt:
-		buf = binary.AppendVarint(buf, v.I)
-	case KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-	case KindString:
-		buf = binary.AppendUvarint(buf, uint64(len(v.S)))
-		buf = append(buf, v.S...)
-	case KindBool:
-		b := byte(0)
-		if v.I != 0 {
-			b = 1
-		}
-		buf = append(buf, b)
-	}
-	return buf
+	return appendTrailer(buf, zoneInit, zmin, zmax)
 }
 
 // DecodeSnapshot rebuilds the table's contents from data produced by
@@ -285,15 +231,13 @@ func (t *Table) decodeSnapshotLocked(data []byte) error {
 	}
 	cols := make([]*colVec, len(t.Schema))
 	for j := range t.Schema {
-		v := &colVec{typ: t.Schema[j].Type}
+		v := &colVec{}
 		nchunks := c.Uvarint()
 		if nchunks > maxChunks || nchunks > uint64(c.Remaining()) {
 			return fmt.Errorf("rel: table %s: bad chunk count %d", t.Name, nchunks)
 		}
 		for ci := uint64(0); ci < nchunks && c.Err() == nil; ci++ {
-			ck, nexc := decodeChunk(c, v.typ)
-			v.excCount += nexc
-			v.chunks = append(v.chunks, ck)
+			v.chunks = append(v.chunks, decodeChunk(c))
 		}
 		if c.Err() != nil {
 			return decodeErr(c)
@@ -323,14 +267,14 @@ func decodeErr(c *binenc.Reader) error {
 
 // decodeChunk reads one column chunk, recording any error in c (the
 // chunk is then nil).
-func decodeChunk(c *binenc.Reader, typ ColumnType) (*colChunk, int) {
+func decodeChunk(c *binenc.Reader) *colChunk {
 	marker := c.U8()
 	if marker == chunkAbsent {
-		return nil, 0
+		return nil
 	}
 	if marker > chunkDensePacked {
 		c.Fail("bad chunk marker %d", marker)
-		return nil, 0
+		return nil
 	}
 	dense := marker == chunkDenseRaw || marker == chunkDensePacked
 	packed := marker == chunkPacked || marker == chunkDensePacked
@@ -350,100 +294,38 @@ func decodeChunk(c *binenc.Reader, typ ColumnType) (*colChunk, int) {
 		}
 	}
 	if c.Err() != nil {
-		return nil, 0
+		return nil
 	}
-	switch {
-	case packed:
-		if typ != TInt {
-			c.Fail("packed chunk in non-int column")
-			return nil, 0
-		}
+	if packed {
 		ck.sealed = true
 		ck.ref = c.Varint()
 		w := uint(c.U8())
 		nwords := c.Uvarint()
 		// The word count is fully determined by n and w, which bounds
 		// the allocation at chunkRows words.
-		if w > maxPackWidth {
+		if w > maxPackWidth || nwords != uint64(packWords(ck.n, w)) {
 			c.Fail("bad packed chunk (width %d, %d words)", w, nwords)
-			return nil, 0
-		}
-		if nwords != uint64(packWords(ck.n, w)) {
-			c.Fail("bad packed chunk (width %d, %d words)", w, nwords)
-			return nil, 0
+			return nil
 		}
 		ck.packedW = uint8(w)
 		ck.packed = make([]uint64, nwords)
 		for i := range ck.packed {
 			ck.packed[i] = c.U64()
 		}
-	case typ == TInt:
+	} else {
 		ck.ints = make([]int64, ck.n)
 		for k := range ck.ints {
 			ck.ints[k] = c.Varint()
 		}
-	case typ == TFloat:
-		ck.floats = make([]float64, ck.n)
-		for k := range ck.floats {
-			ck.floats[k] = math.Float64frombits(c.U64())
-		}
-	default:
-		ck.strs = make([]string, ck.n)
-		for k := range ck.strs {
-			ln := c.Uvarint()
-			if ln > uint64(c.Remaining()) {
-				c.Fail("string length %d beyond input", ln)
-				break
-			}
-			ck.strs[k] = string(c.Bytes(int(ln)))
-		}
 	}
-	if typ == TInt {
-		ck.zoneInit = c.U8() == 1
-		ck.min = c.Varint()
-		ck.max = c.Varint()
-	}
-	nexc := c.Uvarint()
-	if nexc > uint64(ck.n) || nexc > uint64(c.Remaining()) {
-		c.Fail("bad exception count %d", nexc)
-	}
-	for i := uint64(0); i < nexc && c.Err() == nil; i++ {
-		off := c.Uvarint()
-		if off >= chunkRows {
-			c.Fail("exception offset %d out of range", off)
-			break
-		}
-		v := decodeValue(c)
-		if ck.exc == nil {
-			ck.exc = make(map[uint16]Value, nexc)
-		}
-		ck.exc[uint16(off)] = v
+	ck.zoneInit = c.U8() == 1
+	ck.min = c.Varint()
+	ck.max = c.Varint()
+	if nexc := c.Uvarint(); nexc != 0 {
+		c.Fail("chunk carries %d out-of-line cells; columns store int64 ids only", nexc)
 	}
 	if c.Err() != nil {
-		return nil, 0
+		return nil
 	}
-	return ck, len(ck.exc)
-}
-
-func decodeValue(c *binenc.Reader) Value {
-	switch Kind(c.U8()) {
-	case KindNull:
-		return Null
-	case KindInt:
-		return Int(c.Varint())
-	case KindFloat:
-		return Float(math.Float64frombits(c.U64()))
-	case KindString:
-		ln := c.Uvarint()
-		if ln > uint64(c.Remaining()) {
-			c.Fail("string length %d beyond input", ln)
-			return Null
-		}
-		return Str(string(c.Bytes(int(ln))))
-	case KindBool:
-		return Bool(c.U8() == 1)
-	default:
-		c.Fail("unknown value kind")
-		return Null
-	}
+	return ck
 }

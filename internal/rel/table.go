@@ -8,23 +8,10 @@ import (
 	"unsafe"
 )
 
-// ColumnType is the declared type of a table column.
-type ColumnType uint8
-
-const (
-	// TInt is a 64-bit integer column (dictionary-encoded ids in all
-	// the RDF schemas).
-	TInt ColumnType = iota
-	// TString is a string column.
-	TString
-	// TFloat is a float column.
-	TFloat
-)
-
-// Column describes one table column.
+// Column describes one table column. Every column stores int64 ids or
+// NULL (column.go); the schema only names them.
 type Column struct {
 	Name string
-	Type ColumnType
 }
 
 // Schema is an ordered list of columns.
@@ -51,49 +38,20 @@ func (s Schema) Names() []string {
 	return out
 }
 
-// hashIndex is an equality index on one column. Numeric indexes key
-// ints exactly and floats under join-key semantics: an integral float
-// lands in (and probes) the int map — 1 joins 1.0 — and non-integral
-// floats are keyed by canonicalized bit pattern. The posting maps are
-// layered copy-on-write structures (see cowmap.go) so a published
-// snapshot keeps a stable sealed view while the live index mutates.
+// hashIndex is an equality index on one column, keyed by the stored
+// int64 ids. The posting map is a layered copy-on-write structure (see
+// cowmap.go) so a published snapshot keeps a stable sealed view while
+// the live index mutates.
 type hashIndex struct {
-	col    int
-	ints   *postMap[int64]
-	floats *postMap[uint64] // non-integral floats by bit pattern
-	strs   *postMap[string]
-}
-
-// newHashIndex allocates an empty index on column ci of type typ.
-func newHashIndex(ci int, typ ColumnType) *hashIndex {
-	idx := &hashIndex{col: ci}
-	switch typ {
-	case TInt, TFloat:
-		idx.ints = &postMap[int64]{}
-		idx.floats = &postMap[uint64]{}
-	default:
-		idx.strs = &postMap[string]{}
-	}
-	return idx
+	col   int
+	posts *postMap
 }
 
 // seal closes the index's dirty generation and returns the immutable
 // copy for a published snapshot. Caller holds the table write lock.
 func (x *hashIndex) seal() *hashIndex {
-	s := &hashIndex{col: x.col}
-	if x.ints != nil {
-		p := x.ints.seal()
-		s.ints = &p
-	}
-	if x.floats != nil {
-		p := x.floats.seal()
-		s.floats = &p
-	}
-	if x.strs != nil {
-		p := x.strs.seal()
-		s.strs = &p
-	}
-	return s
+	p := x.posts.seal()
+	return &hashIndex{col: x.col, posts: &p}
 }
 
 // Table is an in-memory relation with optional hash indexes, stored
@@ -137,7 +95,7 @@ func NewTable(name string, schema Schema) *Table {
 	for i, c := range schema {
 		t.names[i] = strings.ToLower(c.Name)
 		t.colIdx[t.names[i]] = i
-		t.cols[i] = &colVec{typ: c.Type}
+		t.cols[i] = &colVec{}
 	}
 	return t
 }
@@ -159,7 +117,8 @@ func (t *Table) Len() int {
 	return t.nrows
 }
 
-// Insert appends a row; it must match the schema width.
+// Insert appends a row; it must match the schema width and hold only
+// Int or NULL cells.
 func (t *Table) Insert(r Row) error {
 	_, err := t.AppendRow(r)
 	return err
@@ -171,6 +130,11 @@ func (t *Table) Insert(r Row) error {
 func (t *Table) AppendRow(r Row) (int, error) {
 	if len(r) != len(t.Schema) {
 		return 0, fmt.Errorf("rel: table %s: row width %d != schema width %d", t.Name, len(r), len(t.Schema))
+	}
+	for j, v := range r {
+		if err := t.checkCell(j, v); err != nil {
+			return 0, err
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -185,6 +149,16 @@ func (t *Table) AppendRow(r Row) (int, error) {
 	return id, nil
 }
 
+// checkCell is the storage boundary: a cell is an int64 id or NULL.
+// Every write path (AppendRow, Insert, SetCell) calls it before
+// touching the table, so a rejected write changes nothing.
+func (t *Table) checkCell(j int, v Value) error {
+	if v.K == KindInt || v.K == KindNull {
+		return nil
+	}
+	return fmt.Errorf("rel: table %s: column %s stores int64 ids only, got %s %v", t.Name, t.Schema[j].Name, v.K, v)
+}
+
 // CellAt returns the value at (row i, column j). Cheaper than RowAt
 // when only a few cells of a wide row are needed: it reads one vector
 // instead of materializing 2k+2 columns.
@@ -194,9 +168,9 @@ func (t *Table) CellAt(i, j int) Value {
 	return t.cols[j].get(i)
 }
 
-// SetCell updates the single cell (row i, column j), mutating the
-// column vector copy-on-write. Indexed columns must not change value
-// unless reindexed by the caller.
+// SetCell updates the single cell (row i, column j) to an Int or NULL,
+// mutating the column vector copy-on-write. Indexed columns must not
+// change value unless reindexed by the caller.
 func (t *Table) SetCell(i, j int, v Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -205,6 +179,9 @@ func (t *Table) SetCell(i, j int, v Value) error {
 	}
 	if j < 0 || j >= len(t.Schema) {
 		return fmt.Errorf("rel: table %s: column %d out of range", t.Name, j)
+	}
+	if err := t.checkCell(j, v); err != nil {
+		return err
 	}
 	t.cols[j].set(t.wgen, i, v)
 	return nil
@@ -304,7 +281,7 @@ func (rd *tableReader) rowInto(dst Row, i int) {
 	// Hot path for index probes over sparse tables: compute the chunk
 	// coordinates once, and settle absent cells (nil chunk or cleared
 	// presence bit — the common case for DPH/RPH predicate columns)
-	// without the call into colVec.get.
+	// before any rank work.
 	ci, off := i>>chunkShift, i&chunkMask
 	word, bit := uint(off)>>6, uint64(1)<<(uint(off)&63)
 	for j, c := range rd.cols {
@@ -316,11 +293,7 @@ func (rd *tableReader) rowInto(dst Row, i int) {
 			dst[j] = Null
 			continue
 		}
-		if ck.exc == nil && c.typ == TInt {
-			dst[j] = Int(ck.intAt(ck.rank(off)))
-			continue
-		}
-		dst[j] = c.get(i)
+		dst[j] = Int(ck.intAt(ck.rank(off)))
 	}
 }
 
@@ -338,12 +311,7 @@ func (t *Table) CreateIndex(col string) error {
 	if ci < 0 {
 		return fmt.Errorf("rel: table %s has no column %q", t.Name, col)
 	}
-	switch t.Schema[ci].Type {
-	case TInt, TFloat, TString:
-	default:
-		return fmt.Errorf("rel: cannot index column %q of type %v", col, t.Schema[ci].Type)
-	}
-	idx := newHashIndex(ci, t.Schema[ci].Type)
+	idx := &hashIndex{col: ci, posts: &postMap{}}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.cols[ci]
@@ -394,60 +362,30 @@ func (t *Table) indexFor(col string) *hashIndex {
 }
 
 // lookupVal returns the row ids matching v under join key semantics:
-// an integral float probes the int map (1 joins 1.0), a non-integral
-// float probes the bit-pattern map, any other type mismatch matches
-// nothing.
+// an int probes its id, an integral float probes as that int (1 joins
+// 1.0), and any other value matches nothing.
 func (x *hashIndex) lookupVal(v Value) []int32 {
 	switch {
-	case x.ints != nil:
-		switch v.K {
-		case KindInt:
-			return x.ints.find(v.I)
-		case KindFloat:
-			if v.F == float64(int64(v.F)) {
-				return x.ints.find(int64(v.F))
-			}
-			if x.floats != nil {
-				return x.floats.find(floatBitsKey(v.F))
-			}
-		}
-	case x.strs != nil:
-		if v.K == KindString {
-			return x.strs.find(v.S)
-		}
+	case v.K == KindInt:
+		return x.posts.find(v.I)
+	case v.K == KindFloat && v.F == float64(int64(v.F)):
+		return x.posts.find(int64(v.F))
 	}
 	return nil
 }
 
-// add indexes value v at row id. Numeric values are classed the same
-// way lookupVal probes them, so a float stored in an indexed int
-// column is found by both `col = 1` and `col = 1.0`.
+// add indexes the stored cell v at row id; NULL is not indexed.
 func (x *hashIndex) add(v Value, id int32) {
-	switch {
-	case x.ints != nil:
-		switch v.K {
-		case KindInt:
-			x.ints.add(v.I, id)
-		case KindFloat:
-			if v.F == float64(int64(v.F)) {
-				x.ints.add(int64(v.F), id)
-			} else if x.floats != nil {
-				x.floats.add(floatBitsKey(v.F), id)
-			}
-		}
-	case x.strs != nil:
-		if v.K == KindString {
-			x.strs.add(v.S, id)
-		}
+	if v.K == KindInt {
+		x.posts.add(v.I, id)
 	}
 }
 
 // EstimateBytes approximates the on-disk footprint of the table, used by
 // the NULL-storage experiment (§2.3). NULLs cost one bit (null bitmap /
-// value compression, as DB2 and Postgres do); ints cost 8, floats 8,
-// strings their length plus 4. The estimate models the logical
-// content, not its encoding: a table reports the same number before and
-// after Publish seals its chunks.
+// value compression, as DB2 and Postgres do) and ids cost 8. The
+// estimate models the logical content, not its encoding: a table
+// reports the same number before and after Publish seals its chunks.
 func (t *Table) EstimateBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -455,58 +393,24 @@ func (t *Table) EstimateBytes() int64 {
 	var nulls int64
 	for _, col := range t.cols {
 		present := 0
-		for ci := range col.chunks {
-			ck := col.chunks[ci]
-			if ck == nil {
-				continue
-			}
-			present += ck.n
-			switch col.typ {
-			case TInt, TFloat:
-				// By logical value count, not physical slice length:
-				// the estimate must be identical across raw and
-				// sealed/bit-packed chunks.
-				total += int64(ck.n) * 8
-			default:
-				for _, s := range ck.strs {
-					total += int64(len(s)) + 4
-				}
-			}
-			// Exception values were counted as placeholders of the
-			// column type above; re-count them by their actual kind.
-			for _, ev := range ck.exc {
-				switch col.typ {
-				case TInt, TFloat:
-					total -= 8
-				default:
-					total -= 4
-				}
-				switch ev.K {
-				case KindInt, KindFloat:
-					total += 8
-				case KindString:
-					total += int64(len(ev.S)) + 4
-				default:
-					total++
-				}
+		for _, ck := range col.chunks {
+			if ck != nil {
+				present += ck.n
 			}
 		}
+		total += int64(present) * 8
 		nulls += int64(t.nrows - present)
 	}
 	return total + (nulls+7)/8
 }
 
 // ResidentBytes reports the actual in-process memory footprint of the
-// table's data, excluding indexes: chunk directories, bitmaps, packed
-// vectors, string contents and exception maps. This is the number
-// behind the table_resident_bytes benchmark metric.
+// table's data, excluding indexes: chunk directories, bitmaps and
+// packed vectors. This is the number behind the table_resident_bytes
+// benchmark metric.
 func (t *Table) ResidentBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	const (
-		stringHeader = 16
-		mapEntry     = 64 // rough per-entry cost of a small map
-	)
 	chunkFixed := int64(unsafe.Sizeof(colChunk{}))
 	var total int64
 	for _, col := range t.cols {
@@ -519,18 +423,7 @@ func (t *Table) ResidentBytes() int64 {
 			if ck.bits != denseBits {
 				total += chunkWords * 8
 			}
-			total += int64(cap(ck.ints))*8 + int64(cap(ck.floats))*8
-			total += int64(cap(ck.packed)) * 8
-			total += int64(cap(ck.strs)) * stringHeader
-			for _, s := range ck.strs {
-				total += int64(len(s))
-			}
-			for _, ev := range ck.exc {
-				total += mapEntry
-				if ev.K == KindString {
-					total += int64(len(ev.S))
-				}
-			}
+			total += int64(cap(ck.ints))*8 + int64(cap(ck.packed))*8
 		}
 	}
 	return total

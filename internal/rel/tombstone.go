@@ -168,9 +168,6 @@ func (t *Table) compactChunkLocked(ci int, tc *tombChunk) {
 	}
 	tc.dirty = 0
 	for _, col := range t.cols {
-		if col.typ != TInt {
-			continue
-		}
 		ck := col.chunkOf(ci)
 		// Only chunks the clears above actually touched (and therefore
 		// cloned into the current generation) need a zone rebuild; an
@@ -184,8 +181,7 @@ func (t *Table) compactChunkLocked(ci int, tc *tombChunk) {
 			continue
 		}
 		// Re-widen from scratch: the old bounds may be witnessed only by
-		// cells just cleared. Exception placeholders (zeros) may widen
-		// the range past the live data, which is loose but sound.
+		// cells just cleared.
 		ck.zoneInit = false
 		for _, x := range ck.ints {
 			ck.widen(x)
@@ -211,8 +207,8 @@ func (t *Table) Clear() {
 	t.nrows, t.dead = 0, 0
 	t.tomb, t.tombGen = nil, t.wgen
 	t.cols = make([]*colVec, len(t.Schema))
-	for i, c := range t.Schema {
-		t.cols[i] = &colVec{typ: c.Type, sgen: t.wgen}
+	for i := range t.cols {
+		t.cols[i] = &colVec{sgen: t.wgen}
 	}
 	for _, idx := range t.indexes {
 		idx.reset()
@@ -228,25 +224,11 @@ func (t *Table) IndexLookup(col string, v Value) ([]int32, bool) {
 	return t.lookup(col, v)
 }
 
-// remove drops row id from the posting list of v, classing the value
-// exactly as add did. Caller holds the table write lock.
+// remove drops row id from the posting list of the stored cell v.
+// Caller holds the table write lock.
 func (x *hashIndex) remove(v Value, id int32) {
-	switch {
-	case x.ints != nil:
-		switch v.K {
-		case KindInt:
-			x.ints.remove(v.I, id)
-		case KindFloat:
-			if v.F == float64(int64(v.F)) {
-				x.ints.remove(int64(v.F), id)
-			} else if x.floats != nil {
-				x.floats.remove(floatBitsKey(v.F), id)
-			}
-		}
-	case x.strs != nil:
-		if v.K == KindString {
-			x.strs.remove(v.S, id)
-		}
+	if v.K == KindInt {
+		x.posts.remove(v.I, id)
 	}
 }
 
@@ -262,16 +244,6 @@ func dropID(ids []int32, id int32) []int32 {
 	return ids
 }
 
-// reset empties the index by allocating fresh posting maps, keeping
+// reset empties the index by allocating a fresh posting map, keeping
 // its column binding. Sealed copies held by snapshots are untouched.
-func (x *hashIndex) reset() {
-	if x.ints != nil {
-		x.ints = &postMap[int64]{}
-	}
-	if x.floats != nil {
-		x.floats = &postMap[uint64]{}
-	}
-	if x.strs != nil {
-		x.strs = &postMap[string]{}
-	}
-}
+func (x *hashIndex) reset() { x.posts = &postMap{} }

@@ -16,7 +16,7 @@ import (
 func tombTable(t *testing.T, st chunkState, n int) (db *DB, tbl *Table, snap *DB) {
 	t.Helper()
 	db = NewDB()
-	tbl, err := db.CreateTable("t", Schema{{Name: "id", Type: TInt}, {Name: "v", Type: TInt}})
+	tbl, err := db.CreateTable("t", Schema{{Name: "id"}, {Name: "v"}})
 	if err != nil {
 		t.Fatal(err)
 	}

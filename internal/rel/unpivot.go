@@ -279,11 +279,7 @@ pairs:
 				tail[c] = Null
 				continue
 			}
-			if ck.exc == nil && v.typ == TInt {
-				tail[c] = Int(ck.intAt(ck.rank(off)))
-			} else {
-				tail[c] = v.get(id)
-			}
+			tail[c] = Int(ck.intAt(ck.rank(off)))
 		}
 		for _, lk := range links {
 			lv, rv := probe[lk.li], w.cand[lk.ri]

@@ -1,5 +1,5 @@
 // Package rel implements the relational substrate that stands in for
-// IBM DB2 in this reproduction: typed in-memory tables with hash
+// IBM DB2 in this reproduction: in-memory tables of int64 ids with hash
 // indexes, a SQL subset (WITH/CTEs, SELECT, comma and LEFT OUTER joins,
 // the lateral TABLE(VALUES …) AS L(…) FROM item, UNION [ALL], CASE,
 // COALESCE, DISTINCT, ORDER BY, LIMIT/OFFSET, scalar functions), and a

@@ -6,15 +6,15 @@ import "math/bits"
 // every row and filtering row-at-a-time, the scan works one chunk
 // (1024 rows) at a time per morsel worker:
 //
-//  1. zone-map check — per-chunk min/max (TInt) and presence counts
-//     can prove no row of the chunk satisfies a conjunct, skipping the
+//  1. zone-map check — per-chunk min/max and presence counts can
+//     prove no row of the chunk satisfies a conjunct, skipping the
 //     chunk before any per-row work;
 //  2. selection vector — the vectorizable conjuncts (`col <cmp> int
-//     literal` on TInt columns, `col IS [NOT] NULL` on any type) are
-//     evaluated directly against the packed vectors, producing the
-//     in-chunk offsets of surviving rows;
+//     literal` and `col IS [NOT] NULL`, on any column) are evaluated
+//     directly against the packed vectors, producing the in-chunk
+//     offsets of surviving rows;
 //  3. residual predicates — conjuncts the vectorizer cannot express
-//     (string comparisons, functions, multi-column arithmetic) run the
+//     (non-int literals, functions, multi-column arithmetic) run the
 //     ordinary compiled-closure path over a scratch-materialized row,
 //     but only for rows that survived step 2;
 //  4. gather — survivors are materialized into arena rows.
@@ -56,15 +56,10 @@ var cmpFlip = map[string]vecOp{"=": vecEq, "!=": vecNe, "<": vecGt, "<=": vecGe,
 var cmpFwd = map[string]vecOp{"=": vecEq, "!=": vecNe, "<": vecLt, "<=": vecLe, ">": vecGt, ">=": vecGe}
 
 // compileVecFilters splits conds into vectorizable filters and the
-// residual row-at-a-time predicates. r must be a scan relation over t;
-// column types resolve through r.src. Exception values
-// (kind-mismatched cells; see column.go) are handled per chunk: a
-// chunk carrying exceptions is never zone-pruned by a comparison
-// (the zone map only bounds the conforming ints) and its exception
-// cells are evaluated with full cross-kind Compare semantics, so the
-// vectorized result is row-for-row identical to the compiled
-// row-predicate fallback.
-func compileVecFilters(t *Table, r *relation, conds []Expr) (vfs []vecFilter, residual []Expr) {
+// residual row-at-a-time predicates; r must be a scan relation. Every
+// stored cell is an int64 or NULL (column.go), so `col <cmp> intLit`
+// vectorizes on any column, and the zone map bounds every present cell.
+func compileVecFilters(r *relation, conds []Expr) (vfs []vecFilter, residual []Expr) {
 	for _, c := range conds {
 		switch x := c.(type) {
 		case *IsNullExpr:
@@ -80,7 +75,7 @@ func compileVecFilters(t *Table, r *relation, conds []Expr) (vfs []vecFilter, re
 			}
 		case *BinOp:
 			if op, ok := cmpFwd[x.Op]; ok {
-				if vf, ok2 := vecCompare(t, r, x.L, x.R, op, cmpFlip[x.Op]); ok2 {
+				if vf, ok2 := vecCompare(r, x.L, x.R, op, cmpFlip[x.Op]); ok2 {
 					vfs = append(vfs, vf)
 					continue
 				}
@@ -92,58 +87,23 @@ func compileVecFilters(t *Table, r *relation, conds []Expr) (vfs []vecFilter, re
 }
 
 // vecCompare recognizes `col <cmp> intLit` with the column on either
-// side of a TInt column.
-func vecCompare(t *Table, r *relation, l, rhs Expr, fwd, flip vecOp) (vecFilter, bool) {
+// side.
+func vecCompare(r *relation, l, rhs Expr, fwd, flip vecOp) (vecFilter, bool) {
 	if cr, ok := l.(*ColRef); ok {
 		if lit, ok2 := rhs.(*Lit); ok2 && lit.V.K == KindInt {
-			if pos := vecIntCol(t, r, cr); pos >= 0 {
+			if pos := r.colIndex(cr); pos >= 0 {
 				return vecFilter{col: pos, op: fwd, val: lit.V.I}, true
 			}
 		}
 	}
 	if cr, ok := rhs.(*ColRef); ok {
 		if lit, ok2 := l.(*Lit); ok2 && lit.V.K == KindInt {
-			if pos := vecIntCol(t, r, cr); pos >= 0 {
+			if pos := r.colIndex(cr); pos >= 0 {
 				return vecFilter{col: pos, op: flip, val: lit.V.I}, true
 			}
 		}
 	}
 	return vecFilter{}, false
-}
-
-func vecIntCol(t *Table, r *relation, cr *ColRef) int {
-	pos := r.colIndex(cr)
-	if pos < 0 || t.Schema[r.src[pos]].Type != TInt {
-		return -1
-	}
-	return pos
-}
-
-// matchExc evaluates the comparison against an exception value (a cell
-// whose kind mismatches the column type) with the executor's
-// cross-kind Compare semantics — numerics compare numerically, other
-// kinds order by kind rank — exactly what the compiled row-predicate
-// fallback computes for the same cell. A Float exception can therefore
-// satisfy `col = intLit`, and a String exception `col > intLit`.
-func (f vecFilter) matchExc(v Value) bool {
-	c, ok := Compare(v, Int(f.val))
-	if !ok {
-		return false
-	}
-	switch f.op {
-	case vecEq:
-		return c == 0
-	case vecNe:
-		return c != 0
-	case vecLt:
-		return c < 0
-	case vecLe:
-		return c <= 0
-	case vecGt:
-		return c > 0
-	default: // vecGe
-		return c >= 0
-	}
 }
 
 func cmpInt(op vecOp, v, lit int64) bool {
@@ -175,14 +135,6 @@ func (f vecFilter) skipChunk(ck *colChunk, n int) bool {
 	default:
 		if ck == nil || ck.n == 0 {
 			return true // comparisons never match NULL
-		}
-		if len(ck.exc) > 0 {
-			// Exception values live outside the zone map (widen only
-			// covers conforming ints) and can match under cross-kind
-			// Compare semantics — e.g. a Float 5.0 satisfies `col = 5`,
-			// any String satisfies `col > 5`. The chunk cannot be proved
-			// empty, so it must be scanned.
-			return false
 		}
 		if !ck.zoneInit {
 			return true
@@ -238,9 +190,6 @@ func (f vecFilter) firstPass(ck *colChunk, n int, sel []int32) []int32 {
 	default:
 		if ck == nil {
 			return sel
-		}
-		if len(ck.exc) > 0 {
-			return f.firstPassExc(ck, sel)
 		}
 		if ck.packed != nil {
 			return f.firstPassPacked(ck, sel)
@@ -497,31 +446,6 @@ func (f vecFilter) firstPassPacked(ck *colChunk, sel []int32) []int32 {
 	return sel
 }
 
-// firstPassExc is the comparison first pass for a chunk carrying
-// exception values: the packed slice holds a zero placeholder at an
-// exception's rank, so each set bit is checked against the exception
-// map before the int compare. The exception-free fast path above never
-// pays for this lookup.
-func (f vecFilter) firstPassExc(ck *colChunk, sel []int32) []int32 {
-	k := 0
-	for w := 0; w < chunkWords; w++ {
-		word := ck.bits[w]
-		for word != 0 {
-			off := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if ev, ok := ck.exc[uint16(off)]; ok {
-				if f.matchExc(ev) {
-					sel = append(sel, int32(off))
-				}
-			} else if cmpInt(f.op, ck.intAt(k), f.val) {
-				sel = append(sel, int32(off))
-			}
-			k++
-		}
-	}
-	return sel
-}
-
 // refine keeps only the rows of sel that also satisfy the filter,
 // compacting in place.
 func (f vecFilter) refine(ck *colChunk, sel []int32) []int32 {
@@ -538,18 +462,7 @@ func (f vecFilter) refine(ck *colChunk, sel []int32) []int32 {
 				kept = append(kept, off)
 			}
 		default:
-			if !present {
-				break
-			}
-			if ck.exc != nil {
-				if ev, ok := ck.exc[uint16(off)]; ok {
-					if f.matchExc(ev) {
-						kept = append(kept, off)
-					}
-					break
-				}
-			}
-			if cmpInt(f.op, ck.intAt(ck.rank(int(off))), f.val) {
+			if present && cmpInt(f.op, ck.intAt(ck.rank(int(off))), f.val) {
 				kept = append(kept, off)
 			}
 		}
@@ -577,7 +490,7 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 	if run != nil {
 		site = CkUnpivot
 	}
-	vfs, residual := compileVecFilters(t, r, pending)
+	vfs, residual := compileVecFilters(r, pending)
 	var rowPred func(Row) (bool, error)
 	if len(residual) > 0 {
 		rowPred = ex.db.compilePred(residual, r)

@@ -49,11 +49,7 @@ func (t *Table) Publish() *Table {
 	}
 	f.cols = make([]*colVec, len(t.cols))
 	for i, c := range t.cols {
-		f.cols[i] = &colVec{
-			typ:      c.typ,
-			chunks:   c.chunks[:len(c.chunks):len(c.chunks)],
-			excCount: c.excCount,
-		}
+		f.cols[i] = &colVec{chunks: c.chunks[:len(c.chunks):len(c.chunks)]}
 	}
 	f.tomb = t.tomb[:len(t.tomb):len(t.tomb)]
 	t.wgen++
@@ -75,7 +71,7 @@ func (t *Table) sealChunksLocked() {
 				continue
 			}
 			c.mutableDir(t.wgen)
-			c.chunks[ci] = ck.seal(c.typ, t.wgen)
+			c.chunks[ci] = ck.seal(t.wgen)
 		}
 	}
 }

@@ -206,10 +206,10 @@ func New(db *rel.DB, opts Options) (*Store, error) {
 	s := &Store{DB: db, Dict: dict.New(), Opts: opts}
 
 	mk := func(name string, k int) (*rel.Table, error) {
-		schema := rel.Schema{{Name: "entry", Type: rel.TInt}, {Name: "spill", Type: rel.TInt}}
+		schema := rel.Schema{{Name: "entry"}, {Name: "spill"}}
 		for i := 0; i < k; i++ {
-			schema = append(schema, rel.Column{Name: fmt.Sprintf("pred%d", i), Type: rel.TInt})
-			schema = append(schema, rel.Column{Name: fmt.Sprintf("val%d", i), Type: rel.TInt})
+			schema = append(schema, rel.Column{Name: fmt.Sprintf("pred%d", i)})
+			schema = append(schema, rel.Column{Name: fmt.Sprintf("val%d", i)})
 		}
 		t, err := db.CreateTable(opts.TablePrefix+name, schema)
 		if err != nil {
@@ -228,7 +228,7 @@ func New(db *rel.DB, opts Options) (*Store, error) {
 		return nil, err
 	}
 	mkSec := func(name string) (*rel.Table, error) {
-		t, err := db.CreateTable(opts.TablePrefix+name, rel.Schema{{Name: "lid", Type: rel.TInt}, {Name: "elm", Type: rel.TInt}})
+		t, err := db.CreateTable(opts.TablePrefix+name, rel.Schema{{Name: "lid"}, {Name: "elm"}})
 		if err != nil {
 			return nil, err
 		}
@@ -643,8 +643,8 @@ func (s *Store) EntityCount(reverse bool) int {
 }
 
 // TableBytes returns the resident in-memory size of the four DB2RDF
-// relations (DPH, DS, RPH, RS): packed column vectors, null bitmaps,
-// exception maps and string contents.
+// relations (DPH, DS, RPH, RS): chunk headers, packed column vectors
+// and null bitmaps.
 // Caller holds the store read lock or otherwise excludes writers.
 func (s *Store) TableBytes() int64 {
 	var total int64

@@ -58,8 +58,8 @@ func (s *Store) materializeClosures(ctx context.Context, snap *store.Snapshot, p
 		}
 		name := fmt.Sprintf("PATHTMP_%d", atomic.AddInt64(&pathTableN, 1))
 		tbl, err := db.CreateTable(name, rel.Schema{
-			{Name: "entry", Type: rel.TInt},
-			{Name: "val", Type: rel.TInt},
+			{Name: "entry"},
+			{Name: "val"},
 		})
 		if err != nil {
 			cleanup()
