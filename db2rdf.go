@@ -324,8 +324,8 @@ func (s *Store) solve(ctx context.Context, q string) (*Solutions, *ExecStats, er
 	ctx, cancel := s.governCtx(ctx)
 	defer cancel()
 	// One snapshot load pins the whole query — data, spill/multi state,
-	// and the epoch the plan cache keys on — to a single published
-	// version; writers publishing meanwhile are invisible.
+	// and the plan epoch the plan cache validates against — to a single
+	// published version; writers publishing meanwhile are invisible.
 	snap := s.inner.Snapshot()
 	sol, stats, _, err := s.queryFull(ctx, snap, q, s.profileQueries())
 	return sol, stats, attachQuery(q, err)
@@ -409,18 +409,18 @@ func (s *Store) queryOn(ctx context.Context, snap *store.Snapshot, q string) (*R
 // EXPLAIN ANALYZE and the slow-query log.
 //
 // Repeated query texts skip compile altogether via the store's
-// compiled-plan cache; keying the cache on the snapshot's epoch
-// guarantees a cached plan is only reused against the exact store
-// state it was compiled for. Queries that materialize property-path
-// closures are compiled afresh each time (their SQL references
-// per-query temp tables).
+// compiled-plan cache, whose plans are valid at the plan epoch they
+// were compiled at (plancache.go) and run on whichever snapshot the
+// reader holds. Queries that materialize property-path closures are
+// compiled afresh each time (their SQL references per-query temp
+// tables).
 func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, profile bool) (*Solutions, *ExecStats, *compiledPlan, error) {
 	// A live (write-lock) snapshot sees mid-update content that is
 	// newer than the published state of the same epoch, so it must
 	// bypass the plan cache in both directions.
 	cacheable := !snap.Live()
 	if cacheable {
-		if cp, ok := s.plans.get(q, snap.Epoch()); ok {
+		if cp, ok := s.plans.get(q, snap); ok {
 			sol, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
 			return sol, stats, cp, err
 		}
@@ -466,19 +466,21 @@ func (s *Store) compile(ctx context.Context, snap *store.Snapshot, parsed *sparq
 			cleanup()
 		}
 	}()
-	cp := &compiledPlan{epoch: snap.Epoch(), parsed: parsed}
+	cp := &compiledPlan{planEpoch: snap.PlanEpoch(), epoch: snap.Epoch(), parsed: parsed}
 	if s.opts.DisableHybridOptimizer {
 		cp.exec, cp.flow = optimizer.OptimizeNaive(parsed, snap.StatsView())
 	} else if cp.exec, cp.flow, err = optimizer.Optimize(parsed, snap.StatsView()); err != nil {
 		return nil, nil, err
 	}
-	backend := translator.NewDB2RDF(snap)
+	view := &lookupView{Snapshot: snap}
+	backend := translator.NewDB2RDF(view)
 	backend.Virtual = virtual
 	planner := translator.NewPlanner(backend)
 	planner.SetMerging(!s.opts.DisableMerging)
 	if cp.tr, err = translator.Translate(parsed, planner.BuildPlan(cp.exec), backend); err != nil {
 		return nil, nil, err
 	}
+	cp.absent = view.absent
 	if cp.tr.SQL != "" {
 		if cp.rq, err = rel.ParseQuery(cp.tr.SQL); err != nil {
 			return nil, nil, fmt.Errorf("db2rdf: parsing generated SQL: %w", err)
@@ -486,6 +488,22 @@ func (s *Store) compile(ctx context.Context, snap *store.Snapshot, parsed *sparq
 	}
 	compiled = true
 	return cp, cleanup, nil
+}
+
+// lookupView is the snapshot as the translator reads it, noting
+// whether any constant it looked up was absent from the dictionary.
+type lookupView struct {
+	*store.Snapshot
+	absent bool
+}
+
+// LookupID implements translator.StoreView.
+func (v *lookupView) LookupID(t rdf.Term) (int64, bool) {
+	id, ok := v.Snapshot.LookupID(t)
+	if !ok {
+		v.absent = true
+	}
+	return id, ok
 }
 
 // run compiles and executes a query AST built inside the store
@@ -512,8 +530,8 @@ type Explanation struct {
 	SQL  string // the generated SQL
 
 	// PlanCached reports whether a compiled plan for this exact query
-	// text is currently cached and valid at the store's present epoch
-	// (i.e. Query would skip the compile pipeline).
+	// text is currently cached and valid at the latest snapshot's plan
+	// epoch (i.e. Query would skip the compile pipeline).
 	PlanCached bool
 	// PlanCacheHits and PlanCacheMisses are the store-lifetime
 	// compiled-plan cache counters.
@@ -562,7 +580,7 @@ func (s *Store) ExplainContext(ctx context.Context, q string) (expl *Explanation
 // from the plan.
 func (s *Store) explanation(ctx context.Context, snap *store.Snapshot, q string) *Explanation {
 	expl := &Explanation{
-		PlanCached:     s.plans.contains(q, snap.Epoch()),
+		PlanCached:     s.plans.contains(q, snap),
 		MaxResultRows:  s.opts.MaxResultRows,
 		MaxMemoryBytes: s.opts.MaxMemoryBytes,
 	}
@@ -584,7 +602,7 @@ func (s *Store) PlanCacheStats() (hits, misses uint64) { return s.plans.stats() 
 
 // ResetPlanCache drops every cached compiled plan (counters are kept).
 // Useful for cold-plan benchmarking; normal invalidation is automatic,
-// keyed on the store's write epoch.
+// keyed on the snapshot's plan epoch.
 func (s *Store) ResetPlanCache() { s.plans.reset() }
 
 // executeCompiledStats runs a compiled plan against the snapshot's

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 
 	"db2rdf/internal/coloring"
 	"db2rdf/internal/dict"
@@ -13,19 +14,28 @@ import (
 // still holding the store write lock, freezes the current state into a
 // Snapshot — an immutable bundle of the frozen relational database
 // (rel.DB.Publish), the predicate-keyed translator inputs (spill and
-// multi-value sets), the entity and triple counts, and the new epoch — and
-// publishes it with one atomic pointer swap. Everything else a reader
-// asks about (an entity's rows and triples, spill rows) is read from
-// the frozen tables and their indexes. Readers load the pointer once
-// and run the whole query against that snapshot without ever touching
-// the store-level lock: a bulk load on another goroutine can proceed
-// concurrently and its partial state is invisible until its own
-// publish.
+// multi-value sets), the entity and triple counts, the new epoch and
+// the plan epoch — and publishes it with one atomic pointer swap.
+// Everything else a reader asks about (an entity's rows and triples,
+// spill rows) is read from the frozen tables and their indexes.
+// Readers load the pointer once and run the whole query against that
+// snapshot without ever touching the store-level lock: a bulk load on
+// another goroutine can proceed concurrently and its partial state is
+// invisible until its own publish.
 //
 // The captured spill/multi maps are shared with the live side until a
-// writer next mutates them; the predShared flag makes that mutation
+// writer next adds a marker; the predShared flag makes that addition
 // clone first (copy-on-write under predMu), so a published map is
-// never written again.
+// never written again, and a write that adds no marker hands the next
+// snapshot the same maps.
+//
+// The plan epoch versions what the SQL translator reads from a
+// snapshot: the four marker sets. It moves only when one of them
+// differs by content from the previous snapshot's — a marker set by a
+// write, a marker cleared by deriveLocked after compaction, Clear, or
+// recovery. The predicate→column mapping and the column budget are
+// fixed when the store is created, so they never move it; nor do the
+// statistics, which steer plan quality only.
 //
 // Memory reclamation is garbage collection: when the last query using
 // an old snapshot returns, the snapshot — and every chunk version
@@ -37,9 +47,10 @@ import (
 // instead reads the live state and is only for callers already
 // holding the store write lock (the SPARQL Update WHERE path).
 type Snapshot struct {
-	store *Store
-	epoch uint64
-	db    *rel.DB // frozen database; nil = live fallback
+	store     *Store
+	epoch     uint64
+	planEpoch uint64
+	db        *rel.DB // frozen database; nil = live fallback
 
 	dph, ds, rph, rs *rel.Table // frozen relations (nil on live)
 
@@ -92,15 +103,17 @@ func (s *Store) publishLocked() error {
 }
 
 // installLocked freezes the current state into a Snapshot at the given
-// epoch and publishes it with one atomic pointer swap. Recovery calls
-// it directly (the recovered epoch is re-published, not advanced).
+// epoch and publishes it with one atomic pointer swap. The plan epoch
+// carries over from the previous snapshot unless a marker set differs.
+// Recovery calls it directly (the recovered epoch is re-published, not
+// advanced).
 func (s *Store) installLocked(epoch uint64) {
 	preCompactions := s.Compactions()
 	db := s.DB.Publish()
 	if s.markerDeletes > 0 && s.Compactions() > preCompactions {
 		// This publish compacted chunks after delete churn: derive the
 		// conservatively-stale spill/multi markers exactly, so the
-		// snapshot (and every plan compiled against its epoch) sees the
+		// snapshot (and every plan compiled at its plan epoch) sees the
 		// same translator inputs a restarted store would. The live
 		// tables keep every invariant derive checks, so it cannot fail.
 		_ = s.deriveLocked()
@@ -115,7 +128,21 @@ func (s *Store) installLocked(epoch uint64) {
 	sn.dirEntities = s.direct.entities
 	sn.revEntities = s.reverse.entities
 	sn.triples = s.triples
+	sn.planEpoch = 1
+	if prev := s.snap.Load(); prev != nil {
+		sn.planEpoch = prev.planEpoch
+		if !sameMarkers(prev, sn) {
+			sn.planEpoch++
+		}
+	}
 	s.snap.Store(sn)
+}
+
+// sameMarkers reports whether two snapshots carry equal spill and
+// multi-value marker sets on both sides.
+func sameMarkers(a, b *Snapshot) bool {
+	return maps.Equal(a.dirSpill, b.dirSpill) && maps.Equal(a.revSpill, b.revSpill) &&
+		maps.Equal(a.dirMulti, b.dirMulti) && maps.Equal(a.revMulti, b.revMulti)
 }
 
 // PublishLocked is publishLocked for package db2rdf's update path,
@@ -141,6 +168,12 @@ func (sn *Snapshot) Live() bool { return sn.db == nil }
 
 // Epoch returns the store epoch this snapshot was published at.
 func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
+
+// PlanEpoch returns the plan epoch this snapshot was published at: two
+// snapshots with the same plan epoch give the translator the same
+// inputs apart from dictionary lookups, so a plan compiled on one runs
+// unchanged on the other. A live snapshot reports 0.
+func (sn *Snapshot) PlanEpoch() uint64 { return sn.planEpoch }
 
 // DB returns the relational database to execute against: the frozen
 // copy, or the live database for a write-lock pass-through. Per-query

@@ -91,9 +91,8 @@ type Store struct {
 	// it (inside publishLocked) while holding the write lock, so two
 	// readers observing the same Snapshot().Epoch() saw byte-identical
 	// store content. The compiled-plan cache in package db2rdf keys its
-	// entries on it: loads can change spill and multi-value state and
-	// the predicate→column mapping view, all of which are baked into
-	// generated SQL.
+	// entries on the snapshot's plan epoch instead (snapshot.go), and
+	// on this one only for plans that looked up an absent constant.
 	epoch atomic.Uint64
 
 	// snap is the atomically published snapshot readers run against;
@@ -399,15 +398,14 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 		spillFlag = 1
 		first := !d.spilled(rows)
 		d.predMu.Lock()
-		d.mutablePredsLocked()
-		d.spillPreds[pid] = true
+		d.markLocked(&d.spillPreds, pid)
 		if first {
 			// Every predicate already stored for this entity is now
 			// involved in spills: a merged star lookup could miss it.
 			for _, r := range rows {
 				for c := 0; c < d.k; c++ {
 					if pv := d.primary.CellAt(int(r), 2+2*c); pv.K == rel.KindInt {
-						d.spillPreds[pv.I] = true
+						d.markLocked(&d.spillPreds, pv.I)
 					}
 				}
 			}
@@ -438,17 +436,28 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 // loader worker may reach this for any predicate).
 func (d *side) setMultiPred(pid int64) {
 	d.predMu.Lock()
-	d.mutablePredsLocked()
-	d.multiPreds[pid] = true
+	d.markLocked(&d.multiPreds, pid)
 	d.predMu.Unlock()
 }
 
 // setSpillPred marks a predicate as spill-involved.
 func (d *side) setSpillPred(pid int64) {
 	d.predMu.Lock()
-	d.mutablePredsLocked()
-	d.spillPreds[pid] = true
+	d.markLocked(&d.spillPreds, pid)
 	d.predMu.Unlock()
+}
+
+// markLocked adds pid to one of the side's marker sets (&d.spillPreds
+// or &d.multiPreds). A marker already present changes nothing, so the
+// snapshot-captured maps are cloned only for a new one; the next
+// snapshot then shares them and keeps its plan epoch. The caller holds
+// predMu.
+func (d *side) markLocked(set *map[int64]bool, pid int64) {
+	if (*set)[pid] {
+		return
+	}
+	d.mutablePredsLocked()
+	(*set)[pid] = true
 }
 
 // deriveLocked recomputes, from the tables alone, everything the store

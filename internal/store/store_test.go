@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -370,4 +371,55 @@ func tripleStored(t *testing.T, s *Store, tr rdf.Triple) bool {
 		}
 	}
 	return false
+}
+
+// TestMarkerStableWriteKeepsCapturedMaps pins that a write which sets
+// no new spill or multi-value marker leaves the snapshot-captured
+// marker maps in place — a list append, a second list for an already
+// multi-valued predicate, a spill of already spill-involved predicates
+// — so the next snapshot shares them and keeps its plan epoch. Only a
+// new marker clones them, leaving the captured copies unwritten.
+func TestMarkerStableWriteKeepsCapturedMaps(t *testing.T) {
+	s := newTestStore(t, Options{K: 1}) // a second predicate always spills
+	tr := func(s, p, o string) rdf.Triple { return rdf.NewTriple(rdf.NewIRI(s), rdf.NewIRI(p), rdf.NewIRI(o)) }
+	if err := s.LoadTriples([]rdf.Triple{
+		tr("e0", "p", "v0"), tr("e0", "p", "v1"), // p multi-valued
+		tr("e1", "q", "w0"), tr("e1", "r", "w1"), // q and r spill-involved
+	}); err != nil {
+		t.Fatal(err)
+	}
+	held := s.Snapshot()
+	same := func(a, b map[int64]bool) bool {
+		return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+	}
+	for _, w := range [][]rdf.Triple{
+		{tr("e0", "p", "v2")},                      // list append
+		{tr("e2", "p", "v3"), tr("e2", "p", "v4")}, // a new list of p
+		{tr("e3", "q", "x0"), tr("e3", "r", "x1")}, // a new spill of q and r
+	} {
+		if err := s.LoadTriples(w); err != nil {
+			t.Fatal(err)
+		}
+		if !same(s.direct.multiPreds, held.dirMulti) || !same(s.direct.spillPreds, held.dirSpill) ||
+			!same(s.reverse.multiPreds, held.revMulti) || !same(s.reverse.spillPreds, held.revSpill) {
+			t.Fatalf("%v cloned the captured marker maps", w)
+		}
+		sn := s.Snapshot()
+		if sn.Epoch() == held.Epoch() || sn.PlanEpoch() != held.PlanEpoch() {
+			t.Fatalf("%v: epoch %d -> %d, plan epoch %d -> %d",
+				w, held.Epoch(), sn.Epoch(), held.PlanEpoch(), sn.PlanEpoch())
+		}
+	}
+
+	// A new multi-valued predicate clones before writing.
+	if err := s.LoadTriples([]rdf.Triple{tr("e4", "u", "z0"), tr("e4", "u", "z1")}); err != nil {
+		t.Fatal(err)
+	}
+	uid, _ := s.LookupID(rdf.NewIRI("u"))
+	if same(s.direct.multiPreds, held.dirMulti) || held.dirMulti[uid] || !s.direct.multiPreds[uid] {
+		t.Fatal("a new marker must be set on a private clone of the captured map")
+	}
+	if sn := s.Snapshot(); sn.PlanEpoch() != held.PlanEpoch()+1 {
+		t.Fatalf("a new marker: plan epoch %d -> %d, want +1", held.PlanEpoch(), sn.PlanEpoch())
+	}
 }

@@ -5,7 +5,7 @@ package db2rdf_test
 // the oracle generator) must produce identical results with morsel
 // parallelism forced off and forced on, and the compiled-plan cache
 // must be invisible except for speed — in particular it must
-// invalidate whenever the store's contents change.
+// invalidate whenever a spill or multi-value marker changes.
 
 import (
 	"fmt"
@@ -102,8 +102,9 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidation checks the epoch contract: a cached plan
-// must never serve results from a stale store state.
+// TestPlanCacheInvalidation checks the plan-epoch contract: a write
+// that changes no marker keeps the cached plan, which then answers with
+// the write included; a write that adds a marker stales it.
 func TestPlanCacheInvalidation(t *testing.T) {
 	s, err := db2rdf.Open(db2rdf.Options{})
 	if err != nil {
@@ -120,32 +121,53 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("want 2 rows before load, got %d", len(res.Rows))
 	}
-	// The plan is now cached and valid.
-	expl, err := s.Explain(q)
-	if err != nil {
-		t.Fatal(err)
+	cached := func() bool {
+		t.Helper()
+		expl, err := s.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return expl.PlanCached
 	}
-	if !expl.PlanCached {
+	// The plan is now cached and valid.
+	if !cached() {
 		t.Fatal("plan should be cached after first execution")
 	}
 
-	// Insert must bump the epoch: the same query text sees new data.
+	// Appending to <o>'s existing reverse list sets no marker: the plan
+	// stays cached and the same query text sees the new triple.
 	if err := s.Insert(mk(2)); err != nil {
 		t.Fatal(err)
 	}
-	if expl, err = s.Explain(q); err != nil {
-		t.Fatal(err)
+	if !cached() {
+		t.Fatal("cached plan must survive a marker-stable Insert")
 	}
-	if expl.PlanCached {
-		t.Fatal("cached plan must be stale after Insert")
-	}
+	h0, _ := s.PlanCacheStats()
 	if res = s.MustQuery(q); len(res.Rows) != 3 {
 		t.Fatalf("want 3 rows after Insert, got %d", len(res.Rows))
 	}
+	if h1, _ := s.PlanCacheStats(); h1 != h0+1 {
+		t.Fatalf("query after a marker-stable Insert must hit: hits %d -> %d", h0, h1)
+	}
 
-	// Bulk load (parallel pipeline) must also invalidate.
+	// A second value of <p> on <s0> makes <p> multi-valued on the
+	// direct side: a new marker, so the plan is stale.
+	if err := s.Insert(rdf.NewTriple(rdf.NewIRI("s0"), rdf.NewIRI("p"), rdf.NewIRI("o2"))); err != nil {
+		t.Fatal(err)
+	}
+	if cached() {
+		t.Fatal("cached plan must be stale after an Insert that adds a marker")
+	}
+	if res = s.MustQuery(q); len(res.Rows) != 3 {
+		t.Fatalf("want 3 rows after the marker Insert, got %d", len(res.Rows))
+	}
+
+	// Bulk load (parallel pipeline) of marker-stable triples.
 	if err := s.LoadTriplesParallel([]rdf.Triple{mk(3), mk(4)}, 2); err != nil {
 		t.Fatal(err)
+	}
+	if !cached() {
+		t.Fatal("cached plan must survive a marker-stable LoadTriplesParallel")
 	}
 	if res = s.MustQuery(q); len(res.Rows) != 5 {
 		t.Fatalf("want 5 rows after LoadTriplesParallel, got %d", len(res.Rows))

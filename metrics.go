@@ -101,10 +101,12 @@ type Snapshot struct {
 	DeletedTriples uint64  `json:"deleted_triples"`
 
 	// SnapshotEpoch is the epoch of the currently published store
-	// snapshot; CompactionsTotal counts publish-time chunk compactions
-	// and DeadRows the currently tombstoned rows across the four
-	// relations.
+	// snapshot and PlanEpoch its plan epoch, the version cached plans
+	// are validated against; CompactionsTotal counts publish-time chunk
+	// compactions and DeadRows the currently tombstoned rows across the
+	// four relations.
 	SnapshotEpoch    uint64 `json:"snapshot_epoch"`
+	PlanEpoch        uint64 `json:"plan_epoch"`
 	CompactionsTotal int64  `json:"compactions_total"`
 	DeadRows         int    `json:"dead_rows"`
 
@@ -240,6 +242,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.CompactionsTotal = m.inner.Compactions()
 		s.DeadRows = m.inner.DeadRows()
 		sn := m.inner.Snapshot()
+		s.PlanEpoch = sn.PlanEpoch()
 		s.TableResidentBytes = sn.TableBytes()
 		s.DictResidentBytes = sn.DictBytes()
 		s.EncodedChunksTotal = store.EncodedChunks()
@@ -356,6 +359,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	counter("db2rdf_deleted_triples_total", "Triples removed by SPARQL updates.", s.DeletedTriples)
 	counter("db2rdf_triples_loaded_total", "Triples ingested by Insert and the Load entry points.", s.TriplesLoaded)
 	p("# HELP db2rdf_snapshot_epoch Epoch of the currently published store snapshot.\n# TYPE db2rdf_snapshot_epoch gauge\ndb2rdf_snapshot_epoch %d\n", s.SnapshotEpoch)
+	p("# HELP db2rdf_plan_epoch Plan epoch of the currently published store snapshot; cached plans are valid within one.\n# TYPE db2rdf_plan_epoch gauge\ndb2rdf_plan_epoch %d\n", s.PlanEpoch)
 	counter("db2rdf_compactions_total", "Publish-time chunk compactions across the four relations.", uint64(s.CompactionsTotal))
 	p("# HELP db2rdf_dead_rows Currently tombstoned rows across the four relations.\n# TYPE db2rdf_dead_rows gauge\ndb2rdf_dead_rows %d\n", s.DeadRows)
 	p("# HELP db2rdf_table_resident_bytes Resident bytes of the four DB2RDF relations.\n# TYPE db2rdf_table_resident_bytes gauge\ndb2rdf_table_resident_bytes %d\n", s.TableResidentBytes)
@@ -366,7 +370,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	counter("db2rdf_plan_cache_misses_total", "Compiled-plan cache misses.", s.PlanCacheMisses)
 	counter("db2rdf_plan_cache_inserts_total", "Compiled-plan cache inserts.", s.PlanCacheInserts)
 	counter("db2rdf_plan_cache_cap_evictions_total", "Plan-cache LRU capacity evictions.", s.PlanCacheCapEvictions)
-	counter("db2rdf_plan_cache_stale_evictions_total", "Plan-cache stale-epoch evictions.", s.PlanCacheStaleEvictions)
+	counter("db2rdf_plan_cache_stale_evictions_total", "Plan-cache stale plan-epoch evictions.", s.PlanCacheStaleEvictions)
 	p("# HELP db2rdf_plan_cache_size Cached compiled plans.\n# TYPE db2rdf_plan_cache_size gauge\ndb2rdf_plan_cache_size %d\n", s.PlanCacheSize)
 	if s.DurabilityEnabled {
 		counter("db2rdf_wal_appends_total", "WAL batches appended at publish.", s.WALAppends)

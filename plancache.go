@@ -7,17 +7,23 @@ import (
 	"db2rdf/internal/optimizer"
 	"db2rdf/internal/rel"
 	"db2rdf/internal/sparql"
+	"db2rdf/internal/store"
 	"db2rdf/internal/translator"
 )
 
 // The compiled-plan cache. Parsing SPARQL, running the two-step
 // optimizer, generating SQL and parsing that SQL back into the
-// relational AST is pure computation over (query text, store state) —
-// under heavy repeated query traffic it dominates short queries. A
-// Store memoizes the whole pipeline keyed by query text, validated by
-// the store's write epoch: any load bumps the epoch (spill state,
-// multi-value state and the predicate→column mapping view all feed
-// the generated SQL), so stale plans are detected lazily and recompiled.
+// relational AST is pure computation over (query text, translator
+// inputs) — under heavy repeated query traffic it dominates short
+// queries. A Store memoizes the whole pipeline keyed by query text.
+// A plan reads no triples, only the spill and multi-value markers and
+// the dictionary ids of its constants, so it is validated against the
+// snapshot's plan epoch, which moves only when a marker set changes:
+// writes that add no marker keep every plan. A constant absent from the
+// dictionary compiles to the no-match id -1, which is wrong once the
+// term is interned, so such a plan is valid at its data epoch only.
+// The optimizer's statistics move with every write but steer plan
+// quality only, so they never invalidate.
 //
 // Queries with property-path closures are not cached: their
 // translation references per-query PATHTMP_n temporary relations that
@@ -35,13 +41,25 @@ const defaultPlanCacheSize = 256
 // on. All fields are read-only after construction, so one compiledPlan
 // may be executed by any number of concurrent queries.
 type compiledPlan struct {
-	key    string
-	epoch  uint64
-	parsed *sparql.Query
-	exec   *optimizer.ExecNode
-	flow   *optimizer.Flow
-	tr     *translator.Result
-	rq     *rel.Query // nil when tr.SQL is empty (empty-pattern query)
+	key       string
+	planEpoch uint64 // plan epoch of the snapshot compiled on
+	epoch     uint64 // data epoch of the snapshot compiled on
+	absent    bool   // a constant was absent from the dictionary
+	parsed    *sparql.Query
+	exec      *optimizer.ExecNode
+	flow      *optimizer.Flow
+	tr        *translator.Result
+	rq        *rel.Query // nil when tr.SQL is empty (empty-pattern query)
+}
+
+// validAt reports whether cp may run on sn: at the plan epoch it was
+// compiled at, or, when it compiled an absent constant, only at the
+// data epoch it was compiled at.
+func (cp *compiledPlan) validAt(sn *store.Snapshot) bool {
+	if cp.absent {
+		return cp.epoch == sn.Epoch()
+	}
+	return cp.planEpoch == sn.PlanEpoch()
 }
 
 // planCache is a mutex-guarded LRU map from query text to compiled
@@ -70,7 +88,7 @@ type planCache struct {
 	inserts        uint64 // new keys added by put (replacements excluded)
 	replacements   uint64 // put over an existing key
 	capEvictions   uint64 // LRU drops beyond capacity
-	staleEvictions uint64 // stale-epoch drops in get
+	staleEvictions uint64 // stale plan-epoch drops in get
 	resetDrops     uint64 // entries dropped by reset
 }
 
@@ -94,14 +112,14 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// get returns the cached plan for q if present and compiled at the
-// given epoch; a stale entry is evicted and counted as a miss.
-func (c *planCache) get(q string, epoch uint64) (*compiledPlan, bool) {
+// get returns the cached plan for q if present and valid at sn; a
+// stale entry is evicted and counted as a miss.
+func (c *planCache) get(q string, sn *store.Snapshot) (*compiledPlan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[q]; ok {
 		cp := el.Value.(*compiledPlan)
-		if cp.epoch == epoch {
+		if cp.validAt(sn) {
 			c.order.MoveToFront(el)
 			c.hits++
 			return cp, true
@@ -135,13 +153,13 @@ func (c *planCache) put(cp *compiledPlan) {
 	}
 }
 
-// contains reports whether q is cached and valid at epoch, without
+// contains reports whether q is cached and valid at sn, without
 // touching the hit/miss counters or the LRU order.
-func (c *planCache) contains(q string, epoch uint64) bool {
+func (c *planCache) contains(q string, sn *store.Snapshot) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[q]
-	return ok && el.Value.(*compiledPlan).epoch == epoch
+	return ok && el.Value.(*compiledPlan).validAt(sn)
 }
 
 // reset drops every entry (counters are kept; the drops are recorded

@@ -1,7 +1,7 @@
 package db2rdf
 
 // Accounting test for the compiled-plan cache: hit/miss/eviction
-// counters must be exact under concurrent get/put with stale-epoch
+// counters must be exact under concurrent get/put with stale plan-epoch
 // eviction (run under -race by ci.sh). The conservation law asserted:
 //
 //	inserts == size + capEvictions + staleEvictions + resetDrops
@@ -13,9 +13,45 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"db2rdf/internal/rdf"
+	"db2rdf/internal/store"
 )
 
+// planEpochSnapshots returns the store and n of its published
+// snapshots, each at a new plan epoch: every load between them makes
+// one more predicate multi-valued.
+func planEpochSnapshots(t *testing.T, n int) (*Store, []*store.Snapshot) {
+	t.Helper()
+	s, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := []*store.Snapshot{s.inner.Snapshot()}
+	for i := 1; i < n; i++ {
+		p := rdf.NewIRI(fmt.Sprintf("p%d", i))
+		if err := s.LoadTriples([]rdf.Triple{
+			rdf.NewTriple(rdf.NewIRI("s"), p, rdf.NewIRI("o1")),
+			rdf.NewTriple(rdf.NewIRI("s"), p, rdf.NewIRI("o2")),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sn := s.inner.Snapshot()
+		if sn.PlanEpoch() == snaps[i-1].PlanEpoch() {
+			t.Fatalf("load %d left the plan epoch at %d", i, sn.PlanEpoch())
+		}
+		snaps = append(snaps, sn)
+	}
+	return s, snaps
+}
+
+// planAt is a cache entry for key compiled on sn.
+func planAt(key string, sn *store.Snapshot) *compiledPlan {
+	return &compiledPlan{key: key, planEpoch: sn.PlanEpoch(), epoch: sn.Epoch()}
+}
+
 func TestPlanCacheAccountingConcurrent(t *testing.T) {
+	_, snaps := planEpochSnapshots(t, 3)
 	c := newPlanCache(16) // small capacity to force LRU evictions
 	const workers = 8
 	const opsPerWorker = 2000
@@ -27,13 +63,13 @@ func TestPlanCacheAccountingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < opsPerWorker; i++ {
 				key := fmt.Sprintf("q%d", (seed*31+i*7)%40) // 40 keys over 16 slots
-				epoch := uint64(i % 3)                      // rotating epochs force stale evictions
-				if cp, ok := c.get(key, epoch); ok && cp.epoch != epoch {
-					t.Errorf("get returned a stale plan: key %s epoch %d vs %d", key, cp.epoch, epoch)
+				sn := snaps[i%len(snaps)]                   // rotating plan epochs force stale evictions
+				if cp, ok := c.get(key, sn); ok && cp.planEpoch != sn.PlanEpoch() {
+					t.Errorf("get returned a stale plan: key %s plan epoch %d vs %d", key, cp.planEpoch, sn.PlanEpoch())
 				}
 				gets.Add(1)
 				if i%2 == 0 {
-					c.put(&compiledPlan{key: key, epoch: epoch})
+					c.put(planAt(key, sn))
 					puts.Add(1)
 				}
 				if i%500 == 250 {
@@ -68,19 +104,44 @@ func TestPlanCacheAccountingConcurrent(t *testing.T) {
 
 // TestPlanCacheStaleGetAccounting pins the exact single-threaded
 // semantics: a stale entry found by get counts one miss and one stale
-// eviction, never a hit.
+// eviction, never a hit. A plan is stale at another plan epoch; one
+// that compiled an absent constant is stale at another data epoch too.
 func TestPlanCacheStaleGetAccounting(t *testing.T) {
+	s, snaps := planEpochSnapshots(t, 2)
 	c := newPlanCache(4)
-	c.put(&compiledPlan{key: "q", epoch: 1})
-	if _, ok := c.get("q", 1); !ok {
+	c.put(planAt("q", snaps[0]))
+	if _, ok := c.get("q", snaps[0]); !ok {
 		t.Fatal("fresh entry must hit")
 	}
-	if _, ok := c.get("q", 2); ok {
-		t.Fatal("stale entry must miss")
+	if _, ok := c.get("q", snaps[1]); ok {
+		t.Fatal("entry at an older plan epoch must miss")
 	}
 	st := c.statsFull()
 	want := planCacheStats{Hits: 1, Misses: 1, Inserts: 1, StaleEvictions: 1, Size: 0}
 	if st != want {
 		t.Fatalf("got %+v, want %+v", st, want)
+	}
+
+	// A write that adds no marker keeps the plan epoch but not the data
+	// epoch.
+	if err := s.LoadTriples([]rdf.Triple{
+		rdf.NewTriple(rdf.NewIRI("s2"), rdf.NewIRI("p1"), rdf.NewIRI("o3")),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	later := s.inner.Snapshot()
+	if later.PlanEpoch() != snaps[1].PlanEpoch() || later.Epoch() == snaps[1].Epoch() {
+		t.Fatalf("marker-stable write: plan epoch %d -> %d, data epoch %d -> %d",
+			snaps[1].PlanEpoch(), later.PlanEpoch(), snaps[1].Epoch(), later.Epoch())
+	}
+	c.put(planAt("q", snaps[1]))
+	absent := planAt("qa", snaps[1])
+	absent.absent = true
+	c.put(absent)
+	if !c.contains("q", later) {
+		t.Fatal("plan must stay valid across a marker-stable write")
+	}
+	if c.contains("qa", later) || !c.contains("qa", snaps[1]) {
+		t.Fatal("a plan with an absent constant is valid at its data epoch only")
 	}
 }

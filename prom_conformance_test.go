@@ -209,6 +209,10 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 			rdf.NewIRI("http://conf/p"),
 			rdf.NewLiteral(fmt.Sprintf("v%d", i))))
 	}
+	// A second value makes http://conf/p multi-valued, which moves the
+	// plan epoch past its initial value.
+	triples = append(triples, rdf.NewTriple(
+		rdf.NewIRI("http://conf/s1"), rdf.NewIRI("http://conf/p"), rdf.NewLiteral("w1")))
 	if err := s.LoadTriples(triples); err != nil {
 		t.Fatal(err)
 	}
@@ -329,10 +333,18 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 	}
 
 	// Spot-check the traffic actually landed where expected.
+	planEpoch := s.Internal().Snapshot().PlanEpoch()
+	if planEpoch < 2 {
+		t.Errorf("plan epoch %d: the multi-valued load must have moved it", planEpoch)
+	}
+	if typDecl["db2rdf_plan_epoch"] != "gauge" {
+		t.Errorf("db2rdf_plan_epoch type = %q, want gauge", typDecl["db2rdf_plan_epoch"])
+	}
 	want := map[string]float64{
 		"db2rdf_queries_served_total":  8, // 5 ok + parse error + 2 aborts
 		"db2rdf_updates_total":         1,
 		"db2rdf_deleted_triples_total": 1,
+		"db2rdf_plan_epoch":            float64(planEpoch),
 	}
 	for _, sm := range samples {
 		if w, ok := want[sm.name]; ok && len(sm.labels) == 0 {

@@ -173,8 +173,10 @@ func TestUpdateOperationSequence(t *testing.T) {
 
 // TestUpdateNoOpKeepsPlanCache asserts that updates which change
 // nothing — duplicate inserts, deletes of absent triples, CLEAR of an
-// already-empty store — do not advance the epoch, via the plan cache:
-// a cached plan keyed on the old epoch must still hit afterwards.
+// already-empty store — do not advance the epoch, and that the plan
+// cache follows the plan epoch: an effective update that changes no
+// marker keeps the cached plan, which then answers with the update
+// applied, and one that adds a marker stales it.
 func TestUpdateNoOpKeepsPlanCache(t *testing.T) {
 	s := fig1(t, Options{})
 	const q = `SELECT ?o WHERE { <Google> <industry> ?o }`
@@ -184,6 +186,7 @@ func TestUpdateNoOpKeepsPlanCache(t *testing.T) {
 	if hits0 == 0 {
 		t.Fatalf("warm-up query did not hit the plan cache")
 	}
+	epoch0 := s.Internal().Epoch()
 
 	noops := []string{
 		`INSERT DATA { <Google> <industry> "Software" }`, // duplicate triple
@@ -199,21 +202,54 @@ func TestUpdateNoOpKeepsPlanCache(t *testing.T) {
 		if res.Inserted != 0 || res.Deleted != 0 {
 			t.Fatalf("%s: reported changes %+v, want none", u, res)
 		}
-		s.MustQuery(q)
-		hits, misses := s.PlanCacheStats()
-		if misses != misses0 {
-			t.Fatalf("%s: plan cache missed (epoch bumped by a no-op update)", u)
+		if e := s.Internal().Epoch(); e != epoch0 {
+			t.Fatalf("%s: no-op update bumped the epoch %d -> %d", u, epoch0, e)
 		}
-		hits0 = hits
+		s.MustQuery(q)
+		if _, misses := s.PlanCacheStats(); misses != misses0 {
+			t.Fatalf("%s: plan cache missed after a no-op update", u)
+		}
 	}
 
-	// A real change must invalidate: the next query recompiles.
+	// A real change that sets no marker keeps the plan, and the cached
+	// plan answers with the change applied.
 	if _, err := s.Update(`DELETE DATA { <Google> <industry> "Internet" }`); err != nil {
 		t.Fatal(err)
 	}
-	s.MustQuery(q)
-	if _, misses := s.PlanCacheStats(); misses == misses0 {
-		t.Fatalf("effective update did not invalidate the plan cache")
+	if s.Internal().Epoch() == epoch0 {
+		t.Fatal("effective update did not advance the epoch")
+	}
+	expl, err := s.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !expl.PlanCached {
+		t.Fatal("a marker-stable update staled the cached plan")
+	}
+	rs := s.MustQuery(q)
+	if got := bindings(rs, "o"); len(got) != 1 || got[0] != "Software" {
+		t.Fatalf("after delete: %v, want [Software]", got)
+	}
+	if _, misses := s.PlanCacheStats(); misses != misses0 {
+		t.Fatalf("query after a marker-stable update missed the plan cache")
+	}
+
+	// A second HQ makes <HQ> multi-valued: a new marker stales the plan.
+	if _, err := s.Update(`INSERT DATA { <Google> <HQ> "Dublin" }`); err != nil {
+		t.Fatal(err)
+	}
+	if expl, err = s.Explain(q); err != nil {
+		t.Fatal(err)
+	}
+	if expl.PlanCached {
+		t.Fatal("an update that adds a marker must stale the cached plan")
+	}
+	rs = s.MustQuery(q)
+	if got := bindings(rs, "o"); len(got) != 1 || got[0] != "Software" {
+		t.Fatalf("after marker insert: %v, want [Software]", got)
+	}
+	if _, misses := s.PlanCacheStats(); misses != misses0+1 {
+		t.Fatalf("query after a marker update: misses %d, want %d", misses, misses0+1)
 	}
 	// And CLEAR on the now-nonempty store bumps; on an empty store not.
 	s2, _ := Open(Options{})
