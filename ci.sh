@@ -19,6 +19,8 @@ go test -race -run 'TestLateral|Unpivot' -count=1 ./internal/rel/
 echo "== write-stable plan cache (plan epoch vs the oracle, held snapshots, statistics independence) =="
 go test -race -count=3 -run '^TestPlanCacheAcrossWrites$' .
 go test -race -count=1 -run '^TestPlanAnswersIndependentOfStatistics$|^TestMarkerStableWriteKeepsCapturedMaps$' . ./internal/store/
+echo "== closures (stable names, per-snapshot memo, inference reflexivity) =="
+go test -race -count=3 -run 'TestPath|TestInference|TestPlanCacheKeepsClosures|TestClosure' .
 echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="
 go test -race -count=1 \
     -run 'TestSyntaxErrorIsTyped|TestDescribe|TestInference|TestAnalyze|TestExplainArtifacts|TestPathExplain' .

@@ -64,8 +64,8 @@ func TestConcurrentInsertQueryExport(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Property-path queries materialize temporary closure tables;
-		// concurrent runs must not collide on their names.
+		// Property-path queries compute their closure pairs per
+		// snapshot, and concurrent runs on one snapshot share them.
 		for i := 0; i < rounds/5; i++ {
 			_, err := s.Query(`SELECT ?s ?o WHERE { ?s <http://conc/linked>+ ?o }`)
 			report(err)

@@ -267,8 +267,8 @@ type Results struct {
 }
 
 // Query parses, optimizes, translates and executes a SPARQL query.
-// Property-path closures (p+, p*, p?) are materialized into temporary
-// relations for the duration of the query. Queries run lock-free
+// The pairs of a property-path closure (p+, p*, p?) are computed once
+// per published snapshot and shared by its readers. Queries run lock-free
 // against the store's atomically published snapshot: any number may
 // run concurrently with each other AND with writers — a bulk load on
 // another goroutine never blocks a query, which simply sees the last
@@ -285,7 +285,7 @@ func (s *Store) Query(q string) (*Results, error) {
 // ErrBudgetExceeded. Any panic during execution — parser, optimizer,
 // translator, or a worker goroutine in the executor — is recovered and
 // returned as a *PanicError with the query text attached; the store
-// stays fully usable (path temporaries dropped, plan cache intact).
+// stays fully usable (plan cache intact, no failed closure kept).
 //
 // QueryContext is SolveContext followed by Solutions.Results.
 func (s *Store) QueryContext(ctx context.Context, q string) (res *Results, err error) {
@@ -371,8 +371,8 @@ func (s *Store) limits() rel.Limits {
 // guard converts a panic escaping the compile pipeline (parser,
 // optimizer, translator — stages outside the executor's own recovery)
 // into the same *PanicError shape, with the query text attached. It
-// runs outermost, after the deferred lock release and temp-table
-// cleanup, so the store is already consistent when it fires. The
+// runs outermost, after the deferred lock release, so the store is
+// already consistent when it fires. The
 // callers' results are still nil then: a panicking call never returns.
 func guard(q string, err *error) {
 	if p := recover(); p != nil {
@@ -391,10 +391,9 @@ func attachQuery(q string, err error) error {
 }
 
 // queryOn is Query against a specific snapshot. Internal callers that
-// run secondary queries while servicing a public call (closure
-// materialization, CONSTRUCT, Export) use it so every constituent
-// query reads the same published version; closures in an Update's
-// WHERE pass the live snapshot the write lock protects.
+// run secondary queries while servicing a public call (CONSTRUCT,
+// Export) use it so every constituent query reads the same published
+// version.
 func (s *Store) queryOn(ctx context.Context, snap *store.Snapshot, q string) (*Results, error) {
 	sol, _, _, err := s.queryFull(ctx, snap, q, false)
 	if err != nil {
@@ -411,9 +410,7 @@ func (s *Store) queryOn(ctx context.Context, snap *store.Snapshot, q string) (*R
 // Repeated query texts skip compile altogether via the store's
 // compiled-plan cache, whose plans are valid at the plan epoch they
 // were compiled at (plancache.go) and run on whichever snapshot the
-// reader holds. Queries that materialize property-path closures are
-// compiled afresh each time (their SQL references per-query temp
-// tables).
+// reader holds, closures included.
 func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, profile bool) (*Solutions, *ExecStats, *compiledPlan, error) {
 	// A live (write-lock) snapshot sees mid-update content that is
 	// newer than the published state of the same epoch, so it must
@@ -429,13 +426,12 @@ func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, p
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cp, drop, err := s.compile(ctx, snap, parsed)
+	cp, err := s.compile(snap, parsed)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	defer drop()
 	cp.key = q
-	if cacheable && len(parsed.Closures) == 0 {
+	if cacheable {
 		s.plans.put(cp)
 	}
 	sol, stats, err := s.executeCompiledStats(ctx, snap, cp, profile)
@@ -444,50 +440,37 @@ func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, p
 
 // compile is the one place a query is compiled, whichever entry point
 // it came through: the inference rewrite (under Options.Inference),
-// filter unification, property-path closure materialization, the
-// hybrid optimizer's data flow (§3.1) or the naive flow, the merged
-// query plan (§3.2), SQL generation (§3.3) and the parse of that SQL
-// into the relational AST. It rewrites parsed in place. The returned
-// func drops the closure temporaries the plan's SQL reads; call it
-// once the plan has executed.
-func (s *Store) compile(ctx context.Context, snap *store.Snapshot, parsed *sparql.Query) (*compiledPlan, func(), error) {
+// filter unification, naming the property-path closures, the hybrid
+// optimizer's data flow (§3.1) or the naive flow, the merged query
+// plan (§3.2), SQL generation (§3.3) and the parse of that SQL into
+// the relational AST. It rewrites parsed in place and reads no
+// triples: a closure's pairs are computed when the plan runs.
+func (s *Store) compile(snap *store.Snapshot, parsed *sparql.Query) (*compiledPlan, error) {
 	if s.opts.Inference {
 		inferenceRewrite(parsed)
 	}
 	sparql.UnifyEqualityFilters(parsed)
-	virtual, cleanup, err := s.materializeClosures(ctx, snap, parsed)
-	if err != nil {
-		return nil, nil, err
-	}
-	// A failed (or panicking) compile drops its temporaries itself.
-	compiled := false
-	defer func() {
-		if !compiled {
-			cleanup()
-		}
-	}()
-	cp := &compiledPlan{planEpoch: snap.PlanEpoch(), epoch: snap.Epoch(), parsed: parsed}
+	cp := &compiledPlan{planEpoch: snap.PlanEpoch(), epoch: snap.Epoch(), parsed: parsed, closures: sparql.SealClosures(parsed)}
+	var err error
 	if s.opts.DisableHybridOptimizer {
 		cp.exec, cp.flow = optimizer.OptimizeNaive(parsed, snap.StatsView())
 	} else if cp.exec, cp.flow, err = optimizer.Optimize(parsed, snap.StatsView()); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	view := &lookupView{Snapshot: snap}
 	backend := translator.NewDB2RDF(view)
-	backend.Virtual = virtual
 	planner := translator.NewPlanner(backend)
 	planner.SetMerging(!s.opts.DisableMerging)
 	if cp.tr, err = translator.Translate(parsed, planner.BuildPlan(cp.exec), backend); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cp.absent = view.absent
 	if cp.tr.SQL != "" {
 		if cp.rq, err = rel.ParseQuery(cp.tr.SQL); err != nil {
-			return nil, nil, fmt.Errorf("db2rdf: parsing generated SQL: %w", err)
+			return nil, fmt.Errorf("db2rdf: parsing generated SQL: %w", err)
 		}
 	}
-	compiled = true
-	return cp, cleanup, nil
+	return cp, nil
 }
 
 // lookupView is the snapshot as the translator reads it, noting
@@ -510,11 +493,10 @@ func (v *lookupView) LookupID(t rdf.Term) (int64, bool) {
 // (DESCRIBE, Update's WHERE) once against snap, bypassing the plan
 // cache, and decodes the answer.
 func (s *Store) run(ctx context.Context, snap *store.Snapshot, parsed *sparql.Query) (*Results, error) {
-	cp, drop, err := s.compile(ctx, snap, parsed)
+	cp, err := s.compile(snap, parsed)
 	if err != nil {
 		return nil, err
 	}
-	defer drop()
 	sol, _, err := s.executeCompiledStats(ctx, snap, cp, false)
 	if err != nil {
 		return nil, err
@@ -565,11 +547,10 @@ func (s *Store) ExplainContext(ctx context.Context, q string) (expl *Explanation
 	if err != nil {
 		return nil, err
 	}
-	cp, drop, err := s.compile(ctx, snap, parsed)
+	cp, err := s.compile(snap, parsed)
 	if err != nil {
 		return nil, attachQuery(q, err)
 	}
-	drop()
 	expl = s.explanation(ctx, snap, q)
 	expl.render(cp)
 	return expl, nil
@@ -627,13 +608,16 @@ func (s *Store) executeCompiledStats(ctx context.Context, snap *store.Snapshot, 
 		out.rows = []rel.Row{make(rel.Row, len(out.Vars))}
 		return out, nil, nil
 	}
+	db, err := s.closureDB(ctx, snap, cp)
+	if err != nil {
+		return nil, nil, err
+	}
 	var rs *rel.ResultSet
 	var stats *ExecStats
-	var err error
 	if profile {
-		rs, stats, err = snap.DB().AnalyzeContext(ctx, cp.rq, s.limits())
+		rs, stats, err = db.AnalyzeContext(ctx, cp.rq, s.limits())
 	} else {
-		rs, err = snap.DB().ExecContext(ctx, cp.rq, s.limits())
+		rs, err = db.ExecContext(ctx, cp.rq, s.limits())
 	}
 	if err != nil {
 		if isGovernanceErr(err) {

@@ -199,27 +199,36 @@ func TestGraphQueryGovernance(t *testing.T) {
 	checkStoreUsable(t, s, 1)
 }
 
-// TestPathClosureGovernance: property-path closure materialization is
-// canceled too, and its PATHTMP temporaries are cleaned up.
+// TestPathClosureGovernance: computing a closure's pairs is canceled
+// too, changes no table of the snapshot's database, and a canceled
+// computation is not kept: the rerun on the same snapshot computes the
+// pairs afresh.
 func TestPathClosureGovernance(t *testing.T) {
 	s := chainStore(t, db2rdf.Options{}, 100)
-	before := len(s.Internal().DB.TableNames())
+	snap := s.Internal().Snapshot()
+	before := strings.Join(snap.DB().TableNames(), ",")
+	const q = `SELECT ?b WHERE { <http://gov/e0> <http://gov/linked>+ ?b }`
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.QueryContext(ctx, `SELECT ?b WHERE { <http://gov/e0> <http://gov/linked>+ ?b }`)
+	_, err := s.QueryContext(ctx, q)
 	if !errors.Is(err, db2rdf.ErrCanceled) {
 		t.Fatalf("want ErrCanceled from closure query, got %v", err)
 	}
-	if after := len(s.Internal().DB.TableNames()); after != before {
-		t.Fatalf("aborted closure query leaked temp tables: %d -> %d", before, after)
+	if after := strings.Join(snap.DB().TableNames(), ","); after != before {
+		t.Fatalf("aborted closure query changed the snapshot's tables: %s -> %s", before, after)
 	}
-	// And the same closure query succeeds afterwards.
-	res, err := s.Query(`SELECT ?b WHERE { <http://gov/e0> <http://gov/linked>+ ?b }`)
+	res, err := s.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s.Internal().Snapshot() != snap {
+		t.Fatal("the rerun ran on another snapshot")
+	}
 	if len(res.Rows) != 100 {
 		t.Fatalf("closure rerun: want 100 rows, got %d", len(res.Rows))
+	}
+	if after := strings.Join(snap.DB().TableNames(), ","); after != before {
+		t.Fatalf("closure query changed the snapshot's tables: %s -> %s", before, after)
 	}
 }
 

@@ -25,13 +25,13 @@ const rdfsSubClassOf = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
 //
 //	s rdf:type ?fresh . ?fresh <marker> C
 //
-// where marker is a closure over subClassOf with min 0 (reflexive, so
-// direct types still match).
+// where marker is a closure over subClassOf with min 0, reflexive on
+// the queried class when it is a constant (sparql.SealClosures) and on
+// every declared class when it is a variable, so direct types still
+// match whether or not the class sits on a subClassOf edge.
 func inferenceRewrite(q *sparql.Query) {
 	n := 0
-	var markers int
-	var rewrite func(p *sparql.Pattern)
-	rewrite = func(p *sparql.Pattern) {
+	q.Where.Walk(func(p *sparql.Pattern) {
 		var extra []*sparql.TriplePattern
 		for _, t := range p.Triples {
 			if t.P.IsVar || t.P.Term.Value != rdf.RDFType {
@@ -41,30 +41,25 @@ func inferenceRewrite(q *sparql.Query) {
 			// queried class.
 			n++
 			bridge := sparql.Variable(fmt.Sprintf("_inf%d", n))
-			markers++
-			marker := fmt.Sprintf("urn:db2rdf:inf#%d", markers)
-			q.Closures = append(q.Closures, sparql.Closure{
-				Marker: marker,
-				Steps:  []sparql.PathStep{{IRI: rdfsSubClassOf}},
-				Min:    0,
-				Max:    -1,
-			})
-			queried := t.O
-			t.O = bridge
-			extra = append(extra, &sparql.TriplePattern{
+			closure := &sparql.TriplePattern{
 				ID:     -1, // renumbered below
 				S:      bridge,
-				P:      sparql.Constant(rdf.NewIRI(marker)),
-				O:      queried,
+				P:      sparql.UnsealedClosure,
+				O:      t.O,
 				Parent: p,
+			}
+			q.Closures = append(q.Closures, sparql.Closure{
+				Triple:  closure,
+				Steps:   []sparql.PathStep{{IRI: rdfsSubClassOf}},
+				Min:     0,
+				Max:     -1,
+				Classes: t.O.IsVar,
 			})
+			t.O = bridge
+			extra = append(extra, closure)
 		}
 		p.Triples = append(p.Triples, extra...)
-		for _, c := range p.Children {
-			rewrite(c)
-		}
-	}
-	rewrite(q.Where)
+	})
 	// Renumber triples in document order so optimizer ids stay unique.
 	id := 0
 	q.Where.Walk(func(p *sparql.Pattern) {

@@ -498,3 +498,25 @@ func TestLeftJoinResidualOn(t *testing.T) {
 		t.Fatalf("rows=%d nulls=%d, want 4/2", len(rs.Rows), nulls)
 	}
 }
+
+// TestDBWithOverlay: With resolves extra tables beside the database's
+// own without adding them to it.
+func TestDBWithOverlay(t *testing.T) {
+	db := peopleDB(t).Publish()
+	extra := NewTable("pairs", Schema{{Name: "entry"}, {Name: "val"}})
+	if err := extra.Insert(Row{Int(1), Int(20)}); err != nil {
+		t.Fatal(err)
+	}
+	before := strings.Join(db.TableNames(), ",")
+	over := db.With(extra.Publish())
+	rs := queryRows(t, over, "SELECT p.id FROM people_ids AS p, pairs AS x WHERE p.id = x.entry")
+	if len(rs.Rows) != 1 || rs.Rows[0][0].I != 1 {
+		t.Fatalf("overlay join: %v", rs.Rows)
+	}
+	if after := strings.Join(db.TableNames(), ","); after != before {
+		t.Fatalf("With changed the database: %s -> %s", before, after)
+	}
+	if _, err := db.Query("SELECT entry FROM pairs"); err == nil {
+		t.Fatal("the base database resolves an overlaid table")
+	}
+}

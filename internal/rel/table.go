@@ -461,13 +461,6 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 	return t, nil
 }
 
-// DropTable removes a table if present.
-func (db *DB) DropTable(name string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	delete(db.tables, strings.ToLower(name))
-}
-
 // Table returns the named table, or nil.
 func (db *DB) Table(name string) *Table {
 	return db.table(strings.ToLower(name))

@@ -1,6 +1,9 @@
 package rel
 
-import "strings"
+import (
+	"maps"
+	"strings"
+)
 
 // Snapshot publication. Publish freezes a table's current contents
 // into an immutable copy that shares all chunk data with the live
@@ -79,8 +82,7 @@ func (t *Table) sealChunksLocked() {
 // Publish freezes every table of the database into a new read-only DB
 // sharing chunk data with the live tables. The returned DB is safe
 // for unlimited concurrent readers while the live DB keeps mutating;
-// per-query temp tables (property-path closures) may still be created
-// in and dropped from it under its own mutex.
+// nothing creates or drops a table in it (With overlays extra ones).
 func (db *DB) Publish() *DB {
 	db.mu.RLock()
 	live := make([]*Table, 0, len(db.tables))
@@ -95,6 +97,20 @@ func (db *DB) Publish() *DB {
 	out := &DB{tables: make(map[string]*Table, len(live)), funcs: funcs}
 	for _, t := range live {
 		out.tables[strings.ToLower(t.Name)] = t.Publish()
+	}
+	return out
+}
+
+// With returns a database that resolves the tables ts beside db's own,
+// leaving db unchanged: a query reads relations computed for it (the
+// pairs of a property-path closure) without touching a frozen DB.
+func (db *DB) With(ts ...*Table) *DB {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := &DB{tables: make(map[string]*Table, len(db.tables)+len(ts)), funcs: maps.Clone(db.funcs)}
+	maps.Copy(out.tables, db.tables)
+	for _, t := range ts {
+		out.tables[strings.ToLower(t.Name)] = t
 	}
 	return out
 }

@@ -403,16 +403,21 @@ type PathStep struct {
 
 // Closure describes a transitive property path (p+, p*, p?) that the
 // parser could not desugar statically (SPARQL 1.1 property paths — the
-// paper's stated future work). The triple pattern carrying it uses the
-// Marker IRI as its predicate; the engine materializes the closure of
-// the union of Steps and maps the marker to that relation.
+// paper's stated future work). SealClosures gives the triple pattern
+// carrying it a marker predicate naming Relation, the (entry, val)
+// relation of the closure's pairs, which the engine computes when the
+// plan runs.
 type Closure struct {
-	// Marker is the synthetic predicate IRI standing for the closure.
-	Marker string
+	// Triple is the pattern whose predicate stands for the closure.
+	Triple *TriplePattern
 	// Steps is the union of edge steps the closure ranges over.
 	Steps []PathStep
 	// Min is 0 for * and ?, 1 for +.
 	Min int
 	// Max is -1 for unbounded (+, *) and 1 for ?.
 	Max int
+	// Classes makes a Min 0 closure reflexive on every object of an
+	// rdf:type triple, so under inference each declared class matches
+	// itself.
+	Classes bool
 }

@@ -43,7 +43,6 @@ type parser struct {
 	prefixes map[string]string
 	nextTID  int
 	freshN   int
-	closureN int
 	closures []Closure
 }
 

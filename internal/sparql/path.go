@@ -1,7 +1,10 @@
 package sparql
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"slices"
+	"strings"
 
 	"db2rdf/internal/rdf"
 )
@@ -13,8 +16,9 @@ import (
 // variables and UNION patterns, so the whole optimizer/translator
 // pipeline applies unchanged. Transitive closures (p+, p*, p?) cannot
 // be expressed as a fixed pattern; the parser records them as Closure
-// entries on the query, each standing behind a synthetic marker
-// predicate that the engine materializes before translation.
+// entries on the query, each carried by one triple whose predicate
+// SealClosures turns into a marker naming the closure's pair relation.
+// The engine computes the pairs when the plan runs.
 
 type pathExpr interface{ pathNode() }
 
@@ -168,8 +172,8 @@ func (p *parser) newTriple(s, pred, o TermOrVar) *TriplePattern {
 }
 
 // desugarPath lowers `s path o` into plain triples plus (for
-// alternatives) UNION patterns; transitive closures become marker
-// triples with a Closure record.
+// alternatives) UNION patterns; a transitive closure becomes a triple
+// carried by a Closure record.
 func (p *parser) desugarPath(s TermOrVar, x pathExpr, o TermOrVar) ([]*TriplePattern, []*Pattern, error) {
 	switch e := x.(type) {
 	case pStep:
@@ -219,10 +223,9 @@ func (p *parser) desugarPath(s TermOrVar, x pathExpr, o TermOrVar) ([]*TriplePat
 		if err != nil {
 			return nil, nil, err
 		}
-		p.closureN++
-		marker := fmt.Sprintf("urn:db2rdf:path#%d", p.closureN)
-		p.closures = append(p.closures, Closure{Marker: marker, Steps: steps, Min: e.min, Max: e.max})
-		return []*TriplePattern{p.newTriple(s, Constant(rdf.NewIRI(marker)), o)}, nil, nil
+		t := p.newTriple(s, UnsealedClosure, o)
+		p.closures = append(p.closures, Closure{Triple: t, Steps: steps, Min: e.min, Max: e.max})
+		return []*TriplePattern{t}, nil, nil
 	}
 	return nil, nil, p.errf("unsupported property path form %T", x)
 }
@@ -251,4 +254,63 @@ func flattenSteps(x pathExpr, inverse bool) ([]PathStep, error) {
 		return out, nil
 	}
 	return nil, fmt.Errorf("sparql: closure over this path form is not supported (use an IRI, ^IRI, or an alternative of those)")
+}
+
+// closureMarkerPrefix starts the marker IRI of a sealed closure; the
+// rest of the IRI is the closure's relation name.
+const closureMarkerPrefix = "urn:db2rdf:closure:"
+
+// UnsealedClosure is the predicate of a closure's triple until
+// SealClosures names it.
+var UnsealedClosure = Constant(rdf.NewIRI(closureMarkerPrefix))
+
+// ClosureRelation returns the relation a closure marker stands for,
+// and whether iri is one.
+func ClosureRelation(iri string) (string, bool) {
+	return strings.CutPrefix(iri, closureMarkerPrefix)
+}
+
+// Reflexive returns the constant endpoints of a Min 0 closure's triple:
+// each matches itself at length zero, edge or no edge.
+func (c Closure) Reflexive() []rdf.Term {
+	if c.Min > 0 {
+		return nil
+	}
+	var out []rdf.Term
+	for _, end := range []TermOrVar{c.Triple.S, c.Triple.O} {
+		if !end.IsVar {
+			out = append(out, end.Term)
+		}
+	}
+	return out
+}
+
+// Relation returns the name of the (entry, val) relation holding the
+// closure's pairs. It is a pure function of everything that decides
+// them — the steps with their inverse flags, Min, Max, Classes and the
+// reflexive constants — so every compile of every query names one
+// closure alike.
+func (c Closure) Relation() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d %d %t %#v", c.Min, c.Max, c.Classes, c.Steps)
+	for _, t := range c.Reflexive() {
+		fmt.Fprintf(h, " %q", t.Key())
+	}
+	return fmt.Sprintf("CLOSURE_%x", h.Sum(nil)[:8])
+}
+
+// SealClosures turns the predicate of each closure's triple into the
+// marker of its Relation and returns q's closures, one per relation.
+// It runs once the pattern's constants are final, after
+// UnifyEqualityFilters.
+func SealClosures(q *Query) []Closure {
+	var out []Closure
+	for _, c := range q.Closures {
+		name := c.Relation()
+		c.Triple.P = Constant(rdf.NewIRI(closureMarkerPrefix + name))
+		if !slices.ContainsFunc(out, func(o Closure) bool { return o.Relation() == name }) {
+			out = append(out, c)
+		}
+	}
+	return out
 }

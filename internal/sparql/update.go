@@ -202,7 +202,9 @@ func (p *parser) wherePattern(op *UpdateOp) error {
 	}
 	finalize(where, nil)
 	op.Where = where
-	op.Closures = p.closures[beforeClosures:]
+	// Capped, so a rewrite appending to one operation's closures
+	// cannot overwrite the next operation's.
+	op.Closures = p.closures[beforeClosures:len(p.closures):len(p.closures)]
 	return nil
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"maps"
+	"sync"
 
 	"db2rdf/internal/coloring"
 	"db2rdf/internal/dict"
@@ -58,7 +59,14 @@ type Snapshot struct {
 	dirMulti, revMulti       map[int64]bool
 	dirEntities, revEntities int
 	triples                  int64
+
+	closureMu sync.Mutex
+	closures  map[string]*rel.Table // closure relations by name
 }
+
+// maxClosures bounds the closure relations one snapshot keeps: beyond
+// it a closure is still computed, for its caller only.
+const maxClosures = 64
 
 // Snapshot returns the most recently published snapshot. It never
 // blocks and never returns nil once New has run.
@@ -176,15 +184,45 @@ func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 func (sn *Snapshot) PlanEpoch() uint64 { return sn.planEpoch }
 
 // DB returns the relational database to execute against: the frozen
-// copy, or the live database for a write-lock pass-through. Per-query
-// temp tables (property-path closures) may be created in and dropped
-// from a frozen DB under its own mutex; its store relations are
-// immutable.
+// copy, or the live database for a write-lock pass-through. A frozen
+// DB is never changed; a query reading closure relations executes on
+// an overlay of it (rel.DB.With).
 func (sn *Snapshot) DB() *rel.DB {
 	if sn.db == nil {
 		return sn.store.DB
 	}
 	return sn.db
+}
+
+// Closure returns the relation named name, built by build unless this
+// snapshot already keeps one: a published snapshot never changes, so
+// neither do a closure's pairs on it. Readers that miss together each
+// build, and all return the relation kept first. A failed build is not
+// kept; nor is anything on a live snapshot, whose data the write
+// lock's holder may change between two calls.
+func (sn *Snapshot) Closure(name string, build func() (*rel.Table, error)) (*rel.Table, error) {
+	sn.closureMu.Lock()
+	t, ok := sn.closures[name]
+	sn.closureMu.Unlock()
+	if ok {
+		return t, nil
+	}
+	t, err := build()
+	if err != nil || sn.db == nil {
+		return t, err
+	}
+	sn.closureMu.Lock()
+	defer sn.closureMu.Unlock()
+	if kept, ok := sn.closures[name]; ok {
+		return kept, nil
+	}
+	if len(sn.closures) < maxClosures {
+		if sn.closures == nil {
+			sn.closures = make(map[string]*rel.Table)
+		}
+		sn.closures[name] = t
+	}
+	return t, nil
 }
 
 // TableName returns the prefixed name of one of the store's relations.

@@ -42,10 +42,6 @@ type StoreView interface {
 // schema (DPH/DS/RPH/RS), emitting the CTE templates of Figures 12-13.
 type DB2RDF struct {
 	St StoreView
-	// Virtual maps synthetic predicate IRIs (property-path closure
-	// markers) to the name of the materialized (entry, val) relation
-	// holding their pairs.
-	Virtual map[string]string
 }
 
 // NewDB2RDF wraps a store view as a translation backend.
@@ -68,7 +64,7 @@ func (b *DB2RDF) MergeSafe(m MethodT, triples ...*sparql.TriplePattern) bool {
 		if t.P.IsVar {
 			return false
 		}
-		if _, virtual := b.Virtual[t.P.Term.Value]; virtual {
+		if _, closure := sparql.ClosureRelation(t.P.Term.Value); closure {
 			return false
 		}
 		id, ok := b.St.LookupID(t.P.Term)
@@ -109,9 +105,9 @@ func (b *DB2RDF) Access(g *Gen, n *PlanNode, in Ctx) (Ctx, error) {
 		}
 		return b.varPredNode(g, n, in, primary, secondary, reverse, k)
 	}
-	if table, ok := b.Virtual[n.Items[0].Triple.P.Term.Value]; ok {
-		// A property-path closure marker: access its materialized
-		// pair relation directly.
+	if table, ok := sparql.ClosureRelation(n.Items[0].Triple.P.Term.Value); ok {
+		// A closure marker: access the closure's pair relation, which
+		// the engine resolves on the snapshot when the plan runs.
 		if len(n.Items) != 1 {
 			return Ctx{}, fmt.Errorf("translator: closure predicates cannot be merged")
 		}

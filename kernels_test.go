@@ -10,6 +10,8 @@ package db2rdf_test
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"db2rdf"
@@ -212,33 +214,77 @@ func TestPlanCacheHits(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSkipsClosures: property-path queries translate to SQL
-// over per-query temporary relations, so they must never be cached.
-func TestPlanCacheSkipsClosures(t *testing.T) {
-	s, err := db2rdf.Open(db2rdf.Options{})
+// TestPlanCacheKeepsClosures: a path query and an inference query read
+// their closures by stable relation names, so both are plan-cached on
+// repeat, stay cached across a write that sets no marker, and answer
+// from the pairs of the snapshot they run on.
+func TestPlanCacheKeepsClosures(t *testing.T) {
+	s, err := db2rdf.Open(db2rdf.Options{Inference: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	iri := rdf.NewIRI
+	sub := iri("http://www.w3.org/2000/01/rdf-schema#subClassOf")
+	typ := iri(rdf.RDFType)
 	if err := s.LoadTriples([]rdf.Triple{
-		rdf.NewTriple(rdf.NewIRI("a"), rdf.NewIRI("p"), rdf.NewIRI("b")),
-		rdf.NewTriple(rdf.NewIRI("b"), rdf.NewIRI("p"), rdf.NewIRI("c")),
+		rdf.NewTriple(iri("a"), iri("p"), iri("b")),
+		rdf.NewTriple(iri("b"), iri("p"), iri("c")),
+		rdf.NewTriple(iri("Student"), sub, iri("Person")),
+		rdf.NewTriple(iri("sam"), typ, iri("Student")),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	const q = `SELECT ?x WHERE { <a> <p>+ ?x }`
-	res := s.MustQuery(q)
-	if len(res.Rows) != 2 {
-		t.Fatalf("path query: want 2 rows, got %d", len(res.Rows))
+	const path = `SELECT ?x WHERE { <a> <p>+ ?x }`
+	const infer = `SELECT ?x WHERE { ?x <` + rdf.RDFType + `> <Person> }`
+	answer := func(q string) []string {
+		t.Helper()
+		res := s.MustQuery(q)
+		var out []string
+		for _, row := range res.Rows {
+			out = append(out, row[0].Term.Value)
+		}
+		sort.Strings(out)
+		return out
 	}
-	expl, err := s.Explain(q)
-	if err != nil {
+	cached := func(step, q string) {
+		t.Helper()
+		expl, err := s.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !expl.PlanCached {
+			t.Fatalf("%s: %s is not plan-cached", step, q)
+		}
+	}
+	check := func(step, q, want string) {
+		t.Helper()
+		hits, _ := s.PlanCacheStats()
+		if got := strings.Join(answer(q), ","); got != want {
+			t.Fatalf("%s: %s = %s, want %s", step, q, got, want)
+		}
+		if after, _ := s.PlanCacheStats(); after <= hits {
+			t.Fatalf("%s: %s did not hit the plan cache", step, q)
+		}
+		cached(step, q)
+	}
+	answer(path)
+	answer(infer)
+	check("repeat", path, "b,c")
+	check("repeat", infer, "sam")
+
+	epoch := s.Internal().Snapshot().PlanEpoch()
+	if err := s.LoadTriples([]rdf.Triple{
+		rdf.NewTriple(iri("c"), iri("p"), iri("d")),
+		rdf.NewTriple(iri("Postdoc"), sub, iri("Student")),
+		rdf.NewTriple(iri("pia"), typ, iri("Postdoc")),
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if expl.PlanCached {
-		t.Fatal("closure queries must not be plan-cached")
+	if got := s.Internal().Snapshot().PlanEpoch(); got != epoch {
+		t.Fatalf("the write moved the plan epoch %d -> %d; it must set no marker", epoch, got)
 	}
-	// And it keeps answering correctly on repetition.
-	if res = s.MustQuery(q); len(res.Rows) != 2 {
-		t.Fatalf("repeat path query: want 2 rows, got %d", len(res.Rows))
-	}
+	cached("after a marker-stable write", path)
+	cached("after a marker-stable write", infer)
+	check("after a marker-stable write", path, "b,c,d")
+	check("after a marker-stable write", infer, "pia,sam")
 }

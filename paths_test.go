@@ -7,6 +7,7 @@ import (
 
 	"db2rdf"
 	"db2rdf/internal/rdf"
+	"db2rdf/internal/sparql"
 )
 
 // pathStore builds a small org chart plus a type hierarchy:
@@ -162,15 +163,27 @@ func TestPathInChainWithPattern(t *testing.T) {
 	}
 }
 
+// TestPathTempTablesCleanedUp: a closure query creates no table in the
+// snapshot's database, nor in the live one; its pairs reach the
+// executor through an overlay.
 func TestPathTempTablesCleanedUp(t *testing.T) {
 	s := pathStore(t)
-	before := len(s.Internal().DB.TableNames())
-	if _, err := s.Query(`PREFIX x: <http://x/> SELECT ?r WHERE { x:alice x:manages+ ?r }`); err != nil {
-		t.Fatal(err)
+	snap := s.Internal().Snapshot()
+	before := strings.Join(snap.DB().TableNames(), ",")
+	live := strings.Join(s.Internal().DB.TableNames(), ",")
+	for i := 0; i < 2; i++ {
+		if _, err := s.Query(`PREFIX x: <http://x/> SELECT ?r WHERE { x:alice x:manages+ ?r }`); err != nil {
+			t.Fatal(err)
+		}
 	}
-	after := len(s.Internal().DB.TableNames())
-	if after != before {
-		t.Fatalf("temporary path tables leaked: %d -> %d", before, after)
+	if s.Internal().Snapshot() != snap {
+		t.Fatal("a query published a snapshot")
+	}
+	if after := strings.Join(snap.DB().TableNames(), ","); after != before {
+		t.Fatalf("snapshot tables changed: %s -> %s", before, after)
+	}
+	if after := strings.Join(s.Internal().DB.TableNames(), ","); after != live {
+		t.Fatalf("live tables changed: %s -> %s", live, after)
 	}
 }
 
@@ -188,7 +201,40 @@ func TestPathExplainShowsMarkerAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ex.SQL, "PATHTMP_") {
-		t.Fatalf("explain SQL must access the closure relation:\n%s", ex.SQL)
+	rel := sparql.Closure{Steps: []sparql.PathStep{{IRI: "http://x/manages"}}, Min: 1, Max: -1}.Relation()
+	if !strings.Contains(ex.SQL, rel) {
+		t.Fatalf("explain SQL must access the closure relation %s:\n%s", rel, ex.SQL)
+	}
+}
+
+// TestPathZeroLengthConstantEndpoint: with Min 0 (p*, p?) a constant
+// endpoint that is in the dictionary matches itself at length zero,
+// at either end of the path, whether or not it touches a p edge; a
+// constant that unification folds into the pattern does too.
+func TestPathZeroLengthConstantEndpoint(t *testing.T) {
+	s := pathStore(t)
+	const x = `PREFIX x: <http://x/> `
+	for _, tc := range []struct{ q, v, want string }{
+		// eve is in the dictionary but on no manages edge.
+		{`SELECT ?r WHERE { x:eve x:manages* ?r }`, "r", "eve"},
+		{`SELECT ?r WHERE { ?r x:manages* x:eve }`, "r", "eve"},
+		{`SELECT ?r WHERE { x:eve x:manages? ?r }`, "r", "eve"},
+		{`SELECT ?r WHERE { ?r x:manages? x:eve }`, "r", "eve"},
+		{`SELECT ?r WHERE { x:eve x:manages+ ?r }`, "r", ""},
+		{`SELECT ?r WHERE { x:eve_at_example x:manages* ?r }`, "r", "eve_at_example"},
+		// On the edges: the constant itself plus what it reaches.
+		{`SELECT ?r WHERE { x:dave x:manages* ?r }`, "r", "dave"},
+		{`SELECT ?r WHERE { ?r x:manages* x:alice }`, "r", "alice"},
+		{`SELECT ?r WHERE { ?r x:manages? x:carol }`, "r", "bob,carol"},
+		{`SELECT ?r WHERE { ?r x:manages* x:carol }`, "r", "alice,bob,carol"},
+		// A filter folded into a constant subject.
+		{`SELECT ?r WHERE { ?s x:manages* ?r FILTER(?s = x:eve) }`, "r", "eve"},
+		// Both ends constant.
+		{`SELECT ?r WHERE { x:eve x:manages* x:eve . x:eve x:email ?r }`, "r", "eve_at_example"},
+		{`SELECT ?r WHERE { x:eve x:manages* x:bob . x:eve x:email ?r }`, "r", ""},
+	} {
+		if got := strings.Join(values(t, s, x+tc.q, tc.v), ","); got != tc.want {
+			t.Errorf("%s = [%s], want [%s]", tc.q, got, tc.want)
+		}
 	}
 }

@@ -23,11 +23,9 @@ import (
 // dictionary compiles to the no-match id -1, which is wrong once the
 // term is interned, so such a plan is valid at its data epoch only.
 // The optimizer's statistics move with every write but steer plan
-// quality only, so they never invalidate.
-//
-// Queries with property-path closures are not cached: their
-// translation references per-query PATHTMP_n temporary relations that
-// are dropped when the query finishes.
+// quality only, so they never invalidate. Nor do a closure's pairs: the
+// plan reads them by the closure's stable relation name, and each
+// snapshot computes them for itself (paths.go).
 
 // defaultPlanCacheSize bounds the LRU cache; beyond it the least
 // recently used entry is evicted.
@@ -36,10 +34,11 @@ const defaultPlanCacheSize = 256
 // compiledPlan is one fully compiled query: the rewritten SPARQL AST
 // (needed for projection of the unit solution), the optimizer's flow
 // and execution tree (rendered by EXPLAIN ANALYZE), the translation
-// result (with the query plan), and the parsed relational AST, ready
-// for rel.DB.Exec. None of it references the snapshot it was compiled
-// on. All fields are read-only after construction, so one compiledPlan
-// may be executed by any number of concurrent queries.
+// result (with the query plan), the parsed relational AST, ready for
+// rel.DB.Exec, and the closures whose relations it reads. None of it
+// references the snapshot it was compiled on. All fields are read-only
+// after construction, so one compiledPlan may be executed by any
+// number of concurrent queries.
 type compiledPlan struct {
 	key       string
 	planEpoch uint64 // plan epoch of the snapshot compiled on
@@ -49,7 +48,8 @@ type compiledPlan struct {
 	exec      *optimizer.ExecNode
 	flow      *optimizer.Flow
 	tr        *translator.Result
-	rq        *rel.Query // nil when tr.SQL is empty (empty-pattern query)
+	rq        *rel.Query       // nil when tr.SQL is empty (empty-pattern query)
+	closures  []sparql.Closure // the closure relations rq reads
 }
 
 // validAt reports whether cp may run on sn: at the plan epoch it was

@@ -2,7 +2,6 @@ package db2rdf
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -39,11 +38,10 @@ func TestStatisticsFollowSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, drop, err := s.compile(context.Background(), snap, parsed)
+		cp, err := s.compile(snap, parsed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer drop()
 		c := compiled{flow: cp.flow.String(), plan: cp.tr.Plan.String()}
 		for _, tr := range cp.tr.Traces {
 			c.ests = append(c.ests, append([]float64{tr.Est}, tr.Ests...))
