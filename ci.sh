@@ -16,6 +16,8 @@ echo "== bench module (stage chain vs Store.Query, metric names vs BENCHMARK.jso
 echo "== kernel equivalence (parallel on/off), variable-predicate shapes vs the oracle, lateral unpivot, plan cache =="
 go test -race -run 'TestKernelEquivalence|TestPlanCache|TestVariablePredicate' -count=1 .
 go test -race -run 'TestLateral|Unpivot' -count=1 ./internal/rel/
+echo "== one join kernel (inner/outer x index/hash/nested, workers 1 and 4) =="
+go test -race -count=3 -run 'TestParallelKernelEquivalence|TestJoin|TestGovern' ./internal/rel/
 echo "== write-stable plan cache (plan epoch vs the oracle, held snapshots, statistics independence) =="
 go test -race -count=3 -run '^TestPlanCacheAcrossWrites$' .
 go test -race -count=1 -run '^TestPlanAnswersIndependentOfStatistics$|^TestMarkerStableWriteKeepsCapturedMaps$' . ./internal/store/

@@ -2,25 +2,20 @@ package rel
 
 import "fmt"
 
-// Expression compilation. evalExpr walks the AST per row: every value
-// costs an interface type switch, and every column reference a cache
-// lookup. The translator's generated SQL evaluates the same small
-// expressions (CASE WHEN pred = k THEN val, COALESCE, OR-chains of
-// integer equalities) over many thousands of rows, so the executor
-// compiles each expression once per relation shape into a closure
+// Expression compilation: the executor's one expression evaluator.
+// Each expression is compiled once per relation shape into a closure
 // tree: column references resolve to positions at compile time, and
-// per-row evaluation is direct calls with no dispatch.
+// per-row evaluation is direct calls with no dispatch on the AST. The
+// translator's SQL evaluates the same small expressions (CASE WHEN
+// pred = k THEN val, COALESCE, OR-chains of integer equalities) over
+// many thousands of rows.
 //
-// Compiled closures are immutable after compilation and keep no
-// per-row state, so — unlike rowCtx, whose resolution cache is a
-// plain map — one compiled expression may be shared by all morsel
-// workers.
+// Compiled closures are immutable and keep no per-row state, so one
+// compiled expression may be shared by all morsel workers.
 //
-// Error behavior matches evalExpr exactly: problems found during
-// compilation (unknown column, unknown function) compile into
-// closures that return the error when *evaluated*, so an erroneous
-// sub-expression inside a never-taken branch stays silent, just as it
-// would under lazy tree-walking.
+// Problems found during compilation (unknown column, unknown function)
+// compile into closures that return the error when *evaluated*, so an
+// erroneous sub-expression inside a never-taken branch stays silent.
 
 // compiledExpr evaluates an expression against one row of the shape
 // it was compiled for.
@@ -327,7 +322,8 @@ func (db *DB) compileIntEquality(x *BinOp, rel *relation) compiledExpr {
 	}
 }
 
-// arith applies a binary arithmetic op with evalBinOp's semantics.
+// arith applies a binary arithmetic op: NULL in, NULL out; int op int
+// stays int; anything else numeric is float; division by zero is NULL.
 func arith(op string, l, r Value) (Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return Null, nil

@@ -191,7 +191,10 @@ func (ex *exec) applyOrderBy(rs *ResultSet, items []OrderItem) error {
 		keys []Value
 	}
 	ks := make([]keyed, len(rs.Rows))
-	ctx := newRowCtx(rel, ex.db)
+	keyOf := make([]compiledExpr, len(items))
+	for j, it := range items {
+		keyOf[j] = ex.db.compileExpr(it.Expr, rel)
+	}
 	t := ticker{g: ex.gov, site: CkOrderBy}
 	if err := t.flush(); err != nil {
 		return err
@@ -200,10 +203,9 @@ func (ex *exec) applyOrderBy(rs *ResultSet, items []OrderItem) error {
 		if err := t.step(); err != nil {
 			return err
 		}
-		ctx.row = row
 		keys := make([]Value, len(items))
-		for j, it := range items {
-			v, err := evalExpr(it.Expr, ctx)
+		for j, key := range keyOf {
+			v, err := key(row)
 			if err != nil {
 				return err
 			}
@@ -374,7 +376,7 @@ func (ex *exec) joinChain(bc *boundCore, bf *boundFrom, left *relation, env map[
 		if err != nil {
 			return nil, err
 		}
-		left, err = ex.joinOn(left, right, jc.on, jc.left)
+		left, err = ex.join(left, right, onSpec(left, right, jc))
 		if err != nil {
 			return nil, err
 		}
@@ -495,7 +497,7 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 		if a, _ := c.col.lowered(); a != "" && a != bf.alias {
 			continue // a lateral column that shares an indexed column's name
 		}
-		v, err := evalExpr(c.constant, &rowCtx{db: ex.db})
+		v, err := ex.db.compileExpr(c.constant, nil)(nil)
 		if err != nil {
 			continue
 		}
@@ -660,62 +662,6 @@ func (ex *exec) filterRelation(r *relation, conds []Expr) (*relation, error) {
 	return out, nil
 }
 
-// joinUnits combines the comma-separated FROM units using the WHERE
-// conjuncts: greedy ordering, hash joins on equality predicates,
-// cross products as a last resort.
-func (ex *exec) joinUnits(units []*relation, conjs []boundConj, applied []bool) (*relation, error) {
-	if len(units) == 1 {
-		return units[0], nil
-	}
-	used := make([]bool, len(units))
-	// Start from the smallest unit.
-	start := 0
-	for i := 1; i < len(units); i++ {
-		if units[i].rowCount() < units[start].rowCount() {
-			start = i
-		}
-	}
-	cur := units[start]
-	used[start] = true
-	for joined := 1; joined < len(units); joined++ {
-		best, bestEq := -1, 0
-		for i, u := range units {
-			if used[i] {
-				continue
-			}
-			eq := countEqLinks(cur, u, conjs, applied)
-			switch {
-			case best < 0,
-				eq > bestEq,
-				eq == bestEq && u.rowCount() < units[best].rowCount():
-				best, bestEq = i, eq
-			}
-		}
-		next := units[best]
-		used[best] = true
-		var err error
-		cur, err = ex.joinPair(cur, next, conjs, applied)
-		if err != nil {
-			return nil, err
-		}
-		// Apply any conjunct now fully bound.
-		var ready []Expr
-		for i := range conjs {
-			if !applied[i] && boundIn(&conjs[i], cur) {
-				ready = append(ready, conjs[i].expr)
-				applied[i] = true
-			}
-		}
-		if len(ready) > 0 {
-			cur, err = ex.filterRelation(cur, ready)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return cur, nil
-}
-
 // boundIn reports whether every alias c references is part of r.
 func boundIn(c *boundConj, r *relation) bool {
 	for _, a := range c.aliases {
@@ -726,41 +672,6 @@ func boundIn(c *boundConj, r *relation) bool {
 	return true
 }
 
-// eqLink describes an equality conjunct joining two relations.
-type eqLink struct {
-	conj int
-	li   int // column position in left
-	ri   int // column position in right
-}
-
-// eqLinks lists the `colref = colref` conjuncts (skipping applied
-// ones when applied is non-nil) that link a column of l to one of r.
-func eqLinks(l, r *relation, conjs []boundConj, applied []bool) []eqLink {
-	var out []eqLink
-	for i := range conjs {
-		c := &conjs[i]
-		if c.l == nil || (applied != nil && applied[i]) {
-			continue
-		}
-		if li := l.colIndex(c.l); li >= 0 {
-			if ri := r.colIndex(c.r); ri >= 0 {
-				out = append(out, eqLink{conj: i, li: li, ri: ri})
-				continue
-			}
-		}
-		if li := l.colIndex(c.r); li >= 0 {
-			if ri := r.colIndex(c.l); ri >= 0 {
-				out = append(out, eqLink{conj: i, li: li, ri: ri})
-			}
-		}
-	}
-	return out
-}
-
-func countEqLinks(l, r *relation, conjs []boundConj, applied []bool) int {
-	return len(eqLinks(l, r, conjs, applied))
-}
-
 // materialize runs a deferred base-table scan with its pending
 // filters on the vectorized path (zone-map pruning, selection vectors),
 // detaching the relation from its base table.
@@ -769,632 +680,6 @@ func (ex *exec) materialize(r *relation) (*relation, error) {
 		return r, nil
 	}
 	return ex.vecScan(r)
-}
-
-// indexLink finds a join link whose probe side is an indexed column of
-// a base-scan relation, returning the link index and column name.
-func indexLink(r *relation, links []eqLink, right bool) (int, string) {
-	if r.base == nil {
-		return -1, ""
-	}
-	for i, lk := range links {
-		pos := lk.ri
-		if !right {
-			pos = lk.li
-		}
-		if pos >= len(r.src) {
-			continue // a fused lateral column, not a table column
-		}
-		col := r.cols[pos].name
-		if r.base.HasIndex(col) {
-			return i, col
-		}
-	}
-	return -1, ""
-}
-
-// joinPair joins cur with next using the available equality conjuncts
-// (hash join) or a cross product when none apply.
-func (ex *exec) joinPair(cur, next *relation, conjs []boundConj, applied []bool) (*relation, error) {
-	links := eqLinks(cur, next, conjs, applied)
-	out := combineShape(cur, next)
-	if len(links) == 0 {
-		var err error
-		if cur, err = ex.materialize(cur); err != nil {
-			return nil, err
-		}
-		if next, err = ex.materialize(next); err != nil {
-			return nil, err
-		}
-		t0 := ex.opStart()
-		tk := ticker{g: ex.gov, site: CkCross}
-		if err := tk.flush(); err != nil {
-			return nil, err
-		}
-		arena := rowArena{gov: ex.gov}
-		for _, lr := range cur.rows {
-			for _, rr := range next.rows {
-				out.rows = append(out.rows, arena.combine(lr, rr))
-				if err := tk.emit(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := tk.flush(); err != nil {
-			return nil, err
-		}
-		ex.opEnd(t0, OpStat{Kind: "cross-join", RowsIn: int64(len(cur.rows)), BuildRows: int64(len(next.rows)), RowsOut: int64(len(out.rows)), Workers: 1})
-		return out, nil
-	}
-	for _, lk := range links {
-		applied[lk.conj] = true
-	}
-	// Index nested-loop when one side is an indexed base table and the
-	// other side is smaller: probe the index per row instead of hashing
-	// the whole table. The side sizing compares post-filter
-	// cardinalities: the probing side is materialized before the
-	// comparison (its pending filters would otherwise overstate it,
-	// and it must be materialized to probe anyway); the indexed side's
-	// raw row count is an upper bound, since materializing it would
-	// destroy the very index access under consideration — its pending
-	// filters are instead evaluated per probed row.
-	var mcur, mnext *relation
-	var err error
-	if li, col := indexLink(next, links, true); li >= 0 {
-		if mcur, err = ex.materialize(cur); err != nil {
-			return nil, err
-		}
-		if len(mcur.rows) < next.rowCount() {
-			if err := ex.indexProbe(out, mcur, next, links, li, col, true); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-	}
-	if li, col := indexLink(cur, links, false); li >= 0 {
-		if mnext, err = ex.materialize(next); err != nil {
-			return nil, err
-		}
-		if len(mnext.rows) < cur.rowCount() {
-			if err := ex.indexProbe(out, mnext, cur, links, li, col, false); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-	}
-	// Hash join: build on next, probe cur.
-	if mcur == nil {
-		if mcur, err = ex.materialize(cur); err != nil {
-			return nil, err
-		}
-	}
-	if mnext == nil {
-		if mnext, err = ex.materialize(next); err != nil {
-			return nil, err
-		}
-	}
-	if err := ex.hashJoinInto(out, mcur, mnext, links); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// indexProbe joins by probing indexed's base-table hash index with
-// every probe row, verifying all links and indexed's pending filters
-// per candidate. indexedIsRight states whether indexed's columns
-// follow probe's in out. Probe rows are partitioned across workers;
-// per-worker outputs are concatenated in input order, so the result
-// is deterministic and identical to the sequential loop.
-func (ex *exec) indexProbe(out *relation, probe, indexed *relation, links []eqLink, li int, col string, indexedIsRight bool) error {
-	t0 := ex.opStart()
-	idx := indexed.base.indexFor(col)
-	if idx == nil {
-		return fmt.Errorf("sql: internal: index on %q vanished", col)
-	}
-	keyPos := links[li].li
-	if !indexedIsRight {
-		keyPos = links[li].ri
-	}
-	// With a lateral item fused into indexed, the pending filters and
-	// links over table columns are settled on the narrow row, the rest
-	// per pair inside expand.
-	pending, run := ex.startUnpivot(indexed, indexed.pending)
-	site := CkIndexProbe
-	var pairLinks []eqLink
-	if run != nil {
-		site = CkUnpivot
-		links, pairLinks = run.splitLinks(links, indexedIsRight)
-	}
-	pendOK := ex.db.compilePred(pending, indexed)
-	w := planWorkers(len(probe.rows))
-	parts := make([][]Row, w)
-	err := parallelChunks(len(probe.rows), w, func(chunk, lo, hi int) error {
-		tk := ticker{g: ex.gov, site: site}
-		if err := tk.flush(); err != nil {
-			return err
-		}
-		var local []Row
-		arena := rowArena{gov: ex.gov}
-		uw := run.worker(ex.gov)
-		// Each worker owns its reader: reads share a per-reader scratch
-		// row, consumed before the next rowAt (combine copies).
-		rd := indexed.base.reader(indexed.src)
-		for _, pr := range probe.rows[lo:hi] {
-			if err := tk.step(); err != nil {
-				return err
-			}
-			v := pr[keyPos]
-			if v.IsNull() {
-				continue
-			}
-		cand:
-			for _, id := range idx.lookupVal(v) {
-				if err := tk.step(); err != nil {
-					return err
-				}
-				ir := rd.rowAt(int(id))
-				for _, lk := range links {
-					lv, rv := pr[lk.li], ir[lk.ri]
-					if !indexedIsRight {
-						lv, rv = ir[lk.li], pr[lk.ri]
-					}
-					if !Equal(lv, rv) {
-						continue cand
-					}
-				}
-				ok, err := pendOK(ir)
-				if err != nil {
-					return err
-				}
-				switch {
-				case !ok:
-				case uw != nil:
-					err = uw.expand(int(id), ir, run.all, pr, pairLinks, indexedIsRight)
-				case indexedIsRight:
-					local = append(local, arena.combine(pr, ir))
-					err = tk.emit()
-				default:
-					local = append(local, arena.combine(ir, pr))
-					err = tk.emit()
-				}
-				if err != nil {
-					return err
-				}
-			}
-		}
-		if uw != nil {
-			var err error
-			if local, err = uw.finish(); err != nil {
-				return err
-			}
-		}
-		parts[chunk] = local
-		return tk.flush()
-	})
-	if err != nil {
-		return err
-	}
-	for _, p := range parts {
-		out.rows = append(out.rows, p...)
-	}
-	ex.opEnd(t0, run.opStat(OpStat{Kind: "index-join", Label: indexed.base.Name + "." + col, RowsIn: int64(len(probe.rows)), RowsOut: int64(len(out.rows)),
-		ColsRead: len(indexed.src), ColsTotal: len(indexed.base.Schema), Workers: w}))
-	return nil
-}
-
-// hashJoinInto builds a hash table on next's link columns and probes
-// it with cur's rows, appending combined rows to out in probe order.
-// A single int-typed link — the common case: every DPH/DS/RPH/RS join
-// runs over dictionary ids — uses an exact map[int64] kernel; other
-// shapes bucket by FNV-mixed uint64 hashes verified per candidate.
-// The probe loop fans out across workers above the row threshold.
-func (ex *exec) hashJoinInto(out *relation, cur, next *relation, links []eqLink) error {
-	if len(links) == 1 {
-		handled, err := ex.intHashJoin(out, cur, next, links[0])
-		if err != nil {
-			return err
-		}
-		if handled {
-			return nil
-		}
-	}
-	t0 := ex.opStart()
-	bt := ticker{g: ex.gov, site: CkHashBuild}
-	if err := bt.flush(); err != nil {
-		return err
-	}
-	var built int64
-	build := make(map[uint64][]Row, len(next.rows))
-	for _, rr := range next.rows {
-		if err := bt.step(); err != nil {
-			return err
-		}
-		h, ok := linkKeyHash(rr, links, false)
-		if !ok {
-			continue
-		}
-		build[h] = append(build[h], rr)
-		built++
-		bt.addBytes(hashEntryBytes)
-	}
-	if err := bt.flush(); err != nil {
-		return err
-	}
-	w := planWorkers(len(cur.rows))
-	parts := make([][]Row, w)
-	err := parallelChunks(len(cur.rows), w, func(chunk, lo, hi int) error {
-		tk := ticker{g: ex.gov, site: CkHashProbe}
-		if err := tk.flush(); err != nil {
-			return err
-		}
-		var local []Row
-		arena := rowArena{gov: ex.gov}
-		for _, lr := range cur.rows[lo:hi] {
-			if err := tk.step(); err != nil {
-				return err
-			}
-			h, ok := linkKeyHash(lr, links, true)
-			if !ok {
-				continue
-			}
-			for _, rr := range build[h] {
-				if linkKeyEqual(lr, rr, links) {
-					local = append(local, arena.combine(lr, rr))
-					if err := tk.emit(); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		parts[chunk] = local
-		return tk.flush()
-	})
-	if err != nil {
-		return err
-	}
-	for _, p := range parts {
-		out.rows = append(out.rows, p...)
-	}
-	ex.opEnd(t0, OpStat{Kind: "hash-join", Label: "generic", RowsIn: int64(len(cur.rows)), BuildRows: built, RowsOut: int64(len(out.rows)), Workers: w})
-	return nil
-}
-
-// intHashJoin is the type-specialized single-link kernel: an exact
-// map[int64][]Row keyed by dictionary-encoded ids, no hashing of
-// formatted strings and no candidate verification. Returns false
-// without joining when a build-side key value belongs to a non-int
-// class (the caller then falls back to the hashed kernel); probe
-// values of other classes can never equal an int key and are skipped.
-func (ex *exec) intHashJoin(out *relation, cur, next *relation, link eqLink) (bool, error) {
-	t0 := ex.opStart()
-	bt := ticker{g: ex.gov, site: CkHashBuild}
-	if err := bt.flush(); err != nil {
-		return false, err
-	}
-	var built int64
-	build := make(map[int64][]Row, len(next.rows))
-	for _, rr := range next.rows {
-		if err := bt.step(); err != nil {
-			return false, err
-		}
-		k, st := intLinkKey(rr[link.ri])
-		if st < 0 {
-			return false, nil
-		}
-		if st == 0 {
-			continue // NULLs never join
-		}
-		build[k] = append(build[k], rr)
-		built++
-		bt.addBytes(hashEntryBytes)
-	}
-	if err := bt.flush(); err != nil {
-		return false, err
-	}
-	w := planWorkers(len(cur.rows))
-	parts := make([][]Row, w)
-	err := parallelChunks(len(cur.rows), w, func(chunk, lo, hi int) error {
-		tk := ticker{g: ex.gov, site: CkHashProbe}
-		if err := tk.flush(); err != nil {
-			return err
-		}
-		var local []Row
-		arena := rowArena{gov: ex.gov}
-		for _, lr := range cur.rows[lo:hi] {
-			if err := tk.step(); err != nil {
-				return err
-			}
-			k, st := intLinkKey(lr[link.li])
-			if st != 1 {
-				continue
-			}
-			for _, rr := range build[k] {
-				local = append(local, arena.combine(lr, rr))
-				if err := tk.emit(); err != nil {
-					return err
-				}
-			}
-		}
-		parts[chunk] = local
-		return tk.flush()
-	})
-	if err != nil {
-		return true, err
-	}
-	for _, p := range parts {
-		out.rows = append(out.rows, p...)
-	}
-	ex.opEnd(t0, OpStat{Kind: "hash-join", Label: "int", RowsIn: int64(len(cur.rows)), BuildRows: built, RowsOut: int64(len(out.rows)), Workers: w})
-	return true, nil
-}
-
-func combineShape(l, r *relation) *relation {
-	out := &relation{
-		cols:    make([]relCol, 0, len(l.cols)+len(r.cols)),
-		aliases: make([]string, 0, len(l.aliases)+len(r.aliases)),
-	}
-	out.cols = append(append(out.cols, l.cols...), r.cols...)
-	out.aliases = append(append(out.aliases, l.aliases...), r.aliases...)
-	return out
-}
-
-func combineRows(l, r Row) Row {
-	row := make(Row, 0, len(l)+len(r))
-	row = append(row, l...)
-	return append(row, r...)
-}
-
-// rowArena carves output rows out of large value blocks: the join and
-// projection kernels emit one row per match, and one allocation per
-// row is the dominant cost of wide scans. An arena is single-goroutine
-// state — each morsel worker owns its own. Block growth is charged
-// against the query's memory budget (gov may be nil in governance-free
-// contexts); a trip aborts via mustChargeBytes, unwound to a typed
-// error at the worker or ExecContext recovery point.
-type rowArena struct {
-	buf  []Value
-	next int // size of the next block, grown geometrically
-	gov  *govern
-}
-
-func (a *rowArena) alloc(n int) Row {
-	if n > len(a.buf) {
-		// Start small (selective joins emit a handful of rows) and
-		// double per block so bulk operators converge on large blocks.
-		sz := a.next
-		if sz < 64 {
-			sz = 64
-		}
-		if sz < n {
-			sz = n
-		}
-		if a.gov != nil {
-			a.gov.mustChargeBytes(int64(sz) * valueBytes)
-		}
-		a.buf = make([]Value, sz)
-		if sz < 16384 {
-			a.next = sz * 2
-		}
-	}
-	r := a.buf[:n:n]
-	a.buf = a.buf[n:]
-	return r
-}
-
-// combine is combineRows out of the arena.
-func (a *rowArena) combine(l, r Row) Row {
-	out := a.alloc(len(l) + len(r))
-	copy(out, l)
-	copy(out[len(l):], r)
-	return out
-}
-
-// clone copies r into the arena.
-func (a *rowArena) clone(r Row) Row {
-	out := a.alloc(len(r))
-	copy(out, r)
-	return out
-}
-
-// allocRows allocates n zeroed rows (every cell Null) of the given
-// width. Arena blocks are freshly made and never recycled, so the
-// zero guarantee holds.
-func (a *rowArena) allocRows(n, width int) []Row {
-	out := make([]Row, n)
-	for i := range out {
-		out[i] = a.alloc(width)
-	}
-	return out
-}
-
-// joinOn implements explicit [LEFT OUTER] JOIN ... ON.
-func (ex *exec) joinOn(left, right *relation, on []boundConj, outer bool) (*relation, error) {
-	var err error
-	// The left side is always iterated row-by-row; the right side stays
-	// unmaterialized only on the index path below.
-	if left, err = ex.materialize(left); err != nil {
-		return nil, err
-	}
-	t0 := ex.opStart()
-	out := combineShape(left, right)
-	// Equality links usable for hashing; the rest is checked per pair.
-	links := eqLinks(left, right, on, nil)
-	var residual []Expr
-	for i := range on {
-		if !slices.ContainsFunc(links, func(lk eqLink) bool { return lk.conj == i }) {
-			residual = append(residual, on[i].expr)
-		}
-	}
-	nulls := make(Row, len(right.cols))
-	resOK := ex.db.compilePred(residual, out)
-	if li, col := indexLink(right, links, true); li >= 0 && len(left.rows) < right.rowCount() {
-		idx := right.base.indexFor(col)
-		rd := right.base.reader(right.src)
-		tk := ticker{g: ex.gov, site: CkJoinOn}
-		if err := tk.flush(); err != nil {
-			return nil, err
-		}
-		arena := rowArena{gov: ex.gov}
-		for _, lr := range left.rows {
-			if err := tk.step(); err != nil {
-				return nil, err
-			}
-			matched := false
-			v := lr[links[li].li]
-			if !v.IsNull() && idx != nil {
-			probeOn:
-				for _, id := range idx.lookupVal(v) {
-					if err := tk.step(); err != nil {
-						return nil, err
-					}
-					rr := rd.rowAt(int(id))
-					for _, lk := range links {
-						if !Equal(lr[lk.li], rr[lk.ri]) {
-							continue probeOn
-						}
-					}
-					row := arena.combine(lr, rr)
-					ok, err := resOK(row)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						out.rows = append(out.rows, row)
-						matched = true
-						if err := tk.emit(); err != nil {
-							return nil, err
-						}
-					}
-				}
-			}
-			if outer && !matched {
-				out.rows = append(out.rows, arena.combine(lr, nulls))
-				if err := tk.emit(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := tk.flush(); err != nil {
-			return nil, err
-		}
-		ex.opEnd(t0, OpStat{Kind: "join-on", Label: "index " + right.base.Name + "." + col, RowsIn: int64(len(left.rows)), RowsOut: int64(len(out.rows)),
-			ColsRead: len(right.src), ColsTotal: len(right.base.Schema), Workers: 1})
-		return out, nil
-	}
-	if right, err = ex.materialize(right); err != nil {
-		return nil, err
-	}
-	if len(links) > 0 {
-		bt := ticker{g: ex.gov, site: CkHashBuild}
-		if err := bt.flush(); err != nil {
-			return nil, err
-		}
-		var built int64
-		build := make(map[uint64][]Row, len(right.rows))
-		for _, rr := range right.rows {
-			if err := bt.step(); err != nil {
-				return nil, err
-			}
-			h, ok := linkKeyHash(rr, links, false)
-			if !ok {
-				continue
-			}
-			build[h] = append(build[h], rr)
-			built++
-			bt.addBytes(hashEntryBytes)
-		}
-		if err := bt.flush(); err != nil {
-			return nil, err
-		}
-		w := planWorkers(len(left.rows))
-		parts := make([][]Row, w)
-		err := parallelChunks(len(left.rows), w, func(chunk, lo, hi int) error {
-			tk := ticker{g: ex.gov, site: CkJoinOn}
-			if err := tk.flush(); err != nil {
-				return err
-			}
-			var local []Row
-			arena := rowArena{gov: ex.gov}
-			for _, lr := range left.rows[lo:hi] {
-				if err := tk.step(); err != nil {
-					return err
-				}
-				matched := false
-				if h, ok := linkKeyHash(lr, links, true); ok {
-					for _, rr := range build[h] {
-						if !linkKeyEqual(lr, rr, links) {
-							continue
-						}
-						row := arena.combine(lr, rr)
-						ok, err := resOK(row)
-						if err != nil {
-							return err
-						}
-						if ok {
-							local = append(local, row)
-							matched = true
-							if err := tk.emit(); err != nil {
-								return err
-							}
-						}
-					}
-				}
-				if outer && !matched {
-					local = append(local, arena.combine(lr, nulls))
-					if err := tk.emit(); err != nil {
-						return err
-					}
-				}
-			}
-			parts[chunk] = local
-			return tk.flush()
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range parts {
-			out.rows = append(out.rows, p...)
-		}
-		ex.opEnd(t0, OpStat{Kind: "join-on", Label: "hash", RowsIn: int64(len(left.rows)), BuildRows: built, RowsOut: int64(len(out.rows)), Workers: w})
-		return out, nil
-	}
-	// Nested loop.
-	tk := ticker{g: ex.gov, site: CkJoinOn}
-	if err := tk.flush(); err != nil {
-		return nil, err
-	}
-	arena := rowArena{gov: ex.gov}
-	for _, lr := range left.rows {
-		matched := false
-		for _, rr := range right.rows {
-			if err := tk.step(); err != nil {
-				return nil, err
-			}
-			row := arena.combine(lr, rr)
-			ok, err := resOK(row)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out.rows = append(out.rows, row)
-				matched = true
-				if err := tk.emit(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if outer && !matched {
-			out.rows = append(out.rows, arena.combine(lr, nulls))
-			if err := tk.emit(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := tk.flush(); err != nil {
-		return nil, err
-	}
-	ex.opEnd(t0, OpStat{Kind: "join-on", Label: "nested", RowsIn: int64(len(left.rows)), BuildRows: int64(len(right.rows)), RowsOut: int64(len(out.rows)), Workers: 1})
-	return out, nil
 }
 
 // project evaluates the SELECT list over the joined relation. Items

@@ -1,15 +1,17 @@
 package rel
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
-// renderSorted renders a result set's rows into canonical strings and
-// sorts them, for order-insensitive comparison.
-func renderSorted(rs *ResultSet) []string {
+// render renders a result set's rows into canonical strings, in order.
+func render(rs *ResultSet) []string {
 	out := make([]string, len(rs.Rows))
 	for i, r := range rs.Rows {
 		s := ""
@@ -21,6 +23,12 @@ func renderSorted(rs *ResultSet) []string {
 		}
 		out[i] = s
 	}
+	return out
+}
+
+// renderSorted is render sorted, for order-insensitive comparison.
+func renderSorted(rs *ResultSet) []string {
+	out := render(rs)
 	sort.Strings(out)
 	return out
 }
@@ -76,6 +84,34 @@ func TestJoinIntMatchesIntegralFloat(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("1 must join 1.0 and 2 must join 2.0, 1.5 nothing: got %v", got)
+	}
+
+	// Past 2^53 float64 cannot tell neighbouring ints apart: P.x is
+	// (2^53+1) / 1.0, which rounds to exactly 2^53 and so keys as the int
+	// 2^53. It joins b's second row only — through the index, hash and
+	// nested kernels, in both join forms, whichever index exists.
+	const big = 1 << 53
+	db = NewDB()
+	mustTable(t, db, "p", Schema{{Name: "k"}, {Name: "x"}}, []Row{{Int(1), Int(big + 1)}})
+	bt := mustTable(t, db, "b", Schema{{Name: "k"}, {Name: "y"}}, []Row{{Int(1), Int(big + 1)}, {Int(1), Int(big)}})
+	const cte = "WITH P AS (SELECT p.k AS k, p.x / 1.0 AS x FROM p) "
+	want = []string{fmt.Sprintf("%#v", Int(big))}
+	for _, index := range []string{"", "k", "y"} {
+		if index != "" {
+			if err := bt.CreateIndex(index); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, on := range []string{"P.k = b.k AND P.x = b.y", "P.k + 0 = b.k AND P.x = b.y", "P.k + 0 = b.k AND P.x + 0 = b.y"} {
+			for _, q := range []string{
+				cte + "SELECT b.y FROM P, b WHERE " + on,
+				cte + "SELECT b.y FROM P LEFT OUTER JOIN b ON " + on,
+			} {
+				if got := renderSorted(queryRows(t, db, q)); !reflect.DeepEqual(got, want) {
+					t.Errorf("index on b.%s, %s (%s): want only b.y = 2^53, got %v", index, q, joinKernel(t, db, q), got)
+				}
+			}
+		}
 	}
 }
 
@@ -220,22 +256,128 @@ func kernelCorpus(t *testing.T) (*DB, []string) {
 		"WITH L AS (SELECT e.src AS src, e.dst AS dst, CASE WHEN e.lbl < 19 THEN 'lo' WHEN e.lbl < 38 THEN 'mid' ELSE 'hi' END AS lbl FROM e) " +
 			"SELECT DISTINCT a.lbl, b.lbl FROM L AS a, L AS b WHERE a.dst = b.src AND a.src < 20",
 		"SELECT e.src AS s FROM e ORDER BY s DESC LIMIT 50 OFFSET 10",
+		// LEFT OUTER JOIN on every kernel; e.dst is NULL on every 13th
+		// edge, and those rows come out NULL-extended.
+		// Index: the filtered left side is smaller than node.
+		"WITH E AS (SELECT e.src AS src, e.dst AS dst FROM e WHERE e.src < 200) SELECT E.src, E.dst, n.name FROM E LEFT OUTER JOIN node AS n ON E.dst = n.id",
+		// Int hash: the right side is a CTE.
+		"WITH N AS (SELECT n.id AS id, n.name AS name FROM node AS n) SELECT e.src, e.dst, N.name FROM e LEFT OUTER JOIN N ON e.dst = N.id",
+		// Generic hash: halves are float keys.
+		"WITH L AS (SELECT e.src AS src, e.dst / 2.0 AS h FROM e), N AS (SELECT n.id / 2.0 AS h, n.name AS name FROM node AS n) " +
+			"SELECT L.src, L.h, N.name FROM L LEFT OUTER JOIN N ON L.h = N.h",
+		// Nested loop: the link is hidden in an expression.
+		"WITH E AS (SELECT e.src AS src, e.dst AS dst FROM e WHERE e.src < 40) SELECT E.src, E.dst, n.name FROM E LEFT OUTER JOIN node AS n ON E.dst + 0 = n.id",
+		// A residual that rejects every match of most left rows.
+		"WITH E AS (SELECT e.src AS src, e.dst AS dst FROM e WHERE e.src < 200) SELECT E.src, E.dst, n.name FROM E LEFT OUTER JOIN node AS n ON E.dst = n.id AND n.name < 3",
+		"WITH N AS (SELECT n.id AS id, n.name AS name FROM node AS n) SELECT e.src, e.dst, N.name FROM e LEFT OUTER JOIN N ON e.dst = N.id AND N.name > 27",
 	}
 	return db, queries
 }
 
 // TestParallelKernelEquivalence runs the kernel corpus with morsel
-// parallelism forced off and forced on and demands identical results.
+// parallelism forced off and forced on and demands the same rows in the
+// same order.
 func TestParallelKernelEquivalence(t *testing.T) {
 	db, queries := kernelCorpus(t)
 	defer SetParallelism(0, 0)
 	for _, q := range queries {
 		SetParallelism(1, 0) // sequential
-		seq := renderSorted(queryRows(t, db, q))
+		seq := render(queryRows(t, db, q))
 		SetParallelism(4, 1) // every operator parallel
-		par := renderSorted(queryRows(t, db, q))
+		par := render(queryRows(t, db, q))
 		if !reflect.DeepEqual(seq, par) {
 			t.Errorf("query %q: sequential and parallel kernels disagree\nseq: %v\npar: %v", q, seq, par)
+		}
+	}
+}
+
+// joinKernel names the join operators the query ran, in order.
+func joinKernel(t *testing.T, db *DB, sql string) string {
+	t.Helper()
+	_, stats, err := db.AnalyzeContext(context.Background(), mustParse(t, sql), Limits{})
+	if err != nil {
+		t.Fatalf("%q: %v", sql, err)
+	}
+	var ops []string
+	for _, op := range stats.Ops {
+		if strings.HasSuffix(op.Kind, "join") || op.Kind == "join-on" {
+			ops = append(ops, strings.TrimSpace(op.Kind+" "+op.Label))
+		}
+	}
+	return strings.Join(ops, ", ")
+}
+
+// TestJoinKernelsAgree answers the same inner and outer joins through
+// the index, hash and nested-loop kernels — an index on the link
+// column present or absent, the link plain or hidden in an expression —
+// with one worker and with four. Every kernel must give the same rows,
+// and each kernel the same order at either worker count.
+func TestJoinKernelsAgree(t *testing.T) {
+	defer SetParallelism(0, 0)
+	build := func(index bool) *DB {
+		db := NewDB()
+		var lrows, rrows []Row
+		for i := 0; i < 150; i++ {
+			k := Int(int64(i % 97))
+			if i%11 == 0 {
+				k = Null
+			}
+			lrows = append(lrows, Row{k, Int(int64(i))})
+		}
+		for i := 0; i < 400; i++ {
+			k := Int(int64(40 + i%101))
+			if i%17 == 0 {
+				k = Null
+			}
+			rrows = append(rrows, Row{k, Int(int64(i % 23))})
+		}
+		mustTable(t, db, "l", Schema{{Name: "k"}, {Name: "a"}}, lrows)
+		rt := mustTable(t, db, "r", Schema{{Name: "k"}, {Name: "b"}}, rrows)
+		if index {
+			if err := rt.CreateIndex("k"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	dbs := map[bool]*DB{false: build(false), true: build(true)}
+	forms := []struct{ name, sql string }{
+		{"comma", "SELECT l.a, r.b FROM l, r WHERE %s"},
+		{"inner on", "SELECT l.a, r.b FROM l JOIN r ON %s"},
+		{"left outer", "SELECT l.a, r.b FROM l LEFT OUTER JOIN r ON %s"},
+		{"left outer residual", "SELECT l.a, r.b FROM l LEFT OUTER JOIN r ON %s AND r.b < 4"},
+	}
+	for _, form := range forms {
+		var want []string
+		kernels := map[string]bool{}
+		for _, index := range []bool{true, false} {
+			for _, link := range []string{"l.k = r.k", "l.k + 0 = r.k"} {
+				db := dbs[index]
+				q := fmt.Sprintf(form.sql, link)
+				kernel := joinKernel(t, db, q)
+				kernels[kernel] = true
+				var rows [2][]string
+				for i, workers := range []int{1, 4} {
+					SetParallelism(workers, 1)
+					rows[i] = render(queryRows(t, db, q))
+				}
+				if !reflect.DeepEqual(rows[0], rows[1]) {
+					t.Errorf("%s, index %v, %s (%s): one worker and four disagree on rows or order", form.name, index, link, kernel)
+				}
+				got := slices.Clone(rows[0])
+				sort.Strings(got)
+				if want == nil {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, index %v, %s (%s): %d rows, the index kernel gave %d", form.name, index, link, kernel, len(got), len(want))
+				}
+			}
+		}
+		if len(kernels) != 3 {
+			t.Errorf("%s: want the index, hash and nested kernels, ran %v", form.name, kernels)
+		}
+		if strings.HasPrefix(form.name, "left outer") && !slices.Contains(want, fmt.Sprintf("%#v | %#v", Int(0), Null)) {
+			t.Errorf("%s: l's row 0 has a NULL key and must come out NULL-extended", form.name)
 		}
 	}
 }

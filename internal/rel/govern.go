@@ -102,7 +102,9 @@ const hashEntryBytes = 48
 
 // CheckSite names a governance checkpoint location. The fault
 // injection harness (faultinject.go) keys on it so tests can force an
-// abort at a specific point in the executor.
+// abort at a specific point in the executor. Comma joins and JOIN … ON
+// share the join kernels, and so their sites: CkIndexProbe,
+// CkHashBuild and CkHashProbe, and CkCross.
 type CheckSite uint8
 
 // Checkpoint sites.
@@ -119,9 +121,8 @@ const (
 	CkHashProbe
 	// CkIndexProbe is the index nested-loop probe (morsel workers).
 	CkIndexProbe
-	// CkJoinOn is the explicit JOIN ... ON loop.
-	CkJoinOn
-	// CkCross is the cross-product loop.
+	// CkCross is the nested-loop join: a cross product, or a JOIN … ON
+	// with no equality link (morsel workers).
 	CkCross
 	// CkProject is the projection loop (morsel workers).
 	CkProject
@@ -136,7 +137,7 @@ const (
 )
 
 var ckNames = [...]string{"any", "core", "filter", "hash-build", "hash-probe",
-	"index-probe", "join-on", "cross", "project", "order-by", "dedup", "unpivot"}
+	"index-probe", "cross", "project", "order-by", "dedup", "unpivot"}
 
 // String names the site.
 func (s CheckSite) String() string {

@@ -3,6 +3,7 @@ package rel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -330,5 +331,98 @@ func waitForGoroutines(t *testing.T, base int) {
 			t.Fatalf("goroutine leak: %d running, baseline %d", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// outerJoinDB holds l(k, a), 100 rows with keys 0..99, and r(k, b), 200
+// rows with keys 50..249 and an index on k: l's rows 0..49 match
+// nothing and come out of a LEFT OUTER JOIN NULL-extended.
+func outerJoinDB(t *testing.T) *DB {
+	t.Helper()
+	db := NewDB()
+	var lrows, rrows []Row
+	for i := 0; i < 100; i++ {
+		lrows = append(lrows, Row{Int(int64(i)), Int(int64(i))})
+	}
+	for i := 0; i < 200; i++ {
+		rrows = append(rrows, Row{Int(int64(50 + i)), Int(int64(i))})
+	}
+	mustTable(t, db, "l", Schema{{Name: "k"}, {Name: "a"}}, lrows)
+	rt := mustTable(t, db, "r", Schema{{Name: "k"}, {Name: "b"}}, rrows)
+	if err := rt.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestGovernOuterJoin aborts a LEFT OUTER JOIN inside the index kernel
+// and inside the hash kernel, with one worker and with four: an
+// injected cancel or panic at the kernel's probe site surfaces typed, a
+// row budget trips on the NULL-extended rows (the same budget holds the
+// inner join), and the DB answers the next query correctly.
+func TestGovernOuterJoin(t *testing.T) {
+	defer SetParallelism(0, 0)
+	db := outerJoinDB(t)
+	const star = "SELECT * FROM l %s JOIN %s ON l.k = r.k"
+	for _, kc := range []struct {
+		kernel, right string
+		site          CheckSite
+		budget        int64 // holds the inner join's rows, not the outer's
+	}{
+		{"join-on index r.k", "r", CkIndexProbe, 175},
+		{"join-on hash", "(SELECT r.k AS k, r.b AS b FROM r) AS r", CkHashProbe, 375},
+	} {
+		outer := mustParse(t, fmt.Sprintf(star, "LEFT OUTER", kc.right))
+		inner := mustParse(t, fmt.Sprintf(star, "", kc.right))
+		if got := joinKernel(t, db, fmt.Sprintf(star, "LEFT OUTER", kc.right)); got != kc.kernel {
+			t.Fatalf("want the %s kernel, ran %s", kc.kernel, got)
+		}
+		answers := func(t *testing.T) {
+			t.Helper()
+			rs, err := db.ExecContext(context.Background(), outer, Limits{})
+			if err != nil {
+				t.Fatalf("follow-up query after abort: %v", err)
+			}
+			if len(rs.Rows) != 100 {
+				t.Fatalf("follow-up query after abort: want 100 rows, got %d", len(rs.Rows))
+			}
+			for i, row := range rs.Rows {
+				if want := i >= 50; row[0].I != int64(i) || !row[2].IsNull() != want {
+					t.Fatalf("follow-up query after abort: row %d is %v", i, row)
+				}
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", kc.kernel, workers), func(t *testing.T) {
+				SetParallelism(workers, 1)
+				InjectFault(kc.site, FaultCancel, 1)
+				_, err := db.ExecContext(context.Background(), outer, Limits{})
+				fired := FaultFired()
+				ClearFault()
+				if !errors.Is(err, ErrCanceled) || !fired {
+					t.Fatalf("cancel at %v: want ErrCanceled, got %v (fired %v)", kc.site, err, fired)
+				}
+				answers(t)
+
+				InjectFault(kc.site, FaultPanic, 1)
+				_, err = db.ExecContext(context.Background(), outer, Limits{})
+				ClearFault()
+				var pe *PanicError
+				if !errors.As(err, &pe) || pe.V != faultPanicMsg {
+					t.Fatalf("panic at %v: want *PanicError, got %v", kc.site, err)
+				}
+				answers(t)
+
+				lim := Limits{MaxRows: kc.budget}
+				if _, err := db.ExecContext(context.Background(), inner, lim); err != nil {
+					t.Fatalf("the inner join must fit %d rows: %v", kc.budget, err)
+				}
+				var be *BudgetError
+				if _, err := db.ExecContext(context.Background(), outer, lim); !errors.As(err, &be) || be.Budget != "rows" {
+					t.Fatalf("the outer join's NULL-extended rows must overrun %d rows with a *BudgetError, got %v", kc.budget, err)
+				}
+				answers(t)
+			})
+		}
 	}
 }

@@ -140,6 +140,21 @@ func linkKeyHash(row Row, links []eqLink, left bool) (uint64, bool) {
 	return h, true
 }
 
+// nullKey reports whether any link column of row is NULL: such a row
+// joins nothing. left picks the side of the links row is on.
+func nullKey(row Row, links []eqLink, left bool) bool {
+	for _, lk := range links {
+		i := lk.ri
+		if left {
+			i = lk.li
+		}
+		if row[i].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
 // linkKeyEqual verifies a join bucket candidate on every link column.
 func linkKeyEqual(l, r Row, links []eqLink) bool {
 	for _, lk := range links {

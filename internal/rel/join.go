@@ -1,0 +1,584 @@
+package rel
+
+import (
+	"fmt"
+	"slices"
+)
+
+// The join operator. Comma-separated FROM units, joined greedily on the
+// WHERE equalities, and explicit [LEFT OUTER] JOIN … ON items both go
+// through join, which picks one of three kernels:
+//
+//   - index probe: one side is an unmaterialized scan of a base table
+//     with a hash index on a link column and the other side is smaller,
+//     so each row of the small side probes the index;
+//   - hash join: the right side is built into a hash table on the link
+//     columns and the left side probes it;
+//   - nested loop: there are no links, so every pair is tried.
+//
+// Every kernel fans its probe rows out across morsel workers, each with
+// its own ticker and rowArena, and concatenates their outputs in input
+// order: rows come out in probe order, then candidate order, whatever
+// the worker count. Links compare under key semantics (keyEqual), the
+// relation hash buckets and index postings are keyed by, so whether an
+// index exists never changes an answer. The other conjuncts of an ON
+// clause are checked per pair, and a LEFT OUTER join NULL-extends every
+// left row it kept no pair for.
+
+// joinSpec says how two relations join.
+type joinSpec struct {
+	links    []eqLink
+	residual []Expr // ON conjuncts that are not links, checked per pair
+	outer    bool   // LEFT OUTER: keep unmatched left rows, NULL-extended
+	on       bool   // an explicit JOIN … ON, profiled as "join-on"
+}
+
+// stat names a kernel's profile entry: a comma join reports the
+// kernel's own kind, an explicit join reports "join-on" labelled
+// onLabel.
+func (s *joinSpec) stat(st OpStat, onLabel string) OpStat {
+	if s.on {
+		st.Kind, st.Label = "join-on", onLabel
+	}
+	return st
+}
+
+// joinUnits combines the comma-separated FROM units using the WHERE
+// conjuncts: greedy ordering, joins on equality predicates, cross
+// products as a last resort.
+func (ex *exec) joinUnits(units []*relation, conjs []boundConj, applied []bool) (*relation, error) {
+	if len(units) == 1 {
+		return units[0], nil
+	}
+	used := make([]bool, len(units))
+	// Start from the smallest unit.
+	start := 0
+	for i := 1; i < len(units); i++ {
+		if units[i].rowCount() < units[start].rowCount() {
+			start = i
+		}
+	}
+	cur := units[start]
+	used[start] = true
+	for joined := 1; joined < len(units); joined++ {
+		best, bestEq := -1, 0
+		for i, u := range units {
+			if used[i] {
+				continue
+			}
+			eq := len(eqLinks(cur, u, conjs, applied))
+			switch {
+			case best < 0,
+				eq > bestEq,
+				eq == bestEq && u.rowCount() < units[best].rowCount():
+				best, bestEq = i, eq
+			}
+		}
+		next := units[best]
+		used[best] = true
+		links := eqLinks(cur, next, conjs, applied)
+		for _, lk := range links {
+			applied[lk.conj] = true
+		}
+		var err error
+		cur, err = ex.join(cur, next, joinSpec{links: links})
+		if err != nil {
+			return nil, err
+		}
+		// Apply any conjunct now fully bound.
+		var ready []Expr
+		for i := range conjs {
+			if !applied[i] && boundIn(&conjs[i], cur) {
+				ready = append(ready, conjs[i].expr)
+				applied[i] = true
+			}
+		}
+		if len(ready) > 0 {
+			cur, err = ex.filterRelation(cur, ready)
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	return cur, nil
+}
+
+// onSpec splits an ON clause into the links between left and right
+// and the residual conjuncts.
+func onSpec(left, right *relation, jc *boundJoin) joinSpec {
+	spec := joinSpec{links: eqLinks(left, right, jc.on, nil), outer: jc.left, on: true}
+	for i := range jc.on {
+		if !slices.ContainsFunc(spec.links, func(lk eqLink) bool { return lk.conj == i }) {
+			spec.residual = append(spec.residual, jc.on[i].expr)
+		}
+	}
+	return spec
+}
+
+// eqLink describes an equality conjunct joining two relations.
+type eqLink struct {
+	conj int
+	li   int // column position in left
+	ri   int // column position in right
+}
+
+// eqLinks lists the `colref = colref` conjuncts (skipping applied
+// ones when applied is non-nil) that link a column of l to one of r.
+func eqLinks(l, r *relation, conjs []boundConj, applied []bool) []eqLink {
+	var out []eqLink
+	for i := range conjs {
+		c := &conjs[i]
+		if c.l == nil || (applied != nil && applied[i]) {
+			continue
+		}
+		if li := l.colIndex(c.l); li >= 0 {
+			if ri := r.colIndex(c.r); ri >= 0 {
+				out = append(out, eqLink{conj: i, li: li, ri: ri})
+				continue
+			}
+		}
+		if li := l.colIndex(c.r); li >= 0 {
+			if ri := r.colIndex(c.l); ri >= 0 {
+				out = append(out, eqLink{conj: i, li: li, ri: ri})
+			}
+		}
+	}
+	return out
+}
+
+// indexLink finds a join link whose probe side is an indexed column of
+// a base-scan relation, returning the link index and column name.
+func indexLink(r *relation, links []eqLink, right bool) (int, string) {
+	if r.base == nil {
+		return -1, ""
+	}
+	for i, lk := range links {
+		pos := lk.ri
+		if !right {
+			pos = lk.li
+		}
+		if pos >= len(r.src) {
+			continue // a fused lateral column, not a table column
+		}
+		col := r.cols[pos].name
+		if r.base.HasIndex(col) {
+			return i, col
+		}
+	}
+	return -1, ""
+}
+
+// join joins l and r under spec into a relation of l's columns followed
+// by r's, choosing the kernel.
+func (ex *exec) join(l, r *relation, spec joinSpec) (*relation, error) {
+	out := combineShape(l, r)
+	// Index nested-loop when one side is an indexed base table and the
+	// other side is smaller: probe the index per row instead of hashing
+	// the whole table. The side sizing compares post-filter
+	// cardinalities: the probing side is materialized before the
+	// comparison (its pending filters would otherwise overstate it,
+	// and it must be materialized to probe anyway); the indexed side's
+	// raw row count is an upper bound, since materializing it would
+	// destroy the very index access under consideration — its pending
+	// filters are instead evaluated per probed row. An outer join keeps
+	// every left row, so only its right side can be the indexed one.
+	var ml, mr *relation
+	var err error
+	if len(spec.links) > 0 {
+		if li, col := indexLink(r, spec.links, true); li >= 0 {
+			if ml, err = ex.materialize(l); err != nil {
+				return nil, err
+			}
+			if len(ml.rows) < r.rowCount() {
+				return joined(out, ex.indexProbe(out, ml, r, li, col, true, &spec))
+			}
+		}
+		if li, col := indexLink(l, spec.links, false); li >= 0 && !spec.outer {
+			if mr, err = ex.materialize(r); err != nil {
+				return nil, err
+			}
+			if len(mr.rows) < l.rowCount() {
+				return joined(out, ex.indexProbe(out, mr, l, li, col, false, &spec))
+			}
+		}
+	}
+	if ml == nil {
+		if ml, err = ex.materialize(l); err != nil {
+			return nil, err
+		}
+	}
+	if mr == nil {
+		if mr, err = ex.materialize(r); err != nil {
+			return nil, err
+		}
+	}
+	if len(spec.links) == 0 {
+		return joined(out, ex.nestedLoop(out, ml, mr, &spec))
+	}
+	return joined(out, ex.hashJoin(out, ml, mr, &spec))
+}
+
+// joined returns the relation a kernel filled, or the kernel's error.
+func joined(out *relation, err error) (*relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// joinWorker is one morsel worker of a join kernel: its ticker, its
+// arena and the rows it kept.
+type joinWorker struct {
+	tk    ticker
+	arena rowArena
+	out   []Row
+	res   func(Row) (bool, error) // the compiled residual; nil when none
+	outer bool
+	width int // of a combined row
+}
+
+// pair keeps l and r combined when the residual accepts them, and
+// reports whether it did.
+func (w *joinWorker) pair(l, r Row) (bool, error) {
+	row := w.arena.combine(l, r)
+	if w.res != nil {
+		if ok, err := w.res(row); !ok || err != nil {
+			return false, err
+		}
+	}
+	w.out = append(w.out, row)
+	return true, w.tk.emit()
+}
+
+// unmatched keeps left row l NULL-extended under an outer join; the
+// join kept no pair for it. Arena blocks are fresh, so the right part
+// of the row is NULL already.
+func (w *joinWorker) unmatched(l Row) error {
+	if !w.outer {
+		return nil
+	}
+	row := w.arena.alloc(w.width)
+	copy(row, l)
+	w.out = append(w.out, row)
+	return w.tk.emit()
+}
+
+// probeRows runs a kernel's probe loop, body, over rows in morsels, one
+// joinWorker each, and appends the workers' rows to out in input order.
+// It returns the worker count.
+func (ex *exec) probeRows(out *relation, rows []Row, site CheckSite, spec *joinSpec, body func(w *joinWorker, rows []Row) error) (int, error) {
+	var res func(Row) (bool, error)
+	if len(spec.residual) > 0 {
+		res = ex.db.compilePred(spec.residual, out)
+	}
+	outer := spec.outer
+	workers := make([]joinWorker, planWorkers(len(rows)))
+	err := parallelChunks(len(rows), len(workers), func(chunk, lo, hi int) error {
+		jw := &workers[chunk]
+		*jw = joinWorker{tk: ticker{g: ex.gov, site: site}, arena: rowArena{gov: ex.gov}, res: res, outer: outer, width: len(out.cols)}
+		if err := jw.tk.flush(); err != nil {
+			return err
+		}
+		if err := body(jw, rows[lo:hi]); err != nil {
+			return err
+		}
+		return jw.tk.flush()
+	})
+	if err != nil {
+		return len(workers), err
+	}
+	for i := range workers {
+		out.rows = append(out.rows, workers[i].out...)
+	}
+	return len(workers), nil
+}
+
+// indexProbe joins by probing indexed's base-table hash index with
+// every probe row, verifying all links and indexed's pending filters
+// per candidate. indexedIsRight says whether indexed is the join's
+// right side.
+func (ex *exec) indexProbe(out *relation, probe, indexed *relation, li int, col string, indexedIsRight bool, spec *joinSpec) error {
+	t0 := ex.opStart()
+	idx := indexed.base.indexFor(col)
+	if idx == nil {
+		return fmt.Errorf("sql: internal: index on %q vanished", col)
+	}
+	links := spec.links
+	keyPos := links[li].li
+	if !indexedIsRight {
+		keyPos = links[li].ri
+	}
+	// With a lateral item fused into indexed, the pending filters and
+	// links over table columns are settled on the narrow row, the rest
+	// per pair inside expand. A fused lateral only rides a pushed scan,
+	// and an ON clause's sides are built unpushed, so expand never
+	// meets a residual or an outer join.
+	pending, run := ex.startUnpivot(indexed, indexed.pending)
+	site := CkIndexProbe
+	verify, pairLinks := links, []eqLink(nil)
+	if run != nil {
+		site = CkUnpivot
+		verify, pairLinks = run.splitLinks(links, indexedIsRight)
+	}
+	pendOK := ex.db.compilePred(pending, indexed)
+	w, err := ex.probeRows(out, probe.rows, site, spec, func(jw *joinWorker, rows []Row) error {
+		uw := run.worker(ex.gov)
+		// Each worker owns its reader: reads share a per-reader scratch
+		// row, consumed before the next rowAt (combine copies).
+		rd := indexed.base.reader(indexed.src)
+		for _, pr := range rows {
+			if err := jw.tk.step(); err != nil {
+				return err
+			}
+			matched := false
+			// NULL joins nothing, and keyEqual would pair NULLs.
+			if !nullKey(pr, links, indexedIsRight) {
+				for _, id := range idx.lookupVal(pr[keyPos]) {
+					if err := jw.tk.step(); err != nil {
+						return err
+					}
+					ir := rd.rowAt(int(id))
+					l, r := pr, ir
+					if !indexedIsRight {
+						l, r = ir, pr
+					}
+					if !linkKeyEqual(l, r, verify) {
+						continue
+					}
+					ok, err := pendOK(ir)
+					switch {
+					case err != nil || !ok:
+					case uw != nil:
+						err = uw.expand(int(id), ir, run.all, pr, pairLinks, indexedIsRight)
+					default:
+						ok, err = jw.pair(l, r)
+						matched = matched || ok
+					}
+					if err != nil {
+						return err
+					}
+				}
+			}
+			if !matched {
+				if err := jw.unmatched(pr); err != nil {
+					return err
+				}
+			}
+		}
+		if uw != nil {
+			var err error
+			jw.out, err = uw.finish()
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if ex.prof != nil {
+		st := OpStat{Kind: "index-join", Label: indexed.base.Name + "." + col, RowsIn: int64(len(probe.rows)), RowsOut: int64(len(out.rows)),
+			ColsRead: len(indexed.src), ColsTotal: len(indexed.base.Schema), Workers: w}
+		ex.opEnd(t0, run.opStat(spec.stat(st, "index "+st.Label)))
+	}
+	return nil
+}
+
+// hashJoin builds a hash table on r's link columns and probes it with
+// l's rows. A single link whose build keys are all ints — the common
+// case: every DPH/DS/RPH/RS join runs over dictionary ids — keys an
+// exact map[int64], and a candidate needs no verification; any other
+// build buckets rows by FNV-mixed uint64 hashes verified per candidate.
+func (ex *exec) hashJoin(out *relation, l, r *relation, spec *joinSpec) error {
+	t0 := ex.opStart()
+	links := spec.links
+	exact := len(links) == 1 && !slices.ContainsFunc(r.rows, func(rr Row) bool {
+		_, st := intLinkKey(rr[links[0].ri])
+		return st < 0
+	})
+	bt := ticker{g: ex.gov, site: CkHashBuild}
+	if err := bt.flush(); err != nil {
+		return err
+	}
+	var ints map[int64][]Row
+	var hashed map[uint64][]Row
+	if exact {
+		ints = make(map[int64][]Row, len(r.rows))
+	} else {
+		hashed = make(map[uint64][]Row, len(r.rows))
+	}
+	var built int64
+	for _, rr := range r.rows {
+		if err := bt.step(); err != nil {
+			return err
+		}
+		if exact {
+			k, st := intLinkKey(rr[links[0].ri])
+			if st == 0 {
+				continue // NULLs never join
+			}
+			ints[k] = append(ints[k], rr)
+		} else {
+			h, ok := linkKeyHash(rr, links, false)
+			if !ok {
+				continue
+			}
+			hashed[h] = append(hashed[h], rr)
+		}
+		built++
+		bt.addBytes(hashEntryBytes)
+	}
+	if err := bt.flush(); err != nil {
+		return err
+	}
+	w, err := ex.probeRows(out, l.rows, CkHashProbe, spec, func(jw *joinWorker, rows []Row) error {
+		for _, lr := range rows {
+			if err := jw.tk.step(); err != nil {
+				return err
+			}
+			// A probe value of another class than int never equals an
+			// int key.
+			var cands []Row
+			if exact {
+				if k, st := intLinkKey(lr[links[0].li]); st == 1 {
+					cands = ints[k]
+				}
+			} else if h, ok := linkKeyHash(lr, links, true); ok {
+				cands = hashed[h]
+			}
+			matched := false
+			for _, rr := range cands {
+				if !exact && !linkKeyEqual(lr, rr, links) {
+					continue
+				}
+				ok, err := jw.pair(lr, rr)
+				if err != nil {
+					return err
+				}
+				matched = matched || ok
+			}
+			if !matched {
+				if err := jw.unmatched(lr); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	label := "generic"
+	if exact {
+		label = "int"
+	}
+	ex.opEnd(t0, spec.stat(OpStat{Kind: "hash-join", Label: label, RowsIn: int64(len(l.rows)), BuildRows: built, RowsOut: int64(len(out.rows)), Workers: w}, "hash"))
+	return nil
+}
+
+// nestedLoop tries every pair of l's and r's rows: a cross product,
+// unless an ON clause's residual filters it.
+func (ex *exec) nestedLoop(out *relation, l, r *relation, spec *joinSpec) error {
+	t0 := ex.opStart()
+	w, err := ex.probeRows(out, l.rows, CkCross, spec, func(jw *joinWorker, rows []Row) error {
+		for _, lr := range rows {
+			if err := jw.tk.step(); err != nil {
+				return err
+			}
+			matched := false
+			for _, rr := range r.rows {
+				ok, err := jw.pair(lr, rr)
+				if err == nil && !ok {
+					err = jw.tk.step() // a rejected pair is work too
+				}
+				if err != nil {
+					return err
+				}
+				matched = matched || ok
+			}
+			if !matched {
+				if err := jw.unmatched(lr); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	ex.opEnd(t0, spec.stat(OpStat{Kind: "cross-join", RowsIn: int64(len(l.rows)), BuildRows: int64(len(r.rows)), RowsOut: int64(len(out.rows)), Workers: w}, "nested"))
+	return nil
+}
+
+func combineShape(l, r *relation) *relation {
+	out := &relation{
+		cols:    make([]relCol, 0, len(l.cols)+len(r.cols)),
+		aliases: make([]string, 0, len(l.aliases)+len(r.aliases)),
+	}
+	out.cols = append(append(out.cols, l.cols...), r.cols...)
+	out.aliases = append(append(out.aliases, l.aliases...), r.aliases...)
+	return out
+}
+
+// rowArena carves output rows out of large value blocks: the join and
+// projection kernels emit one row per match, and one allocation per
+// row is the dominant cost of wide scans. An arena is single-goroutine
+// state — each morsel worker owns its own. Block growth is charged
+// against the query's memory budget (gov may be nil in governance-free
+// contexts); a trip aborts via mustChargeBytes, unwound to a typed
+// error at the worker or ExecContext recovery point.
+type rowArena struct {
+	buf  []Value
+	next int // size of the next block, grown geometrically
+	gov  *govern
+}
+
+func (a *rowArena) alloc(n int) Row {
+	if n > len(a.buf) {
+		// Start small (selective joins emit a handful of rows) and
+		// double per block so bulk operators converge on large blocks.
+		sz := a.next
+		if sz < 64 {
+			sz = 64
+		}
+		if sz < n {
+			sz = n
+		}
+		if a.gov != nil {
+			a.gov.mustChargeBytes(int64(sz) * valueBytes)
+		}
+		a.buf = make([]Value, sz)
+		if sz < 16384 {
+			a.next = sz * 2
+		}
+	}
+	r := a.buf[:n:n]
+	a.buf = a.buf[n:]
+	return r
+}
+
+// combine copies l and r, in that order, into one arena row.
+func (a *rowArena) combine(l, r Row) Row {
+	out := a.alloc(len(l) + len(r))
+	copy(out, l)
+	copy(out[len(l):], r)
+	return out
+}
+
+// clone copies r into the arena.
+func (a *rowArena) clone(r Row) Row {
+	out := a.alloc(len(r))
+	copy(out, r)
+	return out
+}
+
+// allocRows allocates n zeroed rows (every cell Null) of the given
+// width. Arena blocks are freshly made and never recycled, so the
+// zero guarantee holds.
+func (a *rowArena) allocRows(n, width int) []Row {
+	out := make([]Row, n)
+	for i := range out {
+		out[i] = a.alloc(width)
+	}
+	return out
+}

@@ -7,12 +7,13 @@ import (
 )
 
 // Morsel-style parallelism for the executor's inner loops. The probe
-// side of hash joins and the inputs of filters and projections are
-// partitioned into contiguous chunks across worker goroutines above a
-// row threshold; each worker appends to its own output slice and the
+// side of every join kernel and the inputs of filters and projections
+// are partitioned into contiguous chunks across worker goroutines above
+// a row threshold; each worker appends to its own output slice and the
 // slices are concatenated in chunk order, so parallel execution
 // produces exactly the rows, in exactly the order, of the sequential
-// loop. Per-row state (rowCtx expression caches) is per worker.
+// loop. Mutable state (tickers, arenas, table readers) is per worker;
+// compiled expressions are immutable and shared.
 
 // defaultParallelThreshold is the minimum number of input rows before
 // a loop fans out. Below it, goroutine startup dominates any win.

@@ -25,8 +25,14 @@ import (
 
 // OpStat records the actual runtime behavior of one executor operator.
 type OpStat struct {
-	Kind  string // "scan", "index-scan", "filter", "hash-join", "index-join", "cross-join", "join-on", "unpivot", "project", "dedup", "order-by", "limit"
-	Label string // detail: table/index name, join kernel ("int", "generic"), ...
+	// Kind is "scan", "index-scan", "filter", "index-join", "hash-join",
+	// "cross-join", "join-on", "unpivot", "project", "dedup", "order-by"
+	// or "limit". A comma join reports its kernel as the kind (label: the
+	// probed index, or "int"/"generic" for the hash kernel); a JOIN … ON
+	// runs on the same kernels and reports "join-on" with the kernel as
+	// the label: "index <table>.<col>", "hash" or "nested".
+	Kind  string
+	Label string // detail: table/index name, join kernel, ...
 	Scope string // lower-cased CTE name the operator ran under ("" = outer query body)
 
 	RowsIn    int64 // input rows (the probe side for joins)

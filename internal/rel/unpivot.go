@@ -281,14 +281,12 @@ pairs:
 			}
 			tail[c] = Int(ck.intAt(ck.rank(off)))
 		}
-		for _, lk := range links {
-			lv, rv := probe[lk.li], w.cand[lk.ri]
-			if !indexedIsRight {
-				lv, rv = w.cand[lk.li], probe[lk.ri]
-			}
-			if !Equal(lv, rv) {
-				continue pairs
-			}
+		l, r := probe, w.cand
+		if !indexedIsRight {
+			l, r = w.cand, probe
+		}
+		if !linkKeyEqual(l, r, links) {
+			continue pairs
 		}
 		if run.post != nil {
 			ok, err := run.post(w.cand)

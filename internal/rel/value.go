@@ -12,6 +12,7 @@
 package rel
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -149,14 +150,24 @@ func (v Value) key() string {
 
 // Compare orders two non-null values: -1, 0, +1. Values of different
 // families order by kind (numeric < string < bool). Returns false if
-// either side is NULL.
+// either side is NULL. Ints, and floats with an integral value, compare
+// exactly as int64s: through float64, an id above 2^53 would equal its
+// neighbours, and `=` would disagree with the join key (keyEqual).
 func Compare(a, b Value) (int, bool) {
 	if a.IsNull() || b.IsNull() {
 		return 0, false
 	}
+	if a.K == KindInt && b.K == KindInt {
+		return cmp.Compare(a.I, b.I), true
+	}
 	af, aNum := a.AsFloat()
 	bf, bNum := b.AsFloat()
 	if aNum && bNum {
+		ca, ia, _, _ := keyCanon(a)
+		cb, ib, _, _ := keyCanon(b)
+		if ca == keyClassInt && cb == keyClassInt {
+			return cmp.Compare(ia, ib), true
+		}
 		switch {
 		case af < bf:
 			return -1, true
