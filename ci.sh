@@ -23,6 +23,8 @@ go test -race -count=3 -run '^TestPlanCacheAcrossWrites$' .
 go test -race -count=1 -run '^TestPlanAnswersIndependentOfStatistics$|^TestMarkerStableWriteKeepsCapturedMaps$' . ./internal/store/
 echo "== closures (stable names, per-snapshot memo, inference reflexivity) =="
 go test -race -count=3 -run 'TestPath|TestInference|TestPlanCacheKeepsClosures|TestClosure' .
+echo "== one read view (live vs published snapshot, published epoch, Update chains) =="
+go test -race -count=3 -run 'TestLiveSnapshotMatchesPublished|TestPublishedEpochNeverAhead|TestUpdateOperationSequence|TestClosureMemo' . ./internal/store/
 echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="
 go test -race -count=1 \
     -run 'TestSyntaxErrorIsTyped|TestDescribe|TestInference|TestAnalyze|TestExplainArtifacts|TestPathExplain' .

@@ -114,7 +114,7 @@ type Store struct {
 // recovers the persisted state from that directory and continues
 // logging to it.
 func Open(opts Options) (*Store, error) {
-	s, err := store.New(nil, store.Options{
+	s, err := store.New(store.Options{
 		K:              opts.K,
 		KReverse:       opts.KReverse,
 		Mapping:        opts.Mapping,
@@ -214,11 +214,11 @@ func (s *Store) Len() int {
 }
 
 // StorageBytes returns the resident in-memory size of the store's
-// data: the four DB2RDF relations (DPH, DS, RPH, RS) plus the
-// dictionary's id→term store. Relation bytes cover column vectors,
-// null bitmaps, and string contents — the number publish-time chunk
-// sealing is designed to shrink; dictionary bytes cover the front-coded
-// term blocks.
+// data as of the latest published snapshot: the four DB2RDF relations
+// (DPH, DS, RPH, RS) plus the dictionary's id→term store. Relation
+// bytes cover chunk headers, packed int64-id vectors and null bitmaps —
+// the number publish-time chunk sealing is designed to shrink;
+// dictionary bytes cover the front-coded term blocks.
 func (s *Store) StorageBytes() int64 {
 	return s.inner.Snapshot().StorageBytes()
 }

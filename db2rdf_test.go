@@ -300,7 +300,7 @@ func TestSpilledStoreStillCorrect(t *testing.T) {
 	// A tiny K forces spills; queries must still answer correctly
 	// (merges disabled by the spill predicate set).
 	s := fig1(t, Options{K: 2, KReverse: 2})
-	if s.Internal().SpillCount(false) == 0 {
+	if s.Internal().Snapshot().SpillCount(false) == 0 {
 		t.Fatal("expected spills with K=2")
 	}
 	rs := s.MustQuery(`SELECT ?x WHERE { ?x <born> ?b . ?x <founder> ?c . ?x <died> ?d }`)

@@ -306,7 +306,7 @@ func TestSnapshotReclaimsDeletedState(t *testing.T) {
 		t.Fatalf("delete: n=%d err=%v", n, err)
 	}
 	want := exportStr(t, s)
-	if n := s.Internal().SpillCount(false); n != 0 {
+	if n := s.Internal().Snapshot().SpillCount(false); n != 0 {
 		t.Fatalf("live spill count not recomputed at compacting publish: %d", n)
 	}
 	if err := s.Close(); err != nil {

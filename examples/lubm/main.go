@@ -31,7 +31,7 @@ func main() {
 	if err := hybrid.LoadTriples(ds.Triples); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("loaded in %s (%d spills)\n\n", time.Since(start).Round(time.Millisecond), hybrid.Internal().SpillCount(false))
+	fmt.Printf("loaded in %s (%d spills)\n\n", time.Since(start).Round(time.Millisecond), hybrid.Internal().Snapshot().SpillCount(false))
 	if err := naive.LoadTriples(ds.Triples); err != nil {
 		log.Fatal(err)
 	}

@@ -196,14 +196,14 @@ func ExpSpills(w io.Writer, sc Scales) error {
 
 func spillsUnderColoring(all, sample []rdf.Triple) (int, error) {
 	direct, reverse, _, _ := store.BuildMappings(sample, 80, 80)
-	st, err := store.New(nil, store.Options{K: 80, KReverse: 80, Mapping: direct, ReverseMapping: reverse})
+	st, err := store.New(store.Options{K: 80, KReverse: 80, Mapping: direct, ReverseMapping: reverse})
 	if err != nil {
 		return 0, err
 	}
 	if err := st.LoadTriples(all); err != nil {
 		return 0, err
 	}
-	return st.SpillCount(false), nil
+	return st.Snapshot().SpillCount(false), nil
 }
 
 // ExpNulls reproduces the §2.3 NULL experiment: a 5-predicate uniform
@@ -458,24 +458,24 @@ func ExpAblationMapping(w io.Writer, sc Scales) error {
 	} {
 		var cells []string
 		for n := 1; n <= 3; n++ {
-			st, err := store.New(nil, store.Options{K: 32, Mapping: coloring.NewHashMapping(32, n)})
+			st, err := store.New(store.Options{K: 32, Mapping: coloring.NewHashMapping(32, n)})
 			if err != nil {
 				return err
 			}
 			if err := st.LoadTriples(d.triples); err != nil {
 				return err
 			}
-			cells = append(cells, fmt.Sprintf("%d", st.SpillCount(false)))
+			cells = append(cells, fmt.Sprintf("%d", st.Snapshot().SpillCount(false)))
 		}
 		direct, reverse, _, _ := store.BuildMappings(d.triples, 32, 32)
-		st, err := store.New(nil, store.Options{K: 32, Mapping: direct, ReverseMapping: reverse})
+		st, err := store.New(store.Options{K: 32, Mapping: direct, ReverseMapping: reverse})
 		if err != nil {
 			return err
 		}
 		if err := st.LoadTriples(d.triples); err != nil {
 			return err
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\n", d.name, cells[0], cells[1], cells[2], st.SpillCount(false))
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\n", d.name, cells[0], cells[1], cells[2], st.Snapshot().SpillCount(false))
 	}
 	return tw.Flush()
 }
@@ -533,7 +533,7 @@ func ExpAblationK(w io.Writer, sc Scales, opts RunOptions) error {
 		}}
 		a := RunQuery(sys, q6, -1, opts)
 		b := RunQuery(sys, q1, -1, opts)
-		fmt.Fprintf(tw, "%d\t%d\t%s\t%s\n", k, s.Internal().SpillCount(false), ms(a.Mean), ms(b.Mean))
+		fmt.Fprintf(tw, "%d\t%d\t%s\t%s\n", k, s.Internal().Snapshot().SpillCount(false), ms(a.Mean), ms(b.Mean))
 	}
 	return tw.Flush()
 }

@@ -44,7 +44,7 @@ func BenchmarkInsertLongList(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", l.name, n), func(b *testing.B) {
 				var elapsed time.Duration
 				for i := 0; i < b.N; i++ {
-					s, err := New(nil, Options{})
+					s, err := New(Options{})
 					if err != nil {
 						b.Fatal(err)
 					}

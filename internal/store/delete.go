@@ -107,7 +107,7 @@ func (s *Store) DeleteLocked(t rdf.Triple) (bool, error) {
 // the number of triples removed and does not publish.
 func (s *Store) ClearLocked() int {
 	n := int(s.triples)
-	for _, t := range []*rel.Table{s.dph, s.ds, s.rph, s.rs} {
+	for _, t := range s.tables() {
 		t.Clear()
 	}
 	s.direct.resetState()

@@ -81,10 +81,10 @@ func TestLoadParallelStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		statsEqual(t, "workers", seq, par, ts)
-		if got, want := par.EntityCount(false), seq.EntityCount(false); got != want {
+		if got, want := par.Snapshot().EntityCount(false), seq.Snapshot().EntityCount(false); got != want {
 			t.Errorf("workers=%d: direct entities %d, want %d", workers, got, want)
 		}
-		if got, want := par.EntityCount(true), seq.EntityCount(true); got != want {
+		if got, want := par.Snapshot().EntityCount(true), seq.Snapshot().EntityCount(true); got != want {
 			t.Errorf("workers=%d: reverse entities %d, want %d", workers, got, want)
 		}
 	}
@@ -108,13 +108,13 @@ func TestLoadParallelSpills(t *testing.T) {
 	if err := par.LoadTriplesParallel(ts, 4); err != nil {
 		t.Fatal(err)
 	}
-	if seq.SpillCount(false) == 0 {
+	if seq.Snapshot().SpillCount(false) == 0 {
 		t.Fatal("test data should spill with K=3")
 	}
-	if got, want := par.SpillCount(false), seq.SpillCount(false); got != want {
+	if got, want := par.Snapshot().SpillCount(false), seq.Snapshot().SpillCount(false); got != want {
 		t.Errorf("parallel spill count %d, want %d", got, want)
 	}
-	if got, want := len(par.SpillPredicates(false)), len(seq.SpillPredicates(false)); got != want {
+	if got, want := len(par.Snapshot().SpillPredicates(false)), len(seq.Snapshot().SpillPredicates(false)); got != want {
 		t.Errorf("parallel spill predicates %d, want %d", got, want)
 	}
 }
@@ -130,7 +130,7 @@ func TestLoadParallelBadInput(t *testing.T) {
 	if got := s.StatsView().TotalTriples(); got != 0 {
 		t.Fatalf("failed load must not insert; stats total = %v", got)
 	}
-	if got := s.EntityCount(false); got != 0 {
+	if got := s.Snapshot().EntityCount(false); got != 0 {
 		t.Fatalf("failed load must not insert; entities = %d", got)
 	}
 }

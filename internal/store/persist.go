@@ -15,7 +15,6 @@ import (
 	"db2rdf/internal/binenc"
 	"db2rdf/internal/dict"
 	"db2rdf/internal/rdf"
-	"db2rdf/internal/rel"
 	"db2rdf/internal/wal"
 )
 
@@ -388,7 +387,7 @@ func (s *Store) encodeSnapshotFile(sn *Snapshot) []byte {
 		buf = append(buf, k...)
 	}
 	buf = binary.AppendUvarint(buf, uint64(nextLid-dict.LidBase))
-	for _, t := range []*rel.Table{sn.dph, sn.ds, sn.rph, sn.rs} {
+	for _, t := range sn.tables() {
 		blob := t.EncodeSnapshot(nil)
 		buf = binary.AppendUvarint(buf, uint64(len(blob)))
 		buf = append(buf, blob...)
@@ -553,7 +552,7 @@ func (s *Store) tryLoadSnapshotLocked(si snapInfo) (bool, error) {
 	if err := s.Dict.Restore(terms, nextLid); err != nil {
 		return false, nil
 	}
-	for _, t := range []*rel.Table{s.dph, s.ds, s.rph, s.rs} {
+	for _, t := range s.tables() {
 		bl := c.Uvarint()
 		if c.Err() != nil || bl > uint64(c.Remaining()) {
 			return false, nil
@@ -565,19 +564,9 @@ func (s *Store) tryLoadSnapshotLocked(si snapInfo) (bool, error) {
 	if c.Err() != nil || c.Remaining() != 0 {
 		return false, nil
 	}
-	for _, idx := range []struct {
-		t    *rel.Table
-		cols []string
-	}{
-		{s.dph, []string{"entry"}},
-		{s.rph, []string{"entry"}},
-		{s.ds, []string{"lid", "elm"}},
-		{s.rs, []string{"lid", "elm"}},
-	} {
-		for _, col := range idx.cols {
-			if err := idx.t.CreateIndex(col); err != nil {
-				return false, err
-			}
+	for _, d := range s.sides() {
+		if err := d.createIndexes(); err != nil {
+			return false, err
 		}
 	}
 	if err := s.deriveLocked(); err != nil {
@@ -589,7 +578,7 @@ func (s *Store) tryLoadSnapshotLocked(si snapInfo) (bool, error) {
 // resetContentLocked returns the store to empty after a failed
 // snapshot install so the next candidate decodes into clean tables.
 func (s *Store) resetContentLocked() {
-	for _, t := range []*rel.Table{s.dph, s.ds, s.rph, s.rs} {
+	for _, t := range s.tables() {
 		t.Clear()
 	}
 	s.direct.resetState()

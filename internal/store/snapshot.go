@@ -11,23 +11,26 @@ import (
 	"db2rdf/internal/rel"
 )
 
-// Snapshot publication (DESIGN.md §8). Every successful writer, while
-// still holding the store write lock, freezes the current state into a
-// Snapshot — an immutable bundle of the frozen relational database
-// (rel.DB.Publish), the predicate-keyed translator inputs (spill and
-// multi-value sets), the entity and triple counts, the new epoch and
-// the plan epoch — and publishes it with one atomic pointer swap.
-// Everything else a reader asks about (an entity's rows and triples,
-// spill rows) is read from the frozen tables and their indexes.
-// Readers load the pointer once and run the whole query against that
-// snapshot without ever touching the store-level lock: a bulk load on
-// another goroutine can proceed concurrently and its partial state is
-// invisible until its own publish.
+// Snapshot publication (DESIGN.md §8). A Snapshot is the store's two
+// sides as one reader sees them — DPH/DS keyed by subject and RPH/RS
+// keyed by object, each with its spill and multi-value predicate
+// markers and its entity count — plus the triple count, the epoch and
+// the plan epoch. Every read of the store goes through one.
 //
-// The captured spill/multi maps are shared with the live side until a
-// writer next adds a marker; the predShared flag makes that addition
-// clone first (copy-on-write under predMu), so a published map is
-// never written again, and a write that adds no marker hands the next
+// A published snapshot reads the frozen database (rel.DB.Publish):
+// every successful writer, still holding the store write lock, builds
+// one and publishes it with one atomic pointer swap. Readers load the
+// pointer once and run the whole query against it without touching the
+// store lock, so a bulk load on another goroutine proceeds concurrently
+// and stays invisible until its own publish. A live snapshot
+// (LiveSnapshot) has the same shape over the live tables; it is for the
+// holder of the write lock only, which the SPARQL Update path uses so a
+// WHERE clause sees the request's earlier operations.
+//
+// The captured spill/multi maps are shared with the writer until it
+// next adds a marker; the predShared flag makes that addition clone
+// first (copy-on-write under predMu), so a captured map is never
+// written again, and a write that adds no marker hands the next
 // snapshot the same maps.
 //
 // The plan epoch versions what the SQL translator reads from a
@@ -42,26 +45,28 @@ import (
 // an old snapshot returns, the snapshot — and every chunk version
 // superseded since — becomes unreachable.
 
-// Snapshot is one immutable published version of the store. All
-// methods are safe for unlimited concurrent use without any store
-// locking. The zero-db ("live") variant returned by LiveSnapshot
-// instead reads the live state and is only for callers already
-// holding the store write lock (the SPARQL Update WHERE path).
+// Snapshot is one read view of the store. A published snapshot is
+// immutable and all its methods are safe for unlimited concurrent use
+// without store locking; a live one is valid only while its caller
+// holds the store write lock.
 type Snapshot struct {
 	store     *Store
 	epoch     uint64
-	planEpoch uint64
-	db        *rel.DB // frozen database; nil = live fallback
-
-	dph, ds, rph, rs *rel.Table // frozen relations (nil on live)
-
-	dirSpill, revSpill       map[int64]bool
-	dirMulti, revMulti       map[int64]bool
-	dirEntities, revEntities int
-	triples                  int64
+	planEpoch uint64 // 0 on a live snapshot
+	db        *rel.DB
+	live      bool
+	sides     [2]sideView // direct, reverse
+	triples   int64
 
 	closureMu sync.Mutex
 	closures  map[string]*rel.Table // closure relations by name
+}
+
+// sideView is one side of the schema as a snapshot reads it.
+type sideView struct {
+	primary, secondary *rel.Table // DPH and DS, or RPH and RS
+	spill, multi       map[int64]bool
+	entities           int
 }
 
 // maxClosures bounds the closure relations one snapshot keeps: beyond
@@ -72,12 +77,26 @@ const maxClosures = 64
 // blocks and never returns nil once New has run.
 func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 
-// LiveSnapshot returns a pass-through snapshot reading the live store
-// state. The caller must hold the store write lock for its whole
-// lifetime: the SPARQL Update path uses it so DELETE/INSERT ... WHERE
-// evaluation sees its own earlier mutations within one request.
+// LiveSnapshot returns a snapshot of the live store state. The caller
+// must hold the store write lock for its whole lifetime and change
+// nothing while it reads: the SPARQL Update path takes one per WHERE
+// clause, so the clause sees the request's earlier operations.
 func (s *Store) LiveSnapshot() *Snapshot {
-	return &Snapshot{store: s, epoch: s.epoch.Load()}
+	return s.view(s.DB, s.epoch.Load(), true)
+}
+
+// view builds a snapshot of the current state over db, the live
+// database or a frozen copy of it. The caller holds the store write
+// lock.
+func (s *Store) view(db *rel.DB, epoch uint64, live bool) *Snapshot {
+	sn := &Snapshot{store: s, epoch: epoch, db: db, live: live, triples: s.triples}
+	for i, d := range s.sides() {
+		v := &sn.sides[i]
+		v.primary, v.secondary = db.Table(d.primary.Name), db.Table(d.secondary.Name)
+		v.spill, v.multi = d.capturePreds()
+		v.entities = d.entities
+	}
+	return sn
 }
 
 // publishLocked advances the epoch and publishes a fresh snapshot of
@@ -126,16 +145,7 @@ func (s *Store) installLocked(epoch uint64) {
 		// tables keep every invariant derive checks, so it cannot fail.
 		_ = s.deriveLocked()
 	}
-	sn := &Snapshot{store: s, epoch: epoch, db: db}
-	sn.dph = sn.db.Table(s.TableName("DPH"))
-	sn.ds = sn.db.Table(s.TableName("DS"))
-	sn.rph = sn.db.Table(s.TableName("RPH"))
-	sn.rs = sn.db.Table(s.TableName("RS"))
-	sn.dirSpill, sn.dirMulti = s.direct.capturePreds()
-	sn.revSpill, sn.revMulti = s.reverse.capturePreds()
-	sn.dirEntities = s.direct.entities
-	sn.revEntities = s.reverse.entities
-	sn.triples = s.triples
+	sn := s.view(db, epoch, false)
 	sn.planEpoch = 1
 	if prev := s.snap.Load(); prev != nil {
 		sn.planEpoch = prev.planEpoch
@@ -149,8 +159,12 @@ func (s *Store) installLocked(epoch uint64) {
 // sameMarkers reports whether two snapshots carry equal spill and
 // multi-value marker sets on both sides.
 func sameMarkers(a, b *Snapshot) bool {
-	return maps.Equal(a.dirSpill, b.dirSpill) && maps.Equal(a.revSpill, b.revSpill) &&
-		maps.Equal(a.dirMulti, b.dirMulti) && maps.Equal(a.revMulti, b.revMulti)
+	for i := range a.sides {
+		if !maps.Equal(a.sides[i].spill, b.sides[i].spill) || !maps.Equal(a.sides[i].multi, b.sides[i].multi) {
+			return false
+		}
+	}
+	return true
 }
 
 // PublishLocked is publishLocked for package db2rdf's update path,
@@ -168,11 +182,11 @@ func (d *side) capturePreds() (spill, multi map[int64]bool) {
 	return d.spillPreds, d.multiPreds
 }
 
-// Live reports whether this is a pass-through snapshot of the live
-// store (write-lock callers only). Live results must not be cached
-// against the snapshot epoch: mid-update content is newer than the
-// published state of the same epoch.
-func (sn *Snapshot) Live() bool { return sn.db == nil }
+// Live reports whether this is a live snapshot (write-lock callers
+// only). Live results must not be cached against the snapshot epoch:
+// mid-update content is newer than the published state of the same
+// epoch.
+func (sn *Snapshot) Live() bool { return sn.live }
 
 // Epoch returns the store epoch this snapshot was published at.
 func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
@@ -184,15 +198,10 @@ func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 func (sn *Snapshot) PlanEpoch() uint64 { return sn.planEpoch }
 
 // DB returns the relational database to execute against: the frozen
-// copy, or the live database for a write-lock pass-through. A frozen
-// DB is never changed; a query reading closure relations executes on
-// an overlay of it (rel.DB.With).
-func (sn *Snapshot) DB() *rel.DB {
-	if sn.db == nil {
-		return sn.store.DB
-	}
-	return sn.db
-}
+// copy, or the live database on a live snapshot. A frozen DB is never
+// changed; a query reading closure relations executes on an overlay of
+// it (rel.DB.With).
+func (sn *Snapshot) DB() *rel.DB { return sn.db }
 
 // Closure returns the relation named name, built by build unless this
 // snapshot already keeps one: a published snapshot never changes, so
@@ -208,7 +217,7 @@ func (sn *Snapshot) Closure(name string, build func() (*rel.Table, error)) (*rel
 		return t, nil
 	}
 	t, err := build()
-	if err != nil || sn.db == nil {
+	if err != nil || sn.live {
 		return t, err
 	}
 	sn.closureMu.Lock()
@@ -225,15 +234,28 @@ func (sn *Snapshot) Closure(name string, build func() (*rel.Table, error)) (*rel
 	return t, nil
 }
 
-// TableName returns the prefixed name of one of the store's relations.
-func (sn *Snapshot) TableName(base string) string { return sn.store.TableName(base) }
+// side returns one side's view: the direct side (DPH/DS) or, when
+// reverse, the reverse side (RPH/RS).
+func (sn *Snapshot) side(reverse bool) *sideView {
+	if reverse {
+		return &sn.sides[1]
+	}
+	return &sn.sides[0]
+}
+
+// tables returns the four relations in snapshot-file order: DPH, DS,
+// RPH, RS.
+func (sn *Snapshot) tables() [4]*rel.Table {
+	d, r := &sn.sides[0], &sn.sides[1]
+	return [4]*rel.Table{d.primary, d.secondary, r.primary, r.secondary}
+}
 
 // Mapping returns the predicate-to-column mapping of one side (fixed
 // at store creation, never mutated).
-func (sn *Snapshot) Mapping(reverse bool) coloring.Mapping { return sn.store.Mapping(reverse) }
+func (sn *Snapshot) Mapping(reverse bool) coloring.Mapping { return sn.store.side(reverse).mapping }
 
 // K returns the column-pair budget of one side.
-func (sn *Snapshot) K(reverse bool) int { return sn.store.K(reverse) }
+func (sn *Snapshot) K(reverse bool) int { return sn.store.side(reverse).k }
 
 // LookupID resolves a term against the store dictionary (internally
 // synchronized and append-only: an id interned after this snapshot
@@ -254,107 +276,49 @@ func (sn *Snapshot) Decode(id int64) (rdf.Term, error) { return sn.store.Dict.De
 // have produced (ids are interned before the rows naming them publish).
 func (sn *Snapshot) Terms() *dict.View { return sn.store.Dict.View() }
 
-// SpillPredicates returns the spill-involved predicate set of one side
-// as of this snapshot. The returned map is immutable (copy-on-write on
-// the writer side).
-func (sn *Snapshot) SpillPredicates(reverse bool) map[int64]bool {
-	if sn.db == nil {
-		return sn.store.SpillPredicates(reverse)
-	}
-	if reverse {
-		return sn.revSpill
-	}
-	return sn.dirSpill
-}
+// SpillPredicates returns the spill-involved predicate set of one
+// side; the translator consults it to decide whether star merging is
+// safe (§3.2.1). The returned map is immutable (copy-on-write on the
+// writer side).
+func (sn *Snapshot) SpillPredicates(reverse bool) map[int64]bool { return sn.side(reverse).spill }
 
-// MultiValued reports whether the predicate held a DS/RS list on the
-// given side as of this snapshot.
-func (sn *Snapshot) MultiValued(pid int64, reverse bool) bool {
-	if sn.db == nil {
-		return sn.store.MultiValued(pid, reverse)
-	}
-	if reverse {
-		return sn.revMulti[pid]
-	}
-	return sn.dirMulti[pid]
-}
+// MultiValued reports whether the predicate holds a DS/RS list for at
+// least one entity on the given side; the translator joins the
+// secondary relation only for such predicates.
+func (sn *Snapshot) MultiValued(pid int64, reverse bool) bool { return sn.side(reverse).multi[pid] }
 
-// AnyMultiValued reports whether any predicate on the given side was
-// multi-valued as of this snapshot.
-func (sn *Snapshot) AnyMultiValued(reverse bool) bool {
-	if sn.db == nil {
-		return sn.store.AnyMultiValued(reverse)
-	}
-	if reverse {
-		return len(sn.revMulti) > 0
-	}
-	return len(sn.dirMulti) > 0
-}
+// AnyMultiValued reports whether any predicate on the given side is
+// multi-valued (variable-predicate translations must be conservative).
+func (sn *Snapshot) AnyMultiValued(reverse bool) bool { return len(sn.side(reverse).multi) > 0 }
 
-// SpillCount returns the number of spill rows on one side as of this
-// snapshot: live DPH or RPH rows beyond each entity's first.
+// SpillCount returns the number of spill rows on one side: live DPH or
+// RPH rows beyond each entity's first.
 func (sn *Snapshot) SpillCount(reverse bool) int {
-	primary, _ := sn.tables(reverse)
-	return primary.LiveLen() - sn.EntityCount(reverse)
+	v := sn.side(reverse)
+	return v.primary.LiveLen() - v.entities
 }
 
-// EntityCount returns the number of distinct entities on one side as
-// of this snapshot.
-func (sn *Snapshot) EntityCount(reverse bool) int {
-	if sn.db == nil {
-		return sn.store.EntityCount(reverse)
-	}
-	if reverse {
-		return sn.revEntities
-	}
-	return sn.dirEntities
-}
+// EntityCount returns the number of distinct entities on one side.
+func (sn *Snapshot) EntityCount(reverse bool) int { return sn.side(reverse).entities }
 
-// TableBytes returns the resident size of the four frozen relations
-// (shared chunk data is counted once — the frozen directories point at
-// the same chunks the live table serves).
+// TableBytes returns the resident size of the four relations: chunk
+// headers, packed column vectors and null bitmaps. Chunk data a frozen
+// table shares with the live one is counted once.
 func (sn *Snapshot) TableBytes() int64 {
-	if sn.db == nil {
-		return sn.store.TableBytes()
-	}
 	var total int64
-	for _, t := range []*rel.Table{sn.dph, sn.ds, sn.rph, sn.rs} {
-		if t != nil {
-			total += t.ResidentBytes()
-		}
+	for _, t := range sn.tables() {
+		total += t.ResidentBytes()
 	}
 	return total
 }
 
 // DictBytes returns the resident size of the dictionary's id→term
-// store. The dictionary is shared (append-only) rather than frozen, so
-// this reads the live store's dictionary.
+// store (front-coded blocks plus the unsealed tail). The dictionary is
+// shared and append-only rather than frozen.
 func (sn *Snapshot) DictBytes() int64 { return sn.store.Dict.ResidentBytes() }
 
-// StorageBytes returns the total resident data footprint as of this
-// snapshot: the four relations plus the dictionary's id→term store.
+// StorageBytes returns the total resident data footprint: the four
+// relations plus the dictionary's id→term store.
 func (sn *Snapshot) StorageBytes() int64 {
 	return sn.TableBytes() + sn.DictBytes()
-}
-
-// tripleCount returns the number of triples as of this snapshot.
-func (sn *Snapshot) tripleCount() int64 {
-	if sn.db == nil {
-		return sn.store.triples
-	}
-	return sn.triples
-}
-
-// tables returns one side's primary and secondary relations as of this
-// snapshot (the live ones on a pass-through snapshot).
-func (sn *Snapshot) tables(reverse bool) (primary, secondary *rel.Table) {
-	switch {
-	case sn.db == nil && reverse:
-		return sn.store.rph, sn.store.rs
-	case sn.db == nil:
-		return sn.store.dph, sn.store.ds
-	case reverse:
-		return sn.rph, sn.rs
-	}
-	return sn.dph, sn.ds
 }

@@ -29,7 +29,7 @@ func (sn *Snapshot) StatsView() StatsView { return StatsView{sn} }
 func (s *Store) StatsView() StatsView { return s.Snapshot().StatsView() }
 
 // TotalTriples implements optimizer.Stats.
-func (v StatsView) TotalTriples() float64 { return float64(v.sn.tripleCount()) }
+func (v StatsView) TotalTriples() float64 { return float64(v.sn.triples) }
 
 // AvgPerSubject implements optimizer.Stats.
 func (v StatsView) AvgPerSubject() float64 { return v.avg(false) }
@@ -42,7 +42,7 @@ func (v StatsView) avg(reverse bool) float64 {
 	if n == 0 {
 		return 1
 	}
-	return float64(v.sn.tripleCount()) / float64(n)
+	return float64(v.sn.triples) / float64(n)
 }
 
 // SubjectCount implements optimizer.Stats. Every count is exact, so
@@ -57,8 +57,8 @@ func (v StatsView) count(t rdf.Term, reverse bool) float64 {
 	if !ok {
 		return 0 // absent from the dictionary, so from the data
 	}
-	primary, secondary := v.sn.tables(reverse)
-	return float64(entityTriples(primary, secondary, v.sn.K(reverse), id))
+	sv := v.sn.side(reverse)
+	return float64(entityTriples(sv.primary, sv.secondary, v.sn.K(reverse), id))
 }
 
 // entityTriples counts the triples of one entity on one side: each
@@ -96,15 +96,15 @@ func (sn *Snapshot) TopConstants(k int) []string {
 	}
 	var all []pair
 	for _, reverse := range []bool{false, true} {
-		primary, secondary := sn.tables(reverse)
+		sv := sn.side(reverse)
 		seen := make(map[int64]bool)
-		for i, rows := 0, primary.Len(); i < rows; i++ {
-			ev := primary.CellAt(i, 0)
+		for i, rows := 0, sv.primary.Len(); i < rows; i++ {
+			ev := sv.primary.CellAt(i, 0)
 			if ev.K != rel.KindInt || seen[ev.I] {
 				continue
 			}
 			seen[ev.I] = true
-			if n := entityTriples(primary, secondary, sn.K(reverse), ev.I); n > 0 {
+			if n := entityTriples(sv.primary, sv.secondary, sn.K(reverse), ev.I); n > 0 {
 				all = append(all, pair{ev.I, n})
 			}
 		}

@@ -32,9 +32,6 @@ type Options struct {
 	// ReverseMapping assigns predicates to RPH columns; nil means a
 	// 2-way composed hash over KReverse columns.
 	ReverseMapping coloring.Mapping
-	// TablePrefix prefixes the relation names so several stores can
-	// share one rel.DB (used by the benchmark harness).
-	TablePrefix string
 	// Durability enables the WAL + snapshot persistence layer (see
 	// persist.go); the zero value keeps the store purely in-memory.
 	Durability Durability
@@ -65,16 +62,13 @@ func (o *Options) fill() {
 // (the query pipeline in package db2rdf) call Snapshot() once and run
 // entirely against the frozen state: no store-level lock appears on
 // the read path, so query latency is decoupled from concurrent bulk
-// loads. The fine-grained live accessors (SpillPredicates,
-// MultiValued, ...) do NOT lock themselves — they serve write-lock
-// holders (via LiveSnapshot) and tools that otherwise exclude writers;
-// lock-free readers use the Snapshot methods of the same names.
+// loads. Every read of the store's relations, markers and counts goes
+// through a Snapshot; the holder of the write lock reads its own
+// changes through LiveSnapshot.
 type Store struct {
 	DB   *rel.DB
 	Dict *dict.Dict
 	Opts Options
-
-	dph, ds, rph, rs *rel.Table
 
 	direct  *side
 	reverse *side
@@ -90,9 +84,12 @@ type Store struct {
 	// epoch counts publishes. Every writer that changed content bumps
 	// it (inside publishLocked) while holding the write lock, so two
 	// readers observing the same Snapshot().Epoch() saw byte-identical
-	// store content. The compiled-plan cache in package db2rdf keys its
-	// entries on the snapshot's plan epoch instead (snapshot.go), and
-	// on this one only for plans that looked up an absent constant.
+	// store content. It moves before the WAL append and the pointer
+	// swap, so only the writer reads it; everyone else reads the
+	// published snapshot's. The compiled-plan cache in package db2rdf
+	// keys its entries on the snapshot's plan epoch instead
+	// (snapshot.go), and on this one only for plans that looked up an
+	// absent constant.
 	epoch atomic.Uint64
 
 	// snap is the atomically published snapshot readers run against;
@@ -113,11 +110,6 @@ type Store struct {
 	// deletes never re-capture deltas; see persist.go.
 	dur *durableState
 }
-
-// Epoch returns the store's write epoch (see the field comment). A
-// cached artifact derived at epoch E remains valid exactly for data
-// read from a snapshot whose Epoch() is E.
-func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
 // side holds one direction (subject-keyed DPH/DS or object-keyed
 // RPH/RS). Everything about an entity — its rows, whether it spilled,
@@ -196,58 +188,18 @@ func (d *side) listRow(lid, member int64) int {
 	return -1
 }
 
-// New creates an empty store backed by db (a fresh rel.DB when nil).
-func New(db *rel.DB, opts Options) (*Store, error) {
+// New creates an empty store, or, with opts.Durability.Dir set,
+// recovers the one persisted there.
+func New(opts Options) (*Store, error) {
 	opts.fill()
-	if db == nil {
-		db = rel.NewDB()
-	}
-	s := &Store{DB: db, Dict: dict.New(), Opts: opts}
-
-	mk := func(name string, k int) (*rel.Table, error) {
-		schema := rel.Schema{{Name: "entry"}, {Name: "spill"}}
-		for i := 0; i < k; i++ {
-			schema = append(schema, rel.Column{Name: fmt.Sprintf("pred%d", i)})
-			schema = append(schema, rel.Column{Name: fmt.Sprintf("val%d", i)})
-		}
-		t, err := db.CreateTable(opts.TablePrefix+name, schema)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.CreateIndex("entry"); err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
+	s := &Store{DB: rel.NewDB(), Dict: dict.New(), Opts: opts}
 	var err error
-	if s.dph, err = mk("DPH", opts.K); err != nil {
+	if s.direct, err = newSide(s.DB, "DPH", "DS", opts.Mapping, opts.K); err != nil {
 		return nil, err
 	}
-	if s.rph, err = mk("RPH", opts.KReverse); err != nil {
+	if s.reverse, err = newSide(s.DB, "RPH", "RS", opts.ReverseMapping, opts.KReverse); err != nil {
 		return nil, err
 	}
-	mkSec := func(name string) (*rel.Table, error) {
-		t, err := db.CreateTable(opts.TablePrefix+name, rel.Schema{{Name: "lid"}, {Name: "elm"}})
-		if err != nil {
-			return nil, err
-		}
-		if err := t.CreateIndex("lid"); err != nil {
-			return nil, err
-		}
-		if err := t.CreateIndex("elm"); err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-	if s.ds, err = mkSec("DS"); err != nil {
-		return nil, err
-	}
-	if s.rs, err = mkSec("RS"); err != nil {
-		return nil, err
-	}
-
-	s.direct = newSide(s.dph, s.ds, opts.Mapping, opts.K)
-	s.reverse = newSide(s.rph, s.rs, opts.ReverseMapping, opts.KReverse)
 	s.RegisterSPARQLFuncs()
 	if opts.Durability.Dir != "" {
 		// Recover from the data directory (or initialize it) and
@@ -267,20 +219,53 @@ func New(db *rel.DB, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func newSide(primary, secondary *rel.Table, m coloring.Mapping, k int) *side {
-	return &side{
-		primary:    primary,
-		secondary:  secondary,
-		mapping:    m,
-		k:          k,
-		spillPreds: make(map[int64]bool),
-		multiPreds: make(map[int64]bool),
+// newSide creates one side's relations in db: the primary (entry,
+// spill, then k pred/val pairs) and the secondary (lid, elm).
+func newSide(db *rel.DB, primary, secondary string, m coloring.Mapping, k int) (*side, error) {
+	schema := rel.Schema{{Name: "entry"}, {Name: "spill"}}
+	for i := 0; i < k; i++ {
+		schema = append(schema, rel.Column{Name: fmt.Sprintf("pred%d", i)}, rel.Column{Name: fmt.Sprintf("val%d", i)})
 	}
+	d := &side{mapping: m, k: k, spillPreds: make(map[int64]bool), multiPreds: make(map[int64]bool)}
+	var err error
+	if d.primary, err = db.CreateTable(primary, schema); err != nil {
+		return nil, err
+	}
+	if d.secondary, err = db.CreateTable(secondary, rel.Schema{{Name: "lid"}, {Name: "elm"}}); err != nil {
+		return nil, err
+	}
+	return d, d.createIndexes()
 }
 
-// TableName returns the prefixed name of one of the store's relations
-// ("DPH", "DS", "RPH", "RS").
-func (s *Store) TableName(base string) string { return s.Opts.TablePrefix + base }
+// createIndexes builds the side's indexes: entry on the primary, lid
+// and elm on the secondary. Recovery rebuilds them after decoding.
+func (d *side) createIndexes() error {
+	if err := d.primary.CreateIndex("entry"); err != nil {
+		return err
+	}
+	if err := d.secondary.CreateIndex("lid"); err != nil {
+		return err
+	}
+	return d.secondary.CreateIndex("elm")
+}
+
+// side returns the direct side (DPH/DS) or, when reverse, the reverse
+// side (RPH/RS).
+func (s *Store) side(reverse bool) *side {
+	if reverse {
+		return s.reverse
+	}
+	return s.direct
+}
+
+// sides returns the direct and the reverse side, in that order.
+func (s *Store) sides() [2]*side { return [2]*side{s.direct, s.reverse} }
+
+// tables returns the four relations in snapshot-file order: DPH, DS,
+// RPH, RS.
+func (s *Store) tables() [4]*rel.Table {
+	return [4]*rel.Table{s.direct.primary, s.direct.secondary, s.reverse.primary, s.reverse.secondary}
+}
 
 // Insert adds one triple (idempotent under RDF set semantics). The
 // epoch advances only when the triple was new: a duplicate insert is a
@@ -603,109 +588,15 @@ func (s *Store) LoadTriples(ts []rdf.Triple) (err error) {
 	return nil
 }
 
-// SpillPredicates returns the set of predicate ids involved in spills
-// on the direct (subject) or reverse (object) side; the translator
-// consults it to decide whether star merging is safe (§3.2.1). The
-// caller must exclude writers (hold the store lock in either mode);
-// lock-free readers use Snapshot.SpillPredicates instead.
-func (s *Store) SpillPredicates(reverse bool) map[int64]bool {
-	if reverse {
-		return s.reverse.spillPreds
-	}
-	return s.direct.spillPreds
-}
-
-// MultiValued reports whether the predicate id holds a lid (a DS/RS
-// list) for at least one entity on the given side; the translator uses
-// it to decide when the secondary relation must be joined. Caller
-// excludes writers; lock-free readers use Snapshot.MultiValued.
-func (s *Store) MultiValued(pid int64, reverse bool) bool {
-	if reverse {
-		return s.reverse.multiPreds[pid]
-	}
-	return s.direct.multiPreds[pid]
-}
-
-// AnyMultiValued reports whether any predicate on the given side is
-// multi-valued (used by variable-predicate translations that must be
-// conservative). Caller excludes writers; lock-free readers use
-// Snapshot.AnyMultiValued.
-func (s *Store) AnyMultiValued(reverse bool) bool {
-	if reverse {
-		return len(s.reverse.multiPreds) > 0
-	}
-	return len(s.direct.multiPreds) > 0
-}
-
-// SpillCount returns the number of spill rows on one side: live DPH or
-// RPH rows beyond each entity's first. Caller excludes writers;
-// lock-free readers use Snapshot.SpillCount.
-func (s *Store) SpillCount(reverse bool) int { return s.LiveSnapshot().SpillCount(reverse) }
-
-// EntityCount returns the number of distinct entities on one side.
-// Caller excludes writers; lock-free readers use Snapshot.EntityCount.
-func (s *Store) EntityCount(reverse bool) int {
-	if reverse {
-		return s.reverse.entities
-	}
-	return s.direct.entities
-}
-
-// TableBytes returns the resident in-memory size of the four DB2RDF
-// relations (DPH, DS, RPH, RS): chunk headers, packed column vectors
-// and null bitmaps.
-// Caller holds the store read lock or otherwise excludes writers.
-func (s *Store) TableBytes() int64 {
-	var total int64
-	for _, t := range []*rel.Table{s.dph, s.ds, s.rph, s.rs} {
-		total += t.ResidentBytes()
-	}
-	return total
-}
-
-// DictBytes returns the resident in-memory size of the dictionary's
-// id→term store (front-coded blocks plus the unsealed tail).
-func (s *Store) DictBytes() int64 { return s.Dict.ResidentBytes() }
-
-// StorageBytes returns the total resident data footprint: relations
-// plus dictionary.
-func (s *Store) StorageBytes() int64 { return s.TableBytes() + s.DictBytes() }
-
 // EncodedChunks returns the process-wide count of column chunks sealed
 // into the compressed representation (metrics).
 func EncodedChunks() int64 { return rel.SealedChunksTotal() }
-
-// Mapping returns the predicate-to-column mapping of one side.
-func (s *Store) Mapping(reverse bool) coloring.Mapping {
-	if reverse {
-		return s.reverse.mapping
-	}
-	return s.direct.mapping
-}
-
-// K returns the column-pair budget of one side.
-func (s *Store) K(reverse bool) int {
-	if reverse {
-		return s.reverse.k
-	}
-	return s.direct.k
-}
-
-// LookupID returns the dictionary id of a term, or (-1, false) if the
-// term does not occur in the store.
-func (s *Store) LookupID(t rdf.Term) (int64, bool) {
-	return s.Dict.Lookup(t)
-}
-
-// EncodeID interns a term, returning its id (the translator backend
-// hook; the dictionary is internally synchronized).
-func (s *Store) EncodeID(t rdf.Term) int64 { return s.Dict.Encode(t) }
 
 // Compactions returns the total number of publish-time chunk
 // compactions across the four relations (metrics).
 func (s *Store) Compactions() int64 {
 	var total int64
-	for _, t := range []*rel.Table{s.dph, s.ds, s.rph, s.rs} {
+	for _, t := range s.tables() {
 		total += t.Compactions()
 	}
 	return total
@@ -715,7 +606,7 @@ func (s *Store) Compactions() int64 {
 // four relations (metrics).
 func (s *Store) DeadRows() int {
 	n := 0
-	for _, t := range []*rel.Table{s.dph, s.ds, s.rph, s.rs} {
+	for _, t := range s.tables() {
 		n += t.DeadRows()
 	}
 	return n

@@ -47,7 +47,7 @@ func fig1Triples() []rdf.Triple {
 
 func newTestStore(t *testing.T, opts Options) *Store {
 	t.Helper()
-	s, err := New(nil, opts)
+	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,15 +60,15 @@ func TestLoadFig1(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 5 subjects -> 5 DPH entity groups, no spills with k=8.
-	if got := s.EntityCount(false); got != 5 {
+	if got := s.Snapshot().EntityCount(false); got != 5 {
 		t.Fatalf("want 5 direct entities, got %d", got)
 	}
-	if s.SpillCount(false) != 0 {
-		t.Fatalf("no spills expected with k=16, got %d", s.SpillCount(false))
+	if s.Snapshot().SpillCount(false) != 0 {
+		t.Fatalf("no spills expected with k=16, got %d", s.Snapshot().SpillCount(false))
 	}
 	// industry is multi-valued for Google and IBM: DS must hold
 	// 2 (Google) + 3 (IBM) = 5 rows.
-	ds := s.DB.Table(s.TableName("DS"))
+	ds := s.DB.Table("DS")
 	if ds.Len() != 5 {
 		t.Fatalf("DS rows = %d, want 5", ds.Len())
 	}
@@ -76,7 +76,7 @@ func TestLoadFig1(t *testing.T) {
 	// but born (reverse) has two distinct subjects per year? No: each
 	// year is a distinct object. Check reverse multi-value: industry
 	// "Software" has two subjects (Google, IBM) -> RS gets 2 rows.
-	rs := s.DB.Table(s.TableName("RS"))
+	rs := s.DB.Table("RS")
 	if rs.Len() < 2 {
 		t.Fatalf("RS rows = %d, want >= 2", rs.Len())
 	}
@@ -90,11 +90,11 @@ func TestDuplicateTripleIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dph := s.DB.Table(s.TableName("DPH"))
+	dph := s.DB.Table("DPH")
 	if dph.Len() != 1 {
 		t.Fatalf("DPH rows = %d, want 1", dph.Len())
 	}
-	ds := s.DB.Table(s.TableName("DS"))
+	ds := s.DB.Table("DS")
 	if ds.Len() != 0 {
 		t.Fatalf("duplicate insert must not create DS rows, got %d", ds.Len())
 	}
@@ -110,11 +110,11 @@ func TestMultiValueConversion(t *testing.T) {
 		}
 	}
 	// One DPH row whose industry val is a lid; DS has 3 members.
-	dph := s.DB.Table(s.TableName("DPH"))
+	dph := s.DB.Table("DPH")
 	if dph.Len() != 1 {
 		t.Fatalf("DPH rows = %d, want 1", dph.Len())
 	}
-	ds := s.DB.Table(s.TableName("DS"))
+	ds := s.DB.Table("DS")
 	if ds.Len() != 3 {
 		t.Fatalf("DS rows = %d, want 3", ds.Len())
 	}
@@ -152,10 +152,10 @@ func TestSpills(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.SpillCount(false) == 0 {
+	if s.Snapshot().SpillCount(false) == 0 {
 		t.Fatal("expected spills")
 	}
-	dph := s.DB.Table(s.TableName("DPH"))
+	dph := s.DB.Table("DPH")
 	if dph.Len() < 3 {
 		t.Fatalf("DPH rows = %d, want >= 3 for 6 preds over 2 columns", dph.Len())
 	}
@@ -166,7 +166,7 @@ func TestSpills(t *testing.T) {
 		}
 	}
 	// All 6 predicates participate in spills.
-	if got := len(s.SpillPredicates(false)); got != 6 {
+	if got := len(s.Snapshot().SpillPredicates(false)); got != 6 {
 		t.Fatalf("spill predicates = %d, want 6", got)
 	}
 }
@@ -215,8 +215,8 @@ func TestLoadNTriples(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("loaded %d, want 3", n)
 	}
-	if s.EntityCount(false) != 2 {
-		t.Fatalf("entities = %d", s.EntityCount(false))
+	if s.Snapshot().EntityCount(false) != 2 {
+		t.Fatalf("entities = %d", s.Snapshot().EntityCount(false))
 	}
 }
 
@@ -235,15 +235,15 @@ func TestBuildMappings(t *testing.T) {
 	}
 	_ = rc
 	// Colored store: loading with coloring must not spill.
-	s, err := New(nil, Options{K: 13, Mapping: direct, ReverseMapping: reverse})
+	s, err := New(Options{K: 13, Mapping: direct, ReverseMapping: reverse})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LoadTriples(triples); err != nil {
 		t.Fatal(err)
 	}
-	if s.SpillCount(false) != 0 {
-		t.Fatalf("colored load must not spill, got %d", s.SpillCount(false))
+	if s.Snapshot().SpillCount(false) != 0 {
+		t.Fatalf("colored load must not spill, got %d", s.Snapshot().SpillCount(false))
 	}
 }
 
@@ -253,33 +253,11 @@ func TestLookupID(t *testing.T) {
 	if err := s.Insert(tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.LookupID(rdf.NewIRI("s")); !ok {
+	if _, ok := s.Snapshot().LookupID(rdf.NewIRI("s")); !ok {
 		t.Fatal("s must be in dictionary")
 	}
-	if _, ok := s.LookupID(rdf.NewIRI("absent")); ok {
+	if _, ok := s.Snapshot().LookupID(rdf.NewIRI("absent")); ok {
 		t.Fatal("absent must not be in dictionary")
-	}
-}
-
-func TestTwoStoresShareDB(t *testing.T) {
-	db := rel.NewDB()
-	a, err := New(db, Options{K: 4, TablePrefix: "A_"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(db, Options{K: 4, TablePrefix: "B_"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := rdf.NewTriple(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewIRI("o"))
-	if err := a.Insert(tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Insert(tr); err != nil {
-		t.Fatal(err)
-	}
-	if db.Table("A_DPH").Len() != 1 || db.Table("B_DPH").Len() != 1 {
-		t.Fatal("prefixed stores must coexist in one DB")
 	}
 }
 
@@ -339,20 +317,20 @@ func TestRandomLoadRetrievable(t *testing.T) {
 // resolving DS lists.
 func tripleStored(t *testing.T, s *Store, tr rdf.Triple) bool {
 	t.Helper()
-	sid, ok := s.LookupID(tr.S)
+	sid, ok := s.Snapshot().LookupID(tr.S)
 	if !ok {
 		return false
 	}
-	pid, _ := s.LookupID(tr.P)
-	oid, _ := s.LookupID(tr.O)
-	dph := s.DB.Table(s.TableName("DPH"))
-	ds := s.DB.Table(s.TableName("DS"))
+	pid, _ := s.Snapshot().LookupID(tr.P)
+	oid, _ := s.Snapshot().LookupID(tr.O)
+	dph := s.DB.Table("DPH")
+	ds := s.DB.Table("DS")
 	for i := 0; i < dph.Len(); i++ {
 		row := dph.RowAt(i)
 		if row[0].I != sid {
 			continue
 		}
-		for c := 0; c < s.K(false); c++ {
+		for c := 0; c < s.Snapshot().K(false); c++ {
 			pv, vv := row[2+2*c], row[2+2*c+1]
 			if pv.K != rel.KindInt || pv.I != pid {
 				continue
@@ -400,8 +378,8 @@ func TestMarkerStableWriteKeepsCapturedMaps(t *testing.T) {
 		if err := s.LoadTriples(w); err != nil {
 			t.Fatal(err)
 		}
-		if !same(s.direct.multiPreds, held.dirMulti) || !same(s.direct.spillPreds, held.dirSpill) ||
-			!same(s.reverse.multiPreds, held.revMulti) || !same(s.reverse.spillPreds, held.revSpill) {
+		if !same(s.direct.multiPreds, held.side(false).multi) || !same(s.direct.spillPreds, held.side(false).spill) ||
+			!same(s.reverse.multiPreds, held.side(true).multi) || !same(s.reverse.spillPreds, held.side(true).spill) {
 			t.Fatalf("%v cloned the captured marker maps", w)
 		}
 		sn := s.Snapshot()
@@ -415,8 +393,8 @@ func TestMarkerStableWriteKeepsCapturedMaps(t *testing.T) {
 	if err := s.LoadTriples([]rdf.Triple{tr("e4", "u", "z0"), tr("e4", "u", "z1")}); err != nil {
 		t.Fatal(err)
 	}
-	uid, _ := s.LookupID(rdf.NewIRI("u"))
-	if same(s.direct.multiPreds, held.dirMulti) || held.dirMulti[uid] || !s.direct.multiPreds[uid] {
+	uid, _ := s.Snapshot().LookupID(rdf.NewIRI("u"))
+	if heldMulti := held.side(false).multi; same(s.direct.multiPreds, heldMulti) || heldMulti[uid] || !s.direct.multiPreds[uid] {
 		t.Fatal("a new marker must be set on a private clone of the captured map")
 	}
 	if sn := s.Snapshot(); sn.PlanEpoch() != held.PlanEpoch()+1 {

@@ -22,13 +22,10 @@ const (
 )
 
 // StoreView is the read-side store surface the backend translates
-// against: either the live *store.Store (writer-context translation,
-// under the store write lock — the SPARQL Update WHERE path) or a
-// *store.Snapshot (lock-free query translation against one published
-// version). Keeping it an interface means the generated SQL is always
-// derived from exactly the state it will execute against.
+// against: a *store.Snapshot, published or live. Translating against
+// the snapshot a query executes on keeps the generated SQL derived from
+// exactly the state it reads.
 type StoreView interface {
-	TableName(base string) string
 	Mapping(reverse bool) coloring.Mapping
 	K(reverse bool) int
 	LookupID(t rdf.Term) (int64, bool)
@@ -90,11 +87,9 @@ type itemInfo struct {
 func (b *DB2RDF) Access(g *Gen, n *PlanNode, in Ctx) (Ctx, error) {
 	method := n.Method
 	reverse := method == MethodACO
-	primary := b.St.TableName("DPH")
-	secondary := b.St.TableName("DS")
+	primary, secondary := "DPH", "DS"
 	if reverse {
-		primary = b.St.TableName("RPH")
-		secondary = b.St.TableName("RS")
+		primary, secondary = "RPH", "RS"
 	}
 	mapping := b.St.Mapping(reverse)
 	k := b.St.K(reverse)

@@ -14,7 +14,7 @@ import (
 // fig1Store loads the paper's Figure 1(a) data.
 func fig1Store(t *testing.T) *store.Store {
 	t.Helper()
-	st, err := store.New(nil, store.Options{K: 16})
+	st, err := store.New(store.Options{K: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func planFor(t *testing.T, st *store.Store, q string) (*sparql.Query, *PlanNode,
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := NewDB2RDF(st)
+	backend := NewDB2RDF(st.Snapshot())
 	plan := NewPlanner(backend).BuildPlan(exec)
 	return parsed, plan, backend
 }
@@ -113,7 +113,7 @@ func TestNoMergeAcrossDifferentEntities(t *testing.T) {
 func TestSpillBlocksMerge(t *testing.T) {
 	// A store with K=2 spills; predicates involved in spills must not
 	// merge (§3.2.1).
-	st, err := store.New(nil, store.Options{K: 2})
+	st, err := store.New(store.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSpillBlocksMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.SpillCount(false) == 0 {
+	if st.Snapshot().SpillCount(false) == 0 {
 		t.Skip("no spills at this layout")
 	}
 	parsed, err := sparql.Parse(`SELECT ?x WHERE { ?x <p1> ?a . ?x <p2> ?b }`)
@@ -135,7 +135,7 @@ func TestSpillBlocksMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := NewDB2RDF(st)
+	backend := NewDB2RDF(st.Snapshot())
 	plan := NewPlanner(backend).BuildPlan(exec)
 	if plan.MergeCount() != 0 {
 		t.Fatalf("spilled predicates must not merge: %s", plan)
@@ -152,7 +152,7 @@ func TestSetMergingOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := NewDB2RDF(st)
+	backend := NewDB2RDF(st.Snapshot())
 	p := NewPlanner(backend)
 	p.SetMerging(false)
 	plan := p.BuildPlan(exec)
@@ -277,7 +277,7 @@ func TestUnsupportedFilterErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend := NewDB2RDF(st)
+	backend := NewDB2RDF(st.Snapshot())
 	plan := NewPlanner(backend).BuildPlan(exec)
 	if _, err := Translate(parsed, plan, backend); err == nil {
 		t.Fatal("unknown builtin must fail translation")
@@ -290,12 +290,12 @@ func TestUnsupportedFilterErrors(t *testing.T) {
 // lateral TABLE(VALUES ...), not one UNION arm per pair.
 func TestVarPredicateLateralShape(t *testing.T) {
 	st := fig1Store(t)
-	pairs := make([]string, st.K(false))
+	pairs := make([]string, st.Snapshot().K(false))
 	for c := range pairs {
 		pairs[c] = fmt.Sprintf("(T.pred%d, T.val%d)", c, c)
 	}
 	lateral := "TABLE(VALUES " + strings.Join(pairs, ", ") + ") AS L(pred, val)"
-	flint, _ := st.LookupID(rdf.NewIRI("Charles_Flint"))
+	flint, _ := st.Snapshot().LookupID(rdf.NewIRI("Charles_Flint"))
 	for _, c := range []struct{ query, qt1 string }{
 		{`SELECT ?p ?o WHERE { <Charles_Flint> ?p ?o }`,
 			fmt.Sprintf("SELECT L.pred AS v_p, L.val AS r0 FROM DPH AS T, %s WHERE T.entry = %d AND L.pred IS NOT NULL", lateral, flint)},

@@ -67,11 +67,11 @@ func markerChurn(t *testing.T, opts db2rdf.Options) (*db2rdf.Store, []rdf.Triple
 func TestMarkersRecomputedAtCompaction(t *testing.T) {
 	s, _, del := markerChurn(t, db2rdf.Options{K: 4})
 	inner := s.Internal()
-	mpid, ok := inner.LookupID(rdf.NewIRI("http://marker/mp"))
+	sn := inner.Snapshot()
+	mpid, ok := sn.LookupID(rdf.NewIRI("http://marker/mp"))
 	if !ok {
 		t.Fatal("multi predicate not interned")
 	}
-	sn := inner.Snapshot()
 	if !sn.MultiValued(mpid, false) {
 		t.Fatal("mp must be multi-valued before the delete")
 	}
@@ -173,7 +173,7 @@ func TestMarkerExplainMatchesRecovery(t *testing.T) {
 		}
 	}
 	// Marker-level agreement on both sides.
-	li, ri := s.Internal(), rec.Internal()
+	li, ri := s.Internal().Snapshot(), rec.Internal().Snapshot()
 	for _, reverse := range []bool{false, true} {
 		if l, r := li.SpillCount(reverse), ri.SpillCount(reverse); l != r {
 			t.Errorf("spill count (reverse=%v): live %d, recovered %d", reverse, l, r)

@@ -238,11 +238,11 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.LatencyCounts[i] = cum
 	}
 	if m.inner != nil {
-		s.SnapshotEpoch = m.inner.Epoch()
+		sn := m.inner.Snapshot()
+		s.SnapshotEpoch = sn.Epoch()
+		s.PlanEpoch = sn.PlanEpoch()
 		s.CompactionsTotal = m.inner.Compactions()
 		s.DeadRows = m.inner.DeadRows()
-		sn := m.inner.Snapshot()
-		s.PlanEpoch = sn.PlanEpoch()
 		s.TableResidentBytes = sn.TableBytes()
 		s.DictResidentBytes = sn.DictBytes()
 		s.EncodedChunksTotal = store.EncodedChunks()

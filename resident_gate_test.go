@@ -39,7 +39,7 @@ func TestResidentBytesGate(t *testing.T) {
 	snap := s.Internal().Snapshot()
 	var logical int64
 	for _, name := range []string{"DPH", "DS", "RPH", "RS"} {
-		logical += snap.DB().Table(snap.TableName(name)).EstimateBytes()
+		logical += snap.DB().Table(name).EstimateBytes()
 	}
 	table := s.TableBytes()
 	dictEnc := s.DictBytes()

@@ -323,6 +323,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
 		"status": "ok",
-		"epoch":  s.cfg.Store.Internal().Epoch(),
+		"epoch":  s.cfg.Store.Internal().Snapshot().Epoch(),
 	})
 }

@@ -244,3 +244,59 @@ func loadChurn(t *testing.T, s *db2rdf.Store, batches, batchSize int) {
 		}
 	}
 }
+
+// TestPublishedEpochNeverAhead pins that the snapshot_epoch gauge
+// reports a published epoch: a metrics scrape taken before a snapshot
+// load never names an epoch that snapshot does not have yet. A writer
+// advances its epoch counter before the WAL append, the fsync and the
+// pointer swap, so a gauge reading that counter runs ahead of what any
+// reader can see — on nearly every scrape with an fsynced log.
+func TestPublishedEpochNeverAhead(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts db2rdf.Options
+	}{
+		{"memory", db2rdf.Options{}},
+		{"durable-fsync", db2rdf.Options{DataDir: t.TempDir(), Fsync: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := db2rdf.Open(c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			started, stop := make(chan struct{}), make(chan struct{})
+			var scrapes, ahead int
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				close(started)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					gauge := s.Metrics().Snapshot().SnapshotEpoch
+					if gauge > s.Internal().Snapshot().Epoch() {
+						ahead++
+					}
+					scrapes++
+				}
+			}()
+			<-started
+			for i := 0; i < 300; i++ {
+				tr := rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("s%d", i%17)), rdf.NewIRI("p"), rdf.NewLiteral(fmt.Sprint(i)))
+				if err := s.Insert(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if ahead > 0 {
+				t.Fatalf("%d of %d scrapes reported an epoch ahead of the published snapshot", ahead, scrapes)
+			}
+		})
+	}
+}

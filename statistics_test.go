@@ -76,7 +76,7 @@ func TestStatisticsFollowSnapshot(t *testing.T) {
 // write path is a step: LoadTriples, LoadTriplesParallel at 1 and 4
 // workers, DeleteTriples, Clear, and reopening the data directory from
 // its snapshot alone (after Close) or from snapshot plus WAL (after a
-// crash). Both the published snapshot and the live pass-through view
+// crash). Both the published snapshot and the live snapshot
 // Update's WHERE reads are checked.
 func TestDerivedStatisticsMatchOracle(t *testing.T) {
 	var universe []rdf.Term
@@ -205,7 +205,7 @@ func checkStatsOracle(t *testing.T, where string, s *Store, sn *store.Snapshot, 
 		if entities != c.distinct {
 			t.Fatalf("%s: EntityCount(reverse=%v) = %d, want %d", where, c.reverse, entities, c.distinct)
 		}
-		live := sn.DB().Table(sn.TableName(c.table)).LiveLen()
+		live := sn.DB().Table(c.table).LiveLen()
 		if got := sn.SpillCount(c.reverse); got != live-entities {
 			t.Fatalf("%s: SpillCount(reverse=%v) = %d, want %d live %s rows - %d entities", where, c.reverse, got, live, c.table, entities)
 		}

@@ -135,7 +135,7 @@ func (s *Store) UpdateContext(ctx context.Context, u string) (res *UpdateResult,
 // pattern against the current state, instantiate both templates over
 // the full solution set, then apply every delete before any insert
 // (SPARQL 1.1 Update §3.1.3). The caller holds the store write lock;
-// WHERE evaluation runs on a live (pass-through) snapshot so it sees
+// WHERE evaluation runs on a live snapshot so it sees
 // the request's own earlier mutations, which are not published yet.
 func (s *Store) applyModify(ctx context.Context, prefixes map[string]string, op *sparql.UpdateOp, result *UpdateResult, changed *int) error {
 	q := &sparql.Query{

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -148,26 +150,67 @@ func TestUpdateClear(t *testing.T) {
 }
 
 func TestUpdateOperationSequence(t *testing.T) {
-	s, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Later operations see the effects of earlier ones.
-	res, err := s.Update(`
+	// Later operations see the effects of earlier ones. In the second
+	// request, on a store with two column pairs, a later WHERE clause
+	// also translates against the multi-value and spill markers an
+	// earlier operation set: ex:p turns multi-valued with "2", and
+	// ex:q1..q3 spill ex:a's row.
+	for _, c := range []struct {
+		name              string
+		opts              Options
+		update            string
+		inserted, deleted int
+		pred              string              // the predicate the checks read
+		want              map[string][]string // subject -> its sorted objects
+	}{
+		{
+			name: "default",
+			update: `
 		PREFIX ex: <http://example.org/>
 		INSERT DATA { ex:a ex:p "1" } ;
 		INSERT { ex:a ex:q ?o } WHERE { ex:a ex:p ?o } ;
 		DELETE DATA { ex:a ex:p "1" } ;
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Inserted != 2 || res.Deleted != 1 {
-		t.Fatalf("got %+v, want 2 inserted / 1 deleted", res)
-	}
-	rs := s.MustQuery(`PREFIX ex: <http://example.org/> SELECT ?o WHERE { ex:a ex:q ?o }`)
-	if got := bindings(rs, "o"); len(got) != 1 || got[0] != "1" {
-		t.Fatalf("sequence result = %v", got)
+	`,
+			inserted: 2, deleted: 1, pred: "q",
+			want: map[string][]string{"a": {"1"}},
+		},
+		{
+			name: "markers set mid-request",
+			opts: Options{K: 2, KReverse: 2},
+			update: `
+		PREFIX ex: <http://example.org/>
+		INSERT DATA { ex:a ex:p "1" } ;
+		INSERT { ex:b ex:r ?o } WHERE { ex:a ex:p ?o } ;
+		INSERT DATA { ex:a ex:p "2" . ex:a ex:q1 "x" . ex:a ex:q2 "y" . ex:a ex:q3 "z" } ;
+		INSERT { ex:c ex:r ?o } WHERE { ex:a ex:p ?o } ;
+		DELETE WHERE { ex:a ex:q3 ?z } ;
+		INSERT { ex:d ex:r ?o } WHERE { ex:a ?p ?o }
+	`,
+			inserted: 12, deleted: 1, pred: "r",
+			want: map[string][]string{"b": {"1"}, "c": {"1", "2"}, "d": {"1", "2", "x", "y"}},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := Open(c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Update(c.update)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Inserted != c.inserted || res.Deleted != c.deleted {
+				t.Fatalf("got %+v, want %d inserted / %d deleted", res, c.inserted, c.deleted)
+			}
+			for subj, want := range c.want {
+				rs := s.MustQuery(fmt.Sprintf(`PREFIX ex: <http://example.org/> SELECT ?o WHERE { ex:%s ex:%s ?o }`, subj, c.pred))
+				got := bindings(rs, "o")
+				sort.Strings(got)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("ex:%s ex:%s = %v, want %v", subj, c.pred, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -186,7 +229,7 @@ func TestUpdateNoOpKeepsPlanCache(t *testing.T) {
 	if hits0 == 0 {
 		t.Fatalf("warm-up query did not hit the plan cache")
 	}
-	epoch0 := s.Internal().Epoch()
+	epoch0 := s.Internal().Snapshot().Epoch()
 
 	noops := []string{
 		`INSERT DATA { <Google> <industry> "Software" }`, // duplicate triple
@@ -202,7 +245,7 @@ func TestUpdateNoOpKeepsPlanCache(t *testing.T) {
 		if res.Inserted != 0 || res.Deleted != 0 {
 			t.Fatalf("%s: reported changes %+v, want none", u, res)
 		}
-		if e := s.Internal().Epoch(); e != epoch0 {
+		if e := s.Internal().Snapshot().Epoch(); e != epoch0 {
 			t.Fatalf("%s: no-op update bumped the epoch %d -> %d", u, epoch0, e)
 		}
 		s.MustQuery(q)
@@ -216,7 +259,7 @@ func TestUpdateNoOpKeepsPlanCache(t *testing.T) {
 	if _, err := s.Update(`DELETE DATA { <Google> <industry> "Internet" }`); err != nil {
 		t.Fatal(err)
 	}
-	if s.Internal().Epoch() == epoch0 {
+	if s.Internal().Snapshot().Epoch() == epoch0 {
 		t.Fatal("effective update did not advance the epoch")
 	}
 	expl, err := s.Explain(q)
@@ -253,11 +296,11 @@ func TestUpdateNoOpKeepsPlanCache(t *testing.T) {
 	}
 	// And CLEAR on the now-nonempty store bumps; on an empty store not.
 	s2, _ := Open(Options{})
-	e0 := s2.Internal().Epoch()
+	e0 := s2.Internal().Snapshot().Epoch()
 	if _, err := s2.Update(`CLEAR DEFAULT`); err != nil {
 		t.Fatal(err)
 	}
-	if e := s2.Internal().Epoch(); e != e0 {
+	if e := s2.Internal().Snapshot().Epoch(); e != e0 {
 		t.Fatalf("CLEAR of empty store bumped epoch %d -> %d", e0, e)
 	}
 }

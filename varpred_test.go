@@ -394,11 +394,10 @@ func TestVariablePredicateShapes(t *testing.T) {
 }
 
 // TestVariablePredicateDeletes runs the flip on Update's live
-// pass-through snapshot: each request first inserts triples — so the
-// writer holds private, unsealed chunks beside the sealed ones — and
-// then deletes through a variable-predicate WHERE. The store must end
-// up exporting exactly what a store rebuilt from the expected triples
-// exports.
+// snapshot: each request first inserts triples — so the writer holds
+// private, unsealed chunks beside the sealed ones — and then deletes
+// through a variable-predicate WHERE. The store must end up exporting
+// exactly what a store rebuilt from the expected triples exports.
 func TestVariablePredicateDeletes(t *testing.T) {
 	defer rel.SetParallelism(0, 0)
 	iri := rdf.NewIRI
