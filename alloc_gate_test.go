@@ -76,3 +76,58 @@ func TestWarmQueryAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestColdCompileAllocs gates what one plan-cache miss allocates before
+// its plan runs: SPARQL parse, optimizer, query plan, and the
+// translation into a bound rel.Query, whose SQL text is printed once
+// for EXPLAIN. The queries are those of TestWarmQueryAllocs over
+// LUBM(4). The ceilings sit about 10% over the measured values. When
+// the compile path printed SQL and parsed it back into the query it
+// ran, it took 703, 1600 and 2974 allocations and 47.8, 103 and 226 KB.
+func TestColdCompileAllocs(t *testing.T) {
+	ds := lubmData()
+	s, err := db2rdf.Open(db2rdf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadTriples(ds.Triples); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		maxAllocs float64
+		maxBytes  uint64
+	}{
+		{"LQ1", 460, 29 << 10},         // measured 419 allocs, 26.5 KB
+		{"LQ8", 985, 66 << 10},         // measured 896 allocs, 59.5 KB
+		{"SQ9 shape", 1400, 101 << 10}, // measured 1271 allocs, 91.7 KB
+	} {
+		q := sq9Shape
+		for _, cand := range ds.Queries {
+			if cand.Name == tc.name {
+				q = cand.SPARQL
+			}
+		}
+		compile := func() {
+			if err := s.CompileForTest(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 50
+		allocs := testing.AllocsPerRun(runs, compile)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			compile()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s cold compile: %.0f allocs, %d B", tc.name, allocs, bytes)
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s cold compile: %.0f allocs, ceiling %.0f", tc.name, allocs, tc.maxAllocs)
+		}
+		if bytes > tc.maxBytes {
+			t.Errorf("%s cold compile: %d B allocated, ceiling %d", tc.name, bytes, tc.maxBytes)
+		}
+	}
+}

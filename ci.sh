@@ -25,6 +25,10 @@ echo "== closures (stable names, per-snapshot memo, inference reflexivity) =="
 go test -race -count=3 -run 'TestPath|TestInference|TestPlanCacheKeepsClosures|TestClosure' .
 echo "== one read view (live vs published snapshot, published epoch, Update chains) =="
 go test -race -count=3 -run 'TestLiveSnapshotMatchesPublished|TestPublishedEpochNeverAhead|TestUpdateOperationSequence|TestClosureMemo' . ./internal/store/
+echo "== typed plan (translator-built bound query, SQL as its printed rendering, cold-compile allocations) =="
+go test -race -count=3 \
+    -run 'TestTranslatedSQLRoundTrip|TestFilterNumericLiteralForms|TestNaNIsUnordered|TestColdCompileAllocs|TestLUBMTemplatesSQLUnchanged|TestWarmQueryAllocs' .
+go test -race -count=3 -run 'TestPrint|TestBindIsRequired|FuzzSQLPrintRoundTrip|TestLateralErrors' ./internal/rel/
 echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="
 go test -race -count=1 \
     -run 'TestSyntaxErrorIsTyped|TestDescribe|TestInference|TestAnalyze|TestExplainArtifacts|TestPathExplain' .
@@ -80,5 +84,6 @@ go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 5s .
 go test -run '^$' -fuzz '^FuzzReadSegment$' -fuzztime 5s ./internal/wal/
 go test -run '^$' -fuzz '^FuzzChunkRoundTrip$' -fuzztime 5s ./internal/rel/
 go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 5s ./internal/rel/
+go test -run '^$' -fuzz '^FuzzSQLPrintRoundTrip$' -fuzztime 5s ./internal/rel/
 go test -run '^$' -fuzz '^FuzzEncodeMatchesReference$' -fuzztime 5s ./results/
 echo "ok"

@@ -442,9 +442,10 @@ func (s *Store) queryFull(ctx context.Context, snap *store.Snapshot, q string, p
 // it came through: the inference rewrite (under Options.Inference),
 // filter unification, naming the property-path closures, the hybrid
 // optimizer's data flow (§3.1) or the naive flow, the merged query
-// plan (§3.2), SQL generation (§3.3) and the parse of that SQL into
-// the relational AST. It rewrites parsed in place and reads no
-// triples: a closure's pairs are computed when the plan runs.
+// plan (§3.2) and its translation (§3.3) into a bound relational
+// query, which the plan executes as is. It rewrites parsed in place
+// and reads no triples: a closure's pairs are computed when the plan
+// runs.
 func (s *Store) compile(snap *store.Snapshot, parsed *sparql.Query) (*compiledPlan, error) {
 	if s.opts.Inference {
 		inferenceRewrite(parsed)
@@ -465,13 +466,15 @@ func (s *Store) compile(snap *store.Snapshot, parsed *sparql.Query) (*compiledPl
 		return nil, err
 	}
 	cp.absent = view.absent
-	if cp.tr.SQL != "" {
-		if cp.rq, err = rel.ParseQuery(cp.tr.SQL); err != nil {
-			return nil, fmt.Errorf("db2rdf: parsing generated SQL: %w", err)
-		}
+	if testHookCompiled != nil {
+		testHookCompiled(s, snap, cp)
 	}
 	return cp, nil
 }
+
+// testHookCompiled, when a test sets it, sees every plan compile
+// builds.
+var testHookCompiled func(s *Store, snap *store.Snapshot, cp *compiledPlan)
 
 // lookupView is the snapshot as the translator reads it, noting
 // whether any constant it looked up was absent from the dictionary.
@@ -596,7 +599,7 @@ func (s *Store) ResetPlanCache() { s.plans.reset() }
 func (s *Store) executeCompiledStats(ctx context.Context, snap *store.Snapshot, cp *compiledPlan, profile bool) (*Solutions, *ExecStats, error) {
 	tr := cp.tr
 	out := &Solutions{IsAsk: tr.Ask, dict: s.inner.Dict}
-	if cp.rq == nil {
+	if tr.Query == nil {
 		// Empty pattern: ASK {} is true; SELECT over {} yields one
 		// empty solution (the SPARQL unit solution mapping), with every
 		// projected variable unbound.
@@ -615,9 +618,9 @@ func (s *Store) executeCompiledStats(ctx context.Context, snap *store.Snapshot, 
 	var rs *rel.ResultSet
 	var stats *ExecStats
 	if profile {
-		rs, stats, err = db.AnalyzeContext(ctx, cp.rq, s.limits())
+		rs, stats, err = db.AnalyzeContext(ctx, tr.Query, s.limits())
 	} else {
-		rs, err = db.ExecContext(ctx, cp.rq, s.limits())
+		rs, err = db.ExecContext(ctx, tr.Query, s.limits())
 	}
 	if err != nil {
 		if isGovernanceErr(err) {

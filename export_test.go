@@ -5,7 +5,9 @@ package db2rdf
 import (
 	"context"
 
+	"db2rdf/internal/rel"
 	"db2rdf/internal/store"
+	"db2rdf/internal/translator"
 )
 
 // PromEscapeLabelForTest exposes the Prometheus label-value escaper so
@@ -18,4 +20,32 @@ func PromEscapeLabelForTest(v string) string { return promEscapeLabel(v) }
 // would.
 func (s *Store) QueryOnForTest(snap *store.Snapshot, q string) (*Results, error) {
 	return s.queryOn(context.Background(), snap, q)
+}
+
+// SetCompileHookForTest makes f see every plan a store compiles: its
+// translation, and a function that executes a relational query on the
+// database the plan runs on, closure relations included. The returned
+// function removes the hook.
+func SetCompileHookForTest(f func(tr *translator.Result, exec func(*rel.Query) (*rel.ResultSet, error))) (remove func()) {
+	testHookCompiled = func(s *Store, snap *store.Snapshot, cp *compiledPlan) {
+		f(cp.tr, func(q *rel.Query) (*rel.ResultSet, error) {
+			db, err := s.closureDB(context.Background(), snap, cp)
+			if err != nil {
+				return nil, err
+			}
+			return db.Exec(q)
+		})
+	}
+	return func() { testHookCompiled = nil }
+}
+
+// CompileForTest compiles q against the published snapshot as a
+// plan-cache miss does, without executing it or caching the plan.
+func (s *Store) CompileForTest(q string) error {
+	parsed, err := parseQuery(q)
+	if err != nil {
+		return err
+	}
+	_, err = s.compile(s.inner.Snapshot(), parsed)
+	return err
 }

@@ -153,18 +153,7 @@ func (s *TripleStore) Access(g *translator.Gen, n *translator.PlanNode, in trans
 	if len(n.Items) != 1 {
 		return translator.Ctx{}, fmt.Errorf("baselines: triple-store plans never merge")
 	}
-	return translator.PositionalAccess(g, n.Items[0].Triple, in, "TRIPLES AS T", "T.subj", "T.pred", "T.obj")
-}
-
-func joinStrings(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
+	return translator.PositionalAccess(g, n.Items[0].Triple, in, "TRIPLES", "subj", "pred", "obj")
 }
 
 // Results mirrors the facade's decoded result shape for baselines.
@@ -189,16 +178,16 @@ func runQuery(q string, db *rel.DB, d *dict.Dict, stats optimizer.Stats, backend
 		return nil, err
 	}
 	out := &Results{IsAsk: tr.Ask}
-	if tr.SQL == "" {
+	if tr.Query == nil {
 		out.Ask = tr.Ask
 		if !tr.Ask {
 			out.Vars = parsed.ProjectedVars()
 		}
 		return out, nil
 	}
-	rs, err := db.Query(tr.SQL)
+	rs, err := db.Exec(tr.Query)
 	if err != nil {
-		return nil, fmt.Errorf("baselines: executing generated SQL: %w", err)
+		return nil, fmt.Errorf("baselines: executing the translated query: %w", err)
 	}
 	if tr.Ask {
 		out.Ask = len(rs.Rows) > 0

@@ -152,8 +152,7 @@ func (s *VerticalStore) Access(g *translator.Gen, n *translator.PlanNode, in tra
 			// existing table, or a synthetic empty CTE.
 			return s.emptyAccess(g, t, in)
 		}
-		from := fmt.Sprintf("%s AS T", s.tableFor[pid])
-		return translator.PositionalAccess(g, t, in, from, "T.entry", "", "T.val")
+		return translator.PositionalAccess(g, t, in, s.tableFor[pid], "entry", "", "val")
 	}
 	// Variable predicate: UNION ALL over all predicate relations.
 	return s.varPredAccess(g, t, in)
@@ -165,26 +164,17 @@ func (s *VerticalStore) emptyAccess(g *translator.Gen, t *sparql.TriplePattern, 
 	for v := range in.Vars {
 		outVars[v] = true
 	}
-	var sel []string
-	for _, v := range in.BoundVars() {
-		c := g.ColFor(v)
-		sel = append(sel, fmt.Sprintf("P.%s AS %s", c, c))
-	}
+	sel := g.Carry(in, "P")
 	for _, tv := range []sparql.TermOrVar{t.S, t.P, t.O} {
 		if tv.IsVar && !outVars[tv.Var] {
-			sel = append(sel, fmt.Sprintf("NULL AS %s", g.ColFor(tv.Var)))
+			sel = append(sel, translator.As(translator.Null, g.ColFor(tv.Var)))
 			outVars[tv.Var] = true
 		}
 	}
-	if len(sel) == 0 {
-		sel = []string{"1 AS one"}
-	}
-	from := "(SELECT 1 AS one FROM " + s.anyTable() + " AS Z WHERE 1 = 0) AS E"
-	if in.Cte != "" {
-		from = in.Cte + " AS P, " + from
-	}
-	body := fmt.Sprintf("SELECT %s FROM %s", joinStrings(sel, ", "), from)
-	name := g.Emit(body)
+	none := translator.Select(nil, []rel.FromItem{translator.From(s.anyTable(), "Z")},
+		[]rel.Expr{translator.Eq(translator.IntLit(1), translator.IntLit(0))})
+	empty := rel.FromItem{Sub: none, Alias: "E"}
+	name := g.Emit(translator.Select(sel, translator.FromInput(in, empty), nil))
 	return translator.Ctx{Cte: name, Vars: outVars}, nil
 }
 
@@ -223,50 +213,39 @@ func (s *VerticalStore) varPredAccess(g *translator.Gen, t *sparql.TriplePattern
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 
 	predBound := in.Vars[t.P.Var]
-	var arms []string
-	for _, pid := range pids {
+	arms := make([]*rel.Select, len(pids))
+	for i, pid := range pids {
 		sel := g.Carry(in, "P")
-		var conds []string
+		var conds []rel.Expr
 		local := map[string]string{}
 		handle := func(tv sparql.TermOrVar, col string) {
 			switch {
 			case !tv.IsVar:
-				conds = append(conds, fmt.Sprintf("%s = %d", col, g.IDOf(tv.Term)))
+				conds = append(conds, translator.Eq(translator.Col("T", col), translator.IntLit(g.IDOf(tv.Term))))
 			case in.Vars[tv.Var]:
-				conds = append(conds, fmt.Sprintf("%s = P.%s", col, g.ColFor(tv.Var)))
+				conds = append(conds, translator.Eq(translator.Col("T", col), translator.Col("P", g.ColFor(tv.Var))))
 			case local[tv.Var] != "":
-				conds = append(conds, fmt.Sprintf("%s = %s", col, local[tv.Var]))
+				conds = append(conds, translator.Eq(translator.Col("T", col), translator.Col("T", local[tv.Var])))
 			default:
 				local[tv.Var] = col
-				sel = append(sel, fmt.Sprintf("%s AS %s", col, g.ColFor(tv.Var)))
+				sel = append(sel, translator.As(translator.Col("T", col), g.ColFor(tv.Var)))
 			}
 		}
-		handle(t.S, "T.entry")
-		handle(t.O, "T.val")
+		handle(t.S, "entry")
+		handle(t.O, "val")
 		switch {
 		case predBound:
-			conds = append(conds, fmt.Sprintf("%d = P.%s", pid, g.ColFor(t.P.Var)))
+			conds = append(conds, translator.Eq(translator.IntLit(pid), translator.Col("P", g.ColFor(t.P.Var))))
 		case local[t.P.Var] != "":
 			// The predicate variable repeats the subject or object
 			// variable: an equality, not a second exposure.
-			conds = append(conds, fmt.Sprintf("%d = %s", pid, local[t.P.Var]))
+			conds = append(conds, translator.Eq(translator.IntLit(pid), translator.Col("T", local[t.P.Var])))
 		default:
-			sel = append(sel, fmt.Sprintf("%d AS %s", pid, g.ColFor(t.P.Var)))
+			sel = append(sel, translator.As(translator.IntLit(pid), g.ColFor(t.P.Var)))
 		}
-		from := fmt.Sprintf("%s AS T", s.tableFor[pid])
-		if in.Cte != "" {
-			from = fmt.Sprintf("%s AS P, %s", in.Cte, from)
-		}
-		if len(sel) == 0 {
-			sel = []string{"1 AS one"}
-		}
-		arm := fmt.Sprintf("SELECT %s FROM %s", joinStrings(sel, ", "), from)
-		if len(conds) > 0 {
-			arm += " WHERE " + joinStrings(conds, " AND ")
-		}
-		arms = append(arms, arm)
+		arms[i] = translator.Select(sel, translator.FromInput(in, translator.From(s.tableFor[pid], "T")), conds)
 	}
-	name := g.Emit(joinStrings(arms, "\nUNION ALL\n"))
+	name := g.Emit(translator.UnionAll(arms))
 	for _, tv := range []sparql.TermOrVar{t.S, t.P, t.O} {
 		if tv.IsVar {
 			outVars[tv.Var] = true

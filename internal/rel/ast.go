@@ -1,14 +1,15 @@
 package rel
 
-import "strings"
-
 // The SQL abstract syntax tree. Only the subset used by the SPARQL
 // translators is modeled; see the package comment for the inventory.
+// The translator builds it directly; ParseQuery reads it from text and
+// String (print.go) writes it back.
 
-// Query is a full statement: optional CTEs plus a select body.
-// ParseQuery also attaches the query's bound form (bind.go): the
-// analysis the executor needs on every run, computed once and never
-// written again, so a cached Query is shared by concurrent executions.
+// Query is a full statement: optional CTEs plus a select body. Bind
+// (bind.go) checks it and attaches its bound form: the analysis the
+// executor needs on every run, computed once and never written again,
+// so a bound Query is shared by concurrent executions. Only a bound
+// Query executes.
 type Query struct {
 	CTEs []CTE
 	Body *Select
@@ -85,9 +86,9 @@ type OrderItem struct {
 // Expr is a SQL expression node.
 type Expr interface{ exprNode() }
 
-// ColRef references alias.column or a bare column name. The parser
-// also records both identifiers lower-cased, the form every relation
-// stores its column names in; a hand-built ColRef lower-cases per use.
+// ColRef references alias.column or a bare column name. Bind also
+// records both identifiers lower-cased, the form every relation stores
+// its column names in.
 type ColRef struct {
 	Alias  string // may be ""
 	Column string
@@ -95,21 +96,20 @@ type ColRef struct {
 	alias, column string
 }
 
-// lowered returns the reference's lower-cased alias and column.
-func (c *ColRef) lowered() (alias, column string) {
-	if c.column == "" {
-		return strings.ToLower(c.Alias), strings.ToLower(c.Column)
-	}
-	return c.alias, c.column
-}
-
 // Lit is a literal constant value.
 type Lit struct{ V Value }
 
-// BinOp is a binary operation. Op is one of: = != < <= > >= AND OR + - * /.
+// BinOp is a binary operation. Op is one of: = != < <= > >= + - * /.
 type BinOp struct {
 	Op   string
 	L, R Expr
+}
+
+// BoolOp is AND or OR over two or more operands, n-ary as written:
+// `a OR b OR c` is one BoolOp, `(a OR b) OR c` two.
+type BoolOp struct {
+	Op   string // "AND" or "OR"
+	Args []Expr
 }
 
 // UnOp is a unary operation: NOT or - (negation).
@@ -144,6 +144,7 @@ type CaseWhen struct {
 }
 
 // FuncCall is a scalar function call; COALESCE is handled here too.
+// Name is kept as written and matched case-insensitively.
 type FuncCall struct {
 	Name string
 	Args []Expr
@@ -152,6 +153,7 @@ type FuncCall struct {
 func (*ColRef) exprNode()     {}
 func (*Lit) exprNode()        {}
 func (*BinOp) exprNode()      {}
+func (*BoolOp) exprNode()     {}
 func (*UnOp) exprNode()       {}
 func (*IsNullExpr) exprNode() {}
 func (*InExpr) exprNode()     {}
@@ -160,40 +162,53 @@ func (*FuncCall) exprNode()   {}
 
 // conjuncts splits an expression on top-level ANDs.
 func conjuncts(e Expr, out []Expr) []Expr {
-	if b, ok := e.(*BinOp); ok && b.Op == "AND" {
-		out = conjuncts(b.L, out)
-		return conjuncts(b.R, out)
+	if b, ok := e.(*BoolOp); ok && b.Op == "AND" {
+		for _, a := range b.Args {
+			out = conjuncts(a, out)
+		}
+		return out
 	}
 	return append(out, e)
 }
 
 // colRefs appends every column reference in e to out, in source order.
 func colRefs(e Expr, out []*ColRef) []*ColRef {
+	eachColRef(e, func(c *ColRef) { out = append(out, c) })
+	return out
+}
+
+// eachColRef calls f on every column reference in e, in source order.
+func eachColRef(e Expr, f func(*ColRef)) {
 	switch x := e.(type) {
 	case *ColRef:
-		out = append(out, x)
+		f(x)
 	case *BinOp:
-		out = colRefs(x.R, colRefs(x.L, out))
+		eachColRef(x.L, f)
+		eachColRef(x.R, f)
+	case *BoolOp:
+		for _, a := range x.Args {
+			eachColRef(a, f)
+		}
 	case *UnOp:
-		out = colRefs(x.X, out)
+		eachColRef(x.X, f)
 	case *IsNullExpr:
-		out = colRefs(x.X, out)
+		eachColRef(x.X, f)
 	case *InExpr:
-		out = colRefs(x.X, out)
+		eachColRef(x.X, f)
 		for _, a := range x.List {
-			out = colRefs(a, out)
+			eachColRef(a, f)
 		}
 	case *CaseExpr:
 		for _, w := range x.Whens {
-			out = colRefs(w.Result, colRefs(w.Cond, out))
+			eachColRef(w.Cond, f)
+			eachColRef(w.Result, f)
 		}
 		if x.Else != nil {
-			out = colRefs(x.Else, out)
+			eachColRef(x.Else, f)
 		}
 	case *FuncCall:
 		for _, a := range x.Args {
-			out = colRefs(a, out)
+			eachColRef(a, f)
 		}
 	}
-	return out
 }

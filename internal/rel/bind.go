@@ -1,13 +1,14 @@
 package rel
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 )
 
 // The bound form of a Query: everything the executor needs to know
 // about a statement that does not depend on the database it runs
-// against, worked out once by ParseQuery. Per SELECT core that is the
+// against, worked out once by Bind. Per SELECT core that is the
 // WHERE clause split into conjuncts with each conjunct's alias set,
 // the columns every FROM alias is referenced by (items, WHERE and
 // every JOIN … ON), the output names, and which items the CTE
@@ -26,9 +27,9 @@ import (
 // from the chunks, so they never widen the rows of the item they
 // correlate to.
 //
-// Nothing in a bound form is written after bindQuery returns. A
-// cached plan is executed by many goroutines at once; they share this
-// structure without synchronization.
+// Nothing in a bound form, or in the Query it binds, is written after
+// Bind returns. A cached plan is executed by many goroutines at once;
+// they share both without synchronization.
 
 type boundQuery struct {
 	ctes []boundCTE
@@ -93,14 +94,12 @@ type boundFrom struct {
 }
 
 // boundLateral is a TABLE(VALUES …) AS alias(names…) item: rows of
-// cells over the columns of dep, the alias it correlates to.
+// cells over the columns of dep, the alias it correlates to, which an
+// earlier FROM item of its core introduces.
 type boundLateral struct {
 	names []string // lower-cased
 	rows  [][]Expr // *ColRef on dep, or *Lit
 	dep   string
-	// hosted is false when no earlier FROM item introduces dep, which
-	// the parser rejects; only a hand-built Query can get here.
-	hosted bool
 }
 
 type boundJoin struct {
@@ -118,31 +117,176 @@ func (f *boundFrom) primaries(out []*boundFrom) []*boundFrom {
 	return out
 }
 
-func bindQuery(q *Query) *boundQuery {
-	live := cteLiveColumns(q)
-	b := &boundQuery{ctes: make([]boundCTE, len(q.CTEs))}
-	for i, cte := range q.CTEs {
-		b.ctes[i] = boundCTE{name: strings.ToLower(cte.Name), sel: bindSelect(cte.Select, live[i])}
+// Bind checks q and attaches its bound form, lower-casing every column
+// reference. It is the only way a Query becomes executable: ParseQuery
+// calls it, and a Query built in code calls it once, before it is
+// executed or shared. It rejects a lateral item that does not name
+// qualified columns of one alias introduced by an earlier FROM item of
+// its core, whose rows do not match its column list, or that is the
+// right side of a JOIN.
+func Bind(q *Query) error {
+	if q.Body == nil {
+		return fmt.Errorf("sql: query has no SELECT")
 	}
-	b.body = bindSelect(q.Body, nil)
-	return b
+	b := &binder{}
+	for _, cte := range q.CTEs {
+		if err := b.check(cte.Select); err != nil {
+			return err
+		}
+	}
+	if err := b.check(q.Body); err != nil {
+		return err
+	}
+	q.bound = b.query(q)
+	return nil
 }
 
-// bindSelect binds s. live (nil = all) names the output columns a
+// lateralError is a lateral item Bind rejects; ParseQuery adds the
+// item's source offset.
+type lateralError struct {
+	lat *Lateral
+	msg string
+}
+
+func (e *lateralError) Error() string { return "sql: " + e.msg }
+
+func latErr(fi FromItem, format string, args ...any) error {
+	return &lateralError{lat: fi.Lateral, msg: "TABLE(VALUES ...) " + fmt.Sprintf(format, args...)}
+}
+
+// binder lower-cases identifiers, each distinct one once per query.
+type binder struct{ low map[string]string }
+
+func (b *binder) lower(s string) string {
+	if l, ok := b.low[s]; ok {
+		return l
+	}
+	l := strings.ToLower(s)
+	if b.low == nil {
+		b.low = map[string]string{}
+	}
+	b.low[s] = l
+	return l
+}
+
+func (b *binder) lowerRef(c *ColRef) { c.alias, c.column = b.lower(c.Alias), b.lower(c.Column) }
+
+// check validates s's lateral items and lower-cases its column
+// references.
+func (b *binder) check(s *Select) error {
+	for _, core := range s.Cores {
+		for _, item := range core.Items {
+			eachColRef(item.Expr, b.lowerRef)
+		}
+		eachColRef(core.Where, b.lowerRef)
+		for i, fi := range core.From {
+			if err := b.checkFrom(fi, core.From[:i], false); err != nil {
+				return err
+			}
+		}
+	}
+	for _, o := range s.OrderBy {
+		eachColRef(o.Expr, b.lowerRef)
+	}
+	return nil
+}
+
+// checkFrom checks fi, which follows the items before in its core (or
+// is the right side of a JOIN when joined), and its join chain.
+func (b *binder) checkFrom(fi FromItem, before []FromItem, joined bool) error {
+	if fi.Sub != nil {
+		if err := b.check(fi.Sub); err != nil {
+			return err
+		}
+	}
+	if fi.Lateral != nil {
+		if joined {
+			// A lateral item depends on the rows to its left, which
+			// ON-driven join kernels do not feed it.
+			return latErr(fi, "cannot be the right side of a JOIN")
+		}
+		if err := b.checkLateral(fi, before); err != nil {
+			return err
+		}
+	}
+	for _, j := range fi.Joins {
+		eachColRef(j.On, b.lowerRef)
+		if err := b.checkFrom(j.Right, nil, true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkLateral verifies that lateral item fi has rows as wide as its
+// column list, of literals and qualified column references to one
+// alias that the FROM items before it introduce.
+func (b *binder) checkLateral(fi FromItem, before []FromItem) error {
+	lat := fi.Lateral
+	dep := ""
+	for i, row := range lat.Rows {
+		if len(row) != len(lat.Cols) {
+			return latErr(fi, "row %d has %d values, AS %s names %d columns", i+1, len(row), fi.Alias, len(lat.Cols))
+		}
+		for _, cell := range row {
+			switch c := cell.(type) {
+			case *Lit:
+			case *ColRef:
+				if c.Alias == "" {
+					return latErr(fi, "column %s must be qualified", c.Column)
+				}
+				b.lowerRef(c)
+				if dep == "" {
+					dep = c.alias
+				} else if c.alias != dep {
+					return latErr(fi, "AS %s refers to both %s and %s; one FROM item is supported", fi.Alias, dep, c.alias)
+				}
+			default:
+				return latErr(fi, "cells must be column references or literals")
+			}
+		}
+	}
+	if dep == "" {
+		return latErr(fi, "AS %s refers to no FROM item", fi.Alias)
+	}
+	var known func(fi FromItem) bool
+	known = func(fi FromItem) bool {
+		if b.lower(fi.Alias) == dep {
+			return true
+		}
+		return slices.ContainsFunc(fi.Joins, func(j JoinClause) bool { return known(j.Right) })
+	}
+	if !slices.ContainsFunc(before, known) {
+		return latErr(fi, "AS %s refers to unknown alias %q", fi.Alias, dep)
+	}
+	return nil
+}
+
+func (b *binder) query(q *Query) *boundQuery {
+	live := cteLiveColumns(q, b.lower)
+	bq := &boundQuery{ctes: make([]boundCTE, len(q.CTEs))}
+	for i, cte := range q.CTEs {
+		bq.ctes[i] = boundCTE{name: b.lower(cte.Name), sel: b.selectStmt(cte.Select, live[i])}
+	}
+	bq.body = b.selectStmt(q.Body, nil)
+	return bq
+}
+
+// selectStmt binds s. live (nil = all) names the output columns a
 // later select can observe; it only applies when s cannot observe its
 // own dead columns, which rules out UNION, DISTINCT and ORDER BY.
-func bindSelect(s *Select, live map[string]bool) *boundSelect {
+func (b *binder) selectStmt(s *Select, live map[string]bool) *boundSelect {
 	if len(s.Cores) > 1 || s.Cores[0].Distinct || len(s.OrderBy) > 0 {
 		live = nil
 	}
 	bs := &boundSelect{sel: s, cores: make([]*boundCore, len(s.Cores))}
 	for i, core := range s.Cores {
-		bs.cores[i] = bindCore(core, live)
+		bs.cores[i] = b.core(core, live)
 	}
 	return bs
 }
 
-func bindCore(core *SelectCore, live map[string]bool) *boundCore {
+func (b *binder) core(core *SelectCore, live map[string]bool) *boundCore {
 	bc := &boundCore{core: core, from: make([]*boundFrom, len(core.From))}
 	star := false
 	for _, item := range core.Items {
@@ -163,9 +307,9 @@ func bindCore(core *SelectCore, live map[string]bool) *boundCore {
 		}
 	}
 	for i, fi := range core.From {
-		bc.from[i] = bindFrom(fi)
+		bc.from[i] = b.from(fi)
 		if bc.from[i].lat != nil {
-			bindLateral(bc, bc.from[i])
+			hostLateral(bc, bc.from[i])
 		}
 		bc.prims = bc.from[i].primaries(bc.prims)
 	}
@@ -178,7 +322,7 @@ func bindCore(core *SelectCore, live map[string]bool) *boundCore {
 	everything := false
 	for i, item := range core.Items {
 		if item.Star {
-			sa := strings.ToLower(item.StarAlias)
+			sa := b.lower(item.StarAlias)
 			if sa == "" {
 				everything = true
 			}
@@ -205,14 +349,16 @@ func bindCore(core *SelectCore, live map[string]bool) *boundCore {
 		}
 	}
 	for _, c := range refs {
-		alias, col := c.lowered()
-		if alias == "" {
+		if c.alias == "" {
 			everything = true
 			continue
 		}
 		for _, f := range bc.prims {
-			if f.alias == alias && !slices.Contains(f.cols, col) {
-				f.cols = append(f.cols, col)
+			if f.alias == c.alias && !slices.Contains(f.cols, c.column) {
+				if f.cols == nil {
+					f.cols = make([]string, 0, 8) // room for a typical core's columns
+				}
+				f.cols = append(f.cols, c.column)
 			}
 		}
 	}
@@ -224,10 +370,10 @@ func bindCore(core *SelectCore, live map[string]bool) *boundCore {
 	return bc
 }
 
-// bindLateral attaches lateral item f to the earlier FROM item that
-// introduces the alias its cells correlate to, and records the columns
-// the cells name on that alias.
-func bindLateral(bc *boundCore, f *boundFrom) {
+// hostLateral attaches lateral item f to the earlier FROM item that
+// introduces the alias its cells correlate to (Bind has checked there
+// is one), and records the columns the cells name on that alias.
+func hostLateral(bc *boundCore, f *boundFrom) {
 	for _, host := range bc.from {
 		if host == nil || host == f {
 			break
@@ -237,13 +383,10 @@ func bindLateral(bc *boundCore, f *boundFrom) {
 				continue
 			}
 			host.laterals = append(host.laterals, f)
-			f.lat.hosted = true
 			for _, row := range f.lat.rows {
 				for _, cell := range row {
-					if c, ok := cell.(*ColRef); ok {
-						if _, col := c.lowered(); !slices.Contains(prim.latCols, col) {
-							prim.latCols = append(prim.latCols, col)
-						}
+					if c, ok := cell.(*ColRef); ok && !slices.Contains(prim.latCols, c.column) {
+						prim.latCols = append(prim.latCols, c.column)
 					}
 				}
 			}
@@ -252,26 +395,26 @@ func bindLateral(bc *boundCore, f *boundFrom) {
 	}
 }
 
-func bindFrom(fi FromItem) *boundFrom {
-	f := &boundFrom{alias: strings.ToLower(fi.Alias), table: strings.ToLower(fi.Table)}
+func (b *binder) from(fi FromItem) *boundFrom {
+	f := &boundFrom{alias: b.lower(fi.Alias), table: b.lower(fi.Table)}
 	if fi.Sub != nil {
-		f.sub = bindSelect(fi.Sub, nil)
+		f.sub = b.selectStmt(fi.Sub, nil)
 	}
 	if l := fi.Lateral; l != nil {
 		f.lat = &boundLateral{names: make([]string, len(l.Cols)), rows: l.Rows}
 		for i, name := range l.Cols {
-			f.lat.names[i] = strings.ToLower(name)
+			f.lat.names[i] = b.lower(name)
 		}
 		for _, row := range l.Rows {
 			for _, cell := range row {
 				if c, ok := cell.(*ColRef); ok {
-					f.lat.dep, _ = c.lowered()
+					f.lat.dep = c.alias
 				}
 			}
 		}
 	}
 	for _, jc := range fi.Joins {
-		f.joins = append(f.joins, boundJoin{left: jc.Left, right: bindFrom(jc.Right), on: bindConjuncts(jc.On)})
+		f.joins = append(f.joins, boundJoin{left: jc.Left, right: b.from(jc.Right), on: bindConjuncts(jc.On)})
 	}
 	return f
 }
@@ -282,12 +425,11 @@ func bindConjuncts(e Expr) []boundConj {
 	for i, c := range exprs {
 		bc := boundConj{expr: c}
 		for _, cr := range colRefs(c, nil) {
-			alias, col := cr.lowered()
 			switch {
-			case alias == "":
-				bc.bare = append(bc.bare, col)
-			case !slices.Contains(bc.aliases, alias):
-				bc.aliases = append(bc.aliases, alias)
+			case cr.alias == "":
+				bc.bare = append(bc.bare, cr.column)
+			case !slices.Contains(bc.aliases, cr.alias):
+				bc.aliases = append(bc.aliases, cr.alias)
 			}
 		}
 		if b, ok := c.(*BinOp); ok && b.Op == "=" {

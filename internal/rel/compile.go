@@ -1,6 +1,10 @@
 package rel
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strings"
+)
 
 // Expression compilation: the executor's one expression evaluator.
 // Each expression is compiled once per relation shape into a closure
@@ -42,6 +46,8 @@ func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
 		return func(r Row) (Value, error) { return r[i], nil }
 	case *BinOp:
 		return db.compileBinOp(x, rel)
+	case *BoolOp:
+		return db.compileBoolOp(x, rel)
 	case *UnOp:
 		sub := db.compileExpr(x.X, rel)
 		switch x.Op {
@@ -146,7 +152,7 @@ func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
 		for i, a := range x.Args {
 			args[i] = db.compileExpr(a, rel)
 		}
-		if x.Name == "coalesce" {
+		if strings.EqualFold(x.Name, "coalesce") {
 			return func(r Row) (Value, error) {
 				for _, a := range args {
 					v, err := a(r)
@@ -179,53 +185,63 @@ func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
 	return errExpr(fmt.Errorf("sql: unhandled expression %T", e))
 }
 
-func (db *DB) compileBinOp(x *BinOp, rel *relation) compiledExpr {
-	switch x.Op {
-	case "AND":
-		l, r := db.compileExpr(x.L, rel), db.compileExpr(x.R, rel)
-		return func(row Row) (Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return Null, err
-			}
-			if !lv.IsNull() && !lv.Truth() {
-				return Bool(false), nil
-			}
-			rv, err := r(row)
-			if err != nil {
-				return Null, err
-			}
-			if !rv.IsNull() && !rv.Truth() {
-				return Bool(false), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
-			}
-			return Bool(true), nil
-		}
-	case "OR":
-		l, r := db.compileExpr(x.L, rel), db.compileExpr(x.R, rel)
-		return func(row Row) (Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return Null, err
-			}
-			if lv.Truth() {
+// compileBoolOp compiles an n-ary AND or OR under SQL's three-valued
+// logic as the left-deep chain of binary operations it equals.
+func (db *DB) compileBoolOp(x *BoolOp, rel *relation) compiledExpr {
+	acc := db.compileExpr(x.Args[0], rel)
+	for _, a := range x.Args[1:] {
+		l, r := acc, db.compileExpr(a, rel)
+		switch x.Op {
+		case "AND":
+			acc = func(row Row) (Value, error) {
+				lv, err := l(row)
+				if err != nil {
+					return Null, err
+				}
+				if !lv.IsNull() && !lv.Truth() {
+					return Bool(false), nil
+				}
+				rv, err := r(row)
+				if err != nil {
+					return Null, err
+				}
+				if !rv.IsNull() && !rv.Truth() {
+					return Bool(false), nil
+				}
+				if lv.IsNull() || rv.IsNull() {
+					return Null, nil
+				}
 				return Bool(true), nil
 			}
-			rv, err := r(row)
-			if err != nil {
-				return Null, err
+		case "OR":
+			acc = func(row Row) (Value, error) {
+				lv, err := l(row)
+				if err != nil {
+					return Null, err
+				}
+				if lv.Truth() {
+					return Bool(true), nil
+				}
+				rv, err := r(row)
+				if err != nil {
+					return Null, err
+				}
+				if rv.Truth() {
+					return Bool(true), nil
+				}
+				if lv.IsNull() || rv.IsNull() {
+					return Null, nil
+				}
+				return Bool(false), nil
 			}
-			if rv.Truth() {
-				return Bool(true), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
-			}
-			return Bool(false), nil
+		default:
+			return errExpr(fmt.Errorf("sql: unknown boolean op %q", x.Op))
 		}
 	}
+	return acc
+}
+
+func (db *DB) compileBinOp(x *BinOp, rel *relation) compiledExpr {
 	// The translator's dominant predicate is `T.predN = <int>`:
 	// specialize column-vs-integer-literal comparison down to a direct
 	// slot read and int compare.
@@ -247,23 +263,7 @@ func (db *DB) compileBinOp(x *BinOp, rel *relation) compiledExpr {
 			if err != nil {
 				return Null, err
 			}
-			c, ok := Compare(lv, rv)
-			if !ok {
-				return Null, nil
-			}
-			switch op {
-			case "=":
-				return Bool(c == 0), nil
-			case "!=":
-				return Bool(c != 0), nil
-			case "<":
-				return Bool(c < 0), nil
-			case "<=":
-				return Bool(c <= 0), nil
-			case ">":
-				return Bool(c > 0), nil
-			}
-			return Bool(c >= 0), nil
+			return compared(op, lv, rv), nil
 		}
 	case "+", "-", "*", "/":
 		op := x.Op
@@ -314,13 +314,44 @@ func (db *DB) compileIntEquality(x *BinOp, rel *relation) compiledExpr {
 		case KindNull:
 			return Null, nil
 		}
-		c, ok := Compare(v, Value{K: KindInt, I: want})
+		c, ok := Compare(v, Int(want))
 		if !ok {
 			return Null, nil
+		}
+		if isNaN(v) {
+			return Bool(!eq), nil // NaN is unordered
 		}
 		return Bool((c == 0) == eq), nil
 	}
 }
+
+// compared is the SQL comparison a op b. NaN is unordered: every
+// comparison with it is false but !=, which is true. Compare itself
+// keeps NaN in its order, equal to every number, for ORDER BY.
+func compared(op string, a, b Value) Value {
+	c, ok := Compare(a, b)
+	if !ok {
+		return Null
+	}
+	if isNaN(a) || isNaN(b) {
+		return Bool(op == "!=")
+	}
+	switch op {
+	case "=":
+		return Bool(c == 0)
+	case "!=":
+		return Bool(c != 0)
+	case "<":
+		return Bool(c < 0)
+	case "<=":
+		return Bool(c <= 0)
+	case ">":
+		return Bool(c > 0)
+	}
+	return Bool(c >= 0)
+}
+
+func isNaN(v Value) bool { return v.K == KindFloat && math.IsNaN(v.F) }
 
 // arith applies a binary arithmetic op: NULL in, NULL out; int op int
 // stays int; anything else numeric is float; division by zero is NULL.

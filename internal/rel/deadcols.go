@@ -24,8 +24,8 @@ import (
 // CTEs fully live.
 
 // cteLiveColumns returns one live-column set per CTE, aligned with
-// q.CTEs; a nil entry keeps everything.
-func cteLiveColumns(q *Query) []map[string]bool {
+// q.CTEs; a nil entry keeps everything. lower lower-cases identifiers.
+func cteLiveColumns(q *Query, lower func(string) string) []map[string]bool {
 	if len(q.CTEs) == 0 {
 		return nil
 	}
@@ -36,7 +36,7 @@ func cteLiveColumns(q *Query) []map[string]bool {
 	used := make(map[string]*state, len(q.CTEs))
 	index := make(map[string]int, len(q.CTEs))
 	for i, cte := range q.CTEs {
-		name := strings.ToLower(cte.Name)
+		name := lower(cte.Name)
 		used[name] = &state{cols: map[string]bool{}}
 		index[name] = i
 	}
@@ -81,9 +81,9 @@ func cteLiveColumns(q *Query) []map[string]bool {
 				if fi.Sub != nil {
 					collect(fi.Sub, nil, minIndex)
 				} else if fi.Lateral == nil {
-					tbl := strings.ToLower(fi.Table)
+					tbl := lower(fi.Table)
 					if _, ok := used[tbl]; ok {
-						a := strings.ToLower(fi.Alias)
+						a := lower(fi.Alias)
 						if a == "" {
 							a = tbl
 						}
@@ -102,7 +102,7 @@ func cteLiveColumns(q *Query) []map[string]bool {
 			}
 			useExpr := func(e Expr) {
 				for _, c := range colRefs(e, nil) {
-					alias, col := c.lowered()
+					alias, col := c.alias, c.column
 					if alias == "" {
 						// Unqualified: could resolve into any unit.
 						for _, cte := range aliases {
@@ -118,7 +118,7 @@ func cteLiveColumns(q *Query) []map[string]bool {
 			for i, item := range core.Items {
 				if item.Star {
 					// Star observes whole units.
-					sa := strings.ToLower(item.StarAlias)
+					sa := lower(item.StarAlias)
 					for a, cte := range aliases {
 						if sa == "" || sa == a {
 							markAll(cte)
@@ -163,7 +163,7 @@ func cteLiveColumns(q *Query) []map[string]bool {
 	// to first so liveness propagates transitively up the chain.
 	collect(q.Body, nil, len(q.CTEs))
 	for i := len(q.CTEs) - 1; i >= 0; i-- {
-		name := strings.ToLower(q.CTEs[i].Name)
+		name := lower(q.CTEs[i].Name)
 		st := used[name]
 		var live map[string]bool
 		if !st.all {
@@ -174,7 +174,7 @@ func cteLiveColumns(q *Query) []map[string]bool {
 
 	out := make([]map[string]bool, len(q.CTEs))
 	for i, cte := range q.CTEs {
-		st := used[strings.ToLower(cte.Name)]
+		st := used[lower(cte.Name)]
 		if st.all {
 			out[i] = nil
 		} else {
@@ -191,8 +191,7 @@ func itemName(item SelectItem, pos int) string {
 		return strings.ToLower(item.Alias)
 	}
 	if cr, ok := item.Expr.(*ColRef); ok {
-		_, col := cr.lowered()
-		return col
+		return cr.column
 	}
 	return fmt.Sprintf("col%d", pos+1)
 }

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -24,7 +25,10 @@ func (db *DB) Query(sql string) (*ResultSet, error) {
 	return db.Exec(q)
 }
 
-// Exec executes a parsed query with no deadline and no budgets.
+// errUnbound rejects a Query that Bind has not accepted.
+var errUnbound = errors.New("sql: query is not bound (rel.Bind)")
+
+// Exec executes a bound query with no deadline and no budgets.
 func (db *DB) Exec(q *Query) (*ResultSet, error) {
 	return db.ExecContext(context.Background(), q, Limits{})
 }
@@ -41,7 +45,7 @@ type exec struct {
 	prof *profiler
 }
 
-// ExecContext executes a parsed query under ctx and lim (see govern.go
+// ExecContext executes a bound query under ctx and lim (see govern.go
 // for the governance model). Cancellation and deadline expiry surface
 // as ErrCanceled / ErrDeadlineExceeded, budget trips as *BudgetError,
 // each within one chunk (checkpointRows rows) of work. Any panic
@@ -60,16 +64,16 @@ func (db *DB) execContext(ctx context.Context, q *Query, lim Limits, prof *profi
 			rs, err = nil, recoveredError(p)
 		}
 	}()
+	b := q.bound
+	if b == nil {
+		return nil, errUnbound
+	}
 	ex := &exec{db: db, gov: newGovern(ctx, lim), prof: prof}
 	if prof != nil {
 		defer func() {
 			prof.stats.BudgetRowsCharged = ex.gov.rows.Load()
 			prof.stats.BudgetBytesCharged = ex.gov.bytes.Load()
 		}()
-	}
-	b := q.bound
-	if b == nil { // a Query built by hand rather than by ParseQuery
-		b = bindQuery(q)
 	}
 	env := make(map[string]*relation, len(b.ctes))
 	for i := range b.ctes {
@@ -300,11 +304,7 @@ func (ex *exec) evalCore(bc *boundCore, env map[string]*relation, rowCap int64) 
 	units := make([]*relation, 0, len(bc.from))
 	for _, bf := range bc.from {
 		if bf.lat != nil {
-			// Built as part of the unit of the item it correlates to.
-			if !bf.lat.hosted {
-				return nil, fmt.Errorf("sql: TABLE(VALUES ...) AS %s refers to unknown alias %q", bf.alias, bf.lat.dep)
-			}
-			continue
+			continue // built as part of the unit of the item it correlates to
 		}
 		u, err := ex.buildUnit(bc, bf, applied, env)
 		if err != nil {
@@ -494,7 +494,7 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 		if c.col == nil || !t.HasIndex(c.col.Column) {
 			continue
 		}
-		if a, _ := c.col.lowered(); a != "" && a != bf.alias {
+		if a := c.col.alias; a != "" && a != bf.alias {
 			continue // a lateral column that shares an indexed column's name
 		}
 		v, err := ex.db.compileExpr(c.constant, nil)(nil)

@@ -57,7 +57,7 @@ func (r *relation) rowCount() int {
 
 // colIndex resolves a column reference to a position, or -1.
 func (r *relation) colIndex(c *ColRef) int {
-	alias, col := c.lowered()
+	alias, col := c.alias, c.column
 	if alias != "" {
 		for i, rc := range r.cols {
 			if rc.name == col && rc.alias == alias {

@@ -61,11 +61,12 @@ func lexSQL(in string) ([]token, error) {
 			} else {
 				l.emit(token{kind: tokIdent, text: word, pos: start})
 			}
-		case c >= '0' && c <= '9':
+		case isDigit(c):
 			start := l.pos
-			for l.pos < len(l.in) && (l.in[l.pos] >= '0' && l.in[l.pos] <= '9' || l.in[l.pos] == '.') {
+			for l.pos < len(l.in) && (isDigit(l.in[l.pos]) || l.in[l.pos] == '.') {
 				l.pos++
 			}
+			l.exponent()
 			l.emit(token{kind: tokNumber, text: l.in[start:l.pos], pos: start})
 		case c == '\'':
 			start := l.pos
@@ -124,6 +125,26 @@ func lexSQL(in string) ([]token, error) {
 
 func (l *lexer) emit(t token) { l.toks = append(l.toks, t) }
 
+// exponent consumes the exponent of a number, e[+-]digits, if one
+// follows; an e not followed by digits is left for the next token.
+func (l *lexer) exponent() {
+	i := l.pos
+	if i >= len(l.in) || l.in[i] != 'e' && l.in[i] != 'E' {
+		return
+	}
+	i++
+	if i < len(l.in) && (l.in[i] == '+' || l.in[i] == '-') {
+		i++
+	}
+	if i >= len(l.in) || !isDigit(l.in[i]) {
+		return
+	}
+	for i < len(l.in) && isDigit(l.in[i]) {
+		i++
+	}
+	l.pos = i
+}
+
 func (l *lexer) skipSpace() {
 	for l.pos < len(l.in) {
 		c := l.in[l.pos]
@@ -147,5 +168,7 @@ func isIdentStart(c byte) bool {
 }
 
 func isIdentPart(c byte) bool {
-	return isIdentStart(c) || c >= '0' && c <= '9'
+	return isIdentStart(c) || isDigit(c)
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }

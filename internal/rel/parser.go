@@ -1,18 +1,19 @@
 package rel
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 )
 
-// ParseQuery parses one SQL statement into its AST.
+// ParseQuery parses one SQL statement into its AST and binds it.
 func ParseQuery(sql string) (*Query, error) {
 	toks, err := lexSQL(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &sqlParser{toks: toks, src: sql}
+	p := &sqlParser{toks: toks}
 	q, err := p.query()
 	if err != nil {
 		return nil, err
@@ -20,14 +21,22 @@ func ParseQuery(sql string) (*Query, error) {
 	if !p.atEOF() {
 		return nil, p.errf("trailing input starting at %q", p.peek().text)
 	}
-	q.bound = bindQuery(q)
+	if err := Bind(q); err != nil {
+		var le *lateralError
+		if errors.As(err, &le) {
+			return nil, fmt.Errorf("%w (near offset %d)", err, p.latPos[le.lat])
+		}
+		return nil, err
+	}
 	return q, nil
 }
 
 type sqlParser struct {
 	toks []token
 	pos  int
-	src  string
+	// latPos is the source offset of each lateral item, for Bind's
+	// diagnostics.
+	latPos map[*Lateral]int
 }
 
 func (p *sqlParser) peek() token { return p.toks[p.pos] }
@@ -229,11 +238,6 @@ func (p *sqlParser) selectCore() (*SelectCore, error) {
 		if err != nil {
 			return nil, err
 		}
-		if fi.Lateral != nil {
-			if err := p.checkLateral(fi, core.From); err != nil {
-				return nil, err
-			}
-		}
 		core.From = append(core.From, fi)
 		if !p.acceptPunct(",") {
 			break
@@ -291,7 +295,7 @@ func (p *sqlParser) fromItem() (FromItem, error) {
 			if err := p.expectKeyword("JOIN"); err != nil {
 				return FromItem{}, err
 			}
-			right, err := p.joinRight()
+			right, err := p.fromPrimary()
 			if err != nil {
 				return FromItem{}, err
 			}
@@ -310,7 +314,7 @@ func (p *sqlParser) fromItem() (FromItem, error) {
 			if err := p.expectKeyword("JOIN"); err != nil {
 				return FromItem{}, err
 			}
-			right, err := p.joinRight()
+			right, err := p.fromPrimary()
 			if err != nil {
 				return FromItem{}, err
 			}
@@ -328,16 +332,6 @@ func (p *sqlParser) fromItem() (FromItem, error) {
 	}
 }
 
-// joinRight parses the right side of an explicit join. A lateral item
-// depends on the rows to its left, which ON-driven join kernels do not
-// feed it, so it is only accepted as a comma-separated FROM item.
-func (p *sqlParser) joinRight() (FromItem, error) {
-	if p.atLateral() {
-		return FromItem{}, p.errf("TABLE(VALUES ...) cannot be the right side of a JOIN")
-	}
-	return p.fromPrimary()
-}
-
 // atLateral reports whether the input continues with `TABLE (`. TABLE
 // and VALUES stay ordinary identifiers everywhere else.
 func (p *sqlParser) atLateral() bool {
@@ -350,7 +344,9 @@ func (p *sqlParser) atLateral() bool {
 }
 
 // lateral parses TABLE(VALUES (cell, ...), ...) AS alias(col, ...).
+// Bind checks the item's shape.
 func (p *sqlParser) lateral() (FromItem, error) {
+	start := p.peek().pos
 	p.pos += 2 // TABLE (
 	if t := p.peek(); t.kind != tokIdent || !strings.EqualFold(t.text, "VALUES") {
 		return FromItem{}, p.errf("expected VALUES, got %q", t.text)
@@ -366,15 +362,6 @@ func (p *sqlParser) lateral() (FromItem, error) {
 			e, err := p.expr()
 			if err != nil {
 				return FromItem{}, err
-			}
-			switch c := e.(type) {
-			case *Lit:
-			case *ColRef:
-				if c.Alias == "" {
-					return FromItem{}, p.errf("TABLE(VALUES ...) column %s must be qualified", c.Column)
-				}
-			default:
-				return FromItem{}, p.errf("TABLE(VALUES ...) cells must be column references or literals")
 			}
 			row = append(row, e)
 			if !p.acceptPunct(",") {
@@ -415,52 +402,11 @@ func (p *sqlParser) lateral() (FromItem, error) {
 	if err := p.expectPunct(")"); err != nil {
 		return FromItem{}, err
 	}
-	for i, row := range lat.Rows {
-		if len(row) != len(lat.Cols) {
-			return FromItem{}, p.errf("TABLE(VALUES ...) row %d has %d values, AS %s names %d columns", i+1, len(row), alias, len(lat.Cols))
-		}
+	if p.latPos == nil {
+		p.latPos = map[*Lateral]int{}
 	}
+	p.latPos[lat] = start
 	return FromItem{Lateral: lat, Alias: alias}, nil
-}
-
-// checkLateral verifies that the cells of lateral item fi refer to one
-// alias introduced by the FROM items before it.
-func (p *sqlParser) checkLateral(fi FromItem, before []FromItem) error {
-	dep := ""
-	for _, row := range fi.Lateral.Rows {
-		for _, cell := range row {
-			c, ok := cell.(*ColRef)
-			if !ok {
-				continue
-			}
-			if dep == "" {
-				dep = c.alias
-			} else if c.alias != dep {
-				return p.errf("TABLE(VALUES ...) AS %s refers to both %s and %s; one FROM item is supported", fi.Alias, dep, c.alias)
-			}
-		}
-	}
-	if dep == "" {
-		return p.errf("TABLE(VALUES ...) AS %s refers to no FROM item", fi.Alias)
-	}
-	var known func(fi FromItem) bool
-	known = func(fi FromItem) bool {
-		if strings.ToLower(fi.Alias) == dep {
-			return true
-		}
-		for _, j := range fi.Joins {
-			if known(j.Right) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, b := range before {
-		if known(b) {
-			return nil
-		}
-	}
-	return p.errf("TABLE(VALUES ...) AS %s refers to unknown alias %q", fi.Alias, dep)
 }
 
 func (p *sqlParser) fromPrimary() (FromItem, error) {
@@ -516,34 +462,26 @@ func (p *sqlParser) fromPrimary() (FromItem, error) {
 
 func (p *sqlParser) expr() (Expr, error) { return p.orExpr() }
 
-func (p *sqlParser) orExpr() (Expr, error) {
-	l, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("OR") {
-		r, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinOp{Op: "OR", L: l, R: r}
-	}
-	return l, nil
-}
+func (p *sqlParser) orExpr() (Expr, error) { return p.boolChain("OR", p.andExpr) }
 
-func (p *sqlParser) andExpr() (Expr, error) {
-	l, err := p.notExpr()
-	if err != nil {
-		return nil, err
+func (p *sqlParser) andExpr() (Expr, error) { return p.boolChain("AND", p.notExpr) }
+
+// boolChain parses operand (op operand)*; a chain of two or more is
+// one n-ary BoolOp, and a parenthesized chain stays its own operand.
+func (p *sqlParser) boolChain(op string, operand func() (Expr, error)) (Expr, error) {
+	l, err := operand()
+	if err != nil || !p.isKeyword(op) {
+		return l, err
 	}
-	for p.acceptKeyword("AND") {
-		r, err := p.notExpr()
+	args := []Expr{l}
+	for p.acceptKeyword(op) {
+		r, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinOp{Op: "AND", L: l, R: r}
+		args = append(args, r)
 	}
-	return l, nil
+	return &BoolOp{Op: op, Args: args}, nil
 }
 
 func (p *sqlParser) notExpr() (Expr, error) {
@@ -647,6 +585,11 @@ func (p *sqlParser) mulExpr() (Expr, error) {
 
 func (p *sqlParser) unaryExpr() (Expr, error) {
 	if p.acceptPunct("-") {
+		if t := p.peek(); t.kind == tokNumber {
+			// A negative number is one literal.
+			p.pos++
+			return p.number("-" + t.text)
+		}
 		x, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
@@ -661,18 +604,7 @@ func (p *sqlParser) primaryExpr() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.pos++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &Lit{V: Float(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad number %q", t.text)
-		}
-		return &Lit{V: Int(n)}, nil
+		return p.number(t.text)
 	case tokString:
 		p.pos++
 		return &Lit{V: Str(t.text)}, nil
@@ -725,7 +657,7 @@ func (p *sqlParser) primaryExpr() (Expr, error) {
 			if err := p.expectPunct(")"); err != nil {
 				return nil, err
 			}
-			return &FuncCall{Name: strings.ToLower(name), Args: args}, nil
+			return &FuncCall{Name: name, Args: args}, nil
 		}
 		// qualified column?
 		if p.isPunct(".") {
@@ -734,11 +666,29 @@ func (p *sqlParser) primaryExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &ColRef{Alias: name, Column: col, alias: strings.ToLower(name), column: strings.ToLower(col)}, nil
+			return &ColRef{Alias: name, Column: col}, nil
 		}
-		return &ColRef{Column: name, column: strings.ToLower(name)}, nil
+		return &ColRef{Column: name}, nil
 	}
 	return nil, p.errf("unexpected token %q", t.text)
+}
+
+// number parses the text of a numeric literal: a float when it has a
+// fraction or an exponent, an int64 otherwise. A float beyond the
+// float64 range is ±Inf, which is how String prints one.
+func (p *sqlParser) number(text string) (Expr, error) {
+	if strings.ContainsAny(text, ".eE") {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil && !errors.Is(err, strconv.ErrRange) {
+			return nil, p.errf("bad number %q", text)
+		}
+		return &Lit{V: Float(f)}, nil
+	}
+	n, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return nil, p.errf("bad number %q", text)
+	}
+	return &Lit{V: Int(n)}, nil
 }
 
 func (p *sqlParser) caseExpr() (Expr, error) {

@@ -40,8 +40,7 @@ func newUnpivot(t *Table, lf *boundFrom) *unpivot {
 		for c, cell := range row {
 			pos := -1
 			if cr, ok := cell.(*ColRef); ok {
-				_, name := cr.lowered()
-				if pos, ok = t.colIdx[name]; !ok {
+				if pos, ok = t.colIdx[cr.column]; !ok {
 					return nil
 				}
 			}

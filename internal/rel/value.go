@@ -8,7 +8,10 @@
 //
 // The paper (Bornea et al., SIGMOD 2013) treats SQL as "a procedural
 // implementation language" for SPARQL plans; this package supplies the
-// machine that runs that language.
+// machine that runs that language. A statement is a Query AST, built
+// in code by the SPARQL translator or read from text by ParseQuery,
+// and Bind makes it executable. Query.String prints it back as SQL,
+// the text EXPLAIN shows.
 package rel
 
 import (

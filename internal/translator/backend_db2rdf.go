@@ -3,11 +3,12 @@ package translator
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"db2rdf/internal/coloring"
 	"db2rdf/internal/optimizer"
 	"db2rdf/internal/rdf"
+	"db2rdf/internal/rel"
 	"db2rdf/internal/sparql"
 )
 
@@ -23,7 +24,7 @@ const (
 
 // StoreView is the read-side store surface the backend translates
 // against: a *store.Snapshot, published or live. Translating against
-// the snapshot a query executes on keeps the generated SQL derived from
+// the snapshot a query executes on keeps the built query derived from
 // exactly the state it reads.
 type StoreView interface {
 	Mapping(reverse bool) coloring.Mapping
@@ -77,7 +78,6 @@ type itemInfo struct {
 	item     PlanItem
 	pid      int64
 	cols     []int
-	raw      string // phase-1 expression over T
 	rawName  string // r<i> column name in phase 1
 	multival bool
 }
@@ -106,7 +106,7 @@ func (b *DB2RDF) Access(g *Gen, n *PlanNode, in Ctx) (Ctx, error) {
 		if len(n.Items) != 1 {
 			return Ctx{}, fmt.Errorf("translator: closure predicates cannot be merged")
 		}
-		return PositionalAccess(g, n.Items[0].Triple, in, table+" AS T", "T.entry", "", "T.val")
+		return PositionalAccess(g, n.Items[0].Triple, in, table, "entry", "", "val")
 	}
 
 	entity := entityOf(n.Items[0].Triple, method)
@@ -117,16 +117,15 @@ func (b *DB2RDF) Access(g *Gen, n *PlanNode, in Ctx) (Ctx, error) {
 
 	// ---- Phase 1: primary relation access with predicate conditions.
 	sel := g.Carry(in, "P")
-	var conds []string
+	var conds []rel.Expr
 	switch {
 	case !entity.IsVar:
-		conds = append(conds, fmt.Sprintf("T.entry = %d", g.IDOf(entity.Term)))
+		conds = append(conds, Eq(Col("T", "entry"), IntLit(g.IDOf(entity.Term))))
 	case in.Vars[entity.Var]:
-		conds = append(conds, fmt.Sprintf("T.entry = P.%s", g.ColFor(entity.Var)))
+		conds = append(conds, Eq(Col("T", "entry"), Col("P", g.ColFor(entity.Var))))
 	default:
 		// Unbound entity: scan with the entry exposed.
-		col := g.ColFor(entity.Var)
-		sel = append(sel, fmt.Sprintf("T.entry AS %s", col))
+		sel = append(sel, As(Col("T", "entry"), g.ColFor(entity.Var)))
 		outVars[entity.Var] = true
 	}
 
@@ -139,63 +138,33 @@ func (b *DB2RDF) Access(g *Gen, n *PlanNode, in Ctx) (Ctx, error) {
 			item:     it,
 			pid:      pid,
 			cols:     cols,
-			rawName:  fmt.Sprintf("r%d", i),
+			rawName:  numbered("r", i),
 			multival: b.St.MultiValued(pid, reverse),
 		}
-		pc := predCond("T", cols, pid)
 		raw := rawVal("T", cols, pid)
 		switch {
-		case it.Optional:
-			if len(cols) == 1 {
-				raw = fmt.Sprintf("CASE WHEN %s THEN %s ELSE NULL END", pc, raw)
-			}
-			// multi-column raw is already a CASE guarded by predicate
-			// conditions.
-		case n.Merge == OrMerge:
-			// Disjunctive members: each value is guarded so the flip
-			// phase can test presence.
-			if len(cols) == 1 {
-				raw = fmt.Sprintf("CASE WHEN %s THEN %s ELSE NULL END", pc, raw)
-			}
-		default:
-			conds = append(conds, pc)
+		case len(cols) == 1 && (it.Optional || n.Merge == OrMerge):
+			// An optional or disjunctive member's value is guarded, so
+			// later phases can test its presence; with several
+			// candidate columns rawVal's CASE already is.
+			raw = &rel.CaseExpr{Whens: []rel.CaseWhen{{Cond: predCond("T", cols, pid), Result: raw}}, Else: Null}
+		case !it.Optional && n.Merge != OrMerge:
+			conds = append(conds, predCond("T", cols, pid))
 		}
-		info.raw = raw
 		if info.multival {
 			anyMulti = true
 		}
-		sel = append(sel, fmt.Sprintf("%s AS %s", raw, info.rawName))
+		sel = append(sel, As(raw, info.rawName))
 		infos[i] = info
 	}
 	if n.Merge == OrMerge {
-		var alts []string
-		for _, info := range infos {
-			alts = append(alts, predCond("T", info.cols, info.pid))
+		alts := make([]rel.Expr, len(infos))
+		for i, info := range infos {
+			alts[i] = predCond("T", info.cols, info.pid)
 		}
-		conds = append(conds, "("+strings.Join(alts, " OR ")+")")
+		conds = append(conds, Or(alts...))
 	}
-
-	from := fmt.Sprintf("%s AS T", primary)
-	if in.Cte != "" {
-		from = fmt.Sprintf("%s AS P, %s AS T", in.Cte, primary)
-	}
-	body := fmt.Sprintf("SELECT %s FROM %s", strings.Join(sel, ", "), from)
-	if len(conds) > 0 {
-		body += " WHERE " + strings.Join(conds, " AND ")
-	}
-	cur := g.Emit(body)
-
-	// Columns now available in cur: carried cols, maybe entity col,
-	// r0..rn.
-	availCols := func(alias string) []string {
-		var out []string
-		for v := range outVars {
-			c := g.ColFor(v)
-			out = append(out, fmt.Sprintf("%s.%s AS %s", alias, c, c))
-		}
-		sort.Strings(out)
-		return out
-	}
+	cur := g.Emit(Select(sel, FromInput(in, From(primary, "T")), conds))
 
 	// OR-merged disjuncts resolve their DS lists per flip arm: a
 	// shared secondary join would cross-join the lists of different
@@ -205,63 +174,70 @@ func (b *DB2RDF) Access(g *Gen, n *PlanNode, in Ctx) (Ctx, error) {
 	}
 
 	// ---- Phase 2: DS/RS joins for multi-valued members.
-	finalVal := make([]string, len(infos))
 	if anyMulti {
-		var joins []string
-		sel2 := availCols("A")
+		sel2 := g.availCols(outVars)
+		src := From(cur, "A")
 		for i, info := range infos {
-			var expr string
+			var expr rel.Expr = Col("A", info.rawName)
 			if info.multival {
-				sAlias := fmt.Sprintf("S%d", i)
-				joins = append(joins, fmt.Sprintf("LEFT OUTER JOIN %s AS %s ON A.%s = %s.lid", secondary, sAlias, info.rawName, sAlias))
-				expr = fmt.Sprintf("COALESCE(%s.elm, A.%s)", sAlias, info.rawName)
-			} else {
-				expr = "A." + info.rawName
+				s := numbered("S", i)
+				src.Joins = append(src.Joins, secondaryJoin(secondary, s, info.rawName))
+				expr = call("COALESCE", Col(s, "elm"), Col("A", info.rawName))
 			}
-			sel2 = append(sel2, fmt.Sprintf("%s AS %s", expr, info.rawName))
+			sel2 = append(sel2, As(expr, info.rawName))
 		}
-		body2 := fmt.Sprintf("SELECT %s FROM %s AS A %s", strings.Join(sel2, ", "), cur, strings.Join(joins, " "))
-		cur = g.Emit(body2)
-	}
-	for i := range infos {
-		finalVal[i] = "A." + infos[i].rawName
+		cur = g.Emit(Select(sel2, []rel.FromItem{src}, nil))
 	}
 
 	// ---- Phase 3: value bindings and conditions.
-	sel3 := availCols("A")
-	var conds3 []string
-	localNew := map[string]string{} // var -> expression bound in this phase
-	for i, info := range infos {
+	sel3 := g.availCols(outVars)
+	var conds3 []rel.Expr
+	localNew := map[string]string{} // var -> raw column bound in this phase
+	for _, info := range infos {
 		tv := ValPos(info.item.Triple, method)
-		expr := finalVal[i]
+		val := Col("A", info.rawName)
 		switch {
 		case !tv.IsVar:
-			conds3 = append(conds3, fmt.Sprintf("%s = %d", expr, g.IDOf(tv.Term)))
+			conds3 = append(conds3, Eq(val, IntLit(g.IDOf(tv.Term))))
 		case outVars[tv.Var]:
-			c := fmt.Sprintf("%s = A.%s", expr, g.ColFor(tv.Var))
+			var c rel.Expr = Eq(val, Col("A", g.ColFor(tv.Var)))
 			if info.item.Optional {
-				c = fmt.Sprintf("(%s OR %s IS NULL)", c, expr)
+				c = Or(c, &rel.IsNullExpr{X: Col("A", info.rawName)})
 			}
 			conds3 = append(conds3, c)
 		case localNew[tv.Var] != "":
-			conds3 = append(conds3, fmt.Sprintf("%s = %s", expr, localNew[tv.Var]))
+			conds3 = append(conds3, Eq(val, Col("A", localNew[tv.Var])))
 		default:
-			localNew[tv.Var] = expr
-			sel3 = append(sel3, fmt.Sprintf("%s AS %s", expr, g.ColFor(tv.Var)))
+			localNew[tv.Var] = info.rawName
+			sel3 = append(sel3, As(val, g.ColFor(tv.Var)))
 		}
 	}
 	for v := range localNew {
 		outVars[v] = true
 	}
-	if len(sel3) == 0 {
-		sel3 = []string{"1 AS one"}
-	}
-	body3 := fmt.Sprintf("SELECT %s FROM %s AS A", strings.Join(sel3, ", "), cur)
-	if len(conds3) > 0 {
-		body3 += " WHERE " + strings.Join(conds3, " AND ")
-	}
-	name := g.Emit(body3)
+	name := g.Emit(Select(sel3, []rel.FromItem{From(cur, "A")}, conds3))
 	return Ctx{Cte: name, Vars: outVars}, nil
+}
+
+// availCols projects A.col AS col for every variable in vars, in
+// column-name order.
+func (g *Gen) availCols(vars map[string]bool) []rel.SelectItem {
+	cols := make([]string, 0, len(vars))
+	for v := range vars {
+		cols = append(cols, g.ColFor(v))
+	}
+	sort.Strings(cols)
+	out := make([]rel.SelectItem, len(cols))
+	for i, c := range cols {
+		out[i] = As(Col("A", c), c)
+	}
+	return out
+}
+
+// secondaryJoin is LEFT OUTER JOIN secondary AS alias ON A.raw =
+// alias.lid: the member list a multi-valued cell's lid points to.
+func secondaryJoin(secondary, alias, raw string) rel.JoinClause {
+	return rel.JoinClause{Left: true, Right: From(secondary, alias), On: Eq(Col("A", raw), Col(alias, "lid"))}
 }
 
 // orFlip flips an OR-merged access into one row per disjunct present:
@@ -294,43 +270,38 @@ func (b *DB2RDF) orFlip(g *Gen, n *PlanNode, infos []*itemInfo, cur string, outV
 	}
 	sort.Strings(shared)
 
-	var arms []string
+	arms := make([]*rel.Select, len(infos))
 	for i, info := range infos {
-		raw := "A." + info.rawName
-		val := raw
-		from := fmt.Sprintf("%s AS A", cur)
+		src := From(cur, "A")
+		var val rel.Expr = Col("A", info.rawName)
 		if info.multival {
-			from += fmt.Sprintf(" LEFT OUTER JOIN %s AS S0 ON %s = S0.lid", secondary, raw)
-			val = fmt.Sprintf("COALESCE(S0.elm, %s)", raw)
+			src.Joins = []rel.JoinClause{secondaryJoin(secondary, "S0", info.rawName)}
+			val = call("COALESCE", Col("S0", "elm"), Col("A", info.rawName))
 		}
-		var sel []string
+		var sel []rel.SelectItem
 		for _, v := range shared {
 			c := g.ColFor(v)
-			sel = append(sel, fmt.Sprintf("A.%s AS %s", c, c))
+			sel = append(sel, As(Col("A", c), c))
 		}
 		for _, v := range ordered {
 			c := g.ColFor(v)
 			if v == armVar[i] {
-				sel = append(sel, fmt.Sprintf("%s AS %s", val, c))
+				sel = append(sel, As(val, c))
 			} else {
-				sel = append(sel, fmt.Sprintf("NULL AS %s", c))
+				sel = append(sel, As(Null, c))
 			}
 		}
-		conds := []string{fmt.Sprintf("%s IS NOT NULL", raw)}
+		conds := []rel.Expr{&rel.IsNullExpr{X: Col("A", info.rawName), Not: true}}
 		tv := ValPos(info.item.Triple, method)
 		switch {
 		case !tv.IsVar:
-			conds = append(conds, fmt.Sprintf("%s = %d", val, g.IDOf(tv.Term)))
+			conds = append(conds, Eq(val, IntLit(g.IDOf(tv.Term))))
 		case outVars[tv.Var]:
-			conds = append(conds, fmt.Sprintf("%s = A.%s", val, g.ColFor(tv.Var)))
+			conds = append(conds, Eq(val, Col("A", g.ColFor(tv.Var))))
 		}
-		if len(sel) == 0 {
-			sel = []string{"1 AS one"}
-		}
-		arms = append(arms, fmt.Sprintf("SELECT %s FROM %s WHERE %s",
-			strings.Join(sel, ", "), from, strings.Join(conds, " AND ")))
+		arms[i] = Select(sel, []rel.FromItem{src}, conds)
 	}
-	name := g.Emit(strings.Join(arms, "\nUNION ALL\n"))
+	name := g.Emit(UnionAll(arms))
 	for v := range newVars {
 		outVars[v] = true
 	}
@@ -356,18 +327,18 @@ func (b *DB2RDF) varPredNode(g *Gen, n *PlanNode, in Ctx, primary, secondary str
 	}
 
 	sel := g.Carry(in, "P")
-	var conds []string
+	var conds []rel.Expr
 	exposeEntity := false
 	switch {
 	case !entity.IsVar:
-		conds = append(conds, fmt.Sprintf("T.entry = %d", g.IDOf(entity.Term)))
+		conds = append(conds, Eq(Col("T", "entry"), IntLit(g.IDOf(entity.Term))))
 	case in.Vars[entity.Var]:
-		conds = append(conds, fmt.Sprintf("T.entry = P.%s", g.ColFor(entity.Var)))
+		conds = append(conds, Eq(Col("T", "entry"), Col("P", g.ColFor(entity.Var))))
 	default:
 		exposeEntity = true
-		sel = append(sel, fmt.Sprintf("T.entry AS %s", g.ColFor(entity.Var)))
+		sel = append(sel, As(Col("T", "entry"), g.ColFor(entity.Var)))
 	}
-	conds = append(conds, "L.pred IS NOT NULL")
+	conds = append(conds, &rel.IsNullExpr{X: Col("L", "pred"), Not: true})
 
 	predBound := in.Vars[pv]
 	// "?a ?a ?b": the predicate variable repeats the entity variable,
@@ -376,20 +347,15 @@ func (b *DB2RDF) varPredNode(g *Gen, n *PlanNode, in Ctx, primary, secondary str
 	predSameAsEntity := entity.IsVar && entity.Var == pv
 	switch {
 	case predBound:
-		conds = append(conds, fmt.Sprintf("L.pred = P.%s", g.ColFor(pv)))
+		conds = append(conds, Eq(Col("L", "pred"), Col("P", g.ColFor(pv))))
 	case predSameAsEntity:
-		conds = append(conds, "L.pred = T.entry")
+		conds = append(conds, Eq(Col("L", "pred"), Col("T", "entry")))
 	default:
-		sel = append(sel, fmt.Sprintf("L.pred AS %s", g.ColFor(pv)))
+		sel = append(sel, As(Col("L", "pred"), g.ColFor(pv)))
 	}
-	sel = append(sel, "L.val AS r0")
+	sel = append(sel, As(Col("L", "val"), "r0"))
 
-	from := fmt.Sprintf("%s AS T, %s", primary, pairFlip("T", k))
-	if in.Cte != "" {
-		from = fmt.Sprintf("%s AS P, %s", in.Cte, from)
-	}
-	cur := g.Emit(fmt.Sprintf("SELECT %s FROM %s WHERE %s",
-		strings.Join(sel, ", "), from, strings.Join(conds, " AND ")))
+	cur := g.Emit(Select(sel, FromInput(in, From(primary, "T"), pairFlip("T", k)), conds))
 	if exposeEntity {
 		outVars[entity.Var] = true
 	}
@@ -397,55 +363,36 @@ func (b *DB2RDF) varPredNode(g *Gen, n *PlanNode, in Ctx, primary, secondary str
 		outVars[pv] = true
 	}
 
-	availCols := func(alias string) []string {
-		var out []string
-		for v := range outVars {
-			c := g.ColFor(v)
-			out = append(out, fmt.Sprintf("%s.%s AS %s", alias, c, c))
-		}
-		sort.Strings(out)
-		return out
-	}
-
-	valExpr := "A.r0"
 	if b.St.AnyMultiValued(reverse) {
-		sel2 := availCols("A")
-		sel2 = append(sel2, "COALESCE(S0.elm, A.r0) AS r0")
-		body := fmt.Sprintf("SELECT %s FROM %s AS A LEFT OUTER JOIN %s AS S0 ON A.r0 = S0.lid",
-			strings.Join(sel2, ", "), cur, secondary)
-		cur = g.Emit(body)
+		sel2 := append(g.availCols(outVars), As(call("COALESCE", Col("S0", "elm"), Col("A", "r0")), "r0"))
+		src := From(cur, "A")
+		src.Joins = []rel.JoinClause{secondaryJoin(secondary, "S0", "r0")}
+		cur = g.Emit(Select(sel2, []rel.FromItem{src}, nil))
 	}
 
-	sel3 := availCols("A")
-	var conds3 []string
+	sel3 := g.availCols(outVars)
+	var conds3 []rel.Expr
 	switch {
 	case !tv.IsVar:
-		conds3 = append(conds3, fmt.Sprintf("%s = %d", valExpr, g.IDOf(tv.Term)))
+		conds3 = append(conds3, Eq(Col("A", "r0"), IntLit(g.IDOf(tv.Term))))
 	case outVars[tv.Var]:
-		conds3 = append(conds3, fmt.Sprintf("%s = A.%s", valExpr, g.ColFor(tv.Var)))
+		conds3 = append(conds3, Eq(Col("A", "r0"), Col("A", g.ColFor(tv.Var))))
 	default:
-		sel3 = append(sel3, fmt.Sprintf("%s AS %s", valExpr, g.ColFor(tv.Var)))
+		sel3 = append(sel3, As(Col("A", "r0"), g.ColFor(tv.Var)))
 		outVars[tv.Var] = true
 	}
-	if len(sel3) == 0 {
-		sel3 = []string{"1 AS one"}
-	}
-	body3 := fmt.Sprintf("SELECT %s FROM %s AS A", strings.Join(sel3, ", "), cur)
-	if len(conds3) > 0 {
-		body3 += " WHERE " + strings.Join(conds3, " AND ")
-	}
-	name := g.Emit(body3)
+	name := g.Emit(Select(sel3, []rel.FromItem{From(cur, "A")}, conds3))
 	return Ctx{Cte: name, Vars: outVars}, nil
 }
 
-// pairFlip renders the lateral item that flips the k (pred_i, val_i)
-// pairs of alias's row into rows L(pred, val) (Figure 13).
-func pairFlip(alias string, k int) string {
-	pairs := make([]string, k)
-	for i := range pairs {
-		pairs[i] = fmt.Sprintf("(%s.pred%d, %s.val%d)", alias, i, alias, i)
+// pairFlip is the lateral item that flips the k (pred_i, val_i) pairs
+// of alias's row into rows L(pred, val) (Figure 13).
+func pairFlip(alias string, k int) rel.FromItem {
+	rows := make([][]rel.Expr, k)
+	for i := range rows {
+		rows[i] = []rel.Expr{Col(alias, numbered("pred", i)), Col(alias, numbered("val", i))}
 	}
-	return "TABLE(VALUES " + strings.Join(pairs, ", ") + ") AS L(pred, val)"
+	return rel.FromItem{Lateral: &rel.Lateral{Rows: rows, Cols: []string{"pred", "val"}}, Alias: "L"}
 }
 
 // clipCols drops candidate columns beyond the physical budget.
@@ -462,31 +409,48 @@ func clipCols(cols []int, k int) []int {
 	return out
 }
 
-// predCond renders the predicate membership condition over the
-// candidate columns (Figure 12 box 3).
-func predCond(alias string, cols []int, pid int64) string {
-	if len(cols) == 1 {
-		return fmt.Sprintf("%s.pred%d = %d", alias, cols[0], pid)
-	}
-	parts := make([]string, len(cols))
+// predCond is the predicate membership condition over the candidate
+// columns (Figure 12 box 3).
+func predCond(alias string, cols []int, pid int64) rel.Expr {
+	alts := make([]rel.Expr, len(cols))
 	for i, c := range cols {
-		parts[i] = fmt.Sprintf("%s.pred%d = %d", alias, c, pid)
+		alts[i] = Eq(Col(alias, numbered("pred", c)), IntLit(pid))
 	}
-	return "(" + strings.Join(parts, " OR ") + ")"
+	return Or(alts...)
 }
 
-// rawVal renders the value expression over the candidate columns; with
+// rawVal is the value expression over the candidate columns; with
 // several candidates a CASE selects the column actually holding the
 // predicate (the paper's CASE statements of §3.2.2).
-func rawVal(alias string, cols []int, pid int64) string {
+func rawVal(alias string, cols []int, pid int64) rel.Expr {
 	if len(cols) == 1 {
-		return fmt.Sprintf("%s.val%d", alias, cols[0])
+		return Col(alias, numbered("val", cols[0]))
 	}
-	var b strings.Builder
-	b.WriteString("CASE")
-	for _, c := range cols {
-		fmt.Fprintf(&b, " WHEN %s.pred%d = %d THEN %s.val%d", alias, c, pid, alias, c)
+	c := &rel.CaseExpr{Whens: make([]rel.CaseWhen, len(cols)), Else: Null}
+	for i, col := range cols {
+		c.Whens[i] = rel.CaseWhen{Cond: Eq(Col(alias, numbered("pred", col)), IntLit(pid)), Result: Col(alias, numbered("val", col))}
 	}
-	b.WriteString(" ELSE NULL END")
-	return b.String()
+	return c
 }
+
+// numbered is prefix followed by i: a column name such as pred3, val3
+// or r0, or an alias such as S1. The names of the first few dozen come
+// from a table.
+func numbered(prefix string, i int) string {
+	if t, ok := numberedNames[prefix]; ok && i < len(t) {
+		return t[i]
+	}
+	return prefix + strconv.Itoa(i)
+}
+
+var numberedNames = func() map[string][]string {
+	m := map[string][]string{}
+	for _, p := range []string{"pred", "val", "r", "S"} {
+		t := make([]string, 64)
+		for i := range t {
+			t[i] = p + strconv.Itoa(i)
+		}
+		m[p] = t
+	}
+	return m
+}()

@@ -2,316 +2,273 @@ package translator
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"db2rdf/internal/rdf"
+	"db2rdf/internal/rel"
 	"db2rdf/internal/sparql"
 )
 
-// filterSQL translates a SPARQL FILTER expression into a SQL boolean
-// expression. varExpr maps bound variables to SQL expressions holding
-// their dictionary ids; unbound variables become NULL (SPARQL type
-// errors collapse to false at the filter, matching our engine's
-// three-valued WHERE).
-func (g *Gen) filterSQL(e sparql.Expr, varExpr map[string]string) (string, error) {
+// filterExpr translates a SPARQL FILTER expression into a SQL boolean
+// expression. vars maps bound variables to the columns holding their
+// dictionary ids; unbound variables become NULL (SPARQL type errors
+// collapse to false at the filter, matching our engine's three-valued
+// WHERE).
+func (g *Gen) filterExpr(e sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, error) {
 	switch x := e.(type) {
 	case *sparql.EBin:
 		switch x.Op {
-		case "&&":
-			l, err := g.filterSQL(x.L, varExpr)
+		case "&&", "||":
+			l, err := g.filterExpr(x.L, vars)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			r, err := g.filterSQL(x.R, varExpr)
+			r, err := g.filterExpr(x.R, vars)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			return fmt.Sprintf("(%s AND %s)", l, r), nil
-		case "||":
-			l, err := g.filterSQL(x.L, varExpr)
-			if err != nil {
-				return "", err
+			if x.Op == "&&" {
+				return And(l, r), nil
 			}
-			r, err := g.filterSQL(x.R, varExpr)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("(%s OR %s)", l, r), nil
-		case "=", "!=":
-			return g.equalitySQL(x, varExpr)
-		case "<", "<=", ">", ">=":
-			return g.comparisonSQL(x, varExpr)
+			return Or(l, r), nil
+		case "=", "!=", "<", "<=", ">", ">=":
+			return g.comparison(x, vars)
 		}
-		return "", fmt.Errorf("translator: unsupported filter operator %q", x.Op)
+		return nil, fmt.Errorf("translator: unsupported filter operator %q", x.Op)
 	case *sparql.EUn:
 		if x.Op == "!" {
-			inner, err := g.filterSQL(x.X, varExpr)
+			inner, err := g.filterExpr(x.X, vars)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			return fmt.Sprintf("NOT (%s)", inner), nil
+			return &rel.UnOp{Op: "NOT", X: inner}, nil
 		}
-		return "", fmt.Errorf("translator: unary %q not boolean", x.Op)
+		return nil, fmt.Errorf("translator: unary %q not boolean", x.Op)
 	case *sparql.ECall:
-		return g.callSQL(x, varExpr)
+		return g.callExpr(x, vars)
 	case *sparql.EVar:
 		// Effective boolean value of a bare variable: bound and not
 		// the false literal.
-		c, ok := varExpr[x.Name]
+		c, ok := ref(vars, x.Name)
 		if !ok {
-			return "FALSE", nil
+			return falseLit, nil
 		}
-		return fmt.Sprintf("(%s IS NOT NULL AND dstr(%s) != 'false')", c, c), nil
+		return And(&rel.IsNullExpr{X: c, Not: true}, binop("!=", call("dstr", c), strLit("false"))), nil
 	}
-	return "", fmt.Errorf("translator: unsupported filter expression %T", e)
+	return nil, fmt.Errorf("translator: unsupported filter expression %T", e)
 }
 
-// equalitySQL handles = and != with three strategies: id equality for
-// plain term operands, numeric comparison when a numeric literal or
-// arithmetic is involved, and string comparison when a
-// string-returning builtin is involved.
-func (g *Gen) equalitySQL(x *sparql.EBin, varExpr map[string]string) (string, error) {
-	op := x.Op
-	if stringish(x.L) || stringish(x.R) {
-		l, err := g.strSQL(x.L, varExpr)
-		if err != nil {
-			return "", err
-		}
-		r, err := g.strSQL(x.R, varExpr)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s %s %s", l, op, r), nil
+// comparison handles = != < <= > >= in one of three modes: string
+// comparison when a string-returning builtin is involved, numeric when
+// a numeric literal or arithmetic is, and otherwise id equality for =
+// and != and term ordering (dcmp) for the ordering operators.
+func (g *Gen) comparison(x *sparql.EBin, vars map[string]rel.ColRef) (rel.Expr, error) {
+	operands, byTerm := g.idExpr, x.Op != "=" && x.Op != "!="
+	switch {
+	case stringish(x.L) || stringish(x.R):
+		operands, byTerm = g.strExpr, false
+	case numericish(x.L) || numericish(x.R):
+		operands, byTerm = g.numExpr, false
 	}
-	if numericish(x.L) || numericish(x.R) {
-		l, err := g.numSQL(x.L, varExpr)
-		if err != nil {
-			return "", err
-		}
-		r, err := g.numSQL(x.R, varExpr)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s %s %s", l, op, r), nil
-	}
-	l, err := g.idSQL(x.L, varExpr)
+	l, err := operands(x.L, vars)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	r, err := g.idSQL(x.R, varExpr)
+	r, err := operands(x.R, vars)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return fmt.Sprintf("%s %s %s", l, op, r), nil
+	if byTerm {
+		return binop(x.Op, call("dcmp", l, r), IntLit(0)), nil
+	}
+	return binop(x.Op, l, r), nil
 }
 
-// comparisonSQL handles the ordering operators: numeric mode when
-// arithmetic or numeric literals are involved, term ordering (dcmp)
-// otherwise.
-func (g *Gen) comparisonSQL(x *sparql.EBin, varExpr map[string]string) (string, error) {
-	if stringish(x.L) || stringish(x.R) {
-		l, err := g.strSQL(x.L, varExpr)
-		if err != nil {
-			return "", err
-		}
-		r, err := g.strSQL(x.R, varExpr)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s %s %s", l, x.Op, r), nil
-	}
-	if numericish(x.L) || numericish(x.R) {
-		l, err := g.numSQL(x.L, varExpr)
-		if err != nil {
-			return "", err
-		}
-		r, err := g.numSQL(x.R, varExpr)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s %s %s", l, x.Op, r), nil
-	}
-	l, err := g.idSQL(x.L, varExpr)
-	if err != nil {
-		return "", err
-	}
-	r, err := g.idSQL(x.R, varExpr)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("dcmp(%s, %s) %s 0", l, r, x.Op), nil
-}
-
-func (g *Gen) callSQL(x *sparql.ECall, varExpr map[string]string) (string, error) {
+func (g *Gen) callExpr(x *sparql.ECall, vars map[string]rel.ColRef) (rel.Expr, error) {
 	switch x.Name {
 	case "bound":
 		if len(x.Args) != 1 {
-			return "", fmt.Errorf("translator: bound() wants 1 argument")
+			return nil, fmt.Errorf("translator: bound() wants 1 argument")
 		}
 		v, ok := x.Args[0].(*sparql.EVar)
 		if !ok {
-			return "", fmt.Errorf("translator: bound() wants a variable")
+			return nil, fmt.Errorf("translator: bound() wants a variable")
 		}
-		c, bound := varExpr[v.Name]
+		c, bound := ref(vars, v.Name)
 		if !bound {
-			return "FALSE", nil
+			return falseLit, nil
 		}
-		return fmt.Sprintf("%s IS NOT NULL", c), nil
+		return &rel.IsNullExpr{X: c, Not: true}, nil
 	case "regex":
 		if len(x.Args) < 2 || len(x.Args) > 3 {
-			return "", fmt.Errorf("translator: regex() wants 2 or 3 arguments")
+			return nil, fmt.Errorf("translator: regex() wants 2 or 3 arguments")
 		}
-		s, err := g.strSQL(x.Args[0], varExpr)
-		if err != nil {
-			return "", err
-		}
-		pat, err := g.strSQL(x.Args[1], varExpr)
-		if err != nil {
-			return "", err
-		}
-		if len(x.Args) == 3 {
-			flags, err := g.strSQL(x.Args[2], varExpr)
+		args := make([]rel.Expr, len(x.Args))
+		for i, a := range x.Args {
+			s, err := g.strExpr(a, vars)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			return fmt.Sprintf("regexmatch(%s, %s, %s)", s, pat, flags), nil
+			args[i] = s
 		}
-		return fmt.Sprintf("regexmatch(%s, %s)", s, pat), nil
+		return call("regexmatch", args...), nil
 	case "isiri", "isuri", "isliteral", "isblank":
 		if len(x.Args) != 1 {
-			return "", fmt.Errorf("translator: %s() wants 1 argument", x.Name)
+			return nil, fmt.Errorf("translator: %s() wants 1 argument", x.Name)
 		}
-		id, err := g.idSQL(x.Args[0], varExpr)
+		id, err := g.idExpr(x.Args[0], vars)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		fn := map[string]string{"isiri": "disiri", "isuri": "disiri", "isliteral": "disliteral", "isblank": "disblank"}[x.Name]
-		return fmt.Sprintf("%s(%s)", fn, id), nil
+		return call(fn, id), nil
 	case "sameterm":
 		if len(x.Args) != 2 {
-			return "", fmt.Errorf("translator: sameterm() wants 2 arguments")
+			return nil, fmt.Errorf("translator: sameterm() wants 2 arguments")
 		}
-		l, err := g.idSQL(x.Args[0], varExpr)
+		l, err := g.idExpr(x.Args[0], vars)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		r, err := g.idSQL(x.Args[1], varExpr)
+		r, err := g.idExpr(x.Args[1], vars)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		return fmt.Sprintf("%s = %s", l, r), nil
+		return Eq(l, r), nil
 	case "langmatches":
 		if len(x.Args) != 2 {
-			return "", fmt.Errorf("translator: langmatches() wants 2 arguments")
+			return nil, fmt.Errorf("translator: langmatches() wants 2 arguments")
 		}
-		l, err := g.strSQL(x.Args[0], varExpr)
+		l, err := g.strExpr(x.Args[0], vars)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		lit, ok := x.Args[1].(*sparql.ELit)
 		if !ok {
-			return "", fmt.Errorf("translator: langmatches() wants a literal range")
+			return nil, fmt.Errorf("translator: langmatches() wants a literal range")
 		}
 		if lit.Term.Value == "*" {
-			return fmt.Sprintf("%s != ''", l), nil
+			return binop("!=", l, strLit("")), nil
 		}
-		return fmt.Sprintf("lower(%s) = '%s'", l, escapeSQL(strings.ToLower(lit.Term.Value))), nil
+		return Eq(call("lower", l), strLit(strings.ToLower(lit.Term.Value))), nil
 	}
-	return "", fmt.Errorf("translator: unsupported builtin %q", x.Name)
+	return nil, fmt.Errorf("translator: unsupported builtin %q", x.Name)
 }
 
-// idSQL renders the dictionary id of a term-valued operand.
-func (g *Gen) idSQL(e sparql.Expr, varExpr map[string]string) (string, error) {
+// idExpr is the dictionary id of a term-valued operand.
+func (g *Gen) idExpr(e sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, error) {
 	switch x := e.(type) {
 	case *sparql.EVar:
-		c, ok := varExpr[x.Name]
-		if !ok {
-			return "NULL", nil
+		if c, ok := ref(vars, x.Name); ok {
+			return c, nil
 		}
-		return c, nil
+		return Null, nil
 	case *sparql.ELit:
 		// Encode (not Lookup): dcmp/disiri must be able to decode the
 		// constant even when it does not occur in the data.
-		return fmt.Sprintf("%d", g.backend.EncodeID(x.Term)), nil
+		return IntLit(g.backend.EncodeID(x.Term)), nil
 	}
-	return "", fmt.Errorf("translator: operand %T is not term-valued", e)
+	return nil, fmt.Errorf("translator: operand %T is not term-valued", e)
 }
 
-// strSQL renders the string value of an operand.
-func (g *Gen) strSQL(e sparql.Expr, varExpr map[string]string) (string, error) {
+// strExpr is the string value of an operand.
+func (g *Gen) strExpr(e sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, error) {
 	switch x := e.(type) {
 	case *sparql.EVar:
-		c, ok := varExpr[x.Name]
-		if !ok {
-			return "NULL", nil
+		if c, ok := ref(vars, x.Name); ok {
+			return call("dstr", c), nil
 		}
-		return fmt.Sprintf("dstr(%s)", c), nil
+		return Null, nil
 	case *sparql.ELit:
-		return "'" + escapeSQL(x.Term.Value) + "'", nil
+		return strLit(x.Term.Value), nil
 	case *sparql.ECall:
+		var fn string
 		switch x.Name {
 		case "str":
-			id, err := g.idSQL(x.Args[0], varExpr)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("dstr(%s)", id), nil
+			fn = "dstr"
 		case "lang":
-			id, err := g.idSQL(x.Args[0], varExpr)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("dlang(%s)", id), nil
+			fn = "dlang"
 		case "datatype":
-			id, err := g.idSQL(x.Args[0], varExpr)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("ddt(%s)", id), nil
+			fn = "ddt"
+		default:
+			return nil, fmt.Errorf("translator: operand %T is not string-valued", e)
 		}
+		id, err := g.idExpr(x.Args[0], vars)
+		if err != nil {
+			return nil, err
+		}
+		return call(fn, id), nil
 	}
-	return "", fmt.Errorf("translator: operand %T is not string-valued", e)
+	return nil, fmt.Errorf("translator: operand %T is not string-valued", e)
 }
 
-// numSQL renders the numeric value of an operand, including filter
+// numExpr is the numeric value of an operand, including filter
 // arithmetic.
-func (g *Gen) numSQL(e sparql.Expr, varExpr map[string]string) (string, error) {
+func (g *Gen) numExpr(e sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, error) {
 	switch x := e.(type) {
 	case *sparql.EVar:
-		c, ok := varExpr[x.Name]
-		if !ok {
-			return "NULL", nil
+		if c, ok := ref(vars, x.Name); ok {
+			return call("dnum", c), nil
 		}
-		return fmt.Sprintf("dnum(%s)", c), nil
+		return Null, nil
 	case *sparql.ELit:
-		if _, ok := x.Term.Float(); ok {
-			return x.Term.Value, nil
-		}
-		return "", fmt.Errorf("translator: literal %s is not numeric", x.Term)
+		return numLit(x.Term)
 	case *sparql.EBin:
 		switch x.Op {
 		case "+", "-", "*", "/":
-			l, err := g.numSQL(x.L, varExpr)
+			l, err := g.numExpr(x.L, vars)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			r, err := g.numSQL(x.R, varExpr)
+			r, err := g.numExpr(x.R, vars)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			return fmt.Sprintf("(%s %s %s)", l, x.Op, r), nil
+			return binop(x.Op, l, r), nil
 		}
 	case *sparql.EUn:
 		if x.Op == "-" {
-			inner, err := g.numSQL(x.X, varExpr)
+			inner, err := g.numExpr(x.X, vars)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			return fmt.Sprintf("(0 - %s)", inner), nil
+			return binop("-", IntLit(0), inner), nil
 		}
 	}
-	return "", fmt.Errorf("translator: operand %T is not numeric", e)
+	return nil, fmt.Errorf("translator: operand %T is not numeric", e)
 }
+
+// numLit is the value of a numeric literal: an integer when its lexical
+// form is one within int64, else a float (xsd:double's INF and NaN
+// included).
+func numLit(t rdf.Term) (rel.Expr, error) {
+	if t.Kind == rdf.Literal {
+		if n, err := strconv.ParseInt(t.Value, 10, 64); err == nil {
+			return IntLit(n), nil
+		}
+	}
+	if f, ok := t.Float(); ok {
+		return &rel.Lit{V: rel.Float(f)}, nil
+	}
+	return nil, fmt.Errorf("translator: literal %s is not numeric", t)
+}
+
+// ref returns a new reference to the column holding variable name;
+// false when the variable is unbound.
+func ref(vars map[string]rel.ColRef, name string) (*rel.ColRef, bool) {
+	c, ok := vars[name]
+	return &c, ok
+}
+
+// binop is the binary operation l op r.
+func binop(op string, l, r rel.Expr) rel.Expr { return &rel.BinOp{Op: op, L: l, R: r} }
+
+func call(fn string, args ...rel.Expr) rel.Expr { return &rel.FuncCall{Name: fn, Args: args} }
+
+func strLit(s string) rel.Expr { return &rel.Lit{V: rel.Str(s)} }
+
+var falseLit = &rel.Lit{V: rel.Bool(false)}
 
 // stringish reports whether the operand forces string-mode comparison.
 func stringish(e sparql.Expr) bool {
@@ -348,6 +305,3 @@ func numericish(e sparql.Expr) bool {
 	}
 	return false
 }
-
-// escapeSQL doubles single quotes for SQL string literals.
-func escapeSQL(s string) string { return strings.ReplaceAll(s, "'", "''") }

@@ -1,9 +1,9 @@
 // Package translator implements the SPARQL-to-SQL translation of
 // Bornea et al. (SIGMOD 2013, §3.2) for the DB2RDF schema: the query
 // plan builder that merges execution-tree nodes into star lookups
-// (Definitions 3.9-3.11, spill-aware), and the SQL generator that emits
+// (Definitions 3.9-3.11, spill-aware), and the query builder that emits
 // a chain of common table expressions over DPH/DS/RPH/RS (Figures
-// 12-13).
+// 12-13) as a bound rel.Query, printed as SQL for EXPLAIN.
 package translator
 
 import (

@@ -3,9 +3,10 @@ package translator
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"db2rdf/internal/rdf"
+	"db2rdf/internal/rel"
 	"db2rdf/internal/sparql"
 )
 
@@ -30,12 +31,15 @@ type Backend interface {
 	MergeSafe(m MethodT, ts ...*sparql.TriplePattern) bool
 }
 
-// Result is a translated query: the SQL text plus the metadata the
-// caller needs to decode the relational result back into SPARQL
+// Result is a translated query: the bound relational query plus the
+// metadata the caller needs to decode its result back into SPARQL
 // bindings.
 type Result struct {
-	// SQL is the full statement (WITH ... SELECT ...). Empty when the
-	// query has no triple patterns.
+	// Query is the bound statement (WITH ... SELECT ...), ready for
+	// rel.DB.ExecContext. Nil when the query has no triple patterns.
+	Query *rel.Query
+	// SQL is Query's text (rel.Query.String), for EXPLAIN and tests;
+	// execution never reads it. Empty when Query is nil.
 	SQL string
 	// Columns holds the projected variable names, in result-column
 	// order. Trailing hidden columns (ORDER BY keys that are not
@@ -45,7 +49,7 @@ type Result struct {
 	Hidden int
 	// Ask marks an ASK query (one row means true).
 	Ask bool
-	// Plan is the query plan the SQL was generated from.
+	// Plan is the query plan Query was built from.
 	Plan *PlanNode
 	// Traces records, per access node, the CTE it emitted and the
 	// optimizer's TMC estimates for the triples it answers. EXPLAIN
@@ -71,7 +75,8 @@ type AccessTrace struct {
 	Est float64
 }
 
-// Translate generates SQL for a query plan over the given backend.
+// Translate builds and binds the relational query for a query plan
+// over the given backend.
 func Translate(q *sparql.Query, plan *PlanNode, backend Backend) (*Result, error) {
 	g := &Gen{backend: backend, varCol: map[string]string{}, colTaken: map[string]bool{}}
 	res := &Result{Ask: q.Ask, Plan: plan}
@@ -86,27 +91,14 @@ func Translate(q *sparql.Query, plan *PlanNode, backend Backend) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	var b strings.Builder
-	if len(g.ctes) > 0 {
-		b.WriteString("WITH ")
-		for i, c := range g.ctes {
-			if i > 0 {
-				b.WriteString(",\n")
-			}
-			b.WriteString(c.name)
-			b.WriteString(" AS (")
-			b.WriteString(c.body)
-			b.WriteString(")")
-		}
-		b.WriteString("\n")
+	rq := &rel.Query{CTEs: g.ctes, Body: final}
+	if err := rel.Bind(rq); err != nil {
+		return nil, fmt.Errorf("translator: %w", err)
 	}
-	b.WriteString(final)
-	res.SQL = b.String()
+	res.Query, res.SQL = rq, rq.String()
 	res.Traces = g.traces
 	return res, nil
 }
-
-type cteDef struct{ name, body string }
 
 // Ctx tracks the translation context: the current CTE and the set of
 // SPARQL variables bound in it (stored under their column names).
@@ -125,11 +117,11 @@ func (c Ctx) BoundVars() []string {
 	return out
 }
 
-// Gen is the SQL generation state shared across backends.
+// Gen is the query-building state shared across backends: the CTE
+// chain emitted so far and the column name of every variable.
 type Gen struct {
 	backend  Backend
-	ctes     []cteDef
-	cteN     int
+	ctes     []rel.CTE
 	varCol   map[string]string
 	colTaken map[string]bool
 	traces   []AccessTrace
@@ -140,31 +132,32 @@ func (g *Gen) ColFor(v string) string {
 	if c, ok := g.varCol[v]; ok {
 		return c
 	}
-	base := "v_"
+	b := make([]byte, 0, len(v)+2)
+	b = append(b, "v_"...)
 	for _, r := range v {
 		switch {
 		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '_':
-			base += string(r)
+			b = append(b, byte(r))
 		case r >= 'A' && r <= 'Z':
-			base += string(r - 'A' + 'a')
+			b = append(b, byte(r-'A'+'a'))
 		default:
-			base += "_"
+			b = append(b, '_')
 		}
 	}
+	base := string(b)
 	name := base
 	for i := 2; g.colTaken[name]; i++ {
-		name = fmt.Sprintf("%s_%d", base, i)
+		name = base + "_" + strconv.Itoa(i)
 	}
 	g.colTaken[name] = true
 	g.varCol[v] = name
 	return name
 }
 
-// Emit registers a new CTE body and returns its name.
-func (g *Gen) Emit(body string) string {
-	g.cteN++
-	name := fmt.Sprintf("QT%d", g.cteN)
-	g.ctes = append(g.ctes, cteDef{name: name, body: body})
+// Emit appends body to the CTE chain and returns its name.
+func (g *Gen) Emit(body *rel.Select) string {
+	name := "QT" + strconv.Itoa(len(g.ctes)+1)
+	g.ctes = append(g.ctes, rel.CTE{Name: name, Select: body})
 	return name
 }
 
@@ -178,15 +171,75 @@ func (g *Gen) IDOf(t rdf.Term) int64 {
 	return id
 }
 
-// Carry renders "alias.col AS col" projections for every bound
-// variable.
-func (g *Gen) Carry(in Ctx, alias string) []string {
-	var out []string
+// Carry projects alias.col AS col for every bound variable.
+func (g *Gen) Carry(in Ctx, alias string) []rel.SelectItem {
+	var out []rel.SelectItem
 	for _, v := range in.BoundVars() {
 		c := g.ColFor(v)
-		out = append(out, fmt.Sprintf("%s.%s AS %s", alias, c, c))
+		out = append(out, As(Col(alias, c), c))
 	}
 	return out
+}
+
+// Query building blocks, shared with the backends.
+
+// Col is the column reference alias.col.
+func Col(alias, col string) *rel.ColRef { return &rel.ColRef{Alias: alias, Column: col} }
+
+// IntLit is an integer constant, a dictionary id or -1.
+func IntLit(n int64) *rel.Lit { return &rel.Lit{V: rel.Int(n)} }
+
+// Null is the NULL constant; literals are never written, so one node
+// serves every query.
+var Null = &rel.Lit{V: rel.Null}
+
+// Eq is l = r.
+func Eq(l, r rel.Expr) rel.Expr { return &rel.BinOp{Op: "=", L: l, R: r} }
+
+// As is the select item e AS name.
+func As(e rel.Expr, name string) rel.SelectItem { return rel.SelectItem{Expr: e, Alias: name} }
+
+// From is the FROM item table AS alias.
+func From(table, alias string) rel.FromItem { return rel.FromItem{Table: table, Alias: alias} }
+
+// And is the conjunction of conds: nil for none, the condition itself
+// for one.
+func And(conds ...rel.Expr) rel.Expr { return chain("AND", conds) }
+
+// Or is the disjunction of conds, like And.
+func Or(conds ...rel.Expr) rel.Expr { return chain("OR", conds) }
+
+func chain(op string, conds []rel.Expr) rel.Expr {
+	switch len(conds) {
+	case 0:
+		return nil
+	case 1:
+		return conds[0]
+	}
+	return &rel.BoolOp{Op: op, Args: conds}
+}
+
+// Select is SELECT items FROM from WHERE conds (no WHERE without
+// conds); with no items, for a row that binds no variable, it selects
+// 1 AS one.
+func Select(items []rel.SelectItem, from []rel.FromItem, conds []rel.Expr) *rel.Select {
+	if len(items) == 0 {
+		items = []rel.SelectItem{As(IntLit(1), "one")}
+	}
+	return &rel.Select{Cores: []*rel.SelectCore{{Items: items, From: from, Where: And(conds...)}}, Limit: -1}
+}
+
+// UnionAll chains the cores of arms, single-core selects, with UNION
+// ALL.
+func UnionAll(arms []*rel.Select) *rel.Select {
+	u := &rel.Select{Limit: -1}
+	for i, a := range arms {
+		if i > 0 {
+			u.UnionAll = append(u.UnionAll, true)
+		}
+		u.Cores = append(u.Cores, a.Cores[0])
+	}
+	return u
 }
 
 // Node translates one plan node, returning the output context.
@@ -252,23 +305,20 @@ func (g *Gen) orNode(n *PlanNode, in Ctx) (Ctx, error) {
 		ordered = append(ordered, v)
 	}
 	sort.Strings(ordered)
-	var parts []string
-	for _, a := range arms {
-		var sel []string
+	parts := make([]*rel.Select, len(arms))
+	for i, a := range arms {
+		var sel []rel.SelectItem
 		for _, v := range ordered {
 			col := g.ColFor(v)
 			if a.Vars[v] {
-				sel = append(sel, fmt.Sprintf("A.%s AS %s", col, col))
+				sel = append(sel, As(Col("A", col), col))
 			} else {
-				sel = append(sel, fmt.Sprintf("NULL AS %s", col))
+				sel = append(sel, As(Null, col))
 			}
 		}
-		if len(sel) == 0 {
-			sel = []string{"1 AS one"}
-		}
-		parts = append(parts, fmt.Sprintf("SELECT %s FROM %s AS A", strings.Join(sel, ", "), a.Cte))
+		parts[i] = Select(sel, []rel.FromItem{From(a.Cte, "A")}, nil)
 	}
-	name := g.Emit(strings.Join(parts, "\nUNION ALL\n"))
+	name := g.Emit(UnionAll(parts))
 	out := Ctx{Cte: name, Vars: allVars}
 	return g.ApplyFilters(n.Filters, out)
 }
@@ -303,25 +353,22 @@ func (g *Gen) optNode(n *PlanNode, in Ctx) (Ctx, error) {
 	}
 	sort.Strings(shared)
 	sort.Strings(optOnly)
-	var on []string
+	var on []rel.Expr
 	for _, v := range shared {
 		c := g.ColFor(v)
-		on = append(on, fmt.Sprintf("P.%s = O.%s", c, c))
+		on = append(on, Eq(Col("P", c), Col("O", c)))
 	}
 	if len(on) == 0 {
-		on = append(on, "1 = 1")
+		on = append(on, Eq(IntLit(1), IntLit(1)))
 	}
 	sel := g.Carry(in, "P")
 	for _, v := range optOnly {
 		c := g.ColFor(v)
-		sel = append(sel, fmt.Sprintf("O.%s AS %s", c, c))
+		sel = append(sel, As(Col("O", c), c))
 	}
-	if len(sel) == 0 {
-		sel = []string{"1 AS one"}
-	}
-	body := fmt.Sprintf("SELECT %s FROM %s AS P LEFT OUTER JOIN %s AS O ON %s",
-		strings.Join(sel, ", "), in.Cte, oc.Cte, strings.Join(on, " AND "))
-	name := g.Emit(body)
+	left := From(in.Cte, "P")
+	left.Joins = []rel.JoinClause{{Left: true, Right: From(oc.Cte, "O"), On: And(on...)}}
+	name := g.Emit(Select(sel, []rel.FromItem{left}, nil))
 	outVars := map[string]bool{}
 	for v := range in.Vars {
 		outVars[v] = true
@@ -337,25 +384,19 @@ func (g *Gen) ApplyFilters(filters []sparql.Expr, in Ctx) (Ctx, error) {
 	if len(filters) == 0 || in.Cte == "" {
 		return in, nil
 	}
-	varExpr := map[string]string{}
+	vars := map[string]rel.ColRef{}
 	for v := range in.Vars {
-		varExpr[v] = "P." + g.ColFor(v)
+		vars[v] = rel.ColRef{Alias: "P", Column: g.ColFor(v)}
 	}
-	var conds []string
-	for _, f := range filters {
-		c, err := g.filterSQL(f, varExpr)
+	conds := make([]rel.Expr, len(filters))
+	for i, f := range filters {
+		c, err := g.filterExpr(f, vars)
 		if err != nil {
 			return Ctx{}, err
 		}
-		conds = append(conds, c)
+		conds[i] = c
 	}
-	sel := g.Carry(in, "P")
-	if len(sel) == 0 {
-		sel = []string{"1 AS one"}
-	}
-	body := fmt.Sprintf("SELECT %s FROM %s AS P WHERE %s",
-		strings.Join(sel, ", "), in.Cte, strings.Join(conds, " AND "))
-	name := g.Emit(body)
+	name := g.Emit(Select(g.Carry(in, "P"), []rel.FromItem{From(in.Cte, "P")}, conds))
 	return Ctx{Cte: name, Vars: in.Vars}, nil
 }
 
@@ -368,21 +409,24 @@ func ValPos(t *sparql.TriplePattern, m MethodT) sparql.TermOrVar {
 	return t.O
 }
 
-// finalSelect renders the outer SELECT: projection, DISTINCT, ORDER
-// BY, LIMIT/OFFSET.
-func (g *Gen) finalSelect(q *sparql.Query, out Ctx, res *Result) (string, error) {
+// finalSelect builds the outer SELECT: projection, DISTINCT, ORDER BY,
+// LIMIT/OFFSET.
+func (g *Gen) finalSelect(q *sparql.Query, out Ctx, res *Result) (*rel.Select, error) {
+	from := []rel.FromItem{From(out.Cte, "P")}
 	if q.Ask {
 		res.Columns = []string{"ok"}
-		return fmt.Sprintf("SELECT 1 AS ok FROM %s AS P LIMIT 1", out.Cte), nil
+		s := Select([]rel.SelectItem{As(IntLit(1), "ok")}, from, nil)
+		s.Limit = 1
+		return s, nil
 	}
 	proj := q.ProjectedVars()
-	var sel []string
+	var sel []rel.SelectItem
 	for _, v := range proj {
 		c := g.ColFor(v)
 		if out.Vars[v] {
-			sel = append(sel, fmt.Sprintf("P.%s AS %s", c, c))
+			sel = append(sel, As(Col("P", c), c))
 		} else {
-			sel = append(sel, fmt.Sprintf("NULL AS %s", c))
+			sel = append(sel, As(Null, c))
 		}
 		res.Columns = append(res.Columns, v)
 	}
@@ -392,60 +436,47 @@ func (g *Gen) finalSelect(q *sparql.Query, out Ctx, res *Result) (string, error)
 	for _, v := range proj {
 		projSet[v] = true
 	}
-	var orderExprs []string
+	var order []rel.OrderItem
 	for _, k := range q.OrderBy {
 		vars := map[string]bool{}
 		sparql.ExprVars(k.Expr, vars)
 		for v := range vars {
 			if !projSet[v] && out.Vars[v] {
 				c := g.ColFor(v)
-				sel = append(sel, fmt.Sprintf("P.%s AS %s", c, c))
+				sel = append(sel, As(Col("P", c), c))
 				res.Columns = append(res.Columns, v)
 				res.Hidden++
 				projSet[v] = true
 			}
 		}
-		varExpr := map[string]string{}
+		outCols := map[string]rel.ColRef{}
 		for v := range out.Vars {
-			varExpr[v] = g.ColFor(v)
+			outCols[v] = rel.ColRef{Column: g.ColFor(v)}
 		}
-		e, err := g.orderKeySQL(k.Expr, varExpr)
+		e, err := g.orderKey(k.Expr, outCols)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		if k.Desc {
-			e += " DESC"
-		}
-		orderExprs = append(orderExprs, e)
+		order = append(order, rel.OrderItem{Expr: e, Desc: k.Desc})
 	}
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if q.Distinct {
-		b.WriteString("DISTINCT ")
-	}
-	b.WriteString(strings.Join(sel, ", "))
-	fmt.Fprintf(&b, " FROM %s AS P", out.Cte)
-	if len(orderExprs) > 0 {
-		b.WriteString(" ORDER BY ")
-		b.WriteString(strings.Join(orderExprs, ", "))
-	}
-	if q.Limit >= 0 {
-		fmt.Fprintf(&b, " LIMIT %d", q.Limit)
-	}
+	s := Select(sel, from, nil)
+	s.Cores[0].Distinct = q.Distinct
+	s.OrderBy = order
+	s.Limit = q.Limit
 	if q.Offset > 0 {
-		fmt.Fprintf(&b, " OFFSET %d", q.Offset)
+		s.Offset = q.Offset
 	}
-	return b.String(), nil
+	return s, nil
 }
 
-// orderKeySQL renders an ORDER BY key over the projected columns.
-func (g *Gen) orderKeySQL(e sparql.Expr, varExpr map[string]string) (string, error) {
+// orderKey builds an ORDER BY key over the projected columns.
+func (g *Gen) orderKey(e sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, error) {
 	if v, ok := e.(*sparql.EVar); ok {
-		c, bound := varExpr[v.Name]
+		c, bound := ref(vars, v.Name)
 		if !bound {
-			return "NULL", nil
+			return Null, nil
 		}
-		return fmt.Sprintf("dsort(%s)", c), nil
+		return call("dsort", c), nil
 	}
-	return g.numSQL(e, varExpr)
+	return g.numExpr(e, vars)
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"db2rdf/internal/optimizer"
-	"db2rdf/internal/rel"
 	"db2rdf/internal/sparql"
 	"db2rdf/internal/store"
 	"db2rdf/internal/translator"
@@ -34,8 +33,8 @@ const defaultPlanCacheSize = 256
 // compiledPlan is one fully compiled query: the rewritten SPARQL AST
 // (needed for projection of the unit solution), the optimizer's flow
 // and execution tree (rendered by EXPLAIN ANALYZE), the translation
-// result (with the query plan), the parsed relational AST, ready for
-// rel.DB.Exec, and the closures whose relations it reads. None of it
+// result (the query plan and the bound relational query, ready for
+// rel.DB.ExecContext), and the closures whose relations it reads. None of it
 // references the snapshot it was compiled on. All fields are read-only
 // after construction, so one compiledPlan may be executed by any
 // number of concurrent queries.
@@ -48,8 +47,7 @@ type compiledPlan struct {
 	exec      *optimizer.ExecNode
 	flow      *optimizer.Flow
 	tr        *translator.Result
-	rq        *rel.Query       // nil when tr.SQL is empty (empty-pattern query)
-	closures  []sparql.Closure // the closure relations rq reads
+	closures  []sparql.Closure // the closure relations tr.Query reads
 }
 
 // validAt reports whether cp may run on sn: at the plan epoch it was
