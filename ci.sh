@@ -29,6 +29,10 @@ echo "== typed plan (translator-built bound query, SQL as its printed rendering,
 go test -race -count=3 \
     -run 'TestTranslatedSQLRoundTrip|TestFilterNumericLiteralForms|TestNaNIsUnordered|TestColdCompileAllocs|TestLUBMTemplatesSQLUnchanged|TestWarmQueryAllocs' .
 go test -race -count=3 -run 'TestPrint|TestBindIsRequired|FuzzSQLPrintRoundTrip|TestLateralErrors' ./internal/rel/
+echo "== ids compare by equality (FILTER forms vs SPARQL 1.1 §17, equality-only base-table conjuncts, residual scan answers, zone skip, lateral) =="
+go test -race -count=3 \
+    -run 'TestFilterSpecForms|TestTranslatedSQLRoundTrip|TestVectorizedScanEquivalence|TestZoneMapStillPrunesCleanChunks|TestLateral' \
+    . ./internal/rel/
 echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="
 go test -race -count=1 \
     -run 'TestSyntaxErrorIsTyped|TestDescribe|TestInference|TestAnalyze|TestExplainArtifacts|TestPathExplain' .

@@ -1,0 +1,90 @@
+package db2rdf_test
+
+import (
+	"strings"
+	"testing"
+
+	"db2rdf"
+)
+
+// filterSpecData is the store TestFilterSpecForms queries: under <f>
+// one term of every effective-boolean-value class, under <l> tagged and
+// untagged strings, under <r> strings to match, and under <n> numbers
+// whose lexical order is not their numeric order.
+const filterSpecData = `
+<a> <f> "false"^^<` + xsd + `boolean> .
+<b> <f> "true"^^<` + xsd + `boolean> .
+<k> <f> "1"^^<` + xsd + `boolean> .
+<m> <f> "0"^^<` + xsd + `boolean> .
+<c> <f> "" .
+<e> <f> "false" .
+<i> <f> "abc" .
+<d> <f> "0"^^<` + xsd + `integer> .
+<h> <f> "0.0"^^<` + xsd + `decimal> .
+<j> <f> "NaN"^^<` + xsd + `double> .
+<g> <f> <g> .
+<l1> <l> "hello"@en .
+<l2> <l> "Hi"@en-GB .
+<l3> <l> "x"@EN-us .
+<l4> <l> "e"@eng .
+<l5> <l> "bonjour"@fr .
+<l6> <l> "plain" .
+<r1> <r> "Hello World" .
+<r2> <r> "line one\nLINE two" .
+<r3> <r> "a.b" .
+<r4> <r> "axb" .
+<n1> <n> "5"^^<` + xsd + `integer> .
+<n2> <n> "2"^^<` + xsd + `integer> .
+<n3> <n> "-4"^^<` + xsd + `integer> .
+<n4> <n> "3.5"^^<` + xsd + `decimal> .
+<n5> <n> "10"^^<` + xsd + `integer> .
+`
+
+// TestFilterSpecForms: FILTER forms against answers worked out by hand
+// from SPARQL 1.1 §17 — effective boolean values (§17.2.2), where an
+// IRI or an unbound variable is an error that neither a FILTER nor its
+// negation passes; langMatches as RFC 4647 basic filtering; the regex
+// flags s, m, i and q, and an unknown flag as an error (§17.4.3.14);
+// sameTerm, unary minus, and variable-vs-variable ordering of numbers.
+func TestFilterSpecForms(t *testing.T) {
+	s, err := db2rdf.Open(db2rdf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadReader(strings.NewReader(filterSpecData)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ where, want string }{
+		// Effective boolean value of a bare variable.
+		{`?x <f> ?v FILTER(?v)`, "b,e,i,k"},
+		{`?x <f> ?v FILTER(!?v)`, "a,c,d,h,j,m"},
+		{`?x <f> ?v FILTER(!?unused)`, ""},
+		{`?x <f> ?v OPTIONAL { ?x <none> ?o } FILTER(!?o)`, ""},
+		{`?x <f> ?v OPTIONAL { ?x <none> ?o } FILTER(?o || ?v)`, "b,e,i,k"},
+		// langMatches: basic filtering, case-insensitive.
+		{`?x <l> ?v FILTER(langMatches(lang(?v), "en"))`, "l1,l2,l3"},
+		{`?x <l> ?v FILTER(langMatches(lang(?v), "EN"))`, "l1,l2,l3"},
+		{`?x <l> ?v FILTER(langMatches(lang(?v), "en-gb"))`, "l2"},
+		{`?x <l> ?v FILTER(langMatches(lang(?v), "*"))`, "l1,l2,l3,l4,l5"},
+		// regex flags.
+		{`?x <r> ?v FILTER(regex(?v, "hello", "i"))`, "r1"},
+		{`?x <r> ?v FILTER(regex(?v, "^line two$", "im"))`, "r2"},
+		{`?x <r> ?v FILTER(regex(?v, "one.LINE", "s"))`, "r2"},
+		{`?x <r> ?v FILTER(regex(?v, "one.LINE"))`, ""},
+		{`?x <r> ?v FILTER(regex(?v, ".", "q"))`, "r3"},
+		{`?x <r> ?v FILTER(regex(?v, "A.B", "qi"))`, "r3"},
+		{`?x <r> ?v FILTER(regex(?v, "a", "z"))`, ""},
+		{`?x <r> ?v FILTER(!regex(?v, "a", "z"))`, ""},
+		// sameTerm: the same RDF term, not an equal value.
+		{`?x <f> ?v FILTER(sameTerm(?v, "false"))`, "e"},
+		{`?x <f> ?v FILTER(sameTerm(?v, <g>))`, "g"},
+		// Unary minus, and ordering two variables by numeric value.
+		{`?x <n> ?v FILTER(-?v < -3)`, "n1,n4,n5"},
+		{`?x <n> ?v . <n2> <n> ?w FILTER(?v > ?w)`, "n1,n4,n5"},
+		{`?x <n> ?v . <n4> <n> ?w FILTER(?v <= ?w)`, "n2,n3,n4"},
+	} {
+		if got := subjects(t, s, `SELECT ?x WHERE { `+tc.where+` }`); got != tc.want {
+			t.Errorf("%s: {%s}, want {%s}", tc.where, got, tc.want)
+		}
+	}
+}

@@ -211,9 +211,11 @@ func (c *colChunk) seal(gen uint64) *colChunk {
 		nc.ints = c.ints
 		return nc
 	}
-	// Widen by one bit when that changes no word count: the spare top
-	// bit per lane lets the range-scan kernels answer a whole word of
-	// lanes with one guarded subtraction (see firstPassPacked).
+	// Widen by one bit when that changes no word count. No scan kernel
+	// needs the spare top bit any more (the scan vectorizes equality
+	// alone), but the widening costs no bytes, and dropping it would
+	// change the packed words every snapshot stores and that
+	// TestSnapshotEncodingUnchanged pins.
 	if w > 0 && w+1 <= maxPackWidth && packLanes(w+1) == packLanes(w) {
 		w++
 	}

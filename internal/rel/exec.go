@@ -312,13 +312,6 @@ func (ex *exec) evalCore(bc *boundCore, env map[string]*relation, rowCap int64) 
 		}
 		units = append(units, u)
 	}
-	if rowCap >= 0 && len(units) == 1 && units[0].unpivot != nil && !slices.Contains(applied, false) {
-		// The unit's rows are the core's rows: the unpivot can stop at
-		// the cap instead of producing rows the trim below drops.
-		capped := *units[0]
-		capped.rowCap = rowCap
-		units[0] = &capped
-	}
 
 	cur, err := ex.joinUnits(units, conjs, applied)
 	if err != nil {

@@ -40,9 +40,8 @@ type relation struct {
 	// unpivot is set on a base scan that carries a fused lateral item
 	// (unpivot.go): cols[len(src):] are the lateral's columns, which no
 	// table read fills — the operator that runs the scan expands each
-	// row id into its pairs. rowCap > 0 lets that operator stop early.
+	// row id into its pairs.
 	unpivot *unpivot
-	rowCap  int64
 }
 
 // rowCount is the relation's input cardinality for plan sizing: the

@@ -16,7 +16,7 @@ import (
 // scan operator with chunk-skip counts, totals matching the result.
 func TestAnalyzeContextProfile(t *testing.T) {
 	db := zoneDB(t)
-	sql := "WITH C1 AS (SELECT z.v FROM z AS z WHERE z.v < 100) SELECT c.v FROM C1 AS c WHERE c.v > 10"
+	sql := "WITH C1 AS (SELECT z.v FROM z AS z WHERE z.v = 50) SELECT c.v FROM C1 AS c WHERE c.v > 10"
 	q, err := ParseQuery(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -35,11 +35,11 @@ func TestAnalyzeContextProfile(t *testing.T) {
 	if stats == nil || len(stats.Ops) == 0 {
 		t.Fatal("no operators recorded")
 	}
-	if got := stats.CTERows["c1"]; got != 100 {
-		t.Fatalf("CTE actual cardinality: want 100, got %d (map %v)", got, stats.CTERows)
+	if got := stats.CTERows["c1"]; got != 1 {
+		t.Fatalf("CTE actual cardinality: want 1, got %d (map %v)", got, stats.CTERows)
 	}
-	if stats.Rows != int64(len(rs.Rows)) || stats.Rows != 89 {
-		t.Fatalf("stats.Rows = %d, result rows = %d (want 89)", stats.Rows, len(rs.Rows))
+	if stats.Rows != int64(len(rs.Rows)) || stats.Rows != 1 {
+		t.Fatalf("stats.Rows = %d, result rows = %d (want 1)", stats.Rows, len(rs.Rows))
 	}
 	if stats.ElapsedNs <= 0 {
 		t.Fatal("total elapsed time not recorded")
@@ -53,12 +53,12 @@ func TestAnalyzeContextProfile(t *testing.T) {
 	if scan == nil {
 		t.Fatalf("no scan operator in profile: %v", stats.Ops)
 	}
-	// 8192 rows = 8 chunks; v < 100 keeps only chunk 0.
+	// 8192 rows = 8 chunks; v = 50 can only be in chunk 0.
 	if scan.Chunks != 8 || scan.ChunksSkipped != 7 {
 		t.Fatalf("scan chunks=%d skipped=%d, want 8/7", scan.Chunks, scan.ChunksSkipped)
 	}
-	if scan.RowsIn != 8192 || scan.RowsOut != 100 {
-		t.Fatalf("scan rows in=%d out=%d, want 8192/100", scan.RowsIn, scan.RowsOut)
+	if scan.RowsIn != 8192 || scan.RowsOut != 1 {
+		t.Fatalf("scan rows in=%d out=%d, want 8192/1", scan.RowsIn, scan.RowsOut)
 	}
 	if scan.Scope != "c1" {
 		t.Fatalf("scan scope = %q, want c1", scan.Scope)

@@ -66,7 +66,6 @@ type unpivotRun struct {
 	// a pair with that cell absent is skipped before any value is read.
 	notNull []bool
 	post    func(Row) (bool, error) // nil when nothing is left to check
-	rowCap  int64                   // > 0: a worker stops after this many rows
 	profile bool                    // the execution is profiled
 	visited atomic.Int64            // base rows expanded, summed as workers finish
 }
@@ -83,7 +82,7 @@ func (ex *exec) startUnpivot(r *relation, conds []Expr) ([]Expr, *unpivotRun) {
 	}
 	t := r.base
 	nsrc := len(r.src)
-	run := &unpivotRun{u: u, src: r.src, nsrc: nsrc, notNull: make([]bool, u.width), rowCap: r.rowCap, profile: ex.prof != nil,
+	run := &unpivotRun{u: u, src: r.src, nsrc: nsrc, notNull: make([]bool, u.width), profile: ex.prof != nil,
 		vecs: make([]*colVec, len(u.cells)), lits: make([]Value, len(u.cells)), all: make([]int32, len(u.lat.rows))}
 	for p := range run.all {
 		run.all[p] = int32(p)
@@ -240,11 +239,6 @@ func (w *unpivotWorker) finish() ([]Row, error) {
 	return w.out, w.tk.flush()
 }
 
-// full reports whether the worker (nil: none) has produced its row cap.
-func (w *unpivotWorker) full() bool {
-	return w != nil && w.run.rowCap > 0 && int64(len(w.out)) >= w.run.rowCap
-}
-
 // expand emits the rows of base row id, whose table columns are in
 // base: one per pair of pairs (in order) whose required cells are
 // present and that passes the post links and conjuncts. With a probe
@@ -306,9 +300,6 @@ pairs:
 		}
 		if err := w.tk.emit(); err != nil {
 			return err
-		}
-		if w.full() {
-			return nil
 		}
 	}
 	return nil

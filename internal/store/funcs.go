@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 
 	"db2rdf/internal/dict"
@@ -21,8 +23,10 @@ import (
 //	dsort(id)     sort key: numeric value when numeric, else string
 //	dlang(id)     language tag ("" when absent)
 //	ddt(id)       datatype IRI ("" when absent)
+//	debv(id)      effective boolean value, NULL when the term has none
 //	disiri(id), disliteral(id), disblank(id)  type tests
 //	regexmatch(s, pattern [, flags])          regex over strings
+//	langmatches(tag, range)                   RFC 4647 basic filtering
 //
 // Functions return NULL on NULL input, mirroring SPARQL error
 // propagation.
@@ -118,6 +122,13 @@ func RegisterValueFuncs(db *rel.DB, d *dict.Dict) {
 		}
 		return rel.Str(dt), nil
 	})
+	db.RegisterFunc("debv", func(args []rel.Value) (rel.Value, error) {
+		t, ok := decode(args[0])
+		if !ok {
+			return rel.Null, nil
+		}
+		return effectiveBool(t), nil
+	})
 	typeTest := func(k rdf.TermKind) rel.Func {
 		return func(args []rel.Value) (rel.Value, error) {
 			t, ok := decode(args[0])
@@ -131,6 +142,59 @@ func RegisterValueFuncs(db *rel.DB, d *dict.Dict) {
 	db.RegisterFunc("disliteral", typeTest(rdf.Literal))
 	db.RegisterFunc("disblank", typeTest(rdf.Blank))
 	db.RegisterFunc("regexmatch", regexMatchFunc())
+	db.RegisterFunc("langmatches", func(args []rel.Value) (rel.Value, error) {
+		if len(args) != 2 {
+			return rel.Null, fmt.Errorf("langmatches: want 2 args")
+		}
+		if args[0].K != rel.KindString || args[1].K != rel.KindString {
+			return rel.Null, nil
+		}
+		return rel.Bool(langMatches(args[0].S, args[1].S)), nil
+	})
+}
+
+// xsdNumeric holds the numeric datatypes of SPARQL 1.1 §17.1: the four
+// primitive ones and the integer types derived from xsd:integer.
+var xsdNumeric = func() map[string]bool {
+	m := map[string]bool{}
+	for _, local := range []string{"integer", "decimal", "float", "double",
+		"nonPositiveInteger", "negativeInteger", "long", "int", "short", "byte",
+		"nonNegativeInteger", "unsignedLong", "unsignedInt", "unsignedShort", "unsignedByte", "positiveInteger"} {
+		m["http://www.w3.org/2001/XMLSchema#"+local] = true
+	}
+	return m
+}()
+
+// effectiveBool is a term's effective boolean value (SPARQL 1.1
+// §17.2.2): a boolean's value, a string's non-emptiness, a number's
+// being neither zero nor NaN, and false for a boolean or number of
+// invalid lexical form. Any other term (an IRI, a blank node, a literal
+// of another datatype) has none: NULL, an error that a FILTER rejects
+// and that NOT leaves an error.
+func effectiveBool(t rdf.Term) rel.Value {
+	switch {
+	case t.Kind != rdf.Literal:
+		return rel.Null
+	case t.Datatype == "" || t.Datatype == rdf.XSDString:
+		return rel.Bool(t.Value != "")
+	case t.Datatype == rdf.XSDBoolean:
+		return rel.Bool(t.Value == "true" || t.Value == "1")
+	case xsdNumeric[t.Datatype]:
+		f, ok := t.Float()
+		return rel.Bool(ok && f != 0 && !math.IsNaN(f))
+	}
+	return rel.Null
+}
+
+// langMatches is RFC 4647 §3.3.1 basic filtering, ignoring case: "*"
+// matches every non-empty tag, and any other range matches a tag equal
+// to it or beginning with it and a hyphen.
+func langMatches(tag, rng string) bool {
+	if rng == "*" {
+		return tag != ""
+	}
+	n := len(rng)
+	return len(tag) >= n && strings.EqualFold(tag[:n], rng) && (len(tag) == n || tag[n] == '-')
 }
 
 // compareTerms orders two terms: numbers numerically, then strings
@@ -161,7 +225,10 @@ func compareTerms(a, b rdf.Term) (rel.Value, error) {
 	return rel.Int(0), nil
 }
 
-// regexMatchFunc compiles patterns once and caches them.
+// regexMatchFunc compiles patterns once and caches them. The flags are
+// those of XPath fn:matches: s, m and i as in Go, and q, which matches
+// the pattern as a literal string. Any other flag is an error (NULL,
+// so the FILTER matches nothing).
 func regexMatchFunc() rel.Func {
 	var mu sync.Mutex
 	cache := map[string]*regexp.Regexp{}
@@ -172,9 +239,21 @@ func regexMatchFunc() rel.Func {
 		if args[0].IsNull() || args[1].IsNull() {
 			return rel.Null, nil
 		}
-		pat := args[1].S
-		if len(args) == 3 && !args[2].IsNull() && args[2].S == "i" {
-			pat = "(?i)" + pat
+		pat, modes := args[1].S, ""
+		if len(args) == 3 && !args[2].IsNull() {
+			for _, f := range args[2].S {
+				switch f {
+				case 's', 'm', 'i':
+					modes += string(f)
+				case 'q':
+					pat = regexp.QuoteMeta(args[1].S)
+				default:
+					return rel.Null, nil
+				}
+			}
+		}
+		if modes != "" {
+			pat = "(?" + modes + ")" + pat
 		}
 		mu.Lock()
 		re, ok := cache[pat]

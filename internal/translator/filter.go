@@ -3,7 +3,6 @@ package translator
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"db2rdf/internal/rdf"
 	"db2rdf/internal/rel"
@@ -48,13 +47,15 @@ func (g *Gen) filterExpr(e sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, e
 	case *sparql.ECall:
 		return g.callExpr(x, vars)
 	case *sparql.EVar:
-		// Effective boolean value of a bare variable: bound and not
-		// the false literal.
+		// Effective boolean value of a bare variable (SPARQL 1.1
+		// §17.2.2). An unbound variable, like a term with no boolean
+		// value, is an error: NULL, which a FILTER rejects and NOT
+		// keeps.
 		c, ok := ref(vars, x.Name)
 		if !ok {
-			return falseLit, nil
+			return Null, nil
 		}
-		return And(&rel.IsNullExpr{X: c, Not: true}, binop("!=", call("dstr", c), strLit("false"))), nil
+		return call("debv", c), nil
 	}
 	return nil, fmt.Errorf("translator: unsupported filter expression %T", e)
 }
@@ -100,9 +101,13 @@ func (g *Gen) callExpr(x *sparql.ECall, vars map[string]rel.ColRef) (rel.Expr, e
 			return falseLit, nil
 		}
 		return &rel.IsNullExpr{X: c, Not: true}, nil
-	case "regex":
-		if len(x.Args) < 2 || len(x.Args) > 3 {
-			return nil, fmt.Errorf("translator: regex() wants 2 or 3 arguments")
+	case "regex", "langmatches":
+		fn, most := "regexmatch", 3
+		if x.Name == "langmatches" {
+			fn, most = "langmatches", 2
+		}
+		if len(x.Args) < 2 || len(x.Args) > most {
+			return nil, fmt.Errorf("translator: %s() called with %d arguments", x.Name, len(x.Args))
 		}
 		args := make([]rel.Expr, len(x.Args))
 		for i, a := range x.Args {
@@ -112,7 +117,7 @@ func (g *Gen) callExpr(x *sparql.ECall, vars map[string]rel.ColRef) (rel.Expr, e
 			}
 			args[i] = s
 		}
-		return call("regexmatch", args...), nil
+		return call(fn, args...), nil
 	case "isiri", "isuri", "isliteral", "isblank":
 		if len(x.Args) != 1 {
 			return nil, fmt.Errorf("translator: %s() wants 1 argument", x.Name)
@@ -136,22 +141,6 @@ func (g *Gen) callExpr(x *sparql.ECall, vars map[string]rel.ColRef) (rel.Expr, e
 			return nil, err
 		}
 		return Eq(l, r), nil
-	case "langmatches":
-		if len(x.Args) != 2 {
-			return nil, fmt.Errorf("translator: langmatches() wants 2 arguments")
-		}
-		l, err := g.strExpr(x.Args[0], vars)
-		if err != nil {
-			return nil, err
-		}
-		lit, ok := x.Args[1].(*sparql.ELit)
-		if !ok {
-			return nil, fmt.Errorf("translator: langmatches() wants a literal range")
-		}
-		if lit.Term.Value == "*" {
-			return binop("!=", l, strLit("")), nil
-		}
-		return Eq(call("lower", l), strLit(strings.ToLower(lit.Term.Value))), nil
 	}
 	return nil, fmt.Errorf("translator: unsupported builtin %q", x.Name)
 }

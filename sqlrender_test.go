@@ -19,16 +19,26 @@ import (
 // the LUBM and SP2B templates, the path, inference and
 // variable-predicate tests and the oracle shapes compile,
 // rel.ParseQuery of the text equals the translator's query (bound form
-// included), and the two execute to the same rows.
+// included), and the two execute to the same rows. Every WHERE
+// conjunct over one base-table alias compares ids by equality alone
+// (see baseConjuncts), the one filter shape the scan vectorizes.
 func TestTranslatedSQLRoundTrip(t *testing.T) {
 	var mu sync.Mutex
-	checked := 0
+	checked, conjuncts := 0, 0
 	remove := db2rdf.SetCompileHookForTest(func(tr *translator.Result, exec func(*rel.Query) (*rel.ResultSet, error)) {
 		if tr.Query == nil {
 			return
 		}
+		base := baseConjuncts(tr.Query)
+		for _, c := range base {
+			if !idEquality(c) {
+				t.Errorf("a conjunct on one base table is not an AND/OR tree of col = <int> and col = col: %s\n%s",
+					conjunctSQL(c), tr.SQL)
+			}
+		}
 		mu.Lock()
 		checked++
+		conjuncts += len(base)
 		mu.Unlock()
 		back, err := rel.ParseQuery(tr.SQL)
 		if err != nil {
@@ -88,7 +98,139 @@ func TestTranslatedSQLRoundTrip(t *testing.T) {
 	if checked < 1000 {
 		t.Fatalf("only %d compiled queries checked", checked)
 	}
-	t.Logf("%d compiled queries round-trip", checked)
+	t.Logf("%d compiled queries round-trip; %d conjuncts on one base table compare ids by equality", checked, conjuncts)
+}
+
+// baseConjuncts returns the WHERE conjuncts of q, in every select core
+// including those of CTEs and derived tables, whose column references
+// all name one base-table alias: a FROM item (or joined item) that is
+// not a CTE, a derived table or a lateral.
+func baseConjuncts(q *rel.Query) []rel.Expr {
+	ctes := map[string]bool{}
+	for _, c := range q.CTEs {
+		ctes[strings.ToLower(c.Name)] = true
+	}
+	var out []rel.Expr
+	var walkSelect func(*rel.Select)
+	var walkFrom func(rel.FromItem, map[string]bool)
+	walkFrom = func(f rel.FromItem, bases map[string]bool) {
+		switch {
+		case f.Sub != nil:
+			walkSelect(f.Sub)
+		case f.Lateral == nil && !ctes[strings.ToLower(f.Table)]:
+			bases[strings.ToLower(f.Alias)] = true
+		}
+		for _, j := range f.Joins {
+			walkFrom(j.Right, bases)
+		}
+	}
+	walkSelect = func(s *rel.Select) {
+		for _, core := range s.Cores {
+			bases := map[string]bool{}
+			for _, f := range core.From {
+				walkFrom(f, bases)
+			}
+			for _, c := range splitAnd(core.Where, nil) {
+				aliases := map[string]bool{}
+				eachColRef(c, func(cr *rel.ColRef) { aliases[strings.ToLower(cr.Alias)] = true })
+				if len(aliases) != 1 {
+					continue
+				}
+				for a := range aliases {
+					if bases[a] {
+						out = append(out, c)
+					}
+				}
+			}
+		}
+	}
+	for _, c := range q.CTEs {
+		walkSelect(c.Select)
+	}
+	walkSelect(q.Body)
+	return out
+}
+
+// splitAnd appends the top-level AND operands of e (nil: none) to out.
+func splitAnd(e rel.Expr, out []rel.Expr) []rel.Expr {
+	if b, ok := e.(*rel.BoolOp); ok && b.Op == "AND" {
+		for _, a := range b.Args {
+			out = splitAnd(a, out)
+		}
+		return out
+	}
+	if e == nil {
+		return out
+	}
+	return append(out, e)
+}
+
+// eachColRef calls f on every column reference in e.
+func eachColRef(e rel.Expr, f func(*rel.ColRef)) {
+	switch x := e.(type) {
+	case *rel.ColRef:
+		f(x)
+	case *rel.BinOp:
+		eachColRef(x.L, f)
+		eachColRef(x.R, f)
+	case *rel.BoolOp:
+		for _, a := range x.Args {
+			eachColRef(a, f)
+		}
+	case *rel.UnOp:
+		eachColRef(x.X, f)
+	case *rel.IsNullExpr:
+		eachColRef(x.X, f)
+	case *rel.InExpr:
+		eachColRef(x.X, f)
+		for _, a := range x.List {
+			eachColRef(a, f)
+		}
+	case *rel.CaseExpr:
+		for _, w := range x.Whens {
+			eachColRef(w.Cond, f)
+			eachColRef(w.Result, f)
+		}
+		if x.Else != nil {
+			eachColRef(x.Else, f)
+		}
+	case *rel.FuncCall:
+		for _, a := range x.Args {
+			eachColRef(a, f)
+		}
+	}
+}
+
+// conjunctSQL prints c as the WHERE clause of a one-core query.
+func conjunctSQL(c rel.Expr) string {
+	q := &rel.Query{Body: &rel.Select{Limit: -1, Cores: []*rel.SelectCore{{Items: []rel.SelectItem{{Star: true}}, Where: c}}}}
+	_, where, _ := strings.Cut(q.String(), " WHERE ")
+	return where
+}
+
+// idEquality reports whether e is an AND/OR tree of `col = <int
+// literal>` and `col = col`.
+func idEquality(e rel.Expr) bool {
+	switch x := e.(type) {
+	case *rel.BoolOp:
+		for _, a := range x.Args {
+			if !idEquality(a) {
+				return false
+			}
+		}
+		return true
+	case *rel.BinOp:
+		if _, ok := x.L.(*rel.ColRef); !ok || x.Op != "=" {
+			return false
+		}
+		switch r := x.R.(type) {
+		case *rel.ColRef:
+			return true
+		case *rel.Lit:
+			return r.V.K == rel.KindInt
+		}
+	}
+	return false
 }
 
 func sortedRows(rs *rel.ResultSet) []string {
