@@ -33,6 +33,10 @@ echo "== ids compare by equality (FILTER forms vs SPARQL 1.1 §17, equality-only
 go test -race -count=3 \
     -run 'TestFilterSpecForms|TestTranslatedSQLRoundTrip|TestVectorizedScanEquivalence|TestZoneMapStillPrunesCleanChunks|TestLateral' \
     . ./internal/rel/
+echo "== one SQL dialect (out-of-dialect shapes rejected by name, translated SQL round trip, fused lateral, narrow reads, baselines) =="
+go test -race -count=3 -run 'TestBindRejectsOutsideDialect|TestLateral|TestNarrowReadEquivalence' ./internal/rel/
+go test -race -count=3 -run 'TestTranslatedSQLRoundTrip' .
+go test -race -count=3 ./internal/baselines/
 echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="
 go test -race -count=1 \
     -run 'TestSyntaxErrorIsTyped|TestDescribe|TestInference|TestAnalyze|TestExplainArtifacts|TestPathExplain' .

@@ -33,6 +33,8 @@ const filterSpecData = `
 <r2> <r> "line one\nLINE two" .
 <r3> <r> "a.b" .
 <r4> <r> "axb" .
+<r5> <r> "abc" .
+<r6> <r> "a b" .
 <n1> <n> "5"^^<` + xsd + `integer> .
 <n2> <n> "2"^^<` + xsd + `integer> .
 <n3> <n> "-4"^^<` + xsd + `integer> .
@@ -44,7 +46,8 @@ const filterSpecData = `
 // from SPARQL 1.1 §17 — effective boolean values (§17.2.2), where an
 // IRI or an unbound variable is an error that neither a FILTER nor its
 // negation passes; langMatches as RFC 4647 basic filtering; the regex
-// flags s, m, i and q, and an unknown flag as an error (§17.4.3.14);
+// flags s, m, i, q and x (XPath fn:matches), and an unknown flag as an
+// error (§17.4.3.14);
 // sameTerm, unary minus, and variable-vs-variable ordering of numbers.
 func TestFilterSpecForms(t *testing.T) {
 	s, err := db2rdf.Open(db2rdf.Options{})
@@ -73,6 +76,11 @@ func TestFilterSpecForms(t *testing.T) {
 		{`?x <r> ?v FILTER(regex(?v, "one.LINE"))`, ""},
 		{`?x <r> ?v FILTER(regex(?v, ".", "q"))`, "r3"},
 		{`?x <r> ?v FILTER(regex(?v, "A.B", "qi"))`, "r3"},
+		// x drops whitespace from the pattern, but not inside a class,
+		// and does nothing beside q.
+		{`?x <r> ?v FILTER(regex(?v, "a b c", "x"))`, "r5"},
+		{`?x <r> ?v FILTER(regex(?v, "[ ]", "x"))`, "r1,r2,r6"},
+		{`?x <r> ?v FILTER(regex(?v, "a b", "qx"))`, "r6"},
 		{`?x <r> ?v FILTER(regex(?v, "a", "z"))`, ""},
 		{`?x <r> ?v FILTER(!regex(?v, "a", "z"))`, ""},
 		// sameTerm: the same RDF term, not an equal value.

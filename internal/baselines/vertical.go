@@ -147,9 +147,8 @@ func (s *VerticalStore) Access(g *translator.Gen, n *translator.PlanNode, in tra
 	if !t.P.IsVar {
 		pid, ok := s.Dict.Lookup(t.P.Term)
 		if !ok {
-			// Unknown predicate: no relation exists; emit an empty
-			// select over a never-matching condition against any
-			// existing table, or a synthetic empty CTE.
+			// Unknown predicate: no relation exists; emit a CTE of
+			// the right shape and no rows.
 			return s.emptyAccess(g, t, in)
 		}
 		return translator.PositionalAccess(g, t, in, s.tableFor[pid], "entry", "", "val")
@@ -158,7 +157,9 @@ func (s *VerticalStore) Access(g *translator.Gen, n *translator.PlanNode, in tra
 	return s.varPredAccess(g, t, in)
 }
 
-// emptyAccess emits a CTE with the right shape and zero rows.
+// emptyAccess emits a CTE with the right shape and zero rows: the
+// carried columns and NULLs, selected from the input CTE (or any table
+// when there is none) under WHERE 1 = 0.
 func (s *VerticalStore) emptyAccess(g *translator.Gen, t *sparql.TriplePattern, in translator.Ctx) (translator.Ctx, error) {
 	outVars := map[string]bool{}
 	for v := range in.Vars {
@@ -171,10 +172,12 @@ func (s *VerticalStore) emptyAccess(g *translator.Gen, t *sparql.TriplePattern, 
 			outVars[tv.Var] = true
 		}
 	}
-	none := translator.Select(nil, []rel.FromItem{translator.From(s.anyTable(), "Z")},
-		[]rel.Expr{translator.Eq(translator.IntLit(1), translator.IntLit(0))})
-	empty := rel.FromItem{Sub: none, Alias: "E"}
-	name := g.Emit(translator.Select(sel, translator.FromInput(in, empty), nil))
+	from := translator.FromInput(in)
+	if len(from) == 0 {
+		from = []rel.FromItem{translator.From(s.anyTable(), "Z")}
+	}
+	never := translator.Eq(translator.IntLit(1), translator.IntLit(0))
+	name := g.Emit(translator.Select(sel, from, []rel.Expr{never}))
 	return translator.Ctx{Cte: name, Vars: outVars}, nil
 }
 

@@ -241,24 +241,35 @@ func ExpNulls(w io.Writer, sc Scales) error {
 				return err
 			}
 		}
-		point := fmt.Sprintf("SELECT val0 FROM DPH WHERE entry = %d", rows/2)
-		scan := "SELECT entry FROM DPH WHERE val3 = 17"
-		pointMS := timeQuery(db, point, 20)
-		scanMS := timeQuery(db, scan, 3)
+		point := fmt.Sprintf("SELECT T.val0 AS val0 FROM DPH AS T WHERE T.entry = %d", rows/2)
+		scan := "SELECT T.entry AS entry FROM DPH AS T WHERE T.val3 = 17"
+		pointMS, err := timeQuery(db, point, 20)
+		if err != nil {
+			return err
+		}
+		scanMS, err := timeQuery(db, scan, 3)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%s\n", extra, total, t.EstimateBytes(), ms(pointMS), ms(scanMS))
 	}
 	return tw.Flush()
 }
 
-func timeQuery(db *rel.DB, q string, reps int) time.Duration {
-	if _, err := db.Query(q); err != nil {
-		return -1
+// timeQuery parses sql and returns the mean time of reps executions,
+// failing on the first error.
+func timeQuery(db *rel.DB, sql string, reps int) (time.Duration, error) {
+	q, err := rel.ParseQuery(sql)
+	if err != nil {
+		return 0, err
 	}
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		_, _ = db.Query(q)
+		if _, err := db.Exec(q); err != nil {
+			return 0, fmt.Errorf("%s: %w", sql, err)
+		}
 	}
-	return time.Since(start) / time.Duration(reps)
+	return time.Since(start) / time.Duration(reps), nil
 }
 
 // ExpFig14 reproduces §3.3 / Figure 14: the same query evaluated with

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"db2rdf/internal/gen"
+	"db2rdf/internal/rel"
 )
 
 func fastOpts() RunOptions { return RunOptions{Reps: 1, Timeout: 30 * time.Second} }
@@ -144,6 +145,31 @@ func TestFig15SmallScale(t *testing.T) {
 	for _, line := range strings.Split(out, "\n") {
 		if strings.Contains(line, "LUBM") && strings.Contains(line, "db2rdf") && !strings.Contains(line, "12") {
 			t.Errorf("db2rdf must complete all 12 LUBM queries: %s", line)
+		}
+	}
+}
+
+// TestTimeQueryReportsErrors: a timed query that fails is an error, not
+// a time. ExpNulls used to print 0.00 ms for a query that never ran.
+func TestTimeQueryReportsErrors(t *testing.T) {
+	db := rel.NewDB()
+	tbl, err := db.CreateTable("DPH", rel.Schema{{Name: "entry"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert(rel.Row{rel.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := timeQuery(db, "SELECT T.entry AS entry FROM DPH AS T WHERE T.entry = 1", 2); err != nil {
+		t.Fatalf("a valid query: %v", err)
+	}
+	for _, sql := range []string{
+		"SELECT entry FROM DPH WHERE entry = 1",           // does not parse
+		"SELECT T.entry AS entry FROM NOPE AS T",          // fails when it runs
+		"SELECT T.nope AS nope FROM DPH AS T WHERE 1 = 1", // fails per row
+	} {
+		if d, err := timeQuery(db, sql, 2); err == nil {
+			t.Errorf("%s: timed at %v, want an error", sql, d)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package rel
 
-// The SQL abstract syntax tree. Only the subset used by the SPARQL
-// translators is modeled; see the package comment for the inventory.
+// The SQL abstract syntax tree. Only the dialect the SPARQL
+// translators build is modeled; see the package comment for it.
 // The translator builds it directly; ParseQuery reads it from text and
 // String (print.go) writes it back.
 
@@ -23,14 +23,13 @@ type CTE struct {
 	Select *Select
 }
 
-// Select is a select statement, possibly a UNION chain. Each arm of the
-// union is a SelectCore; modifiers apply to the union result.
+// Select is a select statement, possibly a UNION ALL chain. Each arm
+// of the union is a SelectCore; modifiers apply to the union result.
 type Select struct {
-	Cores    []*SelectCore
-	UnionAll []bool // UnionAll[i] says whether the union joining core i and i+1 is UNION ALL
-	OrderBy  []OrderItem
-	Limit    int64 // -1 when absent
-	Offset   int64 // 0 when absent
+	Cores   []*SelectCore
+	OrderBy []OrderItem
+	Limit   int64 // -1 when absent
+	Offset  int64 // 0 when absent
 }
 
 // SelectCore is one SELECT ... FROM ... WHERE ... block.
@@ -41,20 +40,16 @@ type SelectCore struct {
 	Where    Expr // nil when absent
 }
 
-// SelectItem is either a star (alias may qualify it) or an expression
-// with an optional alias.
+// SelectItem is expr AS Alias.
 type SelectItem struct {
-	Star      bool
-	StarAlias string // for "T.*"
-	Expr      Expr
-	Alias     string
+	Expr  Expr
+	Alias string
 }
 
-// FromItem is a table reference, subquery or lateral VALUES item,
-// optionally followed by a chain of explicit joins.
+// FromItem is a table or CTE reference, optionally followed by a
+// chain of LEFT OUTER JOINs, or a lateral VALUES item.
 type FromItem struct {
-	Table   string   // table or CTE name when Sub and Lateral are nil
-	Sub     *Select  // derived table
+	Table   string   // table or CTE name when Lateral is nil
 	Lateral *Lateral // TABLE(VALUES …) AS Alias(Cols…)
 	Alias   string
 	Joins   []JoinClause
@@ -64,15 +59,16 @@ type FromItem struct {
 // Fig. 13): TABLE(VALUES (c, c, …), (c, c, …), …) AS L(name, …). It
 // yields one row per VALUES row for every row of the FROM item its
 // cells refer to. A cell is a qualified column reference or a literal,
-// and all column references name the same, earlier, FROM alias.
+// and all column references name the FROM item right before it, a
+// base table with no join chain.
 type Lateral struct {
 	Rows [][]Expr // each len(Cols) wide; *ColRef or *Lit
 	Cols []string
 }
 
-// JoinClause is an explicit join hanging off a FromItem.
+// JoinClause is a LEFT OUTER JOIN hanging off a FromItem; Right is a
+// table or CTE reference.
 type JoinClause struct {
-	Left  bool // LEFT OUTER JOIN when true, INNER JOIN when false
 	Right FromItem
 	On    Expr
 }
@@ -86,11 +82,11 @@ type OrderItem struct {
 // Expr is a SQL expression node.
 type Expr interface{ exprNode() }
 
-// ColRef references alias.column or a bare column name. Bind also
-// records both identifiers lower-cased, the form every relation stores
-// its column names in.
+// ColRef references alias.column inside a select core, or a bare
+// output column name in ORDER BY. Bind also records both identifiers
+// lower-cased, the form every relation stores its column names in.
 type ColRef struct {
-	Alias  string // may be ""
+	Alias  string // "" in ORDER BY
 	Column string
 
 	alias, column string
@@ -112,7 +108,7 @@ type BoolOp struct {
 	Args []Expr
 }
 
-// UnOp is a unary operation: NOT or - (negation).
+// UnOp is NOT; a negative number is a literal.
 type UnOp struct {
 	Op string
 	X  Expr
@@ -122,13 +118,6 @@ type UnOp struct {
 type IsNullExpr struct {
 	X   Expr
 	Not bool
-}
-
-// InExpr is "x [NOT] IN (e1, e2, ...)".
-type InExpr struct {
-	X    Expr
-	Not  bool
-	List []Expr
 }
 
 // CaseExpr is a searched CASE expression.
@@ -156,7 +145,6 @@ func (*BinOp) exprNode()      {}
 func (*BoolOp) exprNode()     {}
 func (*UnOp) exprNode()       {}
 func (*IsNullExpr) exprNode() {}
-func (*InExpr) exprNode()     {}
 func (*CaseExpr) exprNode()   {}
 func (*FuncCall) exprNode()   {}
 
@@ -179,36 +167,41 @@ func colRefs(e Expr, out []*ColRef) []*ColRef {
 
 // eachColRef calls f on every column reference in e, in source order.
 func eachColRef(e Expr, f func(*ColRef)) {
+	eachExpr(e, func(x Expr) {
+		if c, ok := x.(*ColRef); ok {
+			f(c)
+		}
+	})
+}
+
+// eachExpr calls f on e and every expression under it, in source
+// order, parents first. A nil e is none.
+func eachExpr(e Expr, f func(Expr)) {
+	if e == nil {
+		return
+	}
+	f(e)
 	switch x := e.(type) {
-	case *ColRef:
-		f(x)
 	case *BinOp:
-		eachColRef(x.L, f)
-		eachColRef(x.R, f)
+		eachExpr(x.L, f)
+		eachExpr(x.R, f)
 	case *BoolOp:
 		for _, a := range x.Args {
-			eachColRef(a, f)
+			eachExpr(a, f)
 		}
 	case *UnOp:
-		eachColRef(x.X, f)
+		eachExpr(x.X, f)
 	case *IsNullExpr:
-		eachColRef(x.X, f)
-	case *InExpr:
-		eachColRef(x.X, f)
-		for _, a := range x.List {
-			eachColRef(a, f)
-		}
+		eachExpr(x.X, f)
 	case *CaseExpr:
 		for _, w := range x.Whens {
-			eachColRef(w.Cond, f)
-			eachColRef(w.Result, f)
+			eachExpr(w.Cond, f)
+			eachExpr(w.Result, f)
 		}
-		if x.Else != nil {
-			eachColRef(x.Else, f)
-		}
+		eachExpr(x.Else, f)
 	case *FuncCall:
 		for _, a := range x.Args {
-			eachColRef(a, f)
+			eachExpr(a, f)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func benchDB(b *testing.B, rows int) *DB {
 
 func BenchmarkSQLParse(b *testing.B) {
 	q := `WITH a AS (SELECT T.id AS id, T.val AS v FROM t AS T WHERE T.grp = 5)
-SELECT a.id, COALESCE(a.v, 0), CASE WHEN a.v > 10 THEN 1 ELSE 0 END FROM a AS a ORDER BY a.id LIMIT 10`
+SELECT a.id AS id, COALESCE(a.v, 0) AS v, CASE WHEN a.v > 10 THEN 1 ELSE 0 END AS big FROM a AS a ORDER BY id LIMIT 10`
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseQuery(q); err != nil {
@@ -46,7 +46,7 @@ func BenchmarkIndexPointLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := db.Query(fmt.Sprintf("SELECT T.val FROM t AS T WHERE T.id = %d", i%100000))
+		rs, err := query(db, fmt.Sprintf("SELECT T.val AS val FROM t AS T WHERE T.id = %d", i%100000))
 		if err != nil || len(rs.Rows) != 1 {
 			b.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func BenchmarkIndexGroupLookup(b *testing.B) {
 	db := benchDB(b, 100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := db.Query("SELECT T.val FROM t AS T WHERE T.grp = 7")
+		rs, err := query(db, "SELECT T.val AS val FROM t AS T WHERE T.grp = 7")
 		if err != nil || len(rs.Rows) != 1000 {
 			b.Fatalf("err=%v rows=%d", err, len(rs.Rows))
 		}
@@ -66,10 +66,10 @@ func BenchmarkIndexGroupLookup(b *testing.B) {
 
 func BenchmarkHashJoin(b *testing.B) {
 	db := benchDB(b, 20000)
-	q := "SELECT a.id FROM t AS a, t AS b WHERE a.val = b.val AND a.grp = 3"
+	q := "SELECT a.id AS id FROM t AS a, t AS b WHERE a.val = b.val AND a.grp = 3"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := query(db, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,10 +78,10 @@ func BenchmarkHashJoin(b *testing.B) {
 func BenchmarkIndexNestedLoopJoin(b *testing.B) {
 	db := benchDB(b, 100000)
 	// Selective left side drives an indexed probe into the base table.
-	q := "SELECT a.id, b.val FROM t AS a, t AS b WHERE a.grp = 3 AND b.id = a.val"
+	q := "SELECT a.id AS id, b.val AS val FROM t AS a, t AS b WHERE a.grp = 3 AND b.id = a.val"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := query(db, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,10 +89,10 @@ func BenchmarkIndexNestedLoopJoin(b *testing.B) {
 
 func BenchmarkFullScanFilter(b *testing.B) {
 	db := benchDB(b, 100000)
-	q := "SELECT T.id FROM t AS T WHERE T.val = 300"
+	q := "SELECT T.id AS id FROM t AS T WHERE T.val = 300"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := query(db, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,11 +135,11 @@ func BenchmarkScanFilter(b *testing.B) {
 		query     string
 		rows      int
 	}{
-		{"selective_zoneskip", true, "SELECT T.pad FROM sf AS T WHERE T.v = 70000", 1},
-		{"selective_noskip", false, "SELECT T.pad FROM sf AS T WHERE T.v = 70000", 1},
-		{"range_zoneskip", true, "SELECT T.pad FROM sf AS T WHERE T.v < 1000", 1000},
-		{"range_noskip", false, "SELECT T.pad FROM sf AS T WHERE T.v < 1000", 1000},
-		{"nonselective", true, "SELECT T.pad FROM sf AS T WHERE T.v >= 0", n},
+		{"selective_zoneskip", true, "SELECT T.pad AS pad FROM sf AS T WHERE T.v = 70000", 1},
+		{"selective_noskip", false, "SELECT T.pad AS pad FROM sf AS T WHERE T.v = 70000", 1},
+		{"range_zoneskip", true, "SELECT T.pad AS pad FROM sf AS T WHERE T.v < 1000", 1000},
+		{"range_noskip", false, "SELECT T.pad AS pad FROM sf AS T WHERE T.v < 1000", 1000},
+		{"nonselective", true, "SELECT T.pad AS pad FROM sf AS T WHERE T.v >= 0", n},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -147,7 +147,7 @@ func BenchmarkScanFilter(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rs, err := db.Query(c.query)
+				rs, err := query(db, c.query)
 				if err != nil || len(rs.Rows) != c.rows {
 					b.Fatalf("err=%v rows=%d want %d", err, len(rs.Rows), c.rows)
 				}
@@ -195,9 +195,9 @@ func BenchmarkScanFilterLarge(b *testing.B) {
 		query     string
 		rows      int
 	}{
-		{"selective_zoneskip", true, "SELECT T.pad FROM sf AS T WHERE T.v = 700000", 1},
-		{"selective_noskip", false, "SELECT T.pad FROM sf AS T WHERE T.v = 700000", 1},
-		{"range_noskip", false, "SELECT T.pad FROM sf AS T WHERE T.v < 1000", 1000},
+		{"selective_zoneskip", true, "SELECT T.pad AS pad FROM sf AS T WHERE T.v = 700000", 1},
+		{"selective_noskip", false, "SELECT T.pad AS pad FROM sf AS T WHERE T.v = 700000", 1},
+		{"range_noskip", false, "SELECT T.pad AS pad FROM sf AS T WHERE T.v < 1000", 1000},
 	}
 	for _, c := range cases {
 		for _, layout := range []string{"raw", "sealed"} {
@@ -206,7 +206,7 @@ func BenchmarkScanFilterLarge(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rs, err := db.Query(c.query)
+					rs, err := query(db, c.query)
 					if err != nil || len(rs.Rows) != c.rows {
 						b.Fatalf("err=%v rows=%d want %d", err, len(rs.Rows), c.rows)
 					}
@@ -218,10 +218,10 @@ func BenchmarkScanFilterLarge(b *testing.B) {
 
 func BenchmarkLeftOuterJoin(b *testing.B) {
 	db := benchDB(b, 20000)
-	q := "SELECT a.id, b.val FROM t AS a LEFT OUTER JOIN t AS b ON b.id = a.val"
+	q := "SELECT a.id AS id, b.val AS val FROM t AS a LEFT OUTER JOIN t AS b ON b.id = a.val"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := query(db, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,15 +17,11 @@ import (
 //
 // The referenced-column sets are what lets the executor read narrow:
 // a base-table relation is shaped from its alias's set only, so a
-// 66-column DPH row costs the 3–7 columns the SQL names. An alias gets
-// every column when the core cannot say which it means: `*` (every
-// alias of the core), `T.*` (alias T), or any unqualified column
-// reference (every alias of the core, since resolution by unique
-// suffix needs all the names in view to find — or refuse — a match).
-// The columns only the cells of a lateral TABLE(VALUES …) item name
-// are kept apart (latCols): the unpivot kernel reads them straight
-// from the chunks, so they never widen the rows of the item they
-// correlate to.
+// 66-column DPH row costs the 3–7 columns the SQL names. Every column
+// reference inside a core is qualified, so the sets are exact. The
+// columns only the cells of a lateral TABLE(VALUES …) item name are
+// left out: the unpivot kernel reads them straight from the chunks, so
+// they never widen the rows of the table they correlate to.
 //
 // Nothing in a bound form, or in the Query it binds, is written after
 // Bind returns. A cached plan is executed by many goroutines at once;
@@ -50,10 +46,7 @@ type boundCore struct {
 	core  *SelectCore
 	conjs []boundConj  // WHERE, split on top-level AND
 	from  []*boundFrom // aligned with core.From
-	prims []*boundFrom // from, flattened: every item and every right side of its join chain
-	// names are the output column names, nil when a star item makes
-	// them depend on the input shape.
-	names []string
+	names []string     // the output column names, lower-cased
 	// dead marks items no later select can observe (nil = none): an
 	// expression item that is dead is not evaluated, its slot left NULL.
 	dead []bool
@@ -63,7 +56,6 @@ type boundCore struct {
 type boundConj struct {
 	expr    Expr
 	aliases []string // distinct aliases referenced
-	bare    []string // unqualified column names referenced
 	// l and r are set for `colref = colref`, the join-link shape.
 	l, r *ColRef
 	// col and constant are set for `colref = <expr without column
@@ -72,63 +64,49 @@ type boundConj struct {
 	constant Expr
 }
 
-// boundFrom is one table reference, CTE reference, derived table or
-// lateral item.
+// boundFrom is one table reference, CTE reference or lateral item.
 type boundFrom struct {
-	alias string       // lower-cased
-	table string       // lower-cased; "" for a derived table or lateral item
-	sub   *boundSelect // derived table
+	alias string // lower-cased
+	table string // lower-cased; "" for a lateral item
 	lat   *boundLateral
-	// cols are the columns the core references through alias; all
-	// overrides it (see the header comment). latCols are the columns
-	// only lateral cells reference.
-	cols    []string
-	latCols []string
-	all     bool
-	joins   []boundJoin
-	// laterals are the lateral items of the core that correlate to an
-	// alias of this item's join chain (or to one of its own columns,
-	// when the item is itself lateral), in FROM order. They are
-	// evaluated as part of this item's unit.
-	laterals []*boundFrom
+	cols  []string // the columns the core references through alias
+	joins []boundJoin
+	// lateral is the lateral item right after this one in FROM, whose
+	// cells read this base table's rows; nil when there is none.
+	lateral *boundFrom
 }
 
 // boundLateral is a TABLE(VALUES …) AS alias(names…) item: rows of
-// cells over the columns of dep, the alias it correlates to, which an
-// earlier FROM item of its core introduces.
+// cells over the columns of the FROM item right before it.
 type boundLateral struct {
 	names []string // lower-cased
-	rows  [][]Expr // *ColRef on dep, or *Lit
-	dep   string
+	rows  [][]Expr // *ColRef on the host, or *Lit
 }
 
+// boundJoin is one LEFT OUTER JOIN.
 type boundJoin struct {
-	left  bool // LEFT OUTER JOIN
 	right *boundFrom
 	on    []boundConj
-}
-
-// primaries appends f and every right side of its join chain to out.
-func (f *boundFrom) primaries(out []*boundFrom) []*boundFrom {
-	out = append(out, f)
-	for i := range f.joins {
-		out = f.joins[i].right.primaries(out)
-	}
-	return out
 }
 
 // Bind checks q and attaches its bound form, lower-casing every column
 // reference. It is the only way a Query becomes executable: ParseQuery
 // calls it, and a Query built in code calls it once, before it is
-// executed or shared. It rejects a lateral item that does not name
-// qualified columns of one alias introduced by an earlier FROM item of
-// its core, whose rows do not match its column list, or that is the
-// right side of a JOIN.
+// executed or shared. It rejects what lies outside the dialect (see
+// the package comment) that an AST can still express: a column inside
+// a core that is not alias.column, a qualified ORDER BY key, an item
+// without AS name, a FROM item without AS alias, a unary operator
+// other than NOT, a JOIN chain on a JOIN's right side, and a lateral
+// item that does not correlate to the base table right before it, or
+// has something hanging off it.
 func Bind(q *Query) error {
 	if q.Body == nil {
 		return fmt.Errorf("sql: query has no SELECT")
 	}
-	b := &binder{}
+	b := &binder{ctes: make(map[string]bool, len(q.CTEs))}
+	for _, cte := range q.CTEs {
+		b.ctes[b.lower(cte.Name)] = true
+	}
 	for _, cte := range q.CTEs {
 		if err := b.check(cte.Select); err != nil {
 			return err
@@ -154,8 +132,12 @@ func latErr(fi FromItem, format string, args ...any) error {
 	return &lateralError{lat: fi.Lateral, msg: "TABLE(VALUES ...) " + fmt.Sprintf(format, args...)}
 }
 
-// binder lower-cases identifiers, each distinct one once per query.
-type binder struct{ low map[string]string }
+// binder lower-cases identifiers, each distinct one once per query,
+// and knows the query's CTE names.
+type binder struct {
+	low  map[string]string
+	ctes map[string]bool
+}
 
 func (b *binder) lower(s string) string {
 	if l, ok := b.low[s]; ok {
@@ -171,14 +153,20 @@ func (b *binder) lower(s string) string {
 
 func (b *binder) lowerRef(c *ColRef) { c.alias, c.column = b.lower(c.Alias), b.lower(c.Column) }
 
-// check validates s's lateral items and lower-cases its column
-// references.
+// check validates s and lower-cases its column references.
 func (b *binder) check(s *Select) error {
 	for _, core := range s.Cores {
-		for _, item := range core.Items {
-			eachColRef(item.Expr, b.lowerRef)
+		for i, item := range core.Items {
+			if item.Alias == "" {
+				return fmt.Errorf("sql: select item %d has no AS name", i+1)
+			}
+			if err := b.checkExpr(item.Expr, false); err != nil {
+				return err
+			}
 		}
-		eachColRef(core.Where, b.lowerRef)
+		if err := b.checkExpr(core.Where, false); err != nil {
+			return err
+		}
 		for i, fi := range core.From {
 			if err := b.checkFrom(fi, core.From[:i], false); err != nil {
 				return err
@@ -186,31 +174,62 @@ func (b *binder) check(s *Select) error {
 		}
 	}
 	for _, o := range s.OrderBy {
-		eachColRef(o.Expr, b.lowerRef)
+		if err := b.checkExpr(o.Expr, true); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// checkExpr lower-cases e's column references, which are bare (an
+// ORDER BY key names output columns) or else all qualified, and
+// rejects a unary operator other than NOT.
+func (b *binder) checkExpr(e Expr, bare bool) error {
+	var err error
+	eachExpr(e, func(x Expr) {
+		switch x := x.(type) {
+		case *ColRef:
+			switch {
+			case err != nil:
+			case bare && x.Alias != "":
+				err = fmt.Errorf("sql: ORDER BY key %s.%s must name an output column bare", x.Alias, x.Column)
+			case !bare && x.Alias == "":
+				err = fmt.Errorf("sql: column %s must be qualified as alias.column", x.Column)
+			}
+			b.lowerRef(x)
+		case *UnOp:
+			if x.Op != "NOT" && err == nil {
+				err = fmt.Errorf("sql: unary %s is not supported; NOT is the only unary operator", x.Op)
+			}
+		}
+	})
+	return err
 }
 
 // checkFrom checks fi, which follows the items before in its core (or
 // is the right side of a JOIN when joined), and its join chain.
 func (b *binder) checkFrom(fi FromItem, before []FromItem, joined bool) error {
-	if fi.Sub != nil {
-		if err := b.check(fi.Sub); err != nil {
-			return err
-		}
+	if fi.Alias == "" {
+		return fmt.Errorf("sql: FROM item %s has no AS alias", fi.Table)
 	}
 	if fi.Lateral != nil {
-		if joined {
+		switch {
+		case joined:
 			// A lateral item depends on the rows to its left, which
 			// ON-driven join kernels do not feed it.
 			return latErr(fi, "cannot be the right side of a JOIN")
+		case len(fi.Joins) > 0:
+			return latErr(fi, "AS %s cannot be followed by a JOIN", fi.Alias)
 		}
-		if err := b.checkLateral(fi, before); err != nil {
-			return err
-		}
+		return b.checkLateral(fi, before)
 	}
 	for _, j := range fi.Joins {
-		eachColRef(j.On, b.lowerRef)
+		if len(j.Right.Joins) > 0 {
+			return fmt.Errorf("sql: the right side of a JOIN, %s, cannot have a JOIN chain", j.Right.Alias)
+		}
+		if err := b.checkExpr(j.On, false); err != nil {
+			return err
+		}
 		if err := b.checkFrom(j.Right, nil, true); err != nil {
 			return err
 		}
@@ -220,7 +239,8 @@ func (b *binder) checkFrom(fi FromItem, before []FromItem, joined bool) error {
 
 // checkLateral verifies that lateral item fi has rows as wide as its
 // column list, of literals and qualified column references to one
-// alias that the FROM items before it introduce.
+// alias: that of the FROM item right before it, a base table with no
+// JOIN chain.
 func (b *binder) checkLateral(fi FromItem, before []FromItem) error {
 	lat := fi.Lateral
 	dep := ""
@@ -249,15 +269,16 @@ func (b *binder) checkLateral(fi FromItem, before []FromItem) error {
 	if dep == "" {
 		return latErr(fi, "AS %s refers to no FROM item", fi.Alias)
 	}
-	var known func(fi FromItem) bool
-	known = func(fi FromItem) bool {
-		if b.lower(fi.Alias) == dep {
-			return true
-		}
-		return slices.ContainsFunc(fi.Joins, func(j JoinClause) bool { return known(j.Right) })
+	names := func(fi FromItem) bool {
+		return b.lower(fi.Alias) == dep ||
+			slices.ContainsFunc(fi.Joins, func(j JoinClause) bool { return b.lower(j.Right.Alias) == dep })
 	}
-	if !slices.ContainsFunc(before, known) {
+	if !slices.ContainsFunc(before, names) {
 		return latErr(fi, "AS %s refers to unknown alias %q", fi.Alias, dep)
+	}
+	host := before[len(before)-1]
+	if b.lower(host.Alias) != dep || host.Lateral != nil || len(host.Joins) > 0 || b.ctes[b.lower(host.Table)] {
+		return latErr(fi, "AS %s correlates to %s; a lateral correlates to the FROM item right before it, a base table with no JOIN chain", fi.Alias, dep)
 	}
 	return nil
 }
@@ -274,9 +295,9 @@ func (b *binder) query(q *Query) *boundQuery {
 
 // selectStmt binds s. live (nil = all) names the output columns a
 // later select can observe; it only applies when s cannot observe its
-// own dead columns, which rules out UNION, DISTINCT and ORDER BY.
+// own dead columns, which rules out UNION ALL, DISTINCT and ORDER BY.
 func (b *binder) selectStmt(s *Select, live map[string]bool) *boundSelect {
-	if len(s.Cores) > 1 || s.Cores[0].Distinct || len(s.OrderBy) > 0 {
+	if observesAll(s) {
 		live = nil
 	}
 	bs := &boundSelect{sel: s, cores: make([]*boundCore, len(s.Cores))}
@@ -286,32 +307,36 @@ func (b *binder) selectStmt(s *Select, live map[string]bool) *boundSelect {
 	return bs
 }
 
+// observesAll reports whether s reads every column of its own output:
+// a union's arms line up by position, and DISTINCT and ORDER BY read
+// whole rows.
+func observesAll(s *Select) bool {
+	return len(s.Cores) > 1 || s.Cores[0].Distinct || len(s.OrderBy) > 0
+}
+
 func (b *binder) core(core *SelectCore, live map[string]bool) *boundCore {
-	bc := &boundCore{core: core, from: make([]*boundFrom, len(core.From))}
-	star := false
-	for _, item := range core.Items {
-		star = star || item.Star
+	bc := &boundCore{core: core, from: make([]*boundFrom, len(core.From)), names: make([]string, len(core.Items))}
+	for i, item := range core.Items {
+		bc.names[i] = b.lower(item.Alias)
 	}
-	if !star {
-		bc.names = make([]string, len(core.Items))
-		for i, item := range core.Items {
-			bc.names[i] = itemName(item, i)
-		}
-		// Star expansion would shift the positional names the liveness
-		// analysis used, so pruning needs a star-free item list.
-		if live != nil {
-			bc.dead = make([]bool, len(core.Items))
-			for i, name := range bc.names {
-				bc.dead[i] = !live[name]
-			}
+	if live != nil {
+		bc.dead = make([]bool, len(core.Items))
+		for i, name := range bc.names {
+			bc.dead[i] = !live[name]
 		}
 	}
+	// prims are the FROM items and the right side of every join.
+	var prims []*boundFrom
 	for i, fi := range core.From {
-		bc.from[i] = b.from(fi)
-		if bc.from[i].lat != nil {
-			hostLateral(bc, bc.from[i])
+		f := b.from(fi)
+		bc.from[i] = f
+		if f.lat != nil {
+			bc.from[i-1].lateral = f // Bind checked the host
 		}
-		bc.prims = bc.from[i].primaries(bc.prims)
+		prims = append(prims, f)
+		for _, j := range f.joins {
+			prims = append(prims, j.right)
+		}
 	}
 	if core.Where != nil {
 		bc.conjs = bindConjuncts(core.Where)
@@ -319,29 +344,14 @@ func (b *binder) core(core *SelectCore, live map[string]bool) *boundCore {
 
 	// Referenced columns per alias.
 	var refs []*ColRef
-	everything := false
 	for i, item := range core.Items {
-		if item.Star {
-			sa := b.lower(item.StarAlias)
-			if sa == "" {
-				everything = true
-			}
-			for _, f := range bc.prims {
-				if f.alias == sa {
-					f.all = true
-				}
-			}
-			continue
-		}
 		if _, direct := item.Expr.(*ColRef); !direct && bc.dead != nil && bc.dead[i] {
 			continue // never evaluated, so its inputs are not reads
 		}
 		refs = colRefs(item.Expr, refs)
 	}
-	if core.Where != nil {
-		refs = colRefs(core.Where, refs)
-	}
-	for _, f := range bc.prims {
+	refs = colRefs(core.Where, refs)
+	for _, f := range bc.from {
 		for _, j := range f.joins {
 			for _, c := range j.on {
 				refs = colRefs(c.expr, refs)
@@ -349,11 +359,7 @@ func (b *binder) core(core *SelectCore, live map[string]bool) *boundCore {
 		}
 	}
 	for _, c := range refs {
-		if c.alias == "" {
-			everything = true
-			continue
-		}
-		for _, f := range bc.prims {
+		for _, f := range prims {
 			if f.alias == c.alias && !slices.Contains(f.cols, c.column) {
 				if f.cols == nil {
 					f.cols = make([]string, 0, 8) // room for a typical core's columns
@@ -362,59 +368,19 @@ func (b *binder) core(core *SelectCore, live map[string]bool) *boundCore {
 			}
 		}
 	}
-	if everything {
-		for _, f := range bc.prims {
-			f.all = true
-		}
-	}
 	return bc
-}
-
-// hostLateral attaches lateral item f to the earlier FROM item that
-// introduces the alias its cells correlate to (Bind has checked there
-// is one), and records the columns the cells name on that alias.
-func hostLateral(bc *boundCore, f *boundFrom) {
-	for _, host := range bc.from {
-		if host == nil || host == f {
-			break
-		}
-		for _, prim := range host.primaries(nil) {
-			if prim.alias != f.lat.dep {
-				continue
-			}
-			host.laterals = append(host.laterals, f)
-			for _, row := range f.lat.rows {
-				for _, cell := range row {
-					if c, ok := cell.(*ColRef); ok && !slices.Contains(prim.latCols, c.column) {
-						prim.latCols = append(prim.latCols, c.column)
-					}
-				}
-			}
-			return
-		}
-	}
 }
 
 func (b *binder) from(fi FromItem) *boundFrom {
 	f := &boundFrom{alias: b.lower(fi.Alias), table: b.lower(fi.Table)}
-	if fi.Sub != nil {
-		f.sub = b.selectStmt(fi.Sub, nil)
-	}
 	if l := fi.Lateral; l != nil {
 		f.lat = &boundLateral{names: make([]string, len(l.Cols)), rows: l.Rows}
 		for i, name := range l.Cols {
 			f.lat.names[i] = b.lower(name)
 		}
-		for _, row := range l.Rows {
-			for _, cell := range row {
-				if c, ok := cell.(*ColRef); ok {
-					f.lat.dep = c.alias
-				}
-			}
-		}
 	}
 	for _, jc := range fi.Joins {
-		f.joins = append(f.joins, boundJoin{left: jc.Left, right: b.from(jc.Right), on: bindConjuncts(jc.On)})
+		f.joins = append(f.joins, boundJoin{right: b.from(jc.Right), on: bindConjuncts(jc.On)})
 	}
 	return f
 }
@@ -425,10 +391,7 @@ func bindConjuncts(e Expr) []boundConj {
 	for i, c := range exprs {
 		bc := boundConj{expr: c}
 		for _, cr := range colRefs(c, nil) {
-			switch {
-			case cr.alias == "":
-				bc.bare = append(bc.bare, cr.column)
-			case !slices.Contains(bc.aliases, cr.alias):
+			if !slices.Contains(bc.aliases, cr.alias) {
 				bc.aliases = append(bc.aliases, cr.alias)
 			}
 		}

@@ -293,10 +293,10 @@ func TestFloatIndexRegression(t *testing.T) {
 
 		// End-to-end: the indexed scan path must agree with a full scan.
 		for q, want := range map[string]int{
-			"SELECT n.k FROM n AS n WHERE n.k = 1.0": 2,
-			"SELECT n.k FROM n AS n WHERE n.k = 2.5": 0,
+			"SELECT n.k AS k FROM n AS n WHERE n.k = 1.0": 2,
+			"SELECT n.k AS k FROM n AS n WHERE n.k = 2.5": 0,
 		} {
-			rs, err := db.Query(q)
+			rs, err := query(db, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,21 +354,21 @@ func TestVectorizedScanEquivalence(t *testing.T) {
 		cols []int          // the SELECT list, as columns of z
 		keep func(Row) bool // the WHERE clause
 	}{
-		{"SELECT z.v FROM z AS z WHERE z.v = 5000", []int{v}, func(r Row) bool { return r[v].I == 5000 }},
-		{"SELECT z.v FROM z AS z WHERE z.v = 100000", []int{v}, func(r Row) bool { return false }},                                           // zone-skips every chunk
-		{"SELECT z.v FROM z AS z WHERE z.v < 100", []int{v}, func(r Row) bool { return r[v].I < 100 }},                                       // prunes all but chunk 0
-		{"SELECT z.v FROM z AS z WHERE z.v >= 8100", []int{v}, func(r Row) bool { return r[v].I >= 8100 }},                                   // prunes all but the tail
-		{"SELECT z.v FROM z AS z WHERE z.v != 0", []int{v}, func(r Row) bool { return r[v].I != 0 }},                                         // no pruning possible
-		{"SELECT z.v FROM z AS z WHERE 2048 <= z.v AND z.v <= 2050", []int{v}, func(r Row) bool { return 2048 <= r[v].I && r[v].I <= 2050 }}, // literal on the left
-		{"SELECT z.u FROM z AS z WHERE z.u = 5000", []int{u}, func(r Row) bool { return r[u].I == 5000 }},                                    // shuffled: no chunk pruned
-		{"SELECT z.v FROM z AS z WHERE z.n IS NULL AND z.v < 64", []int{v}, func(r Row) bool { return r[n].IsNull() && r[v].I < 64 }},
-		{"SELECT z.v FROM z AS z WHERE z.n IS NOT NULL AND z.v > 8000", []int{v}, func(r Row) bool { return !r[n].IsNull() && r[v].I > 8000 }},
-		{"SELECT z.v FROM z AS z WHERE z.v < 300 AND z.s = 3.0", []int{v}, func(r Row) bool { return r[v].I < 300 && r[s].I == 3 }}, // residual: float literal
-		{"SELECT z.v FROM z AS z WHERE z.v < 200 AND z.s < 'a'", []int{v}, func(r Row) bool { return r[v].I < 200 }},                // residual: numbers order below strings
-		{"SELECT z.v FROM z AS z WHERE z.v > 8000 AND z.s = 'tag3'", []int{v}, func(r Row) bool { return false }},                   // residual: an id never equals a string
-		{"SELECT z.s FROM z AS z WHERE z.s = 5 AND z.u < 40", []int{s}, func(r Row) bool { return r[s].I == 5 && r[u].I < 40 }},
-		{"SELECT z.v, z.u FROM z AS z", []int{v, u}, func(r Row) bool { return true }},                    // unfiltered dense gather
-		{"SELECT z.v FROM z AS z WHERE z.v + 0 = 77", []int{v}, func(r Row) bool { return r[v].I == 77 }}, // non-vectorizable arithmetic
+		{"SELECT z.v AS v FROM z AS z WHERE z.v = 5000", []int{v}, func(r Row) bool { return r[v].I == 5000 }},
+		{"SELECT z.v AS v FROM z AS z WHERE z.v = 100000", []int{v}, func(r Row) bool { return false }},                                           // zone-skips every chunk
+		{"SELECT z.v AS v FROM z AS z WHERE z.v < 100", []int{v}, func(r Row) bool { return r[v].I < 100 }},                                       // prunes all but chunk 0
+		{"SELECT z.v AS v FROM z AS z WHERE z.v >= 8100", []int{v}, func(r Row) bool { return r[v].I >= 8100 }},                                   // prunes all but the tail
+		{"SELECT z.v AS v FROM z AS z WHERE z.v != 0", []int{v}, func(r Row) bool { return r[v].I != 0 }},                                         // no pruning possible
+		{"SELECT z.v AS v FROM z AS z WHERE 2048 <= z.v AND z.v <= 2050", []int{v}, func(r Row) bool { return 2048 <= r[v].I && r[v].I <= 2050 }}, // literal on the left
+		{"SELECT z.u AS u FROM z AS z WHERE z.u = 5000", []int{u}, func(r Row) bool { return r[u].I == 5000 }},                                    // shuffled: no chunk pruned
+		{"SELECT z.v AS v FROM z AS z WHERE z.n IS NULL AND z.v < 64", []int{v}, func(r Row) bool { return r[n].IsNull() && r[v].I < 64 }},
+		{"SELECT z.v AS v FROM z AS z WHERE z.n IS NOT NULL AND z.v > 8000", []int{v}, func(r Row) bool { return !r[n].IsNull() && r[v].I > 8000 }},
+		{"SELECT z.v AS v FROM z AS z WHERE z.v < 300 AND z.s = 3.0", []int{v}, func(r Row) bool { return r[v].I < 300 && r[s].I == 3 }}, // residual: float literal
+		{"SELECT z.v AS v FROM z AS z WHERE z.v < 200 AND z.s < 'a'", []int{v}, func(r Row) bool { return r[v].I < 200 }},                // residual: numbers order below strings
+		{"SELECT z.v AS v FROM z AS z WHERE z.v > 8000 AND z.s = 'tag3'", []int{v}, func(r Row) bool { return false }},                   // residual: an id never equals a string
+		{"SELECT z.s AS s FROM z AS z WHERE z.s = 5 AND z.u < 40", []int{s}, func(r Row) bool { return r[s].I == 5 && r[u].I < 40 }},
+		{"SELECT z.v AS v, z.u AS u FROM z AS z", []int{v, u}, func(r Row) bool { return true }},               // unfiltered dense gather
+		{"SELECT z.v AS v FROM z AS z WHERE z.v + 0 = 77", []int{v}, func(r Row) bool { return r[v].I == 77 }}, // non-vectorizable arithmetic
 	}
 	rows := zoneRows()
 	raw, sealed := zoneDB(t), zoneDB(t).Publish()
@@ -389,7 +389,7 @@ func TestVectorizedScanEquivalence(t *testing.T) {
 				name string
 				db   *DB
 			}{{"raw", raw}, {"sealed", sealed}} {
-				rs, err := db.db.Query(c.q)
+				rs, err := query(db.db, c.q)
 				if err != nil {
 					t.Fatalf("%s %q: %v", db.name, c.q, err)
 				}
@@ -402,22 +402,23 @@ func TestVectorizedScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestVecScanBudgetChargesSelectedRows: a highly selective scan over a
-// mostly-pruned table must charge only the selected rows against the
-// row budget — never the rows of skipped chunks — while a scan that
-// actually produces many rows must still trip.
+// TestVecScanBudgetChargesSelectedRows: a highly selective scan must
+// charge only the rows it selects against the row budget — never the
+// rows its filter drops — while a scan that actually produces many rows
+// must still trip.
 func TestVecScanBudgetChargesSelectedRows(t *testing.T) {
 	db := zoneDB(t)
-	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v < 10")
+	q, err := ParseQuery("SELECT z.v AS v FROM z AS z WHERE z.v < 10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 10 selected rows scan + 10 projected ≤ 50, even though the table
-	// holds 8192 rows across 8 chunks (7 of them zone-skipped).
+	// holds 8192 rows across 8 chunks, all of which the residual
+	// predicate z.v < 10 reads.
 	if _, err := db.ExecContext(context.Background(), q, Limits{MaxRows: 50}); err != nil {
-		t.Fatalf("budget must ignore pruned chunks: %v", err)
+		t.Fatalf("budget must ignore the rows the filter drops: %v", err)
 	}
-	wide, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v >= 0")
+	wide, err := ParseQuery("SELECT z.v AS v FROM z AS z WHERE z.v >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func TestVecScanBudgetChargesSelectedRows(t *testing.T) {
 // CkFilter checkpoints (cancellation inside the chunk loop).
 func TestVecScanFaultInjection(t *testing.T) {
 	db := zoneDB(t)
-	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v != -1")
+	q, err := ParseQuery("SELECT z.v AS v FROM z AS z WHERE z.v != -1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,35 +48,15 @@ func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
 		return db.compileBinOp(x, rel)
 	case *BoolOp:
 		return db.compileBoolOp(x, rel)
-	case *UnOp:
+	case *UnOp: // NOT, the one unary operator Bind accepts
 		sub := db.compileExpr(x.X, rel)
-		switch x.Op {
-		case "NOT":
-			return func(r Row) (Value, error) {
-				v, err := sub(r)
-				if err != nil || v.IsNull() {
-					return Null, err
-				}
-				return Bool(!v.Truth()), nil
+		return func(r Row) (Value, error) {
+			v, err := sub(r)
+			if err != nil || v.IsNull() {
+				return Null, err
 			}
-		case "-":
-			return func(r Row) (Value, error) {
-				v, err := sub(r)
-				if err != nil {
-					return Null, err
-				}
-				switch v.K {
-				case KindInt:
-					return Int(-v.I), nil
-				case KindFloat:
-					return Float(-v.F), nil
-				case KindNull:
-					return Null, nil
-				}
-				return Null, fmt.Errorf("sql: cannot negate %v", v.K)
-			}
+			return Bool(!v.Truth()), nil
 		}
-		return errExpr(fmt.Errorf("sql: unknown unary op %q", x.Op))
 	case *IsNullExpr:
 		sub := db.compileExpr(x.X, rel)
 		not := x.Not
@@ -86,40 +66,6 @@ func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
 				return Null, err
 			}
 			return Bool(v.IsNull() != not), nil
-		}
-	case *InExpr:
-		sub := db.compileExpr(x.X, rel)
-		items := make([]compiledExpr, len(x.List))
-		for i, item := range x.List {
-			items[i] = db.compileExpr(item, rel)
-		}
-		not := x.Not
-		return func(r Row) (Value, error) {
-			v, err := sub(r)
-			if err != nil {
-				return Null, err
-			}
-			if v.IsNull() {
-				return Null, nil
-			}
-			anyNull := false
-			for _, item := range items {
-				iv, err := item(r)
-				if err != nil {
-					return Null, err
-				}
-				if iv.IsNull() {
-					anyNull = true
-					continue
-				}
-				if Equal(v, iv) {
-					return Bool(!not), nil
-				}
-			}
-			if anyNull {
-				return Null, nil
-			}
-			return Bool(not), nil
 		}
 	case *CaseExpr:
 		conds := make([]compiledExpr, len(x.Whens))

@@ -1,10 +1,5 @@
 package rel
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Dead-column pruning across a query's CTE chain. The SPARQL
 // translator builds queries as pipelines of CTEs, and intermediate
 // columns (extracted predicate values, spill-resolved lids) often go
@@ -18,10 +13,10 @@ import (
 // are untouched, so the pruned execution is indistinguishable to any
 // consumer of the live columns.
 //
-// The analysis over-approximates uses: anything it cannot resolve
-// precisely (unqualified references, star projections, UNION /
-// DISTINCT / ORDER BY selects, forward references) marks the relevant
-// CTEs fully live.
+// Every column reference inside a core is qualified, so each use names
+// the CTE behind its alias exactly. The analysis over-approximates only
+// where a select observes its whole output (UNION ALL, DISTINCT, ORDER
+// BY) and for forward references, which mark the CTE fully live.
 
 // cteLiveColumns returns one live-column set per CTE, aligned with
 // q.CTEs; a nil entry keeps everything. lower lower-cases identifiers.
@@ -40,121 +35,51 @@ func cteLiveColumns(q *Query, lower func(string) string) []map[string]bool {
 		used[name] = &state{cols: map[string]bool{}}
 		index[name] = i
 	}
-	markAll := func(name string) {
-		if s, ok := used[name]; ok {
-			s.all = true
-		}
-	}
-	markCol := func(name, col string) {
-		if s, ok := used[name]; ok {
-			s.cols[col] = true
-		}
-	}
 
 	// collect records every CTE column the given select can observe.
 	// live bounds which of the select's own output items are
 	// evaluated (nil = all); minIndex guards against forward
 	// references — a referenced CTE at or past it is marked fully
 	// live, since its pruning decision has already been taken.
-	var collect func(s *Select, live map[string]bool, minIndex int)
-	collect = func(s *Select, live map[string]bool, minIndex int) {
-		if s == nil {
-			return
-		}
-		if len(s.Cores) > 1 || s.Cores[0].Distinct || len(s.OrderBy) > 0 {
-			live = nil // dedup/ordering observe every column
+	collect := func(s *Select, live map[string]bool, minIndex int) {
+		if observesAll(s) {
+			live = nil
 		}
 		for _, core := range s.Cores {
-			for _, item := range core.Items {
-				if item.Star {
-					// Star expansion shifts positional fallback names;
-					// treat every item of this select as live.
-					live = nil
-				}
-			}
-		}
-		for _, core := range s.Cores {
-			// alias -> referenced CTE name, for this core's FROM units.
+			// alias -> referenced CTE name, for this core's FROM items.
 			aliases := map[string]string{}
-			var walkFrom func(fi FromItem)
-			walkFrom = func(fi FromItem) {
-				if fi.Sub != nil {
-					collect(fi.Sub, nil, minIndex)
-				} else if fi.Lateral == nil {
-					tbl := lower(fi.Table)
-					if _, ok := used[tbl]; ok {
-						a := lower(fi.Alias)
-						if a == "" {
-							a = tbl
-						}
-						aliases[a] = tbl
-						if idx, ok := index[tbl]; ok && idx >= minIndex {
-							markAll(tbl)
-						}
+			var ons []Expr
+			see := func(fi FromItem) {
+				tbl := lower(fi.Table)
+				if st, ok := used[tbl]; ok {
+					aliases[lower(fi.Alias)] = tbl
+					if index[tbl] >= minIndex {
+						st.all = true
 					}
 				}
+			}
+			for _, fi := range core.From {
+				see(fi)
 				for _, j := range fi.Joins {
-					walkFrom(j.Right)
+					see(j.Right)
+					ons = append(ons, j.On)
 				}
 			}
-			for _, fi := range core.From {
-				walkFrom(fi)
-			}
-			useExpr := func(e Expr) {
-				for _, c := range colRefs(e, nil) {
-					alias, col := c.alias, c.column
-					if alias == "" {
-						// Unqualified: could resolve into any unit.
-						for _, cte := range aliases {
-							markAll(cte)
-						}
-						continue
+			use := func(e Expr) {
+				eachColRef(e, func(c *ColRef) {
+					if cte, ok := aliases[c.alias]; ok {
+						used[cte].cols[c.column] = true
 					}
-					if cte, ok := aliases[alias]; ok {
-						markCol(cte, col)
-					}
+				})
+			}
+			for _, item := range core.Items {
+				if live == nil || live[lower(item.Alias)] {
+					use(item.Expr) // a dead item's inputs are not uses
 				}
 			}
-			for i, item := range core.Items {
-				if item.Star {
-					// Star observes whole units.
-					sa := lower(item.StarAlias)
-					for a, cte := range aliases {
-						if sa == "" || sa == a {
-							markAll(cte)
-						}
-					}
-					continue
-				}
-				if live != nil && !live[itemName(item, i)] {
-					continue // dead item: its inputs are not uses
-				}
-				useExpr(item.Expr)
-			}
-			if core.Where != nil {
-				useExpr(core.Where)
-			}
-			for _, fi := range core.From {
-				if fi.Lateral != nil {
-					// The cells read the item they correlate to.
-					for _, row := range fi.Lateral.Rows {
-						for _, cell := range row {
-							useExpr(cell)
-						}
-					}
-				}
-			}
-			var walkOn func(fi FromItem)
-			walkOn = func(fi FromItem) {
-				for _, j := range fi.Joins {
-					if j.On != nil {
-						useExpr(j.On)
-					}
-					walkOn(j.Right)
-				}
-			}
-			for _, fi := range core.From {
-				walkOn(fi)
+			use(core.Where)
+			for _, on := range ons {
+				use(on)
 			}
 		}
 	}
@@ -163,8 +88,7 @@ func cteLiveColumns(q *Query, lower func(string) string) []map[string]bool {
 	// to first so liveness propagates transitively up the chain.
 	collect(q.Body, nil, len(q.CTEs))
 	for i := len(q.CTEs) - 1; i >= 0; i-- {
-		name := lower(q.CTEs[i].Name)
-		st := used[name]
+		st := used[lower(q.CTEs[i].Name)]
 		var live map[string]bool
 		if !st.all {
 			live = st.cols
@@ -174,24 +98,9 @@ func cteLiveColumns(q *Query, lower func(string) string) []map[string]bool {
 
 	out := make([]map[string]bool, len(q.CTEs))
 	for i, cte := range q.CTEs {
-		st := used[lower(cte.Name)]
-		if st.all {
-			out[i] = nil
-		} else {
+		if st := used[lower(cte.Name)]; !st.all {
 			out[i] = st.cols
 		}
 	}
 	return out
-}
-
-// itemName computes the output column name of a non-star select item,
-// mirroring project's naming (lower-cased; positional fallback).
-func itemName(item SelectItem, pos int) string {
-	if item.Alias != "" {
-		return strings.ToLower(item.Alias)
-	}
-	if cr, ok := item.Expr.(*ColRef); ok {
-		return cr.column
-	}
-	return fmt.Sprintf("col%d", pos+1)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -14,15 +13,6 @@ import (
 type ResultSet struct {
 	Columns []string
 	Rows    []Row
-}
-
-// Query parses and executes one SQL statement.
-func (db *DB) Query(sql string) (*ResultSet, error) {
-	q, err := ParseQuery(sql)
-	if err != nil {
-		return nil, err
-	}
-	return db.Exec(q)
 }
 
 // errUnbound rejects a Query that Bind has not accepted.
@@ -118,8 +108,8 @@ func aliased(base *relation, alias string) *relation {
 	return &relation{cols: cols, rows: base.rows, aliases: []string{alias}}
 }
 
-// evalSelect evaluates one select: its cores, UNION-ed, then ORDER BY
-// and LIMIT/OFFSET over the combined rows.
+// evalSelect evaluates one select: its cores, UNION ALL-ed, then ORDER
+// BY and LIMIT/OFFSET over the combined rows.
 func (ex *exec) evalSelect(bs *boundSelect, env map[string]*relation) (*ResultSet, error) {
 	s := bs.sel
 	var out *ResultSet
@@ -133,7 +123,7 @@ func (ex *exec) evalSelect(bs *boundSelect, env map[string]*relation) (*ResultSe
 			rowCap += s.Offset
 		}
 	}
-	for i, core := range bs.cores {
+	for _, core := range bs.cores {
 		rs, err := ex.evalCore(core, env, rowCap)
 		if err != nil {
 			return nil, err
@@ -146,11 +136,6 @@ func (ex *exec) evalSelect(bs *boundSelect, env map[string]*relation) (*ResultSe
 			return nil, fmt.Errorf("sql: UNION arms have %d vs %d columns", len(out.Columns), len(rs.Columns))
 		}
 		out.Rows = append(out.Rows, rs.Rows...)
-		if !s.UnionAll[i-1] {
-			if out.Rows, err = ex.dedup(out.Rows); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if len(s.OrderBy) > 0 {
 		if err := ex.applyOrderBy(out, s.OrderBy); err != nil {
@@ -304,7 +289,7 @@ func (ex *exec) evalCore(bc *boundCore, env map[string]*relation, rowCap int64) 
 	units := make([]*relation, 0, len(bc.from))
 	for _, bf := range bc.from {
 		if bf.lat != nil {
-			continue // built as part of the unit of the item it correlates to
+			continue // fused into the scan of the base table right before it
 		}
 		u, err := ex.buildUnit(bc, bf, applied, env)
 		if err != nil {
@@ -348,21 +333,13 @@ func (ex *exec) evalCore(bc *boundCore, env map[string]*relation, rowCap int64) 
 	return ex.project(bc, cur)
 }
 
-// buildUnit materializes one FROM item including its explicit join chain.
+// buildUnit materializes one FROM item including its LEFT OUTER JOIN
+// chain.
 func (ex *exec) buildUnit(bc *boundCore, bf *boundFrom, applied []bool, env map[string]*relation) (*relation, error) {
-	push := len(bf.joins) == 0
-	left, err := ex.buildPrimary(bc, bf, applied, env, push)
+	left, err := ex.buildPrimary(bc, bf, applied, env, len(bf.joins) == 0)
 	if err != nil {
 		return nil, err
 	}
-	if left, err = ex.joinChain(bc, bf, left, env); err != nil {
-		return nil, err
-	}
-	return ex.applyLaterals(bc, bf, left, applied, env)
-}
-
-// joinChain applies bf's explicit joins to left.
-func (ex *exec) joinChain(bc *boundCore, bf *boundFrom, left *relation, env map[string]*relation) (*relation, error) {
 	for i := range bf.joins {
 		jc := &bf.joins[i]
 		right, err := ex.buildPrimary(bc, jc.right, nil, env, false)
@@ -377,19 +354,12 @@ func (ex *exec) joinChain(bc *boundCore, bf *boundFrom, left *relation, env map[
 	return left, nil
 }
 
-// buildPrimary resolves a table name, CTE, or derived table. When push
-// is true, the single-alias conjuncts of the core's WHERE are pushed
-// into the item — index-accelerated on a base table — and marked
-// applied. A base table is shaped from the columns the core references
-// through the item's alias, nothing else.
+// buildPrimary resolves a table or CTE name. When push is true, the
+// single-alias conjuncts of the core's WHERE are pushed into the item —
+// index-accelerated on a base table — and marked applied. A base table
+// is shaped from the columns the core references through the item's
+// alias, nothing else.
 func (ex *exec) buildPrimary(bc *boundCore, bf *boundFrom, applied []bool, env map[string]*relation, push bool) (*relation, error) {
-	if bf.sub != nil {
-		rs, err := ex.evalSelect(bf.sub, env)
-		if err != nil {
-			return nil, err
-		}
-		return aliased(resultToRelation(rs), bf.alias), nil
-	}
 	if cte, ok := env[bf.table]; ok {
 		r := aliased(cte, bf.alias)
 		if push {
@@ -401,14 +371,17 @@ func (ex *exec) buildPrimary(bc *boundCore, bf *boundFrom, applied []bool, env m
 	if t == nil {
 		return nil, fmt.Errorf("sql: unknown table %q", bf.table)
 	}
-	// A lateral item over a pure scan of a base table is fused with the
-	// read (unpivot.go): its cells are then read from the chunks per
+	// A lateral item is fused with the read of the base table it
+	// correlates to (unpivot.go): its cells are read from the chunks per
 	// pair and stay out of the rows.
 	var up *unpivot
-	if push && len(bf.laterals) > 0 {
-		up = newUnpivot(t, bf.laterals[0])
+	if bf.lateral != nil {
+		var err error
+		if up, err = newUnpivot(t, bf.lateral); err != nil {
+			return nil, err
+		}
 	}
-	r := &relation{base: t, src: t.columnSet(bf, up == nil), aliases: []string{bf.alias}, scan: true, unpivot: up}
+	r := &relation{base: t, src: t.columnSet(bf), aliases: []string{bf.alias}, scan: true, unpivot: up}
 	r.cols = make([]relCol, len(r.src))
 	for i, c := range r.src {
 		r.cols[i] = relCol{alias: bf.alias, name: t.names[c]}
@@ -420,34 +393,19 @@ func (ex *exec) buildPrimary(bc *boundCore, bf *boundFrom, applied []bool, env m
 		r.aliases = append(r.aliases, up.alias)
 	}
 	if push {
-		return ex.scanWithFilters(r, bc, bf, applied, env)
+		return ex.scanWithFilters(r, bc, bf, applied)
 	}
 	return r, nil
 }
 
 // columnSet resolves the columns bf references to table positions, in
-// schema order; lateral adds the columns only lateral cells name.
-// Names the table does not have are left out; the reference then fails
-// to resolve, as it would against the full width.
-func (t *Table) columnSet(bf *boundFrom, lateral bool) []int {
-	if bf.all {
-		src := make([]int, len(t.Schema))
-		for i := range src {
-			src[i] = i
-		}
-		return src
-	}
+// schema order. Names the table does not have are left out; the
+// reference then fails to resolve, as it would against the full width.
+func (t *Table) columnSet(bf *boundFrom) []int {
 	src := make([]int, 0, len(bf.cols))
 	for _, name := range bf.cols {
 		if c, ok := t.colIdx[name]; ok {
 			src = append(src, c)
-		}
-	}
-	if lateral {
-		for _, name := range bf.latCols {
-			if c, ok := t.colIdx[name]; ok && !slices.Contains(src, c) {
-				src = append(src, c)
-			}
 		}
 	}
 	sort.Ints(src)
@@ -458,24 +416,14 @@ func (t *Table) columnSet(bf *boundFrom, lateral bool) []int {
 // conjuncts over bf's alias alone — and, when a lateral item is fused
 // into r, over its alias too — using a hash index for the first
 // "col = constant" conjunct on the table if any.
-func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, applied []bool, env map[string]*relation) (*relation, error) {
+func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, applied []bool) (*relation, error) {
 	t := r.base
 	var mine []*boundConj
 	for i := range bc.conjs {
 		c := &bc.conjs[i]
-		if applied[i] {
-			continue
-		}
 		// r's aliases are bf's and, when a lateral item is fused into
 		// it, that item's.
-		ok := len(c.aliases) > 0 && boundIn(c, r)
-		if len(c.aliases) == 0 && len(c.bare) > 0 {
-			// Unqualified references: claim the conjunct when this item
-			// and no other of the core can resolve its columns, which is
-			// when colIndex resolves them against the joined relation.
-			ok = ex.soleResolver(bc, bf, c.bare, env)
-		}
-		if ok {
+		if !applied[i] && len(c.aliases) > 0 && boundIn(c, r) {
 			mine = append(mine, c)
 			applied[i] = true
 		}
@@ -487,7 +435,7 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 		if c.col == nil || !t.HasIndex(c.col.Column) {
 			continue
 		}
-		if a := c.col.alias; a != "" && a != bf.alias {
+		if c.col.alias != bf.alias {
 			continue // a lateral column that shares an indexed column's name
 		}
 		v, err := ex.db.compileExpr(c.constant, nil)(nil)
@@ -558,42 +506,8 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 	return out, nil
 }
 
-// soleResolver reports whether bf is the one FROM item of the core
-// (join chains included) that has every column in cols, and no other
-// item has any of them — the condition under which relation.colIndex
-// resolves the unqualified names instead of calling them ambiguous.
-func (ex *exec) soleResolver(bc *boundCore, bf *boundFrom, cols []string, env map[string]*relation) bool {
-	for _, f := range bc.prims {
-		for _, col := range cols {
-			if ex.hasColumn(f, col, env) != (f == bf) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// hasColumn reports whether FROM item f exposes a column named col. A
-// derived table with a star item is assumed to: its names are only
-// known once it has run.
-func (ex *exec) hasColumn(f *boundFrom, col string, env map[string]*relation) bool {
-	if f.lat != nil {
-		return slices.Contains(f.lat.names, col)
-	}
-	if f.sub != nil {
-		names := f.sub.cores[0].names
-		return names == nil || slices.Contains(names, col)
-	}
-	if cte, ok := env[f.table]; ok {
-		return slices.ContainsFunc(cte.cols, func(c relCol) bool { return c.name == col })
-	}
-	t := ex.db.table(f.table)
-	return t != nil && t.ColumnIndex(col) >= 0
-}
-
 // pushBound applies every unapplied conjunct whose aliases are all part
-// of r, an already materialized relation (a CTE reference, or a unit a
-// lateral item has just been evaluated over).
+// of r, a CTE reference.
 func (ex *exec) pushBound(r *relation, conjs []boundConj, applied []bool) (*relation, error) {
 	var mine []Expr
 	for i := range conjs {
@@ -682,36 +596,12 @@ func (ex *exec) materialize(r *relation) (*relation, error) {
 func (ex *exec) project(bc *boundCore, r *relation) (*ResultSet, error) {
 	core := bc.core
 	names := bc.names
-	var exprs []Expr // nil entry means direct column copy at positions[i]
-	var positions []int
-	if names == nil {
-		// A star item: the names depend on the input shape.
-		for _, item := range core.Items {
-			if item.Star {
-				alias := strings.ToLower(item.StarAlias)
-				for i, c := range r.cols {
-					if alias != "" && c.alias != alias {
-						continue
-					}
-					names = append(names, c.name)
-					exprs = append(exprs, nil)
-					positions = append(positions, i)
-				}
-				continue
-			}
-			names = append(names, itemName(item, len(names)))
-			exprs = append(exprs, item.Expr)
-			positions = append(positions, -1)
-		}
-	} else {
-		exprs = make([]Expr, len(names))
-		positions = make([]int, len(names))
-		for i, item := range core.Items {
-			exprs[i], positions[i] = item.Expr, -1
-		}
-	}
-	for i, e := range exprs {
-		if cr, ok := e.(*ColRef); ok {
+	// A nil entry of exprs is a direct column copy from positions[i].
+	exprs := make([]Expr, len(names))
+	positions := make([]int, len(names))
+	for i, item := range core.Items {
+		exprs[i], positions[i] = item.Expr, -1
+		if cr, ok := item.Expr.(*ColRef); ok {
 			if p := r.colIndex(cr); p >= 0 {
 				exprs[i], positions[i] = nil, p
 			}

@@ -45,7 +45,7 @@ func TestJoinNullsNeverMatch(t *testing.T) {
 		{Null, Int(200)},
 		{Null, Int(300)},
 	})
-	rs := queryRows(t, db, "SELECT l.id, r.v FROM l, r WHERE l.k = r.k")
+	rs := queryRows(t, db, "SELECT l.id AS id, r.v AS v FROM l AS l, r AS r WHERE l.k = r.k")
 	if len(rs.Rows) != 1 {
 		t.Fatalf("NULL keys must never join: want 1 row, got %d: %v", len(rs.Rows), rs.Rows)
 	}
@@ -56,7 +56,7 @@ func TestJoinNullsNeverMatch(t *testing.T) {
 	if err := rt.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	rs = queryRows(t, db, "SELECT l.id, r.v FROM l, r WHERE l.k = r.k")
+	rs = queryRows(t, db, "SELECT l.id AS id, r.v AS v FROM l AS l, r AS r WHERE l.k = r.k")
 	if len(rs.Rows) != 1 {
 		t.Fatalf("indexed: want 1 row, got %d: %v", len(rs.Rows), rs.Rows)
 	}
@@ -76,7 +76,7 @@ func TestJoinIntMatchesIntegralFloat(t *testing.T) {
 		{Int(3), Int(15)},
 		{Int(4), Int(20)},
 	})
-	rs := queryRows(t, db, "WITH bf AS (SELECT b.y / 2.0 AS y, b.tag AS tag FROM b) SELECT a.x, bf.tag FROM a, bf WHERE a.x = bf.y")
+	rs := queryRows(t, db, "WITH bf AS (SELECT b.y / 2.0 AS y, b.tag AS tag FROM b AS b) SELECT a.x AS x, bf.tag AS tag FROM a AS a, bf AS bf WHERE a.x = bf.y")
 	got := renderSorted(rs)
 	want := []string{
 		fmt.Sprintf("%#v | %#v", Int(1), Int(10)),
@@ -94,7 +94,7 @@ func TestJoinIntMatchesIntegralFloat(t *testing.T) {
 	db = NewDB()
 	mustTable(t, db, "p", Schema{{Name: "k"}, {Name: "x"}}, []Row{{Int(1), Int(big + 1)}})
 	bt := mustTable(t, db, "b", Schema{{Name: "k"}, {Name: "y"}}, []Row{{Int(1), Int(big + 1)}, {Int(1), Int(big)}})
-	const cte = "WITH P AS (SELECT p.k AS k, p.x / 1.0 AS x FROM p) "
+	const cte = "WITH P AS (SELECT p.k AS k, p.x / 1.0 AS x FROM p AS p) "
 	want = []string{fmt.Sprintf("%#v", Int(big))}
 	for _, index := range []string{"", "k", "y"} {
 		if index != "" {
@@ -104,8 +104,8 @@ func TestJoinIntMatchesIntegralFloat(t *testing.T) {
 		}
 		for _, on := range []string{"P.k = b.k AND P.x = b.y", "P.k + 0 = b.k AND P.x = b.y", "P.k + 0 = b.k AND P.x + 0 = b.y"} {
 			for _, q := range []string{
-				cte + "SELECT b.y FROM P, b WHERE " + on,
-				cte + "SELECT b.y FROM P LEFT OUTER JOIN b ON " + on,
+				cte + "SELECT b.y AS y FROM P AS P, b AS b WHERE " + on,
+				cte + "SELECT b.y AS y FROM P AS P LEFT OUTER JOIN b AS b ON " + on,
 			} {
 				if got := renderSorted(queryRows(t, db, q)); !reflect.DeepEqual(got, want) {
 					t.Errorf("index on b.%s, %s (%s): want only b.y = 2^53, got %v", index, q, joinKernel(t, db, q), got)
@@ -132,9 +132,9 @@ func TestMultiColumnJoin(t *testing.T) {
 		{Null, Int(0), Int(203)},
 	})
 	named := func(t string) string {
-		return "SELECT " + t + ".a AS a, CASE WHEN " + t + ".b = 0 THEN 'x' WHEN " + t + ".b = 1 THEN 'y' ELSE 'z' END AS b, " + t + ".id AS id FROM " + t
+		return "SELECT " + t + ".a AS a, CASE WHEN " + t + ".b = 0 THEN 'x' WHEN " + t + ".b = 1 THEN 'y' ELSE 'z' END AS b, " + t + ".id AS id FROM " + t + " AS " + t
 	}
-	rs := queryRows(t, db, "WITH L AS ("+named("l")+"), R AS ("+named("r")+") SELECT L.id, R.id FROM L, R WHERE L.a = R.a AND L.b = R.b")
+	rs := queryRows(t, db, "WITH L AS ("+named("l")+"), R AS ("+named("r")+") SELECT L.id AS lid, R.id AS rid FROM L AS L, R AS R WHERE L.a = R.a AND L.b = R.b")
 	got := renderSorted(rs)
 	want := []string{
 		fmt.Sprintf("%#v | %#v", Int(100), Int(200)),
@@ -154,7 +154,7 @@ func TestOrderByDescNulls(t *testing.T) {
 	})
 	// ASC sorts NULLs last; DESC is its exact reversal, so NULLs come
 	// first.
-	rs := queryRows(t, db, "SELECT id, x FROM v ORDER BY x DESC")
+	rs := queryRows(t, db, "SELECT V.id AS id, V.x AS x FROM v AS V ORDER BY x DESC")
 	var ids []int64
 	for _, r := range rs.Rows {
 		ids = append(ids, r[0].I)
@@ -169,11 +169,11 @@ func TestOffsetEqualsRowCount(t *testing.T) {
 	mustTable(t, db, "v", Schema{{Name: "x"}}, []Row{
 		{Int(1)}, {Int(2)}, {Int(3)},
 	})
-	rs := queryRows(t, db, "SELECT x FROM v ORDER BY x LIMIT 10 OFFSET 3")
+	rs := queryRows(t, db, "SELECT V.x AS x FROM v AS V ORDER BY x LIMIT 10 OFFSET 3")
 	if len(rs.Rows) != 0 {
 		t.Fatalf("OFFSET == len(rows) must yield 0 rows, got %d", len(rs.Rows))
 	}
-	rs = queryRows(t, db, "SELECT x FROM v ORDER BY x LIMIT 10 OFFSET 2")
+	rs = queryRows(t, db, "SELECT V.x AS x FROM v AS V ORDER BY x LIMIT 10 OFFSET 2")
 	if len(rs.Rows) != 1 || rs.Rows[0][0].I != 3 {
 		t.Fatalf("OFFSET 2 must keep the last row, got %v", rs.Rows)
 	}
@@ -190,7 +190,8 @@ func TestDistinctMixedKinds(t *testing.T) {
 	// DISTINCT over a union of int rows and float rows (h.x / 2.0 is 1.0,
 	// 2.5 and NULL): 1 and 1.0 are the same key, both NULLs collapse, 2.5
 	// stays.
-	rs := queryRows(t, db, "SELECT x FROM ints UNION SELECT h.x / 2.0 FROM halves AS h")
+	rs := queryRows(t, db, "WITH u AS (SELECT i.x AS x FROM ints AS i UNION ALL SELECT h.x / 2.0 AS x FROM halves AS h) "+
+		"SELECT DISTINCT U.x AS x FROM u AS U")
 	if len(rs.Rows) != 4 {
 		t.Fatalf("want 4 distinct values {NULL, 1, 2, 2.5}, got %d: %v", len(rs.Rows), renderSorted(rs))
 	}
@@ -207,14 +208,14 @@ func TestSeparatorCollision(t *testing.T) {
 	// Old scheme: key("a\x1fb", "c") == "a" + \x1f + "b" + \x1f + "c"
 	// == key("a", "b\x1fc"). The two rows are distinct and must stay so.
 	const ctes = "WITH P AS (SELECT CASE WHEN p.id = 1 THEN 'a\x1fb' ELSE 'a' END AS a, " +
-		"CASE WHEN p.id = 1 THEN 'c' ELSE 'b\x1fc' END AS b FROM p), " +
-		"Q AS (SELECT 'a\x1fb' AS a, 'c' AS b FROM q) "
-	rs := queryRows(t, db, ctes+"SELECT DISTINCT a, b FROM P")
+		"CASE WHEN p.id = 1 THEN 'c' ELSE 'b\x1fc' END AS b FROM p AS p), " +
+		"Q AS (SELECT 'a\x1fb' AS a, 'c' AS b FROM q AS q) "
+	rs := queryRows(t, db, ctes+"SELECT DISTINCT P.a AS a, P.b AS b FROM P AS P")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("rows differing only in \\x1f placement must stay distinct, got %d: %v", len(rs.Rows), renderSorted(rs))
 	}
 	// Same for multi-column hash-join keys.
-	rs = queryRows(t, db, ctes+"SELECT P.a FROM P, Q WHERE P.a = Q.a AND P.b = Q.b")
+	rs = queryRows(t, db, ctes+"SELECT P.a AS a FROM P AS P, Q AS Q WHERE P.a = Q.a AND P.b = Q.b")
 	if len(rs.Rows) != 1 {
 		t.Fatalf("multi-column join must match exactly one row, got %d: %v", len(rs.Rows), renderSorted(rs))
 	}
@@ -247,29 +248,29 @@ func kernelCorpus(t *testing.T) (*DB, []string) {
 		t.Fatal(err)
 	}
 	queries := []string{
-		"SELECT e.src, e.dst FROM e WHERE e.src < 100",
-		"SELECT DISTINCT e.lbl FROM e",
-		"SELECT DISTINCT e.lbl / 2.0 AS l FROM e",
-		"SELECT e.src, n.name FROM e, node AS n WHERE e.dst = n.id AND e.src < 200",
-		"WITH N AS (SELECT n.id / 1.0 AS id, n.name AS name FROM node AS n) SELECT e.src, N.name FROM e, N WHERE e.dst = N.id AND e.src < 300",
-		"SELECT a.src, b.dst FROM e AS a, e AS b WHERE a.dst = b.src AND a.src = 5",
-		"WITH L AS (SELECT e.src AS src, e.dst AS dst, CASE WHEN e.lbl < 19 THEN 'lo' WHEN e.lbl < 38 THEN 'mid' ELSE 'hi' END AS lbl FROM e) " +
-			"SELECT DISTINCT a.lbl, b.lbl FROM L AS a, L AS b WHERE a.dst = b.src AND a.src < 20",
-		"SELECT e.src AS s FROM e ORDER BY s DESC LIMIT 50 OFFSET 10",
+		"SELECT e.src AS src, e.dst AS dst FROM e AS e WHERE e.src < 100",
+		"SELECT DISTINCT e.lbl AS lbl FROM e AS e",
+		"SELECT DISTINCT e.lbl / 2.0 AS l FROM e AS e",
+		"SELECT e.src AS src, n.name AS name FROM e AS e, node AS n WHERE e.dst = n.id AND e.src < 200",
+		"WITH N AS (SELECT n.id / 1.0 AS id, n.name AS name FROM node AS n) SELECT e.src AS src, N.name AS name FROM e AS e, N AS N WHERE e.dst = N.id AND e.src < 300",
+		"SELECT a.src AS src, b.dst AS dst FROM e AS a, e AS b WHERE a.dst = b.src AND a.src = 5",
+		"WITH L AS (SELECT e.src AS src, e.dst AS dst, CASE WHEN e.lbl < 19 THEN 'lo' WHEN e.lbl < 38 THEN 'mid' ELSE 'hi' END AS lbl FROM e AS e) " +
+			"SELECT DISTINCT a.lbl AS al, b.lbl AS bl FROM L AS a, L AS b WHERE a.dst = b.src AND a.src < 20",
+		"SELECT e.src AS s FROM e AS e ORDER BY s DESC LIMIT 50 OFFSET 10",
 		// LEFT OUTER JOIN on every kernel; e.dst is NULL on every 13th
 		// edge, and those rows come out NULL-extended.
 		// Index: the filtered left side is smaller than node.
-		"WITH E AS (SELECT e.src AS src, e.dst AS dst FROM e WHERE e.src < 200) SELECT E.src, E.dst, n.name FROM E LEFT OUTER JOIN node AS n ON E.dst = n.id",
+		"WITH E AS (SELECT e.src AS src, e.dst AS dst FROM e AS e WHERE e.src < 200) SELECT E.src AS src, E.dst AS dst, n.name AS name FROM E AS E LEFT OUTER JOIN node AS n ON E.dst = n.id",
 		// Int hash: the right side is a CTE.
-		"WITH N AS (SELECT n.id AS id, n.name AS name FROM node AS n) SELECT e.src, e.dst, N.name FROM e LEFT OUTER JOIN N ON e.dst = N.id",
+		"WITH N AS (SELECT n.id AS id, n.name AS name FROM node AS n) SELECT e.src AS src, e.dst AS dst, N.name AS name FROM e AS e LEFT OUTER JOIN N AS N ON e.dst = N.id",
 		// Generic hash: halves are float keys.
-		"WITH L AS (SELECT e.src AS src, e.dst / 2.0 AS h FROM e), N AS (SELECT n.id / 2.0 AS h, n.name AS name FROM node AS n) " +
-			"SELECT L.src, L.h, N.name FROM L LEFT OUTER JOIN N ON L.h = N.h",
+		"WITH L AS (SELECT e.src AS src, e.dst / 2.0 AS h FROM e AS e), N AS (SELECT n.id / 2.0 AS h, n.name AS name FROM node AS n) " +
+			"SELECT L.src AS src, L.h AS h, N.name AS name FROM L AS L LEFT OUTER JOIN N AS N ON L.h = N.h",
 		// Nested loop: the link is hidden in an expression.
-		"WITH E AS (SELECT e.src AS src, e.dst AS dst FROM e WHERE e.src < 40) SELECT E.src, E.dst, n.name FROM E LEFT OUTER JOIN node AS n ON E.dst + 0 = n.id",
+		"WITH E AS (SELECT e.src AS src, e.dst AS dst FROM e AS e WHERE e.src < 40) SELECT E.src AS src, E.dst AS dst, n.name AS name FROM E AS E LEFT OUTER JOIN node AS n ON E.dst + 0 = n.id",
 		// A residual that rejects every match of most left rows.
-		"WITH E AS (SELECT e.src AS src, e.dst AS dst FROM e WHERE e.src < 200) SELECT E.src, E.dst, n.name FROM E LEFT OUTER JOIN node AS n ON E.dst = n.id AND n.name < 3",
-		"WITH N AS (SELECT n.id AS id, n.name AS name FROM node AS n) SELECT e.src, e.dst, N.name FROM e LEFT OUTER JOIN N ON e.dst = N.id AND N.name > 27",
+		"WITH E AS (SELECT e.src AS src, e.dst AS dst FROM e AS e WHERE e.src < 200) SELECT E.src AS src, E.dst AS dst, n.name AS name FROM E AS E LEFT OUTER JOIN node AS n ON E.dst = n.id AND n.name < 3",
+		"WITH N AS (SELECT n.id AS id, n.name AS name FROM node AS n) SELECT e.src AS src, e.dst AS dst, N.name AS name FROM e AS e LEFT OUTER JOIN N AS N ON e.dst = N.id AND N.name > 27",
 	}
 	return db, queries
 }
@@ -307,7 +308,7 @@ func joinKernel(t *testing.T, db *DB, sql string) string {
 	return strings.Join(ops, ", ")
 }
 
-// TestJoinKernelsAgree answers the same inner and outer joins through
+// TestJoinKernelsAgree answers the same comma and outer joins through
 // the index, hash and nested-loop kernels — an index on the link
 // column present or absent, the link plain or hidden in an expression —
 // with one worker and with four. Every kernel must give the same rows,
@@ -342,10 +343,9 @@ func TestJoinKernelsAgree(t *testing.T) {
 	}
 	dbs := map[bool]*DB{false: build(false), true: build(true)}
 	forms := []struct{ name, sql string }{
-		{"comma", "SELECT l.a, r.b FROM l, r WHERE %s"},
-		{"inner on", "SELECT l.a, r.b FROM l JOIN r ON %s"},
-		{"left outer", "SELECT l.a, r.b FROM l LEFT OUTER JOIN r ON %s"},
-		{"left outer residual", "SELECT l.a, r.b FROM l LEFT OUTER JOIN r ON %s AND r.b < 4"},
+		{"comma", "SELECT l.a AS a, r.b AS b FROM l AS l, r AS r WHERE %s"},
+		{"left outer", "SELECT l.a AS a, r.b AS b FROM l AS l LEFT OUTER JOIN r AS r ON %s"},
+		{"left outer residual", "SELECT l.a AS a, r.b AS b FROM l AS l LEFT OUTER JOIN r AS r ON %s AND r.b < 4"},
 	}
 	for _, form := range forms {
 		var want []string

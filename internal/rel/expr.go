@@ -13,7 +13,6 @@ func (c relCol) String() string {
 }
 
 // relation is a materialized intermediate result during execution.
-// Unqualified lookups resolve by unique name across the aliases.
 type relation struct {
 	cols    []relCol
 	rows    []Row
@@ -54,32 +53,15 @@ func (r *relation) rowCount() int {
 	return len(r.rows)
 }
 
-// colIndex resolves a column reference to a position, or -1.
+// colIndex resolves a column reference to the position of the column
+// with its alias and name, or -1.
 func (r *relation) colIndex(c *ColRef) int {
-	alias, col := c.alias, c.column
-	if alias != "" {
-		for i, rc := range r.cols {
-			if rc.name == col && rc.alias == alias {
-				return i
-			}
-		}
-		return -1
-	}
-	// Unqualified: exact match first, then unique match across aliases.
-	found := -1
 	for i, rc := range r.cols {
-		if rc.name != col {
-			continue
-		}
-		if rc.alias == "" {
+		if rc.name == c.column && rc.alias == c.alias {
 			return i
 		}
-		if found >= 0 {
-			return -1 // ambiguous
-		}
-		found = i
 	}
-	return found
+	return -1
 }
 
 func colRefString(c *ColRef) string {

@@ -16,7 +16,7 @@ import (
 // context.Context, and row/memory budgets charged against shared
 // atomic counters. Every long-running loop — hash-join build and
 // probe, index probes, filters, projection, ORDER BY key extraction,
-// DISTINCT/UNION dedup, cross products, and each morsel worker —
+// DISTINCT dedup, cross products, and each morsel worker —
 // checks the governance state at chunk granularity (checkpointRows
 // rows), so an abort surfaces within one chunk of work, never per row.
 //
@@ -128,11 +128,10 @@ const (
 	CkProject
 	// CkOrderBy is the ORDER BY key-extraction loop.
 	CkOrderBy
-	// CkDedup is the DISTINCT/UNION dedup loop.
+	// CkDedup is the DISTINCT dedup loop.
 	CkDedup
 	// CkUnpivot is the lateral unpivot: every scan, index scan and
-	// index probe that expands base rows into pairs (morsel workers),
-	// and the row-at-a-time form over materialized rows.
+	// index probe that expands base rows into pairs (morsel workers).
 	CkUnpivot
 )
 

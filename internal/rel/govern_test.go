@@ -33,7 +33,7 @@ func mustParse(t *testing.T, sql string) *Query {
 // checkUsable asserts the DB still answers queries correctly.
 func checkUsable(t *testing.T, db *DB) {
 	t.Helper()
-	rs, err := db.Query(govQuery)
+	rs, err := query(db, govQuery)
 	if err != nil {
 		t.Fatalf("follow-up query after abort: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestFaultPanicContained(t *testing.T) {
 func TestPanicInCompiledExpr(t *testing.T) {
 	db := peopleDB(t)
 	db.RegisterFunc("boom", func(args []Value) (Value, error) { panic("boom function") })
-	q := mustParse(t, "SELECT boom(age) FROM people_ids")
+	q := mustParse(t, "SELECT boom(p.age) AS b FROM people_ids AS p")
 	for _, workers := range []int{1, 4} {
 		SetParallelism(workers, 1)
 		_, err := db.ExecContext(context.Background(), q, Limits{})
@@ -248,7 +248,7 @@ func TestBudgetTripInArena(t *testing.T) {
 	SetParallelism(4, 1)
 	defer SetParallelism(0, 0)
 	db := peopleDB(t)
-	q := mustParse(t, "SELECT p.name, c.name FROM people_ids AS p, city_ids AS c WHERE p.city = c.id")
+	q := mustParse(t, "SELECT p.name AS pname, c.name AS cname FROM people_ids AS p, city_ids AS c WHERE p.city = c.id")
 	_, err := db.ExecContext(context.Background(), q, Limits{MaxBytes: 8})
 	var be *BudgetError
 	if !errors.As(err, &be) {
@@ -283,8 +283,12 @@ func TestMemoryBudgetFollowsReadWidth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	five := mustParse(t, "SELECT T.c0, T.c3, T.c17, T.c40, T.c65 FROM wide AS T WHERE T.c0 >= 0")
-	all := mustParse(t, "SELECT * FROM wide AS T WHERE T.c0 >= 0")
+	five := mustParse(t, "SELECT T.c0 AS c0, T.c3 AS c3, T.c17 AS c17, T.c40 AS c40, T.c65 AS c65 FROM wide AS T WHERE T.c0 >= 0")
+	every := make([]string, len(schema))
+	for i, c := range schema {
+		every[i] = "T." + c.Name + " AS " + c.Name
+	}
+	all := mustParse(t, "SELECT "+strings.Join(every, ", ")+" FROM wide AS T WHERE T.c0 >= 0")
 	// 2000 rows cost 400 KB at five columns and 5.3 MB at 66.
 	budget := Limits{MaxBytes: 1 << 20}
 	rs, err := db.ExecContext(context.Background(), five, budget)
@@ -359,22 +363,24 @@ func outerJoinDB(t *testing.T) *DB {
 // and inside the hash kernel, with one worker and with four: an
 // injected cancel or panic at the kernel's probe site surfaces typed, a
 // row budget trips on the NULL-extended rows (the same budget holds the
-// inner join), and the DB answers the next query correctly.
+// comma join on the same link), and the DB answers the next query
+// correctly.
 func TestGovernOuterJoin(t *testing.T) {
 	defer SetParallelism(0, 0)
 	db := outerJoinDB(t)
-	const star = "SELECT * FROM l %s JOIN %s ON l.k = r.k"
+	const cols = "SELECT l.k AS lk, l.a AS la, r.k AS rk, r.b AS rb FROM l AS l"
 	for _, kc := range []struct {
-		kernel, right string
-		site          CheckSite
-		budget        int64 // holds the inner join's rows, not the outer's
+		kernel, with, right string
+		site                CheckSite
+		budget              int64 // holds the inner join's rows, not the outer's
 	}{
-		{"join-on index r.k", "r", CkIndexProbe, 175},
-		{"join-on hash", "(SELECT r.k AS k, r.b AS b FROM r) AS r", CkHashProbe, 375},
+		{"join-on index r.k", "", "r AS r", CkIndexProbe, 175},
+		{"join-on hash", "WITH R AS (SELECT r.k AS k, r.b AS b FROM r AS r) ", "R AS r", CkHashProbe, 375},
 	} {
-		outer := mustParse(t, fmt.Sprintf(star, "LEFT OUTER", kc.right))
-		inner := mustParse(t, fmt.Sprintf(star, "", kc.right))
-		if got := joinKernel(t, db, fmt.Sprintf(star, "LEFT OUTER", kc.right)); got != kc.kernel {
+		outerSQL := kc.with + cols + " LEFT OUTER JOIN " + kc.right + " ON l.k = r.k"
+		outer := mustParse(t, outerSQL)
+		inner := mustParse(t, kc.with+cols+", "+kc.right+" WHERE l.k = r.k")
+		if got := joinKernel(t, db, outerSQL); got != kc.kernel {
 			t.Fatalf("want the %s kernel, ran %s", kc.kernel, got)
 		}
 		answers := func(t *testing.T) {

@@ -2,7 +2,7 @@ package rel
 
 import "math"
 
-// Hash kernels for the executor. Joins, DISTINCT and UNION dedup used
+// Hash kernels for the executor. Joins and DISTINCT dedup used
 // to build composite keys by formatting every value into a string
 // (Value.key() concatenated with separators); over the dictionary-
 // encoded RDF schemas every hot key is an int64 id, so that meant an
@@ -100,7 +100,7 @@ func keyEqual(a, b Value) bool {
 	return true // both NULL
 }
 
-// rowKeyHash hashes a whole row (DISTINCT / UNION dedup).
+// rowKeyHash hashes a whole row (DISTINCT dedup).
 func rowKeyHash(r Row) uint64 {
 	h := fnvOffset64
 	for _, v := range r {

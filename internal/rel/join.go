@@ -6,8 +6,8 @@ import (
 )
 
 // The join operator. Comma-separated FROM units, joined greedily on the
-// WHERE equalities, and explicit [LEFT OUTER] JOIN … ON items both go
-// through join, which picks one of three kernels:
+// WHERE equalities, and LEFT OUTER JOIN … ON items both go through
+// join, which picks one of three kernels:
 //
 //   - index probe: one side is an unmaterialized scan of a base table
 //     with a hash index on a link column and the other side is smaller,
@@ -29,15 +29,16 @@ import (
 type joinSpec struct {
 	links    []eqLink
 	residual []Expr // ON conjuncts that are not links, checked per pair
-	outer    bool   // LEFT OUTER: keep unmatched left rows, NULL-extended
-	on       bool   // an explicit JOIN … ON, profiled as "join-on"
+	// outer marks a LEFT OUTER JOIN … ON, which keeps unmatched left
+	// rows NULL-extended and is profiled as "join-on".
+	outer bool
 }
 
 // stat names a kernel's profile entry: a comma join reports the
-// kernel's own kind, an explicit join reports "join-on" labelled
+// kernel's own kind, a LEFT OUTER JOIN reports "join-on" labelled
 // onLabel.
 func (s *joinSpec) stat(st OpStat, onLabel string) OpStat {
-	if s.on {
+	if s.outer {
 		st.Kind, st.Label = "join-on", onLabel
 	}
 	return st
@@ -106,7 +107,7 @@ func (ex *exec) joinUnits(units []*relation, conjs []boundConj, applied []bool) 
 // onSpec splits an ON clause into the links between left and right
 // and the residual conjuncts.
 func onSpec(left, right *relation, jc *boundJoin) joinSpec {
-	spec := joinSpec{links: eqLinks(left, right, jc.on, nil), outer: jc.left, on: true}
+	spec := joinSpec{links: eqLinks(left, right, jc.on, nil), outer: true}
 	for i := range jc.on {
 		if !slices.ContainsFunc(spec.links, func(lk eqLink) bool { return lk.conj == i }) {
 			spec.residual = append(spec.residual, jc.on[i].expr)

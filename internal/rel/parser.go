@@ -131,37 +131,25 @@ func (p *sqlParser) query() (*Query, error) {
 	return q, nil
 }
 
-// selectStmt parses a select with optional UNION chain and modifiers.
+// selectStmt parses a select with optional UNION ALL chain and
+// modifiers.
 func (p *sqlParser) selectStmt() (*Select, error) {
 	s := &Select{Limit: -1}
-	core, err := p.selectCore()
-	if err != nil {
-		return nil, err
-	}
-	s.Cores = append(s.Cores, core)
-	for p.acceptKeyword("UNION") {
-		all := p.acceptKeyword("ALL")
-		var next *SelectCore
-		if p.acceptPunct("(") {
-			inner, err := p.selectStmt()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			if len(inner.Cores) != 1 || inner.OrderBy != nil || inner.Limit != -1 {
-				return nil, p.errf("parenthesized UNION arms must be plain selects")
-			}
-			next = inner.Cores[0]
-		} else {
-			next, err = p.selectCore()
-			if err != nil {
-				return nil, err
-			}
+	for {
+		core, err := p.selectCore()
+		if err != nil {
+			return nil, err
 		}
-		s.Cores = append(s.Cores, next)
-		s.UnionAll = append(s.UnionAll, all)
+		s.Cores = append(s.Cores, core)
+		if !p.acceptKeyword("UNION") {
+			break
+		}
+		if !p.acceptKeyword("ALL") {
+			return nil, p.errf("UNION without ALL is not supported")
+		}
+		if p.isPunct("(") {
+			return nil, p.errf("a parenthesized UNION ALL arm is not supported")
+		}
 	}
 	if p.acceptKeyword("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
@@ -254,33 +242,22 @@ func (p *sqlParser) selectCore() (*SelectCore, error) {
 }
 
 func (p *sqlParser) selectItem() (SelectItem, error) {
-	// "*" or "alias.*"
-	if p.isPunct("*") {
-		p.pos++
-		return SelectItem{Star: true}, nil
-	}
-	if p.peek().kind == tokIdent && p.pos+2 < len(p.toks) &&
-		p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == "." &&
-		p.toks[p.pos+2].kind == tokPunct && p.toks[p.pos+2].text == "*" {
-		alias := p.next().text
-		p.pos += 2
-		return SelectItem{Star: true, StarAlias: alias}, nil
+	if p.isPunct("*") || p.peek().kind == tokIdent && p.pos+2 < len(p.toks) &&
+		p.toks[p.pos+1].text == "." && p.toks[p.pos+2].text == "*" {
+		return SelectItem{}, p.errf("a * select item is not supported; name each column as alias.column AS name")
 	}
 	e, err := p.expr()
 	if err != nil {
 		return SelectItem{}, err
 	}
-	item := SelectItem{Expr: e}
-	if p.acceptKeyword("AS") {
-		name, err := p.ident()
-		if err != nil {
-			return SelectItem{}, err
-		}
-		item.Alias = name
-	} else if p.peek().kind == tokIdent {
-		item.Alias = p.next().text
+	if !p.acceptKeyword("AS") {
+		return SelectItem{}, p.errf("a select item needs AS name, got %q", p.peek().text)
 	}
-	return item, nil
+	name, err := p.ident()
+	if err != nil {
+		return SelectItem{}, err
+	}
+	return SelectItem{Expr: e, Alias: name}, nil
 }
 
 func (p *sqlParser) fromItem() (FromItem, error) {
@@ -289,47 +266,55 @@ func (p *sqlParser) fromItem() (FromItem, error) {
 		return FromItem{}, err
 	}
 	for {
-		if p.isKeyword("LEFT") {
-			p.pos++
-			p.acceptKeyword("OUTER")
+		switch {
+		case p.acceptKeyword("LEFT"):
+			if err := p.expectKeyword("OUTER"); err != nil {
+				return FromItem{}, err
+			}
 			if err := p.expectKeyword("JOIN"); err != nil {
 				return FromItem{}, err
 			}
-			right, err := p.fromPrimary()
-			if err != nil {
-				return FromItem{}, err
-			}
-			if err := p.expectKeyword("ON"); err != nil {
-				return FromItem{}, err
-			}
-			on, err := p.expr()
-			if err != nil {
-				return FromItem{}, err
-			}
-			fi.Joins = append(fi.Joins, JoinClause{Left: true, Right: right, On: on})
-			continue
+		case p.isKeyword("INNER") || p.isKeyword("JOIN"):
+			return FromItem{}, p.errf("INNER JOIN is not supported; write a comma join with a WHERE condition")
+		default:
+			return fi, nil
 		}
-		if p.isKeyword("INNER") || p.isKeyword("JOIN") {
-			p.acceptKeyword("INNER")
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return FromItem{}, err
-			}
-			right, err := p.fromPrimary()
-			if err != nil {
-				return FromItem{}, err
-			}
-			if err := p.expectKeyword("ON"); err != nil {
-				return FromItem{}, err
-			}
-			on, err := p.expr()
-			if err != nil {
-				return FromItem{}, err
-			}
-			fi.Joins = append(fi.Joins, JoinClause{Left: false, Right: right, On: on})
-			continue
+		right, err := p.fromPrimary()
+		if err != nil {
+			return FromItem{}, err
 		}
-		return fi, nil
+		if err := p.expectKeyword("ON"); err != nil {
+			return FromItem{}, err
+		}
+		on, err := p.expr()
+		if err != nil {
+			return FromItem{}, err
+		}
+		fi.Joins = append(fi.Joins, JoinClause{Right: right, On: on})
 	}
+}
+
+// fromPrimary parses a lateral item or name AS alias. Bind checks
+// where a lateral item stands.
+func (p *sqlParser) fromPrimary() (FromItem, error) {
+	if p.atLateral() {
+		return p.lateral()
+	}
+	if p.isPunct("(") {
+		return FromItem{}, p.errf("a derived table is not supported; name it in WITH")
+	}
+	name, err := p.ident()
+	if err != nil {
+		return FromItem{}, err
+	}
+	if !p.acceptKeyword("AS") {
+		return FromItem{}, p.errf("FROM item %s needs AS alias, got %q", name, p.peek().text)
+	}
+	alias, err := p.ident()
+	if err != nil {
+		return FromItem{}, err
+	}
+	return FromItem{Table: name, Alias: alias}, nil
 }
 
 // atLateral reports whether the input continues with `TABLE (`. TABLE
@@ -409,55 +394,16 @@ func (p *sqlParser) lateral() (FromItem, error) {
 	return FromItem{Lateral: lat, Alias: alias}, nil
 }
 
-func (p *sqlParser) fromPrimary() (FromItem, error) {
-	if p.atLateral() {
-		return p.lateral()
-	}
-	var fi FromItem
-	if p.acceptPunct("(") {
-		sel, err := p.selectStmt()
-		if err != nil {
-			return FromItem{}, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return FromItem{}, err
-		}
-		fi.Sub = sel
-	} else {
-		name, err := p.ident()
-		if err != nil {
-			return FromItem{}, err
-		}
-		fi.Table = name
-	}
-	if p.acceptKeyword("AS") {
-		alias, err := p.ident()
-		if err != nil {
-			return FromItem{}, err
-		}
-		fi.Alias = alias
-	} else if p.peek().kind == tokIdent {
-		fi.Alias = p.next().text
-	}
-	if fi.Alias == "" {
-		if fi.Table == "" {
-			return FromItem{}, p.errf("derived table requires an alias")
-		}
-		fi.Alias = fi.Table
-	}
-	return fi, nil
-}
-
 // Expression grammar (highest binding last):
 //   expr   := orExpr
 //   orExpr := andExpr (OR andExpr)*
 //   andExpr:= notExpr (AND notExpr)*
 //   notExpr:= NOT notExpr | cmpExpr
 //   cmpExpr:= addExpr (( = | != | <> | < | <= | > | >= ) addExpr
-//           | IS [NOT] NULL | [NOT] IN (expr, ...))?
+//           | IS [NOT] NULL)?
 //   addExpr:= mulExpr (( + | - ) mulExpr)*
 //   mulExpr:= unary (( * | / ) unary)*
-//   unary  := - unary | primary
+//   unary  := - number | primary
 //   primary:= literal | CASE ... END | func(args) | colref | ( expr )
 
 func (p *sqlParser) expr() (Expr, error) { return p.orExpr() }
@@ -523,30 +469,8 @@ func (p *sqlParser) cmpExpr() (Expr, error) {
 		}
 		return &IsNullExpr{X: l, Not: not}, nil
 	}
-	not := false
-	if p.isKeyword("NOT") && p.pos+1 < len(p.toks) && p.toks[p.pos+1].kind == tokKeyword && p.toks[p.pos+1].text == "IN" {
-		p.pos++
-		not = true
-	}
-	if p.acceptKeyword("IN") {
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		var list []Expr
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, e)
-			if !p.acceptPunct(",") {
-				break
-			}
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return &InExpr{X: l, Not: not, List: list}, nil
+	if p.isKeyword("IN") || p.isKeyword("NOT") && p.toks[p.pos+1].text == "IN" {
+		return nil, p.errf("an IN list is not supported; write an OR of equalities")
 	}
 	return l, nil
 }
@@ -585,16 +509,13 @@ func (p *sqlParser) mulExpr() (Expr, error) {
 
 func (p *sqlParser) unaryExpr() (Expr, error) {
 	if p.acceptPunct("-") {
-		if t := p.peek(); t.kind == tokNumber {
-			// A negative number is one literal.
-			p.pos++
-			return p.number("-" + t.text)
+		t := p.peek()
+		if t.kind != tokNumber {
+			return nil, p.errf("unary minus applies to a number only; write 0 - x")
 		}
-		x, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &UnOp{Op: "-", X: x}, nil
+		// A negative number is one literal.
+		p.pos++
+		return p.number("-" + t.text)
 	}
 	return p.primaryExpr()
 }

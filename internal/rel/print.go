@@ -9,10 +9,10 @@ import (
 // String prints q as SQL text that ParseQuery reads back into an equal
 // AST. It is a rendering for EXPLAIN and tests: execution never reads
 // it. The layout is the translator's CTE chain (one WITH entry per
-// line, UNION arms on lines of their own) and the parentheses are the
-// AST's: every AND/OR chain but a WHERE or ON clause's top-level AND,
-// and every arithmetic operation, is parenthesized, and NOT and unary
-// minus take a parenthesized operand.
+// line, UNION ALL arms on lines of their own) and the parentheses are
+// the AST's: every AND/OR chain but a WHERE or ON clause's top-level
+// AND, and every arithmetic operation, is parenthesized, and NOT takes
+// a parenthesized operand.
 //
 // A NaN constant prints as NaN, which does not read back (SQL has no
 // NaN literal); ±Inf prints as ±1e999, which reads back as ±Inf.
@@ -41,11 +41,7 @@ type printer struct{ strings.Builder }
 func (w *printer) selectStmt(s *Select) {
 	for i, core := range s.Cores {
 		if i > 0 {
-			if s.UnionAll[i-1] {
-				w.WriteString("\nUNION ALL\n")
-			} else {
-				w.WriteString("\nUNION\n")
-			}
+			w.WriteString("\nUNION ALL\n")
 		}
 		w.core(core)
 	}
@@ -79,16 +75,8 @@ func (w *printer) core(c *SelectCore) {
 		if i > 0 {
 			w.WriteString(", ")
 		}
-		switch {
-		case item.Star && item.StarAlias != "":
-			w.WriteString(item.StarAlias)
-			w.WriteString(".*")
-		case item.Star:
-			w.WriteByte('*')
-		default:
-			w.expr(item.Expr)
-			w.as(item.Alias)
-		}
+		w.expr(item.Expr)
+		w.as(item.Alias)
 	}
 	w.WriteString(" FROM ")
 	for i, f := range c.From {
@@ -104,10 +92,8 @@ func (w *printer) core(c *SelectCore) {
 }
 
 func (w *printer) as(alias string) {
-	if alias != "" {
-		w.WriteString(" AS ")
-		w.WriteString(alias)
-	}
+	w.WriteString(" AS ")
+	w.WriteString(alias)
 }
 
 func (w *printer) from(f FromItem) {
@@ -132,21 +118,12 @@ func (w *printer) from(f FromItem) {
 			w.WriteString(c)
 		}
 		w.WriteByte(')')
-	case f.Sub != nil:
-		w.WriteByte('(')
-		w.selectStmt(f.Sub)
-		w.WriteByte(')')
-		w.as(f.Alias)
 	default:
 		w.WriteString(f.Table)
 		w.as(f.Alias)
 	}
 	for _, j := range f.Joins {
-		if j.Left {
-			w.WriteString(" LEFT OUTER JOIN ")
-		} else {
-			w.WriteString(" JOIN ")
-		}
+		w.WriteString(" LEFT OUTER JOIN ")
 		w.from(j.Right)
 		w.WriteString(" ON ")
 		w.cond(j.On)
@@ -164,7 +141,7 @@ func (w *printer) cond(e Expr) {
 }
 
 // chain prints b's operands joined by its operator. Under AND or OR,
-// a comparison, IS, IN or NOT needs no parentheses, and a nested chain
+// a comparison, IS or NOT needs no parentheses, and a nested chain
 // brings its own.
 func (w *printer) chain(b *BoolOp) {
 	for i, a := range b.Args {
@@ -215,11 +192,7 @@ func (w *printer) expr(e Expr) {
 			w.WriteByte(')')
 		}
 	case *UnOp:
-		if x.Op == "NOT" {
-			w.WriteString("NOT (")
-		} else {
-			w.WriteString("-(")
-		}
+		w.WriteString("NOT (")
 		w.expr(x.X)
 		w.WriteByte(')')
 	case *IsNullExpr:
@@ -229,15 +202,6 @@ func (w *printer) expr(e Expr) {
 		} else {
 			w.WriteString(" IS NULL")
 		}
-	case *InExpr:
-		w.operand(x.X)
-		if x.Not {
-			w.WriteString(" NOT IN (")
-		} else {
-			w.WriteString(" IN (")
-		}
-		w.list(x.List)
-		w.WriteByte(')')
 	case *CaseExpr:
 		w.WriteString("CASE")
 		for _, wh := range x.Whens {
@@ -259,16 +223,14 @@ func (w *printer) expr(e Expr) {
 	}
 }
 
-// operand prints e as an operand of a comparison, arithmetic, IS or
-// IN, parenthesizing what binds more loosely than they do.
+// operand prints e as an operand of a comparison, arithmetic or IS,
+// parenthesizing what binds more loosely than they do.
 func (w *printer) operand(e Expr) {
 	wrap := false
 	switch x := e.(type) {
 	case *BinOp:
 		wrap = !isArith(x.Op) // arithmetic brings its own
-	case *UnOp:
-		wrap = x.Op == "NOT"
-	case *IsNullExpr, *InExpr:
+	case *UnOp, *IsNullExpr:
 		wrap = true
 	}
 	if wrap {

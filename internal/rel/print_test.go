@@ -7,23 +7,24 @@ import (
 	"testing"
 )
 
-// printSeeds are statements over every construct the grammar has.
+// printSeeds are statements over every construct the dialect has.
 var printSeeds = []string{
-	"SELECT a FROM t",
-	"SELECT DISTINCT T.a AS x, b y, * , T.* FROM t AS T, u WHERE T.a = u.b AND u.c IS NOT NULL ORDER BY x DESC, y ASC LIMIT 5 OFFSET 2",
-	"WITH q AS (SELECT T.a AS a FROM t AS T WHERE (T.b = 1 OR T.c = 2) AND NOT T.d = 3),\nr AS (SELECT a FROM q)\nSELECT a FROM r",
-	"SELECT a FROM t WHERE (a = 1 OR b = 2) OR c = 3",
-	"SELECT a FROM t WHERE a = 1 OR b = 2 OR (c = 3 OR d = 4) OR e = 5",
-	"SELECT a FROM t WHERE (a = 1 AND b = 2) AND (c = 3 AND d = 4) AND NOT (e = 5 OR f = 6)",
-	"SELECT a + b * c - d / 2, -a, - -a, -(a + 1), a - -1, 1.5, 1e21, 2.5E-7, 1.e3, 007, -9223372036854775808, 1e999, -1e999 FROM t",
-	"SELECT 'it''s', '', NULL, TRUE, FALSE, COALESCE(a, 0), f(), dnum(a) FROM t",
-	"SELECT CASE WHEN a = 1 THEN 'x' WHEN a IS NULL THEN 'y' ELSE 'z' END, CASE WHEN b THEN 1 END FROM t",
-	"SELECT a FROM t WHERE a IN (1, 2, 3) AND b NOT IN ('x') AND (a = 1) = (b = 2) AND (a IS NULL) IS NOT NULL",
-	"SELECT a FROM t UNION SELECT b FROM u UNION ALL (SELECT c FROM v) ORDER BY a",
-	"SELECT P.a, O.b FROM t AS P LEFT OUTER JOIN u AS O ON P.a = O.a AND P.b = O.b JOIN v AS V ON V.c = P.a LEFT JOIN w ON 1 = 1",
-	"SELECT s.a FROM (SELECT a FROM t UNION ALL SELECT b FROM u LIMIT 3) AS s",
-	"SELECT L.p, L.v FROM t AS T, TABLE(VALUES (T.p0, T.v0), (T.p1, 7)) AS L(p, v) WHERE L.p IS NOT NULL",
-	"SELECT table.values FROM table WHERE table.values = 3",
+	"SELECT T.a AS a FROM t AS T",
+	"SELECT DISTINCT T.a AS x, U.b AS y FROM t AS T, u AS U WHERE T.a = U.b AND U.c IS NOT NULL ORDER BY x DESC, y ASC LIMIT 5 OFFSET 2",
+	"WITH q AS (SELECT T.a AS a FROM t AS T WHERE (T.b = 1 OR T.c = 2) AND NOT T.d = 3),\nr AS (SELECT Q.a AS a FROM q AS Q)\nSELECT R.a AS a FROM r AS R",
+	"SELECT T.a AS a FROM t AS T WHERE (T.a = 1 OR T.b = 2) OR T.c = 3",
+	"SELECT T.a AS a FROM t AS T WHERE T.a = 1 OR T.b = 2 OR (T.c = 3 OR T.d = 4) OR T.e = 5",
+	"SELECT T.a AS a FROM t AS T WHERE (T.a = 1 AND T.b = 2) AND (T.c = 3 AND T.d = 4) AND NOT (T.e = 5 OR T.f = 6)",
+	"SELECT T.a + T.b * T.c - T.d / 2 AS a, T.a - -1 AS b, 0 - T.a AS c, 1.5 AS d, 1e21 AS e, 2.5E-7 AS f, 1.e3 AS g, 007 AS h, " +
+		"-9223372036854775808 AS i, 1e999 AS j, -1e999 AS k, -2.5 AS l FROM t AS T",
+	"SELECT 'it''s' AS a, '' AS b, NULL AS c, TRUE AS d, FALSE AS e, COALESCE(T.a, 0) AS f, f() AS g, dnum(T.a) AS h FROM t AS T",
+	"SELECT CASE WHEN T.a = 1 THEN 'x' WHEN T.a IS NULL THEN 'y' ELSE 'z' END AS a, CASE WHEN T.b THEN 1 END AS b FROM t AS T",
+	"SELECT T.a AS a FROM t AS T WHERE T.a != 1 AND T.b <> 2 AND T.a < 3 AND T.a <= 4 AND T.a > 5 AND T.a >= 6 AND (T.a = 1) = (T.b = 2) AND (T.a IS NULL) IS NOT NULL",
+	"SELECT T.a AS a FROM t AS T UNION ALL SELECT U.b AS a FROM u AS U UNION ALL SELECT V.c AS a FROM v AS V ORDER BY a",
+	"SELECT P.a AS a, O.b AS b FROM t AS P LEFT OUTER JOIN u AS O ON P.a = O.a AND P.b = O.b LEFT OUTER JOIN w AS W ON 1 = 1, v AS V WHERE V.c = P.a",
+	"WITH q AS (SELECT T.a AS a FROM t AS T)\nSELECT Q.a AS a FROM q AS Q ORDER BY dsort(a) DESC, a LIMIT 1",
+	"SELECT L.p AS p, L.v AS v FROM t AS T, TABLE(VALUES (T.p0, T.v0), (T.p1, 7)) AS L(p, v) WHERE L.p IS NOT NULL",
+	"SELECT table.values AS values FROM table AS table WHERE table.values = 3",
 }
 
 // FuzzSQLPrintRoundTrip: any text ParseQuery accepts prints to text that
@@ -56,13 +57,13 @@ func TestPrintShapes(t *testing.T) {
 	for _, tc := range []struct{ sql, want string }{
 		// A WHERE clause's top-level AND chain is bare; nested chains
 		// keep their grouping.
-		{"SELECT a FROM t WHERE a = 1 AND (b = 2 OR c = 3) AND (d = 4 AND e = 5)",
-			"SELECT a FROM t AS t WHERE a = 1 AND (b = 2 OR c = 3) AND (d = 4 AND e = 5)"},
-		{"SELECT a FROM t WHERE (a = 1 OR b = 2) OR c = 3", "SELECT a FROM t AS t WHERE ((a = 1 OR b = 2) OR c = 3)"},
-		{"SELECT a + b * c, -a, a - -1, 1e3, 2.5, 1e21 FROM t",
-			"SELECT (a + (b * c)), -(a), (a - -1), 1000.0, 2.5, 1e+21 FROM t AS t"},
-		{"WITH q AS (SELECT a FROM t)\nSELECT a FROM q UNION ALL SELECT a FROM q ORDER BY a DESC LIMIT 1",
-			"WITH q AS (SELECT a FROM t AS t)\nSELECT a FROM q AS q\nUNION ALL\nSELECT a FROM q AS q ORDER BY a DESC LIMIT 1"},
+		{"SELECT T.a AS a FROM t AS T WHERE T.a = 1 AND (T.b = 2 OR T.c = 3) AND (T.d = 4 AND T.e = 5)",
+			"SELECT T.a AS a FROM t AS T WHERE T.a = 1 AND (T.b = 2 OR T.c = 3) AND (T.d = 4 AND T.e = 5)"},
+		{"SELECT T.a AS a FROM t AS T WHERE (T.a = 1 OR T.b = 2) OR T.c = 3", "SELECT T.a AS a FROM t AS T WHERE ((T.a = 1 OR T.b = 2) OR T.c = 3)"},
+		{"SELECT T.a + T.b * T.c AS x, 0 - T.a AS y, T.a - -1 AS z, 1e3 AS u, 2.5 AS v, 1e21 AS w FROM t AS T",
+			"SELECT (T.a + (T.b * T.c)) AS x, (0 - T.a) AS y, (T.a - -1) AS z, 1000.0 AS u, 2.5 AS v, 1e+21 AS w FROM t AS T"},
+		{"WITH q AS (SELECT T.a AS a FROM t AS T)\nSELECT Q.a AS a FROM q AS Q UNION ALL SELECT Q.a AS a FROM q AS Q ORDER BY a DESC LIMIT 1",
+			"WITH q AS (SELECT T.a AS a FROM t AS T)\nSELECT Q.a AS a FROM q AS Q\nUNION ALL\nSELECT Q.a AS a FROM q AS Q ORDER BY a DESC LIMIT 1"},
 	} {
 		q, err := ParseQuery(tc.sql)
 		if err != nil {
@@ -129,7 +130,7 @@ func TestBindIsRequired(t *testing.T) {
 		{[]FromItem{{Table: "t", Alias: "T", Joins: []JoinClause{{Right: lat([][]Expr{{&ColRef{Alias: "T", Column: "p0"}}}, "p"), On: &Lit{V: Bool(true)}}}}},
 			"sql: TABLE(VALUES ...) cannot be the right side of a JOIN"},
 	} {
-		q := &Query{Body: &Select{Cores: []*SelectCore{{Items: []SelectItem{{Star: true}}, From: tc.from}}, Limit: -1}}
+		q := &Query{Body: &Select{Cores: []*SelectCore{{Items: []SelectItem{{Expr: &Lit{V: Int(1)}, Alias: "one"}}, From: tc.from}}, Limit: -1}}
 		if err := Bind(q); err == nil || err.Error() != tc.want {
 			t.Errorf("got %v, want %s", err, tc.want)
 		}

@@ -16,7 +16,7 @@ import (
 // scan operator with chunk-skip counts, totals matching the result.
 func TestAnalyzeContextProfile(t *testing.T) {
 	db := zoneDB(t)
-	sql := "WITH C1 AS (SELECT z.v FROM z AS z WHERE z.v = 50) SELECT c.v FROM C1 AS c WHERE c.v > 10"
+	sql := "WITH C1 AS (SELECT z.v AS v FROM z AS z WHERE z.v = 50) SELECT c.v AS v FROM C1 AS c WHERE c.v > 10"
 	q, err := ParseQuery(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -92,11 +92,11 @@ func TestAnalyzeReportsColumnsRead(t *testing.T) {
 		sql, kind, label string
 		read, total      int
 	}{
-		{"SELECT T.a FROM big AS T WHERE T.b = 1", "scan", "big", 2, 5},
-		{"SELECT * FROM big AS T WHERE T.b = 1", "scan", "big", 5, 5},
-		{"SELECT T.a FROM big AS T WHERE T.k = 7 AND T.b = 1", "index-scan", "big.k", 3, 5},
-		{"SELECT S.n, T.a FROM small AS S, big AS T WHERE T.k = S.k", "index-join", "big.k", 2, 5},
-		{"SELECT S.n, T.c FROM small AS S LEFT OUTER JOIN big AS T ON S.k = T.k AND T.b = 0", "join-on", "index big.k", 3, 5},
+		{"SELECT T.a AS a FROM big AS T WHERE T.b = 1", "scan", "big", 2, 5},
+		{"SELECT T.k AS k, T.a AS a, T.b AS b, T.c AS c, T.d AS d FROM big AS T WHERE T.b = 1", "scan", "big", 5, 5},
+		{"SELECT T.a AS a FROM big AS T WHERE T.k = 7 AND T.b = 1", "index-scan", "big.k", 3, 5},
+		{"SELECT S.n AS n, T.a AS a FROM small AS S, big AS T WHERE T.k = S.k", "index-join", "big.k", 2, 5},
+		{"SELECT S.n AS n, T.c AS c FROM small AS S LEFT OUTER JOIN big AS T ON S.k = T.k AND T.b = 0", "join-on", "index big.k", 3, 5},
 	} {
 		_, stats, err := db.AnalyzeContext(context.Background(), mustParse(t, tc.sql), Limits{})
 		if err != nil {
@@ -127,7 +127,7 @@ func TestAnalyzeReportsColumnsRead(t *testing.T) {
 // even when the budget aborts the query.
 func TestAnalyzeCapturesBudgets(t *testing.T) {
 	db := zoneDB(t)
-	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v < 100")
+	q, err := ParseQuery("SELECT z.v AS v FROM z AS z WHERE z.v < 100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestAnalyzeCapturesBudgets(t *testing.T) {
 // accumulate operator stats (the instrumentation contract).
 func TestExecContextRecordsNothing(t *testing.T) {
 	db := peopleDB(t)
-	q, err := ParseQuery("SELECT p.name FROM people_ids AS p WHERE p.age > 26")
+	q, err := ParseQuery("SELECT p.name AS name FROM people_ids AS p WHERE p.age > 26")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestExecContextRecordsNothing(t *testing.T) {
 // skip every chunk on the zone map alone.
 func TestZoneMapStillPrunesCleanChunks(t *testing.T) {
 	db := zoneDB(t) // no exceptions anywhere
-	q, err := ParseQuery("SELECT z.v FROM z AS z WHERE z.v = 100000")
+	q, err := ParseQuery("SELECT z.v AS v FROM z AS z WHERE z.v = 100000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestZoneMapStillPrunesCleanChunks(t *testing.T) {
 // result.
 func TestLimitOffsetPathEquivalence(t *testing.T) {
 	db := zoneDB(t)
-	base := "SELECT z.v FROM z AS z WHERE z.v < 100"
+	base := "SELECT z.v AS v FROM z AS z WHERE z.v < 100"
 	full := queryRows(t, db, base) // 100 rows in storage (= ascending) order
 	cases := []struct{ limit, offset int }{
 		{0, 0},    // LIMIT 0
@@ -222,7 +222,7 @@ func TestLimitOffsetPathEquivalence(t *testing.T) {
 		}
 		want := trim(full.Rows, c.limit, c.offset)
 		pushdown := queryRows(t, db, base+suffix)
-		distinct := queryRows(t, db, "SELECT DISTINCT z.v FROM z AS z WHERE z.v < 100"+suffix)
+		distinct := queryRows(t, db, "SELECT DISTINCT z.v AS v FROM z AS z WHERE z.v < 100"+suffix)
 		ordered := queryRows(t, db, base+" ORDER BY v"+suffix)
 		if !sameRows(pushdown.Rows, want) {
 			t.Fatalf("limit=%d offset=%d: pushdown %v != manual trim %v", c.limit, c.offset, pushdown.Rows, want)

@@ -1,7 +1,6 @@
 package rel
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -62,9 +61,18 @@ func queryPeople(t *testing.T, db *DB, sql string) *ResultSet {
 	return queryRows(t, db, peopleSQL(sql))
 }
 
+// query parses sql and executes it on db.
+func query(db *DB, sql string) (*ResultSet, error) {
+	q, err := ParseQuery(sql)
+	if err != nil {
+		return nil, err
+	}
+	return db.Exec(q)
+}
+
 func queryRows(t *testing.T, db *DB, sql string) *ResultSet {
 	t.Helper()
-	rs, err := db.Query(sql)
+	rs, err := query(db, sql)
 	if err != nil {
 		t.Fatalf("query %q: %v", sql, err)
 	}
@@ -73,34 +81,15 @@ func queryRows(t *testing.T, db *DB, sql string) *ResultSet {
 
 func TestSelectWhere(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT name FROM people WHERE age > 26")
+	rs := queryPeople(t, db, "SELECT P.name AS name FROM people AS P WHERE P.age > 26")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d: %v", len(rs.Rows), rs.Rows)
 	}
 }
 
-func TestSelectStar(t *testing.T) {
-	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT * FROM people")
-	if len(rs.Columns) != 4 || len(rs.Rows) != 4 {
-		t.Fatalf("got cols=%v rows=%d", rs.Columns, len(rs.Rows))
-	}
-}
-
-func TestQualifiedStar(t *testing.T) {
-	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT p.* FROM people AS p, cities AS c WHERE p.city = c.id")
-	if len(rs.Columns) != 4 {
-		t.Fatalf("want 4 columns, got %v", rs.Columns)
-	}
-	if len(rs.Rows) != 3 {
-		t.Fatalf("want 3 rows (dan's city unmatched), got %d", len(rs.Rows))
-	}
-}
-
 func TestCommaJoin(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT p.name, c.name FROM people AS p, cities AS c WHERE p.city = c.id AND c.name = 'nyc'")
+	rs := queryPeople(t, db, "SELECT p.name AS pname, c.name AS cname FROM people AS p, cities AS c WHERE p.city = c.id AND c.name = 'nyc'")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d: %v", len(rs.Rows), rs.Rows)
 	}
@@ -108,7 +97,7 @@ func TestCommaJoin(t *testing.T) {
 
 func TestLeftOuterJoin(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT p.name, c.name FROM people AS p LEFT OUTER JOIN cities AS c ON p.city = c.id")
+	rs := queryPeople(t, db, "SELECT p.name AS pname, c.name AS cname FROM people AS p LEFT OUTER JOIN cities AS c ON p.city = c.id")
 	if len(rs.Rows) != 4 {
 		t.Fatalf("want 4 rows, got %d", len(rs.Rows))
 	}
@@ -125,11 +114,12 @@ func TestLeftOuterJoin(t *testing.T) {
 
 func TestUnionDedup(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT city FROM people UNION SELECT city FROM people")
+	const both = "SELECT P.city AS city FROM people AS P UNION ALL SELECT P.city AS city FROM people AS P"
+	rs := queryPeople(t, db, "WITH u AS ("+both+") SELECT DISTINCT U.city AS city FROM u AS U")
 	if len(rs.Rows) != 3 {
 		t.Fatalf("want 3 distinct cities, got %d", len(rs.Rows))
 	}
-	rs = queryPeople(t, db, "SELECT city FROM people UNION ALL SELECT city FROM people")
+	rs = queryPeople(t, db, both)
 	if len(rs.Rows) != 8 {
 		t.Fatalf("want 8 rows under UNION ALL, got %d", len(rs.Rows))
 	}
@@ -137,7 +127,7 @@ func TestUnionDedup(t *testing.T) {
 
 func TestOrderLimitOffset(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT name, age FROM people ORDER BY age DESC LIMIT 2")
+	rs := queryPeople(t, db, "SELECT P.name AS name, P.age AS age FROM people AS P ORDER BY age DESC LIMIT 2")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(rs.Rows))
 	}
@@ -145,7 +135,7 @@ func TestOrderLimitOffset(t *testing.T) {
 	if rs.Rows[0][0].S != "dan" && rs.Rows[0][0].S != "carol" {
 		t.Fatalf("unexpected first row %v", rs.Rows[0])
 	}
-	rs = queryPeople(t, db, "SELECT name, age FROM people ORDER BY age LIMIT 2 OFFSET 1")
+	rs = queryPeople(t, db, "SELECT P.name AS name, P.age AS age FROM people AS P ORDER BY age LIMIT 2 OFFSET 1")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(rs.Rows))
 	}
@@ -156,7 +146,7 @@ func TestOrderLimitOffset(t *testing.T) {
 
 func TestDistinct(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT DISTINCT city FROM people")
+	rs := queryPeople(t, db, "SELECT DISTINCT P.city AS city FROM people AS P")
 	if len(rs.Rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(rs.Rows))
 	}
@@ -164,17 +154,18 @@ func TestDistinct(t *testing.T) {
 
 func TestCTE(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, `WITH adults AS (SELECT id, name FROM people WHERE age >= 30),
+	rs := queryPeople(t, db, `WITH adults AS (SELECT P.id AS id, P.name AS name FROM people AS P WHERE P.age >= 30),
 		named AS (SELECT a.name AS nm FROM adults AS a)
-		SELECT nm FROM named ORDER BY nm`)
+		SELECT N.nm AS nm FROM named AS N ORDER BY nm`)
 	if len(rs.Rows) != 2 || rs.Rows[0][0].S != "alice" || rs.Rows[1][0].S != "carol" {
 		t.Fatalf("unexpected result %v", rs.Rows)
 	}
 }
 
+// TestSubqueryInFrom: the dialect names a subquery in WITH.
 func TestSubqueryInFrom(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT s.name FROM (SELECT name, age FROM people WHERE age < 31) AS s WHERE s.age > 26")
+	rs := queryPeople(t, db, "WITH s AS (SELECT P.name AS name, P.age AS age FROM people AS P WHERE P.age < 31) SELECT s.name AS name FROM s AS s WHERE s.age > 26")
 	if len(rs.Rows) != 1 || rs.Rows[0][0].S != "alice" {
 		t.Fatalf("unexpected result %v", rs.Rows)
 	}
@@ -182,7 +173,7 @@ func TestSubqueryInFrom(t *testing.T) {
 
 func TestCaseCoalesce(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT name, CASE WHEN age IS NULL THEN 'unknown' ELSE 'known' END AS k, COALESCE(age, 0 - 1) AS a FROM people WHERE name = 'dan'")
+	rs := queryPeople(t, db, "SELECT P.name AS name, CASE WHEN P.age IS NULL THEN 'unknown' ELSE 'known' END AS k, COALESCE(P.age, 0 - 1) AS a FROM people AS P WHERE P.name = 'dan'")
 	if len(rs.Rows) != 1 {
 		t.Fatalf("want 1 row, got %d", len(rs.Rows))
 	}
@@ -191,13 +182,15 @@ func TestCaseCoalesce(t *testing.T) {
 	}
 }
 
+// TestInExpr: the dialect spells an IN list as an OR of equalities and
+// NOT IN as inequalities.
 func TestInExpr(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT name FROM people WHERE city IN (10, 20)")
+	rs := queryPeople(t, db, "SELECT P.name AS name FROM people AS P WHERE P.city = 10 OR P.city = 20")
 	if len(rs.Rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(rs.Rows))
 	}
-	rs = queryPeople(t, db, "SELECT name FROM people WHERE city NOT IN (10)")
+	rs = queryPeople(t, db, "SELECT P.name AS name FROM people AS P WHERE P.city != 10")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(rs.Rows))
 	}
@@ -205,11 +198,11 @@ func TestInExpr(t *testing.T) {
 
 func TestIsNull(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT name FROM people WHERE age IS NULL")
+	rs := queryPeople(t, db, "SELECT P.name AS name FROM people AS P WHERE P.age IS NULL")
 	if len(rs.Rows) != 1 || rs.Rows[0][0].S != "dan" {
 		t.Fatalf("unexpected %v", rs.Rows)
 	}
-	rs = queryPeople(t, db, "SELECT name FROM people WHERE age IS NOT NULL")
+	rs = queryPeople(t, db, "SELECT P.name AS name FROM people AS P WHERE P.age IS NOT NULL")
 	if len(rs.Rows) != 3 {
 		t.Fatalf("want 3, got %d", len(rs.Rows))
 	}
@@ -223,11 +216,11 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scan := queryRows(t, db, "SELECT v FROM t WHERE k = 5")
+	scan := queryRows(t, db, "SELECT T.v AS v FROM t AS T WHERE T.k = 5")
 	if err := tbl.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	idx := queryRows(t, db, "SELECT v FROM t WHERE k = 5")
+	idx := queryRows(t, db, "SELECT T.v AS v FROM t AS T WHERE T.k = 5")
 	if len(scan.Rows) != len(idx.Rows) || len(idx.Rows) == 0 {
 		t.Fatalf("index lookup rows %d != scan rows %d", len(idx.Rows), len(scan.Rows))
 	}
@@ -244,55 +237,9 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs := queryRows(t, db, "SELECT k FROM t WHERE k = 7")
+	rs := queryRows(t, db, "SELECT T.k AS k FROM t AS T WHERE T.k = 7")
 	if len(rs.Rows) != 1 {
 		t.Fatalf("want 1 row, got %d", len(rs.Rows))
-	}
-}
-
-// TestUnqualifiedPushdownAgreesWithColIndex: a conjunct over a bare
-// column is pushed into a base scan only when that FROM item alone can
-// resolve it. The scan used to claim `k = 5` for the first item whose
-// schema had k and mark it applied, silently filtering one side of a
-// reference the joined relation calls ambiguous.
-func TestUnqualifiedPushdownAgreesWithColIndex(t *testing.T) {
-	db := NewDB()
-	a := mustTable(t, db, "a", Schema{{Name: "k"}, {Name: "v"}}, []Row{{Int(5), Int(1)}, {Int(6), Int(2)}})
-	mustTable(t, db, "b", Schema{{Name: "k"}, {Name: "w"}}, []Row{{Int(5), Int(10)}, {Int(6), Int(20)}})
-	if err := a.CreateIndex("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Query("SELECT x.v, y.w FROM a AS x, b AS y WHERE k = 5 AND x.v < y.w"); err == nil {
-		t.Fatal("k names a column of both FROM items: want the ambiguity error, got rows")
-	}
-	// Through a join chain too: y is not a pushdown target, but it still
-	// resolves k.
-	if _, err := db.Query("SELECT x.v FROM a AS x, b AS z JOIN b AS y ON z.w = y.w WHERE k = 5"); err == nil {
-		t.Fatal("k is ambiguous across a join chain: want an error, got rows")
-	}
-	// Next to bare columns that do resolve, k stays ambiguous.
-	if _, err := db.Query("SELECT v, w FROM a AS x, b AS y WHERE v = 1 AND k = 5 AND w = 10"); err == nil {
-		t.Fatal("k is ambiguous next to resolvable bare columns: want an error, got rows")
-	}
-	// A bare column only one item has is still pushed down, and the
-	// scan still finds the index.
-	q, err := ParseQuery("SELECT x.k, w FROM a AS x, b AS y WHERE v = 1 AND x.k = 5 AND w = 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, stats, err := db.AnalyzeContext(context.Background(), q, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Rows) != 1 || rs.Rows[0][0].I != 5 || rs.Rows[0][1].I != 10 {
-		t.Fatalf("unexpected rows %v", rs.Rows)
-	}
-	var indexScan bool
-	for _, op := range stats.Ops {
-		indexScan = indexScan || op.Kind == "index-scan"
-	}
-	if !indexScan {
-		t.Fatalf("sole-resolver conjuncts should still reach the index scan:\n%s", stats)
 	}
 }
 
@@ -301,7 +248,7 @@ func TestThreeWayJoinOrdering(t *testing.T) {
 	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{Int(1)}, {Int(2)}, {Int(3)}})
 	mustTable(t, db, "b", Schema{{Name: "x"}, {Name: "y"}}, []Row{{Int(1), Int(10)}, {Int(2), Int(20)}})
 	mustTable(t, db, "c", Schema{{Name: "y"}, {Name: "z"}}, []Row{{Int(10), Int(100)}, {Int(30), Int(300)}})
-	rs := queryRows(t, db, "SELECT a.x, c.z FROM a AS a, b AS b, c AS c WHERE a.x = b.x AND b.y = c.y")
+	rs := queryRows(t, db, "SELECT a.x AS x, c.z AS z FROM a AS a, b AS b, c AS c WHERE a.x = b.x AND b.y = c.y")
 	if len(rs.Rows) != 1 || rs.Rows[0][1].I != 100 {
 		t.Fatalf("unexpected %v", rs.Rows)
 	}
@@ -311,7 +258,7 @@ func TestCrossJoinFallback(t *testing.T) {
 	db := NewDB()
 	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{Int(1)}, {Int(2)}})
 	mustTable(t, db, "b", Schema{{Name: "y"}}, []Row{{Int(3)}, {Int(4)}})
-	rs := queryRows(t, db, "SELECT a.x, b.y FROM a AS a, b AS b")
+	rs := queryRows(t, db, "SELECT a.x AS x, b.y AS y FROM a AS a, b AS b")
 	if len(rs.Rows) != 4 {
 		t.Fatalf("want 4 rows, got %d", len(rs.Rows))
 	}
@@ -321,7 +268,7 @@ func TestNullNeverJoins(t *testing.T) {
 	db := NewDB()
 	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{Null}, {Int(1)}})
 	mustTable(t, db, "b", Schema{{Name: "x"}}, []Row{{Null}, {Int(1)}})
-	rs := queryRows(t, db, "SELECT a.x FROM a AS a, b AS b WHERE a.x = b.x")
+	rs := queryRows(t, db, "SELECT a.x AS x FROM a AS a, b AS b WHERE a.x = b.x")
 	if len(rs.Rows) != 1 {
 		t.Fatalf("null keys must not join; got %d rows", len(rs.Rows))
 	}
@@ -335,11 +282,11 @@ func TestScalarFunctions(t *testing.T) {
 		}
 		return Int(args[0].I * 2), nil
 	})
-	rs := queryPeople(t, db, "SELECT double(age) FROM people WHERE name = 'bob'")
+	rs := queryPeople(t, db, "SELECT double(P.age) AS d FROM people AS P WHERE P.name = 'bob'")
 	if rs.Rows[0][0].I != 50 {
 		t.Fatalf("want 50, got %v", rs.Rows[0][0])
 	}
-	rs = queryPeople(t, db, "SELECT name FROM people WHERE contains(name, 'aro')")
+	rs = queryPeople(t, db, "SELECT P.name AS name FROM people AS P WHERE contains(P.name, 'aro')")
 	if len(rs.Rows) != 1 || rs.Rows[0][0].S != "carol" {
 		t.Fatalf("unexpected %v", rs.Rows)
 	}
@@ -347,7 +294,7 @@ func TestScalarFunctions(t *testing.T) {
 
 func TestArithmetic(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT age + 1, age * 2, age - 5, age / 5 FROM people WHERE name = 'alice'")
+	rs := queryPeople(t, db, "SELECT P.age + 1 AS a, P.age * 2 AS b, P.age - 5 AS c, P.age / 5 AS d FROM people AS P WHERE P.name = 'alice'")
 	r := rs.Rows[0]
 	if r[0].I != 31 || r[1].I != 60 || r[2].I != 25 || r[3].I != 6 {
 		t.Fatalf("unexpected %v", r)
@@ -356,7 +303,7 @@ func TestArithmetic(t *testing.T) {
 
 func TestUnionArityMismatch(t *testing.T) {
 	db := peopleDB(t)
-	_, err := db.Query(peopleSQL("SELECT id FROM people UNION SELECT id, name FROM people"))
+	_, err := query(db, peopleSQL("SELECT P.id AS id FROM people AS P UNION ALL SELECT P.id AS id, P.name AS name FROM people AS P"))
 	if err == nil {
 		t.Fatal("want arity error")
 	}
@@ -364,10 +311,10 @@ func TestUnionArityMismatch(t *testing.T) {
 
 func TestUnknownTableAndColumn(t *testing.T) {
 	db := peopleDB(t)
-	if _, err := db.Query(peopleSQL("SELECT x FROM nosuch")); err == nil {
+	if _, err := query(db, peopleSQL("SELECT X.x AS x FROM nosuch AS X")); err == nil {
 		t.Fatal("want unknown table error")
 	}
-	if _, err := db.Query(peopleSQL("SELECT nosuch FROM people")); err == nil {
+	if _, err := query(db, peopleSQL("SELECT P.nosuch AS nosuch FROM people AS P")); err == nil {
 		t.Fatal("want unknown column error")
 	}
 }
@@ -421,8 +368,8 @@ func TestValueKeyInjectiveForInts(t *testing.T) {
 func TestNullComparisonsAreUnknown(t *testing.T) {
 	db := peopleDB(t)
 	// dan has NULL age: neither < nor >= matches him.
-	lt := queryPeople(t, db, "SELECT name FROM people WHERE age < 100")
-	ge := queryPeople(t, db, "SELECT name FROM people WHERE age >= 100")
+	lt := queryPeople(t, db, "SELECT P.name AS name FROM people AS P WHERE P.age < 100")
+	ge := queryPeople(t, db, "SELECT P.name AS name FROM people AS P WHERE P.age >= 100")
 	if len(lt.Rows)+len(ge.Rows) != 3 {
 		t.Fatalf("NULL row leaked into comparison results: %d + %d", len(lt.Rows), len(ge.Rows))
 	}
@@ -444,7 +391,7 @@ func TestEstimateBytesGrowsWithNulls(t *testing.T) {
 
 func TestOrderByExpression(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT name, age FROM people WHERE age IS NOT NULL ORDER BY 0 - age")
+	rs := queryPeople(t, db, "SELECT P.name AS name, P.age AS age FROM people AS P WHERE P.age IS NOT NULL ORDER BY 0 - age")
 	if rs.Rows[0][0].S != "carol" {
 		t.Fatalf("want carol first, got %v", rs.Rows[0])
 	}
@@ -452,7 +399,7 @@ func TestOrderByExpression(t *testing.T) {
 
 func TestResultColumnsNamed(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT name AS n, age FROM people")
+	rs := queryPeople(t, db, "SELECT P.name AS n, P.age AS age FROM people AS P")
 	want := []string{"n", "age"}
 	if !reflect.DeepEqual(rs.Columns, want) {
 		t.Fatalf("columns = %v, want %v", rs.Columns, want)
@@ -475,9 +422,11 @@ func TestDuplicateTable(t *testing.T) {
 	}
 }
 
+// TestParenthesizedUnionArm: a UNION ALL arm over another relation;
+// the dialect writes arms unparenthesized.
 func TestParenthesizedUnionArm(t *testing.T) {
 	db := peopleDB(t)
-	rs := queryPeople(t, db, "SELECT id FROM people UNION ALL (SELECT id FROM cities)")
+	rs := queryPeople(t, db, "SELECT P.id AS id FROM people AS P UNION ALL SELECT C.id AS id FROM cities AS C")
 	if len(rs.Rows) != 6 {
 		t.Fatalf("want 6 rows, got %d", len(rs.Rows))
 	}
@@ -486,7 +435,7 @@ func TestParenthesizedUnionArm(t *testing.T) {
 func TestLeftJoinResidualOn(t *testing.T) {
 	db := peopleDB(t)
 	// ON has an extra non-equi condition restricting matches.
-	rs := queryPeople(t, db, "SELECT p.name, c.name FROM people AS p LEFT OUTER JOIN cities AS c ON p.city = c.id AND p.age > 28")
+	rs := queryPeople(t, db, "SELECT p.name AS pname, c.name AS cname FROM people AS p LEFT OUTER JOIN cities AS c ON p.city = c.id AND p.age > 28")
 	nulls := 0
 	for _, r := range rs.Rows {
 		if r[1].IsNull() {
@@ -509,14 +458,14 @@ func TestDBWithOverlay(t *testing.T) {
 	}
 	before := strings.Join(db.TableNames(), ",")
 	over := db.With(extra.Publish())
-	rs := queryRows(t, over, "SELECT p.id FROM people_ids AS p, pairs AS x WHERE p.id = x.entry")
+	rs := queryRows(t, over, "SELECT p.id AS id FROM people_ids AS p, pairs AS x WHERE p.id = x.entry")
 	if len(rs.Rows) != 1 || rs.Rows[0][0].I != 1 {
 		t.Fatalf("overlay join: %v", rs.Rows)
 	}
 	if after := strings.Join(db.TableNames(), ","); after != before {
 		t.Fatalf("With changed the database: %s -> %s", before, after)
 	}
-	if _, err := db.Query("SELECT entry FROM pairs"); err == nil {
+	if _, err := query(db, "SELECT X.entry AS entry FROM pairs AS X"); err == nil {
 		t.Fatal("the base database resolves an overlaid table")
 	}
 }

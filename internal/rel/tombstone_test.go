@@ -55,7 +55,7 @@ func TestDeleteRowVisibility(t *testing.T) {
 				t.Fatalf("live row lost from index")
 			}
 			// Full scan through the executor sees 99 rows.
-			rs, err := db.Query("SELECT id FROM t")
+			rs, err := query(db, "SELECT T.id AS id FROM t AS T")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestDeleteRowVisibility(t *testing.T) {
 				t.Fatalf("scan returned %d rows, want 99", len(rs.Rows))
 			}
 			// Predicate scan must not resurrect the dead row.
-			rs, err = db.Query("SELECT id FROM t WHERE id = 7")
+			rs, err = query(db, "SELECT T.id AS id FROM t AS T WHERE T.id = 7")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestDeleteRowVisibility(t *testing.T) {
 			}
 			// The snapshot published before the delete still sees it.
 			if snap != nil {
-				if rs := queryRows(t, snap, "SELECT id FROM t WHERE id = 7"); len(rs.Rows) != 1 {
+				if rs := queryRows(t, snap, "SELECT T.id AS id FROM t AS T WHERE T.id = 7"); len(rs.Rows) != 1 {
 					t.Fatalf("delete leaked into the published snapshot: %v", rs.Rows)
 				}
 			}
@@ -103,7 +103,7 @@ func TestDeleteZoneWitness(t *testing.T) {
 	}
 	// The live maximum (980) sits inside the stale zone range; pruning
 	// on the stale bounds must still admit the chunk.
-	rs, err := db.Query("SELECT id FROM t WHERE v >= 980")
+	rs, err := query(db, "SELECT T.id AS id FROM t AS T WHERE T.v >= 980")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDeleteZoneWitness(t *testing.T) {
 	// And the dead witnesses do not match even though the zone range
 	// still includes them.
 	for _, v := range []int{0, 990} {
-		rs, err := db.Query(fmt.Sprintf("SELECT id FROM t WHERE v = %d", v))
+		rs, err := query(db, fmt.Sprintf("SELECT T.id AS id FROM t AS T WHERE T.v = %d", v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestDeleteCompaction(t *testing.T) {
 	}
 	// After compaction the zone max shrank to the live maximum, so a
 	// range above it prunes the chunk (and returns nothing).
-	rs, err := db.Query(fmt.Sprintf("SELECT id FROM t WHERE v >= %d", live*10))
+	rs, err := query(db, fmt.Sprintf("SELECT T.id AS id FROM t AS T WHERE T.v >= %d", live*10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +161,14 @@ func TestDeleteCompaction(t *testing.T) {
 		t.Fatalf("zone map not tightened by compaction: max=%v", ck.max)
 	}
 	// Cleared cells must not surface as NULLs in scans.
-	rs, err = db.Query("SELECT id FROM t WHERE v IS NULL")
+	rs, err = query(db, "SELECT T.id AS id FROM t AS T WHERE T.v IS NULL")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rs.Rows) != 0 {
 		t.Fatalf("compacted cells leaked as NULL: %d rows", len(rs.Rows))
 	}
-	rs, err = db.Query("SELECT id FROM t")
+	rs, err = query(db, "SELECT T.id AS id FROM t AS T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestDeleteFullChunkSkip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs, err := db.Query("SELECT id FROM t")
+	rs, err := query(db, "SELECT T.id AS id FROM t AS T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestTableClear(t *testing.T) {
 			if err := tbl.Insert(Row{Int(1), Int(2)}); err != nil {
 				t.Fatal(err)
 			}
-			rs, err := db.Query("SELECT v FROM t WHERE id = 1")
+			rs, err := query(db, "SELECT T.v AS v FROM t AS T WHERE T.id = 1")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 )
@@ -17,9 +18,6 @@ import (
 // bitmaps and emits one arena row per pair that passes. The wide row is
 // never built: a pair whose required cell is absent costs a pointer
 // test (nil chunk) or a bit test.
-//
-// Any other correlation (a CTE, a derived table, a joined unit) runs
-// lateralRows over the materialized rows of the unit.
 
 // unpivot is a lateral item resolved against the base table it reads.
 type unpivot struct {
@@ -31,9 +29,9 @@ type unpivot struct {
 	cells []int
 }
 
-// newUnpivot resolves lf's cells against t. It returns nil when a cell
-// names a column t does not have; the generic path then reports it.
-func newUnpivot(t *Table, lf *boundFrom) *unpivot {
+// newUnpivot resolves lf's cells against t, failing on a cell that
+// names a column t does not have.
+func newUnpivot(t *Table, lf *boundFrom) (*unpivot, error) {
 	width := len(lf.lat.names)
 	u := &unpivot{lat: lf.lat, alias: lf.alias, width: width, cells: make([]int, len(lf.lat.rows)*width)}
 	for p, row := range lf.lat.rows {
@@ -41,13 +39,13 @@ func newUnpivot(t *Table, lf *boundFrom) *unpivot {
 			pos := -1
 			if cr, ok := cell.(*ColRef); ok {
 				if pos, ok = t.colIdx[cr.column]; !ok {
-					return nil
+					return nil, fmt.Errorf("sql: unknown column %s (have %v)", colRefString(cr), t.names)
 				}
 			}
 			u.cells[p*width+c] = pos
 		}
 	}
-	return u
+	return u, nil
 }
 
 // unpivotRun is one operator's use of an unpivot: the cell vectors, the
@@ -303,86 +301,4 @@ pairs:
 		}
 	}
 	return nil
-}
-
-// lateralRows evaluates lateral item lf over the materialized rows of
-// in, the unit that holds the alias it correlates to: every row of in
-// yields one row per VALUES row, in's columns followed by lf's.
-func (ex *exec) lateralRows(in *relation, lf *boundFrom) (*relation, error) {
-	in, err := ex.materialize(in)
-	if err != nil {
-		return nil, err
-	}
-	t0 := ex.opStart()
-	lat := lf.lat
-	out := &relation{
-		cols:    make([]relCol, 0, len(in.cols)+len(lat.names)),
-		aliases: append(slices.Clone(in.aliases), lf.alias),
-	}
-	out.cols = append(out.cols, in.cols...)
-	for _, name := range lat.names {
-		out.cols = append(out.cols, relCol{alias: lf.alias, name: name})
-	}
-	cells := make([][]compiledExpr, len(lat.rows))
-	for p, row := range lat.rows {
-		cells[p] = make([]compiledExpr, len(row))
-		for c, cell := range row {
-			cells[p][c] = ex.db.compileExpr(cell, in)
-		}
-	}
-	tk := ticker{g: ex.gov, site: CkUnpivot}
-	if err := tk.flush(); err != nil {
-		return nil, err
-	}
-	arena := rowArena{gov: ex.gov}
-	w := len(in.cols)
-	for _, row := range in.rows {
-		if err := tk.step(); err != nil {
-			return nil, err
-		}
-		for _, pair := range cells {
-			o := arena.alloc(len(out.cols))
-			copy(o, row)
-			for c, cell := range pair {
-				if o[w+c], err = cell(row); err != nil {
-					return nil, err
-				}
-			}
-			out.rows = append(out.rows, o)
-			if err := tk.emit(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := tk.flush(); err != nil {
-		return nil, err
-	}
-	ex.opEnd(t0, OpStat{Kind: "unpivot", Label: "rows", RowsIn: int64(len(in.rows)), RowsOut: int64(len(out.rows)), Pairs: len(cells), Workers: 1})
-	return out, nil
-}
-
-// applyLaterals evaluates the lateral items hosted by bf over unit, in
-// FROM order: the item itself (unless the scan behind unit already
-// carries it fused), its explicit joins, and the lateral items that
-// correlate to it in turn.
-func (ex *exec) applyLaterals(bc *boundCore, bf *boundFrom, unit *relation, applied []bool, env map[string]*relation) (*relation, error) {
-	for _, lf := range bf.laterals {
-		var err error
-		if !slices.Contains(unit.aliases, lf.alias) {
-			if unit, err = ex.lateralRows(unit, lf); err != nil {
-				return nil, err
-			}
-			// Filter before anything multiplies the k-fold rows further.
-			if unit, err = ex.pushBound(unit, bc.conjs, applied); err != nil {
-				return nil, err
-			}
-		}
-		if unit, err = ex.joinChain(bc, lf, unit, env); err != nil {
-			return nil, err
-		}
-		if unit, err = ex.applyLaterals(bc, lf, unit, applied, env); err != nil {
-			return nil, err
-		}
-	}
-	return unit, nil
 }

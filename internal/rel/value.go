@@ -1,17 +1,34 @@
 // Package rel implements the relational substrate that stands in for
 // IBM DB2 in this reproduction: in-memory tables of int64 ids with hash
-// indexes, a SQL subset (WITH/CTEs, SELECT, comma and LEFT OUTER joins,
-// the lateral TABLE(VALUES …) AS L(…) FROM item, UNION [ALL], CASE,
-// COALESCE, DISTINCT, ORDER BY, LIMIT/OFFSET, scalar functions), and a
+// indexes, the SQL dialect the SPARQL translators build, and a
 // cost-aware executor that performs filter pushdown, index lookups,
 // greedy join ordering and hash joins.
 //
 // The paper (Bornea et al., SIGMOD 2013) treats SQL as "a procedural
 // implementation language" for SPARQL plans; this package supplies the
 // machine that runs that language. A statement is a Query AST, built
-// in code by the SPARQL translator or read from text by ParseQuery,
-// and Bind makes it executable. Query.String prints it back as SQL,
-// the text EXPLAIN shows.
+// in code by a translator or read from text by ParseQuery, and Bind
+// makes it executable. Query.String prints it back as SQL, the text
+// EXPLAIN shows. The dialect is exactly:
+//
+//   - WITH CTEs, each a single SELECT core or a UNION ALL of cores;
+//   - SELECT [DISTINCT], then ORDER BY, LIMIT and OFFSET on a select;
+//   - every select item is expr AS name;
+//   - every FROM item is name AS alias, optionally followed by
+//     LEFT OUTER JOIN name AS alias ON cond chains; FROM items are
+//     comma-joined under WHERE;
+//   - a lateral TABLE(VALUES (c, …), …) AS L(name, …) correlates to the
+//     FROM item right before it, a base table with no join chain, and
+//     nothing hangs off the lateral; a cell is a literal or a column of
+//     that table;
+//   - inside a core every column is alias.column; ORDER BY keys name
+//     output columns bare;
+//   - expressions are literals (negative numbers included),
+//     = != <> < <= > >= + - * /, AND, OR, NOT, IS [NOT] NULL, searched
+//     CASE and function calls (COALESCE among them).
+//
+// ParseQuery and Bind reject anything else with an error naming the
+// shape.
 package rel
 
 import (
@@ -122,7 +139,7 @@ func (v Value) String() string {
 }
 
 // key returns a canonical representation used for hashing (joins,
-// DISTINCT, UNION dedup). NULLs hash together. String keys are
+// DISTINCT). NULLs hash together. String keys are
 // length-prefixed so a composite key built from several key() strings
 // cannot collide across column boundaries whatever bytes a literal
 // contains (the hot executor paths now hash canonical forms directly —

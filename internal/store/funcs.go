@@ -225,49 +225,104 @@ func compareTerms(a, b rdf.Term) (rel.Value, error) {
 	return rel.Int(0), nil
 }
 
+// regexCacheCap bounds the compiled patterns a store keeps. Patterns
+// come from query text, so a client that sends distinct ones would
+// otherwise grow the cache without limit; a full cache is cleared.
+const regexCacheCap = 256
+
+// regexCache holds compiled regexmatch patterns.
+type regexCache struct {
+	mu sync.Mutex
+	m  map[string]*regexp.Regexp
+}
+
 // regexMatchFunc compiles patterns once and caches them. The flags are
-// those of XPath fn:matches: s, m and i as in Go, and q, which matches
-// the pattern as a literal string. Any other flag is an error (NULL,
-// so the FILTER matches nothing).
-func regexMatchFunc() rel.Func {
-	var mu sync.Mutex
-	cache := map[string]*regexp.Regexp{}
-	return func(args []rel.Value) (rel.Value, error) {
-		if len(args) < 2 || len(args) > 3 {
-			return rel.Null, fmt.Errorf("regexmatch: want 2 or 3 args")
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return rel.Null, nil
-		}
-		pat, modes := args[1].S, ""
-		if len(args) == 3 && !args[2].IsNull() {
-			for _, f := range args[2].S {
-				switch f {
-				case 's', 'm', 'i':
-					modes += string(f)
-				case 'q':
-					pat = regexp.QuoteMeta(args[1].S)
-				default:
-					return rel.Null, nil
-				}
-			}
-		}
-		if modes != "" {
-			pat = "(?" + modes + ")" + pat
-		}
-		mu.Lock()
-		re, ok := cache[pat]
-		mu.Unlock()
-		if !ok {
-			var err error
-			re, err = regexp.Compile(pat)
-			if err != nil {
-				return rel.Null, fmt.Errorf("regexmatch: %w", err)
-			}
-			mu.Lock()
-			cache[pat] = re
-			mu.Unlock()
-		}
-		return rel.Bool(re.MatchString(args[0].S)), nil
+// those of XPath fn:matches: s, m and i as in Go; x, which removes
+// whitespace from the pattern outside character classes; and q, which
+// matches the pattern as a literal string (x then has no effect). Any
+// other flag is an error (NULL, so the FILTER matches nothing).
+func regexMatchFunc() rel.Func { return (&regexCache{}).match }
+
+func (c *regexCache) match(args []rel.Value) (rel.Value, error) {
+	if len(args) < 2 || len(args) > 3 {
+		return rel.Null, fmt.Errorf("regexmatch: want 2 or 3 args")
 	}
+	if args[0].IsNull() || args[1].IsNull() {
+		return rel.Null, nil
+	}
+	pat, modes, quote, spaced := args[1].S, "", false, false
+	if len(args) == 3 && !args[2].IsNull() {
+		for _, f := range args[2].S {
+			switch f {
+			case 's', 'm', 'i':
+				modes += string(f)
+			case 'q':
+				quote = true
+			case 'x':
+				spaced = true
+			default:
+				return rel.Null, nil
+			}
+		}
+	}
+	switch {
+	case quote:
+		pat = regexp.QuoteMeta(pat)
+	case spaced:
+		pat = stripRegexSpace(pat)
+	}
+	if modes != "" {
+		pat = "(?" + modes + ")" + pat
+	}
+	re, err := c.compile(pat)
+	if err != nil {
+		return rel.Null, fmt.Errorf("regexmatch: %w", err)
+	}
+	return rel.Bool(re.MatchString(args[0].S)), nil
+}
+
+// compile returns pat compiled, from the cache when it is there.
+func (c *regexCache) compile(pat string) (*regexp.Regexp, error) {
+	c.mu.Lock()
+	re, ok := c.m[pat]
+	c.mu.Unlock()
+	if ok {
+		return re, nil
+	}
+	re, err := regexp.Compile(pat)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if c.m == nil || len(c.m) >= regexCacheCap {
+		c.m = make(map[string]*regexp.Regexp, regexCacheCap)
+	}
+	c.m[pat] = re
+	c.mu.Unlock()
+	return re, nil
+}
+
+// stripRegexSpace removes the whitespace XPath's x flag removes (#x9,
+// #xA, #xD and #x20) from pat, except inside character classes, which
+// an unescaped [ opens and ] closes (nested for class subtraction).
+func stripRegexSpace(pat string) string {
+	var b strings.Builder
+	depth, escaped := 0, false
+	for i := 0; i < len(pat); i++ {
+		c := pat[i]
+		switch {
+		case depth == 0 && (c == ' ' || c == '\t' || c == '\n' || c == '\r'):
+			continue
+		case escaped:
+			escaped = false
+		case c == '\\':
+			escaped = true
+		case c == '[':
+			depth++
+		case c == ']' && depth > 0:
+			depth--
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
 }

@@ -237,7 +237,7 @@ func (g *Gen) availCols(vars map[string]bool) []rel.SelectItem {
 // secondaryJoin is LEFT OUTER JOIN secondary AS alias ON A.raw =
 // alias.lid: the member list a multi-valued cell's lid points to.
 func secondaryJoin(secondary, alias, raw string) rel.JoinClause {
-	return rel.JoinClause{Left: true, Right: From(secondary, alias), On: Eq(Col("A", raw), Col(alias, "lid"))}
+	return rel.JoinClause{Right: From(secondary, alias), On: Eq(Col("A", raw), Col(alias, "lid"))}
 }
 
 // orFlip flips an OR-merged access into one row per disjunct present:

@@ -233,10 +233,7 @@ func Select(items []rel.SelectItem, from []rel.FromItem, conds []rel.Expr) *rel.
 // ALL.
 func UnionAll(arms []*rel.Select) *rel.Select {
 	u := &rel.Select{Limit: -1}
-	for i, a := range arms {
-		if i > 0 {
-			u.UnionAll = append(u.UnionAll, true)
-		}
+	for _, a := range arms {
 		u.Cores = append(u.Cores, a.Cores[0])
 	}
 	return u
@@ -367,7 +364,7 @@ func (g *Gen) optNode(n *PlanNode, in Ctx) (Ctx, error) {
 		sel = append(sel, As(Col("O", c), c))
 	}
 	left := From(in.Cte, "P")
-	left.Joins = []rel.JoinClause{{Left: true, Right: From(oc.Cte, "O"), On: And(on...)}}
+	left.Joins = []rel.JoinClause{{Right: From(oc.Cte, "O"), On: And(on...)}}
 	name := g.Emit(Select(sel, []rel.FromItem{left}, nil))
 	outVars := map[string]bool{}
 	for v := range in.Vars {

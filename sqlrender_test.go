@@ -102,9 +102,9 @@ func TestTranslatedSQLRoundTrip(t *testing.T) {
 }
 
 // baseConjuncts returns the WHERE conjuncts of q, in every select core
-// including those of CTEs and derived tables, whose column references
-// all name one base-table alias: a FROM item (or joined item) that is
-// not a CTE, a derived table or a lateral.
+// including those of CTEs, whose column references all name one
+// base-table alias: a FROM item (or joined item) that is not a CTE or
+// a lateral.
 func baseConjuncts(q *rel.Query) []rel.Expr {
 	ctes := map[string]bool{}
 	for _, c := range q.CTEs {
@@ -114,10 +114,7 @@ func baseConjuncts(q *rel.Query) []rel.Expr {
 	var walkSelect func(*rel.Select)
 	var walkFrom func(rel.FromItem, map[string]bool)
 	walkFrom = func(f rel.FromItem, bases map[string]bool) {
-		switch {
-		case f.Sub != nil:
-			walkSelect(f.Sub)
-		case f.Lateral == nil && !ctes[strings.ToLower(f.Table)]:
+		if f.Lateral == nil && !ctes[strings.ToLower(f.Table)] {
 			bases[strings.ToLower(f.Alias)] = true
 		}
 		for _, j := range f.Joins {
@@ -181,11 +178,6 @@ func eachColRef(e rel.Expr, f func(*rel.ColRef)) {
 		eachColRef(x.X, f)
 	case *rel.IsNullExpr:
 		eachColRef(x.X, f)
-	case *rel.InExpr:
-		eachColRef(x.X, f)
-		for _, a := range x.List {
-			eachColRef(a, f)
-		}
 	case *rel.CaseExpr:
 		for _, w := range x.Whens {
 			eachColRef(w.Cond, f)
@@ -203,7 +195,7 @@ func eachColRef(e rel.Expr, f func(*rel.ColRef)) {
 
 // conjunctSQL prints c as the WHERE clause of a one-core query.
 func conjunctSQL(c rel.Expr) string {
-	q := &rel.Query{Body: &rel.Select{Limit: -1, Cores: []*rel.SelectCore{{Items: []rel.SelectItem{{Star: true}}, Where: c}}}}
+	q := &rel.Query{Body: &rel.Select{Limit: -1, Cores: []*rel.SelectCore{{Items: []rel.SelectItem{{Expr: translator.IntLit(1), Alias: "one"}}, Where: c}}}}
 	_, where, _ := strings.Cut(q.String(), " WHERE ")
 	return where
 }
