@@ -33,8 +33,10 @@ echo "== ids compare by equality (FILTER forms vs SPARQL 1.1 §17, equality-only
 go test -race -count=3 \
     -run 'TestFilterSpecForms|TestTranslatedSQLRoundTrip|TestVectorizedScanEquivalence|TestZoneMapStillPrunesCleanChunks|TestLateral' \
     . ./internal/rel/
-echo "== one SQL dialect (out-of-dialect shapes rejected by name, translated SQL round trip, fused lateral, narrow reads, baselines) =="
-go test -race -count=3 -run 'TestBindRejectsOutsideDialect|TestLateral|TestNarrowReadEquivalence' ./internal/rel/
+echo "== one SQL dialect (out-of-dialect shapes and non-id items rejected by name, id join/DISTINCT/index keys, translated SQL round trip, fused lateral, narrow reads, baselines) =="
+go test -race -count=3 \
+    -run 'TestBindRejectsOutsideDialect|TestLateral|TestNarrowReadEquivalence|TestJoinLargeIdsExact|TestMultiColumnJoin|TestDistinctMixedKinds|TestSeparatorCollision|TestFloatIndexRegression|TestValueKeyInjectiveForInts' \
+    ./internal/rel/
 go test -race -count=3 -run 'TestTranslatedSQLRoundTrip' .
 go test -race -count=3 ./internal/baselines/
 echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="
@@ -76,8 +78,8 @@ echo "== SPARQL endpoint (protocol matrix, conneg, 503 mapping, shedding, drain,
 go test -race -count=1 \
     -run 'TestProtocolMatrix|TestContentNegotiation|TestWritableUpdates|TestGovernanceMapsTo503|TestDeadlineMapsTo503|TestAdmissionControlSheds|TestConcurrentMixedTraffic|TestOversizeBodyRejected|TestGracefulDrain|TestClientLeavesMidBody|TestWireEncodeAllocs' \
     ./server/
-echo "== endpoint smoke gate (real binary: startup, query, update, metrics, SIGTERM drain) =="
-go test -race -count=1 -run '^TestServerBinarySmoke$' ./server/
+echo "== endpoint smoke gate (real binary: startup, query, update, metrics, SIGTERM drain, SIGTERM right at startup) =="
+go test -race -count=1 -run '^TestServerBinary(Smoke|SIGTERMAtStartup)$' ./server/
 echo "== wire serialization round-trips, byte identity with the reference writers, database/sql driver corpus =="
 go test -race -count=1 ./results/ ./driver/
 echo "== hot-path perf gate (reads during load) =="

@@ -118,6 +118,11 @@ func run(loads []string, listen string, writable bool, k, workers int, dataDir s
 	})
 	httpSrv := &http.Server{Handler: srv}
 
+	// The handler is in place before the listener exists: a client
+	// that reads the listening line may signal at once, and must get
+	// the drain, not the default exit.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		store.Close()
@@ -135,8 +140,6 @@ func run(loads []string, listen string, writable bool, k, workers int, dataDir s
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Fprintf(os.Stderr, "db2rdf-server: received %s, draining\n", s)

@@ -95,10 +95,11 @@ type boundJoin struct {
 // executed or shared. It rejects what lies outside the dialect (see
 // the package comment) that an AST can still express: a column inside
 // a core that is not alias.column, a qualified ORDER BY key, an item
-// without AS name, a FROM item without AS alias, a unary operator
+// without AS name or that is not id-valued (idValued), a FROM item
+// without AS alias, a unary operator
 // other than NOT, a JOIN chain on a JOIN's right side, and a lateral
-// item that does not correlate to the base table right before it, or
-// has something hanging off it.
+// item that does not correlate to the base table right before it, has
+// something hanging off it or has a literal cell that is not an id.
 func Bind(q *Query) error {
 	if q.Body == nil {
 		return fmt.Errorf("sql: query has no SELECT")
@@ -163,6 +164,9 @@ func (b *binder) check(s *Select) error {
 			if err := b.checkExpr(item.Expr, false); err != nil {
 				return err
 			}
+			if !idValued(item.Expr) {
+				return fmt.Errorf("sql: select item %s AS %s is not id-valued; an item is a column, NULL, an integer, or a CASE or COALESCE of those", exprString(item.Expr), item.Alias)
+			}
 		}
 		if err := b.checkExpr(core.Where, false); err != nil {
 			return err
@@ -204,6 +208,29 @@ func (b *binder) checkExpr(e Expr, bare bool) error {
 		}
 	})
 	return err
+}
+
+// idValued reports whether e yields only ids and NULLs: a column, NULL,
+// an integer literal, a CASE whose every THEN and ELSE is id-valued, or
+// a COALESCE of id-valued arguments. A CASE's conditions may be any
+// expression; they are consumed where they are evaluated.
+func idValued(e Expr) bool {
+	switch x := e.(type) {
+	case *ColRef:
+		return true
+	case *Lit:
+		return x.V.K == KindInt || x.V.IsNull()
+	case *CaseExpr:
+		for _, w := range x.Whens {
+			if !idValued(w.Result) {
+				return false
+			}
+		}
+		return x.Else == nil || idValued(x.Else)
+	case *FuncCall:
+		return strings.EqualFold(x.Name, "coalesce") && !slices.ContainsFunc(x.Args, func(a Expr) bool { return !idValued(a) })
+	}
+	return false
 }
 
 // checkFrom checks fi, which follows the items before in its core (or
@@ -251,6 +278,9 @@ func (b *binder) checkLateral(fi FromItem, before []FromItem) error {
 		for _, cell := range row {
 			switch c := cell.(type) {
 			case *Lit:
+				if !idValued(c) {
+					return latErr(fi, "AS %s has cell %s, which is not id-valued; a literal cell is an integer or NULL", fi.Alias, exprString(c))
+				}
 			case *ColRef:
 				if c.Alias == "" {
 					return latErr(fi, "column %s must be qualified", c.Column)

@@ -229,7 +229,8 @@ func (db *DB) compileBinOp(x *BinOp, rel *relation) compiledExpr {
 }
 
 // compileIntEquality specializes `col = <intlit>` (either side) into a
-// direct comparison; nil when the shape does not match.
+// direct comparison; nil when the shape does not match. A row's cells
+// are ids or NULL, so the column holds an id or NULL.
 func (db *DB) compileIntEquality(x *BinOp, rel *relation) compiledExpr {
 	if rel == nil {
 		return nil
@@ -254,20 +255,10 @@ func (db *DB) compileIntEquality(x *BinOp, rel *relation) compiledExpr {
 	eq := x.Op == "="
 	return func(r Row) (Value, error) {
 		v := r[i]
-		switch v.K {
-		case KindInt:
-			return Bool((v.I == want) == eq), nil
-		case KindNull:
+		if v.IsNull() {
 			return Null, nil
 		}
-		c, ok := Compare(v, Int(want))
-		if !ok {
-			return Null, nil
-		}
-		if isNaN(v) {
-			return Bool(!eq), nil // NaN is unordered
-		}
-		return Bool((c == 0) == eq), nil
+		return Bool((v.I == want) == eq), nil
 	}
 }
 

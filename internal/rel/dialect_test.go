@@ -43,6 +43,22 @@ func TestBindRejectsOutsideDialect(t *testing.T) {
 		{"lateral over an earlier item", "SELECT L.p AS p FROM t AS T, k AS K, " + pairsOfT, "AS L correlates to t; " + lateralRule},
 		{"lateral over a lateral", "SELECT M.y AS y FROM t AS T, " + pairsOfT + ", TABLE(VALUES (L.p), (L.v)) AS M(y)", "AS M correlates to l; " + lateralRule},
 		{"JOIN on a lateral", "SELECT L.p AS p FROM t AS T, " + pairsOfT + " LEFT OUTER JOIN s AS S ON L.v = S.lid", "AS L cannot be followed by a JOIN"},
+		// Rows hold ids: an item or a lateral cell that can yield
+		// anything else is named in the error.
+		{"float literal item", "SELECT 1.5 AS x FROM t AS T", "select item 1.5 AS x is not id-valued"},
+		{"string literal item", "SELECT 'a' AS x FROM t AS T", "select item 'a' AS x is not id-valued"},
+		{"bool literal item", "SELECT TRUE AS x FROM t AS T", "select item TRUE AS x is not id-valued"},
+		{"arithmetic item", "SELECT T.a + 1 AS x FROM t AS T", "select item (T.a + 1) AS x is not id-valued"},
+		{"arithmetic item in a CTE", "WITH C AS (SELECT T.a / 2.0 AS h FROM t AS T) SELECT C.h AS h FROM C AS C", "select item (T.a / 2.0) AS h is not id-valued"},
+		{"comparison item", "SELECT T.a = 1 AS x FROM t AS T", "select item T.a = 1 AS x is not id-valued"},
+		{"IS NULL item", "SELECT T.a IS NULL AS x FROM t AS T", "select item T.a IS NULL AS x is not id-valued"},
+		{"function item", "SELECT dnum(T.a) AS x FROM t AS T", "select item dnum(T.a) AS x is not id-valued"},
+		{"CASE with a non-id THEN", "SELECT CASE WHEN T.a = 1 THEN 'x' ELSE T.a END AS x FROM t AS T", "select item CASE WHEN T.a = 1 THEN 'x' ELSE T.a END AS x is not id-valued"},
+		{"CASE with a non-id ELSE", "SELECT CASE WHEN T.a = 1 THEN T.a ELSE 0.5 END AS x FROM t AS T", "select item CASE WHEN T.a = 1 THEN T.a ELSE 0.5 END AS x is not id-valued"},
+		{"COALESCE with a non-id argument", "SELECT COALESCE(T.a, 0.5) AS x FROM t AS T", "select item COALESCE(T.a, 0.5) AS x is not id-valued"},
+		{"COALESCE over a CASE with a non-id result", "SELECT COALESCE(T.a, CASE WHEN T.b = 1 THEN 'y' END) AS x FROM t AS T", "AS x is not id-valued"},
+		{"string lateral cell", "SELECT L.p AS p FROM t AS T, TABLE(VALUES (T.p0, 'x')) AS L(p, v)", "AS L has cell 'x', which is not id-valued"},
+		{"float lateral cell", "SELECT L.p AS p FROM t AS T, TABLE(VALUES (T.p0, T.v0), (2.5, T.v1)) AS L(p, v)", "AS L has cell 2.5, which is not id-valued"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if q, err := ParseQuery(tc.sql); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -88,11 +104,34 @@ func TestBindRejectsOutsideDialect(t *testing.T) {
 		{"lateral with a JOIN chain", &Query{Body: &Select{Limit: -1, Cores: []*SelectCore{{Items: item(col("L", "p"), "p"),
 			From: []FromItem{base, {Lateral: lateral.Lateral, Alias: "L", Joins: []JoinClause{{Right: FromItem{Table: "u", Alias: "U"}, On: &Lit{V: Bool(true)}}}}}}}}},
 			"AS L cannot be followed by a JOIN"},
+		{"float Lit item", &Query{Body: &Select{Limit: -1, Cores: []*SelectCore{{Items: item(&Lit{V: Float(2)}, "two"), From: []FromItem{base}}}}},
+			"select item 2.0 AS two is not id-valued"},
+		{"string Lit lateral cell", &Query{Body: &Select{Limit: -1, Cores: []*SelectCore{{Items: item(col("L", "p"), "p"),
+			From: []FromItem{base, {Lateral: &Lateral{Rows: [][]Expr{{col("T", "p0")}, {&Lit{V: Str("s")}}}, Cols: []string{"p"}}, Alias: "L"}}}}}},
+			"AS L has cell 's', which is not id-valued"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := Bind(tc.q); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want an error containing %q", err, tc.want)
 			}
 		})
+	}
+
+	// Every id-valued form binds.
+	const idValued = "SELECT T.a AS a, NULL AS n, -3 AS i, CASE WHEN dnum(T.b) = 'x' THEN T.a ELSE COALESCE(T.c, 7) END AS c, " +
+		"COALESCE(T.a, CASE WHEN T.b = 1 THEN NULL END, T.b) AS d FROM t AS T, TABLE(VALUES (T.p0, NULL), (-1, T.v1)) AS L(p, v)"
+	if _, err := ParseQuery(idValued); err != nil {
+		t.Fatalf("%s: %v", idValued, err)
+	}
+
+	// A function is one a DB registers, or COALESCE: a call to any
+	// other name fails when it is evaluated.
+	db := NewDB()
+	mustTable(t, db, "t", Schema{{Name: "a"}}, []Row{{Int(-1)}})
+	for _, name := range []string{"abs", "length", "lower", "contains"} {
+		sql := "SELECT T.a AS a FROM t AS T WHERE " + name + "(T.a) = 1"
+		if _, err := query(db, sql); err == nil || !strings.Contains(err.Error(), `unknown function "`+name+`"`) {
+			t.Errorf("%s: got %v, want unknown function %q", sql, err, name)
+		}
 	}
 }

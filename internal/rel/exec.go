@@ -240,10 +240,9 @@ func (ex *exec) applyOrderBy(rs *ResultSet, items []OrderItem) error {
 	return nil
 }
 
-// dedupRows removes duplicate rows under key semantics, keeping first
-// occurrences in order. Rows are bucketed by hash and candidates are
-// verified exactly, so no key strings are built and no separator
-// collision can conflate distinct rows.
+// dedupRows removes duplicate rows, keeping first occurrences in order.
+// Rows are bucketed by a hash of their ids and candidates are verified
+// id by id.
 func dedupRows(rows []Row, g *govern) ([]Row, error) {
 	if len(rows) < 2 {
 		return rows, nil
@@ -428,8 +427,11 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 			applied[i] = true
 		}
 	}
-	// Look for an index-usable equality.
-	indexCol, indexVal := "", Null
+	// Look for an index-usable equality: an indexed column equal to an
+	// int constant. A conjunct with any other constant stays with the
+	// rest, whose compiled predicate decides it as it would without an
+	// index.
+	indexCol, indexID := "", int64(0)
 	indexConj := -1
 	for k, c := range mine {
 		if c.col == nil || !t.HasIndex(c.col.Column) {
@@ -439,10 +441,10 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 			continue // a lateral column that shares an indexed column's name
 		}
 		v, err := ex.db.compileExpr(c.constant, nil)(nil)
-		if err != nil {
+		if err != nil || v.K != KindInt {
 			continue
 		}
-		indexCol, indexVal, indexConj = c.col.Column, v, k
+		indexCol, indexID, indexConj = c.col.Column, v.I, k
 		break
 	}
 	var rest []Expr
@@ -461,7 +463,7 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 	t0 := ex.opStart()
 	pre, run := ex.startUnpivot(r, rest)
 	pred := ex.db.compilePred(pre, r)
-	ids, _ := t.lookup(indexCol, indexVal)
+	ids, _ := t.IndexLookup(indexCol, indexID)
 	rd := t.reader(r.src)
 	arena := rowArena{gov: ex.gov}
 	tk := ticker{g: ex.gov, site: CkFilter}

@@ -62,40 +62,17 @@ func TestJoinNullsNeverMatch(t *testing.T) {
 	}
 }
 
-// TestJoinIntMatchesIntegralFloat: join keys compare under cross-kind
-// semantics. The floats come from a CTE's select list (b.y / 2.0), so
-// stored ids on one side meet 1.0, 1.5 and 2.0 on the other.
-func TestJoinIntMatchesIntegralFloat(t *testing.T) {
-	db := NewDB()
-	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{
-		{Int(1)},
-		{Int(2)},
-	})
-	mustTable(t, db, "b", Schema{{Name: "y"}, {Name: "tag"}}, []Row{
-		{Int(2), Int(10)},
-		{Int(3), Int(15)},
-		{Int(4), Int(20)},
-	})
-	rs := queryRows(t, db, "WITH bf AS (SELECT b.y / 2.0 AS y, b.tag AS tag FROM b AS b) SELECT a.x AS x, bf.tag AS tag FROM a AS a, bf AS bf WHERE a.x = bf.y")
-	got := renderSorted(rs)
-	want := []string{
-		fmt.Sprintf("%#v | %#v", Int(1), Int(10)),
-		fmt.Sprintf("%#v | %#v", Int(2), Int(20)),
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("1 must join 1.0 and 2 must join 2.0, 1.5 nothing: got %v", got)
-	}
-
-	// Past 2^53 float64 cannot tell neighbouring ints apart: P.x is
-	// (2^53+1) / 1.0, which rounds to exactly 2^53 and so keys as the int
-	// 2^53. It joins b's second row only — through the index, hash and
-	// nested kernels, in both join forms, whichever index exists.
+// TestJoinLargeIdsExact: join links compare as int64 ids. Past 2^53
+// float64 cannot tell neighbouring ints apart, so p's 2^53+1 must join
+// b's 2^53+1 and not its 2^53 — through the index, hash and nested
+// kernels, in both join forms, whichever index exists.
+func TestJoinLargeIdsExact(t *testing.T) {
 	const big = 1 << 53
-	db = NewDB()
+	db := NewDB()
 	mustTable(t, db, "p", Schema{{Name: "k"}, {Name: "x"}}, []Row{{Int(1), Int(big + 1)}})
 	bt := mustTable(t, db, "b", Schema{{Name: "k"}, {Name: "y"}}, []Row{{Int(1), Int(big + 1)}, {Int(1), Int(big)}})
-	const cte = "WITH P AS (SELECT p.k AS k, p.x / 1.0 AS x FROM p AS p) "
-	want = []string{fmt.Sprintf("%#v", Int(big))}
+	const cte = "WITH P AS (SELECT p.k AS k, p.x AS x FROM p AS p) "
+	want := []string{fmt.Sprintf("%#v", Int(big+1))}
 	for _, index := range []string{"", "k", "y"} {
 		if index != "" {
 			if err := bt.CreateIndex(index); err != nil {
@@ -108,15 +85,15 @@ func TestJoinIntMatchesIntegralFloat(t *testing.T) {
 				cte + "SELECT b.y AS y FROM P AS P LEFT OUTER JOIN b AS b ON " + on,
 			} {
 				if got := renderSorted(queryRows(t, db, q)); !reflect.DeepEqual(got, want) {
-					t.Errorf("index on b.%s, %s (%s): want only b.y = 2^53, got %v", index, q, joinKernel(t, db, q), got)
+					t.Errorf("index on b.%s, %s (%s): want only b.y = 2^53+1, got %v", index, q, joinKernel(t, db, q), got)
 				}
 			}
 		}
 	}
 }
 
-// TestMultiColumnJoin joins on an id and a string; the strings come
-// from CASE expressions in the CTEs' select lists.
+// TestMultiColumnJoin joins on two ids, one of them computed by CASE
+// expressions in the CTEs' select lists.
 func TestMultiColumnJoin(t *testing.T) {
 	db := NewDB()
 	mustTable(t, db, "l", Schema{{Name: "a"}, {Name: "b"}, {Name: "id"}}, []Row{
@@ -132,7 +109,7 @@ func TestMultiColumnJoin(t *testing.T) {
 		{Null, Int(0), Int(203)},
 	})
 	named := func(t string) string {
-		return "SELECT " + t + ".a AS a, CASE WHEN " + t + ".b = 0 THEN 'x' WHEN " + t + ".b = 1 THEN 'y' ELSE 'z' END AS b, " + t + ".id AS id FROM " + t + " AS " + t
+		return "SELECT " + t + ".a AS a, CASE WHEN " + t + ".b = 0 THEN 7 WHEN " + t + ".b = 1 THEN 8 ELSE 9 END AS b, " + t + ".id AS id FROM " + t + " AS " + t
 	}
 	rs := queryRows(t, db, "WITH L AS ("+named("l")+"), R AS ("+named("r")+") SELECT L.id AS lid, R.id AS rid FROM L AS L, R AS R WHERE L.a = R.a AND L.b = R.b")
 	got := renderSorted(rs)
@@ -179,53 +156,49 @@ func TestOffsetEqualsRowCount(t *testing.T) {
 	}
 }
 
+// TestDistinctMixedKinds: DISTINCT over ids and NULLs. Equal ids are
+// one key, the NULLs of both arms collapse into one, and NULL stays
+// apart from every id, 0 included.
 func TestDistinctMixedKinds(t *testing.T) {
 	db := NewDB()
 	mustTable(t, db, "ints", Schema{{Name: "x"}}, []Row{
-		{Int(1)}, {Int(1)}, {Int(2)}, {Null},
+		{Int(1)}, {Int(1)}, {Int(2)}, {Null}, {Int(0)},
 	})
-	mustTable(t, db, "halves", Schema{{Name: "x"}}, []Row{
+	mustTable(t, db, "more", Schema{{Name: "x"}}, []Row{
 		{Int(2)}, {Int(5)}, {Null},
 	})
-	// DISTINCT over a union of int rows and float rows (h.x / 2.0 is 1.0,
-	// 2.5 and NULL): 1 and 1.0 are the same key, both NULLs collapse, 2.5
-	// stays.
-	rs := queryRows(t, db, "WITH u AS (SELECT i.x AS x FROM ints AS i UNION ALL SELECT h.x / 2.0 AS x FROM halves AS h) "+
+	rs := queryRows(t, db, "WITH u AS (SELECT i.x AS x FROM ints AS i UNION ALL SELECT m.x AS x FROM more AS m) "+
 		"SELECT DISTINCT U.x AS x FROM u AS U")
-	if len(rs.Rows) != 4 {
-		t.Fatalf("want 4 distinct values {NULL, 1, 2, 2.5}, got %d: %v", len(rs.Rows), renderSorted(rs))
+	want := []string{fmt.Sprintf("%#v", Null), fmt.Sprintf("%#v", Int(0)), fmt.Sprintf("%#v", Int(1)), fmt.Sprintf("%#v", Int(2)), fmt.Sprintf("%#v", Int(5))}
+	sort.Strings(want)
+	if got := renderSorted(rs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("want the 5 distinct values {NULL, 0, 1, 2, 5}, got %v", got)
 	}
 }
 
 // TestSeparatorCollision is a regression test for the old row-key
-// scheme, which concatenated raw column renderings with a \x1f
-// separator: a value containing \x1f could shift the column boundary
-// and alias a different row. The strings come from CASE expressions.
+// scheme, which concatenated column renderings: without a separator
+// the rows (1, 23) and (12, 3) both render "123". Distinct rows must
+// stay distinct under DISTINCT, and a multi-column hash join must pair
+// only rows equal on every link.
 func TestSeparatorCollision(t *testing.T) {
 	db := NewDB()
-	mustTable(t, db, "p", Schema{{Name: "id"}}, []Row{{Int(1)}, {Int(2)}})
-	mustTable(t, db, "q", Schema{{Name: "id"}}, []Row{{Int(1)}})
-	// Old scheme: key("a\x1fb", "c") == "a" + \x1f + "b" + \x1f + "c"
-	// == key("a", "b\x1fc"). The two rows are distinct and must stay so.
-	const ctes = "WITH P AS (SELECT CASE WHEN p.id = 1 THEN 'a\x1fb' ELSE 'a' END AS a, " +
-		"CASE WHEN p.id = 1 THEN 'c' ELSE 'b\x1fc' END AS b FROM p AS p), " +
-		"Q AS (SELECT 'a\x1fb' AS a, 'c' AS b FROM q AS q) "
-	rs := queryRows(t, db, ctes+"SELECT DISTINCT P.a AS a, P.b AS b FROM P AS P")
+	mustTable(t, db, "p", Schema{{Name: "a"}, {Name: "b"}}, []Row{{Int(1), Int(23)}, {Int(12), Int(3)}, {Int(1), Int(23)}})
+	mustTable(t, db, "q", Schema{{Name: "a"}, {Name: "b"}}, []Row{{Int(1), Int(23)}})
+	rs := queryRows(t, db, "SELECT DISTINCT P.a AS a, P.b AS b FROM p AS P")
 	if len(rs.Rows) != 2 {
-		t.Fatalf("rows differing only in \\x1f placement must stay distinct, got %d: %v", len(rs.Rows), renderSorted(rs))
+		t.Fatalf("(1, 23) and (12, 3) must stay distinct, got %d: %v", len(rs.Rows), renderSorted(rs))
 	}
-	// Same for multi-column hash-join keys.
-	rs = queryRows(t, db, ctes+"SELECT P.a AS a FROM P AS P, Q AS Q WHERE P.a = Q.a AND P.b = Q.b")
-	if len(rs.Rows) != 1 {
-		t.Fatalf("multi-column join must match exactly one row, got %d: %v", len(rs.Rows), renderSorted(rs))
+	rs = queryRows(t, db, "SELECT P.a AS a FROM p AS P, q AS Q WHERE P.a = Q.a AND P.b = Q.b")
+	if len(rs.Rows) != 2 || joinKernel(t, db, "SELECT P.a AS a FROM p AS P, q AS Q WHERE P.a = Q.a AND P.b = Q.b") != "hash-join" {
+		t.Fatalf("multi-column hash join must match both (1, 23) rows only, got %d: %v", len(rs.Rows), renderSorted(rs))
 	}
 }
 
 // kernelCorpus builds a db with enough rows to clear a forced-low
 // parallel threshold and returns queries covering the specialized
-// paths: int hash join, generic hash join, indexed join, filter,
-// projection and DISTINCT. Float and string keys come from CTE select
-// lists (n.id / 1.0, CASE … 'lo' …).
+// paths: hash join on one link and on two, indexed join, filter,
+// projection and DISTINCT.
 func kernelCorpus(t *testing.T) (*DB, []string) {
 	t.Helper()
 	db := NewDB()
@@ -250,22 +223,21 @@ func kernelCorpus(t *testing.T) (*DB, []string) {
 	queries := []string{
 		"SELECT e.src AS src, e.dst AS dst FROM e AS e WHERE e.src < 100",
 		"SELECT DISTINCT e.lbl AS lbl FROM e AS e",
-		"SELECT DISTINCT e.lbl / 2.0 AS l FROM e AS e",
+		"SELECT DISTINCT CASE WHEN e.lbl < 19 THEN NULL ELSE e.lbl END AS l FROM e AS e",
 		"SELECT e.src AS src, n.name AS name FROM e AS e, node AS n WHERE e.dst = n.id AND e.src < 200",
-		"WITH N AS (SELECT n.id / 1.0 AS id, n.name AS name FROM node AS n) SELECT e.src AS src, N.name AS name FROM e AS e, N AS N WHERE e.dst = N.id AND e.src < 300",
+		"WITH N AS (SELECT n.id AS id, n.name AS name FROM node AS n) SELECT e.src AS src, N.name AS name FROM e AS e, N AS N WHERE e.dst = N.id AND e.lbl = N.name AND e.src < 300",
 		"SELECT a.src AS src, b.dst AS dst FROM e AS a, e AS b WHERE a.dst = b.src AND a.src = 5",
-		"WITH L AS (SELECT e.src AS src, e.dst AS dst, CASE WHEN e.lbl < 19 THEN 'lo' WHEN e.lbl < 38 THEN 'mid' ELSE 'hi' END AS lbl FROM e AS e) " +
+		"WITH L AS (SELECT e.src AS src, e.dst AS dst, CASE WHEN e.lbl < 19 THEN 0 WHEN e.lbl < 38 THEN 1 ELSE 2 END AS lbl FROM e AS e) " +
 			"SELECT DISTINCT a.lbl AS al, b.lbl AS bl FROM L AS a, L AS b WHERE a.dst = b.src AND a.src < 20",
 		"SELECT e.src AS s FROM e AS e ORDER BY s DESC LIMIT 50 OFFSET 10",
 		// LEFT OUTER JOIN on every kernel; e.dst is NULL on every 13th
 		// edge, and those rows come out NULL-extended.
 		// Index: the filtered left side is smaller than node.
 		"WITH E AS (SELECT e.src AS src, e.dst AS dst FROM e AS e WHERE e.src < 200) SELECT E.src AS src, E.dst AS dst, n.name AS name FROM E AS E LEFT OUTER JOIN node AS n ON E.dst = n.id",
-		// Int hash: the right side is a CTE.
+		// Hash on one link: the right side is a CTE.
 		"WITH N AS (SELECT n.id AS id, n.name AS name FROM node AS n) SELECT e.src AS src, e.dst AS dst, N.name AS name FROM e AS e LEFT OUTER JOIN N AS N ON e.dst = N.id",
-		// Generic hash: halves are float keys.
-		"WITH L AS (SELECT e.src AS src, e.dst / 2.0 AS h FROM e AS e), N AS (SELECT n.id / 2.0 AS h, n.name AS name FROM node AS n) " +
-			"SELECT L.src AS src, L.h AS h, N.name AS name FROM L AS L LEFT OUTER JOIN N AS N ON L.h = N.h",
+		// Hash on two links: candidates are verified on both.
+		"WITH N AS (SELECT n.id AS id, n.name AS name FROM node AS n) SELECT e.src AS src, e.dst AS dst, N.name AS name FROM e AS e LEFT OUTER JOIN N AS N ON e.dst = N.id AND e.lbl = N.name",
 		// Nested loop: the link is hidden in an expression.
 		"WITH E AS (SELECT e.src AS src, e.dst AS dst FROM e AS e WHERE e.src < 40) SELECT E.src AS src, E.dst AS dst, n.name AS name FROM E AS E LEFT OUTER JOIN node AS n ON E.dst + 0 = n.id",
 		// A residual that rejects every match of most left rows.

@@ -206,7 +206,7 @@ func TestFaultPanicContained(t *testing.T) {
 func TestPanicInCompiledExpr(t *testing.T) {
 	db := peopleDB(t)
 	db.RegisterFunc("boom", func(args []Value) (Value, error) { panic("boom function") })
-	q := mustParse(t, "SELECT boom(p.age) AS b FROM people_ids AS p")
+	q := mustParse(t, "SELECT CASE WHEN boom(p.age) = 1 THEN p.age END AS b FROM people_ids AS p")
 	for _, workers := range []int{1, 4} {
 		SetParallelism(workers, 1)
 		_, err := db.ExecContext(context.Background(), q, Limits{})

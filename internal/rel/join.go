@@ -19,11 +19,11 @@ import (
 // Every kernel fans its probe rows out across morsel workers, each with
 // its own ticker and rowArena, and concatenates their outputs in input
 // order: rows come out in probe order, then candidate order, whatever
-// the worker count. Links compare under key semantics (keyEqual), the
-// relation hash buckets and index postings are keyed by, so whether an
-// index exists never changes an answer. The other conjuncts of an ON
-// clause are checked per pair, and a LEFT OUTER join NULL-extends every
-// left row it kept no pair for.
+// the worker count. Links compare as ids (idEqual): NULL joins nothing,
+// and hash buckets and index postings are keyed by the same ids, so
+// whether an index exists never changes an answer. The other conjuncts
+// of an ON clause are checked per pair, and a LEFT OUTER join
+// NULL-extends every left row it kept no pair for.
 
 // joinSpec says how two relations join.
 type joinSpec struct {
@@ -332,9 +332,8 @@ func (ex *exec) indexProbe(out *relation, probe, indexed *relation, li int, col 
 				return err
 			}
 			matched := false
-			// NULL joins nothing, and keyEqual would pair NULLs.
-			if !nullKey(pr, links, indexedIsRight) {
-				for _, id := range idx.lookupVal(pr[keyPos]) {
+			if !nullKey(pr, links, indexedIsRight) { // NULL joins nothing
+				for _, id := range idx.posts.find(pr[keyPos].I) {
 					if err := jw.tk.step(); err != nil {
 						return err
 					}
@@ -385,46 +384,28 @@ func (ex *exec) indexProbe(out *relation, probe, indexed *relation, li int, col 
 }
 
 // hashJoin builds a hash table on r's link columns and probes it with
-// l's rows. A single link whose build keys are all ints — the common
-// case: every DPH/DS/RPH/RS join runs over dictionary ids — keys an
-// exact map[int64], and a candidate needs no verification; any other
-// build buckets rows by FNV-mixed uint64 hashes verified per candidate.
+// l's rows. The map is keyed by linkKey: one link's id exactly, so a
+// candidate needs no verification, or several links' hash, verified
+// per candidate.
 func (ex *exec) hashJoin(out *relation, l, r *relation, spec *joinSpec) error {
 	t0 := ex.opStart()
 	links := spec.links
-	exact := len(links) == 1 && !slices.ContainsFunc(r.rows, func(rr Row) bool {
-		_, st := intLinkKey(rr[links[0].ri])
-		return st < 0
-	})
+	verify := len(links) > 1
 	bt := ticker{g: ex.gov, site: CkHashBuild}
 	if err := bt.flush(); err != nil {
 		return err
 	}
-	var ints map[int64][]Row
-	var hashed map[uint64][]Row
-	if exact {
-		ints = make(map[int64][]Row, len(r.rows))
-	} else {
-		hashed = make(map[uint64][]Row, len(r.rows))
-	}
+	build := make(map[int64][]Row, len(r.rows))
 	var built int64
 	for _, rr := range r.rows {
 		if err := bt.step(); err != nil {
 			return err
 		}
-		if exact {
-			k, st := intLinkKey(rr[links[0].ri])
-			if st == 0 {
-				continue // NULLs never join
-			}
-			ints[k] = append(ints[k], rr)
-		} else {
-			h, ok := linkKeyHash(rr, links, false)
-			if !ok {
-				continue
-			}
-			hashed[h] = append(hashed[h], rr)
+		k, ok := linkKey(rr, links, false)
+		if !ok {
+			continue // NULLs never join
 		}
+		build[k] = append(build[k], rr)
 		built++
 		bt.addBytes(hashEntryBytes)
 	}
@@ -436,19 +417,13 @@ func (ex *exec) hashJoin(out *relation, l, r *relation, spec *joinSpec) error {
 			if err := jw.tk.step(); err != nil {
 				return err
 			}
-			// A probe value of another class than int never equals an
-			// int key.
 			var cands []Row
-			if exact {
-				if k, st := intLinkKey(lr[links[0].li]); st == 1 {
-					cands = ints[k]
-				}
-			} else if h, ok := linkKeyHash(lr, links, true); ok {
-				cands = hashed[h]
+			if k, ok := linkKey(lr, links, true); ok {
+				cands = build[k]
 			}
 			matched := false
 			for _, rr := range cands {
-				if !exact && !linkKeyEqual(lr, rr, links) {
+				if verify && !linkKeyEqual(lr, rr, links) {
 					continue
 				}
 				ok, err := jw.pair(lr, rr)
@@ -468,11 +443,7 @@ func (ex *exec) hashJoin(out *relation, l, r *relation, spec *joinSpec) error {
 	if err != nil {
 		return err
 	}
-	label := "generic"
-	if exact {
-		label = "int"
-	}
-	ex.opEnd(t0, spec.stat(OpStat{Kind: "hash-join", Label: label, RowsIn: int64(len(l.rows)), BuildRows: built, RowsOut: int64(len(out.rows)), Workers: w}, "hash"))
+	ex.opEnd(t0, spec.stat(OpStat{Kind: "hash-join", RowsIn: int64(len(l.rows)), BuildRows: built, RowsOut: int64(len(out.rows)), Workers: w}, "hash"))
 	return nil
 }
 

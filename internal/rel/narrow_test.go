@@ -145,8 +145,8 @@ func TestNarrowReadEquivalence(t *testing.T) {
 				col(), lo, lo+r.Intn(1500), col(), col(), col())
 		}},
 		{"int literals against computed floats and strings", 0, func() string {
-			return fmt.Sprintf("WITH s AS (SELECT T.c13 / 2.0 AS a, CASE WHEN T.c12 = 3 THEN 's3' ELSE T.c12 END AS b{*T=w} FROM w AS T WHERE T.c1 < %d) "+
-				"SELECT s.a AS a, s.b AS b FROM s AS s WHERE s.a > %d AND s.b != 3", 1000+r.Intn(3000), r.Intn(60)<<39)
+			return fmt.Sprintf("WITH s AS (SELECT T.c13 AS a, T.c12 AS b{*T=w} FROM w AS T WHERE T.c1 < %d) "+
+				"SELECT s.a AS a, s.b AS b FROM s AS s WHERE s.a / 2.0 > %d AND CASE WHEN s.b = 3 THEN 's3' ELSE s.b END != 3", 1000+r.Intn(3000), r.Intn(60)<<39)
 		}},
 		{"unfiltered scan", 1, func() string {
 			return fmt.Sprintf("SELECT T.%s AS a{*T=w} FROM w AS T", col())

@@ -163,6 +163,13 @@ func (w *printer) list(es []Expr) {
 	}
 }
 
+// exprString prints e alone, for an error that names it.
+func exprString(e Expr) string {
+	var w printer
+	w.expr(e)
+	return w.String()
+}
+
 // expr prints e where any expression may stand.
 func (w *printer) expr(e Expr) {
 	switch x := e.(type) {

@@ -15,10 +15,11 @@ var printSeeds = []string{
 	"SELECT T.a AS a FROM t AS T WHERE (T.a = 1 OR T.b = 2) OR T.c = 3",
 	"SELECT T.a AS a FROM t AS T WHERE T.a = 1 OR T.b = 2 OR (T.c = 3 OR T.d = 4) OR T.e = 5",
 	"SELECT T.a AS a FROM t AS T WHERE (T.a = 1 AND T.b = 2) AND (T.c = 3 AND T.d = 4) AND NOT (T.e = 5 OR T.f = 6)",
-	"SELECT T.a + T.b * T.c - T.d / 2 AS a, T.a - -1 AS b, 0 - T.a AS c, 1.5 AS d, 1e21 AS e, 2.5E-7 AS f, 1.e3 AS g, 007 AS h, " +
-		"-9223372036854775808 AS i, 1e999 AS j, -1e999 AS k, -2.5 AS l FROM t AS T",
-	"SELECT 'it''s' AS a, '' AS b, NULL AS c, TRUE AS d, FALSE AS e, COALESCE(T.a, 0) AS f, f() AS g, dnum(T.a) AS h FROM t AS T",
-	"SELECT CASE WHEN T.a = 1 THEN 'x' WHEN T.a IS NULL THEN 'y' ELSE 'z' END AS a, CASE WHEN T.b THEN 1 END AS b FROM t AS T",
+	"SELECT 007 AS h, -9223372036854775808 AS i, T.a AS a FROM t AS T WHERE T.a + T.b * T.c - T.d / 2 = T.a - -1 AND 0 - T.a < 1.5 AND " +
+		"T.b < 1e21 AND T.c > 2.5E-7 AND T.d != 1.e3 AND T.e < 1e999 AND T.f > -1e999 AND T.g != -2.5",
+	"SELECT NULL AS c, COALESCE(T.a, 0) AS f FROM t AS T WHERE (f() = 'it''s' OR dnum(T.a) = '') AND T.b = TRUE AND T.c != FALSE",
+	"SELECT CASE WHEN T.a = 1 THEN T.b WHEN T.a IS NULL THEN 2 ELSE NULL END AS a, CASE WHEN T.b THEN 1 END AS b FROM t AS T " +
+		"WHERE CASE WHEN T.a = 1 THEN 'x' WHEN T.a IS NULL THEN 'y' ELSE 'z' END = 'x'",
 	"SELECT T.a AS a FROM t AS T WHERE T.a != 1 AND T.b <> 2 AND T.a < 3 AND T.a <= 4 AND T.a > 5 AND T.a >= 6 AND (T.a = 1) = (T.b = 2) AND (T.a IS NULL) IS NOT NULL",
 	"SELECT T.a AS a FROM t AS T UNION ALL SELECT U.b AS a FROM u AS U UNION ALL SELECT V.c AS a FROM v AS V ORDER BY a",
 	"SELECT P.a AS a, O.b AS b FROM t AS P LEFT OUTER JOIN u AS O ON P.a = O.a AND P.b = O.b LEFT OUTER JOIN w AS W ON 1 = 1, v AS V WHERE V.c = P.a",
@@ -54,14 +55,19 @@ func FuzzSQLPrintRoundTrip(f *testing.F) {
 }
 
 func TestPrintShapes(t *testing.T) {
+	for _, sql := range printSeeds {
+		if _, err := ParseQuery(sql); err != nil {
+			t.Errorf("seed %q does not parse: %v", sql, err)
+		}
+	}
 	for _, tc := range []struct{ sql, want string }{
 		// A WHERE clause's top-level AND chain is bare; nested chains
 		// keep their grouping.
 		{"SELECT T.a AS a FROM t AS T WHERE T.a = 1 AND (T.b = 2 OR T.c = 3) AND (T.d = 4 AND T.e = 5)",
 			"SELECT T.a AS a FROM t AS T WHERE T.a = 1 AND (T.b = 2 OR T.c = 3) AND (T.d = 4 AND T.e = 5)"},
 		{"SELECT T.a AS a FROM t AS T WHERE (T.a = 1 OR T.b = 2) OR T.c = 3", "SELECT T.a AS a FROM t AS T WHERE ((T.a = 1 OR T.b = 2) OR T.c = 3)"},
-		{"SELECT T.a + T.b * T.c AS x, 0 - T.a AS y, T.a - -1 AS z, 1e3 AS u, 2.5 AS v, 1e21 AS w FROM t AS T",
-			"SELECT (T.a + (T.b * T.c)) AS x, (0 - T.a) AS y, (T.a - -1) AS z, 1000.0 AS u, 2.5 AS v, 1e+21 AS w FROM t AS T"},
+		{"SELECT T.a AS x FROM t AS T WHERE T.a + T.b * T.c = 0 - T.a AND T.a - -1 = 1e3 AND T.b = 2.5 AND T.c = 1e21",
+			"SELECT T.a AS x FROM t AS T WHERE (T.a + (T.b * T.c)) = (0 - T.a) AND (T.a - -1) = 1000.0 AND T.b = 2.5 AND T.c = 1e+21"},
 		{"WITH q AS (SELECT T.a AS a FROM t AS T)\nSELECT Q.a AS a FROM q AS Q UNION ALL SELECT Q.a AS a FROM q AS Q ORDER BY a DESC LIMIT 1",
 			"WITH q AS (SELECT T.a AS a FROM t AS T)\nSELECT Q.a AS a FROM q AS Q\nUNION ALL\nSELECT Q.a AS a FROM q AS Q ORDER BY a DESC LIMIT 1"},
 	} {
@@ -83,13 +89,14 @@ func TestPrintNumbers(t *testing.T) {
 		Float(math.SmallestNonzeroFloat64), Float(math.Inf(1)), Float(math.Inf(-1)),
 		Int(0), Int(-1), Int(math.MaxInt64), Int(math.MinInt64),
 	} {
-		q := &Query{Body: &Select{Cores: []*SelectCore{{Items: []SelectItem{{Expr: &Lit{V: v}, Alias: "x"}}, From: []FromItem{{Table: "t", Alias: "t"}}}}, Limit: -1}}
+		q := &Query{Body: &Select{Cores: []*SelectCore{{Items: []SelectItem{{Expr: &ColRef{Alias: "t", Column: "a"}, Alias: "a"}},
+			From: []FromItem{{Table: "t", Alias: "t"}}, Where: &BinOp{Op: "=", L: &ColRef{Alias: "t", Column: "a"}, R: &Lit{V: v}}}}, Limit: -1}}
 		text := q.String()
 		back, err := ParseQuery(text)
 		if err != nil {
 			t.Fatalf("%v prints as %q: %v", v, text, err)
 		}
-		if got := back.Body.Cores[0].Items[0].Expr.(*Lit).V; got != v {
+		if got := back.Body.Cores[0].Where.(*BinOp).R.(*Lit).V; got != v {
 			t.Errorf("%v prints as %q, which reads back as %v", v, text, got)
 		}
 	}

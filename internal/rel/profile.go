@@ -28,7 +28,7 @@ type OpStat struct {
 	// Kind is "scan", "index-scan", "filter", "index-join", "hash-join",
 	// "cross-join", "join-on", "unpivot", "project", "dedup", "order-by"
 	// or "limit". A comma join reports its kernel as the kind (label: the
-	// probed index, or "int"/"generic" for the hash kernel); a JOIN … ON
+	// probed index of an index join); a JOIN … ON
 	// runs on the same kernels and reports "join-on" with the kernel as
 	// the label: "index <table>.<col>", "hash" or "nested".
 	Kind  string

@@ -73,7 +73,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if err := dst.CreateIndex("a"); err != nil {
 			t.Fatal(err)
 		}
-		ids, ok := dst.IndexLookup("a", Int(35))
+		ids, ok := dst.IndexLookup("a", 35)
 		if !ok || len(ids) != 1 || ids[0] != 5 {
 			t.Fatalf("%v: index probe after decode: %v %v", st, ids, ok)
 		}

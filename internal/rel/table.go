@@ -333,19 +333,22 @@ func (t *Table) HasIndex(col string) bool {
 	return ok
 }
 
-// lookup returns the matching row ids for col = v, and whether an index
-// was available. The probe runs under the table read lock, so it may
-// race appends to the same table (the parallel bulk loader's workers
-// do): the returned list is the index's own, and an append only ever
-// writes past its length.
-func (t *Table) lookup(col string, v Value) ([]int32, bool) {
+// IndexLookup returns the ids of the rows whose col holds id, through
+// the column's hash index, and whether the column is indexed. Returned ids
+// are live and in row order: deleted rows are unindexed eagerly, in
+// place. The probe runs under the table read lock, so it may race
+// appends to the same table (the parallel bulk loader's workers do):
+// the returned list is the index's own, and an append only ever writes
+// past its length. The caller must not hold the returned list across a
+// DeleteRow on the same table.
+func (t *Table) IndexLookup(col string, id int64) ([]int32, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	idx := t.indexes[strings.ToLower(col)]
 	if idx == nil {
 		return nil, false
 	}
-	return idx.lookupVal(v), true
+	return idx.posts.find(id), true
 }
 
 // indexFor resolves the hash index on col once, so probe loops can
@@ -359,19 +362,6 @@ func (t *Table) indexFor(col string) *hashIndex {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.indexes[strings.ToLower(col)]
-}
-
-// lookupVal returns the row ids matching v under join key semantics:
-// an int probes its id, an integral float probes as that int (1 joins
-// 1.0), and any other value matches nothing.
-func (x *hashIndex) lookupVal(v Value) []int32 {
-	switch {
-	case v.K == KindInt:
-		return x.posts.find(v.I)
-	case v.K == KindFloat && v.F == float64(int64(v.F)):
-		return x.posts.find(int64(v.F))
-	}
-	return nil
 }
 
 // add indexes the stored cell v at row id; NULL is not indexed.
@@ -440,12 +430,11 @@ type DB struct {
 // Func is a scalar SQL function.
 type Func func(args []Value) (Value, error)
 
-// NewDB returns an empty database with the built-in functions
-// registered (COALESCE is handled in the expression evaluator).
+// NewDB returns an empty database. It has no functions but COALESCE,
+// which the expression evaluator handles; the rest are registered
+// (RegisterFunc).
 func NewDB() *DB {
-	db := &DB{tables: make(map[string]*Table), funcs: make(map[string]Func)}
-	registerBuiltins(db)
-	return db
+	return &DB{tables: make(map[string]*Table), funcs: make(map[string]Func)}
 }
 
 // CreateTable creates and registers a new table.
@@ -498,55 +487,4 @@ func (db *DB) function(name string) (Func, bool) {
 	defer db.mu.RUnlock()
 	f, ok := db.funcs[strings.ToLower(name)]
 	return f, ok
-}
-
-func registerBuiltins(db *DB) {
-	db.RegisterFunc("abs", func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Null, fmt.Errorf("abs: want 1 arg")
-		}
-		v := args[0]
-		switch v.K {
-		case KindInt:
-			if v.I < 0 {
-				return Int(-v.I), nil
-			}
-			return v, nil
-		case KindFloat:
-			if v.F < 0 {
-				return Float(-v.F), nil
-			}
-			return v, nil
-		case KindNull:
-			return Null, nil
-		}
-		return Null, fmt.Errorf("abs: non-numeric argument")
-	})
-	db.RegisterFunc("length", func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Null, fmt.Errorf("length: want 1 arg")
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
-		return Int(int64(len(args[0].S))), nil
-	})
-	db.RegisterFunc("lower", func(args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Null, fmt.Errorf("lower: want 1 arg")
-		}
-		if args[0].IsNull() {
-			return Null, nil
-		}
-		return Str(strings.ToLower(args[0].S)), nil
-	})
-	db.RegisterFunc("contains", func(args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Null, fmt.Errorf("contains: want 2 args")
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return Null, nil
-		}
-		return Bool(strings.Contains(args[0].S, args[1].S)), nil
-	})
 }

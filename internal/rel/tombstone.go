@@ -215,15 +215,6 @@ func (t *Table) Clear() {
 	}
 }
 
-// IndexLookup returns the row ids matching col = v through the
-// column's hash index, and whether the column is indexed. Returned ids
-// are live and in row order: deleted rows are unindexed eagerly, in
-// place. Concurrent appends are safe; the caller must not hold the
-// returned list across a DeleteRow on the same table.
-func (t *Table) IndexLookup(col string, v Value) ([]int32, bool) {
-	return t.lookup(col, v)
-}
-
 // remove drops row id from the posting list of the stored cell v.
 // Caller holds the table write lock.
 func (x *hashIndex) remove(v Value, id int32) {

@@ -48,10 +48,10 @@ func TestDeleteRowVisibility(t *testing.T) {
 				t.Fatal("out-of-range delete succeeded")
 			}
 			// Index probe: the deleted id is gone, neighbours remain.
-			if ids, _ := tbl.IndexLookup("id", Int(7)); len(ids) != 0 {
+			if ids, _ := tbl.IndexLookup("id", 7); len(ids) != 0 {
 				t.Fatalf("deleted row still indexed: %v", ids)
 			}
-			if ids, _ := tbl.IndexLookup("id", Int(8)); len(ids) != 1 {
+			if ids, _ := tbl.IndexLookup("id", 8); len(ids) != 1 {
 				t.Fatalf("live row lost from index")
 			}
 			// Full scan through the executor sees 99 rows.
@@ -206,7 +206,7 @@ func TestTableClear(t *testing.T) {
 			if tbl.Len() != 0 || tbl.LiveLen() != 0 || tbl.DeadRows() != 0 {
 				t.Fatalf("not empty after Clear: len=%d live=%d dead=%d", tbl.Len(), tbl.LiveLen(), tbl.DeadRows())
 			}
-			if ids, _ := tbl.IndexLookup("id", Int(5)); len(ids) != 0 {
+			if ids, _ := tbl.IndexLookup("id", 5); len(ids) != 0 {
 				t.Fatalf("index survived Clear: %v", ids)
 			}
 			// Table is reusable: insert and query again.
@@ -236,10 +236,10 @@ func TestCreateIndexAfterDelete(t *testing.T) {
 			if err := tbl.CreateIndex("v"); err != nil {
 				t.Fatal(err)
 			}
-			if ids, ok := tbl.IndexLookup("v", Int(40)); !ok || len(ids) != 0 {
+			if ids, ok := tbl.IndexLookup("v", 40); !ok || len(ids) != 0 {
 				t.Fatalf("dead row indexed by late CreateIndex: %v", ids)
 			}
-			if ids, _ := tbl.IndexLookup("v", Int(50)); len(ids) != 1 {
+			if ids, _ := tbl.IndexLookup("v", 50); len(ids) != 1 {
 				t.Fatalf("live row missing from late index")
 			}
 		})

@@ -13,22 +13,27 @@
 //
 //   - WITH CTEs, each a single SELECT core or a UNION ALL of cores;
 //   - SELECT [DISTINCT], then ORDER BY, LIMIT and OFFSET on a select;
-//   - every select item is expr AS name;
+//   - every select item is expr AS name, and expr is id-valued: a
+//     column, NULL, an integer literal, a CASE whose every THEN and ELSE
+//     is id-valued, or a COALESCE of id-valued arguments;
 //   - every FROM item is name AS alias, optionally followed by
 //     LEFT OUTER JOIN name AS alias ON cond chains; FROM items are
 //     comma-joined under WHERE;
 //   - a lateral TABLE(VALUES (c, …), …) AS L(name, …) correlates to the
 //     FROM item right before it, a base table with no join chain, and
-//     nothing hangs off the lateral; a cell is a literal or a column of
-//     that table;
+//     nothing hangs off the lateral; a cell is an integer literal, NULL
+//     or a column of that table;
 //   - inside a core every column is alias.column; ORDER BY keys name
 //     output columns bare;
 //   - expressions are literals (negative numbers included),
 //     = != <> < <= > >= + - * /, AND, OR, NOT, IS [NOT] NULL, searched
-//     CASE and function calls (COALESCE among them).
+//     CASE, COALESCE and calls of the functions a DB registers.
 //
 // ParseQuery and Bind reject anything else with an error naming the
-// shape.
+// shape. Stored cells are ids too (Table.checkCell), so every row the
+// executor builds holds int64 ids and NULLs: joins, DISTINCT and index
+// probes compare ids, and other kinds of Value live only inside an
+// expression, such as a WHERE conjunct or an ORDER BY key.
 package rel
 
 import (
@@ -138,41 +143,11 @@ func (v Value) String() string {
 	return "?"
 }
 
-// key returns a canonical representation used for hashing (joins,
-// DISTINCT). NULLs hash together. String keys are
-// length-prefixed so a composite key built from several key() strings
-// cannot collide across column boundaries whatever bytes a literal
-// contains (the hot executor paths now hash canonical forms directly —
-// see hash.go — but key() remains the reference definition of key
-// equality and must itself be injective).
-func (v Value) key() string {
-	switch v.K {
-	case KindNull:
-		return "\x00"
-	case KindInt:
-		return "i" + strconv.FormatInt(v.I, 10)
-	case KindFloat:
-		// Integral floats hash like ints so 1 joins with 1.0.
-		if v.F == float64(int64(v.F)) {
-			return "i" + strconv.FormatInt(int64(v.F), 10)
-		}
-		return "f" + strconv.FormatFloat(v.F, 'g', -1, 64)
-	case KindString:
-		return "s" + strconv.Itoa(len(v.S)) + ":" + v.S
-	case KindBool:
-		if v.I != 0 {
-			return "bt"
-		}
-		return "bf"
-	}
-	return "?"
-}
-
 // Compare orders two non-null values: -1, 0, +1. Values of different
 // families order by kind (numeric < string < bool). Returns false if
 // either side is NULL. Ints, and floats with an integral value, compare
 // exactly as int64s: through float64, an id above 2^53 would equal its
-// neighbours, and `=` would disagree with the join key (keyEqual).
+// neighbours.
 func Compare(a, b Value) (int, bool) {
 	if a.IsNull() || b.IsNull() {
 		return 0, false
@@ -183,9 +158,9 @@ func Compare(a, b Value) (int, bool) {
 	af, aNum := a.AsFloat()
 	bf, bNum := b.AsFloat()
 	if aNum && bNum {
-		ca, ia, _, _ := keyCanon(a)
-		cb, ib, _, _ := keyCanon(b)
-		if ca == keyClassInt && cb == keyClassInt {
+		ia, aInt := integral(a)
+		ib, bInt := integral(b)
+		if aInt && bInt {
 			return cmp.Compare(ia, ib), true
 		}
 		switch {
@@ -230,11 +205,18 @@ func kindRank(k Kind) int {
 	return 3
 }
 
-// Equal reports whether two values compare equal under join semantics
-// (NULL never equals anything).
-func Equal(a, b Value) bool {
-	c, ok := Compare(a, b)
-	return ok && c == 0
+// integral returns v as an int64 when it is an int or a float with an
+// integral value.
+func integral(v Value) (int64, bool) {
+	switch v.K {
+	case KindInt:
+		return v.I, true
+	case KindFloat:
+		if v.F == float64(int64(v.F)) {
+			return int64(v.F), true
+		}
+	}
+	return 0, false
 }
 
 // Row is one tuple.

@@ -173,7 +173,7 @@ func (d *side) remove(entity, pid, member int64, predURI string) (bool, error) {
 				if err := d.secondary.DeleteRow(row); err != nil {
 					return true, err
 				}
-				rest, _ := d.secondary.IndexLookup("lid", cur)
+				rest, _ := d.secondary.IndexLookup("lid", cur.I)
 				switch len(rest) {
 				case 0:
 					// Defensive: lists always hold ≥2 members, but an

@@ -67,7 +67,7 @@ func (v StatsView) count(t rdf.Term, reverse bool) float64 {
 // members (the lid index's posting count). Deleted rows are unindexed
 // when deleted, so only live rows and members are seen.
 func entityTriples(primary, secondary *rel.Table, k int, entity int64) int {
-	rows, _ := primary.IndexLookup("entry", rel.Int(entity))
+	rows, _ := primary.IndexLookup("entry", entity)
 	n := 0
 	for _, ri := range rows {
 		for c := 0; c < k; c++ {
@@ -75,7 +75,7 @@ func entityTriples(primary, secondary *rel.Table, k int, entity int64) int {
 			switch {
 			case v.K != rel.KindInt:
 			case dict.IsLid(v.I):
-				members, _ := secondary.IndexLookup("lid", v)
+				members, _ := secondary.IndexLookup("lid", v.I)
 				n += len(members)
 			default:
 				n++

@@ -159,7 +159,7 @@ func (d *side) mutablePredsLocked() {
 // the entry index. The list is the index's own: it must not be held
 // across a delete of one of its rows.
 func (d *side) rows(entity int64) []int32 {
-	ids, _ := d.primary.IndexLookup("entry", rel.Int(entity))
+	ids, _ := d.primary.IndexLookup("entry", entity)
 	return ids
 }
 
@@ -174,8 +174,8 @@ func (d *side) spilled(rows []int32) bool {
 // list, such as every subject of one rdf:type, is not scanned to test
 // one member.
 func (d *side) listRow(lid, member int64) int {
-	byLid, _ := d.secondary.IndexLookup("lid", rel.Int(lid))
-	byElm, _ := d.secondary.IndexLookup("elm", rel.Int(member))
+	byLid, _ := d.secondary.IndexLookup("lid", lid)
+	byElm, _ := d.secondary.IndexLookup("elm", member)
 	ids, col, want := byLid, 1, member
 	if len(byElm) < len(byLid) {
 		ids, col, want = byElm, 0, lid
@@ -501,7 +501,7 @@ func (d *side) derive() (int64, error) {
 				case vv.K != rel.KindInt:
 					return 0, fmt.Errorf("store: %s row %d has predicate without value", d.primary.Name, r)
 				case dict.IsLid(vv.I):
-					members, _ := d.secondary.IndexLookup("lid", vv)
+					members, _ := d.secondary.IndexLookup("lid", vv.I)
 					if len(members) == 0 {
 						return 0, fmt.Errorf("store: %s row %d references empty lid %d", d.primary.Name, r, vv.I)
 					}

@@ -7,6 +7,7 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,12 +28,7 @@ func TestServerBinarySmoke(t *testing.T) {
 		t.Skip("builds and runs the real binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "db2rdf-server")
-	build := exec.Command("go", "build", "-o", bin, "db2rdf/cmd/db2rdf-server")
-	build.Dir = moduleRoot(t)
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building server binary: %v\n%s", err, out)
-	}
+	bin := buildServer(t, dir)
 
 	// A small N-Triples fixture, loaded at startup.
 	nt := filepath.Join(dir, "data.nt")
@@ -44,40 +40,7 @@ func TestServerBinarySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-load", nt, "-writable")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// The startup line carries the resolved ephemeral address.
-	var addr string
-	sc := bufio.NewScanner(stdout)
-	lineCh := make(chan string, 1)
-	go func() {
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.Contains(line, "listening on ") {
-				lineCh <- strings.TrimSpace(line[strings.Index(line, "listening on ")+len("listening on "):])
-				break
-			}
-		}
-		close(lineCh)
-	}()
-	select {
-	case a, ok := <-lineCh:
-		if !ok || a == "" {
-			t.Fatal("server exited before announcing its address")
-		}
-		addr = a
-	case <-time.After(30 * time.Second):
-		t.Fatal("timed out waiting for the listening line")
-	}
+	cmd, addr, stderr := startServer(t, bin, "-listen", "127.0.0.1:0", "-load", nt, "-writable")
 	base := "http://" + addr
 
 	// Query over GET, decode the negotiated JSON body.
@@ -125,6 +88,82 @@ func TestServerBinarySmoke(t *testing.T) {
 	}
 
 	// SIGTERM must drain and exit 0.
+	stopServer(t, cmd, stderr)
+}
+
+// TestServerBinarySIGTERMAtStartup signals the server the moment it
+// announces its address, five times over one binary: the handler is in
+// place before the listener exists, so every run drains and exits 0.
+func TestServerBinarySIGTERMAtStartup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildServer(t, t.TempDir())
+	for i := 0; i < 5; i++ {
+		cmd, _, stderr := startServer(t, bin, "-listen", "127.0.0.1:0")
+		stopServer(t, cmd, stderr)
+	}
+}
+
+// buildServer builds cmd/db2rdf-server into dir and returns its path.
+func buildServer(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "db2rdf-server")
+	build := exec.Command("go", "build", "-o", bin, "db2rdf/cmd/db2rdf-server")
+	build.Dir = moduleRoot(t)
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building server binary: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// startServer starts bin with args and returns the process and the
+// address its listening line announces. The process's stderr is echoed
+// and collected in the returned buffer, which is complete once the
+// process has been waited for.
+func startServer(t *testing.T, bin string, args ...string) (*exec.Cmd, string, *bytes.Buffer) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := &bytes.Buffer{}
+	cmd.Stderr = io.MultiWriter(os.Stderr, stderr)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() })
+
+	// The startup line carries the resolved ephemeral address.
+	sc := bufio.NewScanner(stdout)
+	lineCh := make(chan string, 1)
+	go func() {
+		for sc.Scan() {
+			line := sc.Text()
+			if strings.Contains(line, "listening on ") {
+				lineCh <- strings.TrimSpace(line[strings.Index(line, "listening on ")+len("listening on "):])
+				break
+			}
+		}
+		close(lineCh)
+	}()
+	select {
+	case a, ok := <-lineCh:
+		if !ok || a == "" {
+			t.Fatal("server exited before announcing its address")
+		}
+		return cmd, a, stderr
+	case <-time.After(30 * time.Second):
+		t.Fatal("timed out waiting for the listening line")
+	}
+	return nil, "", nil
+}
+
+// stopServer sends cmd SIGTERM and requires a drain: exit 0 within 30s
+// and "clean shutdown" on stderr.
+func stopServer(t *testing.T, cmd *exec.Cmd, stderr *bytes.Buffer) {
+	t.Helper()
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +173,9 @@ func TestServerBinarySmoke(t *testing.T) {
 	case err := <-done:
 		if err != nil {
 			t.Fatalf("server exited uncleanly after SIGTERM: %v", err)
+		}
+		if !strings.Contains(stderr.String(), "clean shutdown") {
+			t.Fatalf("server exited 0 without a clean shutdown:\n%s", stderr)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("server did not exit within 30s of SIGTERM")
