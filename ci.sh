@@ -71,6 +71,9 @@ go test -race -count=1 \
 echo "== snapshot isolation (mixed read/write, torn-read + goroutine-leak checks) =="
 go test -race -count=1 \
     -run 'TestSnapshotIsolationReaders|TestConcurrentInsertQueryExport|TestLoadParallelConcurrentReaders' .
+echo "== publish costs the delta (postMap vs a plain map, copies per publish, exact markers vs the tables, isolation, update equivalence) =="
+go test -race -count=3 -run 'TestPostMapModel|TestPublishCopiesIndependentOfTableSize' ./internal/rel/
+go test -race -count=3 -run 'TestMarker|TestSnapshotIsolationReaders|TestUpdateInterleavingEquivalence' . ./internal/store/
 echo "== crash recovery (kill points, bit flips, WAL replay, reclamation) =="
 go test -race -count=1 \
     -run 'TestDurableCloseReopen|TestWALOnlyCrashReopen|TestKillPointRecovery|TestBitFlipFaultInjection|TestSnapshotReclaimsDeletedState|TestBackgroundSnapshotRotation|TestDurableConfigMismatch' .

@@ -1,31 +1,67 @@
 package rel
 
+import "math"
+
 // postMap is a layered copy-on-write posting map from a stored int64
 // id to the rows holding it: the index structure behind hashIndex that
 // lets a published table snapshot keep reading posting lists while the
 // live table keeps mutating them.
 //
 // Layout: `dirty` holds the current unpublished generation's writes,
-// `layers` holds previously sealed generations (newest first), and
-// `base` holds the oldest sealed state. A lookup probes dirty, then
-// each layer, then base, and the first hit wins: an entry in a newer
-// generation *replaces* the older list for that key outright (writers
-// clone the merged list into dirty on first touch, so a dirty entry is
-// always the complete current list). An empty list is a deletion
-// marker that masks the key in older generations.
+// `layers` holds sealed generations (newest first), and `base` holds
+// the oldest sealed state. A lookup probes dirty, then each layer, then
+// base, and the first hit wins: an entry in a newer generation
+// *replaces* the older list for that key outright (writers clone the
+// merged list into dirty on first touch, so a dirty entry is always the
+// complete current list). An empty list is a deletion marker that masks
+// the key in older generations.
 //
-// Sealing (Table.Publish) moves dirty into the sealed stack and hands
+// Sealing (Table.Publish) pushes dirty onto the sealed stack and hands
 // the snapshot a postMap value with dirty == nil; from that point the
-// sealed maps and every list they hold are immutable — later writes go
-// to a fresh dirty map and re-clone any list they touch. When the
-// sealed stack grows past a few layers, or the layers together carry
-// as many entries as base, seal folds everything into a fresh base
-// map, which keeps lookups O(1) amortized without ever mutating a map
-// a snapshot can still see.
+// sealed maps, the layers slice and every list they hold are immutable
+// — later writes go to a fresh dirty map and re-clone any list they
+// touch, and every seal builds a fresh layers slice.
+//
+// The stack is size-tiered, so a publish costs what it wrote, not the
+// index's size. While the newest layer holds at least half as many
+// entries as the one below it, the two merge into a fresh map (the
+// newer list wins; deletion markers survive, since base may still hold
+// the key). Each layer is therefore more than twice the size of the one
+// above it, a lookup probes O(log n) of them, and a key is re-copied
+// O(log n) times before it reaches base. Only when the layers together
+// reach 1/foldFraction of base are they folded into a fresh base, which
+// amortizes the base copy over at least that many written entries. A
+// store that was only bulk-loaded seals once and has no layers at all.
+//
+// Each layer carries the bounds of its keys, and a probe outside them
+// skips the layer without hashing. Writes mostly index fresh ids —
+// new subjects, objects and lids, which the dictionary hands out in
+// ascending order — so a probe for an older key usually reaches base
+// after a couple of compares per layer.
 type postMap struct {
 	dirty  map[int64][]int32
-	layers []map[int64][]int32 // sealed generations, newest first
+	layers []layer // sealed generations, newest first
 	base   map[int64][]int32
+
+	// copied counts the map entries seal has copied into fresh maps —
+	// tier merges plus folds — over the map's lifetime: the work a
+	// publish does beyond its own delta.
+	copied int
+}
+
+// foldFraction bounds the sealed layers at 1/foldFraction of base
+// before they fold into it. A fold copies all of base, so it must wait
+// for a write volume proportional to base to keep publishes O(delta)
+// amortized; eight keeps the layers (and a lookup's misses in them)
+// small beside base while a fold costs at most nine copies per entry
+// written since the last one.
+const foldFraction = 8
+
+// layer is one sealed generation of a postMap: its entries and the
+// least and greatest of their keys.
+type layer struct {
+	m      map[int64][]int32
+	lo, hi int64
 }
 
 // find returns the current posting list for k (nil when absent or
@@ -42,8 +78,12 @@ func (p *postMap) find(k int64) []int32 {
 
 // findSealed is find restricted to the sealed layers and base.
 func (p *postMap) findSealed(k int64) []int32 {
-	for _, m := range p.layers {
-		if l, ok := m[k]; ok {
+	for i := range p.layers {
+		ly := &p.layers[i]
+		if k < ly.lo || k > ly.hi {
+			continue
+		}
+		if l, ok := ly.m[k]; ok {
 			return l
 		}
 	}
@@ -102,42 +142,56 @@ func (p *postMap) remove(k int64, id int32) {
 
 // seal closes the dirty generation and returns an immutable copy for
 // the snapshot being published. The receiver keeps writing into a
-// fresh dirty map; the returned value's maps are never mutated again.
+// fresh dirty map; the returned value's maps and layers slice are
+// never mutated again.
 func (p *postMap) seal() postMap {
 	if len(p.dirty) > 0 {
 		if p.base == nil && len(p.layers) == 0 {
 			// First publish after a bulk build: adopt dirty wholesale.
 			p.base = p.dirty
 		} else {
-			nl := make([]map[int64][]int32, 0, len(p.layers)+1)
-			nl = append(nl, p.dirty)
-			nl = append(nl, p.layers...)
-			p.layers = nl
-			p.maybeFold()
+			p.push(newLayer(p.dirty))
 		}
 		p.dirty = nil
 	}
 	return postMap{layers: p.layers, base: p.base}
 }
 
-// maybeFold collapses the sealed layers into a fresh base map once
-// they are deep or carry as many entries as base itself. The old base
-// and layer maps are left untouched for snapshots that still hold
-// them.
-func (p *postMap) maybeFold() {
-	entries := 0
-	for _, m := range p.layers {
-		entries += len(m)
+// newLayer seals m as a layer, recording its key bounds.
+func newLayer(m map[int64][]int32) layer {
+	ly := layer{m: m, lo: math.MaxInt64, hi: math.MinInt64}
+	for k := range m {
+		ly.lo, ly.hi = min(ly.lo, k), max(ly.hi, k)
 	}
-	if len(p.layers) <= 3 && entries < len(p.base) {
+	return ly
+}
+
+// push makes ly the newest sealed layer, merging size tiers and folding
+// into base as the type comment describes. It builds a fresh layers
+// slice, and merges and folds into fresh maps, so the slices and maps
+// earlier sealed copies hold are left untouched.
+func (p *postMap) push(ly layer) {
+	ls := make([]layer, 0, len(p.layers)+1)
+	ls = append(ls, ly)
+	ls = append(ls, p.layers...)
+	for len(ls) > 1 && 2*len(ls[0].m) >= len(ls[1].m) {
+		ls[1] = p.merge(ls[1], ls[0])
+		ls = ls[1:]
+	}
+	entries := 0
+	for _, l := range ls {
+		entries += len(l.m)
+	}
+	if foldFraction*entries < len(p.base) {
+		p.layers = ls
 		return
 	}
 	nb := make(map[int64][]int32, len(p.base)+entries)
 	for k, v := range p.base {
 		nb[k] = v
 	}
-	for i := len(p.layers) - 1; i >= 0; i-- { // oldest → newest
-		for k, v := range p.layers[i] {
+	for i := len(ls) - 1; i >= 0; i-- { // oldest → newest
+		for k, v := range ls[i].m {
 			if len(v) == 0 {
 				delete(nb, k)
 			} else {
@@ -145,5 +199,20 @@ func (p *postMap) maybeFold() {
 			}
 		}
 	}
+	p.copied += len(p.base) + entries
 	p.base, p.layers = nb, nil
+}
+
+// merge returns a fresh layer holding older overlaid by newer,
+// deletion markers included.
+func (p *postMap) merge(older, newer layer) layer {
+	m := make(map[int64][]int32, len(older.m)+len(newer.m))
+	for k, v := range older.m {
+		m[k] = v
+	}
+	for k, v := range newer.m {
+		m[k] = v
+	}
+	p.copied += len(older.m) + len(newer.m)
+	return layer{m: m, lo: min(older.lo, newer.lo), hi: max(older.hi, newer.hi)}
 }

@@ -2,9 +2,11 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"db2rdf/internal/gen"
 	"db2rdf/internal/rdf"
 )
 
@@ -15,8 +17,11 @@ import (
 // triple), LoadTriples (the same sequential insert, one publish) and
 // LoadTriplesParallel (the bulk loader). On the two loaders the 16k
 // figure staying near the 1k one shows the membership test does not
-// walk the list; Insert's figure also carries a publish per triple,
-// whose cost grows with the number of indexed keys.
+// walk the list. Insert's figure also carries a publish per triple:
+// sealing the indexes costs the write's delta (size-tiered, see
+// rel/cowmap.go), but the first append to the RS list's posting list
+// in each generation still clones it, so Insert's 16k figure grows
+// with the list.
 func BenchmarkInsertLongList(b *testing.B) {
 	typ := rdf.NewIRI(rdf.RDFType)
 	class := rdf.NewIRI("http://bench/Class")
@@ -58,4 +63,73 @@ func BenchmarkInsertLongList(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkUpdateBatch replays the repository benchmark's write mix on
+// a loaded LUBM store: an update inserts one batch of 20 fresh triples
+// (4 subjects of 5 properties) and publishes, and every third update
+// instead deletes the oldest live batch and publishes. It reports the
+// p50, p90 and p99 latency of one update at LUBM(25) and LUBM(100);
+// p90 staying close across the 4x scale shows a publish costs its
+// delta, not the store. Use a fixed count for stable tails:
+//
+//	go test -run '^$' -bench BenchmarkUpdateBatch -benchtime 600x ./internal/store/
+func BenchmarkUpdateBatch(b *testing.B) {
+	for _, u := range []int{25, 100} {
+		ds := gen.LUBM(u)
+		b.Run(fmt.Sprintf("lubm=%d", u), func(b *testing.B) {
+			s, err := New(Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.LoadTriplesParallel(ds.Triples, 0); err != nil {
+				b.Fatal(err)
+			}
+			lat := make([]time.Duration, 0, b.N)
+			var live [][]rdf.Triple
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%3 == 2 && len(live) > 0 {
+					start := time.Now()
+					if _, err := s.DeleteTriples(live[0]); err != nil {
+						b.Fatal(err)
+					}
+					lat = append(lat, time.Since(start))
+					live = live[1:]
+					continue
+				}
+				batch := updateBatch(i)
+				start := time.Now()
+				if err := s.LoadTriples(batch); err != nil {
+					b.Fatal(err)
+				}
+				lat = append(lat, time.Since(start))
+				live = append(live, batch)
+			}
+			b.StopTimer()
+			slices.Sort(lat)
+			for _, q := range []struct {
+				name string
+				at   float64
+			}{{"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}} {
+				b.ReportMetric(float64(lat[int(q.at*float64(len(lat)-1))].Microseconds()), q.name+"_us")
+			}
+		})
+	}
+}
+
+// updateBatch is batch i of BenchmarkUpdateBatch: 4 fresh subjects,
+// each with a batch tag shared by the four and 4 literal properties.
+func updateBatch(i int) []rdf.Triple {
+	const ns = "http://bench/w/"
+	id := fmt.Sprintf("b%d", i)
+	ts := make([]rdf.Triple, 0, 20)
+	for s := 0; s < 4; s++ {
+		subj := rdf.NewIRI(fmt.Sprintf("%s%s/s%d", ns, id, s))
+		ts = append(ts, rdf.NewTriple(subj, rdf.NewIRI(ns+"batch"), rdf.NewLiteral(id)))
+		for p := 0; p < 4; p++ {
+			ts = append(ts, rdf.NewTriple(subj, rdf.NewIRI(fmt.Sprintf("%sp%d", ns, p)), rdf.NewLiteral(fmt.Sprintf("v%d of %s", p, id))))
+		}
+	}
+	return ts
 }

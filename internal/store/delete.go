@@ -16,18 +16,11 @@ import (
 // elm indexes. A list left with one member collapses back to a direct
 // value read from its last lid posting; a row left with no predicates
 // is tombstoned (rel.Table.DeleteRow), which also unindexes it, so the
-// entity's rows are again exactly its entry postings.
-//
-// Conservative state: spillPreds and multiPreds are NOT shrunk on
-// delete. They only feed translator merge decisions and DS/RS join
-// insertion, where a stale-true answer costs an unnecessary LEFT OUTER
-// JOIN (COALESCE falls back to the direct value) or a skipped merge —
-// never a wrong result. Dictionary entries are likewise retained; ids
-// stay decodable so cached plans that embed them remain valid. The
-// staleness is bounded: a publish that compacts chunks derives the
-// markers exactly (deriveLocked, triggered from installLocked), as
-// recovery does. The entity and triple counts, and with them the spill
-// count, are exact after every delete.
+// entity's rows are again exactly its entry postings. Every removed
+// cell and collapsed list decrements the side's marker counts, so the
+// spill/multi markers, like the entity and triple counts, are exact
+// after every delete. Dictionary entries are retained: ids stay
+// decodable, so cached plans that embed them remain valid.
 
 // Delete removes one triple, reporting whether it was present. The
 // epoch advances only when a triple was actually removed.
@@ -113,7 +106,6 @@ func (s *Store) ClearLocked() int {
 	s.direct.resetState()
 	s.reverse.resetState()
 	s.triples = 0
-	s.markerDeletes = 0 // resetState made every marker exact again
 	if n > 0 {
 		// One clear op supersedes any deltas captured earlier in this
 		// locked section; keeping them preserves replay order anyway.
@@ -146,7 +138,6 @@ func (s *Store) deleteLocked(t rdf.Triple) (bool, error) {
 		return true, err
 	}
 	s.triples--
-	s.markerDeletes++
 	s.logDelta(wal.OpDelete, sid, pid, oid)
 	return true, nil
 }
@@ -178,7 +169,8 @@ func (d *side) remove(entity, pid, member int64, predURI string) (bool, error) {
 				case 0:
 					// Defensive: lists always hold ≥2 members, but an
 					// emptied list must still clear the cell.
-					return true, d.clearCell(entity, ri, pc, vc)
+					d.count(&d.multiPreds, d.multiCells, pid, -1)
+					return true, d.clearCell(entity, pid, ri, pc, vc)
 				case 1:
 					// Collapse the one-element list to a direct value,
 					// mirroring the single→list conversion on insert.
@@ -187,12 +179,15 @@ func (d *side) remove(entity, pid, member int64, predURI string) (bool, error) {
 					if err := d.secondary.DeleteRow(last); err != nil {
 						return true, err
 					}
-					return true, d.primary.SetCell(ri, vc, kept)
+					if err := d.primary.SetCell(ri, vc, kept); err != nil {
+						return true, err
+					}
+					d.count(&d.multiPreds, d.multiCells, pid, -1)
 				}
 				return true, nil
 			}
 			if cur.K == rel.KindInt && cur.I == member {
-				return true, d.clearCell(entity, ri, pc, vc)
+				return true, d.clearCell(entity, pid, ri, pc, vc)
 			}
 			return false, nil // predicate present with a different value
 		}
@@ -200,15 +195,20 @@ func (d *side) remove(entity, pid, member int64, predURI string) (bool, error) {
 	return false, nil
 }
 
-// clearCell nulls the (pred, val) cell pair at row ri; a row left with
+// clearCell nulls the (pid, val) cell pair at row ri; a row left with
 // no predicates at all is deleted, and an entity left with no rows
-// leaves the entity count.
-func (d *side) clearCell(entity int64, ri, pc, vc int) error {
+// leaves the entity count. A cell of a spilled entity leaves pid's
+// spill count: every row of such an entity carries spill = 1.
+func (d *side) clearCell(entity, pid int64, ri, pc, vc int) error {
+	spilled := d.primary.CellAt(ri, 1) == rel.Int(1)
 	if err := d.primary.SetCell(ri, pc, rel.Null); err != nil {
 		return err
 	}
 	if err := d.primary.SetCell(ri, vc, rel.Null); err != nil {
 		return err
+	}
+	if spilled {
+		d.count(&d.spillPreds, d.spillCells, pid, -1)
 	}
 	for c := 0; c < d.k; c++ {
 		if !d.primary.CellAt(ri, 2+2*c).IsNull() {
@@ -232,5 +232,7 @@ func (d *side) resetState() {
 	d.spillPreds = make(map[int64]bool)
 	d.multiPreds = make(map[int64]bool)
 	d.predShared = false
+	d.spillCells = make(map[int64]int)
+	d.multiCells = make(map[int64]int)
 	d.predMu.Unlock()
 }

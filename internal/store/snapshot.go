@@ -28,18 +28,18 @@ import (
 // WHERE clause sees the request's earlier operations.
 //
 // The captured spill/multi maps are shared with the writer until it
-// next adds a marker; the predShared flag makes that addition clone
-// first (copy-on-write under predMu), so a captured map is never
-// written again, and a write that adds no marker hands the next
+// next adds or clears a marker; the predShared flag makes that change
+// clone first (copy-on-write under predMu), so a captured map is never
+// written again, and a write that moves no marker hands the next
 // snapshot the same maps.
 //
 // The plan epoch versions what the SQL translator reads from a
 // snapshot: the four marker sets. It moves only when one of them
-// differs by content from the previous snapshot's — a marker set by a
-// write, a marker cleared by deriveLocked after compaction, Clear, or
-// recovery. The predicate→column mapping and the column budget are
-// fixed when the store is created, so they never move it; nor do the
-// statistics, which steer plan quality only.
+// differs by content from the previous snapshot's — a marker a write
+// sets or a delete clears (each is exact: see side.countLocked),
+// Clear, or recovery. The predicate→column mapping and the column
+// budget are fixed when the store is created, so they never move it;
+// nor do the statistics, which steer plan quality only.
 //
 // Memory reclamation is garbage collection: when the last query using
 // an old snapshot returns, the snapshot — and every chunk version
@@ -135,17 +135,7 @@ func (s *Store) publishLocked() error {
 // Recovery calls it directly (the recovered epoch is re-published, not
 // advanced).
 func (s *Store) installLocked(epoch uint64) {
-	preCompactions := s.Compactions()
-	db := s.DB.Publish()
-	if s.markerDeletes > 0 && s.Compactions() > preCompactions {
-		// This publish compacted chunks after delete churn: derive the
-		// conservatively-stale spill/multi markers exactly, so the
-		// snapshot (and every plan compiled at its plan epoch) sees the
-		// same translator inputs a restarted store would. The live
-		// tables keep every invariant derive checks, so it cannot fail.
-		_ = s.deriveLocked()
-	}
-	sn := s.view(db, epoch, false)
+	sn := s.view(s.DB.Publish(), epoch, false)
 	sn.planEpoch = 1
 	if prev := s.snap.Load(); prev != nil {
 		sn.planEpoch = prev.planEpoch

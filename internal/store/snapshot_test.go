@@ -15,18 +15,13 @@ import (
 // disappear, and after each batch compares, under the write lock, the
 // live snapshot with the one the publish installs right after: one view
 // of one state, read over the live tables and over the frozen ones.
-// Both sides are compared on markers, counts, bytes and statistics.
-//
-// A publish that compacts chunks after deletes derives the markers
-// exactly (installLocked), while the live state kept them
-// conservatively stale; there the published markers must be a subset of
-// the live snapshot's, and equal to those of a live snapshot taken after
-// the publish.
+// Both sides are compared on markers, counts, bytes and statistics,
+// also on the publishes that compact chunks after deletes.
 func TestLiveSnapshotMatchesPublished(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	const nEnt, nPred = 8, 6
 	term := func(kind string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex/%s%d", kind, i)) }
-	derived := 0
+	compacted := 0
 	for trial := 0; trial < 3; trial++ {
 		s := newTestStore(t, Options{K: 2})
 		present := map[rdf.Triple]bool{}
@@ -54,40 +49,22 @@ func TestLiveSnapshotMatchesPublished(t *testing.T) {
 				}
 			}
 			live := s.LiveSnapshot()
-			stale := s.markerDeletes > 0
 			before := s.Compactions()
 			if err := s.PublishLocked(); err != nil {
 				t.Fatal(err)
 			}
 			pub := s.Snapshot()
-			if stale && s.Compactions() > before {
-				derived++
-				for _, reverse := range []bool{false, true} {
-					lv, pv := live.side(reverse), pub.side(reverse)
-					if !subset(pv.spill, lv.spill) || !subset(pv.multi, lv.multi) {
-						t.Fatalf("trial %d batch %d (reverse=%v): derived markers are not a subset of the live ones", trial, batch, reverse)
-					}
-				}
-				live = s.LiveSnapshot()
+			if s.Compactions() > before {
+				compacted++
 			}
 			where := fmt.Sprintf("trial %d batch %d", trial, batch)
 			compareSnapshots(t, where, live, pub, nEnt, nPred, term)
 			s.Unlock()
 		}
 	}
-	if derived == 0 {
-		t.Fatal("no publish derived the markers: the history never compacted after deletes")
+	if compacted == 0 {
+		t.Fatal("no publish compacted chunks: the history never crossed the dead-row threshold")
 	}
-}
-
-// subset reports whether every key of a is in b.
-func subset(a, b map[int64]bool) bool {
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // compareSnapshots fails unless two snapshots agree on every reader

@@ -96,15 +96,6 @@ type Store struct {
 	// see snapshot.go.
 	snap atomic.Pointer[Snapshot]
 
-	// markerDeletes counts triple removals since the spill/multi
-	// predicate markers were last derived exactly. Deletes leave the
-	// markers conservatively stale (see delete.go); the next publish
-	// that also compacts chunks derives them from the surviving rows
-	// (deriveLocked, the function recovery uses), so a long-running
-	// server converges to the same translator inputs a restarted store
-	// would compute. Guarded by the store write lock.
-	markerDeletes int
-
 	// dur is the durability runtime (nil when persistence is off). It
 	// is installed after recovery completes, so replay's inserts and
 	// deletes never re-capture deltas; see persist.go.
@@ -115,8 +106,8 @@ type Store struct {
 // RPH/RS). Everything about an entity — its rows, whether it spilled,
 // the members of its lists — is read from the tables through the
 // DPH/RPH entry index and the DS/RS lid and elm indexes. Only the
-// predicate-keyed markers, which any bulk worker may touch, and the
-// entity count are kept beside them.
+// predicate-keyed markers and their counts, which any bulk worker may
+// touch, and the entity count are kept beside them.
 type side struct {
 	primary   *rel.Table
 	secondary *rel.Table
@@ -133,6 +124,15 @@ type side struct {
 	spillPreds map[int64]bool // predicate ids involved in spills
 	multiPreds map[int64]bool // predicate ids that own at least one lid
 	predShared bool           // maps captured by a snapshot: clone before mutating
+
+	// spillCells and multiCells count, per predicate, the live cells
+	// behind each marker: cells of a spilled entity, and cells whose
+	// value is a lid. A predicate is in spillPreds (multiPreds) exactly
+	// while its count is positive, so the markers stay exact across
+	// deletes without rescanning the tables. Writer-private: no
+	// snapshot captures them.
+	spillCells map[int64]int
+	multiCells map[int64]int
 }
 
 // mutablePredsLocked makes the predicate maps private to the writer
@@ -226,7 +226,8 @@ func newSide(db *rel.DB, primary, secondary string, m coloring.Mapping, k int) (
 	for i := 0; i < k; i++ {
 		schema = append(schema, rel.Column{Name: fmt.Sprintf("pred%d", i)}, rel.Column{Name: fmt.Sprintf("val%d", i)})
 	}
-	d := &side{mapping: m, k: k, spillPreds: make(map[int64]bool), multiPreds: make(map[int64]bool)}
+	d := &side{mapping: m, k: k}
+	d.resetState()
 	var err error
 	if d.primary, err = db.CreateTable(primary, schema); err != nil {
 		return nil, err
@@ -344,7 +345,6 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 					return false, false, nil // duplicate triple
 				}
 				// Convert single value to a list.
-				d.setMultiPred(pid)
 				lid := s.Dict.NextLid()
 				if err := d.secondary.Insert(rel.Row{rel.Int(lid), cur}); err != nil {
 					return false, false, err
@@ -352,7 +352,11 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 				if err := d.secondary.Insert(rel.Row{rel.Int(lid), rel.Int(member)}); err != nil {
 					return false, false, err
 				}
-				return true, false, d.primary.SetCell(ri, vc, rel.Int(lid))
+				if err := d.primary.SetCell(ri, vc, rel.Int(lid)); err != nil {
+					return false, false, err
+				}
+				d.count(&d.multiPreds, d.multiCells, pid, 1)
+				return true, false, nil
 			}
 		}
 	}
@@ -370,7 +374,7 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 					return false, false, err
 				}
 				if d.spilled(rows) {
-					d.setSpillPred(pid)
+					d.count(&d.spillPreds, d.spillCells, pid, 1)
 				}
 				return true, false, nil
 			}
@@ -383,14 +387,14 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 		spillFlag = 1
 		first := !d.spilled(rows)
 		d.predMu.Lock()
-		d.markLocked(&d.spillPreds, pid)
+		d.countLocked(&d.spillPreds, d.spillCells, pid, 1)
 		if first {
 			// Every predicate already stored for this entity is now
 			// involved in spills: a merged star lookup could miss it.
 			for _, r := range rows {
 				for c := 0; c < d.k; c++ {
 					if pv := d.primary.CellAt(int(r), 2+2*c); pv.K == rel.KindInt {
-						d.markLocked(&d.spillPreds, pv.I)
+						d.countLocked(&d.spillPreds, d.spillCells, pv.I, 1)
 					}
 				}
 			}
@@ -417,42 +421,46 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 	return true, len(rows) == 0, nil
 }
 
-// setMultiPred marks a predicate as multi-valued (lock-protected: any
-// loader worker may reach this for any predicate).
-func (d *side) setMultiPred(pid int64) {
+// count is countLocked under predMu (any loader worker may reach it
+// for any predicate).
+func (d *side) count(set *map[int64]bool, cells map[int64]int, pid int64, delta int) {
 	d.predMu.Lock()
-	d.markLocked(&d.multiPreds, pid)
+	d.countLocked(set, cells, pid, delta)
 	d.predMu.Unlock()
 }
 
-// setSpillPred marks a predicate as spill-involved.
-func (d *side) setSpillPred(pid int64) {
-	d.predMu.Lock()
-	d.markLocked(&d.spillPreds, pid)
-	d.predMu.Unlock()
-}
-
-// markLocked adds pid to one of the side's marker sets (&d.spillPreds
-// or &d.multiPreds). A marker already present changes nothing, so the
-// snapshot-captured maps are cloned only for a new one; the next
-// snapshot then shares them and keeps its plan epoch. The caller holds
-// predMu.
-func (d *side) markLocked(set *map[int64]bool, pid int64) {
-	if (*set)[pid] {
+// countLocked adds delta to pid's count in cells, one of the side's
+// per-predicate cell counts, and keeps the matching marker set
+// (&d.spillPreds or &d.multiPreds) exact: pid enters it when its count
+// leaves zero and leaves it when the count returns to zero. Only those
+// crossings touch the set, cloning it first if a snapshot captured it,
+// so a write that moves no marker hands the next snapshot the same maps
+// and keeps its plan epoch. The caller holds predMu.
+func (d *side) countLocked(set *map[int64]bool, cells map[int64]int, pid int64, delta int) {
+	n := cells[pid] + delta
+	if n != 0 {
+		cells[pid] = n
+	} else {
+		delete(cells, pid)
+	}
+	if (n > 0) == (*set)[pid] {
 		return
 	}
 	d.mutablePredsLocked()
-	(*set)[pid] = true
+	if n > 0 {
+		(*set)[pid] = true
+	} else {
+		delete(*set, pid)
+	}
 }
 
 // deriveLocked recomputes, from the tables alone, everything the store
-// keeps beside them: each side's spill/multi predicate markers (exact)
-// and entity count, and the triple count. Recovery calls it after
-// decoding a snapshot; installLocked calls it when a publish compacted
-// chunks after deletes, which left the markers conservatively stale.
-// An error means the tables break an invariant every writer keeps, so
-// only a decoded snapshot can return one. The caller holds the store
-// write lock.
+// keeps beside them: each side's spill/multi predicate counts and
+// markers and its entity count, and the triple count. Only recovery
+// calls it, after decoding a snapshot; writers keep all of it exact as
+// they go. An error means the tables break an invariant every writer
+// keeps, so only a decoded snapshot can return one. The caller holds
+// the store write lock.
 func (s *Store) deriveLocked() error {
 	triples, err := s.direct.derive()
 	if err != nil {
@@ -462,20 +470,41 @@ func (s *Store) deriveLocked() error {
 		return err
 	}
 	s.triples = triples
-	s.markerDeletes = 0
 	return nil
 }
 
-// derive rebuilds one side's markers and entity count and returns the
-// number of triples the side stores. It visits each entity once, at its
-// first entry posting, and rejects content no writer produces: a
-// predicate without a value, and a lid with no members or with a
-// member-less row.
+// derive rebuilds one side's marker counts, markers and entity count
+// from its tables (census) and returns the number of triples the side
+// stores.
 func (d *side) derive() (int64, error) {
-	spill := make(map[int64]bool)
-	multi := make(map[int64]bool)
-	entities := 0
-	var triples int64
+	c, err := d.census()
+	if err != nil {
+		return 0, err
+	}
+	d.predMu.Lock()
+	// Fresh maps replace the (possibly snapshot-shared) old ones, so a
+	// published snapshot's captured copies are never written.
+	d.spillPreds, d.multiPreds, d.predShared = keys(c.spillCells), keys(c.multiCells), false
+	d.spillCells, d.multiCells = c.spillCells, c.multiCells
+	d.predMu.Unlock()
+	d.entities = c.entities
+	return c.triples, nil
+}
+
+// sideCensus is what one side's tables say about everything the side
+// keeps beside them.
+type sideCensus struct {
+	spillCells, multiCells map[int64]int // as side's fields
+	entities               int
+	triples                int64
+}
+
+// census counts one side's tables without changing the side. It visits
+// each entity once, at its first entry posting, and rejects content no
+// writer produces: a predicate without a value, and a lid with no
+// members or with a member-less row.
+func (d *side) census() (sideCensus, error) {
+	c := sideCensus{spillCells: make(map[int64]int), multiCells: make(map[int64]int)}
 	for i, n := 0, d.primary.Len(); i < n; i++ {
 		ev := d.primary.CellAt(i, 0)
 		if ev.K != rel.KindInt {
@@ -485,46 +514,49 @@ func (d *side) derive() (int64, error) {
 		if len(rows) == 0 || int(rows[0]) != i {
 			continue // dead row, or not the entity's first
 		}
-		entities++
+		c.entities++
 		spilled := d.spilled(rows)
 		for _, r := range rows {
-			for c := 0; c < d.k; c++ {
-				pv := d.primary.CellAt(int(r), 2+2*c)
+			for col := 0; col < d.k; col++ {
+				pv := d.primary.CellAt(int(r), 2+2*col)
 				if pv.K != rel.KindInt {
 					continue
 				}
 				if spilled {
-					spill[pv.I] = true
+					c.spillCells[pv.I]++
 				}
-				vv := d.primary.CellAt(int(r), 2+2*c+1)
+				vv := d.primary.CellAt(int(r), 2+2*col+1)
 				switch {
 				case vv.K != rel.KindInt:
-					return 0, fmt.Errorf("store: %s row %d has predicate without value", d.primary.Name, r)
+					return c, fmt.Errorf("store: %s row %d has predicate without value", d.primary.Name, r)
 				case dict.IsLid(vv.I):
 					members, _ := d.secondary.IndexLookup("lid", vv.I)
 					if len(members) == 0 {
-						return 0, fmt.Errorf("store: %s row %d references empty lid %d", d.primary.Name, r, vv.I)
+						return c, fmt.Errorf("store: %s row %d references empty lid %d", d.primary.Name, r, vv.I)
 					}
 					for _, m := range members {
 						if d.secondary.CellAt(int(m), 1).K != rel.KindInt {
-							return 0, fmt.Errorf("store: %s row %d has lid without member", d.secondary.Name, m)
+							return c, fmt.Errorf("store: %s row %d has lid without member", d.secondary.Name, m)
 						}
 					}
-					multi[pv.I] = true
-					triples += int64(len(members))
+					c.multiCells[pv.I]++
+					c.triples += int64(len(members))
 				default:
-					triples++
+					c.triples++
 				}
 			}
 		}
 	}
-	d.predMu.Lock()
-	// Fresh maps replace the (possibly snapshot-shared) old ones, so a
-	// published snapshot's captured copies are never written.
-	d.spillPreds, d.multiPreds, d.predShared = spill, multi, false
-	d.predMu.Unlock()
-	d.entities = entities
-	return triples, nil
+	return c, nil
+}
+
+// keys returns the set of keys of a per-predicate count.
+func keys(cells map[int64]int) map[int64]bool {
+	set := make(map[int64]bool, len(cells))
+	for pid := range cells {
+		set[pid] = true
+	}
+	return set
 }
 
 // Load reads N-Triples from r and inserts every triple. The store

@@ -1,11 +1,11 @@
 package db2rdf_test
 
-// Regression tests for the delete-staleness of the spill/multi
-// predicate markers: the live store keeps spillPreds/multiPreds
-// conservatively stale across deletes, but a publish that compacts
-// chunks must derive them exactly, so a long-running server converges
-// to the same translator inputs (and therefore the same EXPLAIN plans
-// and SQL) as a store restarted from its durable snapshot.
+// Regression tests for the spill/multi predicate markers across
+// deletes: the writer keeps spillPreds/multiPreds exact by counting the
+// cells behind each marker (no publish rescans the tables), so a
+// long-running server has the same translator inputs (and therefore the
+// same EXPLAIN plans and SQL) as a store restarted from its durable
+// snapshot, whose markers recovery derives from the tables.
 
 import (
 	"fmt"
