@@ -42,9 +42,11 @@ func TestWarmQueryAllocs(t *testing.T) {
 		maxAllocs float64
 		maxBytes  uint64
 	}{
-		{"LQ1", 197, 31 << 10},         // measured 179 allocs, 27.3 KB (486 and 56.6 KB at 66-wide rows)
-		{"LQ8", 610, 255 << 10},        // measured 555 allocs, 231 KB (1252 and 498 KB)
-		{"SQ9 shape", 600, 1050 << 10}, // measured 543 allocs, 932 KB (2521 and 1050 KB with one union arm per pair)
+		// Measured with 8-byte id cells; in parentheses with 40-byte
+		// Value cells, then earlier shapes.
+		{"LQ1", 197, 14 << 10},        // 182 allocs, 12.6 KB (183 and 27.9 KB; 486 and 56.6 KB at 66-wide rows)
+		{"LQ8", 610, 124 << 10},       // 560 allocs, 112 KB (561 and 238 KB; 1252 and 498 KB)
+		{"SQ9 shape", 587, 425 << 10}, // 534 allocs, 386 KB (536 and 944 KB; 2521 and 1050 KB with one union arm per pair)
 	} {
 		q := sq9Shape
 		for _, cand := range ds.Queries {

@@ -39,6 +39,12 @@ go test -race -count=3 \
     ./internal/rel/
 go test -race -count=3 -run 'TestTranslatedSQLRoundTrip' .
 go test -race -count=3 ./internal/baselines/
+echo "== pointer-free rows (8-byte id cells, NULL sentinel, join kernels and id keys, FILTER forms, warm-path allocations) =="
+go test -race -count=3 \
+    -run 'TestRowCellsHoldNoPointers|TestJoinKernelsAgree|TestJoinLargeIdsExact|TestFloatIndexRegression|TestParallelKernelEquivalence|TestNarrowReadEquivalence|TestLateral' \
+    ./internal/rel/
+go test -race -count=3 \
+    -run 'TestFilterNumericLiteralForms|TestFilterSpecForms|TestTranslatedSQLRoundTrip|TestWarmQueryAllocs|TestNaNIsUnordered|TestStorageEquivalence' .
 echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="
 go test -race -count=1 \
     -run 'TestSyntaxErrorIsTyped|TestDescribe|TestInference|TestAnalyze|TestExplainArtifacts|TestPathExplain' .
@@ -59,7 +65,7 @@ go test -race -count=1 \
     ./internal/rel/ .
 echo "== one cell type (int-only storage, snapshot bytes unchanged) =="
 go test -race -count=1 \
-    -run 'TestColumnarRoundTrip|TestVectorizedScanEquivalence|TestSnapshot|TestTableRejectsNonIntCells|TestFloatIndexRegression' \
+    -run 'TestColumnarRoundTrip|TestVectorizedScanEquivalence|TestSnapshot|TestFloatIndexRegression' \
     ./internal/rel/
 echo "== observability: plan-cache accounting, metrics, analyze harness =="
 go test -race -count=1 \

@@ -608,7 +608,7 @@ func (s *Store) executeCompiledStats(ctx context.Context, snap *store.Snapshot, 
 			return out, nil, nil
 		}
 		out.Vars = cp.parsed.ProjectedVars()
-		out.rows = []rel.Row{make(rel.Row, len(out.Vars))}
+		out.rows = []rel.Row{rel.NullRow(len(out.Vars))}
 		return out, nil, nil
 	}
 	db, err := s.closureDB(ctx, snap, cp)

@@ -95,7 +95,7 @@ func (s *TripleStore) Insert(t rdf.Triple) error {
 	}
 	s.seen[key] = true
 	s.stats.record(sid, oid)
-	return s.table.Insert(rel.Row{rel.Int(sid), rel.Int(pid), rel.Int(oid)})
+	return s.table.Insert(rel.Row{rel.ID(sid), rel.ID(pid), rel.ID(oid)})
 }
 
 // LoadTriples inserts a slice of triples.

@@ -79,7 +79,7 @@ func (s *VerticalStore) Insert(t rdf.Triple) error {
 		s.tableFor[pid] = name
 	}
 	s.stats.record(sid, oid)
-	return s.DB.Table(name).Insert(rel.Row{rel.Int(sid), rel.Int(oid)})
+	return s.DB.Table(name).Insert(rel.Row{rel.ID(sid), rel.ID(oid)})
 }
 
 // LoadTriples inserts a slice of triples.

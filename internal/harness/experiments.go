@@ -231,11 +231,11 @@ func ExpNulls(w io.Writer, sc Scales) error {
 			return err
 		}
 		for i := 0; i < rows; i++ {
-			row := make(rel.Row, 1+2*total)
-			row[0] = rel.Int(int64(i))
+			row := rel.NullRow(1 + 2*total)
+			row[0] = rel.ID(int64(i))
 			for c := 0; c < 5; c++ {
-				row[1+2*c] = rel.Int(int64(c + 1))
-				row[1+2*c+1] = rel.Int(int64(i*5 + c))
+				row[1+2*c] = rel.ID(int64(c + 1))
+				row[1+2*c+1] = rel.ID(int64(i*5 + c))
 			}
 			if err := t.Insert(row); err != nil {
 				return err

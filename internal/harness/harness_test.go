@@ -157,7 +157,7 @@ func TestTimeQueryReportsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(rel.Row{rel.Int(1)}); err != nil {
+	if err := tbl.Insert(rel.Row{rel.ID(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := timeQuery(db, "SELECT T.entry AS entry FROM DPH AS T WHERE T.entry = 1", 2); err != nil {

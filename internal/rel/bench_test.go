@@ -23,7 +23,7 @@ func benchDB(b *testing.B, rows int) *DB {
 		b.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
-		if err := t.Insert(Row{Int(int64(i)), Int(int64(i % 100)), Int(int64(i * 3))}); err != nil {
+		if err := t.Insert(Row{ID(int64(i)), ID(int64(i % 100)), ID(int64(i * 3))}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func BenchmarkScanFilter(b *testing.B) {
 				// every chunk's [min,max] covers every literal.
 				v = int64((i*2654435761 + 12345) % n)
 			}
-			rows[i] = Row{Int(v), Int(int64(i))}
+			rows[i] = Row{ID(v), ID(int64(i))}
 		}
 		for _, rw := range rows {
 			if err := t.Insert(rw); err != nil {
@@ -177,7 +177,7 @@ func BenchmarkScanFilterLarge(b *testing.B) {
 			if !clustered {
 				v = int64((i*2654435761 + 12345) % n)
 			}
-			rows[i] = Row{Int(v), Int(int64(i))}
+			rows[i] = Row{ID(v), ID(int64(i))}
 		}
 		for _, rw := range rows {
 			if err := t.Insert(rw); err != nil {
@@ -238,7 +238,7 @@ func BenchmarkInsertIndexed(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := t.Insert(Row{Int(int64(i)), Int(int64(i * 2))}); err != nil {
+		if err := t.Insert(Row{ID(int64(i)), ID(int64(i * 2))}); err != nil {
 			b.Fatal(err)
 		}
 	}

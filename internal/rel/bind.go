@@ -58,10 +58,10 @@ type boundConj struct {
 	aliases []string // distinct aliases referenced
 	// l and r are set for `colref = colref`, the join-link shape.
 	l, r *ColRef
-	// col and constant are set for `colref = <expr without column
-	// references>` (either way round), the index-lookup shape.
-	col      *ColRef
-	constant Expr
+	// col and id are set for `colref = <integer literal>` (either way
+	// round), the index-lookup shape.
+	col *ColRef
+	id  int64
 }
 
 // boundFrom is one table reference, CTE reference or lateral item.
@@ -96,10 +96,10 @@ type boundJoin struct {
 // the package comment) that an AST can still express: a column inside
 // a core that is not alias.column, a qualified ORDER BY key, an item
 // without AS name or that is not id-valued (idValued), a FROM item
-// without AS alias, a unary operator
-// other than NOT, a JOIN chain on a JOIN's right side, and a lateral
-// item that does not correlate to the base table right before it, has
-// something hanging off it or has a literal cell that is not an id.
+// without AS alias, a unary operator other than NOT, a JOIN chain on a
+// JOIN's right side, and a lateral item that does not correlate to the
+// base table right before it, has something hanging off it or has a
+// literal cell that is not an id.
 func Bind(q *Query) error {
 	if q.Body == nil {
 		return fmt.Errorf("sql: query has no SELECT")
@@ -165,7 +165,7 @@ func (b *binder) check(s *Select) error {
 				return err
 			}
 			if !idValued(item.Expr) {
-				return fmt.Errorf("sql: select item %s AS %s is not id-valued; an item is a column, NULL, an integer, or a CASE or COALESCE of those", exprString(item.Expr), item.Alias)
+				return fmt.Errorf("sql: select item %s AS %s is not id-valued; an item is a column, NULL, an integer but %d (NULL's id), or a CASE or COALESCE of those", exprString(item.Expr), item.Alias, nullID)
 			}
 		}
 		if err := b.checkExpr(core.Where, false); err != nil {
@@ -211,15 +211,16 @@ func (b *binder) checkExpr(e Expr, bare bool) error {
 }
 
 // idValued reports whether e yields only ids and NULLs: a column, NULL,
-// an integer literal, a CASE whose every THEN and ELSE is id-valued, or
-// a COALESCE of id-valued arguments. A CASE's conditions may be any
-// expression; they are consumed where they are evaluated.
+// an integer literal other than NULL's id (which would read back as
+// NULL), a CASE whose every THEN and ELSE is id-valued, or a COALESCE of
+// id-valued arguments. A CASE's conditions may be any expression; they
+// are consumed where they are evaluated.
 func idValued(e Expr) bool {
 	switch x := e.(type) {
 	case *ColRef:
 		return true
 	case *Lit:
-		return x.V.K == KindInt || x.V.IsNull()
+		return (x.V.K == KindInt && x.V.I != nullID) || x.V.IsNull()
 	case *CaseExpr:
 		for _, w := range x.Whens {
 			if !idValued(w.Result) {
@@ -279,7 +280,7 @@ func (b *binder) checkLateral(fi FromItem, before []FromItem) error {
 			switch c := cell.(type) {
 			case *Lit:
 				if !idValued(c) {
-					return latErr(fi, "AS %s has cell %s, which is not id-valued; a literal cell is an integer or NULL", fi.Alias, exprString(c))
+					return latErr(fi, "AS %s has cell %s, which is not id-valued; a literal cell is NULL or an integer but %d (NULL's id)", fi.Alias, exprString(c), nullID)
 				}
 			case *ColRef:
 				if c.Alias == "" {
@@ -431,10 +432,10 @@ func bindConjuncts(e Expr) []boundConj {
 			switch {
 			case lok && rok:
 				bc.l, bc.r = l, r
-			case lok && !hasColRef(b.R):
-				bc.col, bc.constant = l, b.R
-			case rok && !hasColRef(b.L):
-				bc.col, bc.constant = r, b.L
+			case lok && intLit(b.R):
+				bc.col, bc.id = l, b.R.(*Lit).V.I
+			case rok && intLit(b.L):
+				bc.col, bc.id = r, b.L.(*Lit).V.I
 			}
 		}
 		out[i] = bc
@@ -442,4 +443,7 @@ func bindConjuncts(e Expr) []boundConj {
 	return out
 }
 
-func hasColRef(e Expr) bool { return len(colRefs(e, nil)) > 0 }
+func intLit(e Expr) bool {
+	l, ok := e.(*Lit)
+	return ok && l.V.K == KindInt
+}

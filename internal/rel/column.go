@@ -8,7 +8,7 @@ import (
 // Columnar table storage (§2 of the paper motivates it): the DPH/RPH
 // relations are wide and sparse by design — k (pred_i, val_i) pairs
 // per row, most NULL for any given subject — so storing rows as
-// []Value burns 40 bytes per absent predicate. A colVec instead keeps
+// []Cell would burn 8 bytes per absent predicate. A colVec instead keeps
 // one int64 vector per column, split into fixed-size chunks of 1024
 // rows. Each chunk holds a presence bitmap (1 bit per row; a cleared
 // bit is NULL) and a densely packed slice of the present values, so a
@@ -23,11 +23,10 @@ import (
 // `col = const`, range and IS [NOT] NULL conjuncts before any per-row
 // work.
 //
-// Every stored cell is an int64 or NULL: the RDF schemas hold only
-// dictionary ids, lids and flags, and Table's write methods reject any
-// other kind at the boundary (table.go), so a chunk's packed slice is
-// the whole truth about its present cells and the zone map bounds all
-// of them.
+// Every stored cell is a Cell, an int64 id or NULL (a cleared bit): the
+// RDF schemas hold only dictionary ids, lids and flags. So a chunk's
+// packed slice is the whole truth about its present cells and the zone
+// map bounds all of them.
 //
 // Concurrency: colVec methods take no locks. The owning Table
 // serializes writers with its mutex; readers either hold the table
@@ -363,12 +362,11 @@ func (v *colVec) grow(i int) {
 	}
 }
 
-// appendVal writes val (an Int or NULL; Table checks) at row i,
-// which must be the next unwritten row (append order). Appending
-// within a chunk always lands past every set bit, so the packed insert
-// is a plain append. wgen is the owning table's writer generation (COW
-// discipline; see the header comment).
-func (v *colVec) appendVal(wgen uint64, i int, val Value) {
+// appendVal writes val at row i, which must be the next unwritten row
+// (append order). Appending within a chunk always lands past every set
+// bit, so the packed insert is a plain append. wgen is the owning
+// table's writer generation (COW discipline; see the header comment).
+func (v *colVec) appendVal(wgen uint64, i int, val Cell) {
 	v.grow(i + 1)
 	if val.IsNull() {
 		return
@@ -381,23 +379,22 @@ func (v *colVec) appendVal(wgen uint64, i int, val Value) {
 	ck.ints = append(ck.ints, val.I)
 }
 
-// get returns the value at row i (Null when absent). Lock-free; see
-// the concurrency note at the top of the file.
-func (v *colVec) get(i int) Value {
+// get returns the cell at row i (NullCell when absent). Lock-free;
+// see the concurrency note at the top of the file.
+func (v *colVec) get(i int) Cell {
 	ck := v.chunkOf(i >> chunkShift)
 	off := i & chunkMask
 	if ck == nil || !ck.has(off) {
-		return Null
+		return NullCell
 	}
-	return Int(ck.intAt(ck.rank(off)))
+	return Cell{I: ck.intAt(ck.rank(off))}
 }
 
-// set replaces the value at row i with val (an Int or NULL; Table
-// checks), handling NULL↔value transitions with a packed insert/delete
-// at the row's rank. The memmove is bounded by the chunk's packed size
-// (≤1024 values). wgen is the owning table's writer generation (COW
-// discipline).
-func (v *colVec) set(wgen uint64, i int, val Value) {
+// set replaces the cell at row i with val, handling NULL↔value
+// transitions with a packed insert/delete at the row's rank. The
+// memmove is bounded by the chunk's packed size (≤1024 values). wgen is
+// the owning table's writer generation (COW discipline).
+func (v *colVec) set(wgen uint64, i int, val Cell) {
 	v.grow(i + 1)
 	ci := i >> chunkShift
 	off := i & chunkMask
@@ -436,8 +433,7 @@ func (v *colVec) chunkOf(ci int) *colChunk {
 // gatherChunk materializes the full chunk ci into rows[*][colPos],
 // walking set bits in order with a running packed cursor — the dense
 // fast path used when a scan selects an entire chunk. Absent rows are
-// left untouched (the caller's rows start zeroed, and the Value zero
-// value is Null).
+// left untouched (the caller's rows start NULL).
 func (v *colVec) gatherChunk(ci int, rows []Row, colPos int) {
 	ck := v.chunkOf(ci)
 	if ck == nil {
@@ -449,7 +445,7 @@ func (v *colVec) gatherChunk(ci int, rows []Row, colPos int) {
 		for word != 0 {
 			off := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			rows[off][colPos] = Int(ck.intAt(k))
+			rows[off][colPos] = Cell{I: ck.intAt(k)}
 			k++
 		}
 	}

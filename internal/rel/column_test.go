@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -53,17 +52,17 @@ func (s chunkState) prepare(db *DB) *DB {
 // table: about a third are NULL; column 0 stays in a narrow range (it
 // bit-packs when sealed), column 1 spans the whole int64 range (sealing
 // keeps it raw), column 2 is mostly NULL.
-func randValue(r *rand.Rand, j int) Value {
+func randValue(r *rand.Rand, j int) Cell {
 	if r.Intn(10) < 3 || (j == 2 && r.Intn(4) > 0) {
-		return Null
+		return NullCell
 	}
 	switch j {
 	case 0:
-		return Int(int64(r.Intn(2000) - 1000))
+		return ID(int64(r.Intn(2000) - 1000))
 	case 1:
-		return Int(r.Int63() - r.Int63())
+		return ID(r.Int63() - r.Int63())
 	default:
-		return Int(int64(r.Intn(64)))
+		return ID(int64(r.Intn(64)))
 	}
 }
 
@@ -131,7 +130,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 	var model []Row
 	r := rand.New(rand.NewSource(42))
 	mkRow := func() Row {
-		out := make(Row, len(schema))
+		out := NullRow(len(schema))
 		for j := range schema {
 			out[j] = randValue(r, j)
 		}
@@ -188,13 +187,13 @@ func TestColumnarRoundTrip(t *testing.T) {
 // TestSetCellOutOfRange pins the error contract.
 func TestSetCellOutOfRange(t *testing.T) {
 	tbl := NewTable("t", Schema{{Name: "a"}})
-	if err := tbl.Insert(Row{Int(1)}); err != nil {
+	if err := tbl.Insert(Row{ID(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.SetCell(1, 0, Int(2)); err == nil {
+	if err := tbl.SetCell(1, 0, ID(2)); err == nil {
 		t.Fatal("row out of range must error")
 	}
-	if err := tbl.SetCell(0, 1, Int(2)); err == nil {
+	if err := tbl.SetCell(0, 1, ID(2)); err == nil {
 		t.Fatal("column out of range must error")
 	}
 }
@@ -211,50 +210,6 @@ func TestTableColumnIndexCached(t *testing.T) {
 	}
 }
 
-// TestTableRejectsNonIntCells: every stored cell is an int64 id or
-// NULL, and the write methods are the one place that is enforced. A
-// Float, String or Bool handed to AppendRow, Insert or SetCell is
-// refused with an error naming the table and column, and the table —
-// its length, the cell and the index — is exactly as before.
-func TestTableRejectsNonIntCells(t *testing.T) {
-	for _, st := range chunkStates {
-		db := NewDB()
-		tbl := mustTable(t, db, "ids", Schema{{Name: "k"}, {Name: "v"}}, []Row{{Int(1), Int(10)}, {Int(2), Null}})
-		if err := tbl.CreateIndex("v"); err != nil {
-			t.Fatal(err)
-		}
-		st.prepare(db)
-		unchanged := func(what string) {
-			t.Helper()
-			if tbl.Len() != 2 {
-				t.Fatalf("%v: %s: Len %d, want 2", st, what, tbl.Len())
-			}
-			if got := tbl.RowAt(0); !reflect.DeepEqual(got, Row{Int(1), Int(10)}) {
-				t.Fatalf("%v: %s: row 0 is %v", st, what, got)
-			}
-			if got := tbl.CellAt(1, 1); !got.IsNull() {
-				t.Fatalf("%v: %s: cell (1,1) is %v, want NULL", st, what, got)
-			}
-			if ids, _ := tbl.IndexLookup("v", 10); len(ids) != 1 {
-				t.Fatalf("%v: %s: index lookup 10 = %v, want 1 id", st, what, ids)
-			}
-		}
-		for _, bad := range []Value{Float(1.5), Str("x"), Bool(true)} {
-			mustName := func(op string, err error) {
-				t.Helper()
-				if err == nil || !strings.Contains(err.Error(), "table ids:") || !strings.Contains(err.Error(), "column v") {
-					t.Fatalf("%v: %s(%v): want an error naming table ids and column v, got %v", st, op, bad, err)
-				}
-				unchanged(op)
-			}
-			_, err := tbl.AppendRow(Row{Int(3), bad})
-			mustName("AppendRow", err)
-			mustName("Insert", tbl.Insert(Row{Int(3), bad}))
-			mustName("SetCell", tbl.SetCell(1, 1, bad))
-		}
-	}
-}
-
 // TestFloatIndexRegression: an index scan must find what a full scan
 // finds. An index lookup takes an id. In SQL, `col = <constant>` uses
 // the index only when the constant is an int; any other constant is
@@ -264,7 +219,7 @@ func TestTableRejectsNonIntCells(t *testing.T) {
 // over sealed ones.
 func TestFloatIndexRegression(t *testing.T) {
 	for _, st := range chunkStates {
-		rows := []Row{{Int(1)}, {Int(1)}, {Int(2)}, {Null}}
+		rows := []Row{{ID(1)}, {ID(1)}, {ID(2)}, {NullCell}}
 		db, plain := NewDB(), NewDB()
 		ti := mustTable(t, db, "n", Schema{{Name: "k"}}, rows)
 		mustTable(t, plain, "n", Schema{{Name: "k"}}, rows)
@@ -311,11 +266,11 @@ func zoneRows() []Row {
 	perm := r.Perm(8192)
 	rows := make([]Row, 8192)
 	for i := range rows {
-		nv := Value(Int(int64(i)))
+		nv := ID(int64(i))
 		if i%2 == 1 {
-			nv = Null
+			nv = NullCell
 		}
-		rows[i] = Row{Int(int64(i)), Int(int64(perm[i])), Int(int64(i % 7)), nv}
+		rows[i] = Row{ID(int64(i)), ID(int64(perm[i])), ID(int64(i % 7)), nv}
 	}
 	return rows
 }

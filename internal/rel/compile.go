@@ -43,7 +43,7 @@ func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
 		if i < 0 {
 			return errExpr(fmt.Errorf("sql: unknown column %s (have %v)", colRefString(x), rel.cols))
 		}
-		return func(r Row) (Value, error) { return r[i], nil }
+		return func(r Row) (Value, error) { return r[i].Value(), nil }
 	case *BinOp:
 		return db.compileBinOp(x, rel)
 	case *BoolOp:
@@ -229,8 +229,8 @@ func (db *DB) compileBinOp(x *BinOp, rel *relation) compiledExpr {
 }
 
 // compileIntEquality specializes `col = <intlit>` (either side) into a
-// direct comparison; nil when the shape does not match. A row's cells
-// are ids or NULL, so the column holds an id or NULL.
+// direct comparison of the column's cell; nil when the shape does not
+// match.
 func (db *DB) compileIntEquality(x *BinOp, rel *relation) compiledExpr {
 	if rel == nil {
 		return nil

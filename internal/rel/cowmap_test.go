@@ -180,7 +180,7 @@ func TestPublishCopiesIndependentOfTableSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < rows; i++ {
-			if err := tb.Insert(Row{Int(int64(i)), Int(int64(i))}); err != nil {
+			if err := tb.Insert(Row{ID(int64(i)), ID(int64(i))}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -191,11 +191,11 @@ func TestPublishCopiesIndependentOfTableSize(t *testing.T) {
 		fresh := int64(rows)
 		for i := 0; i < publishes; i++ {
 			for j := 0; j < 2; j++ {
-				if err := tb.Insert(Row{Int(fresh), Int(0)}); err != nil {
+				if err := tb.Insert(Row{ID(fresh), ID(0)}); err != nil {
 					t.Fatal(err)
 				}
 				fresh++
-				if err := tb.Insert(Row{Int(int64(r.Intn(rows))), Int(1)}); err != nil {
+				if err := tb.Insert(Row{ID(int64(r.Intn(rows))), ID(1)}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,13 @@ func TestBindRejectsOutsideDialect(t *testing.T) {
 		{"COALESCE over a CASE with a non-id result", "SELECT COALESCE(T.a, CASE WHEN T.b = 1 THEN 'y' END) AS x FROM t AS T", "AS x is not id-valued"},
 		{"string lateral cell", "SELECT L.p AS p FROM t AS T, TABLE(VALUES (T.p0, 'x')) AS L(p, v)", "AS L has cell 'x', which is not id-valued"},
 		{"float lateral cell", "SELECT L.p AS p FROM t AS T, TABLE(VALUES (T.p0, T.v0), (2.5, T.v1)) AS L(p, v)", "AS L has cell 2.5, which is not id-valued"},
+		{"NULL's id as an item", "SELECT -9223372036854775808 AS i FROM t AS T", "select item -9223372036854775808 AS i is not id-valued"},
+		{"NULL's id in a CASE item", "SELECT CASE WHEN T.a = 1 THEN -9223372036854775808 END AS i FROM t AS T",
+			"select item CASE WHEN T.a = 1 THEN -9223372036854775808 END AS i is not id-valued"},
+		{"NULL's id in a COALESCE item", "SELECT COALESCE(T.a, -9223372036854775808) AS i FROM t AS T",
+			"select item COALESCE(T.a, -9223372036854775808) AS i is not id-valued"},
+		{"NULL's id as a lateral cell", "SELECT L.p AS p FROM t AS T, TABLE(VALUES (T.p0, T.v0), (-9223372036854775808, T.v1)) AS L(p, v)",
+			"AS L has cell -9223372036854775808, which is not id-valued"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if q, err := ParseQuery(tc.sql); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -109,6 +117,11 @@ func TestBindRejectsOutsideDialect(t *testing.T) {
 		{"string Lit lateral cell", &Query{Body: &Select{Limit: -1, Cores: []*SelectCore{{Items: item(col("L", "p"), "p"),
 			From: []FromItem{base, {Lateral: &Lateral{Rows: [][]Expr{{col("T", "p0")}, {&Lit{V: Str("s")}}}, Cols: []string{"p"}}, Alias: "L"}}}}}},
 			"AS L has cell 's', which is not id-valued"},
+		{"NULL's id as a Lit item", &Query{Body: &Select{Limit: -1, Cores: []*SelectCore{{Items: item(&Lit{V: Int(math.MinInt64)}, "i"), From: []FromItem{base}}}}},
+			"select item -9223372036854775808 AS i is not id-valued"},
+		{"NULL's id as a Lit lateral cell", &Query{Body: &Select{Limit: -1, Cores: []*SelectCore{{Items: item(col("L", "p"), "p"),
+			From: []FromItem{base, {Lateral: &Lateral{Rows: [][]Expr{{col("T", "p0")}, {&Lit{V: Int(math.MinInt64)}}}, Cols: []string{"p"}}, Alias: "L"}}}}}},
+			"AS L has cell -9223372036854775808, which is not id-valued"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := Bind(tc.q); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -127,7 +140,7 @@ func TestBindRejectsOutsideDialect(t *testing.T) {
 	// A function is one a DB registers, or COALESCE: a call to any
 	// other name fails when it is evaluated.
 	db := NewDB()
-	mustTable(t, db, "t", Schema{{Name: "a"}}, []Row{{Int(-1)}})
+	mustTable(t, db, "t", Schema{{Name: "a"}}, []Row{{ID(-1)}})
 	for _, name := range []string{"abs", "length", "lower", "contains"} {
 		sql := "SELECT T.a AS a FROM t AS T WHERE " + name + "(T.a) = 1"
 		if _, err := query(db, sql); err == nil || !strings.Contains(err.Error(), `unknown function "`+name+`"`) {

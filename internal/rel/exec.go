@@ -180,6 +180,7 @@ func (ex *exec) applyOrderBy(rs *ResultSet, items []OrderItem) error {
 		keys []Value
 	}
 	ks := make([]keyed, len(rs.Rows))
+	slab := make([]Value, len(rs.Rows)*len(items))
 	keyOf := make([]compiledExpr, len(items))
 	for j, it := range items {
 		keyOf[j] = ex.db.compileExpr(it.Expr, rel)
@@ -192,7 +193,7 @@ func (ex *exec) applyOrderBy(rs *ResultSet, items []OrderItem) error {
 		if err := t.step(); err != nil {
 			return err
 		}
-		keys := make([]Value, len(items))
+		keys := slab[i*len(items) : (i+1)*len(items) : (i+1)*len(items)]
 		for j, key := range keyOf {
 			v, err := key(row)
 			if err != nil {
@@ -260,7 +261,7 @@ func dedupRows(rows []Row, g *govern) ([]Row, error) {
 		h := rowKeyHash(r)
 		dup := false
 		for _, j := range seen[h] {
-			if rowKeyEqual(out[j], r) {
+			if slices.Equal(out[j], r) {
 				dup = true
 				break
 			}
@@ -428,9 +429,9 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 		}
 	}
 	// Look for an index-usable equality: an indexed column equal to an
-	// int constant. A conjunct with any other constant stays with the
-	// rest, whose compiled predicate decides it as it would without an
-	// index.
+	// int literal (Bind records it). A conjunct with any other constant
+	// stays with the rest, whose compiled predicate decides it as it
+	// would without an index.
 	indexCol, indexID := "", int64(0)
 	indexConj := -1
 	for k, c := range mine {
@@ -440,11 +441,7 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 		if c.col.alias != bf.alias {
 			continue // a lateral column that shares an indexed column's name
 		}
-		v, err := ex.db.compileExpr(c.constant, nil)(nil)
-		if err != nil || v.K != KindInt {
-			continue
-		}
-		indexCol, indexID, indexConj = c.col.Column, v.I, k
+		indexCol, indexID, indexConj = c.col.Column, c.id, k
 		break
 	}
 	var rest []Expr
@@ -611,7 +608,7 @@ func (ex *exec) project(bc *boundCore, r *relation) (*ResultSet, error) {
 	}
 	if bc.dead != nil {
 		// Dead-column pruning (see deadcols.go). Only expression items
-		// are worth skipping: direct copies are a pointer move.
+		// are worth skipping: a direct copy moves one cell.
 		// positions[i] = -2 marks a dead slot: never read from the input
 		// row, left NULL in the output.
 		for i := range names {
@@ -675,7 +672,7 @@ func (ex *exec) project(bc *boundCore, r *relation) (*ResultSet, error) {
 						if err != nil {
 							return err
 						}
-						outRow[i] = v
+						outRow[i] = v.cell() // Bind admits id-valued items only
 					}
 					rows[ri] = outRow
 				}

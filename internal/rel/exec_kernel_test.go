@@ -36,14 +36,14 @@ func renderSorted(rs *ResultSet) []string {
 func TestJoinNullsNeverMatch(t *testing.T) {
 	db := NewDB()
 	mustTable(t, db, "l", Schema{{Name: "id"}, {Name: "k"}}, []Row{
-		{Int(1), Int(10)},
-		{Int(2), Null},
-		{Int(3), Null},
+		{ID(1), ID(10)},
+		{ID(2), NullCell},
+		{ID(3), NullCell},
 	})
 	rt := mustTable(t, db, "r", Schema{{Name: "k"}, {Name: "v"}}, []Row{
-		{Int(10), Int(100)},
-		{Null, Int(200)},
-		{Null, Int(300)},
+		{ID(10), ID(100)},
+		{NullCell, ID(200)},
+		{NullCell, ID(300)},
 	})
 	rs := queryRows(t, db, "SELECT l.id AS id, r.v AS v FROM l AS l, r AS r WHERE l.k = r.k")
 	if len(rs.Rows) != 1 {
@@ -69,10 +69,10 @@ func TestJoinNullsNeverMatch(t *testing.T) {
 func TestJoinLargeIdsExact(t *testing.T) {
 	const big = 1 << 53
 	db := NewDB()
-	mustTable(t, db, "p", Schema{{Name: "k"}, {Name: "x"}}, []Row{{Int(1), Int(big + 1)}})
-	bt := mustTable(t, db, "b", Schema{{Name: "k"}, {Name: "y"}}, []Row{{Int(1), Int(big + 1)}, {Int(1), Int(big)}})
+	mustTable(t, db, "p", Schema{{Name: "k"}, {Name: "x"}}, []Row{{ID(1), ID(big + 1)}})
+	bt := mustTable(t, db, "b", Schema{{Name: "k"}, {Name: "y"}}, []Row{{ID(1), ID(big + 1)}, {ID(1), ID(big)}})
 	const cte = "WITH P AS (SELECT p.k AS k, p.x AS x FROM p AS p) "
-	want := []string{fmt.Sprintf("%#v", Int(big+1))}
+	want := []string{fmt.Sprintf("%#v", ID(big+1))}
 	for _, index := range []string{"", "k", "y"} {
 		if index != "" {
 			if err := bt.CreateIndex(index); err != nil {
@@ -97,16 +97,16 @@ func TestJoinLargeIdsExact(t *testing.T) {
 func TestMultiColumnJoin(t *testing.T) {
 	db := NewDB()
 	mustTable(t, db, "l", Schema{{Name: "a"}, {Name: "b"}, {Name: "id"}}, []Row{
-		{Int(1), Int(0), Int(100)},
-		{Int(1), Int(1), Int(101)},
-		{Int(2), Int(0), Int(102)},
-		{Null, Int(0), Int(103)},
+		{ID(1), ID(0), ID(100)},
+		{ID(1), ID(1), ID(101)},
+		{ID(2), ID(0), ID(102)},
+		{NullCell, ID(0), ID(103)},
 	})
 	mustTable(t, db, "r", Schema{{Name: "a"}, {Name: "b"}, {Name: "id"}}, []Row{
-		{Int(1), Int(0), Int(200)},
-		{Int(2), Int(0), Int(201)},
-		{Int(2), Int(2), Int(202)},
-		{Null, Int(0), Int(203)},
+		{ID(1), ID(0), ID(200)},
+		{ID(2), ID(0), ID(201)},
+		{ID(2), ID(2), ID(202)},
+		{NullCell, ID(0), ID(203)},
 	})
 	named := func(t string) string {
 		return "SELECT " + t + ".a AS a, CASE WHEN " + t + ".b = 0 THEN 7 WHEN " + t + ".b = 1 THEN 8 ELSE 9 END AS b, " + t + ".id AS id FROM " + t + " AS " + t
@@ -114,8 +114,8 @@ func TestMultiColumnJoin(t *testing.T) {
 	rs := queryRows(t, db, "WITH L AS ("+named("l")+"), R AS ("+named("r")+") SELECT L.id AS lid, R.id AS rid FROM L AS L, R AS R WHERE L.a = R.a AND L.b = R.b")
 	got := renderSorted(rs)
 	want := []string{
-		fmt.Sprintf("%#v | %#v", Int(100), Int(200)),
-		fmt.Sprintf("%#v | %#v", Int(102), Int(201)),
+		fmt.Sprintf("%#v | %#v", ID(100), ID(200)),
+		fmt.Sprintf("%#v | %#v", ID(102), ID(201)),
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("want exactly (100,200) and (102,201): got %v", got)
@@ -125,9 +125,9 @@ func TestMultiColumnJoin(t *testing.T) {
 func TestOrderByDescNulls(t *testing.T) {
 	db := NewDB()
 	mustTable(t, db, "v", Schema{{Name: "id"}, {Name: "x"}}, []Row{
-		{Int(1), Int(5)},
-		{Int(2), Null},
-		{Int(3), Int(9)},
+		{ID(1), ID(5)},
+		{ID(2), NullCell},
+		{ID(3), ID(9)},
 	})
 	// ASC sorts NULLs last; DESC is its exact reversal, so NULLs come
 	// first.
@@ -144,7 +144,7 @@ func TestOrderByDescNulls(t *testing.T) {
 func TestOffsetEqualsRowCount(t *testing.T) {
 	db := NewDB()
 	mustTable(t, db, "v", Schema{{Name: "x"}}, []Row{
-		{Int(1)}, {Int(2)}, {Int(3)},
+		{ID(1)}, {ID(2)}, {ID(3)},
 	})
 	rs := queryRows(t, db, "SELECT V.x AS x FROM v AS V ORDER BY x LIMIT 10 OFFSET 3")
 	if len(rs.Rows) != 0 {
@@ -162,14 +162,14 @@ func TestOffsetEqualsRowCount(t *testing.T) {
 func TestDistinctMixedKinds(t *testing.T) {
 	db := NewDB()
 	mustTable(t, db, "ints", Schema{{Name: "x"}}, []Row{
-		{Int(1)}, {Int(1)}, {Int(2)}, {Null}, {Int(0)},
+		{ID(1)}, {ID(1)}, {ID(2)}, {NullCell}, {ID(0)},
 	})
 	mustTable(t, db, "more", Schema{{Name: "x"}}, []Row{
-		{Int(2)}, {Int(5)}, {Null},
+		{ID(2)}, {ID(5)}, {NullCell},
 	})
 	rs := queryRows(t, db, "WITH u AS (SELECT i.x AS x FROM ints AS i UNION ALL SELECT m.x AS x FROM more AS m) "+
 		"SELECT DISTINCT U.x AS x FROM u AS U")
-	want := []string{fmt.Sprintf("%#v", Null), fmt.Sprintf("%#v", Int(0)), fmt.Sprintf("%#v", Int(1)), fmt.Sprintf("%#v", Int(2)), fmt.Sprintf("%#v", Int(5))}
+	want := []string{fmt.Sprintf("%#v", NullCell), fmt.Sprintf("%#v", ID(0)), fmt.Sprintf("%#v", ID(1)), fmt.Sprintf("%#v", ID(2)), fmt.Sprintf("%#v", ID(5))}
 	sort.Strings(want)
 	if got := renderSorted(rs); !reflect.DeepEqual(got, want) {
 		t.Fatalf("want the 5 distinct values {NULL, 0, 1, 2, 5}, got %v", got)
@@ -183,8 +183,8 @@ func TestDistinctMixedKinds(t *testing.T) {
 // only rows equal on every link.
 func TestSeparatorCollision(t *testing.T) {
 	db := NewDB()
-	mustTable(t, db, "p", Schema{{Name: "a"}, {Name: "b"}}, []Row{{Int(1), Int(23)}, {Int(12), Int(3)}, {Int(1), Int(23)}})
-	mustTable(t, db, "q", Schema{{Name: "a"}, {Name: "b"}}, []Row{{Int(1), Int(23)}})
+	mustTable(t, db, "p", Schema{{Name: "a"}, {Name: "b"}}, []Row{{ID(1), ID(23)}, {ID(12), ID(3)}, {ID(1), ID(23)}})
+	mustTable(t, db, "q", Schema{{Name: "a"}, {Name: "b"}}, []Row{{ID(1), ID(23)}})
 	rs := queryRows(t, db, "SELECT DISTINCT P.a AS a, P.b AS b FROM p AS P")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("(1, 23) and (12, 3) must stay distinct, got %d: %v", len(rs.Rows), renderSorted(rs))
@@ -205,16 +205,16 @@ func kernelCorpus(t *testing.T) (*DB, []string) {
 	const n = 3000
 	edges := make([]Row, 0, n)
 	for i := 0; i < n; i++ {
-		to := Value{K: KindInt, I: int64((i*7 + 3) % 997)}
+		to := ID(int64((i*7 + 3) % 997))
 		if i%13 == 0 {
-			to = Null
+			to = NullCell
 		}
-		edges = append(edges, Row{Int(int64(i % 997)), to, Int(int64(i % 57))})
+		edges = append(edges, Row{ID(int64(i % 997)), to, ID(int64(i % 57))})
 	}
 	mustTable(t, db, "e", Schema{{Name: "src"}, {Name: "dst"}, {Name: "lbl"}}, edges)
 	nodes := make([]Row, 0, 997)
 	for i := 0; i < 997; i++ {
-		nodes = append(nodes, Row{Int(int64(i)), Int(int64(i % 31))})
+		nodes = append(nodes, Row{ID(int64(i)), ID(int64(i % 31))})
 	}
 	nt := mustTable(t, db, "node", Schema{{Name: "id"}, {Name: "name"}}, nodes)
 	if err := nt.CreateIndex("id"); err != nil {
@@ -291,18 +291,18 @@ func TestJoinKernelsAgree(t *testing.T) {
 		db := NewDB()
 		var lrows, rrows []Row
 		for i := 0; i < 150; i++ {
-			k := Int(int64(i % 97))
+			k := ID(int64(i % 97))
 			if i%11 == 0 {
-				k = Null
+				k = NullCell
 			}
-			lrows = append(lrows, Row{k, Int(int64(i))})
+			lrows = append(lrows, Row{k, ID(int64(i))})
 		}
 		for i := 0; i < 400; i++ {
-			k := Int(int64(40 + i%101))
+			k := ID(int64(40 + i%101))
 			if i%17 == 0 {
-				k = Null
+				k = NullCell
 			}
-			rrows = append(rrows, Row{k, Int(int64(i % 23))})
+			rrows = append(rrows, Row{k, ID(int64(i % 23))})
 		}
 		mustTable(t, db, "l", Schema{{Name: "k"}, {Name: "a"}}, lrows)
 		rt := mustTable(t, db, "r", Schema{{Name: "k"}, {Name: "b"}}, rrows)
@@ -348,7 +348,7 @@ func TestJoinKernelsAgree(t *testing.T) {
 		if len(kernels) != 3 {
 			t.Errorf("%s: want the index, hash and nested kernels, ran %v", form.name, kernels)
 		}
-		if strings.HasPrefix(form.name, "left outer") && !slices.Contains(want, fmt.Sprintf("%#v | %#v", Int(0), Null)) {
+		if strings.HasPrefix(form.name, "left outer") && !slices.Contains(want, fmt.Sprintf("%#v | %#v", ID(0), NullCell)) {
 			t.Errorf("%s: l's row 0 has a NULL key and must come out NULL-extended", form.name)
 		}
 	}

@@ -21,23 +21,23 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		src := NewTable("F", Schema{{Name: "a"}, {Name: "b"}, {Name: "c"}})
 		for i := 0; i < n; i++ {
 			d := at(i)
-			r := Row{Int(int64(d) + int64(i)), Int(int64(d % 26)), Int(-int64(d) / 2)}
+			r := Row{ID(int64(d) + int64(i)), ID(int64(d % 26)), ID(-int64(d) / 2)}
 			switch d % 8 {
 			case 0:
-				r[0] = Null
+				r[0] = NullCell
 			case 1:
-				r[0] = Int(int64(d) << 55) // wide spread: seal keeps raw ints
+				r[0] = ID(int64(d) << 55) // wide spread: seal keeps raw ints
 			case 2:
-				r[0] = Int(-int64(i) << 20) // negative, spread past 32 bits
+				r[0] = ID(-int64(i) << 20) // negative, spread past 32 bits
 			case 3:
-				r[1] = Null
+				r[1] = NullCell
 			case 4:
-				r[2] = Int(7) // constant runs pack at width 0
+				r[2] = ID(7) // constant runs pack at width 0
 			case 5:
-				r[1], r[2] = Null, Null
+				r[1], r[2] = NullCell, NullCell
 			}
 			if at(i/chunkRows)&3 == 0 {
-				r[1] = Null // whole-chunk all-NULL stretches
+				r[1] = NullCell // whole-chunk all-NULL stretches
 			}
 			if err := src.Insert(r); err != nil {
 				t.Fatal(err)

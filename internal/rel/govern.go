@@ -92,9 +92,9 @@ func NewPanicError(v any) *PanicError {
 // the per-row cost to a local counter increment.
 const checkpointRows = 1024
 
-// valueBytes is the memory footprint charged per Value slot in an
-// arena block.
-const valueBytes = int64(unsafe.Sizeof(Value{}))
+// cellBytes is the memory footprint charged per Cell slot in an arena
+// block.
+const cellBytes = int64(unsafe.Sizeof(Cell{}))
 
 // hashEntryBytes approximates the per-entry cost of growing a join
 // hash table (bucket overhead plus the stored row header).

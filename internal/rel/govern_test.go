@@ -274,10 +274,10 @@ func TestMemoryBudgetFollowsReadWidth(t *testing.T) {
 	wide := mustTable(t, db, "wide", schema, nil)
 	const rows = 2000
 	for i := 0; i < rows; i++ {
-		r := make(Row, len(schema))
-		r[0] = Int(int64(i))
+		r := NullRow(len(schema))
+		r[0] = ID(int64(i))
 		for c := 1 + i%7; c < len(r); c += 7 {
-			r[c] = Int(int64(c))
+			r[c] = ID(int64(c))
 		}
 		if err := wide.Insert(r); err != nil {
 			t.Fatal(err)
@@ -346,10 +346,10 @@ func outerJoinDB(t *testing.T) *DB {
 	db := NewDB()
 	var lrows, rrows []Row
 	for i := 0; i < 100; i++ {
-		lrows = append(lrows, Row{Int(int64(i)), Int(int64(i))})
+		lrows = append(lrows, Row{ID(int64(i)), ID(int64(i))})
 	}
 	for i := 0; i < 200; i++ {
-		rrows = append(rrows, Row{Int(int64(50 + i)), Int(int64(i))})
+		rrows = append(rrows, Row{ID(int64(50 + i)), ID(int64(i))})
 	}
 	mustTable(t, db, "l", Schema{{Name: "k"}, {Name: "a"}}, lrows)
 	rt := mustTable(t, db, "r", Schema{{Name: "k"}, {Name: "b"}}, rrows)

@@ -1,10 +1,10 @@
 package rel
 
 // Hash kernels for the executor. Every cell a join or DISTINCT meets is
-// an int64 id or NULL: stored cells are (Table.checkCell), and Bind
-// admits only id-valued select items and lateral cells (idValued). So
-// join links compare as int64s, and NULL joins nothing; DISTINCT keys a
-// row by its ids, NULL apart from every id.
+// a Cell, an id or NULL: Bind admits only id-valued select items and
+// lateral cells (idValued). So join links compare as int64s, and NULL
+// joins nothing; DISTINCT keys a row by its ids, NULL apart from every
+// id.
 
 const (
 	fnvOffset64 uint64 = 14695981039346656037
@@ -23,30 +23,16 @@ func mix64(x uint64) uint64 {
 }
 
 // idEqual reports whether two cells join: both ids, and equal.
-func idEqual(a, b Value) bool { return !a.IsNull() && !b.IsNull() && a.I == b.I }
+func idEqual(a, b Cell) bool { return !a.IsNull() && a.I == b.I }
 
-// rowKeyHash hashes a whole row (DISTINCT dedup).
+// rowKeyHash hashes a whole row (DISTINCT dedup). NULL's id is no
+// other cell's, so hashing ids alone keeps NULL apart.
 func rowKeyHash(r Row) uint64 {
 	h := fnvOffset64
 	for _, v := range r {
-		h = (h ^ uint64(v.K)) * fnvPrime64
 		h = (h ^ mix64(uint64(v.I))) * fnvPrime64
 	}
 	return h
-}
-
-// rowKeyEqual verifies a dedup bucket candidate: the same ids, and
-// NULL in the same places.
-func rowKeyEqual(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].K != b[i].K || a[i].I != b[i].I {
-			return false
-		}
-	}
-	return true
 }
 
 // linkKey returns the hash-join key of row's link columns, left picking

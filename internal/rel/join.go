@@ -252,7 +252,7 @@ func (w *joinWorker) pair(l, r Row) (bool, error) {
 }
 
 // unmatched keeps left row l NULL-extended under an outer join; the
-// join kept no pair for it. Arena blocks are fresh, so the right part
+// join kept no pair for it. Arena rows start NULL, so the right part
 // of the row is NULL already.
 func (w *joinWorker) unmatched(l Row) error {
 	if !w.outer {
@@ -492,15 +492,16 @@ func combineShape(l, r *relation) *relation {
 	return out
 }
 
-// rowArena carves output rows out of large value blocks: the join and
+// rowArena carves output rows out of large cell blocks: the join and
 // projection kernels emit one row per match, and one allocation per
-// row is the dominant cost of wide scans. An arena is single-goroutine
-// state — each morsel worker owns its own. Block growth is charged
+// row is the dominant cost of wide scans. Cells hold no pointers, so
+// the GC never scans a block. An arena is single-goroutine state —
+// each morsel worker owns its own. Block growth is charged
 // against the query's memory budget (gov may be nil in governance-free
 // contexts); a trip aborts via mustChargeBytes, unwound to a typed
 // error at the worker or ExecContext recovery point.
 type rowArena struct {
-	buf  []Value
+	buf  []Cell
 	next int // size of the next block, grown geometrically
 	gov  *govern
 }
@@ -517,9 +518,9 @@ func (a *rowArena) alloc(n int) Row {
 			sz = n
 		}
 		if a.gov != nil {
-			a.gov.mustChargeBytes(int64(sz) * valueBytes)
+			a.gov.mustChargeBytes(int64(sz) * cellBytes)
 		}
-		a.buf = make([]Value, sz)
+		a.buf = NullRow(sz)
 		if sz < 16384 {
 			a.next = sz * 2
 		}
@@ -544,9 +545,9 @@ func (a *rowArena) clone(r Row) Row {
 	return out
 }
 
-// allocRows allocates n zeroed rows (every cell Null) of the given
-// width. Arena blocks are freshly made and never recycled, so the
-// zero guarantee holds.
+// allocRows allocates n rows of the given width, every cell NULL.
+// Arena blocks are made NULL and never recycled, so every row alloc
+// returns starts NULL.
 func (a *rowArena) allocRows(n, width int) []Row {
 	out := make([]Row, n)
 	for i := range out {

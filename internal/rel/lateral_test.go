@@ -30,17 +30,17 @@ func pairsDB(t *testing.T) *DB {
 		return s
 	}
 	tbl := mustTable(t, db, "t", ints("id", "p0", "v0", "p1", "v1"), []Row{
-		{Int(1), Int(5), Int(50), Int(6), Int(60)},
-		{Int(2), Int(5), Int(51), Null, Null},
-		{Int(3), Null, Null, Int(6), Int(61)},
-		{Int(4), Null, Null, Null, Null},
-		{Int(5), Int(7), Null, Int(5), Int(52)}, // a predicate without a value
+		{ID(1), ID(5), ID(50), ID(6), ID(60)},
+		{ID(2), ID(5), ID(51), NullCell, NullCell},
+		{ID(3), NullCell, NullCell, ID(6), ID(61)},
+		{ID(4), NullCell, NullCell, NullCell, NullCell},
+		{ID(5), ID(7), NullCell, ID(5), ID(52)}, // a predicate without a value
 	})
 	if err := tbl.CreateIndex("id"); err != nil {
 		t.Fatal(err)
 	}
-	mustTable(t, db, "s", ints("lid", "elm"), []Row{{Int(50), Int(500)}, {Int(50), Int(501)}, {Int(61), Int(610)}})
-	mustTable(t, db, "k", ints("id", "want"), []Row{{Int(1), Int(6)}, {Int(3), Int(6)}, {Int(5), Int(5)}, {Int(9), Int(5)}})
+	mustTable(t, db, "s", ints("lid", "elm"), []Row{{ID(50), ID(500)}, {ID(50), ID(501)}, {ID(61), ID(610)}})
+	mustTable(t, db, "k", ints("id", "want"), []Row{{ID(1), ID(6)}, {ID(3), ID(6)}, {ID(5), ID(5)}, {ID(9), ID(5)}})
 	return db
 }
 
@@ -63,10 +63,10 @@ func sameMultiset(a, b []Row) bool {
 func TestLateralSemantics(t *testing.T) {
 	db := pairsDB(t)
 	n := func(v ...any) Row { // nil = NULL
-		r := make(Row, len(v))
+		r := NullRow(len(v))
 		for i, x := range v {
 			if x != nil {
-				r[i] = Int(int64(x.(int)))
+				r[i] = ID(int64(x.(int)))
 			}
 		}
 		return r
@@ -138,7 +138,7 @@ func TestLateralErrors(t *testing.T) {
 	}
 	// TABLE and VALUES are still ordinary identifiers.
 	db2 := NewDB()
-	mustTable(t, db2, "table", Schema{{Name: "values"}}, []Row{{Int(3)}})
+	mustTable(t, db2, "table", Schema{{Name: "values"}}, []Row{{ID(3)}})
 	if rs, err := query(db2, "SELECT table.values AS values FROM table AS table WHERE table.values = 3"); err != nil || len(rs.Rows) != 1 {
 		t.Errorf("a table named table: %v, %v", rs, err)
 	}
@@ -407,8 +407,8 @@ func TestUnpivotBudgets(t *testing.T) {
 		t.Errorf("half the flip's rows must trip the row budget, got %v", err)
 	}
 	be = nil
-	if _, err := db.ExecContext(context.Background(), q, Limits{MaxBytes: produced * valueBytes}); !errors.As(err, &be) || be.Budget != "memory" {
-		t.Errorf("one value per produced row must trip the memory budget (rows are 3 wide), got %v", err)
+	if _, err := db.ExecContext(context.Background(), q, Limits{MaxBytes: produced * cellBytes}); !errors.As(err, &be) || be.Budget != "memory" {
+		t.Errorf("one cell per produced row must trip the memory budget (rows are 3 wide), got %v", err)
 	}
 }
 
@@ -435,16 +435,16 @@ func TestUnpivotAllocatesPerRowEmitted(t *testing.T) {
 	const entities = 2000
 	keys := make([]Row, entities)
 	for i := 0; i < 2*entities; i++ {
-		r := make(Row, len(schema))
-		r[0] = Int(int64(i))
+		r := NullRow(len(schema))
+		r[0] = ID(int64(i))
 		for _, c := range []int{i % 32, (i + 11) % 32} {
-			r[2+2*c], r[3+2*c] = Int(int64(100+c)), Int(int64(i))
+			r[2+2*c], r[3+2*c] = ID(int64(100+c)), ID(int64(i))
 		}
 		if err := dph.Insert(r); err != nil {
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
-			keys[i/2] = Row{Int(int64(i))}
+			keys[i/2] = Row{ID(int64(i))}
 		}
 	}
 	mustTable(t, db, "keys", Schema{{Name: "e"}}, keys)

@@ -66,20 +66,20 @@ func narrowDB(t *testing.T, r *rand.Rand) *DB {
 		t.Fatal(err)
 	}
 	row := func(i int) Row {
-		out := make(Row, 16)
-		out[0] = Int(int64(i % 97))
-		out[1] = Int(int64(i))
+		out := NullRow(16)
+		out[0] = ID(int64(i % 97))
+		out[1] = ID(int64(i))
 		for c := 2; c < 16; c++ {
 			if r.Intn(10) >= 3 {
 				continue // sparse: most cells are NULL
 			}
 			switch c {
 			case 12:
-				out[c] = Int(int64(r.Intn(8)))
+				out[c] = ID(int64(r.Intn(8)))
 			case 13:
-				out[c] = Int(int64(r.Intn(200)) << 40)
+				out[c] = ID(int64(r.Intn(200)) << 40)
 			default:
-				out[c] = Int(int64(r.Intn(100)))
+				out[c] = ID(int64(r.Intn(100)))
 			}
 		}
 		return out
@@ -105,7 +105,7 @@ func narrowDB(t *testing.T, r *rand.Rand) *DB {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		if err := v.Insert(Row{Int(int64(r.Intn(120))), Int(int64(r.Intn(50))), Int(int64(i % 5))}); err != nil {
+		if err := v.Insert(Row{ID(int64(r.Intn(120))), ID(int64(r.Intn(50))), ID(int64(i % 5))}); err != nil {
 			t.Fatal(err)
 		}
 	}

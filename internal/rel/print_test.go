@@ -15,8 +15,8 @@ var printSeeds = []string{
 	"SELECT T.a AS a FROM t AS T WHERE (T.a = 1 OR T.b = 2) OR T.c = 3",
 	"SELECT T.a AS a FROM t AS T WHERE T.a = 1 OR T.b = 2 OR (T.c = 3 OR T.d = 4) OR T.e = 5",
 	"SELECT T.a AS a FROM t AS T WHERE (T.a = 1 AND T.b = 2) AND (T.c = 3 AND T.d = 4) AND NOT (T.e = 5 OR T.f = 6)",
-	"SELECT 007 AS h, -9223372036854775808 AS i, T.a AS a FROM t AS T WHERE T.a + T.b * T.c - T.d / 2 = T.a - -1 AND 0 - T.a < 1.5 AND " +
-		"T.b < 1e21 AND T.c > 2.5E-7 AND T.d != 1.e3 AND T.e < 1e999 AND T.f > -1e999 AND T.g != -2.5",
+	"SELECT 007 AS h, -9223372036854775807 AS i, T.a AS a FROM t AS T WHERE T.a + T.b * T.c - T.d / 2 = T.a - -1 AND 0 - T.a < 1.5 AND " +
+		"T.b < 1e21 AND T.c > 2.5E-7 AND T.d != 1.e3 AND T.e < 1e999 AND T.f > -1e999 AND T.g != -2.5 AND T.h > -9223372036854775808",
 	"SELECT NULL AS c, COALESCE(T.a, 0) AS f FROM t AS T WHERE (f() = 'it''s' OR dnum(T.a) = '') AND T.b = TRUE AND T.c != FALSE",
 	"SELECT CASE WHEN T.a = 1 THEN T.b WHEN T.a IS NULL THEN 2 ELSE NULL END AS a, CASE WHEN T.b THEN 1 END AS b FROM t AS T " +
 		"WHERE CASE WHEN T.a = 1 THEN 'x' WHEN T.a IS NULL THEN 'y' ELSE 'z' END = 'x'",

@@ -80,14 +80,14 @@ func TestAnalyzeReportsColumnsRead(t *testing.T) {
 	db := NewDB()
 	big := mustTable(t, db, "big", Schema{{Name: "k"}, {Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "d"}}, nil)
 	for i := 0; i < 500; i++ {
-		if err := big.Insert(Row{Int(int64(i % 50)), Int(int64(i)), Int(int64(i % 3)), Int(7), Null}); err != nil {
+		if err := big.Insert(Row{ID(int64(i % 50)), ID(int64(i)), ID(int64(i % 3)), ID(7), NullCell}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := big.CreateIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	mustTable(t, db, "small", Schema{{Name: "k"}, {Name: "n"}}, []Row{{Int(3), Int(1)}, {Int(7), Int(2)}})
+	mustTable(t, db, "small", Schema{{Name: "k"}, {Name: "n"}}, []Row{{ID(3), ID(1)}, {ID(7), ID(2)}})
 	for _, tc := range []struct {
 		sql, kind, label string
 		read, total      int

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -42,14 +43,14 @@ func peopleDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
 	mustTable(t, db, "people_ids", Schema{{Name: "id"}, {Name: "name"}, {Name: "age"}, {Name: "city"}}, []Row{
-		{Int(1), Int(alice), Int(30), Int(10)},
-		{Int(2), Int(bob), Int(25), Int(10)},
-		{Int(3), Int(carol), Int(35), Int(20)},
-		{Int(4), Int(dan), Null, Int(30)},
+		{ID(1), ID(alice), ID(30), ID(10)},
+		{ID(2), ID(bob), ID(25), ID(10)},
+		{ID(3), ID(carol), ID(35), ID(20)},
+		{ID(4), ID(dan), NullCell, ID(30)},
 	})
 	mustTable(t, db, "city_ids", Schema{{Name: "id"}, {Name: "name"}}, []Row{
-		{Int(10), Int(nyc)},
-		{Int(20), Int(sfo)},
+		{ID(10), ID(nyc)},
+		{ID(20), ID(sfo)},
 	})
 	db.RegisterFunc("term", func(args []Value) (Value, error) {
 		if len(args) != 1 || args[0].IsNull() {
@@ -230,7 +231,7 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 	db := NewDB()
 	tbl := mustTable(t, db, "t", Schema{{Name: "k"}, {Name: "v"}}, nil)
 	for i := 0; i < 1000; i++ {
-		if err := tbl.Insert(Row{Int(int64(i % 37)), Int(int64(i))}); err != nil {
+		if err := tbl.Insert(Row{ID(int64(i % 37)), ID(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +252,7 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := tbl.Insert(Row{Int(int64(i))}); err != nil {
+		if err := tbl.Insert(Row{ID(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,9 +264,9 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 
 func TestThreeWayJoinOrdering(t *testing.T) {
 	db := NewDB()
-	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{Int(1)}, {Int(2)}, {Int(3)}})
-	mustTable(t, db, "b", Schema{{Name: "x"}, {Name: "y"}}, []Row{{Int(1), Int(10)}, {Int(2), Int(20)}})
-	mustTable(t, db, "c", Schema{{Name: "y"}, {Name: "z"}}, []Row{{Int(10), Int(100)}, {Int(30), Int(300)}})
+	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{ID(1)}, {ID(2)}, {ID(3)}})
+	mustTable(t, db, "b", Schema{{Name: "x"}, {Name: "y"}}, []Row{{ID(1), ID(10)}, {ID(2), ID(20)}})
+	mustTable(t, db, "c", Schema{{Name: "y"}, {Name: "z"}}, []Row{{ID(10), ID(100)}, {ID(30), ID(300)}})
 	rs := queryRows(t, db, "SELECT a.x AS x, c.z AS z FROM a AS a, b AS b, c AS c WHERE a.x = b.x AND b.y = c.y")
 	if len(rs.Rows) != 1 || rs.Rows[0][1].I != 100 {
 		t.Fatalf("unexpected %v", rs.Rows)
@@ -274,8 +275,8 @@ func TestThreeWayJoinOrdering(t *testing.T) {
 
 func TestCrossJoinFallback(t *testing.T) {
 	db := NewDB()
-	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{Int(1)}, {Int(2)}})
-	mustTable(t, db, "b", Schema{{Name: "y"}}, []Row{{Int(3)}, {Int(4)}})
+	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{ID(1)}, {ID(2)}})
+	mustTable(t, db, "b", Schema{{Name: "y"}}, []Row{{ID(3)}, {ID(4)}})
 	rs := queryRows(t, db, "SELECT a.x AS x, b.y AS y FROM a AS a, b AS b")
 	if len(rs.Rows) != 4 {
 		t.Fatalf("want 4 rows, got %d", len(rs.Rows))
@@ -284,8 +285,8 @@ func TestCrossJoinFallback(t *testing.T) {
 
 func TestNullNeverJoins(t *testing.T) {
 	db := NewDB()
-	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{Null}, {Int(1)}})
-	mustTable(t, db, "b", Schema{{Name: "x"}}, []Row{{Null}, {Int(1)}})
+	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{NullCell}, {ID(1)}})
+	mustTable(t, db, "b", Schema{{Name: "x"}}, []Row{{NullCell}, {ID(1)}})
 	rs := queryRows(t, db, "SELECT a.x AS x FROM a AS a, b AS b WHERE a.x = b.x")
 	if len(rs.Rows) != 1 {
 		t.Fatalf("null keys must not join; got %d rows", len(rs.Rows))
@@ -368,12 +369,45 @@ func TestValueCompareProperties(t *testing.T) {
 	}
 }
 
+// TestRowCellsHoldNoPointers: a row cell is 8 bytes and holds no
+// pointer, so arena blocks are noscan and the GC never walks a row.
+func TestRowCellsHoldNoPointers(t *testing.T) {
+	cell := reflect.TypeOf(Row(nil)).Elem()
+	if cell.Size() != 8 {
+		t.Errorf("a row cell (%v) is %d bytes, want 8", cell, cell.Size())
+	}
+	if hasPointers(cell) {
+		t.Errorf("a row cell (%v) holds a pointer", cell)
+	}
+}
+
+// hasPointers reports whether a value of type t holds a pointer the GC
+// must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true // pointer, slice, string, map, channel, func, interface
+}
+
 // TestValueKeyInjectiveForInts: DISTINCT's row key tells ids apart,
 // and NULL from every id.
 func TestValueKeyInjectiveForInts(t *testing.T) {
 	f := func(a, b int64) bool {
-		same := rowKeyEqual(Row{Int(a)}, Row{Int(b)}) && rowKeyHash(Row{Int(a)}) == rowKeyHash(Row{Int(b)})
-		return same == (a == b) && !rowKeyEqual(Row{Int(a)}, Row{Null})
+		same := slices.Equal(Row{ID(a)}, Row{ID(b)}) && rowKeyHash(Row{ID(a)}) == rowKeyHash(Row{ID(b)})
+		return same == (a == b) && !slices.Equal(Row{ID(a)}, Row{NullCell})
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -393,9 +427,9 @@ func TestNullComparisonsAreUnknown(t *testing.T) {
 func TestEstimateBytesGrowsWithNulls(t *testing.T) {
 	db := NewDB()
 	schema := Schema{{Name: "a"}, {Name: "b"}}
-	tbl := mustTable(t, db, "t", schema, []Row{{Int(1), Int(2)}})
+	tbl := mustTable(t, db, "t", schema, []Row{{ID(1), ID(2)}})
 	full := tbl.EstimateBytes()
-	wide := mustTable(t, db, "w", Schema{{Name: "a"}, {Name: "b"}, {Name: "c"}}, []Row{{Int(1), Int(2), Null}})
+	wide := mustTable(t, db, "w", Schema{{Name: "a"}, {Name: "b"}, {Name: "c"}}, []Row{{ID(1), ID(2), NullCell}})
 	if wide.EstimateBytes() <= full {
 		t.Fatal("null column must cost something")
 	}
@@ -424,7 +458,7 @@ func TestResultColumnsNamed(t *testing.T) {
 func TestTableRowWidthMismatch(t *testing.T) {
 	db := NewDB()
 	tbl := mustTable(t, db, "t", Schema{{Name: "a"}}, nil)
-	if err := tbl.Insert(Row{Int(1), Int(2)}); err == nil {
+	if err := tbl.Insert(Row{ID(1), ID(2)}); err == nil {
 		t.Fatal("want width error")
 	}
 }
@@ -468,7 +502,7 @@ func TestLeftJoinResidualOn(t *testing.T) {
 func TestDBWithOverlay(t *testing.T) {
 	db := peopleDB(t).Publish()
 	extra := NewTable("pairs", Schema{{Name: "entry"}, {Name: "val"}})
-	if err := extra.Insert(Row{Int(1), Int(20)}); err != nil {
+	if err := extra.Insert(Row{ID(1), ID(20)}); err != nil {
 		t.Fatal(err)
 	}
 	before := strings.Join(db.TableNames(), ",")

@@ -39,15 +39,15 @@ func buildIntTable(t *testing.T) *Table {
 	t.Helper()
 	tb := NewTable("T", Schema{{Name: "a"}, {Name: "b"}, {Name: "c"}})
 	for i := 0; i < 2600; i++ {
-		r := Row{Int(int64(i * 7)), Int(int64(i) << 40), Int(int64(i % 3))}
+		r := Row{ID(int64(i * 7)), ID(int64(i) << 40), ID(int64(i % 3))}
 		switch i % 5 {
 		case 1:
-			r[0] = Null
+			r[0] = NullCell
 		case 2:
-			r[1] = Null
+			r[1] = NullCell
 		}
 		if i >= chunkRows && i < 2*chunkRows {
-			r[2] = Null
+			r[2] = NullCell
 		}
 		if err := tb.Insert(r); err != nil {
 			t.Fatal(err)
@@ -95,32 +95,32 @@ func formatTable(t *testing.T) *Table {
 	}
 	for i := 0; i < 6*chunkRows; i++ {
 		ci, off := i>>chunkShift, int64(i&chunkMask)
-		r := Row{Null, Null, Null}
+		r := Row{NullCell, NullCell, NullCell}
 		switch ci {
 		case 0:
-			r[0], r[1] = Int(off%50), Int(int64(i))
+			r[0], r[1] = ID(off%50), ID(int64(i))
 			if off%3 != 0 {
-				r[2] = Int(100 + off)
+				r[2] = ID(100 + off)
 			}
 		case 1:
 			if off%4 != 0 {
-				r[0] = Int(5000 + off*3)
+				r[0] = ID(5000 + off*3)
 			}
-			r[1] = Int(off << 40)
+			r[1] = ID(off << 40)
 		case 2:
 			if off%2 == 0 {
-				r[1] = Int(-(off << 36))
+				r[1] = ID(-(off << 36))
 			}
-			r[2] = Int(7)
+			r[2] = ID(7)
 		case 3:
-			r[0], r[2] = Int(off), Int(-off)
+			r[0], r[2] = ID(off), ID(-off)
 			if off%7 != 0 {
-				r[1] = Int(off * off)
+				r[1] = ID(off * off)
 			}
 		case 4:
-			r[0], r[1] = Int(off), Int(1)
+			r[0], r[1] = ID(off), ID(1)
 		case 5:
-			r[0], r[1], r[2] = Int(off%3), Int(off+1), Int(off*9)
+			r[0], r[1], r[2] = ID(off%3), ID(off+1), ID(off*9)
 		}
 		ins(r)
 	}
@@ -141,9 +141,9 @@ func formatTable(t *testing.T) *Table {
 		}
 	}
 	for i := int64(0); i < 300; i++ {
-		r := Row{Int(i), Null, Int(i << 50)}
+		r := Row{ID(i), NullCell, ID(i << 50)}
 		if i%2 == 0 {
-			r[1] = Int(i)
+			r[1] = ID(i)
 		}
 		ins(r)
 	}
@@ -178,7 +178,7 @@ func TestSnapshotEncodingUnchanged(t *testing.T) {
 // other kinds: an Int cell, and a String cell with its length payload.
 func outOfLineSeeds(t testing.TB) map[string][]byte {
 	src := NewTable("O", Schema{{Name: "a"}})
-	if err := src.Insert(Row{Int(5)}); err != nil {
+	if err := src.Insert(Row{ID(5)}); err != nil {
 		t.Fatal(err)
 	}
 	valid := src.EncodeSnapshot(nil)
@@ -221,9 +221,9 @@ func TestSnapshotRejectsOutOfLineCells(t *testing.T) {
 func FuzzSnapshotDecode(f *testing.F) {
 	one := NewTable("O", Schema{{Name: "a"}})
 	for i := 0; i < 1500; i++ {
-		v := Int(int64(i % 13))
+		v := ID(int64(i % 13))
 		if i%4 == 0 {
-			v = Null
+			v = NullCell
 		}
 		if err := one.Insert(Row{v}); err != nil {
 			f.Fatal(err)
@@ -277,7 +277,7 @@ func TestSnapshotReclaimsDeadCells(t *testing.T) {
 	if r[0].I != 280 {
 		t.Fatalf("row 40 after round trip: %v", r)
 	}
-	if dst.CellAt(1, 0).K != KindNull {
+	if !dst.CellAt(1, 0).IsNull() {
 		t.Fatalf("dead row 1 cell resurfaced: %v", dst.CellAt(1, 0))
 	}
 }
@@ -301,7 +301,7 @@ func TestSnapshotDecodeCorruption(t *testing.T) {
 		if dst.Len() != 0 && dst.Len() != src.Len() {
 			_ = dst.Rows() // must not panic regardless
 		}
-		if err := dst.Insert(make(Row, len(src.Schema))); err != nil {
+		if err := dst.Insert(NullRow(len(src.Schema))); err != nil {
 			t.Fatalf("cut=%d: table unusable after decode: %v", cut, err)
 		}
 	}
@@ -317,14 +317,14 @@ func TestSnapshotDecodeCorruption(t *testing.T) {
 
 func TestSnapshotDecodeGuards(t *testing.T) {
 	src := NewTable("T", Schema{{Name: "a"}})
-	src.Insert(Row{Int(1)})
+	src.Insert(Row{ID(1)})
 	buf := src.EncodeSnapshot(nil)
 	wrong := NewTable("W", Schema{{Name: "a"}, {Name: "b"}})
 	if err := wrong.DecodeSnapshot(buf); err == nil {
 		t.Fatal("schema-width mismatch not rejected")
 	}
 	nonEmpty := NewTable("T", src.Schema)
-	nonEmpty.Insert(Row{Int(2)})
+	nonEmpty.Insert(Row{ID(2)})
 	if err := nonEmpty.DecodeSnapshot(buf); err == nil {
 		t.Fatal("decode into non-empty table not rejected")
 	}

@@ -117,8 +117,7 @@ func (t *Table) Len() int {
 	return t.nrows
 }
 
-// Insert appends a row; it must match the schema width and hold only
-// Int or NULL cells.
+// Insert appends a row; it must match the schema width.
 func (t *Table) Insert(r Row) error {
 	_, err := t.AppendRow(r)
 	return err
@@ -130,11 +129,6 @@ func (t *Table) Insert(r Row) error {
 func (t *Table) AppendRow(r Row) (int, error) {
 	if len(r) != len(t.Schema) {
 		return 0, fmt.Errorf("rel: table %s: row width %d != schema width %d", t.Name, len(r), len(t.Schema))
-	}
-	for j, v := range r {
-		if err := t.checkCell(j, v); err != nil {
-			return 0, err
-		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -149,29 +143,19 @@ func (t *Table) AppendRow(r Row) (int, error) {
 	return id, nil
 }
 
-// checkCell is the storage boundary: a cell is an int64 id or NULL.
-// Every write path (AppendRow, Insert, SetCell) calls it before
-// touching the table, so a rejected write changes nothing.
-func (t *Table) checkCell(j int, v Value) error {
-	if v.K == KindInt || v.K == KindNull {
-		return nil
-	}
-	return fmt.Errorf("rel: table %s: column %s stores int64 ids only, got %s %v", t.Name, t.Schema[j].Name, v.K, v)
-}
-
-// CellAt returns the value at (row i, column j). Cheaper than RowAt
+// CellAt returns the cell at (row i, column j). Cheaper than RowAt
 // when only a few cells of a wide row are needed: it reads one vector
 // instead of materializing 2k+2 columns.
-func (t *Table) CellAt(i, j int) Value {
+func (t *Table) CellAt(i, j int) Cell {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.cols[j].get(i)
 }
 
-// SetCell updates the single cell (row i, column j) to an Int or NULL,
-// mutating the column vector copy-on-write. Indexed columns must not
-// change value unless reindexed by the caller.
-func (t *Table) SetCell(i, j int, v Value) error {
+// SetCell updates the single cell (row i, column j), mutating the
+// column vector copy-on-write. Indexed columns must not change value
+// unless reindexed by the caller.
+func (t *Table) SetCell(i, j int, v Cell) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if i < 0 || i >= t.nrows {
@@ -179,9 +163,6 @@ func (t *Table) SetCell(i, j int, v Value) error {
 	}
 	if j < 0 || j >= len(t.Schema) {
 		return fmt.Errorf("rel: table %s: column %d out of range", t.Name, j)
-	}
-	if err := t.checkCell(j, v); err != nil {
-		return err
 	}
 	t.cols[j].set(t.wgen, i, v)
 	return nil
@@ -204,43 +185,16 @@ func (t *Table) RowAt(i int) Row {
 func (t *Table) Rows() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	rows := t.materializeAllLocked()
-	if t.dead == 0 {
-		return rows
-	}
-	kept := rows[:0]
-	for i, r := range rows {
+	rd := &tableReader{cols: t.cols}
+	rows := make([]Row, 0, t.nrows-t.dead)
+	for i := 0; i < t.nrows; i++ {
 		if !t.deadLocked(i) {
-			kept = append(kept, r)
+			r := make(Row, len(t.cols))
+			rd.rowInto(r, i)
+			rows = append(rows, r)
 		}
 	}
-	return kept
-}
-
-func (t *Table) materializeAllLocked() []Row {
-	n := t.nrows
-	width := len(t.cols)
-	out := make([]Row, n)
-	if n == 0 {
-		return out
-	}
-	block := make([]Value, n*width) // zero Value is Null
-	for i := range out {
-		out[i] = block[i*width : (i+1)*width : (i+1)*width]
-	}
-	nchunks := (n + chunkRows - 1) >> chunkShift
-	for ci := 0; ci < nchunks; ci++ {
-		lo := ci << chunkShift
-		hi := lo + chunkRows
-		if hi > n {
-			hi = n
-		}
-		seg := out[lo:hi]
-		for j, col := range t.cols {
-			col.gatherChunk(ci, seg, j)
-		}
-	}
-	return out
+	return rows
 }
 
 // reader returns a snapshot for reading the table columns src (table
@@ -290,15 +244,15 @@ func (rd *tableReader) rowInto(dst Row, i int) {
 			ck = c.chunks[ci]
 		}
 		if ck == nil || ck.bits[word]&bit == 0 {
-			dst[j] = Null
+			dst[j] = NullCell
 			continue
 		}
-		dst[j] = Int(ck.intAt(ck.rank(off)))
+		dst[j] = Cell{I: ck.intAt(ck.rank(off))}
 	}
 }
 
 // gatherChunk materializes chunk ci of the table into rows, which must
-// be zeroed (absent cells are left untouched).
+// start NULL (absent cells are left untouched).
 func (rd *tableReader) gatherChunk(ci int, rows []Row) {
 	for j, c := range rd.cols {
 		c.gatherChunk(ci, rows, j)
@@ -365,8 +319,8 @@ func (t *Table) indexFor(col string) *hashIndex {
 }
 
 // add indexes the stored cell v at row id; NULL is not indexed.
-func (x *hashIndex) add(v Value, id int32) {
-	if v.K == KindInt {
+func (x *hashIndex) add(v Cell, id int32) {
+	if !v.IsNull() {
 		x.posts.add(v.I, id)
 	}
 }

@@ -162,7 +162,7 @@ func (t *Table) compactChunkLocked(ci int, tc *tombChunk) {
 			off := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
 			for _, col := range t.cols {
-				col.set(t.wgen, base+off, Null)
+				col.set(t.wgen, base+off, NullCell)
 			}
 		}
 	}
@@ -217,8 +217,8 @@ func (t *Table) Clear() {
 
 // remove drops row id from the posting list of the stored cell v.
 // Caller holds the table write lock.
-func (x *hashIndex) remove(v Value, id int32) {
-	if v.K == KindInt {
+func (x *hashIndex) remove(v Cell, id int32) {
+	if !v.IsNull() {
 		x.posts.remove(v.I, id)
 	}
 }

@@ -24,7 +24,7 @@ func tombTable(t *testing.T, st chunkState, n int) (db *DB, tbl *Table, snap *DB
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := tbl.Insert(Row{Int(int64(i)), Int(int64(i * 10))}); err != nil {
+		if err := tbl.Insert(Row{ID(int64(i)), ID(int64(i * 10))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestDeleteZoneWitness(t *testing.T) {
 	db, tbl, _ := tombTable(t, stateRaw, 0)
 	// One chunk: v in [0, 990]; min witness row 0, max witness row 99.
 	for i := 0; i < 100; i++ {
-		if err := tbl.Insert(Row{Int(int64(i)), Int(int64(i * 10))}); err != nil {
+		if err := tbl.Insert(Row{ID(int64(i)), ID(int64(i * 10))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestTableClear(t *testing.T) {
 				t.Fatalf("index survived Clear: %v", ids)
 			}
 			// Table is reusable: insert and query again.
-			if err := tbl.Insert(Row{Int(1), Int(2)}); err != nil {
+			if err := tbl.Insert(Row{ID(1), ID(2)}); err != nil {
 				t.Fatal(err)
 			}
 			rs, err := query(db, "SELECT T.v AS v FROM t AS T WHERE T.id = 1")

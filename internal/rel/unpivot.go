@@ -58,7 +58,7 @@ type unpivotRun struct {
 	src  []int     // the relation's table columns
 	nsrc int       // len(src): width of the table part of a row
 	vecs []*colVec // per cell, like unpivot.cells; nil = literal
-	lits []Value   // per cell
+	lits []Cell    // per cell
 	all  []int32   // every pair, in VALUES order
 	// notNull[c]: a row whose lateral column c is NULL cannot pass, so
 	// a pair with that cell absent is skipped before any value is read.
@@ -81,7 +81,7 @@ func (ex *exec) startUnpivot(r *relation, conds []Expr) ([]Expr, *unpivotRun) {
 	t := r.base
 	nsrc := len(r.src)
 	run := &unpivotRun{u: u, src: r.src, nsrc: nsrc, notNull: make([]bool, u.width), profile: ex.prof != nil,
-		vecs: make([]*colVec, len(u.cells)), lits: make([]Value, len(u.cells)), all: make([]int32, len(u.lat.rows))}
+		vecs: make([]*colVec, len(u.cells)), lits: make([]Cell, len(u.cells)), all: make([]int32, len(u.lat.rows))}
 	for p := range run.all {
 		run.all[p] = int32(p)
 	}
@@ -90,7 +90,7 @@ func (ex *exec) startUnpivot(r *relation, conds []Expr) ([]Expr, *unpivotRun) {
 		if pos >= 0 {
 			run.vecs[i] = t.cols[pos]
 		} else {
-			run.lits[i] = u.lat.rows[i/u.width][i%u.width].(*Lit).V
+			run.lits[i] = u.lat.rows[i/u.width][i%u.width].(*Lit).V.cell()
 		}
 	}
 	t.mu.RUnlock()
@@ -267,10 +267,10 @@ pairs:
 				if run.notNull[c] {
 					continue pairs
 				}
-				tail[c] = Null
+				tail[c] = NullCell
 				continue
 			}
-			tail[c] = Int(ck.intAt(ck.rank(off)))
+			tail[c] = Cell{I: ck.intAt(ck.rank(off))}
 		}
 		l, r := probe, w.cand
 		if !indexedIsRight {

@@ -30,18 +30,56 @@
 //     CASE, COALESCE and calls of the functions a DB registers.
 //
 // ParseQuery and Bind reject anything else with an error naming the
-// shape. Stored cells are ids too (Table.checkCell), so every row the
-// executor builds holds int64 ids and NULLs: joins, DISTINCT and index
-// probes compare ids, and other kinds of Value live only inside an
-// expression, such as a WHERE conjunct or an ORDER BY key.
+// shape. A row is a slice of Cells, 8-byte ids with NULL a reserved
+// sentinel, and so holds no pointer the GC must scan: joins, DISTINCT
+// and index probes compare ids. A Value, which can also be a float,
+// string or bool, lives only inside an expression, such as a WHERE
+// conjunct or an ORDER BY key: a column reference lifts its Cell into
+// one.
 package rel
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
+
+// Cell is one cell of a row: an id, or NULL.
+type Cell struct{ I int64 }
+
+// nullID is the id of the NULL cell: below every term id (from 1) and
+// list id (from dict.LidBase), and Bind rejects it as a literal.
+const nullID = math.MinInt64
+
+// NullCell is the NULL cell.
+var NullCell = Cell{I: nullID}
+
+// ID returns the cell holding id i.
+func ID(i int64) Cell { return Cell{I: i} }
+
+// IsNull reports whether c is NULL.
+func (c Cell) IsNull() bool { return c.I == nullID }
+
+// Value lifts c into an expression value: an Int, or Null.
+func (c Cell) Value() Value {
+	if c.IsNull() {
+		return Null
+	}
+	return Int(c.I)
+}
+
+// String renders the cell like its Value.
+func (c Cell) String() string { return c.Value().String() }
+
+// cell lowers v, an id-valued result (Bind's idValued), into a Cell.
+func (v Value) cell() Cell {
+	if v.K != KindInt {
+		return NullCell
+	}
+	return Cell{I: v.I}
+}
 
 // Kind enumerates the runtime value kinds.
 type Kind uint8
@@ -220,4 +258,13 @@ func integral(v Value) (int64, bool) {
 }
 
 // Row is one tuple.
-type Row []Value
+type Row []Cell
+
+// NullRow returns a row of n NULL cells.
+func NullRow(n int) Row {
+	r := make(Row, n)
+	for i := range r {
+		r[i] = NullCell
+	}
+	return r
+}

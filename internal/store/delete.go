@@ -151,12 +151,12 @@ func (d *side) remove(entity, pid, member int64, predURI string) (bool, error) {
 		for _, c := range cols {
 			pc, vc := 2+2*c, 2+2*c+1
 			pv := d.primary.CellAt(ri, pc)
-			if pv.K != rel.KindInt || pv.I != pid {
+			if pv.IsNull() || pv.I != pid {
 				continue
 			}
 			// The unique cell for (entity, pid) across all rows.
 			cur := d.primary.CellAt(ri, vc)
-			if cur.K == rel.KindInt && dict.IsLid(cur.I) {
+			if !cur.IsNull() && dict.IsLid(cur.I) {
 				row := d.listRow(cur.I, member)
 				if row < 0 {
 					return false, nil // not in the list
@@ -186,7 +186,7 @@ func (d *side) remove(entity, pid, member int64, predURI string) (bool, error) {
 				}
 				return true, nil
 			}
-			if cur.K == rel.KindInt && cur.I == member {
+			if !cur.IsNull() && cur.I == member {
 				return true, d.clearCell(entity, pid, ri, pc, vc)
 			}
 			return false, nil // predicate present with a different value
@@ -200,11 +200,11 @@ func (d *side) remove(entity, pid, member int64, predURI string) (bool, error) {
 // leaves the entity count. A cell of a spilled entity leaves pid's
 // spill count: every row of such an entity carries spill = 1.
 func (d *side) clearCell(entity, pid int64, ri, pc, vc int) error {
-	spilled := d.primary.CellAt(ri, 1) == rel.Int(1)
-	if err := d.primary.SetCell(ri, pc, rel.Null); err != nil {
+	spilled := d.primary.CellAt(ri, 1) == rel.ID(1)
+	if err := d.primary.SetCell(ri, pc, rel.NullCell); err != nil {
 		return err
 	}
-	if err := d.primary.SetCell(ri, vc, rel.Null); err != nil {
+	if err := d.primary.SetCell(ri, vc, rel.NullCell); err != nil {
 		return err
 	}
 	if spilled {

@@ -73,7 +73,7 @@ func entityTriples(primary, secondary *rel.Table, k int, entity int64) int {
 		for c := 0; c < k; c++ {
 			v := primary.CellAt(int(ri), 2+2*c+1)
 			switch {
-			case v.K != rel.KindInt:
+			case v.IsNull():
 			case dict.IsLid(v.I):
 				members, _ := secondary.IndexLookup("lid", v.I)
 				n += len(members)
@@ -100,7 +100,7 @@ func (sn *Snapshot) TopConstants(k int) []string {
 		seen := make(map[int64]bool)
 		for i, rows := 0, sv.primary.Len(); i < rows; i++ {
 			ev := sv.primary.CellAt(i, 0)
-			if ev.K != rel.KindInt || seen[ev.I] {
+			if ev.IsNull() || seen[ev.I] {
 				continue
 			}
 			seen[ev.I] = true

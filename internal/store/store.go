@@ -166,7 +166,7 @@ func (d *side) rows(entity int64) []int32 {
 // spilled reports whether an entity with the given rows has ever needed
 // more than one row: every row of such an entity carries spill = 1.
 func (d *side) spilled(rows []int32) bool {
-	return len(rows) > 0 && d.primary.CellAt(int(rows[0]), 1) == rel.Int(1)
+	return len(rows) > 0 && d.primary.CellAt(int(rows[0]), 1) == rel.ID(1)
 }
 
 // listRow returns the secondary row holding member in list lid, or -1.
@@ -181,7 +181,7 @@ func (d *side) listRow(lid, member int64) int {
 		ids, col, want = byElm, 0, lid
 	}
 	for _, id := range ids {
-		if d.secondary.CellAt(int(id), col) == rel.Int(want) {
+		if d.secondary.CellAt(int(id), col) == rel.ID(want) {
 			return int(id)
 		}
 	}
@@ -332,27 +332,27 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 		ri := int(r)
 		for _, c := range cols {
 			pc, vc := 2+2*c, 2+2*c+1
-			if pv := d.primary.CellAt(ri, pc); pv.K == rel.KindInt && pv.I == pid {
+			if pv := d.primary.CellAt(ri, pc); !pv.IsNull() && pv.I == pid {
 				cur := d.primary.CellAt(ri, vc)
-				if cur.K == rel.KindInt && dict.IsLid(cur.I) {
+				if !cur.IsNull() && dict.IsLid(cur.I) {
 					lid := cur.I
 					if d.listRow(lid, member) >= 0 {
 						return false, false, nil // duplicate triple
 					}
-					return true, false, d.secondary.Insert(rel.Row{rel.Int(lid), rel.Int(member)})
+					return true, false, d.secondary.Insert(rel.Row{rel.ID(lid), rel.ID(member)})
 				}
-				if cur.K == rel.KindInt && cur.I == member {
+				if !cur.IsNull() && cur.I == member {
 					return false, false, nil // duplicate triple
 				}
 				// Convert single value to a list.
 				lid := s.Dict.NextLid()
-				if err := d.secondary.Insert(rel.Row{rel.Int(lid), cur}); err != nil {
+				if err := d.secondary.Insert(rel.Row{rel.ID(lid), cur}); err != nil {
 					return false, false, err
 				}
-				if err := d.secondary.Insert(rel.Row{rel.Int(lid), rel.Int(member)}); err != nil {
+				if err := d.secondary.Insert(rel.Row{rel.ID(lid), rel.ID(member)}); err != nil {
 					return false, false, err
 				}
-				if err := d.primary.SetCell(ri, vc, rel.Int(lid)); err != nil {
+				if err := d.primary.SetCell(ri, vc, rel.ID(lid)); err != nil {
 					return false, false, err
 				}
 				d.count(&d.multiPreds, d.multiCells, pid, 1)
@@ -367,10 +367,10 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 		for _, c := range cols {
 			pc, vc := 2+2*c, 2+2*c+1
 			if d.primary.CellAt(ri, pc).IsNull() {
-				if err := d.primary.SetCell(ri, pc, rel.Int(pid)); err != nil {
+				if err := d.primary.SetCell(ri, pc, rel.ID(pid)); err != nil {
 					return false, false, err
 				}
-				if err := d.primary.SetCell(ri, vc, rel.Int(member)); err != nil {
+				if err := d.primary.SetCell(ri, vc, rel.ID(member)); err != nil {
 					return false, false, err
 				}
 				if d.spilled(rows) {
@@ -393,7 +393,7 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 			// involved in spills: a merged star lookup could miss it.
 			for _, r := range rows {
 				for c := 0; c < d.k; c++ {
-					if pv := d.primary.CellAt(int(r), 2+2*c); pv.K == rel.KindInt {
+					if pv := d.primary.CellAt(int(r), 2+2*c); !pv.IsNull() {
 						d.countLocked(&d.spillPreds, d.spillCells, pv.I, 1)
 					}
 				}
@@ -403,18 +403,18 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 		if first {
 			// Flag prior rows as spilled.
 			for _, r := range rows {
-				if err := d.primary.SetCell(int(r), 1, rel.Int(1)); err != nil {
+				if err := d.primary.SetCell(int(r), 1, rel.ID(1)); err != nil {
 					return false, false, err
 				}
 			}
 		}
 	}
-	newRow := make(rel.Row, 2+2*d.k)
-	newRow[0] = rel.Int(entity)
-	newRow[1] = rel.Int(spillFlag)
+	newRow := rel.NullRow(2 + 2*d.k)
+	newRow[0] = rel.ID(entity)
+	newRow[1] = rel.ID(spillFlag)
 	c := cols[0]
-	newRow[2+2*c] = rel.Int(pid)
-	newRow[2+2*c+1] = rel.Int(member)
+	newRow[2+2*c] = rel.ID(pid)
+	newRow[2+2*c+1] = rel.ID(member)
 	if _, err := d.primary.AppendRow(newRow); err != nil {
 		return false, false, err
 	}
@@ -507,7 +507,7 @@ func (d *side) census() (sideCensus, error) {
 	c := sideCensus{spillCells: make(map[int64]int), multiCells: make(map[int64]int)}
 	for i, n := 0, d.primary.Len(); i < n; i++ {
 		ev := d.primary.CellAt(i, 0)
-		if ev.K != rel.KindInt {
+		if ev.IsNull() {
 			continue // dead row, cleared
 		}
 		rows := d.rows(ev.I)
@@ -519,7 +519,7 @@ func (d *side) census() (sideCensus, error) {
 		for _, r := range rows {
 			for col := 0; col < d.k; col++ {
 				pv := d.primary.CellAt(int(r), 2+2*col)
-				if pv.K != rel.KindInt {
+				if pv.IsNull() {
 					continue
 				}
 				if spilled {
@@ -527,7 +527,7 @@ func (d *side) census() (sideCensus, error) {
 				}
 				vv := d.primary.CellAt(int(r), 2+2*col+1)
 				switch {
-				case vv.K != rel.KindInt:
+				case vv.IsNull():
 					return c, fmt.Errorf("store: %s row %d has predicate without value", d.primary.Name, r)
 				case dict.IsLid(vv.I):
 					members, _ := d.secondary.IndexLookup("lid", vv.I)
@@ -535,7 +535,7 @@ func (d *side) census() (sideCensus, error) {
 						return c, fmt.Errorf("store: %s row %d references empty lid %d", d.primary.Name, r, vv.I)
 					}
 					for _, m := range members {
-						if d.secondary.CellAt(int(m), 1).K != rel.KindInt {
+						if d.secondary.CellAt(int(m), 1).IsNull() {
 							return c, fmt.Errorf("store: %s row %d has lid without member", d.secondary.Name, m)
 						}
 					}

@@ -10,7 +10,6 @@ import (
 	"db2rdf/internal/coloring"
 	"db2rdf/internal/dict"
 	"db2rdf/internal/rdf"
-	"db2rdf/internal/rel"
 )
 
 // fig1Triples is the paper's Figure 1(a) sample DBpedia data.
@@ -121,7 +120,7 @@ func TestMultiValueConversion(t *testing.T) {
 	row := dph.RowAt(0)
 	foundLid := false
 	for i := 2; i < len(row); i += 2 {
-		if v := row[i+1]; v.K == rel.KindInt && dict.IsLid(v.I) {
+		if v := row[i+1]; !v.IsNull() && dict.IsLid(v.I) {
 			foundLid = true
 		}
 	}
@@ -332,7 +331,7 @@ func tripleStored(t *testing.T, s *Store, tr rdf.Triple) bool {
 		}
 		for c := 0; c < s.Snapshot().K(false); c++ {
 			pv, vv := row[2+2*c], row[2+2*c+1]
-			if pv.K != rel.KindInt || pv.I != pid {
+			if pv.IsNull() || pv.I != pid {
 				continue
 			}
 			if vv.I == oid {

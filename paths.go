@@ -112,7 +112,7 @@ func (s *Store) closureTable(ctx context.Context, snap *store.Snapshot, name str
 	slices.SortFunc(pairs, func(x, y [2]int64) int { return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1])) })
 	t := rel.NewTable(name, rel.Schema{{Name: "entry"}, {Name: "val"}})
 	for _, p := range slices.Compact(pairs) {
-		if err := t.Insert(rel.Row{rel.Int(p[0]), rel.Int(p[1])}); err != nil {
+		if err := t.Insert(rel.Row{rel.ID(p[0]), rel.ID(p[1])}); err != nil {
 			return nil, err
 		}
 	}
