@@ -430,11 +430,12 @@ func (v *colVec) chunkOf(ci int) *colChunk {
 	return v.chunks[ci]
 }
 
-// gatherChunk materializes the full chunk ci into rows[*][colPos],
-// walking set bits in order with a running packed cursor — the dense
-// fast path used when a scan selects an entire chunk. Absent rows are
-// left untouched (the caller's rows start NULL).
-func (v *colVec) gatherChunk(ci int, rows []Row, colPos int) {
+// gatherChunk materializes the full chunk ci into column colPos of
+// cells, rows width cells apart, walking set bits in order with a
+// running packed cursor — the dense fast path used when a scan selects
+// an entire chunk. Absent rows are left untouched (the caller's cells
+// start NULL).
+func (v *colVec) gatherChunk(ci int, cells []Cell, width, colPos int) {
 	ck := v.chunkOf(ci)
 	if ck == nil {
 		return
@@ -445,7 +446,7 @@ func (v *colVec) gatherChunk(ci int, rows []Row, colPos int) {
 		for word != 0 {
 			off := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			rows[off][colPos] = Cell{I: ck.intAt(k)}
+			cells[off*width+colPos] = Cell{I: ck.intAt(k)}
 			k++
 		}
 	}

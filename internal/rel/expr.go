@@ -15,7 +15,7 @@ func (c relCol) String() string {
 // relation is a materialized intermediate result during execution.
 type relation struct {
 	cols    []relCol
-	rows    []Row
+	rows    batch
 	aliases []string
 	// base points at the backing table when this relation is a full
 	// scan of it; joins can then use the table's hash indexes (index
@@ -32,9 +32,9 @@ type relation struct {
 	// check pending per probe) before using rows.
 	pending []Expr
 	// scan marks an unmaterialized full scan of a base table:
-	// rows is nil and materialize routes through the vectorized scan
+	// rows is empty and materialize routes through the vectorized scan
 	// (vecscan.go) instead of copying the table up front. Size the
-	// relation with rowCount, not len(rows).
+	// relation with rowCount, not rows.n.
 	scan bool
 	// unpivot is set on a base scan that carries a fused lateral item
 	// (unpivot.go): cols[len(src):] are the lateral's columns, which no
@@ -45,12 +45,31 @@ type relation struct {
 
 // rowCount is the relation's input cardinality for plan sizing: the
 // base table's live row count for an unmaterialized scan (an upper
-// bound when filters are pending), len(rows) otherwise.
+// bound when filters are pending), rows.n otherwise.
 func (r *relation) rowCount() int {
 	if r.scan {
 		return r.base.LiveLen()
 	}
-	return len(r.rows)
+	return r.rows.n
+}
+
+// batch is a relation's rows end to end in one pointer-free slab: row i
+// is cells[i*width:(i+1)*width], and n counts the rows (a scan that
+// reads no column still has them). No batch is written once made, so
+// relations share slabs freely.
+type batch struct {
+	width, n int
+	cells    []Cell
+}
+
+// row returns row i, a view into the slab.
+func (b *batch) row(i int) Row {
+	return b.cells[i*b.width : (i+1)*b.width : (i+1)*b.width]
+}
+
+// slice returns rows [lo, hi), sharing the slab.
+func (b *batch) slice(lo, hi int) batch {
+	return batch{width: b.width, n: hi - lo, cells: b.cells[lo*b.width : hi*b.width]}
 }
 
 // colIndex resolves a column reference to the position of the column

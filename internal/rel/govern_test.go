@@ -241,9 +241,9 @@ func TestAbortEquivalenceParallelSequential(t *testing.T) {
 	checkUsable(t, db)
 }
 
-// TestBudgetTripInArena drives the memory budget through the
-// rowArena.alloc panic path specifically: parallel projection of a
-// wide row with a budget smaller than one arena block.
+// TestBudgetTripInArena drives the memory budget through the bytes a
+// parallel projection's workers charge per emitted row, with a budget
+// smaller than one row.
 func TestBudgetTripInArena(t *testing.T) {
 	SetParallelism(4, 1)
 	defer SetParallelism(0, 0)
@@ -260,8 +260,8 @@ func TestBudgetTripInArena(t *testing.T) {
 	checkUsable(t, db)
 }
 
-// TestMemoryBudgetFollowsReadWidth: the arena charges what it
-// allocates, and a scan allocates the columns its core names. Five
+// TestMemoryBudgetFollowsReadWidth: a row is charged its width, and a
+// scan's rows carry the columns its core names. Five
 // columns of a 66-column sparse table fit a budget that the full width
 // — which every query used to gather — overruns; a budget below the
 // five columns still trips, with the typed error.
@@ -305,6 +305,41 @@ func TestMemoryBudgetFollowsReadWidth(t *testing.T) {
 	be = nil
 	if _, err := db.ExecContext(context.Background(), five, Limits{MaxBytes: 100 << 10}); !errors.As(err, &be) || be.Budget != "memory" {
 		t.Fatalf("five columns of 2000 rows must overrun 100 KB with a memory *BudgetError, got %v", err)
+	}
+}
+
+// TestBudgetChargesRowsKept: a query is charged for the rows its
+// operators keep — 8 bytes a cell — plus its hash entries and result
+// row headers, not for slab capacity. For a three-row join that stays
+// within twice the cells the scans, the join and the projection emit.
+func TestBudgetChargesRowsKept(t *testing.T) {
+	db := NewDB()
+	mustTable(t, db, "l", Schema{{Name: "k"}, {Name: "a"}}, []Row{{ID(1), ID(10)}, {ID(2), ID(20)}, {ID(3), ID(30)}})
+	mustTable(t, db, "r", Schema{{Name: "k"}, {Name: "b"}}, []Row{{ID(1), ID(11)}, {ID(2), ID(21)}, {ID(3), ID(31)}})
+	q := mustParse(t, "SELECT l.a AS a, r.b AS b FROM l AS l, r AS r WHERE l.k = r.k")
+	rs, st, err := db.AnalyzeContext(context.Background(), q, Limits{MaxBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rs.Rows))
+	}
+	// Each operator's width: a scan reads k and a value, the join
+	// carries both scans' columns, the projection two items.
+	width := map[string]int64{"scan": 2, "hash-join": 4, "project": 2}
+	var cells int64
+	for _, op := range st.Ops {
+		w, ok := width[op.Kind]
+		if !ok {
+			t.Fatalf("unexpected operator %+v", op)
+		}
+		cells += op.RowsOut * w
+	}
+	if cells != 3*(2+2+4+2) {
+		t.Fatalf("operators emitted %d cells, want %d: %+v", cells, 3*(2+2+4+2), st.Ops)
+	}
+	if kept := cells * cellBytes; st.BudgetBytesCharged > 2*kept {
+		t.Errorf("charged %d bytes for %d bytes of rows kept, over twice", st.BudgetBytesCharged, kept)
 	}
 }
 
