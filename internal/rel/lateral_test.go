@@ -467,10 +467,11 @@ func TestUnpivotAllocatesPerRowEmitted(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRow := float64(after.TotalAlloc-before.TotalAlloc) / runs / (2 * entities)
-	// Measured 555 B per emitted row: the 4-value join row and its
-	// 3-value projection (280 B) in geometrically grown arena blocks,
-	// three row-pointer slices, the probe side's scan. One 66-value row
-	// per match alone would add 1320 B per emitted row.
+	// Measured 151 B per emitted row: the 4-value join row and its
+	// 3-value projection, each copied out once into an exact slab, and
+	// the probe side's scan (555 B with a Row header per row in arena
+	// blocks). One 66-value row per match alone would add 1320 B per
+	// emitted row.
 	t.Logf("%.0f B allocated per emitted row", perRow)
 	if perRow > 700 {
 		t.Errorf("%.0f B allocated per emitted row, ceiling 700: the flip is materializing wide rows", perRow)

@@ -60,8 +60,8 @@ func (d discard) WriteHeader(int)             {}
 
 // TestWireEncodeAllocs serves the LQ6 shape over two store sizes and
 // gates what a request allocates: a fixed cost, plus well under one
-// allocation per row returned — the executor's arena blocks and result
-// slice growth, and nothing per row on the wire path. Decoding every
+// allocation per row returned — the executor's slabs and result slice
+// growth, and nothing per row on the wire path. Decoding every
 // cell into a Binding and marshaling one map per row paid about seven
 // per row (110k allocations at 16k rows). One executor worker keeps the
 // counts deterministic; the ceiling sits about 10% over the measured
