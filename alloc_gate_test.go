@@ -49,13 +49,14 @@ func TestWarmQueryAllocs(t *testing.T) {
 		maxAllocs float64
 		maxBytes  uint64
 	}{
-		// Measured with each operator's rows in one flat slab; in
-		// parentheses with a Row header per row in arena blocks, then
-		// with 40-byte Value cells, then earlier shapes.
-		{"LQ1", lubm, 197, 14 << 10},        // 171 allocs, 9.2 KB (182 and 12.6 KB; 183 and 27.9 KB; 486 and 56.6 KB at 66-wide rows)
-		{"LQ8", lubm, 556, 70 << 10},        // 505 allocs, 62.9 KB (560 and 112 KB; 561 and 238 KB; 1252 and 498 KB)
-		{"SQ9 shape", lubm, 477, 184 << 10}, // 433 allocs, 167 KB (534 and 386 KB; 536 and 944 KB; 2521 and 1050 KB with one union arm per pair)
-		{"SQ5a", sp2b, 1031, 458 << 10},     // 937 allocs, 416 KB (1357 and 975 KB)
+		// Measured with every core's row layout and column slots fixed
+		// at Bind; in parentheses with columns resolved by alias and
+		// name per execution, then with a Row header per row in arena
+		// blocks, then with 40-byte Value cells, then earlier shapes.
+		{"LQ1", lubm, 121, 7 << 10},         // 110 allocs, 6.4 KB (171 and 9.2 KB; 182 and 12.6 KB; 183 and 27.9 KB; 486 and 56.6 KB at 66-wide rows)
+		{"LQ8", lubm, 414, 61 << 10},        // 376 allocs, 55.5 KB (505 and 62.9 KB; 560 and 112 KB; 561 and 238 KB; 1252 and 498 KB)
+		{"SQ9 shape", lubm, 299, 173 << 10}, // 272 allocs, 158 KB (433 and 167 KB; 534 and 386 KB; 536 and 944 KB; 2521 and 1050 KB with one union arm per pair)
+		{"SQ5a", sp2b, 925, 452 << 10},      // 841 allocs, 411 KB (937 and 416 KB; 1357 and 975 KB)
 	} {
 		s := stores[tc.ds]
 		q := sq9Shape

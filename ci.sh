@@ -45,9 +45,9 @@ go test -race -count=3 \
     ./internal/rel/
 go test -race -count=3 \
     -run 'TestFilterNumericLiteralForms|TestFilterSpecForms|TestTranslatedSQLRoundTrip|TestWarmQueryAllocs|TestNaNIsUnordered|TestStorageEquivalence' .
-echo "== flat batches (row order pinned by a golden, kernels agree at 1 and 4 workers, budgets charge rows kept, warm-path allocations) =="
+echo "== flat batches (row order pinned by a golden, kernels agree at 1 and 4 workers, two units per core laid out in FROM order, budgets charge rows kept, warm-path allocations) =="
 go test -race -count=3 \
-    -run 'TestRowOrderGolden|TestParallelKernelEquivalence|TestJoinKernelsAgree|TestGovern|TestBudget|TestMemoryBudget' \
+    -run 'TestRowOrderGolden|TestParallelKernelEquivalence|TestJoinKernelsAgree|TestJoinLayoutFollowsFrom|TestBindRejectsOutsideDialect|TestGovern|TestBudget|TestMemoryBudget' \
     ./internal/rel/
 go test -race -count=3 -run 'TestWarmQueryAllocs' .
 echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="

@@ -241,13 +241,11 @@ func ExpNulls(w io.Writer, sc Scales) error {
 				return err
 			}
 		}
-		point := fmt.Sprintf("SELECT T.val0 AS val0 FROM DPH AS T WHERE T.entry = %d", rows/2)
-		scan := "SELECT T.entry AS entry FROM DPH AS T WHERE T.val3 = 17"
-		pointMS, err := timeQuery(db, point, 20)
+		pointMS, err := timeQuery(db, nullsQuery("val0", "entry", int64(rows/2)), 20)
 		if err != nil {
 			return err
 		}
-		scanMS, err := timeQuery(db, scan, 3)
+		scanMS, err := timeQuery(db, nullsQuery("entry", "val3", 17), 3)
 		if err != nil {
 			return err
 		}
@@ -256,17 +254,25 @@ func ExpNulls(w io.Writer, sc Scales) error {
 	return tw.Flush()
 }
 
-// timeQuery parses sql and returns the mean time of reps executions,
+// nullsQuery is SELECT T.item AS item FROM DPH AS T WHERE T.col = id.
+func nullsQuery(item, col string, id int64) *rel.Query {
+	return &rel.Query{Body: &rel.Select{Limit: -1, Cores: []*rel.SelectCore{{
+		Items: []rel.SelectItem{{Expr: &rel.ColRef{Alias: "T", Column: item}, Alias: item}},
+		From:  []rel.FromItem{{Table: "DPH", Alias: "T"}},
+		Where: &rel.BinOp{Op: "=", L: &rel.ColRef{Alias: "T", Column: col}, R: &rel.Lit{V: rel.Int(id)}},
+	}}}}
+}
+
+// timeQuery binds q and returns the mean time of reps executions,
 // failing on the first error.
-func timeQuery(db *rel.DB, sql string, reps int) (time.Duration, error) {
-	q, err := rel.ParseQuery(sql)
-	if err != nil {
+func timeQuery(db *rel.DB, q *rel.Query, reps int) (time.Duration, error) {
+	if err := rel.Bind(q); err != nil {
 		return 0, err
 	}
 	start := time.Now()
 	for i := 0; i < reps; i++ {
 		if _, err := db.Exec(q); err != nil {
-			return 0, fmt.Errorf("%s: %w", sql, err)
+			return 0, fmt.Errorf("%s: %w", q, err)
 		}
 	}
 	return time.Since(start) / time.Duration(reps), nil

@@ -160,16 +160,16 @@ func TestTimeQueryReportsErrors(t *testing.T) {
 	if err := tbl.Insert(rel.Row{rel.ID(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := timeQuery(db, "SELECT T.entry AS entry FROM DPH AS T WHERE T.entry = 1", 2); err != nil {
+	if _, err := timeQuery(db, nullsQuery("entry", "entry", 1), 2); err != nil {
 		t.Fatalf("a valid query: %v", err)
 	}
-	for _, sql := range []string{
-		"SELECT entry FROM DPH WHERE entry = 1",           // does not parse
-		"SELECT T.entry AS entry FROM NOPE AS T",          // fails when it runs
-		"SELECT T.nope AS nope FROM DPH AS T WHERE 1 = 1", // fails per row
-	} {
-		if d, err := timeQuery(db, sql, 2); err == nil {
-			t.Errorf("%s: timed at %v, want an error", sql, d)
+	unnamed := nullsQuery("entry", "entry", 1)
+	unnamed.Body.Cores[0].Items[0].Alias = "" // does not bind
+	noTable := nullsQuery("entry", "entry", 1)
+	noTable.Body.Cores[0].From[0].Table = "NOPE" // fails when it runs
+	for _, q := range []*rel.Query{unnamed, noTable, nullsQuery("nope", "entry", 1)} {
+		if d, err := timeQuery(db, q, 2); err == nil {
+			t.Errorf("%s: timed at %v, want an error", q, d)
 		}
 	}
 }

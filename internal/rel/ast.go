@@ -84,12 +84,16 @@ type Expr interface{ exprNode() }
 
 // ColRef references alias.column inside a select core, or a bare
 // output column name in ORDER BY. Bind also records both identifiers
-// lower-cased, the form every relation stores its column names in.
+// lower-cased and the slot the reference reads (bind.go): position pos
+// among the cells of its core's unit unit, or for an ORDER BY key, pos
+// is the output column; pos is -1 for a reference no row is read for
+// (a lateral cell, a dead item's).
 type ColRef struct {
 	Alias  string // "" in ORDER BY
 	Column string
 
 	alias, column string
+	unit, pos     int
 }
 
 // Lit is a literal constant value.

@@ -20,8 +20,8 @@ import (
 // int values (maintained widening-only, so they are sound bounds even
 // after updates) and the presence count (null count = chunk length −
 // n) — letting the vectorized scan skip whole chunks for
-// `col = const`, range and IS [NOT] NULL conjuncts before any per-row
-// work.
+// `col = <int literal>` conjuncts (eqFilter.skipChunk) before any
+// per-row work.
 //
 // Every stored cell is a Cell, an int64 id or NULL (a cleared bit): the
 // RDF schemas hold only dictionary ids, lids and flags. So a chunk's

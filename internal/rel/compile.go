@@ -7,21 +7,21 @@ import (
 )
 
 // Expression compilation: the executor's one expression evaluator.
-// Each expression is compiled once per relation shape into a closure
-// tree: column references resolve to positions at compile time, and
-// per-row evaluation is direct calls with no dispatch on the AST. The
-// translator's SQL evaluates the same small expressions (CASE WHEN
-// pred = k THEN val, COALESCE, OR-chains of integer equalities) over
-// many thousands of rows.
+// Each expression is compiled into a closure tree over the slots Bind
+// fixed (bind.go): a column reference reads its unit's cell at a
+// position known before the query runs, and per-row evaluation is
+// direct calls with no dispatch on the AST. The translator's SQL
+// evaluates the same small expressions (CASE WHEN pred = k THEN val,
+// COALESCE, OR-chains of integer equalities) over many thousands of
+// rows.
 //
 // Compiled closures are immutable and keep no per-row state, so one
 // compiled expression may be shared by all morsel workers.
 //
-// Problems found during compilation (unknown column, unknown function)
-// compile into closures that return the error when *evaluated*, so an
-// erroneous sub-expression inside a never-taken branch stays silent.
+// An unknown function compiles into a closure that returns the error
+// when *evaluated*, so a call inside a never-taken branch stays silent.
 
-// compiledExpr evaluates an expression against one row of the shape
+// compiledExpr evaluates an expression against one row of the layout
 // it was compiled for.
 type compiledExpr func(row Row) (Value, error)
 
@@ -29,27 +29,23 @@ func errExpr(err error) compiledExpr {
 	return func(Row) (Value, error) { return Null, err }
 }
 
-// compileExpr compiles e against rel's column shape.
-func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
+// compileExpr compiles e for rows whose unit 1 cells start at shift:
+// 0 for the rows of one unit (or the output rows ORDER BY reads), unit
+// 0's width for the joined row.
+func (db *DB) compileExpr(e Expr, shift int) compiledExpr {
 	switch x := e.(type) {
 	case *Lit:
 		v := x.V
 		return func(Row) (Value, error) { return v, nil }
 	case *ColRef:
-		if rel == nil {
-			return errExpr(fmt.Errorf("sql: column reference %s outside row context", colRefString(x)))
-		}
-		i := rel.colIndex(x)
-		if i < 0 {
-			return errExpr(fmt.Errorf("sql: unknown column %s (have %v)", colRefString(x), rel.cols))
-		}
+		i := x.at(shift)
 		return func(r Row) (Value, error) { return r[i].Value(), nil }
 	case *BinOp:
-		return db.compileBinOp(x, rel)
+		return db.compileBinOp(x, shift)
 	case *BoolOp:
-		return db.compileBoolOp(x, rel)
+		return db.compileBoolOp(x, shift)
 	case *UnOp: // NOT, the one unary operator Bind accepts
-		sub := db.compileExpr(x.X, rel)
+		sub := db.compileExpr(x.X, shift)
 		return func(r Row) (Value, error) {
 			v, err := sub(r)
 			if err != nil || v.IsNull() {
@@ -58,7 +54,7 @@ func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
 			return Bool(!v.Truth()), nil
 		}
 	case *IsNullExpr:
-		sub := db.compileExpr(x.X, rel)
+		sub := db.compileExpr(x.X, shift)
 		not := x.Not
 		return func(r Row) (Value, error) {
 			v, err := sub(r)
@@ -71,12 +67,12 @@ func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
 		conds := make([]compiledExpr, len(x.Whens))
 		results := make([]compiledExpr, len(x.Whens))
 		for i, w := range x.Whens {
-			conds[i] = db.compileExpr(w.Cond, rel)
-			results[i] = db.compileExpr(w.Result, rel)
+			conds[i] = db.compileExpr(w.Cond, shift)
+			results[i] = db.compileExpr(w.Result, shift)
 		}
 		var elseC compiledExpr
 		if x.Else != nil {
-			elseC = db.compileExpr(x.Else, rel)
+			elseC = db.compileExpr(x.Else, shift)
 		}
 		return func(r Row) (Value, error) {
 			for i, cond := range conds {
@@ -96,7 +92,7 @@ func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
 	case *FuncCall:
 		args := make([]compiledExpr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = db.compileExpr(a, rel)
+			args[i] = db.compileExpr(a, shift)
 		}
 		if strings.EqualFold(x.Name, "coalesce") {
 			return func(r Row) (Value, error) {
@@ -133,10 +129,10 @@ func (db *DB) compileExpr(e Expr, rel *relation) compiledExpr {
 
 // compileBoolOp compiles an n-ary AND or OR under SQL's three-valued
 // logic as the left-deep chain of binary operations it equals.
-func (db *DB) compileBoolOp(x *BoolOp, rel *relation) compiledExpr {
-	acc := db.compileExpr(x.Args[0], rel)
+func (db *DB) compileBoolOp(x *BoolOp, shift int) compiledExpr {
+	acc := db.compileExpr(x.Args[0], shift)
 	for _, a := range x.Args[1:] {
-		l, r := acc, db.compileExpr(a, rel)
+		l, r := acc, db.compileExpr(a, shift)
 		switch x.Op {
 		case "AND":
 			acc = func(row Row) (Value, error) {
@@ -187,16 +183,16 @@ func (db *DB) compileBoolOp(x *BoolOp, rel *relation) compiledExpr {
 	return acc
 }
 
-func (db *DB) compileBinOp(x *BinOp, rel *relation) compiledExpr {
+func (db *DB) compileBinOp(x *BinOp, shift int) compiledExpr {
 	// The translator's dominant predicate is `T.predN = <int>`:
 	// specialize column-vs-integer-literal comparison down to a direct
 	// slot read and int compare.
 	if x.Op == "=" || x.Op == "!=" {
-		if ce := db.compileIntEquality(x, rel); ce != nil {
+		if ce := db.compileIntEquality(x, shift); ce != nil {
 			return ce
 		}
 	}
-	l, r := db.compileExpr(x.L, rel), db.compileExpr(x.R, rel)
+	l, r := db.compileExpr(x.L, shift), db.compileExpr(x.R, shift)
 	switch x.Op {
 	case "=", "!=", "<", "<=", ">", ">=":
 		op := x.Op
@@ -228,30 +224,15 @@ func (db *DB) compileBinOp(x *BinOp, rel *relation) compiledExpr {
 	return errExpr(fmt.Errorf("sql: unknown binary op %q", x.Op))
 }
 
-// compileIntEquality specializes `col = <intlit>` (either side) into a
-// direct comparison of the column's cell; nil when the shape does not
-// match.
-func (db *DB) compileIntEquality(x *BinOp, rel *relation) compiledExpr {
-	if rel == nil {
-		return nil
-	}
-	cr, lit := x.L, x.R
-	if _, ok := cr.(*ColRef); !ok {
-		cr, lit = x.R, x.L
-	}
-	c, ok := cr.(*ColRef)
+// compileIntEquality specializes `col = <intlit>` and `col != <intlit>`
+// (either side) into a direct comparison of the column's cell; nil when
+// the shape does not match.
+func (db *DB) compileIntEquality(x *BinOp, shift int) compiledExpr {
+	c, want, ok := colInt(x)
 	if !ok {
 		return nil
 	}
-	l, ok := lit.(*Lit)
-	if !ok || l.V.K != KindInt {
-		return nil
-	}
-	i := rel.colIndex(c)
-	if i < 0 {
-		return nil // fall back to the generic path's lazy error
-	}
-	want := l.V.I
+	i := c.at(shift)
 	eq := x.Op == "="
 	return func(r Row) (Value, error) {
 		v := r[i]
@@ -260,6 +241,29 @@ func (db *DB) compileIntEquality(x *BinOp, rel *relation) compiledExpr {
 		}
 		return Bool((v.I == want) == eq), nil
 	}
+}
+
+// colInt matches a column against an integer literal, either side.
+func colInt(x *BinOp) (*ColRef, int64, bool) {
+	col, lit := x.L, x.R
+	if _, ok := col.(*ColRef); !ok {
+		col, lit = lit, col
+	}
+	c, isCol := col.(*ColRef)
+	l, isLit := lit.(*Lit)
+	if !isCol || !isLit || l.V.K != KindInt {
+		return nil, 0, false
+	}
+	return c, l.V.I, true
+}
+
+// intEquality matches `col = <integer literal>`, either way round: the
+// shape index lookups and the vectorized scan answer.
+func intEquality(e Expr) (*ColRef, int64, bool) {
+	if x, ok := e.(*BinOp); ok && x.Op == "=" {
+		return colInt(x)
+	}
+	return nil, 0, false
 }
 
 // compared is the SQL comparison a op b. NaN is unordered: every
@@ -334,10 +338,10 @@ func arith(op string, l, r Value) (Value, error) {
 
 // compilePred compiles a conjunct list into a single keep/drop
 // predicate: true iff every conjunct evaluates truthy.
-func (db *DB) compilePred(conds []Expr, rel *relation) func(Row) (bool, error) {
+func (db *DB) compilePred(conds []Expr, shift int) func(Row) (bool, error) {
 	compiled := make([]compiledExpr, len(conds))
 	for i, c := range conds {
-		compiled[i] = db.compileExpr(c, rel)
+		compiled[i] = db.compileExpr(c, shift)
 	}
 	return func(r Row) (bool, error) {
 		for _, c := range compiled {

@@ -44,6 +44,9 @@ func TestBindRejectsOutsideDialect(t *testing.T) {
 		{"lateral over an earlier item", "SELECT L.p AS p FROM t AS T, k AS K, " + pairsOfT, "AS L correlates to t; " + lateralRule},
 		{"lateral over a lateral", "SELECT M.y AS y FROM t AS T, " + pairsOfT + ", TABLE(VALUES (L.p), (L.v)) AS M(y)", "AS M correlates to l; " + lateralRule},
 		{"JOIN on a lateral", "SELECT L.p AS p FROM t AS T, " + pairsOfT + " LEFT OUTER JOIN s AS S ON L.v = S.lid", "AS L cannot be followed by a JOIN"},
+		// A core joins at most two units; a lateral is part of its host's.
+		{"three comma units", "SELECT B.a AS a FROM u AS B LEFT OUTER JOIN s AS S ON B.a = S.lid, v AS C, t AS T, " + pairsOfT + " WHERE B.a = C.a AND C.a = T.id",
+			"FROM B, C, T joins 3 items"},
 		// Rows hold ids: an item or a lateral cell that can yield
 		// anything else is named in the error.
 		{"float literal item", "SELECT 1.5 AS x FROM t AS T", "select item 1.5 AS x is not id-valued"},
@@ -112,6 +115,9 @@ func TestBindRejectsOutsideDialect(t *testing.T) {
 		{"lateral with a JOIN chain", &Query{Body: &Select{Limit: -1, Cores: []*SelectCore{{Items: item(col("L", "p"), "p"),
 			From: []FromItem{base, {Lateral: lateral.Lateral, Alias: "L", Joins: []JoinClause{{Right: FromItem{Table: "u", Alias: "U"}, On: &Lit{V: Bool(true)}}}}}}}}},
 			"AS L cannot be followed by a JOIN"},
+		{"three comma FromItems", &Query{Body: &Select{Limit: -1, Cores: []*SelectCore{{Items: item(col("A", "a"), "a"),
+			From: []FromItem{{Table: "t", Alias: "A"}, {Table: "u", Alias: "B"}, {Table: "v", Alias: "C"}}}}}},
+			"FROM A, B, C joins 3 items"},
 		{"float Lit item", &Query{Body: &Select{Limit: -1, Cores: []*SelectCore{{Items: item(&Lit{V: Float(2)}, "two"), From: []FromItem{base}}}}},
 			"select item 2.0 AS two is not id-valued"},
 		{"string Lit lateral cell", &Query{Body: &Select{Limit: -1, Cores: []*SelectCore{{Items: item(col("L", "p"), "p"),

@@ -66,7 +66,7 @@ func (db *DB) execContext(ctx context.Context, q *Query, lim Limits, prof *profi
 			prof.stats.BudgetBytesCharged = ex.gov.bytes.Load()
 		}()
 	}
-	env := make(map[string]*relation, len(b.ctes))
+	env := make([]batch, len(b.ctes))
 	for i := range b.ctes {
 		if err := ex.gov.check(CkCore); err != nil {
 			return nil, err
@@ -82,7 +82,7 @@ func (db *DB) execContext(ctx context.Context, q *Query, lim Limits, prof *profi
 		if prof != nil {
 			prof.stats.CTERows[cte.name] = int64(rows.n)
 		}
-		env[cte.name] = resultToRelation(cte.sel.cores[0].names, rows)
+		env[i] = rows
 	}
 	if prof != nil {
 		prof.scope = ""
@@ -103,29 +103,10 @@ func (db *DB) execContext(ctx context.Context, q *Query, lim Limits, prof *profi
 	return rs, nil
 }
 
-// resultToRelation wraps a select's rows, under the column names
-// project already lower-cased, as an unqualified relation.
-func resultToRelation(names []string, rows batch) *relation {
-	cols := make([]relCol, len(names))
-	for i, c := range names {
-		cols[i].name = c
-	}
-	return &relation{cols: cols, rows: rows}
-}
-
-// aliased returns a copy of base with columns qualified by alias.
-func aliased(base *relation, alias string) *relation {
-	cols := make([]relCol, len(base.cols))
-	for i, c := range base.cols {
-		cols[i] = relCol{alias: alias, name: c.name}
-	}
-	return &relation{cols: cols, rows: base.rows, aliases: []string{alias}}
-}
-
 // evalSelect evaluates one select: its cores, UNION ALL-ed, then ORDER
-// BY and LIMIT/OFFSET over the combined rows. Its columns are the first
-// core's names.
-func (ex *exec) evalSelect(bs *boundSelect, env map[string]*relation) (batch, error) {
+// BY and LIMIT/OFFSET over the combined rows. env holds the rows of the
+// CTEs evaluated so far, by index.
+func (ex *exec) evalSelect(bs *boundSelect, env []batch) (batch, error) {
 	s := bs.sel
 	// LIMIT pushdown: with a single core, no ORDER BY and no DISTINCT,
 	// projection is an order-preserving 1:1 row map, so only the first
@@ -137,12 +118,8 @@ func (ex *exec) evalSelect(bs *boundSelect, env map[string]*relation) (batch, er
 			rowCap += s.Offset
 		}
 	}
-	names := bs.cores[0].names
 	var out batch
 	for i, core := range bs.cores {
-		if len(core.names) != len(names) {
-			return batch{}, fmt.Errorf("sql: UNION arms have %d vs %d columns", len(names), len(core.names))
-		}
 		rows, err := ex.evalCore(core, env, rowCap)
 		if err != nil {
 			return batch{}, err
@@ -156,7 +133,7 @@ func (ex *exec) evalSelect(bs *boundSelect, env map[string]*relation) (batch, er
 	}
 	if len(s.OrderBy) > 0 {
 		var err error
-		if out, err = ex.applyOrderBy(names, out, s.OrderBy); err != nil {
+		if out, err = ex.applyOrderBy(out, s.OrderBy); err != nil {
 			return batch{}, err
 		}
 	}
@@ -177,18 +154,17 @@ func (ex *exec) evalSelect(bs *boundSelect, env map[string]*relation) (batch, er
 	return out, nil
 }
 
-// applyOrderBy returns rows, whose columns are names, sorted stably on
-// items: keys are computed once per row, an index permutation is
-// sorted, and the rows are copied out in its order.
-func (ex *exec) applyOrderBy(names []string, rows batch, items []OrderItem) (batch, error) {
+// applyOrderBy returns rows sorted stably on items: keys are computed
+// once per row, an index permutation is sorted, and the rows are copied
+// out in its order.
+func (ex *exec) applyOrderBy(rows batch, items []OrderItem) (batch, error) {
 	t0 := ex.opStart()
-	rel := resultToRelation(names, rows)
 	nk := len(items)
 	perm := make([]int32, rows.n)
 	keys := make([]Value, rows.n*nk)
 	keyOf := make([]compiledExpr, nk)
 	for j, it := range items {
-		keyOf[j] = ex.db.compileExpr(it.Expr, rel)
+		keyOf[j] = ex.db.compileExpr(it.Expr, 0)
 	}
 	t := ticker{g: ex.gov, site: CkOrderBy}
 	if err := t.flush(); err != nil {
@@ -288,46 +264,30 @@ input:
 // projected rows (LIMIT pushdown); the caller guarantees projection
 // order is final (no ORDER BY, no DISTINCT), so only the first rowCap
 // joined rows can appear in the result.
-func (ex *exec) evalCore(bc *boundCore, env map[string]*relation, rowCap int64) (batch, error) {
+func (ex *exec) evalCore(bc *boundCore, env []batch, rowCap int64) (batch, error) {
 	if err := ex.gov.check(CkCore); err != nil {
 		return batch{}, err
 	}
-	conjs := bc.conjs
-	applied := make([]bool, len(conjs))
-
-	// Build each FROM unit, pushing single-alias filters into pure base scans.
-	units := make([]*relation, 0, len(bc.from))
-	for _, bf := range bc.from {
-		if bf.lat != nil {
-			continue // fused into the scan of the base table right before it
-		}
-		u, err := ex.buildUnit(bc, bf, applied, env)
+	var units [2]*relation
+	for i := range bc.units {
+		u, err := ex.buildUnit(&bc.units[i], env)
 		if err != nil {
 			return batch{}, err
 		}
-		units = append(units, u)
+		units[i] = u
 	}
-
-	cur, err := ex.joinUnits(units, conjs, applied)
-	if err != nil {
-		return batch{}, err
-	}
-	cur, err = ex.materialize(cur)
-	if err != nil {
-		return batch{}, err
-	}
-
-	// Any unapplied conjunct must now be fully bound.
-	var residual []Expr
-	for i := range conjs {
-		if !applied[i] {
-			residual = append(residual, conjs[i].expr)
-			applied[i] = true
+	cur := units[0]
+	var err error
+	if len(bc.units) == 2 {
+		if cur, err = ex.joinUnits(units, &bc.links); err != nil {
+			return batch{}, err
 		}
 	}
-	if len(residual) > 0 {
-		cur, err = ex.filterRelation(cur, residual)
-		if err != nil {
+	if cur, err = ex.materialize(cur); err != nil {
+		return batch{}, err
+	}
+	if len(bc.residual) > 0 {
+		if cur, err = ex.filterRelation(cur, bc.residual, bc.shift()); err != nil {
 			return batch{}, err
 		}
 	}
@@ -336,27 +296,36 @@ func (ex *exec) evalCore(bc *boundCore, env map[string]*relation, rowCap int64) 
 		if ex.prof != nil {
 			ex.opEnd(time.Now(), OpStat{Kind: "limit", Label: "pushdown", RowsIn: int64(cur.rows.n), RowsOut: rowCap, Workers: 1})
 		}
-		trimmed := *cur
-		trimmed.rows = cur.rows.slice(0, int(rowCap))
-		cur = &trimmed
+		cur = &relation{rows: cur.rows.slice(0, int(rowCap))}
 	}
 	return ex.project(bc, cur)
 }
 
-// buildUnit materializes one FROM item including its LEFT OUTER JOIN
-// chain.
-func (ex *exec) buildUnit(bc *boundCore, bf *boundFrom, applied []bool, env map[string]*relation) (*relation, error) {
-	left, err := ex.buildPrimary(bc, bf, applied, env, len(bf.joins) == 0)
+// buildUnit materializes one unit: its FROM item with its WHERE
+// conjuncts pushed in — index-accelerated on a base table — and its
+// LEFT OUTER JOIN chain.
+func (ex *exec) buildUnit(u *boundUnit, env []batch) (*relation, error) {
+	left, err := ex.buildPrimary(u.from, env)
 	if err != nil {
 		return nil, err
 	}
-	for i := range bf.joins {
-		jc := &bf.joins[i]
-		right, err := ex.buildPrimary(bc, jc.right, nil, env, false)
+	switch {
+	case len(u.where) == 0:
+	case left.base != nil:
+		left, err = ex.scanWithFilters(left, u)
+	default:
+		left, err = ex.filterRelation(left, u.where, 0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i := range u.from.joins {
+		j := &u.from.joins[i]
+		right, err := ex.buildPrimary(j.right, env)
 		if err != nil {
 			return nil, err
 		}
-		left, err = ex.join(left, right, onSpec(left, right, jc))
+		left, err = ex.join(left, right, joinSpec{links: j.links, residual: j.residual, outer: true})
 		if err != nil {
 			return nil, err
 		}
@@ -364,123 +333,86 @@ func (ex *exec) buildUnit(bc *boundCore, bf *boundFrom, applied []bool, env map[
 	return left, nil
 }
 
-// buildPrimary resolves a table or CTE name. When push is true, the
-// single-alias conjuncts of the core's WHERE are pushed into the item —
-// index-accelerated on a base table — and marked applied. A base table
-// is shaped from the columns the core references through the item's
+// buildPrimary resolves a table or CTE reference. A base table is an
+// unread scan of the columns the core references through the item's
 // alias, nothing else.
-func (ex *exec) buildPrimary(bc *boundCore, bf *boundFrom, applied []bool, env map[string]*relation, push bool) (*relation, error) {
-	if cte, ok := env[bf.table]; ok {
-		r := aliased(cte, bf.alias)
-		if push {
-			return ex.pushBound(r, bc.conjs, applied)
-		}
-		return r, nil
+func (ex *exec) buildPrimary(bf *boundFrom, env []batch) (*relation, error) {
+	if bf.cte >= 0 {
+		return &relation{rows: env[bf.cte]}, nil
 	}
 	t := ex.db.table(bf.table)
 	if t == nil {
 		return nil, fmt.Errorf("sql: unknown table %q", bf.table)
 	}
+	src, err := t.columnSet(bf)
+	if err != nil {
+		return nil, err
+	}
+	r := &relation{base: t, src: src, rows: batch{width: len(src)}}
 	// A lateral item is fused with the read of the base table it
 	// correlates to (unpivot.go): its cells are read from the chunks per
 	// pair and stay out of the rows.
-	var up *unpivot
 	if bf.lateral != nil {
-		var err error
-		if up, err = newUnpivot(t, bf.lateral); err != nil {
+		if r.unpivot, err = newUnpivot(t, bf.lateral); err != nil {
 			return nil, err
 		}
-	}
-	r := &relation{base: t, src: t.columnSet(bf), aliases: []string{bf.alias}, scan: true, unpivot: up}
-	r.cols = make([]relCol, len(r.src))
-	for i, c := range r.src {
-		r.cols[i] = relCol{alias: bf.alias, name: t.names[c]}
-	}
-	if up != nil {
-		for _, name := range up.lat.names {
-			r.cols = append(r.cols, relCol{alias: up.alias, name: name})
-		}
-		r.aliases = append(r.aliases, up.alias)
-	}
-	if push {
-		return ex.scanWithFilters(r, bc, bf, applied)
+		r.rows.width += r.unpivot.width
 	}
 	return r, nil
 }
 
 // columnSet resolves the columns bf references to table positions, in
-// schema order. Names the table does not have are left out; the
-// reference then fails to resolve, as it would against the full width.
-func (t *Table) columnSet(bf *boundFrom) []int {
-	src := make([]int, 0, len(bf.cols))
-	for _, name := range bf.cols {
-		if c, ok := t.colIdx[name]; ok {
-			src = append(src, c)
+// bf.cols order, failing on a name the table does not have.
+func (t *Table) columnSet(bf *boundFrom) ([]int, error) {
+	src := make([]int, len(bf.cols))
+	for i, name := range bf.cols {
+		c, ok := t.colIdx[name]
+		if !ok {
+			return nil, fmt.Errorf("sql: unknown column %s.%s (have %v)", bf.alias, name, t.names)
 		}
+		src[i] = c
 	}
-	sort.Ints(src)
-	return src
+	return src, nil
 }
 
-// scanWithFilters scans the base table behind r applying the core's
-// conjuncts over bf's alias alone — and, when a lateral item is fused
-// into r, over its alias too — using a hash index for the first
-// "col = constant" conjunct on the table if any.
-func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, applied []bool) (*relation, error) {
+// scanWithFilters applies u's WHERE conjuncts to r, the scan of its
+// base table — and, when a lateral item is fused into r, of its pairs —
+// using a hash index for the first "col = constant" conjunct on an
+// indexed column if any.
+func (ex *exec) scanWithFilters(r *relation, u *boundUnit) (*relation, error) {
 	t := r.base
-	var mine []*boundConj
-	for i := range bc.conjs {
-		c := &bc.conjs[i]
-		// r's aliases are bf's and, when a lateral item is fused into
-		// it, that item's.
-		if !applied[i] && len(c.aliases) > 0 && boundIn(c, r) {
-			mine = append(mine, c)
-			applied[i] = true
-		}
-	}
-	// Look for an index-usable equality: an indexed column equal to an
-	// int literal (Bind records it). A conjunct with any other constant
-	// stays with the rest, whose compiled predicate decides it as it
-	// would without an index.
-	indexCol, indexID := "", int64(0)
-	indexConj := -1
-	for k, c := range mine {
-		if c.col == nil || !t.HasIndex(c.col.Column) {
-			continue
-		}
-		if c.col.alias != bf.alias {
-			continue // a lateral column that shares an indexed column's name
-		}
-		indexCol, indexID, indexConj = c.col.Column, c.id, k
-		break
-	}
-	var rest []Expr
-	for k, c := range mine {
-		if k != indexConj {
-			rest = append(rest, c.expr)
-		}
-	}
-	if indexConj < 0 {
+	// An index-usable equality is an indexed table column equal to an
+	// int literal. A conjunct with any other constant stays with the
+	// rest, whose compiled predicate decides it as it would without an
+	// index.
+	key := slices.IndexFunc(u.where, func(c Expr) bool {
+		col, _, ok := intEquality(c)
+		return ok && col.pos < len(r.src) && t.HasIndex(col.Column)
+	})
+	if key < 0 {
 		// Defer the filters: a later index nested-loop join can apply
 		// them per probed row, avoiding a filtered copy of the table,
 		// and otherwise the scan runs them chunk-wise.
-		r.pending = rest
+		r.pending = u.where
 		return r, nil
 	}
+	col, id, _ := intEquality(u.where[key])
+	rest := append(u.where[:key:key], u.where[key+1:]...)
 	t0 := ex.opStart()
 	pre, run := ex.startUnpivot(r, rest)
-	pred := ex.db.compilePred(pre, r)
-	ids, _ := t.IndexLookup(indexCol, indexID)
+	pred := ex.db.compilePred(pre, 0)
+	ids, _ := t.IndexLookup(col.Column, id)
 	rd := t.reader(r.src)
-	tk := ticker{g: ex.gov, site: CkFilter, rowBytes: int64(len(r.cols)) * cellBytes}
+	width := r.rows.width
+	tk := ticker{g: ex.gov, site: CkFilter, rowBytes: int64(width) * cellBytes}
 	if run != nil {
 		tk.site = CkUnpivot
 	}
 	if err := tk.flush(); err != nil {
 		return nil, err
 	}
-	kept := ex.workBufs(1, len(r.cols))
-	uw := run.worker(&tk, &kept[0])
+	kept := ex.workBufs(1, width)
+	uw := run.worker(&tk, &kept[0], false)
 	for _, id := range ids {
 		// A plain row is read straight into the rowBuf and dropped if the
 		// filters reject it; an unpivoted one is expanded from scratch.
@@ -514,39 +446,17 @@ func (ex *exec) scanWithFilters(r *relation, bc *boundCore, bf *boundFrom, appli
 	if err := tk.flush(); err != nil {
 		return nil, err
 	}
-	out := &relation{cols: r.cols, aliases: r.aliases, rows: flatten(len(r.cols), kept)}
-	ex.opEnd(t0, run.opStat(OpStat{Kind: "index-scan", Label: t.Name + "." + indexCol, RowsIn: int64(len(ids)), RowsOut: int64(out.rows.n),
+	out := &relation{rows: flatten(width, kept)}
+	ex.opEnd(t0, run.opStat(OpStat{Kind: "index-scan", Label: t.Name + "." + col.Column, RowsIn: int64(len(ids)), RowsOut: int64(out.rows.n),
 		ColsRead: len(r.src), ColsTotal: len(t.Schema), Workers: 1}))
 	return out, nil
 }
 
-// pushBound applies every unapplied conjunct whose aliases are all part
-// of r, a CTE reference.
-func (ex *exec) pushBound(r *relation, conjs []boundConj, applied []bool) (*relation, error) {
-	var mine []Expr
-	for i := range conjs {
-		if !applied[i] && len(conjs[i].aliases) > 0 && boundIn(&conjs[i], r) {
-			mine = append(mine, conjs[i].expr)
-			applied[i] = true
-		}
-	}
-	if len(mine) == 0 {
-		return r, nil
-	}
-	return ex.filterRelation(r, mine)
-}
-
-func (ex *exec) filterRelation(r *relation, conds []Expr) (*relation, error) {
-	if r.scan {
-		// Fold the conjuncts into the scan's pending set and run the
-		// scan once instead of materializing first.
-		s := *r
-		s.pending = append(append([]Expr(nil), r.pending...), conds...)
-		return ex.materialize(&s)
-	}
+// filterRelation keeps the rows of r, a read relation, that pass every
+// one of conds, compiled with unit 1 at shift (compileExpr).
+func (ex *exec) filterRelation(r *relation, conds []Expr, shift int) (*relation, error) {
 	t0 := ex.opStart()
-	out := &relation{cols: r.cols, aliases: r.aliases}
-	pred := ex.db.compilePred(conds, r)
+	pred := ex.db.compilePred(conds, shift)
 	w := planWorkers(r.rows.n)
 	parts := ex.workBufs(w, r.rows.width)
 	err := parallelChunks(r.rows.n, w, func(chunk, lo, hi int) error {
@@ -580,7 +490,7 @@ func (ex *exec) filterRelation(r *relation, conds []Expr) (*relation, error) {
 	for _, p := range parts {
 		kept += p.n
 	}
-	out.rows = r.rows // every row passed
+	out := &relation{rows: r.rows} // every row passed
 	if kept < r.rows.n {
 		out.rows = flatten(r.rows.width, parts)
 	}
@@ -588,73 +498,26 @@ func (ex *exec) filterRelation(r *relation, conds []Expr) (*relation, error) {
 	return out, nil
 }
 
-// boundIn reports whether every alias c references is part of r.
-func boundIn(c *boundConj, r *relation) bool {
-	for _, a := range c.aliases {
-		if !slices.Contains(r.aliases, a) {
-			return false
-		}
-	}
-	return true
-}
-
 // materialize runs a deferred base-table scan with its pending
 // filters on the vectorized path (zone-map pruning, selection vectors),
 // detaching the relation from its base table.
 func (ex *exec) materialize(r *relation) (*relation, error) {
-	if !r.scan {
+	if r.base == nil {
 		return r, nil
 	}
 	return ex.vecScan(r)
 }
 
-// project evaluates the SELECT list over the joined relation. Items
-// the bound form marks dead (no downstream select can observe them) are
-// not evaluated when they are expressions: their slot is left NULL,
-// which is indistinguishable to consumers of the live columns.
+// project evaluates the SELECT list over the joined relation. A column
+// item copies its cell; an item Bind marked dead (no downstream select
+// can observe it) is not evaluated, its slot left NULL, which is
+// indistinguishable to consumers of the live columns.
 func (ex *exec) project(bc *boundCore, r *relation) (batch, error) {
-	core := bc.core
-	names := bc.names
-	// A nil entry of exprs is a direct column copy from positions[i].
-	exprs := make([]Expr, len(names))
-	positions := make([]int, len(names))
-	for i, item := range core.Items {
-		exprs[i], positions[i] = item.Expr, -1
-		if cr, ok := item.Expr.(*ColRef); ok {
-			if p := r.colIndex(cr); p >= 0 {
-				exprs[i], positions[i] = nil, p
-			}
-		}
-	}
-	if bc.dead != nil {
-		// Dead-column pruning (see deadcols.go). Only expression items
-		// are worth skipping: a direct copy moves one cell.
-		// positions[i] = -2 marks a dead slot: never read from the input
-		// row, left NULL in the output.
-		for i := range names {
-			if exprs[i] != nil && bc.dead[i] {
-				exprs[i] = nil
-				positions[i] = -2
-			}
-		}
-	}
-	width := len(names)
+	width := len(bc.cells)
 	out := batch{width: width}
 	t0 := ex.opStart()
 	if n := r.rows.n; n > 0 {
-		// Compile the non-trivial projection expressions once; direct
-		// column copies stay nil.
-		compiled := make([]compiledExpr, width)
-		identity := width == len(r.cols)
-		for i := range names {
-			if exprs[i] != nil {
-				compiled[i] = ex.db.compileExpr(exprs[i], r)
-				identity = false
-			} else if positions[i] != i {
-				identity = false
-			}
-		}
-		if identity {
+		if bc.identity {
 			// Pure column-preserving rename (e.g. the translator's
 			// `SELECT A.r0 AS v_x FROM QT2 AS A` CTE hops): the output
 			// is the input batch itself.
@@ -664,6 +527,13 @@ func (ex *exec) project(bc *boundCore, r *relation) (batch, error) {
 			out = r.rows
 			ex.opEnd(t0, OpStat{Kind: "project", Label: "identity", RowsIn: int64(n), RowsOut: int64(n), Workers: 1})
 		} else {
+			// Compile the expression items once; column copies stay nil.
+			compiled := make([]compiledExpr, width)
+			for i, c := range bc.cells {
+				if c == exprItem {
+					compiled[i] = ex.db.compileExpr(bc.core.Items[i].Expr, bc.shift())
+				}
+			}
 			// One n×width slab, each worker writing its range of rows in
 			// place, so the parallel fan-out is deterministic by
 			// construction.
@@ -680,19 +550,19 @@ func (ex *exec) project(bc *boundCore, r *relation) (batch, error) {
 					}
 					row := r.rows.row(ri)
 					outRow := out.row(ri)
-					for i := range names {
-						if compiled[i] == nil {
+					for i, c := range bc.cells {
+						switch {
+						case c >= 0:
+							outRow[i] = row[c]
+						case c == deadItem:
 							outRow[i] = NullCell
-							if p := positions[i]; p >= 0 {
-								outRow[i] = row[p]
+						default:
+							v, err := compiled[i](row)
+							if err != nil {
+								return err
 							}
-							continue
+							outRow[i] = v.cell() // Bind admits id-valued items only
 						}
-						v, err := compiled[i](row)
-						if err != nil {
-							return err
-						}
-						outRow[i] = v.cell() // Bind admits id-valued items only
 					}
 				}
 				return tk.flush()
@@ -703,7 +573,7 @@ func (ex *exec) project(bc *boundCore, r *relation) (batch, error) {
 			ex.opEnd(t0, OpStat{Kind: "project", RowsIn: int64(n), RowsOut: int64(n), Workers: w})
 		}
 	}
-	if core.Distinct {
+	if bc.core.Distinct {
 		return ex.dedup(out)
 	}
 	return out, nil

@@ -1,45 +1,31 @@
 package rel
 
-// relCol names one column of a relation: the lower-cased FROM alias
-// that qualifies it ("" for the unqualified output of a select) and
-// the lower-cased column name.
-type relCol struct{ alias, name string }
-
-func (c relCol) String() string {
-	if c.alias == "" {
-		return c.name
-	}
-	return c.alias + "." + c.name
-}
-
-// relation is a materialized intermediate result during execution.
+// relation is a materialized intermediate result during execution:
+// the rows of one unit of a core (bind.go), of a prefix of its join
+// chain, or of the joined core, laid out as Bind fixed.
 type relation struct {
-	cols    []relCol
-	rows    batch
-	aliases []string
-	// base points at the backing table when this relation is a full
-	// scan of it; joins can then use the table's hash indexes (index
-	// nested-loop) instead of building a fresh hash. src maps each
-	// relation position to its table column: the relation carries only
-	// the columns its core references (see bind.go), in schema order,
+	// rows are the relation's cells; a base scan has none yet, only
+	// their width.
+	rows batch
+	// base points at the backing table when this relation is an unread
+	// scan of it: joins can then use the table's hash indexes (index
+	// nested-loop) instead of building a fresh hash, and materialize
+	// routes it through the vectorized scan (vecscan.go). Size such a
+	// relation with rowCount, not rows.n. src maps each of its cells to
+	// its table column (the columns its core references, see bind.go),
 	// and every read of base goes through Table.reader(src).
 	base *Table
 	src  []int
 	// pending holds single-relation filters that have not been applied
 	// yet: base scans defer them so an index nested-loop join can
 	// evaluate them per probed row instead of materializing a filtered
-	// copy of the whole table. Consumers must call DB.materialize (or
+	// copy of the whole table. Consumers must call materialize (or
 	// check pending per probe) before using rows.
 	pending []Expr
-	// scan marks an unmaterialized full scan of a base table:
-	// rows is empty and materialize routes through the vectorized scan
-	// (vecscan.go) instead of copying the table up front. Size the
-	// relation with rowCount, not rows.n.
-	scan bool
 	// unpivot is set on a base scan that carries a fused lateral item
-	// (unpivot.go): cols[len(src):] are the lateral's columns, which no
-	// table read fills — the operator that runs the scan expands each
-	// row id into its pairs.
+	// (unpivot.go): its cells after src's are the lateral's columns,
+	// which no table read fills — the operator that runs the scan
+	// expands each row id into its pairs.
 	unpivot *unpivot
 }
 
@@ -47,7 +33,7 @@ type relation struct {
 // base table's live row count for an unmaterialized scan (an upper
 // bound when filters are pending), rows.n otherwise.
 func (r *relation) rowCount() int {
-	if r.scan {
+	if r.base != nil {
 		return r.base.LiveLen()
 	}
 	return r.rows.n
@@ -72,15 +58,12 @@ func (b *batch) slice(lo, hi int) batch {
 	return batch{width: b.width, n: hi - lo, cells: b.cells[lo*b.width : hi*b.width]}
 }
 
-// colIndex resolves a column reference to the position of the column
-// with its alias and name, or -1.
-func (r *relation) colIndex(c *ColRef) int {
-	for i, rc := range r.cols {
-		if rc.name == c.column && rc.alias == c.alias {
-			return i
-		}
+// at is c's position in a row whose unit 1 cells start at shift.
+func (c *ColRef) at(shift int) int {
+	if c.unit == 1 {
+		return shift + c.pos
 	}
-	return -1
+	return c.pos
 }
 
 func colRefString(c *ColRef) string {

@@ -1,13 +1,10 @@
 package rel
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
-// The join operator. Comma-separated FROM units, joined greedily on the
-// WHERE equalities, and LEFT OUTER JOIN … ON items both go through
-// join, which picks one of three kernels:
+// The join operator. A core's two comma-separated units, joined on the
+// WHERE equalities between them, and each LEFT OUTER JOIN … ON of a
+// unit's chain both go through join, which picks one of three kernels:
 //
 //   - index probe: one side is an unmaterialized scan of a base table
 //     with a hash index on a link column and the other side is smaller,
@@ -19,11 +16,12 @@ import (
 // Every kernel fans its probe rows out across morsel workers, each with
 // its own ticker and rowBuf, and flattens the rowBufs in input
 // order: rows come out in probe order, then candidate order, whatever
-// the worker count. Links compare as ids (idEqual): NULL joins nothing,
-// and hash buckets and index postings are keyed by the same ids, so
-// whether an index exists never changes an answer. The other conjuncts
-// of an ON clause are checked per pair, and a LEFT OUTER join
-// NULL-extends every left row it kept no pair for.
+// the worker count. Cells are written in the layout Bind fixed, FROM
+// order, whichever side probes. Links compare as ids (idEqual): NULL
+// joins nothing, and hash buckets and index postings are keyed by the
+// same ids, so whether an index exists never changes an answer. The
+// other conjuncts of an ON clause are checked per pair, and a LEFT
+// OUTER join NULL-extends every left row it kept no pair for.
 
 // joinSpec says how two relations join.
 type joinSpec struct {
@@ -32,6 +30,9 @@ type joinSpec struct {
 	// outer marks a LEFT OUTER JOIN … ON, which keeps unmatched left
 	// rows NULL-extended and is profiled as "join-on".
 	outer bool
+	// swap writes each pair right side first: a comma join whose left
+	// side is unit 1 still lays its cells out in FROM order.
+	swap bool
 }
 
 // stat names a kernel's profile entry: a comma join reports the
@@ -44,107 +45,14 @@ func (s *joinSpec) stat(st OpStat, onLabel string) OpStat {
 	return st
 }
 
-// joinUnits combines the comma-separated FROM units using the WHERE
-// conjuncts: greedy ordering, joins on equality predicates, cross
-// products as a last resort.
-func (ex *exec) joinUnits(units []*relation, conjs []boundConj, applied []bool) (*relation, error) {
-	if len(units) == 1 {
-		return units[0], nil
+// joinUnits joins a core's two units on the WHERE links between them.
+// The smaller by rowCount (unit 0 on a tie) is the join's left side.
+func (ex *exec) joinUnits(units [2]*relation, links *[2][]eqLink) (*relation, error) {
+	s := 0
+	if units[1].rowCount() < units[0].rowCount() {
+		s = 1
 	}
-	used := make([]bool, len(units))
-	// Start from the smallest unit.
-	start := 0
-	for i := 1; i < len(units); i++ {
-		if units[i].rowCount() < units[start].rowCount() {
-			start = i
-		}
-	}
-	cur := units[start]
-	used[start] = true
-	for joined := 1; joined < len(units); joined++ {
-		best, bestEq := -1, 0
-		for i, u := range units {
-			if used[i] {
-				continue
-			}
-			eq := len(eqLinks(cur, u, conjs, applied))
-			switch {
-			case best < 0,
-				eq > bestEq,
-				eq == bestEq && u.rowCount() < units[best].rowCount():
-				best, bestEq = i, eq
-			}
-		}
-		next := units[best]
-		used[best] = true
-		links := eqLinks(cur, next, conjs, applied)
-		for _, lk := range links {
-			applied[lk.conj] = true
-		}
-		var err error
-		cur, err = ex.join(cur, next, joinSpec{links: links})
-		if err != nil {
-			return nil, err
-		}
-		// Apply any conjunct now fully bound.
-		var ready []Expr
-		for i := range conjs {
-			if !applied[i] && boundIn(&conjs[i], cur) {
-				ready = append(ready, conjs[i].expr)
-				applied[i] = true
-			}
-		}
-		if len(ready) > 0 {
-			cur, err = ex.filterRelation(cur, ready)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return cur, nil
-}
-
-// onSpec splits an ON clause into the links between left and right
-// and the residual conjuncts.
-func onSpec(left, right *relation, jc *boundJoin) joinSpec {
-	spec := joinSpec{links: eqLinks(left, right, jc.on, nil), outer: true}
-	for i := range jc.on {
-		if !slices.ContainsFunc(spec.links, func(lk eqLink) bool { return lk.conj == i }) {
-			spec.residual = append(spec.residual, jc.on[i].expr)
-		}
-	}
-	return spec
-}
-
-// eqLink describes an equality conjunct joining two relations.
-type eqLink struct {
-	conj int
-	li   int // column position in left
-	ri   int // column position in right
-}
-
-// eqLinks lists the `colref = colref` conjuncts (skipping applied
-// ones when applied is non-nil) that link a column of l to one of r.
-func eqLinks(l, r *relation, conjs []boundConj, applied []bool) []eqLink {
-	var out []eqLink
-	for i := range conjs {
-		c := &conjs[i]
-		if c.l == nil || (applied != nil && applied[i]) {
-			continue
-		}
-		if li := l.colIndex(c.l); li >= 0 {
-			if ri := r.colIndex(c.r); ri >= 0 {
-				out = append(out, eqLink{conj: i, li: li, ri: ri})
-				continue
-			}
-		}
-		if li := l.colIndex(c.r); li >= 0 {
-			if ri := r.colIndex(c.l); ri >= 0 {
-				out = append(out, eqLink{conj: i, li: li, ri: ri})
-			}
-		}
-	}
-	return out
+	return ex.join(units[s], units[1-s], joinSpec{links: links[s], swap: s == 1})
 }
 
 // indexLink finds a join link whose probe side is an indexed column of
@@ -161,7 +69,7 @@ func indexLink(r *relation, links []eqLink, right bool) (int, string) {
 		if pos >= len(r.src) {
 			continue // a fused lateral column, not a table column
 		}
-		col := r.cols[pos].name
+		col := r.base.names[r.src[pos]]
 		if r.base.HasIndex(col) {
 			return i, col
 		}
@@ -169,10 +77,9 @@ func indexLink(r *relation, links []eqLink, right bool) (int, string) {
 	return -1, ""
 }
 
-// join joins l and r under spec into a relation of l's columns followed
-// by r's, choosing the kernel.
+// join joins l and r under spec, choosing the kernel.
 func (ex *exec) join(l, r *relation, spec joinSpec) (*relation, error) {
-	out := combineShape(l, r)
+	out := &relation{rows: batch{width: l.rows.width + r.rows.width}}
 	// Index nested-loop when one side is an indexed base table and the
 	// other side is smaller: probe the index per row instead of hashing
 	// the whole table. The side sizing compares post-filter
@@ -234,12 +141,18 @@ type joinWorker struct {
 	out   *rowBuf
 	res   func(Row) (bool, error) // the compiled residual; nil when none
 	outer bool
+	swap  bool
 }
 
-// pair keeps l and r combined when the residual accepts them, and
-// reports whether it did.
+// pair keeps l and r combined, in FROM order, when the residual accepts
+// them, and reports whether it did.
 func (w *joinWorker) pair(l, r Row) (bool, error) {
-	row := w.out.push(l, r)
+	var row Row
+	if w.swap {
+		row = w.out.push(r, l)
+	} else {
+		row = w.out.push(l, r)
+	}
 	if w.res != nil {
 		if ok, err := w.res(row); !ok || err != nil {
 			w.out.pop()
@@ -250,7 +163,8 @@ func (w *joinWorker) pair(l, r Row) (bool, error) {
 }
 
 // unmatched keeps left row l NULL-extended under an outer join; the
-// join kept no pair for it.
+// join kept no pair for it. An outer join never swaps: its left side is
+// the chain before it.
 func (w *joinWorker) unmatched(l Row) error {
 	if !w.outer {
 		return nil
@@ -268,12 +182,13 @@ func (w *joinWorker) unmatched(l Row) error {
 func (ex *exec) probeRows(out *relation, rows batch, site CheckSite, spec *joinSpec, body func(w *joinWorker, rows batch) error) (int, error) {
 	var res func(Row) (bool, error)
 	if len(spec.residual) > 0 {
-		res = ex.db.compilePred(spec.residual, out)
+		res = ex.db.compilePred(spec.residual, 0) // an ON clause reads its unit's row
 	}
+	width := out.rows.width
 	w := planWorkers(rows.n)
-	parts := ex.workBufs(w, len(out.cols))
+	parts := ex.workBufs(w, width)
 	err := parallelChunks(rows.n, w, func(chunk, lo, hi int) error {
-		jw := &joinWorker{tk: ticker{g: ex.gov, site: site, rowBytes: int64(len(out.cols)) * cellBytes}, out: &parts[chunk], res: res, outer: spec.outer}
+		jw := &joinWorker{tk: ticker{g: ex.gov, site: site, rowBytes: int64(width) * cellBytes}, out: &parts[chunk], res: res, outer: spec.outer, swap: spec.swap}
 		if err := jw.tk.flush(); err != nil {
 			return err
 		}
@@ -285,7 +200,7 @@ func (ex *exec) probeRows(out *relation, rows batch, site CheckSite, spec *joinS
 	if err != nil {
 		return w, err
 	}
-	out.rows = flatten(len(out.cols), parts)
+	out.rows = flatten(width, parts)
 	return w, nil
 }
 
@@ -316,9 +231,9 @@ func (ex *exec) indexProbe(out *relation, probe, indexed *relation, li int, col 
 		site = CkUnpivot
 		verify, pairLinks = run.splitLinks(links, indexedIsRight)
 	}
-	pendOK := ex.db.compilePred(pending, indexed)
+	pendOK := ex.db.compilePred(pending, 0)
 	w, err := ex.probeRows(out, probe.rows, site, spec, func(jw *joinWorker, rows batch) error {
-		uw := run.worker(&jw.tk, jw.out)
+		uw := run.worker(&jw.tk, jw.out, jw.swap)
 		// Each worker owns its reader: reads share a per-reader scratch
 		// row, consumed before the next rowAt (push copies).
 		rd := indexed.base.reader(indexed.src)
@@ -478,14 +393,4 @@ func (ex *exec) nestedLoop(out *relation, l, r *relation, spec *joinSpec) error 
 	}
 	ex.opEnd(t0, spec.stat(OpStat{Kind: "cross-join", RowsIn: int64(l.rows.n), BuildRows: int64(r.rows.n), RowsOut: int64(out.rows.n), Workers: w}, "nested"))
 	return nil
-}
-
-func combineShape(l, r *relation) *relation {
-	out := &relation{
-		cols:    make([]relCol, 0, len(l.cols)+len(r.cols)),
-		aliases: make([]string, 0, len(l.aliases)+len(r.aliases)),
-	}
-	out.cols = append(append(out.cols, l.cols...), r.cols...)
-	out.aliases = append(append(out.aliases, l.aliases...), r.aliases...)
-	return out
 }

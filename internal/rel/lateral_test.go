@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -475,5 +476,28 @@ func TestUnpivotAllocatesPerRowEmitted(t *testing.T) {
 	t.Logf("%.0f B allocated per emitted row", perRow)
 	if perRow > 700 {
 		t.Errorf("%.0f B allocated per emitted row, ceiling 700: the flip is materializing wide rows", perRow)
+	}
+}
+
+// TestJoinLayoutFollowsFrom: a comma join writes its cells in FROM
+// order whichever unit is its left side. With k first, k is the
+// smaller unit and the left side anyway; with t and its lateral first,
+// k is still the smaller, so the join starts from unit 1 and probes t's
+// index into the fused unpivot, which must still put t's and L's cells
+// before k's. Both orders give the same rows.
+func TestJoinLayoutFollowsFrom(t *testing.T) {
+	db := pairsDB(t)
+	const items = "SELECT T.id AS id, L.p AS p, L.v AS v, K.want AS want FROM "
+	lateralFirst := queryRows(t, db, items+"t AS T, "+pairsOfT+", k AS K WHERE T.id = K.id")
+	keysFirst := queryRows(t, db, items+"k AS K, t AS T, "+pairsOfT+" WHERE T.id = K.id")
+	if len(keysFirst.Rows) == 0 || !sameMultiset(lateralFirst.Rows, keysFirst.Rows) {
+		t.Errorf("t, L, k gives %v; k, t, L gives %v", multiset(lateralFirst.Rows), multiset(keysFirst.Rows))
+	}
+	_, stats, err := db.AnalyzeContext(context.Background(), mustParse(t, items+"t AS T, "+pairsOfT+", k AS K WHERE T.id = K.id"), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(stats.Ops, func(op OpStat) bool { return op.Kind == "unpivot" && op.Label == "index-join t.id" }) {
+		t.Errorf("want k probing t's index into the unpivot, ran %v", stats.Ops)
 	}
 }

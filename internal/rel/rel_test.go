@@ -262,17 +262,6 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 	}
 }
 
-func TestThreeWayJoinOrdering(t *testing.T) {
-	db := NewDB()
-	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{ID(1)}, {ID(2)}, {ID(3)}})
-	mustTable(t, db, "b", Schema{{Name: "x"}, {Name: "y"}}, []Row{{ID(1), ID(10)}, {ID(2), ID(20)}})
-	mustTable(t, db, "c", Schema{{Name: "y"}, {Name: "z"}}, []Row{{ID(10), ID(100)}, {ID(30), ID(300)}})
-	rs := queryRows(t, db, "SELECT a.x AS x, c.z AS z FROM a AS a, b AS b, c AS c WHERE a.x = b.x AND b.y = c.y")
-	if len(rs.Rows) != 1 || rs.Rows[0][1].I != 100 {
-		t.Fatalf("unexpected %v", rs.Rows)
-	}
-}
-
 func TestCrossJoinFallback(t *testing.T) {
 	db := NewDB()
 	mustTable(t, db, "a", Schema{{Name: "x"}}, []Row{{ID(1)}, {ID(2)}})

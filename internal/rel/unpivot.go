@@ -22,7 +22,6 @@ import (
 // unpivot is a lateral item resolved against the base table it reads.
 type unpivot struct {
 	lat   *boundLateral
-	alias string
 	width int // lateral columns per pair
 	// cells[p*width+c] is the table column behind cell c of VALUES row
 	// p, or -1 for a literal (lat.rows[p][c] is then a *Lit).
@@ -33,7 +32,7 @@ type unpivot struct {
 // names a column t does not have.
 func newUnpivot(t *Table, lf *boundFrom) (*unpivot, error) {
 	width := len(lf.lat.names)
-	u := &unpivot{lat: lf.lat, alias: lf.alias, width: width, cells: make([]int, len(lf.lat.rows)*width)}
+	u := &unpivot{lat: lf.lat, width: width, cells: make([]int, len(lf.lat.rows)*width)}
 	for p, row := range lf.lat.rows {
 		for c, cell := range row {
 			pos := -1
@@ -97,14 +96,12 @@ func (ex *exec) startUnpivot(r *relation, conds []Expr) ([]Expr, *unpivotRun) {
 	var pre, post []Expr
 	for _, cond := range conds {
 		lateral := false
-		for _, cr := range colRefs(cond, nil) {
-			lateral = lateral || r.colIndex(cr) >= nsrc
-		}
+		eachColRef(cond, func(cr *ColRef) { lateral = lateral || cr.pos >= nsrc })
 		if !lateral {
 			pre = append(pre, cond)
 			continue
 		}
-		if c := run.rejectsNull(r, cond); c >= 0 {
+		if c := run.rejectsNull(cond); c >= 0 {
 			run.notNull[c] = true
 			if _, isNotNull := cond.(*IsNullExpr); isNotNull {
 				continue // skipping absent cells is the whole test
@@ -113,7 +110,7 @@ func (ex *exec) startUnpivot(r *relation, conds []Expr) ([]Expr, *unpivotRun) {
 		post = append(post, cond)
 	}
 	if len(post) > 0 {
-		run.post = ex.db.compilePred(post, r)
+		run.post = ex.db.compilePred(post, 0)
 	}
 	return pre, run
 }
@@ -121,7 +118,7 @@ func (ex *exec) startUnpivot(r *relation, conds []Expr) ([]Expr, *unpivotRun) {
 // rejectsNull recognizes `L.c IS NOT NULL` and `L.c = x` / `x = L.c`,
 // conjuncts no row with a NULL in lateral column c passes, and returns
 // c (-1 for any other shape).
-func (run *unpivotRun) rejectsNull(r *relation, cond Expr) int {
+func (run *unpivotRun) rejectsNull(cond Expr) int {
 	var operands []Expr
 	switch x := cond.(type) {
 	case *IsNullExpr:
@@ -134,10 +131,8 @@ func (run *unpivotRun) rejectsNull(r *relation, cond Expr) int {
 		}
 	}
 	for _, o := range operands {
-		if cr, ok := o.(*ColRef); ok {
-			if pos := r.colIndex(cr); pos >= run.nsrc {
-				return pos - run.nsrc
-			}
+		if cr, ok := o.(*ColRef); ok && cr.pos >= run.nsrc {
+			return cr.pos - run.nsrc
 		}
 	}
 	return -1
@@ -210,21 +205,22 @@ func (run *unpivotRun) opStat(st OpStat) OpStat {
 
 // unpivotWorker is one goroutine's state for a run: the scratch row
 // candidates are assembled in, and the ticker (at CkUnpivot) and rowBuf
-// of the operator worker it runs under.
+// of the operator worker it runs under. swap is the join's (joinSpec).
 type unpivotWorker struct {
 	run     *unpivotRun
 	cand    Row
 	tk      *ticker
 	out     *rowBuf
+	swap    bool
 	visited int64 // base rows expanded
 }
 
 // worker returns a worker for the run; nil for a nil run.
-func (run *unpivotRun) worker(tk *ticker, out *rowBuf) *unpivotWorker {
+func (run *unpivotRun) worker(tk *ticker, out *rowBuf, swap bool) *unpivotWorker {
 	if run == nil {
 		return nil
 	}
-	return &unpivotWorker{run: run, cand: make(Row, run.nsrc+len(run.notNull)), tk: tk, out: out}
+	return &unpivotWorker{run: run, cand: make(Row, run.nsrc+len(run.notNull)), tk: tk, out: out, swap: swap}
 }
 
 // finish reports the worker's work to the run.
@@ -237,9 +233,9 @@ func (w *unpivotWorker) finish() {
 // expand emits the rows of base row id, whose table columns are in
 // base: one per pair of pairs (in order) whose required cells are
 // present and that passes the post links and conjuncts. With a probe
-// row the emitted row is the probe row and the unpivoted row combined,
-// in the order indexedIsRight gives; links are verified between the
-// two. It charges one step for the base row and one emit per row.
+// row the emitted row is the probe row and the unpivoted row combined
+// in FROM order; links are verified between the two, sided as
+// indexedIsRight says. It charges one step for the base row and one emit per row.
 func (w *unpivotWorker) expand(id int, base Row, pairs []int32, probe Row, links []eqLink, indexedIsRight bool) error {
 	run := w.run
 	w.visited++
@@ -284,6 +280,9 @@ pairs:
 			if !ok {
 				continue
 			}
+		}
+		if w.swap {
+			l, r = r, l
 		}
 		w.out.push(l, r)
 		if err := w.tk.emit(); err != nil {

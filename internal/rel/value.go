@@ -2,7 +2,7 @@
 // IBM DB2 in this reproduction: in-memory tables of int64 ids with hash
 // indexes, the SQL dialect the SPARQL translators build, and a
 // cost-aware executor that performs filter pushdown, index lookups,
-// greedy join ordering and hash joins.
+// index, hash and nested-loop joins.
 //
 // The paper (Bornea et al., SIGMOD 2013) treats SQL as "a procedural
 // implementation language" for SPARQL plans; this package supplies the
@@ -17,8 +17,8 @@
 //     column, NULL, an integer literal, a CASE whose every THEN and ELSE
 //     is id-valued, or a COALESCE of id-valued arguments;
 //   - every FROM item is name AS alias, optionally followed by
-//     LEFT OUTER JOIN name AS alias ON cond chains; FROM items are
-//     comma-joined under WHERE;
+//     LEFT OUTER JOIN name AS alias ON cond chains; a core has one or
+//     two such items (a lateral apart), comma-joined under WHERE;
 //   - a lateral TABLE(VALUES (c, …), …) AS L(name, …) correlates to the
 //     FROM item right before it, a base table with no join chain, and
 //     nothing hangs off the lateral; a cell is an integer literal, NULL

@@ -42,22 +42,16 @@ type eqFilter struct {
 	val int64
 }
 
-// compileEqFilters splits conds into the equality filters the chunk
-// kernels answer and the residual row-at-a-time predicates; r must be a
-// scan relation.
-func compileEqFilters(r *relation, conds []Expr) (eqs []eqFilter, residual []Expr) {
+// compileEqFilters splits conds, conjuncts over a scan's table columns,
+// into the equality filters the chunk kernels answer and the residual
+// row-at-a-time predicates.
+func compileEqFilters(conds []Expr) (eqs []eqFilter, residual []Expr) {
 	for _, c := range conds {
-		if x, ok := c.(*BinOp); ok && x.Op == "=" {
-			cr, isCol := x.L.(*ColRef)
-			lit, isLit := x.R.(*Lit)
-			if isCol && isLit && lit.V.K == KindInt {
-				if pos := r.colIndex(cr); pos >= 0 {
-					eqs = append(eqs, eqFilter{col: pos, val: lit.V.I})
-					continue
-				}
-			}
+		if col, id, ok := intEquality(c); ok {
+			eqs = append(eqs, eqFilter{col: col.pos, val: id})
+		} else {
+			residual = append(residual, c)
 		}
-		residual = append(residual, c)
 	}
 	return eqs, residual
 }
@@ -201,7 +195,7 @@ func (f eqFilter) refine(ck *colChunk, sel []int32) []int32 {
 	return kept
 }
 
-// vecScan materializes a base-table scan relation (r.scan), applying
+// vecScan materializes a base-table scan relation (r.base), applying
 // its pending conjuncts with the chunk pipeline described at the top of
 // the file. Chunks are partitioned across morsel workers and the
 // per-worker outputs flattened in chunk order, so the result is
@@ -209,7 +203,7 @@ func (f eqFilter) refine(ck *colChunk, sel []int32) []int32 {
 func (ex *exec) vecScan(r *relation) (*relation, error) {
 	t0 := ex.opStart()
 	t := r.base
-	out := &relation{cols: r.cols, aliases: r.aliases}
+	out := &relation{}
 	// Workers share the head reader's snapshot of the table (column
 	// vectors, row count, tombstones) and each take their own scratch.
 	head := t.reader(r.src)
@@ -221,10 +215,10 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 	if run != nil {
 		site = CkUnpivot
 	}
-	eqs, residual := compileEqFilters(r, pending)
+	eqs, residual := compileEqFilters(pending)
 	var rowPred func(Row) (bool, error)
 	if len(residual) > 0 {
-		rowPred = ex.db.compilePred(residual, r)
+		rowPred = ex.db.compilePred(residual, 0)
 	}
 	nchunks := (nrows + chunkRows - 1) >> chunkShift
 	w := planWorkers(nrows)
@@ -232,7 +226,7 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 		w = nchunks
 	}
 	width := len(cols)
-	parts := ex.workBufs(w, len(r.cols))
+	parts := ex.workBufs(w, r.rows.width)
 	// Per-worker zone-skip counters, allocated only when profiling so
 	// the disabled path stays allocation-free.
 	var skips []int64
@@ -240,12 +234,12 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 		skips = make([]int64, w)
 	}
 	err := parallelChunks(nchunks, w, func(chunk, clo, chi int) error {
-		tk := ticker{g: ex.gov, site: site, rowBytes: int64(len(r.cols)) * cellBytes}
+		tk := ticker{g: ex.gov, site: site, rowBytes: int64(r.rows.width) * cellBytes}
 		if err := tk.flush(); err != nil {
 			return err
 		}
 		local := &parts[chunk]
-		uw := run.worker(&tk, local)
+		uw := run.worker(&tk, local, false)
 		var sel, live []int32
 		rd := *head
 	chunks:
@@ -367,7 +361,7 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.rows = flatten(len(r.cols), parts)
+	out.rows = flatten(r.rows.width, parts)
 	if ex.prof != nil {
 		var skipped int64
 		for _, s := range skips {
