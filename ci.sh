@@ -50,6 +50,9 @@ go test -race -count=3 \
     -run 'TestRowOrderGolden|TestParallelKernelEquivalence|TestJoinKernelsAgree|TestJoinLayoutFollowsFrom|TestBindRejectsOutsideDialect|TestGovern|TestBudget|TestMemoryBudget' \
     ./internal/rel/
 go test -race -count=3 -run 'TestWarmQueryAllocs' .
+echo "== one-pass result decode (one binding slab and one key arena per Results, per-cell reference, allocations independent of rows, driver rows) =="
+go test -race -count=3 -run '^TestResultsMatchPerCellDecode$|^TestResultsAllocsIndependentOfRows$|^TestSolveContextMatchesQuery$' .
+go test -race -count=3 ./driver/
 echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="
 go test -race -count=1 \
     -run 'TestSyntaxErrorIsTyped|TestDescribe|TestInference|TestAnalyze|TestExplainArtifacts|TestPathExplain' .

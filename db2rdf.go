@@ -598,7 +598,7 @@ func (s *Store) ResetPlanCache() { s.plans.reset() }
 // cached plan valid.
 func (s *Store) executeCompiledStats(ctx context.Context, snap *store.Snapshot, cp *compiledPlan, profile bool) (*Solutions, *ExecStats, error) {
 	tr := cp.tr
-	out := &Solutions{IsAsk: tr.Ask, dict: s.inner.Dict}
+	out := &Solutions{IsAsk: tr.Ask}
 	if tr.Query == nil {
 		// Empty pattern: ASK {} is true; SELECT over {} yields one
 		// empty solution (the SPARQL unit solution mapping), with every

@@ -216,15 +216,18 @@ func newRows(res *db2rdf.Results) *sqlRows {
 	if res.IsAsk {
 		return &sqlRows{cols: []string{"ask"}, rows: [][]driver.Value{{res.Ask}}}
 	}
-	out := &sqlRows{cols: res.Vars}
-	for _, row := range res.Rows {
-		vals := make([]driver.Value, len(res.Vars))
-		for i := range res.Vars {
+	// Every row is a capped window of one slab.
+	width := len(res.Vars)
+	slab := make([]driver.Value, len(res.Rows)*width)
+	out := &sqlRows{cols: res.Vars, rows: make([][]driver.Value, len(res.Rows))}
+	for r, row := range res.Rows {
+		vals := slab[r*width : (r+1)*width : (r+1)*width]
+		for i := range vals {
 			if i < len(row) && row[i].Bound {
 				vals[i] = row[i].Term.String()
 			}
 		}
-		out.rows = append(out.rows, vals)
+		out.rows[r] = vals
 	}
 	return out
 }

@@ -49,3 +49,26 @@ func (s *Store) CompileForTest(q string) error {
 	_, err = s.compile(s.inner.Snapshot(), parsed)
 	return err
 }
+
+// DecodePerCellForTest is the reference Results is checked against:
+// every bound cell decoded on its own through the live dictionary's
+// Decode, one binding slice per row.
+func (s *Store) DecodePerCellForTest(sol *Solutions) (*Results, error) {
+	out := &Results{Vars: sol.Vars, Ask: sol.Ask, IsAsk: sol.IsAsk}
+	keep := len(sol.Vars)
+	for _, row := range sol.rows {
+		decoded := make([]Binding, keep)
+		for i, v := range row[:keep] {
+			if v.IsNull() {
+				continue
+			}
+			t, err := s.inner.Dict.Decode(v.I)
+			if err != nil {
+				return nil, err
+			}
+			decoded[i] = Binding{Bound: true, Term: t}
+		}
+		out.Rows = append(out.Rows, decoded)
+	}
+	return out, nil
+}

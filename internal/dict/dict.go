@@ -11,10 +11,12 @@
 // with the block head, suffix), and the suffixes of a block live in one
 // contiguous string. Term keys — IRIs above all — share long prefixes,
 // so this cuts the resident id→term bytes severalfold while decoding a
-// key stays two slices and at most one concatenation. Decode parses the
-// rebuilt key with rdf.TermFromKey, whose Terms alias the key's backing
-// bytes, so no per-field copies are made either; View.AppendKey copies
-// the two slices into a caller's buffer and allocates nothing.
+// key stays two slices and at most one concatenation per decode.
+// Decode parses the rebuilt key with rdf.TermFromKey, whose Terms alias
+// the key's backing bytes, so no per-field copies are made either;
+// View.AppendKey copies the two slices into a caller's buffer and
+// allocates nothing, and View.KeyLen lets the caller size that buffer
+// first.
 package dict
 
 import (
@@ -92,6 +94,13 @@ func (v *View) keyAt(i int) string {
 // Covers reports whether id is a term id of this view. A nil view (an
 // empty dictionary) covers nothing.
 func (v *View) Covers(id int64) bool { return v != nil && id >= 1 && id <= int64(v.n) }
+
+// KeyLen returns the length of the stored key of a covered term id,
+// what AppendKey appends for it.
+func (v *View) KeyLen(id int64) int {
+	prefix, suffix := v.parts(int(id - 1))
+	return len(prefix) + len(suffix)
+}
 
 // AppendKey appends the stored key (Term.Key) of a covered term id to
 // dst without allocating beyond dst's growth.
