@@ -29,9 +29,9 @@ echo "== typed plan (translator-built bound query, SQL as its printed rendering,
 go test -race -count=3 \
     -run 'TestTranslatedSQLRoundTrip|TestFilterNumericLiteralForms|TestNaNIsUnordered|TestColdCompileAllocs|TestLUBMTemplatesSQLUnchanged|TestWarmQueryAllocs' .
 go test -race -count=3 -run 'TestPrint|TestBindIsRequired|FuzzSQLPrintRoundTrip|TestLateralErrors' ./internal/rel/
-echo "== ids compare by equality (FILTER forms vs SPARQL 1.1 §17, equality-only base-table conjuncts, residual scan answers, zone skip, lateral) =="
+echo "== ids compare by equality (FILTER forms vs SPARQL 1.1 §17, plain literals ordered as strings, equality-only base-table conjuncts, residual scan answers, zone skip, lateral) =="
 go test -race -count=3 \
-    -run 'TestFilterSpecForms|TestTranslatedSQLRoundTrip|TestVectorizedScanEquivalence|TestZoneMapStillPrunesCleanChunks|TestLateral' \
+    -run 'TestFilterSpecForms|TestPlainLiteralOrder|TestTranslatedSQLRoundTrip|TestVectorizedScanEquivalence|TestZoneMapStillPrunesCleanChunks|TestLateral' \
     . ./internal/rel/
 echo "== one SQL dialect (out-of-dialect shapes and non-id items rejected by name, id join/DISTINCT/index keys, translated SQL round trip, fused lateral, narrow reads, baselines) =="
 go test -race -count=3 \
@@ -85,8 +85,8 @@ go test -race -count=1 \
 echo "== snapshot isolation (mixed read/write, torn-read + goroutine-leak checks) =="
 go test -race -count=1 \
     -run 'TestSnapshotIsolationReaders|TestConcurrentInsertQueryExport|TestLoadParallelConcurrentReaders' .
-echo "== publish costs the delta (postMap vs a plain map, copies per publish, exact markers vs the tables, isolation, update equivalence) =="
-go test -race -count=3 -run 'TestPostMapModel|TestPublishCopiesIndependentOfTableSize' ./internal/rel/
+echo "== publish costs the delta (postMap vs a plain map, sealed runs pointer-free and built in constant allocations, copies per publish, exact markers vs the tables, isolation, update equivalence) =="
+go test -race -count=3 -run 'TestPostMapModel|TestSealedRunHoldsNoPointers|TestSealAllocsIndependentOfKeys|TestPublishCopiesIndependentOfTableSize' ./internal/rel/
 go test -race -count=3 -run 'TestMarker|TestSnapshotIsolationReaders|TestUpdateInterleavingEquivalence' . ./internal/store/
 echo "== crash recovery (kill points, bit flips, WAL replay, reclamation) =="
 go test -race -count=1 \

@@ -1,6 +1,7 @@
 package db2rdf_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,5 +95,48 @@ func TestFilterSpecForms(t *testing.T) {
 		if got := subjects(t, s, `SELECT ?x WHERE { `+tc.where+` }`); got != tc.want {
 			t.Errorf("%s: {%s}, want {%s}", tc.where, got, tc.want)
 		}
+	}
+}
+
+// TestPlainLiteralOrder: a simple literal is a string whatever its
+// lexical form, so `<` between two of them and ORDER BY compare code
+// points (SPARQL 1.1 §17.3, §15.1): "10" sorts before "9", and "Nan" is
+// the string it reads as, not a NaN. Every ordered pair of the four
+// passes `<` once.
+func TestPlainLiteralOrder(t *testing.T) {
+	s, err := db2rdf.Open(db2rdf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := `<p1> <s> "Nan" .
+<p2> <s> "Bob" .
+<p3> <s> "10" .
+<p4> <s> "9" .
+`
+	if _, err := s.LoadReader(strings.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Query(`SELECT ?n1 ?n2 WHERE { ?a <s> ?n1 . ?b <s> ?n2 FILTER(?n1 < ?n2) }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs []string
+	for _, row := range res.Rows {
+		pairs = append(pairs, row[0].Term.Value+"<"+row[1].Term.Value)
+	}
+	slices.Sort(pairs)
+	if got, want := strings.Join(pairs, " "), "10<9 10<Bob 10<Nan 9<Bob 9<Nan Bob<Nan"; got != want {
+		t.Errorf("FILTER(?n1 < ?n2): %d pairs {%s}, want 6 {%s}", len(pairs), got, want)
+	}
+	res, err = s.Query(`SELECT ?n WHERE { ?x <s> ?n } ORDER BY ?n`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, row := range res.Rows {
+		order = append(order, row[0].Term.Value)
+	}
+	if got := strings.Join(order, " "); got != "10 9 Bob Nan" {
+		t.Errorf("ORDER BY ?n: %s, want 10 9 Bob Nan", got)
 	}
 }

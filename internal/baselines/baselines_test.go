@@ -140,11 +140,22 @@ func TestTripleStoreVarPredicate(t *testing.T) {
 	}
 }
 
+// TestTripleStoreFilter: a numeric FILTER compares numbers only. The
+// sample's years are simple literals, and comparing a simple literal
+// with a number is a type error (SPARQL 1.1 §17.3), so plain "1850"
+// does not pass `< 1900`; the same year typed xsd:integer does.
 func TestTripleStoreFilter(t *testing.T) {
 	s := newTriple(t, TripleOptions{IndexSubject: true})
+	if got := col(t, s, `SELECT ?x WHERE { ?x <born> ?b . FILTER (?b < 1900) }`, "x"); len(got) != 0 {
+		t.Fatalf("plain literal years: got %v, want none", got)
+	}
+	typed := rdf.NewTriple(rdf.NewIRI("Ada_Lovelace"), rdf.NewIRI("born"), rdf.NewTypedLiteral("1815", rdf.XSDInteger))
+	if err := s.LoadTriples([]rdf.Triple{typed}); err != nil {
+		t.Fatal(err)
+	}
 	got := col(t, s, `SELECT ?x WHERE { ?x <born> ?b . FILTER (?b < 1900) }`, "x")
-	if len(got) != 1 || got[0] != "Charles_Flint" {
-		t.Fatalf("got %v", got)
+	if len(got) != 1 || got[0] != "Ada_Lovelace" {
+		t.Fatalf("xsd:integer years: got %v, want [Ada_Lovelace]", got)
 	}
 }
 

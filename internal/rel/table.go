@@ -41,7 +41,9 @@ func (s Schema) Names() []string {
 // hashIndex is an equality index on one column, keyed by the stored
 // int64 ids. The posting map is a layered copy-on-write structure (see
 // cowmap.go) so a published snapshot keeps a stable sealed view while
-// the live index mutates.
+// the live index mutates: the writer's unpublished keys sit in a hash
+// map, and every sealed generation is a sorted run of keys with their
+// rows in one array, found through a bucket directory.
 type hashIndex struct {
 	col   int
 	posts *postMap
@@ -285,8 +287,10 @@ func (t *Table) HasIndex(col string) bool {
 // place. The probe runs under the table read lock, so it may race
 // appends to the same table (the parallel bulk loader's workers do):
 // the returned list is the index's own, and an append only ever writes
-// past its length. The caller must not hold the returned list across a
-// DeleteRow on the same table.
+// past its length. A list from a sealed generation is a window of the
+// run's postings capped at its length, so a caller that appends to it
+// gets a copy; no caller may write into it. The caller must not hold
+// the returned list across a DeleteRow on the same table.
 func (t *Table) IndexLookup(col string, id int64) ([]int32, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

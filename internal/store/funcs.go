@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -61,7 +60,7 @@ func RegisterValueFuncs(db *rel.DB, d *dict.Dict) {
 			if err != nil {
 				return rel.Null, nil
 			}
-			if f, ok := t.Float(); ok {
+			if f, ok := numeric(t); ok {
 				return rel.Float(f), nil
 			}
 			return rel.Null, nil
@@ -80,10 +79,8 @@ func RegisterValueFuncs(db *rel.DB, d *dict.Dict) {
 		if !ok {
 			return rel.Null, nil
 		}
-		if t.Kind == rdf.Literal {
-			if f, err := strconv.ParseFloat(t.Value, 64); err == nil {
-				return rel.Float(f), nil
-			}
+		if f, ok := numeric(t); ok {
+			return rel.Float(f), nil
 		}
 		return rel.Str(t.Value), nil
 	})
@@ -186,6 +183,18 @@ func effectiveBool(t rdf.Term) rel.Value {
 	return rel.Null
 }
 
+// numeric is a term's numeric value, when it is a literal of one of
+// XSD's numeric datatypes with a valid lexical form. A simple literal
+// or an xsd:string is never a number, whatever its lexical form
+// ("10", "NaN"), so it compares and sorts as a string; the datatype is
+// checked first, so such a literal is never parsed.
+func numeric(t rdf.Term) (float64, bool) {
+	if t.Kind != rdf.Literal || !xsdNumeric[t.Datatype] {
+		return 0, false
+	}
+	return t.Float()
+}
+
 // langMatches is RFC 4647 §3.3.1 basic filtering, ignoring case: "*"
 // matches every non-empty tag, and any other range matches a tag equal
 // to it or beginning with it and a hyphen.
@@ -197,11 +206,12 @@ func langMatches(tag, rng string) bool {
 	return len(tag) >= n && strings.EqualFold(tag[:n], rng) && (len(tag) == n || tag[n] == '-')
 }
 
-// compareTerms orders two terms: numbers numerically, then strings
-// lexically; mixed numeric/non-numeric orders numeric first.
+// compareTerms orders two terms: numbers (see numeric) numerically,
+// then everything else by the code points of its lexical form; mixed
+// numeric/non-numeric orders numeric first.
 func compareTerms(a, b rdf.Term) (rel.Value, error) {
-	af, aNum := a.Float()
-	bf, bNum := b.Float()
+	af, aNum := numeric(a)
+	bf, bNum := numeric(b)
 	switch {
 	case aNum && bNum:
 		switch {
