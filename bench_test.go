@@ -15,7 +15,7 @@ package db2rdf_test
 //	BenchmarkAblationMerge        star merging on/off
 //	BenchmarkAblationColumnBudget K sweep
 //	BenchmarkLoad                 bulk load throughput
-//	BenchmarkParallelLoad         LoadParallel worker sweep vs sequential
+//	BenchmarkLoadText             bulk load from N-Triples text
 //	BenchmarkConcurrentQuery      read-lock scaling under parallel queries
 
 import (
@@ -405,10 +405,9 @@ func BenchmarkLoad(b *testing.B) {
 	b.ReportMetric(float64(len(ds.Triples)), "triples/op")
 }
 
-// BenchmarkParallelLoad compares the sequential loader against
-// LoadParallel at several worker counts, from the same serialized
-// N-Triples document (so both sides pay for parsing).
-func BenchmarkParallelLoad(b *testing.B) {
+// BenchmarkLoadText loads LUBM from its serialized N-Triples text
+// through LoadReader, so it pays for parsing as well as placement.
+func BenchmarkLoadText(b *testing.B) {
 	ds := lubmData()
 	var buf bytes.Buffer
 	w := rdf.NewWriter(&buf)
@@ -421,33 +420,16 @@ func BenchmarkParallelLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := db2rdf.Open(db2rdf.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.LoadReader(bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		s, err := db2rdf.Open(db2rdf.Options{})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(len(ds.Triples)), "triples/op")
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s, err := db2rdf.Open(db2rdf.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.LoadParallel(bytes.NewReader(data), workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(ds.Triples)), "triples/op")
-		})
+		if _, err := s.LoadReader(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(len(ds.Triples)), "triples/op")
 }
 
 // BenchmarkConcurrentQuery measures query throughput under increasing

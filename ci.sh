@@ -56,17 +56,18 @@ go test -race -count=3 ./driver/
 echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="
 go test -race -count=1 \
     -run 'TestSyntaxErrorIsTyped|TestDescribe|TestInference|TestAnalyze|TestExplainArtifacts|TestPathExplain' .
-echo "== load paths vs the brute-force oracle (sequential / parallel loader, workers 1 / 4) =="
+echo "== load paths vs the brute-force oracle (per-triple Insert / bulk loader / top-up, morsel workers 1 / 4) =="
 go test -race -run 'TestStorageEquivalence' -count=1 .
 echo "== statistics (derived from the snapshot: held-snapshot plans repeat, counts match Export) =="
 go test -race -count=1 -run 'TestStatisticsFollowSnapshot|TestDerivedStatisticsMatchOracle' .
-echo "== write path derived from the tables (entry/lid/elm postings, parallel loads onto existing entities) =="
+echo "== write path derived from the tables (entry/lid/elm postings, bulk loads onto existing entities) =="
 go test -race -count=1 \
     -run 'TestMarker|TestLoadParallel|TestDuplicateLoadStats|TestMultiValueConversion|TestSpills|TestDerivedStatisticsMatchOracle' \
     . ./internal/store/
-# Bulk workers place every triple with side.insert, so they SetCell
-# concurrently; repeat the parallel-vs-sequential load under -race.
-go test -race -count=3 -run '^TestLoadParallelMatchesSequential$' .
+# The bulk loader places the two sides on two goroutines; every entry
+# point must give the same tables, dictionary, export and SQL, run
+# after run, under -race.
+go test -race -count=3 -run '^TestLoadPathsAgree$' .
 echo "== abort paths (governance, fault injection, panic containment) =="
 go test -race -count=1 \
     -run 'TestExecContext|TestFault|TestPanic|TestAbort|Budget|TestQueryContext|TestDeadline|TestQueryTimeout|TestEarlierParent|TestGraphQueryGovernance|TestPathClosureGovernance|TestExplainGovernance' \

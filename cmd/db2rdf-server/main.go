@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -51,7 +50,6 @@ func main() {
 	listen := flag.String("listen", ":8080", "address to listen on (host:port; port 0 picks one)")
 	writable := flag.Bool("writable", false, "accept SPARQL update requests (default: read-only endpoint)")
 	k := flag.Int("k", 32, "predicate/value column pairs per primary row")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel load workers (1 = sequential load)")
 	dataDir := flag.String("data", "", "data directory for durability (WAL + snapshots); empty = in-memory only")
 	fsync := flag.Bool("fsync", false, "fsync the WAL on every publish (requires -data)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "write a background snapshot every n publishes (requires -data)")
@@ -62,14 +60,14 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	flag.Parse()
 
-	if err := run(loads, *listen, *writable, *k, *workers, *dataDir, *fsync, *snapshotEvery,
+	if err := run(loads, *listen, *writable, *k, *dataDir, *fsync, *snapshotEvery,
 		*timeout, *maxRows, *maxBytes, *maxConcurrent, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "db2rdf-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run(loads []string, listen string, writable bool, k, workers int, dataDir string,
+func run(loads []string, listen string, writable bool, k int, dataDir string,
 	fsync bool, snapshotEvery int, timeout time.Duration, maxRows, maxBytes int64,
 	maxConcurrent int, drainTimeout time.Duration) error {
 	store, err := db2rdf.Open(db2rdf.Options{
@@ -97,12 +95,7 @@ func run(loads []string, listen string, writable bool, k, workers int, dataDir s
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		start := time.Now()
-		if workers == 1 {
-			err = store.LoadTriples(triples)
-		} else {
-			err = store.LoadTriplesParallel(triples, workers)
-		}
-		if err != nil {
+		if err := store.LoadTriples(triples); err != nil {
 			store.Close()
 			return fmt.Errorf("%s: %w", path, err)
 		}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -47,7 +46,6 @@ func main() {
 	k := flag.Int("k", 32, "predicate/value column pairs per primary row")
 	color := flag.Bool("color", false, "build a coloring-based predicate mapping from the loaded data (requires re-load; slower load, tighter layout)")
 	noopt := flag.Bool("noopt", false, "disable the hybrid optimizer (document-order flow)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel load workers (1 = sequential load)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline, e.g. 500ms (0 = none)")
 	maxRows := flag.Int64("max-rows", 0, "per-query row budget, counting intermediate results (0 = unlimited)")
 	maxBytes := flag.Int64("max-bytes", 0, "per-query executor memory budget in bytes (0 = unlimited)")
@@ -62,7 +60,7 @@ func main() {
 
 	gov := govFlags{timeout: *timeout, maxRows: *maxRows, maxBytes: *maxBytes, slowQuery: *slowQuery}
 	dur := durFlags{dataDir: *dataDir, fsync: *fsync, snapshotEvery: *snapshotEvery}
-	if err := realMain(loads, *query, *queryFile, *update, *explain, *run, *stats, *k, *color, *noopt, *workers, gov, dur, *analyze, *metrics, *format); err != nil {
+	if err := realMain(loads, *query, *queryFile, *update, *explain, *run, *stats, *k, *color, *noopt, gov, dur, *analyze, *metrics, *format); err != nil {
 		fmt.Fprintln(os.Stderr, "db2rdf:", err)
 		os.Exit(1)
 	}
@@ -83,7 +81,7 @@ type durFlags struct {
 	snapshotEvery int
 }
 
-func realMain(loads []string, query, queryFile, update string, explain, run, stats bool, k int, color, noopt bool, workers int, gov govFlags, dur durFlags, analyze, metrics bool, format string) error {
+func realMain(loads []string, query, queryFile, update string, explain, run, stats bool, k int, color, noopt bool, gov govFlags, dur durFlags, analyze, metrics bool, format string) error {
 	if format != "text" {
 		if _, ok := results.ParseFormat(format); !ok {
 			return fmt.Errorf("unknown -format %q (want text, json, csv or tsv)", format)
@@ -144,12 +142,7 @@ func realMain(loads []string, query, queryFile, update string, explain, run, sta
 		}()
 	}
 	start := time.Now()
-	if workers == 1 {
-		err = store.LoadTriples(triples)
-	} else {
-		err = store.LoadTriplesParallel(triples, workers)
-	}
-	if err != nil {
+	if err := store.LoadTriples(triples); err != nil {
 		return err
 	}
 	if len(triples) > 0 {

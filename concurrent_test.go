@@ -1,7 +1,7 @@
 package db2rdf_test
 
 // Concurrency and loader-equivalence tests for the store-level
-// read/write lock discipline and the parallel bulk loader. Run with
+// read/write lock discipline and the bulk loader. Run with
 // -race (the repo's tier-1 command does) to make the lock checks real.
 
 import (
@@ -95,11 +95,9 @@ func TestConcurrentInsertQueryExport(t *testing.T) {
 	}
 }
 
-// TestLoadParallelMatchesSequential loads the same dataset through the
-// sequential and the parallel loader and requires byte-identical
-// exports plus identical optimizer statistics.
-func TestLoadParallelMatchesSequential(t *testing.T) {
-	ds := gen.LUBM(1)
+// lubmText is LUBM(1) serialized as N-Triples.
+func lubmText(t *testing.T, ds *gen.Dataset) []byte {
+	t.Helper()
 	var doc bytes.Buffer
 	w := rdf.NewWriter(&doc)
 	for _, tr := range ds.Triples {
@@ -110,40 +108,49 @@ func TestLoadParallelMatchesSequential(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	return doc.Bytes()
+}
 
+// TestLoadParallelMatchesSequential loads LUBM(1) as N-Triples text
+// through the bulk loader and, as the reference, one Insert per triple,
+// and requires byte-identical exports plus identical optimizer
+// statistics.
+func TestLoadParallelMatchesSequential(t *testing.T) {
+	ds := gen.LUBM(1)
+	bulk, err := db2rdf.Open(db2rdf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := bulk.LoadReader(bytes.NewReader(lubmText(t, ds)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(ds.Triples) {
+		t.Fatalf("loaded %d triples, want %d", n, len(ds.Triples))
+	}
 	seq, err := db2rdf.Open(db2rdf.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nSeq, err := seq.LoadReader(bytes.NewReader(doc.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := db2rdf.Open(db2rdf.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nPar, err := par.LoadParallel(bytes.NewReader(doc.Bytes()), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nSeq != nPar {
-		t.Fatalf("loaded counts differ: sequential %d, parallel %d", nSeq, nPar)
+	for _, tr := range ds.Triples {
+		if err := seq.Insert(tr); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	var seqOut, parOut bytes.Buffer
+	var seqOut, bulkOut bytes.Buffer
 	if _, err := seq.Export(&seqOut); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := par.Export(&parOut); err != nil {
+	if _, err := bulk.Export(&bulkOut); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(seqOut.Bytes(), parOut.Bytes()) {
-		t.Fatalf("exports differ: sequential %d bytes, parallel %d bytes", seqOut.Len(), parOut.Len())
+	if !bytes.Equal(seqOut.Bytes(), bulkOut.Bytes()) {
+		t.Fatalf("exports differ: inserted %d bytes, bulk-loaded %d bytes", seqOut.Len(), bulkOut.Len())
 	}
 
 	// Optimizer statistics must agree term by term.
-	sv, pv := seq.Internal().StatsView(), par.Internal().StatsView()
+	sv, pv := seq.Internal().StatsView(), bulk.Internal().StatsView()
 	if sv.TotalTriples() != pv.TotalTriples() {
 		t.Errorf("total: %v != %v", sv.TotalTriples(), pv.TotalTriples())
 	}
@@ -169,11 +176,77 @@ func TestLoadParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestLoadPathsAgree loads LUBM(1) into fresh stores through every bulk
+// entry point — N-Triples text through LoadReader, LoadTriples, and the
+// deprecated LoadTriplesParallel — and requires one result: the same
+// table and dictionary bytes, a byte-identical export, and
+// byte-identical SQL for every LUBM template. The loader interns terms
+// in input order and mints every list id independently of how its two
+// placing goroutines interleave, so nothing here may vary from run to
+// run either; ci.sh runs it under -race -count=3.
+func TestLoadPathsAgree(t *testing.T) {
+	ds := gen.LUBM(1)
+	text := lubmText(t, ds)
+	loads := []struct {
+		name string
+		load func(*db2rdf.Store) error
+	}{
+		{"LoadReader", func(s *db2rdf.Store) error { _, err := s.LoadReader(bytes.NewReader(text)); return err }},
+		{"LoadTriples", func(s *db2rdf.Store) error { return s.LoadTriples(ds.Triples) }},
+		{"LoadTriplesParallel", func(s *db2rdf.Store) error { return s.LoadTriplesParallel(ds.Triples, 4) }},
+	}
+	type outcome struct {
+		tableBytes, dictBytes int64
+		export                []byte
+		sql                   map[string]string
+	}
+	var want outcome
+	for i, l := range loads {
+		s, err := db2rdf.Open(db2rdf.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.load(s); err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		got := outcome{tableBytes: s.TableBytes(), dictBytes: s.DictBytes(), sql: map[string]string{}}
+		var out bytes.Buffer
+		if _, err := s.Export(&out); err != nil {
+			t.Fatal(err)
+		}
+		got.export = out.Bytes()
+		for _, q := range gen.LUBMQueries() {
+			e, err := s.Explain(q.SPARQL)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", l.name, q.Name, err)
+			}
+			got.sql[q.Name] = e.SQL
+		}
+		if i == 0 {
+			want = got
+			continue
+		}
+		if got.tableBytes != want.tableBytes || got.dictBytes != want.dictBytes {
+			t.Errorf("%s: %d table and %d dictionary bytes; %s: %d and %d",
+				l.name, got.tableBytes, got.dictBytes, loads[0].name, want.tableBytes, want.dictBytes)
+		}
+		if !bytes.Equal(got.export, want.export) {
+			t.Errorf("%s: export differs from %s's (%d vs %d bytes)", l.name, loads[0].name, len(got.export), len(want.export))
+		}
+		for name, sql := range got.sql {
+			if sql != want.sql[name] {
+				t.Errorf("%s: %s SQL differs from %s's:\n%s\nvs\n%s", l.name, name, loads[0].name, sql, want.sql[name])
+			}
+		}
+	}
+}
+
 func mustCount(n float64, ok bool) float64 { return n }
 
 // TestLoadParallelConcurrentReaders checks queries keep answering
-// while a parallel bulk load holds the write lock (they serialize, but
-// must not race or deadlock).
+// while a bulk load holds the write lock and places both sides on two
+// goroutines: readers run on the published snapshot, so they must not
+// race or deadlock.
 func TestLoadParallelConcurrentReaders(t *testing.T) {
 	ds := gen.Micro(5000)
 	s, err := db2rdf.Open(db2rdf.Options{})
@@ -188,7 +261,7 @@ func TestLoadParallelConcurrentReaders(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := s.LoadTriplesParallel(ds.Triples[100:], 4); err != nil {
+		if err := s.LoadTriples(ds.Triples[100:]); err != nil {
 			errc <- err
 		}
 	}()

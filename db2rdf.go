@@ -161,7 +161,8 @@ func (s *Store) Insert(t rdf.Triple) error {
 	return err
 }
 
-// LoadReader bulk-loads N-Triples from r, returning the triple count.
+// LoadReader bulk-loads N-Triples from r through LoadTriples,
+// returning the triple count. A parse error loads nothing.
 func (s *Store) LoadReader(r io.Reader) (int, error) {
 	start := time.Now()
 	n, err := s.inner.Load(r)
@@ -169,7 +170,10 @@ func (s *Store) LoadReader(r io.Reader) (int, error) {
 	return n, err
 }
 
-// LoadTriples bulk-loads a slice of triples.
+// LoadTriples bulk-loads a slice of triples, publishing once. It
+// interns the terms in input order, exactly as one Insert per triple
+// would, then places the direct and the reverse relations
+// concurrently, each entity's triples together.
 func (s *Store) LoadTriples(ts []rdf.Triple) error {
 	start := time.Now()
 	err := s.inner.LoadTriples(ts)
@@ -181,31 +185,10 @@ func (s *Store) LoadTriples(ts []rdf.Triple) error {
 	return err
 }
 
-// LoadParallel bulk-loads N-Triples from r using the parallel pipeline:
-// parsing and dictionary encoding fan out over worker goroutines, the
-// encoded triples are partitioned by entity id, and the direct
-// (subject-sharded) and reverse (object-sharded) relations are filled
-// concurrently, one goroutine per entity-disjoint bucket, through the
-// same per-triple insert as Load. workers <= 0 means GOMAXPROCS.
-// The final store state matches a sequential Load of the same data.
-func (s *Store) LoadParallel(r io.Reader, workers int) (int, error) {
-	start := time.Now()
-	n, err := s.inner.LoadParallel(r, workers)
-	s.metrics.observeLoad(time.Since(start), n)
-	return n, err
-}
-
-// LoadTriplesParallel is LoadParallel over an in-memory triple slice.
-func (s *Store) LoadTriplesParallel(ts []rdf.Triple, workers int) error {
-	start := time.Now()
-	err := s.inner.LoadTriplesParallel(ts, workers)
-	n := len(ts)
-	if err != nil {
-		n = 0
-	}
-	s.metrics.observeLoad(time.Since(start), n)
-	return err
-}
+// LoadTriplesParallel is LoadTriples; workers is ignored.
+//
+// Deprecated: use LoadTriples.
+func (s *Store) LoadTriplesParallel(ts []rdf.Triple, workers int) error { return s.LoadTriples(ts) }
 
 // Len returns the number of distinct subjects stored (as of the
 // latest published snapshot; never blocks on a running load).

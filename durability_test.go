@@ -115,7 +115,7 @@ func TestWALOnlyCrashReopen(t *testing.T) {
 	if err := s.LoadTriples(durTriples(25)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LoadTriplesParallel(durTriples(40)[60:], 4); err != nil {
+	if err := s.LoadTriples(durTriples(40)[60:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Insert(rdf.NewTriple(iri("x"), iri("y"), rdf.NewInteger(-7))); err != nil {

@@ -271,11 +271,14 @@ func (d *Dict) MustDecode(id int64) rdf.Term {
 }
 
 // NextLid allocates a fresh list id.
-func (d *Dict) NextLid() int64 {
+func (d *Dict) NextLid() int64 { return d.ReserveLids(1) }
+
+// ReserveLids allocates n consecutive list ids and returns the first.
+func (d *Dict) ReserveLids(n int) int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	lid := d.nextLid
-	d.nextLid++
+	d.nextLid += int64(n)
 	return lid
 }
 

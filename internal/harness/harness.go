@@ -8,7 +8,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"db2rdf"
@@ -52,7 +51,7 @@ func BuildSystem(name string, ds *gen.Dataset) (System, error) {
 		if err != nil {
 			return System{}, err
 		}
-		if err := s.LoadTriplesParallel(ds.Triples, runtime.GOMAXPROCS(0)); err != nil {
+		if err := s.LoadTriples(ds.Triples); err != nil {
 			return System{}, err
 		}
 		return System{Name: name, ResetPlans: s.ResetPlanCache, Run: func(q string) (int, error) {

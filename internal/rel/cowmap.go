@@ -56,9 +56,9 @@ type postMap struct {
 	layers []run // sealed generations, newest first
 	base   run
 
-	// copied counts the entries seal has copied into fresh runs — tier
+	// copied counts the postings seal has copied into fresh runs — tier
 	// merges plus folds — over the map's lifetime: the work a publish
-	// does beyond its own delta.
+	// does beyond its own delta. A run a merge shares is not a copy.
 	copied int
 }
 
@@ -212,8 +212,9 @@ type entry struct {
 // twice, once to size the result and once to fill a fresh run — unless
 // the result is the newest run as it stands (every older key rewritten
 // since, as when each publish rewrites one long list), which is then
-// shared rather than copied: runs are immutable.
-func mergeRuns(rs []run, dropMarkers bool) run {
+// shared rather than copied: runs are immutable. It also returns the
+// number of postings it copied.
+func mergeRuns(rs []run, dropMarkers bool) (run, int) {
 	at := make([]int, len(rs))
 	n, total, older := 0, 0, 0
 	mergeWalk(rs, at, dropMarkers, func(_ int64, l []int32, w int) {
@@ -224,9 +225,9 @@ func mergeRuns(rs []run, dropMarkers bool) run {
 	})
 	switch {
 	case n == 0:
-		return run{}
+		return run{}, 0
 	case older == 0 && n == len(rs[0].keys):
-		return rs[0]
+		return rs[0], 0
 	}
 	r := run{keys: make([]int64, 0, n), offs: make([]int32, 0, n+1), posts: make([]int32, 0, total)}
 	clear(at)
@@ -237,7 +238,7 @@ func mergeRuns(rs []run, dropMarkers bool) run {
 	})
 	r.offs = append(r.offs, int32(len(r.posts)))
 	r.index(r.keys[0], r.keys[n-1])
-	return r
+	return r, total
 }
 
 // mergeWalk emits the keys of rs in ascending order, each once with
@@ -364,8 +365,9 @@ func (p *postMap) push(ly run) {
 	ls = append(ls, ly)
 	ls = append(ls, p.layers...)
 	for len(ls) > 1 && 2*len(ls[0].keys) >= len(ls[1].keys) {
-		p.copied += len(ls[0].keys) + len(ls[1].keys)
-		ls[1] = mergeRuns(ls[:2], false)
+		var n int
+		ls[1], n = mergeRuns(ls[:2], false)
+		p.copied += n
 		ls = ls[1:]
 	}
 	entries := 0
@@ -376,6 +378,8 @@ func (p *postMap) push(ly run) {
 		p.layers = ls
 		return
 	}
-	p.copied += len(p.base.keys) + entries
-	p.base, p.layers = mergeRuns(append(ls, p.base), true), nil
+	var n int
+	p.base, n = mergeRuns(append(ls, p.base), true)
+	p.layers = nil
+	p.copied += n
 }

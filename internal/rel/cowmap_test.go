@@ -398,12 +398,15 @@ func cloneModel(m map[int64][]int32) map[int64][]int32 {
 }
 
 // TestPublishCopiesIndependentOfTableSize is the publish-cost gate,
-// counted in map entries rather than time so it holds on any machine.
+// counted in postings rather than time so it holds on any machine.
 // It runs 500 small publishes — a few appended rows on new and existing
 // keys and a delete each — over an indexed table of 16k and of 64k
-// rows, and requires the entries sealing copies per publish (tier
+// rows, and requires the postings sealing copies per publish (tier
 // merges plus folds) to stay within 2x across the 4x scale. A seal that
 // re-copied the whole index every few publishes would scale with it.
+// Beside them a key with a 16k-row list gains one row per publish, as
+// an RS list does while its entity's subjects arrive one by one; its
+// merges must share the newest run rather than re-copy the list.
 func TestPublishCopiesIndependentOfTableSize(t *testing.T) {
 	perPublish := map[int]float64{}
 	for _, rows := range []int{16 << 10, 64 << 10} {
@@ -438,10 +441,36 @@ func TestPublishCopiesIndependentOfTableSize(t *testing.T) {
 			tb.Publish()
 		}
 		perPublish[rows] = float64(idx.posts.copied-start) / publishes
-		t.Logf("%d rows: %.1f index entries copied per publish", rows, perPublish[rows])
+		t.Logf("%d rows: %.1f postings copied per publish", rows, perPublish[rows])
 	}
 	small, large := perPublish[16<<10], perPublish[64<<10]
 	if large > 2*small {
-		t.Fatalf("entries copied per publish: %.1f at 64k rows vs %.1f at 16k; want within 2x", large, small)
+		t.Fatalf("postings copied per publish: %.1f at 64k rows vs %.1f at 16k; want within 2x", large, small)
+	}
+
+	const listLen = 16 << 10
+	long := NewTable("L", Schema{{Name: "k"}})
+	if err := long.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < listLen; i++ {
+		if err := long.Insert(Row{ID(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	long.Publish()
+	idx := long.indexes["k"]
+	start := idx.posts.copied
+	const publishes = 500
+	for i := 0; i < publishes; i++ {
+		if err := long.Insert(Row{ID(0)}); err != nil {
+			t.Fatal(err)
+		}
+		long.Publish()
+	}
+	perLong := float64(idx.posts.copied-start) / publishes
+	t.Logf("one %d-row list gaining a row per publish: %.1f postings copied per publish", listLen, perLong)
+	if perLong > listLen/8 {
+		t.Fatalf("postings copied per publish: %.1f for one growing %d-row list; a merge re-copies it", perLong, listLen)
 	}
 }

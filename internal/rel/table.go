@@ -284,13 +284,12 @@ func (t *Table) HasIndex(col string) bool {
 // IndexLookup returns the ids of the rows whose col holds id, through
 // the column's hash index, and whether the column is indexed. Returned ids
 // are live and in row order: deleted rows are unindexed eagerly, in
-// place. The probe runs under the table read lock, so it may race
-// appends to the same table (the parallel bulk loader's workers do):
-// the returned list is the index's own, and an append only ever writes
-// past its length. A list from a sealed generation is a window of the
-// run's postings capped at its length, so a caller that appends to it
-// gets a copy; no caller may write into it. The caller must not hold
-// the returned list across a DeleteRow on the same table.
+// place. The probe runs under the table read lock; the returned list
+// is the index's own, and an append only ever writes past its length.
+// A list from a sealed generation is a window of the run's postings
+// capped at its length, so a caller that appends to it gets a copy; no
+// caller may write into it. The caller must not hold the returned list
+// across a DeleteRow on the same table.
 func (t *Table) IndexLookup(col string, id int64) ([]int32, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

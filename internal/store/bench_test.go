@@ -14,10 +14,9 @@ import (
 // object, so the reverse side holds a single RS list with n members and
 // every insert first asks whether its subject is already on that list.
 // It reports ns/triple at n = 1k and 16k through Insert (one publish per
-// triple), LoadTriples (the same sequential insert, one publish) and
-// LoadTriplesParallel (the bulk loader). On the two loaders the 16k
-// figure staying near the 1k one shows the membership test does not
-// walk the list. Insert's figure also carries a publish per triple:
+// triple) and LoadTriples (the bulk loader, one publish). On the loader
+// the 16k figure staying near the 1k one shows the membership test does
+// not walk the list. Insert's figure also carries a publish per triple:
 // sealing the indexes costs the write's delta (size-tiered, see
 // rel/cowmap.go), but the first append to the RS list's posting list
 // in each generation still clones it, so Insert's 16k figure grows
@@ -43,7 +42,6 @@ func BenchmarkInsertLongList(b *testing.B) {
 				return nil
 			}},
 			{"LoadTriples", func(s *Store) error { return s.LoadTriples(ts) }},
-			{"LoadTriplesParallel", func(s *Store) error { return s.LoadTriplesParallel(ts, 0) }},
 		}
 		for _, l := range loaders {
 			b.Run(fmt.Sprintf("%s/n=%d", l.name, n), func(b *testing.B) {
@@ -82,7 +80,7 @@ func BenchmarkUpdateBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := s.LoadTriplesParallel(ds.Triples, 0); err != nil {
+			if err := s.LoadTriples(ds.Triples); err != nil {
 				b.Fatal(err)
 			}
 			lat := make([]time.Duration, 0, b.N)

@@ -34,7 +34,7 @@ func TestMarkersExactAfterEveryPublish(t *testing.T) {
 			var present []rdf.Triple // stored triples, in a seeded order
 			stored := map[rdf.Triple]bool{}
 
-			// A parallel bulk load first: its workers count under predMu.
+			// A bulk load first: each side counts on its own goroutine.
 			var bulk []rdf.Triple
 			for i := 0; i < 200; i++ {
 				if tr := random(); !stored[tr] {
@@ -42,7 +42,7 @@ func TestMarkersExactAfterEveryPublish(t *testing.T) {
 					stored[tr] = true
 				}
 			}
-			if err := s.LoadTriplesParallel(bulk, 4); err != nil {
+			if err := s.LoadTriples(bulk); err != nil {
 				t.Fatal(err)
 			}
 			present = append(present, bulk...)

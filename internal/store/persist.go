@@ -156,8 +156,7 @@ func (s *Store) DurabilityStats() DurabilityStats {
 }
 
 // logDelta captures one mutation for the next WAL batch. Caller holds
-// the store write lock (never called from the parallel bulk workers,
-// which collect per-worker slices instead).
+// the store write lock; in a bulk load only the direct side logs.
 func (s *Store) logDelta(op wal.Op, sid, pid, oid int64) {
 	if d := s.dur; d != nil {
 		d.pending = append(d.pending, walDelta{op: op, s: sid, p: pid, o: oid})
@@ -602,8 +601,8 @@ func (s *Store) replayWALLocked(dir string) (replayed, truncated uint64, lastSeg
 	cur := s.epoch.Load()
 	stopSeg, stopOff := -1, int64(0)
 	// Runs of contiguous insert-only batches are coalesced and flushed
-	// through the partitioned bulk loader (parallel.go), which places
-	// every triple with the same side.insert as applyBatchLocked.
+	// through the bulk loader (load.go), which places every triple with
+	// the same side.insert as applyBatchLocked.
 	// Inserts commute, and a flush happens before any non-insert batch
 	// is applied, preserving operation order. Epochs still advance
 	// batch by batch.
@@ -612,8 +611,7 @@ func (s *Store) replayWALLocked(dir string) (replayed, truncated uint64, lastSeg
 		if len(pending) == 0 {
 			return nil
 		}
-		w := normWorkers(0)
-		_, err := s.bulkLoadLocked(s.encodeSlice(pending, w), w)
+		_, err := s.bulkLoadLocked(pending)
 		pending = pending[:0]
 		return err
 	}

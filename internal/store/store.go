@@ -8,7 +8,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -55,7 +54,7 @@ func (o *Options) fill() {
 // Store is a DB2RDF store over a relational database.
 //
 // Concurrency model (see DESIGN.md §8): writers (Insert, Load,
-// LoadTriples, LoadParallel, Delete, Clear, the Update path) serialize
+// LoadTriples, Delete, Clear, the Update path) serialize
 // on the store mutex, mutate through copy-on-write at chunk
 // granularity, and — iff anything changed — publish a frozen Snapshot
 // with one atomic pointer swap while still holding the lock. Readers
@@ -106,8 +105,8 @@ type Store struct {
 // RPH/RS). Everything about an entity — its rows, whether it spilled,
 // the members of its lists — is read from the tables through the
 // DPH/RPH entry index and the DS/RS lid and elm indexes. Only the
-// predicate-keyed markers and their counts, which any bulk worker may
-// touch, and the entity count are kept beside them.
+// predicate-keyed markers and their counts and the entity count are
+// kept beside them.
 type side struct {
 	primary   *rel.Table
 	secondary *rel.Table
@@ -116,9 +115,13 @@ type side struct {
 
 	// entities counts the entities with at least one live primary row:
 	// +1 when an entity's first row is appended, -1 when its last is
-	// deleted. Guarded by the store write lock; bulk workers fold their
-	// new entities in under predMu.
+	// deleted. Guarded by the store write lock; during a bulk load only
+	// the side's own goroutine writes it.
 	entities int
+
+	// lidNext and lidEnd bound the block of list ids the bulk loader
+	// reserved for the side; see newLid.
+	lidNext, lidEnd int64
 
 	predMu     sync.Mutex
 	spillPreds map[int64]bool // predicate ids involved in spills
@@ -318,7 +321,7 @@ func (s *Store) insertLocked(t rdf.Triple) (bool, error) {
 // DS/RS list — for every writer: Insert, the loaders, Update and WAL
 // replay. fresh is false for an exact duplicate; first reports that the
 // entity's first row was appended, which the caller adds to the entity
-// count (bulk workers run insert concurrently, so it must not).
+// count.
 func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fresh, first bool, err error) {
 	cols := d.mapping.Columns(predURI)
 	rows := d.rows(entity)
@@ -345,7 +348,7 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 					return false, false, nil // duplicate triple
 				}
 				// Convert single value to a list.
-				lid := s.Dict.NextLid()
+				lid := d.newLid(s)
 				if err := d.secondary.Insert(rel.Row{rel.ID(lid), cur}); err != nil {
 					return false, false, err
 				}
@@ -421,8 +424,17 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 	return true, len(rows) == 0, nil
 }
 
-// count is countLocked under predMu (any loader worker may reach it
-// for any predicate).
+// newLid mints a list id: the next of the side's reserved block while
+// the bulk loader holds one, else the dictionary's next.
+func (d *side) newLid(s *Store) int64 {
+	if d.lidNext < d.lidEnd {
+		d.lidNext++
+		return d.lidNext - 1
+	}
+	return s.Dict.NextLid()
+}
+
+// count is countLocked under predMu.
 func (d *side) count(set *map[int64]bool, cells map[int64]int, pid int64, delta int) {
 	d.predMu.Lock()
 	d.countLocked(set, cells, pid, delta)
@@ -557,67 +569,6 @@ func keys(cells map[int64]int) map[int64]bool {
 		set[pid] = true
 	}
 	return set
-}
-
-// Load reads N-Triples from r and inserts every triple. The store
-// write lock is held for the whole load.
-func (s *Store) Load(r io.Reader) (n int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	freshTotal := 0
-	// Publish once if any triple landed, even when a later line errors:
-	// the partial load is visible, so readers and cached plans must see
-	// the new state.
-	defer func() {
-		if freshTotal > 0 {
-			if perr := s.publishLocked(); perr != nil && err == nil {
-				err = perr
-			}
-		}
-	}()
-	rd := rdf.NewReader(r)
-	for {
-		t, rerr := rd.Read()
-		if rerr == io.EOF {
-			return n, nil
-		}
-		if rerr != nil {
-			return n, rerr
-		}
-		fresh, ierr := s.insertLocked(t)
-		if fresh {
-			freshTotal++
-		}
-		if ierr != nil {
-			return n, ierr
-		}
-		n++
-	}
-}
-
-// LoadTriples inserts a slice of triples under one write lock. The
-// epoch advances once iff any triple was new.
-func (s *Store) LoadTriples(ts []rdf.Triple) (err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	freshTotal := 0
-	defer func() {
-		if freshTotal > 0 {
-			if perr := s.publishLocked(); perr != nil && err == nil {
-				err = perr
-			}
-		}
-	}()
-	for _, t := range ts {
-		fresh, ierr := s.insertLocked(t)
-		if fresh {
-			freshTotal++
-		}
-		if ierr != nil {
-			return ierr
-		}
-	}
-	return nil
 }
 
 // EncodedChunks returns the process-wide count of column chunks sealed

@@ -164,15 +164,15 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		t.Fatalf("want 3 rows after the marker Insert, got %d", len(res.Rows))
 	}
 
-	// Bulk load (parallel pipeline) of marker-stable triples.
-	if err := s.LoadTriplesParallel([]rdf.Triple{mk(3), mk(4)}, 2); err != nil {
+	// Bulk load of marker-stable triples.
+	if err := s.LoadTriples([]rdf.Triple{mk(3), mk(4)}); err != nil {
 		t.Fatal(err)
 	}
 	if !cached() {
-		t.Fatal("cached plan must survive a marker-stable LoadTriplesParallel")
+		t.Fatal("cached plan must survive a marker-stable LoadTriples")
 	}
 	if res = s.MustQuery(q); len(res.Rows) != 5 {
-		t.Fatalf("want 5 rows after LoadTriplesParallel, got %d", len(res.Rows))
+		t.Fatalf("want 5 rows after LoadTriples, got %d", len(res.Rows))
 	}
 }
 

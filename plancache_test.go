@@ -247,11 +247,11 @@ func TestPlanCacheAcrossWrites(t *testing.T) {
 	h.expectHits("spill", h.check("spill"))
 	h.expectHits("spill repeat", h.check("spill repeat"), all...)
 
-	// Constants absent at compile time appear, through the parallel
+	// Constants absent at compile time appear, through the bulk
 	// loader, without moving a marker.
 	p1 := h.planEpoch()
 	late := []rdf.Triple{tr("a5", "m", "late"), tr("c0", "latep", "c1")}
-	if err := s.LoadTriplesParallel(late, 2); err != nil {
+	if err := s.LoadTriples(late); err != nil {
 		t.Fatal(err)
 	}
 	h.added(late...)

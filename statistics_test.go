@@ -73,8 +73,8 @@ func TestStatisticsFollowSnapshot(t *testing.T) {
 // against a brute-force count over Export after every step of random
 // histories at K=2, where spills, multi-value lists that collapse back
 // to single values, and rows emptied by deletes are all common. Every
-// write path is a step: LoadTriples, LoadTriplesParallel at 1 and 4
-// workers, DeleteTriples, Clear, and reopening the data directory from
+// write path is a step: LoadTriples, one Insert per triple,
+// DeleteTriples, Clear, and reopening the data directory from
 // its snapshot alone (after Close) or from snapshot plus WAL (after a
 // crash). Both the published snapshot and the live snapshot
 // Update's WHERE reads are checked.
@@ -115,10 +115,11 @@ func TestDerivedStatisticsMatchOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 			case op < 5:
-				workers := []int{1, 4}[r.Intn(2)]
-				label = fmt.Sprintf("LoadTriplesParallel(%d)", workers)
-				if err := s.LoadTriplesParallel(batch(1+r.Intn(20)), workers); err != nil {
-					t.Fatal(err)
+				label = "Insert"
+				for _, tr := range batch(1 + r.Intn(20)) {
+					if err := s.Insert(tr); err != nil {
+						t.Fatal(err)
+					}
 				}
 			case op < 8:
 				label = "DeleteTriples"

@@ -1,15 +1,14 @@
 package db2rdf_test
 
 // TestStorageEquivalence is the load-path oracle test. The same random
-// datasets go through the sequential loader (LoadTriples), the
-// partitioned bulk loader (LoadTriplesParallel) and a top-up: half the
-// data loaded sequentially, then all of it in parallel, so bulk workers
-// meet existing entities, lists, spill rows and already-stored triples.
-// Every loader places triples with the same per-triple insert. All
-// stores must export identical graphs, count each distinct triple once,
-// and answer random BGPs exactly as the brute-force matcher does, with
-// morsel parallelism forced off and on. Every load publishes, so the
-// queries read sealed chunks. The benchmark corpus is refereed against
+// datasets go in one Insert per triple, through the bulk loader
+// (LoadTriples), and as a top-up: half the data bulk-loaded, then all of
+// it, so the loader meets existing entities, lists, spill rows and
+// already-stored triples. Every path places triples with the same
+// per-triple insert. All stores must export identical graphs, count
+// each distinct triple once, and answer random BGPs exactly as the
+// brute-force matcher does, with morsel parallelism forced off and on.
+// Every write publishes, so the queries read sealed chunks. The benchmark corpus is refereed against
 // the triple-store baseline by
 // TestAllWorkloadQueriesAgreeWithTripleStore. ci.sh runs this under
 // -race next to the parallel on/off gate.
@@ -30,20 +29,27 @@ func TestStorageEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		data := randomDataset(r)
-		// Small K forces spill rows and multi-value lists through both
-		// loaders.
+		// Small K forces spill rows and multi-value lists through every
+		// path.
 		k := 2 + r.Intn(6)
 		loaders := []struct {
 			name string
 			load func(*db2rdf.Store) error
 		}{
-			{"sequential", func(s *db2rdf.Store) error { return s.LoadTriples(data) }},
-			{"parallel", func(s *db2rdf.Store) error { return s.LoadTriplesParallel(data, 4) }},
+			{"insert", func(s *db2rdf.Store) error {
+				for _, tr := range data {
+					if err := s.Insert(tr); err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+			{"bulk", func(s *db2rdf.Store) error { return s.LoadTriples(data) }},
 			{"top-up", func(s *db2rdf.Store) error {
 				if err := s.LoadTriples(data[:len(data)/2]); err != nil {
 					return err
 				}
-				return s.LoadTriplesParallel(data, 4)
+				return s.LoadTriples(data)
 			}},
 		}
 		stores := make([]*db2rdf.Store, len(loaders))
@@ -67,8 +73,8 @@ func TestStorageEquivalence(t *testing.T) {
 		}
 		for i := 1; i < len(loaders); i++ {
 			if !bytes.Equal(exports[0], exports[i]) {
-				t.Fatalf("trial %d (K=%d): sequential and %s loads export different graphs:\n%s\nvs\n%s",
-					trial, k, loaders[i].name, exports[0], exports[i])
+				t.Fatalf("trial %d (K=%d): %s and %s loads export different graphs:\n%s\nvs\n%s",
+					trial, k, loaders[0].name, loaders[i].name, exports[0], exports[i])
 			}
 		}
 		for j := 0; j < 6; j++ {
