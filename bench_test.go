@@ -544,11 +544,11 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 	defer inner.Unlock()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inner.InsertLocked(rdf.NewTriple(
+		if _, err := inner.InsertTriplesLocked([]rdf.Triple{rdf.NewTriple(
 			rdf.NewIRI(fmt.Sprintf("http://pub/s%d", i)),
 			rdf.NewIRI("http://pub/p"),
 			rdf.NewLiteral(fmt.Sprintf("v%d", i)),
-		)); err != nil {
+		)}); err != nil {
 			b.Fatal(err)
 		}
 		inner.PublishLocked()

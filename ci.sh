@@ -56,18 +56,21 @@ go test -race -count=3 ./driver/
 echo "== one compile path (Query, Solve, Explain, Analyze, QueryGraph, Update WHERE) =="
 go test -race -count=1 \
     -run 'TestSyntaxErrorIsTyped|TestDescribe|TestInference|TestAnalyze|TestExplainArtifacts|TestPathExplain' .
-echo "== load paths vs the brute-force oracle (per-triple Insert / bulk loader / top-up, morsel workers 1 / 4) =="
+echo "== insert paths vs the brute-force oracle (Insert, LoadTriples, top-up, Update, WAL replay: each write one bulk load; morsel workers 1 / 4) =="
 go test -race -run 'TestStorageEquivalence' -count=1 .
 echo "== statistics (derived from the snapshot: held-snapshot plans repeat, counts match Export) =="
 go test -race -count=1 -run 'TestStatisticsFollowSnapshot|TestDerivedStatisticsMatchOracle' .
-echo "== write path derived from the tables (entry/lid/elm postings, bulk loads onto existing entities) =="
+echo "== one insert path derived from the tables (Insert, Update and WAL replay as bulk loads onto existing entities; entry/lid/elm postings; per-side list ids) =="
 go test -race -count=1 \
     -run 'TestMarker|TestLoadParallel|TestDuplicateLoadStats|TestMultiValueConversion|TestSpills|TestDerivedStatisticsMatchOracle' \
     . ./internal/store/
-# The bulk loader places the two sides on two goroutines; every entry
-# point must give the same tables, dictionary, export and SQL, run
-# after run, under -race.
-go test -race -count=3 -run '^TestLoadPathsAgree$' .
+# The bulk loader places the two sides on two goroutines, each minting
+# its own list ids; every entry point (LoadReader, LoadTriples, Update)
+# must give the same tables, dictionary, export and SQL, run after run,
+# under -race; a reopened store (snapshot or WAL replay) mints above
+# every stored lid; compiling a query writes no term.
+go test -race -count=3 -run '^TestLoadPathsAgree$|^TestListIdsAfterReopen$|^TestCompileDoesNotWriteDictionary$' .
+go test -race -count=3 -run '^TestLidsDisjointFromTermIDs$' ./internal/dict/
 echo "== abort paths (governance, fault injection, panic containment) =="
 go test -race -count=1 \
     -run 'TestExecContext|TestFault|TestPanic|TestAbort|Budget|TestQueryContext|TestDeadline|TestQueryTimeout|TestEarlierParent|TestGraphQueryGovernance|TestPathClosureGovernance|TestExplainGovernance' \

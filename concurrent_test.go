@@ -176,14 +176,15 @@ func TestLoadParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestLoadPathsAgree loads LUBM(1) into fresh stores through every bulk
-// entry point — N-Triples text through LoadReader, LoadTriples, and the
-// deprecated LoadTriplesParallel — and requires one result: the same
-// table and dictionary bytes, a byte-identical export, and
-// byte-identical SQL for every LUBM template. The loader interns terms
-// in input order and mints every list id independently of how its two
-// placing goroutines interleave, so nothing here may vary from run to
-// run either; ci.sh runs it under -race -count=3.
+// TestLoadPathsAgree loads LUBM(1) into fresh stores through every
+// insert entry point — N-Triples text through LoadReader, LoadTriples,
+// the deprecated LoadTriplesParallel, and one SPARQL Update INSERT DATA
+// request — and requires one result: the same table and dictionary
+// bytes, a byte-identical export, and byte-identical SQL for every LUBM
+// template. Every insert is one bulk load, which interns terms in input
+// order and whose two placing goroutines each mint their own side's
+// list ids, so nothing here may vary from run to run either; ci.sh runs
+// it under -race -count=3.
 func TestLoadPathsAgree(t *testing.T) {
 	ds := gen.LUBM(1)
 	text := lubmText(t, ds)
@@ -194,6 +195,10 @@ func TestLoadPathsAgree(t *testing.T) {
 		{"LoadReader", func(s *db2rdf.Store) error { _, err := s.LoadReader(bytes.NewReader(text)); return err }},
 		{"LoadTriples", func(s *db2rdf.Store) error { return s.LoadTriples(ds.Triples) }},
 		{"LoadTriplesParallel", func(s *db2rdf.Store) error { return s.LoadTriplesParallel(ds.Triples, 4) }},
+		{"Update", func(s *db2rdf.Store) error {
+			_, err := s.Update("INSERT DATA {\n" + string(text) + "}")
+			return err
+		}},
 	}
 	type outcome struct {
 		tableBytes, dictBytes int64

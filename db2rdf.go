@@ -147,19 +147,10 @@ func ColorTriples(triples []rdf.Triple, k, kRev int) (coloring.Mapping, coloring
 	return d, r
 }
 
-// Insert adds one triple. Writers and readers may run concurrently:
-// loads take the store's write lock, queries read a published snapshot
-// without locking.
-func (s *Store) Insert(t rdf.Triple) error {
-	start := time.Now()
-	err := s.inner.Insert(t)
-	n := 1
-	if err != nil {
-		n = 0
-	}
-	s.metrics.observeLoad(time.Since(start), n)
-	return err
-}
+// Insert adds one triple: a one-triple LoadTriples. Writers and
+// readers may run concurrently: loads take the store's write lock,
+// queries read a published snapshot without locking.
+func (s *Store) Insert(t rdf.Triple) error { return s.LoadTriples([]rdf.Triple{t}) }
 
 // LoadReader bulk-loads N-Triples from r through LoadTriples,
 // returning the triple count. A parse error loads nothing.

@@ -98,6 +98,57 @@ func TestFilterSpecForms(t *testing.T) {
 	}
 }
 
+// TestCompileDoesNotWriteDictionary: a FILTER constant absent from the
+// data is looked up, never interned, so a read-only query leaves the
+// dictionary as it found it. An id comparison with such a constant
+// compares with the no-match id, two constants compare as terms, and a
+// value function reads the constant from its term key; the answers are
+// worked out by hand from SPARQL 1.1 §17.
+func TestCompileDoesNotWriteDictionary(t *testing.T) {
+	s, err := db2rdf.Open(db2rdf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadReader(strings.NewReader(filterSpecData)); err != nil {
+		t.Fatal(err)
+	}
+	terms, epoch := s.Internal().Dict.Len(), s.Internal().Snapshot().Epoch()
+	const all = "l1,l2,l3,l4,l5,l6"
+	for _, tc := range []struct{ where, want string }{
+		// Term order against an absent plain literal: code points, and
+		// numbers before strings.
+		{`?x <r> ?v FILTER(?v < "b")`, "r1,r3,r4,r5,r6"},
+		{`?x <n> ?v FILTER(?v < "zzz")`, "n1,n2,n3,n4,n5"},
+		{`?x <n> ?v FILTER(?v > "zzz")`, ""},
+		// Type tests and accessors of absent terms.
+		{`?x <l> ?v FILTER(isIRI(<http://nowhere/x>))`, all},
+		{`?x <l> ?v FILTER(isLiteral(<http://nowhere/x>))`, ""},
+		{`?x <l> ?v FILTER(str(<http://nowhere/x>) = "http://nowhere/x")`, all},
+		{`?x <l> ?v FILTER(lang("nowhere"@de) = "de")`, all},
+		{`?x <l> ?v FILTER(datatype("7"^^<http://nowhere/t>) = <http://nowhere/t>)`, all},
+		// Id equality with an absent constant matches no stored term.
+		{`?x <l> ?v FILTER(?v != "nowhere")`, all},
+		{`?x <l> ?v FILTER(?v = "nowhere")`, ""},
+		{`?x <l> ?v FILTER(sameTerm(?v, "nowhere"))`, ""},
+		{`?x <l> ?v FILTER(!sameTerm(<http://nowhere/x>, ?v))`, all},
+		// Two absent constants are the same term only if equal.
+		{`?x <l> ?v FILTER("nowhere" = "elsewhere")`, ""},
+		{`?x <l> ?v FILTER("nowhere" != "elsewhere")`, all},
+		{`?x <l> ?v FILTER(sameTerm("nowhere", "nowhere"))`, all},
+		{`?x <l> ?v FILTER(sameTerm("nowhere", "nowhere"@en))`, ""},
+	} {
+		if got := subjects(t, s, `SELECT ?x WHERE { `+tc.where+` }`); got != tc.want {
+			t.Errorf("%s: {%s}, want {%s}", tc.where, got, tc.want)
+		}
+	}
+	if got := s.Internal().Dict.Len(); got != terms {
+		t.Errorf("queries interned %d terms", got-terms)
+	}
+	if got := s.Internal().Snapshot().Epoch(); got != epoch {
+		t.Errorf("queries moved the epoch from %d to %d", epoch, got)
+	}
+}
+
 // TestPlainLiteralOrder: a simple literal is a string whatever its
 // lexical form, so `<` between two of them and ORDER BY compare code
 // points (SPARQL 1.1 §17.3, §15.1): "10" sorts before "9", and "Nan" is

@@ -140,9 +140,6 @@ func (s *TripleStore) SQLFor(q string) (string, error) {
 // LookupID implements translator.Backend.
 func (s *TripleStore) LookupID(t rdf.Term) (int64, bool) { return s.Dict.Lookup(t) }
 
-// EncodeID implements translator.Backend.
-func (s *TripleStore) EncodeID(t rdf.Term) int64 { return s.Dict.Encode(t) }
-
 // MergeSafe implements translator.Backend: the triple-store has no
 // star rows, so merging never applies.
 func (s *TripleStore) MergeSafe(translator.MethodT, ...*sparql.TriplePattern) bool { return false }

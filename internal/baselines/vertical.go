@@ -128,9 +128,6 @@ func (s *VerticalStore) SQLFor(q string) (string, error) {
 // LookupID implements translator.Backend.
 func (s *VerticalStore) LookupID(t rdf.Term) (int64, bool) { return s.Dict.Lookup(t) }
 
-// EncodeID implements translator.Backend.
-func (s *VerticalStore) EncodeID(t rdf.Term) int64 { return s.Dict.Encode(t) }
-
 // MergeSafe implements translator.Backend: vertical partitions cannot
 // answer stars with one access.
 func (s *VerticalStore) MergeSafe(translator.MethodT, ...*sparql.TriplePattern) bool { return false }

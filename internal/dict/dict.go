@@ -1,9 +1,8 @@
 // Package dict implements the dictionary encoding layer shared by every
 // relational RDF schema in this repository. RDF terms are interned to
-// dense int64 ids; the DB2RDF Direct/Reverse Secondary relations (DS/RS)
-// additionally need list ids ("lid"s, the paper's lid:1, lid:2, ...)
-// drawn from a disjoint id space so a val_i column can hold either a
-// term id or a lid without ambiguity.
+// dense int64 ids. The DB2RDF store numbers its DS/RS list ids ("lid"s,
+// the paper's lid:1, lid:2, ...) itself, from LidBase up, so a val_i
+// column can hold either a term id or a lid without ambiguity.
 //
 // The id→term direction is stored front-coded: interned term keys
 // (Term.Key canonical strings) are grouped into blocks of fcBlockSize,
@@ -28,9 +27,9 @@ import (
 	"db2rdf/internal/rdf"
 )
 
-// LidBase is the first list id. Term ids grow upward from 1; lids grow
-// upward from LidBase, so the two spaces never collide in practice
-// (2^62 terms would be needed).
+// LidBase is the first list id. Term ids grow upward from 1; lids,
+// which the store mints, grow upward from LidBase, so the two spaces
+// never collide in practice (2^62 terms would be needed).
 const LidBase int64 = 1 << 62
 
 // IsLid reports whether id denotes a multi-value list id rather than a
@@ -109,8 +108,7 @@ func (v *View) AppendKey(dst []byte, id int64) []byte {
 	return append(append(dst, prefix...), suffix...)
 }
 
-// Dict interns RDF terms and hands out list ids. It is safe for
-// concurrent use. The dictionary is append-only and versioned: every
+// Dict interns RDF terms. It is safe for concurrent use. The dictionary is append-only and versioned: every
 // Encode that allocates a new id republishes the front-coded store
 // through an atomic pointer, so Decode — the hot call on every query's
 // result materialization — resolves ids entirely lock-free even while
@@ -120,20 +118,19 @@ func (v *View) AppendKey(dst []byte, id int64) []byte {
 // lands in the store, so a reader's store always covers every id any
 // published store snapshot can contain.
 type Dict struct {
-	mu      sync.RWMutex
-	byKey   map[string]int64
-	blocks  []fcBlock // sealed blocks; len-capped at every publish
-	pend    []string  // keys of the partially filled last block
-	n       int       // total interned terms
-	nextLid int64
-	rawLen  int64 // what the raw []rdf.Term layout would hold in string bytes
+	mu     sync.RWMutex
+	byKey  map[string]int64
+	blocks []fcBlock // sealed blocks; len-capped at every publish
+	pend   []string  // keys of the partially filled last block
+	n      int       // total interned terms
+	rawLen int64     // what the raw []rdf.Term layout would hold in string bytes
 
 	pub atomic.Pointer[View] // published store for lock-free Decode
 }
 
 // New returns an empty dictionary.
 func New() *Dict {
-	return &Dict{byKey: make(map[string]int64), nextLid: LidBase}
+	return &Dict{byKey: make(map[string]int64)}
 }
 
 func lcpLen(a, b string) int {
@@ -270,18 +267,6 @@ func (d *Dict) MustDecode(id int64) rdf.Term {
 	return t
 }
 
-// NextLid allocates a fresh list id.
-func (d *Dict) NextLid() int64 { return d.ReserveLids(1) }
-
-// ReserveLids allocates n consecutive list ids and returns the first.
-func (d *Dict) ReserveLids(n int) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	lid := d.nextLid
-	d.nextLid += int64(n)
-	return lid
-}
-
 // Len returns the number of interned terms.
 func (d *Dict) Len() int {
 	d.mu.RLock()
@@ -321,11 +306,10 @@ func (d *Dict) RawBytes() int64 {
 }
 
 // SnapshotState returns a copy of the interned term slice (index i
-// holds the term with id i+1) and the next list id, for durability
-// snapshots. Because the dictionary is append-only, a copy taken at or
+// holds the term with id i+1), for durability snapshots. Because the dictionary is append-only, a copy taken at or
 // after a store snapshot's publish covers every id that snapshot's
 // relations can reference; any extra trailing terms are merely unused.
-func (d *Dict) SnapshotState() ([]rdf.Term, int64) {
+func (d *Dict) SnapshotState() []rdf.Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	terms := make([]rdf.Term, d.n)
@@ -333,15 +317,14 @@ func (d *Dict) SnapshotState() ([]rdf.Term, int64) {
 	for i := range terms {
 		terms[i] = termFromStoredKey(v.keyAt(i))
 	}
-	return terms, d.nextLid
+	return terms
 }
 
 // Restore replaces the dictionary contents wholesale (crash recovery).
 // Term i of the slice receives id i+1, exactly as the original
-// interning order assigned. Duplicate term keys or an out-of-range
-// nextLid indicate a corrupt snapshot and are rejected; on error the
-// dictionary is reset to empty.
-func (d *Dict) Restore(terms []rdf.Term, nextLid int64) error {
+// interning order assigned. Duplicate term keys indicate a corrupt
+// snapshot and are rejected; on error the dictionary is reset to empty.
+func (d *Dict) Restore(terms []rdf.Term) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	reset := func() {
@@ -350,13 +333,9 @@ func (d *Dict) Restore(terms []rdf.Term, nextLid int64) error {
 		d.pend = nil
 		d.n = 0
 		d.rawLen = 0
-		d.nextLid = LidBase
 		d.pub.Store(nil)
 	}
 	reset()
-	if nextLid < LidBase {
-		return fmt.Errorf("dict: restore: next lid %d below lid base", nextLid)
-	}
 	d.byKey = make(map[string]int64, len(terms))
 	for _, t := range terms {
 		key := t.Key()
@@ -367,7 +346,6 @@ func (d *Dict) Restore(terms []rdf.Term, nextLid int64) error {
 		d.rawLen += int64(len(t.Value) + len(t.Datatype) + len(t.Lang))
 		d.appendLocked(key)
 	}
-	d.nextLid = nextLid
 	if d.n > 0 {
 		d.publishLocked()
 	}

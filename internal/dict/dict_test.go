@@ -86,10 +86,6 @@ func TestLidsDisjointFromTermIDs(t *testing.T) {
 			t.Fatalf("term id %d collides with lid space", id)
 		}
 	}
-	l1, l2 := d.NextLid(), d.NextLid()
-	if !IsLid(l1) || !IsLid(l2) || l1 == l2 {
-		t.Fatalf("lids: %d, %d", l1, l2)
-	}
 }
 
 func TestConcurrentEncode(t *testing.T) {

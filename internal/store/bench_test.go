@@ -13,8 +13,9 @@ import (
 // BenchmarkInsertLongList inserts n subjects that share one rdf:type
 // object, so the reverse side holds a single RS list with n members and
 // every insert first asks whether its subject is already on that list.
-// It reports ns/triple at n = 1k and 16k through Insert (one publish per
-// triple) and LoadTriples (the bulk loader, one publish). On the loader
+// It reports ns/triple at n = 1k and 16k through Insert (a one-triple
+// bulk load and one publish per triple) and LoadTriples (one bulk load,
+// one publish). On the loader
 // the 16k figure staying near the 1k one shows the membership test does
 // not walk the list. Insert's figure also carries a publish per triple:
 // sealing the indexes costs the write's delta (size-tiered, see

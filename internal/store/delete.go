@@ -82,11 +82,12 @@ func (s *Store) Lock() { s.mu.Lock() }
 // Unlock releases the store-wide write lock.
 func (s *Store) Unlock() { s.mu.Unlock() }
 
-// InsertLocked adds one triple with the write lock already held
-// (taken via Lock), reporting whether it was new. The caller is
-// responsible for publishing (PublishLocked) when anything changed.
-func (s *Store) InsertLocked(t rdf.Triple) (bool, error) {
-	return s.insertLocked(t)
+// InsertTriplesLocked places ts with the write lock already held
+// (taken via Lock) through the bulk loader, returning the number of
+// fresh (non-duplicate) triples. The caller is responsible for
+// publishing (PublishLocked) when anything changed.
+func (s *Store) InsertTriplesLocked(ts []rdf.Triple) (fresh int, err error) {
+	return s.bulkLoadLocked(ts)
 }
 
 // DeleteLocked removes one triple with the write lock already held,

@@ -27,14 +27,21 @@ import (
 //	regexmatch(s, pattern [, flags])          regex over strings
 //	langmatches(tag, range)                   RFC 4647 basic filtering
 //
-// Functions return NULL on NULL input, mirroring SPARQL error
-// propagation.
+// An id argument may instead be a string holding a term key: a query
+// constant absent from the dictionary. Functions return NULL on NULL
+// input, mirroring SPARQL error propagation.
 func (s *Store) RegisterSPARQLFuncs() { RegisterValueFuncs(s.DB, s.Dict) }
 
 // RegisterValueFuncs installs the value functions on an arbitrary
 // database/dictionary pair (shared with the baseline stores).
 func RegisterValueFuncs(db *rel.DB, d *dict.Dict) {
 	decode := func(v rel.Value) (rdf.Term, bool) {
+		if v.K == rel.KindString {
+			// A constant absent from the dictionary, passed as its
+			// term key (see translator.Gen.termExpr).
+			t, err := rdf.TermFromKey(v.S)
+			return t, err == nil
+		}
 		if v.K != rel.KindInt || dict.IsLid(v.I) {
 			return rdf.Term{}, false
 		}

@@ -8,26 +8,25 @@ import (
 	"db2rdf/internal/wal"
 )
 
-// Bulk loading. Load, LoadTriples and WAL replay's runs of inserts all
-// go through bulkLoadLocked, which
+// Bulk loading, the one insert path. Insert, Load, LoadTriples, the
+// SPARQL Update inserts (InsertTriplesLocked) and WAL replay all go
+// through bulkLoadLocked, which
 //
 //  1. dictionary-encodes the triples on the calling goroutine in input
-//     order, so ids come out exactly as Insert would mint them;
+//     order;
 //  2. groups each side's triples by entity, in first-seen order — the
-//     direct side by subject, the reverse side by object;
+//     direct side by subject, the reverse side by object — with a
+//     counting sort of triple indices;
 //  3. places the two sides concurrently, one goroutine each, entity by
-//     entity with side.insert, the kernel Insert uses.
+//     entity with side.insert.
 //
 // Placing an entity's triples together writes its DPH/RPH rows and its
-// DS/RS list members contiguously. The sides share no table; of the
-// dictionary, the placement only mints list ids. The direct side draws
-// them from a block reserved before placement starts, the reverse side
-// from the dictionary, which nothing else advances meanwhile, so no id
-// a load mints depends on how the two goroutines interleave.
+// DS/RS list members contiguously. The sides share no table and do not
+// touch the dictionary: each mints its own list ids (side.newLid), so
+// no id a load mints depends on how the two goroutines interleave.
 //
-// Duplicates are detected on the direct side exactly as in Insert, so
-// only fresh triples are counted and logged: re-loading loaded data
-// changes nothing.
+// Duplicates are detected on the direct side, so only fresh triples
+// are counted and logged: re-loading loaded data changes nothing.
 
 // encTriple is a dictionary-encoded triple plus the predicate URI the
 // column mapping is keyed by.
@@ -77,12 +76,6 @@ func (s *Store) bulkLoadLocked(ts []rdf.Triple) (int, error) {
 	for i, t := range ts {
 		enc[i] = encTriple{s: s.Dict.Encode(t.S), p: s.Dict.Encode(t.P), o: s.Dict.Encode(t.O), pred: t.P.Value}
 	}
-	// A side creates at most one list per triple it places, so the
-	// direct side's block never runs dry.
-	d := s.direct
-	d.lidNext = s.Dict.ReserveLids(len(enc))
-	d.lidEnd = d.lidNext + int64(len(enc))
-	defer func() { d.lidNext, d.lidEnd = 0, 0 }()
 	// A failing side sets abort, so the other stops at its next
 	// entity-group boundary instead of loading on.
 	var abort atomic.Bool
@@ -107,33 +100,52 @@ func (s *Store) bulkLoadLocked(ts []rdf.Triple) (int, error) {
 // reports it fresh. abort is the load-wide failure flag: set on the first
 // error, polled at entity-group boundaries.
 func (d *side) bulkInsert(s *Store, enc []encTriple, reverse bool, abort *atomic.Bool) (int, error) {
-	order := make([]int64, 0, len(enc)/2)
-	byEntity := make(map[int64][]encTriple, len(enc)/2)
-	for _, e := range enc {
-		ent := e.s
+	// Group by a counting sort of triple indices on the entity's
+	// first-seen rank: rank[i] is triple i's group, and once the
+	// scatter has run, group g is perm[end[g-1]:end[g]].
+	ranks := make(map[int64]int32, len(enc)/2)
+	rank := make([]int32, len(enc))
+	var end []int32
+	for i := range enc {
+		ent := enc[i].s
 		if reverse {
-			ent = e.o
+			ent = enc[i].o
 		}
-		if _, seen := byEntity[ent]; !seen {
-			order = append(order, ent)
+		r, seen := ranks[ent]
+		if !seen {
+			r = int32(len(end))
+			ranks[ent] = r
+			end = append(end, 0)
 		}
-		byEntity[ent] = append(byEntity[ent], e)
+		rank[i] = r
+		end[r]++
+	}
+	var off int32
+	for g, n := range end {
+		end[g], off = off, off+n
+	}
+	perm := make([]int32, len(enc))
+	for i, r := range rank {
+		perm[end[r]] = int32(i)
+		end[r]++
 	}
 
 	freshTotal := 0
 	var err error
+	start := int32(0)
 groups:
-	for gi, ent := range order {
-		if gi&63 == 0 && abort.Load() {
+	for g, stop := range end {
+		if g&63 == 0 && abort.Load() {
 			break // the other side failed; its error is reported
 		}
-		for _, e := range byEntity[ent] {
-			member := e.o
+		for _, i := range perm[start:stop] {
+			e := &enc[i]
+			ent, member := e.s, e.o
 			if reverse {
-				member = e.s
+				ent, member = e.o, e.s
 			}
 			var fresh, first bool
-			fresh, first, err = d.insert(s, ent, e.p, member, e.pred)
+			fresh, first, err = d.insert(ent, e.p, member, e.pred)
 			if first {
 				d.entities++
 			}
@@ -148,6 +160,7 @@ groups:
 				}
 			}
 		}
+		start = stop
 	}
 	return freshTotal, err
 }

@@ -69,14 +69,14 @@ func TestMarkersExactAfterEveryPublish(t *testing.T) {
 						deleted = true
 					default:
 						tr := random()
-						fresh, err := s.InsertLocked(tr)
+						fresh, err := s.InsertTriplesLocked([]rdf.Triple{tr})
 						if err != nil {
 							t.Fatal(err)
 						}
-						if fresh != !stored[tr] {
-							t.Fatalf("insert %v: fresh=%v, stored before=%v", tr, fresh, stored[tr])
+						if (fresh == 1) != !stored[tr] {
+							t.Fatalf("insert %v: fresh=%d, stored before=%v", tr, fresh, stored[tr])
 						}
-						if fresh {
+						if fresh == 1 {
 							present = append(present, tr)
 							stored[tr] = true
 						}

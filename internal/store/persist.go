@@ -36,12 +36,12 @@ import (
 // structure validate, builds the hash indexes over the decoded
 // relations, derives the rest (spill/multi markers, entity and triple
 // counts) from them with deriveLocked, and replays the WAL suffix
-// through the ordinary insert/delete machinery. Replay consumes whole
-// batches only (a batch = one published epoch, terminated by a commit
-// marker) and requires epochs to be contiguous, so a torn tail, a
-// flipped bit, or a truncation at any byte offset lands the store on
-// some previously published epoch — never a partial state. The log is then
-// repaired in place (truncated at the last committed boundary, later
+// through the bulk loader and the ordinary delete machinery. Replay
+// consumes whole batches only (a batch = one published epoch,
+// terminated by a commit marker) and requires epochs to be contiguous,
+// so a torn tail, a flipped bit, or a truncation at any byte offset
+// lands the store on some previously published epoch — never a partial
+// state. The log is then repaired in place (truncated at the last committed boundary, later
 // segments removed) so post-recovery appends continue consistently.
 
 // Durability configures the optional persistence layer. The zero value
@@ -378,14 +378,14 @@ func (s *Store) encodeSnapshotFile(sn *Snapshot) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, sn.Epoch())
 	buf = binary.AppendUvarint(buf, uint64(s.Opts.K))
 	buf = binary.AppendUvarint(buf, uint64(s.Opts.KReverse))
-	terms, nextLid := s.Dict.SnapshotState()
+	terms := s.Dict.SnapshotState()
 	buf = binary.AppendUvarint(buf, uint64(len(terms)))
 	for _, t := range terms {
 		k := t.Key()
 		buf = binary.AppendUvarint(buf, uint64(len(k)))
 		buf = append(buf, k...)
 	}
-	buf = binary.AppendUvarint(buf, uint64(nextLid-dict.LidBase))
+	buf = binary.AppendUvarint(buf, uint64(sn.nextLid-dict.LidBase))
 	for _, t := range sn.tables() {
 		blob := t.EncodeSnapshot(nil)
 		buf = binary.AppendUvarint(buf, uint64(len(blob)))
@@ -544,12 +544,17 @@ func (s *Store) tryLoadSnapshotLocked(si snapInfo) (bool, error) {
 		}
 		terms = append(terms, t)
 	}
+	// The lid field is above every stored lid; both sides mint on from
+	// it.
 	nextLid := int64(c.Uvarint()) + dict.LidBase
 	if c.Err() != nil || nextLid < dict.LidBase {
 		return false, nil
 	}
-	if err := s.Dict.Restore(terms, nextLid); err != nil {
+	if err := s.Dict.Restore(terms); err != nil {
 		return false, nil
+	}
+	for _, d := range s.sides() {
+		d.restartLids(nextLid)
 	}
 	for _, t := range s.tables() {
 		bl := c.Uvarint()
@@ -580,10 +585,12 @@ func (s *Store) resetContentLocked() {
 	for _, t := range s.tables() {
 		t.Clear()
 	}
-	s.direct.resetState()
-	s.reverse.resetState()
+	for _, d := range s.sides() {
+		d.resetState()
+		d.restartLids(dict.LidBase)
+	}
 	s.triples = 0
-	_ = s.Dict.Restore(nil, dict.LidBase)
+	_ = s.Dict.Restore(nil)
 }
 
 // replayWALLocked replays committed WAL batches with epochs after the
@@ -600,12 +607,10 @@ func (s *Store) replayWALLocked(dir string) (replayed, truncated uint64, lastSeg
 	}
 	cur := s.epoch.Load()
 	stopSeg, stopOff := -1, int64(0)
-	// Runs of contiguous insert-only batches are coalesced and flushed
-	// through the bulk loader (load.go), which places every triple with
-	// the same side.insert as applyBatchLocked.
-	// Inserts commute, and a flush happens before any non-insert batch
-	// is applied, preserving operation order. Epochs still advance
-	// batch by batch.
+	// Inserts accumulate across records and batches and go through the
+	// bulk loader (load.go) in one run; a delete or clear first flushes
+	// the run, preserving operation order. Epochs still advance batch
+	// by batch.
 	var pending []rdf.Triple
 	flush := func() error {
 		if len(pending) == 0 {
@@ -635,15 +640,15 @@ func (s *Store) replayWALLocked(dir string) (replayed, truncated uint64, lastSeg
 				stopped = true
 				break
 			}
-			if batchInsertOnly(b) {
-				for _, r := range b.Recs {
+			for _, r := range b.Recs {
+				if r.Op == wal.OpInsert {
 					pending = append(pending, rdf.Triple{S: r.S, P: r.P, O: r.O})
+					continue
 				}
-			} else {
 				if aerr := flush(); aerr != nil {
 					return replayed, truncated, "", aerr
 				}
-				if aerr := s.applyBatchLocked(b); aerr != nil {
+				if aerr := s.applyLocked(r); aerr != nil {
 					return replayed, truncated, "", aerr
 				}
 			}
@@ -689,36 +694,16 @@ func (s *Store) replayWALLocked(dir string) (replayed, truncated uint64, lastSeg
 	return replayed, truncated, segs[len(segs)-1].Path, nil
 }
 
-// batchInsertOnly reports whether every record of the batch is an
-// insert, making it eligible for replay coalescing.
-func batchInsertOnly(b wal.Batch) bool {
-	for _, r := range b.Recs {
-		if r.Op != wal.OpInsert {
-			return false
-		}
+// applyLocked replays one committed delete or clear. The dur handle
+// is not yet installed, so nothing is re-logged.
+func (s *Store) applyLocked(r wal.Record) error {
+	switch r.Op {
+	case wal.OpDelete:
+		_, err := s.deleteLocked(rdf.Triple{S: r.S, P: r.P, O: r.O})
+		return err
+	case wal.OpClear:
+		s.ClearLocked()
+		return nil
 	}
-	return true
-}
-
-// applyBatchLocked replays one committed batch through the ordinary
-// insert/delete machinery. The dur handle is not yet installed, so
-// nothing is re-logged.
-func (s *Store) applyBatchLocked(b wal.Batch) error {
-	for _, r := range b.Recs {
-		switch r.Op {
-		case wal.OpInsert:
-			if _, err := s.insertLocked(rdf.Triple{S: r.S, P: r.P, O: r.O}); err != nil {
-				return err
-			}
-		case wal.OpDelete:
-			if _, err := s.deleteLocked(rdf.Triple{S: r.S, P: r.P, O: r.O}); err != nil {
-				return err
-			}
-		case wal.OpClear:
-			s.ClearLocked()
-		default:
-			return fmt.Errorf("store: wal replay: unexpected op %d", r.Op)
-		}
-	}
-	return nil
+	return fmt.Errorf("store: wal replay: unexpected op %d", r.Op)
 }

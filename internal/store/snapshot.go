@@ -57,6 +57,7 @@ type Snapshot struct {
 	live      bool
 	sides     [2]sideView // direct, reverse
 	triples   int64
+	nextLid   int64 // above every lid the tables hold; the snapshot file records it
 
 	closureMu sync.Mutex
 	closures  map[string]*rel.Table // closure relations by name
@@ -89,7 +90,8 @@ func (s *Store) LiveSnapshot() *Snapshot {
 // database or a frozen copy of it. The caller holds the store write
 // lock.
 func (s *Store) view(db *rel.DB, epoch uint64, live bool) *Snapshot {
-	sn := &Snapshot{store: s, epoch: epoch, db: db, live: live, triples: s.triples}
+	sn := &Snapshot{store: s, epoch: epoch, db: db, live: live, triples: s.triples,
+		nextLid: max(s.direct.nextLid, s.reverse.nextLid)}
 	for i, d := range s.sides() {
 		v := &sn.sides[i]
 		v.primary, v.secondary = db.Table(d.primary.Name), db.Table(d.secondary.Name)
@@ -252,10 +254,6 @@ func (sn *Snapshot) K(reverse bool) int { return sn.store.side(reverse).k }
 // cannot occur in the snapshot's relations, so a hit merely yields an
 // id matching nothing — a correct empty result).
 func (sn *Snapshot) LookupID(t rdf.Term) (int64, bool) { return sn.store.Dict.Lookup(t) }
-
-// EncodeID interns a term (the dictionary is shared and append-only,
-// so interning from the read path is safe and ids are stable).
-func (sn *Snapshot) EncodeID(t rdf.Term) int64 { return sn.store.Dict.Encode(t) }
 
 // Decode resolves an id from this snapshot's relations to its term
 // (lock-free on the published dictionary version).

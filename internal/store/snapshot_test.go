@@ -42,7 +42,7 @@ func TestLiveSnapshotMatchesPublished(t *testing.T) {
 					}
 				default:
 					tr := rdf.NewTriple(term("e", r.Intn(nEnt)), term("p", r.Intn(nPred)), term("e", r.Intn(nEnt)))
-					if _, err := s.InsertLocked(tr); err != nil {
+					if _, err := s.InsertTriplesLocked([]rdf.Triple{tr}); err != nil {
 						t.Fatal(err)
 					}
 					present[tr] = true

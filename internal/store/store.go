@@ -15,7 +15,6 @@ import (
 	"db2rdf/internal/dict"
 	"db2rdf/internal/rdf"
 	"db2rdf/internal/rel"
-	"db2rdf/internal/wal"
 )
 
 // Options configures a Store.
@@ -119,9 +118,11 @@ type side struct {
 	// the side's own goroutine writes it.
 	entities int
 
-	// lidNext and lidEnd bound the block of list ids the bulk loader
-	// reserved for the side; see newLid.
-	lidNext, lidEnd int64
+	// nextLid is the next list id the side mints (newLid). The direct
+	// side's lids are even offsets from dict.LidBase and the reverse
+	// side's odd ones (lidOff), so the two never meet and each side's
+	// lids depend only on the order in which it creates lists.
+	nextLid, lidOff int64
 
 	predMu     sync.Mutex
 	spillPreds map[int64]bool // predicate ids involved in spills
@@ -197,10 +198,10 @@ func New(opts Options) (*Store, error) {
 	opts.fill()
 	s := &Store{DB: rel.NewDB(), Dict: dict.New(), Opts: opts}
 	var err error
-	if s.direct, err = newSide(s.DB, "DPH", "DS", opts.Mapping, opts.K); err != nil {
+	if s.direct, err = newSide(s.DB, "DPH", "DS", opts.Mapping, opts.K, 0); err != nil {
 		return nil, err
 	}
-	if s.reverse, err = newSide(s.DB, "RPH", "RS", opts.ReverseMapping, opts.KReverse); err != nil {
+	if s.reverse, err = newSide(s.DB, "RPH", "RS", opts.ReverseMapping, opts.KReverse, 1); err != nil {
 		return nil, err
 	}
 	s.RegisterSPARQLFuncs()
@@ -223,13 +224,15 @@ func New(opts Options) (*Store, error) {
 }
 
 // newSide creates one side's relations in db: the primary (entry,
-// spill, then k pred/val pairs) and the secondary (lid, elm).
-func newSide(db *rel.DB, primary, secondary string, m coloring.Mapping, k int) (*side, error) {
+// spill, then k pred/val pairs) and the secondary (lid, elm). lidOff
+// (0 or 1) is the parity of the side's list ids.
+func newSide(db *rel.DB, primary, secondary string, m coloring.Mapping, k int, lidOff int64) (*side, error) {
 	schema := rel.Schema{{Name: "entry"}, {Name: "spill"}}
 	for i := 0; i < k; i++ {
 		schema = append(schema, rel.Column{Name: fmt.Sprintf("pred%d", i)}, rel.Column{Name: fmt.Sprintf("val%d", i)})
 	}
-	d := &side{mapping: m, k: k}
+	d := &side{mapping: m, k: k, lidOff: lidOff}
+	d.restartLids(dict.LidBase)
 	d.resetState()
 	var err error
 	if d.primary, err = db.CreateTable(primary, schema); err != nil {
@@ -271,58 +274,20 @@ func (s *Store) tables() [4]*rel.Table {
 	return [4]*rel.Table{s.direct.primary, s.direct.secondary, s.reverse.primary, s.reverse.secondary}
 }
 
-// Insert adds one triple (idempotent under RDF set semantics). The
-// epoch advances only when the triple was new: a duplicate insert is a
-// no-op and must not invalidate cached query plans.
-func (s *Store) Insert(t rdf.Triple) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fresh, err := s.insertLocked(t)
-	if fresh {
-		if perr := s.publishLocked(); perr != nil && err == nil {
-			err = perr
-		}
-	}
-	return err
-}
-
-// insertLocked adds one triple, reporting whether it was new; the
-// caller holds the store write lock. A triple is counted once: the
-// direct side detects duplicates, so a re-load of the same data leaves
-// the count unchanged.
-func (s *Store) insertLocked(t rdf.Triple) (bool, error) {
-	sid := s.Dict.Encode(t.S)
-	pid := s.Dict.Encode(t.P)
-	oid := s.Dict.Encode(t.O)
-	fresh, first, err := s.direct.insert(s, sid, pid, oid, t.P.Value)
-	if first {
-		s.direct.entities++
-	}
-	if err != nil {
-		return fresh, err
-	}
-	_, first, err = s.reverse.insert(s, oid, pid, sid, t.P.Value)
-	if first {
-		s.reverse.entities++
-	}
-	if err != nil {
-		return fresh, err
-	}
-	if fresh {
-		s.triples++
-		s.logDelta(wal.OpInsert, sid, pid, oid)
-	}
-	return fresh, nil
-}
+// Insert adds one triple (idempotent under RDF set semantics): a
+// one-triple LoadTriples. The epoch advances only when the triple was
+// new: a duplicate insert is a no-op and must not invalidate cached
+// query plans.
+func (s *Store) Insert(t rdf.Triple) error { return s.LoadTriples([]rdf.Triple{t}) }
 
 // insert places (entity, pred) -> member on one side. It is the one
 // placement rule of §2 — a free candidate column of one of the entity's
 // rows, else a spill row, and a second value turns the cell into a
-// DS/RS list — for every writer: Insert, the loaders, Update and WAL
-// replay. fresh is false for an exact duplicate; first reports that the
-// entity's first row was appended, which the caller adds to the entity
-// count.
-func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fresh, first bool, err error) {
+// DS/RS list — and bulkInsert, which every writer goes through, is its
+// one caller. fresh is false for an exact duplicate; first reports that
+// the entity's first row was appended, which the caller adds to the
+// entity count.
+func (d *side) insert(entity, pid, member int64, predURI string) (fresh, first bool, err error) {
 	cols := d.mapping.Columns(predURI)
 	rows := d.rows(entity)
 
@@ -348,7 +313,7 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 					return false, false, nil // duplicate triple
 				}
 				// Convert single value to a list.
-				lid := d.newLid(s)
+				lid := d.newLid()
 				if err := d.secondary.Insert(rel.Row{rel.ID(lid), cur}); err != nil {
 					return false, false, err
 				}
@@ -424,14 +389,18 @@ func (d *side) insert(s *Store, entity, pid, member int64, predURI string) (fres
 	return true, len(rows) == 0, nil
 }
 
-// newLid mints a list id: the next of the side's reserved block while
-// the bulk loader holds one, else the dictionary's next.
-func (d *side) newLid(s *Store) int64 {
-	if d.lidNext < d.lidEnd {
-		d.lidNext++
-		return d.lidNext - 1
-	}
-	return s.Dict.NextLid()
+// newLid mints the side's next list id.
+func (d *side) newLid() int64 {
+	lid := d.nextLid
+	d.nextLid += 2
+	return lid
+}
+
+// restartLids sets the side's next list id to the first of its parity
+// at or above lid.
+func (d *side) restartLids(lid int64) {
+	n := lid - dict.LidBase
+	d.nextLid = lid + (n+d.lidOff)&1
 }
 
 // count is countLocked under predMu.

@@ -22,15 +22,16 @@ const (
 	MethodACO = optimizer.ACO
 )
 
-// StoreView is the read-side store surface the backend translates
-// against: a *store.Snapshot, published or live. Translating against
-// the snapshot a query executes on keeps the built query derived from
-// exactly the state it reads.
+// StoreView is what the backend reads of the store while it
+// translates: the column mappings, the spill and multi-value markers
+// and the ids of constants, all of a *store.Snapshot, published or
+// live. Translating against the snapshot a query executes on keeps the
+// built query derived from exactly the state it reads, and nothing
+// here writes.
 type StoreView interface {
 	Mapping(reverse bool) coloring.Mapping
 	K(reverse bool) int
 	LookupID(t rdf.Term) (int64, bool)
-	EncodeID(t rdf.Term) int64
 	SpillPredicates(reverse bool) map[int64]bool
 	MultiValued(pid int64, reverse bool) bool
 	AnyMultiValued(reverse bool) bool
@@ -47,9 +48,6 @@ func NewDB2RDF(st StoreView) *DB2RDF { return &DB2RDF{St: st} }
 
 // LookupID implements Backend.
 func (b *DB2RDF) LookupID(t rdf.Term) (int64, bool) { return b.St.LookupID(t) }
-
-// EncodeID implements Backend.
-func (b *DB2RDF) EncodeID(t rdf.Term) int64 { return b.St.EncodeID(t) }
 
 // MergeSafe implements Backend: constant predicates only, none
 // involved in spills on the relevant side (§3.2.1). Scans read DPH

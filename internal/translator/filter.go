@@ -65,12 +65,14 @@ func (g *Gen) filterExpr(e sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, e
 // a numeric literal or arithmetic is, and otherwise id equality for =
 // and != and term ordering (dcmp) for the ordering operators.
 func (g *Gen) comparison(x *sparql.EBin, vars map[string]rel.ColRef) (rel.Expr, error) {
-	operands, byTerm := g.idExpr, x.Op != "=" && x.Op != "!="
+	operands, byTerm := g.termExpr, true
 	switch {
 	case stringish(x.L) || stringish(x.R):
 		operands, byTerm = g.strExpr, false
 	case numericish(x.L) || numericish(x.R):
 		operands, byTerm = g.numExpr, false
+	case x.Op == "=" || x.Op == "!=":
+		return g.idCompare(x.Op, x.L, x.R, vars)
 	}
 	l, err := operands(x.L, vars)
 	if err != nil {
@@ -84,6 +86,26 @@ func (g *Gen) comparison(x *sparql.EBin, vars map[string]rel.ColRef) (rel.Expr, 
 		return binop(x.Op, call("dcmp", l, r), IntLit(0)), nil
 	}
 	return binop(x.Op, l, r), nil
+}
+
+// idCompare is a = b or a != b over term ids. Two constants compare as
+// terms here, since every constant absent from the dictionary has the
+// id -1.
+func (g *Gen) idCompare(op string, a, b sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, error) {
+	if l, ok := a.(*sparql.ELit); ok {
+		if r, ok := b.(*sparql.ELit); ok {
+			return &rel.Lit{V: rel.Bool((l.Term == r.Term) == (op == "="))}, nil
+		}
+	}
+	l, err := g.idExpr(a, vars)
+	if err != nil {
+		return nil, err
+	}
+	r, err := g.idExpr(b, vars)
+	if err != nil {
+		return nil, err
+	}
+	return binop(op, l, r), nil
 }
 
 func (g *Gen) callExpr(x *sparql.ECall, vars map[string]rel.ColRef) (rel.Expr, error) {
@@ -122,7 +144,7 @@ func (g *Gen) callExpr(x *sparql.ECall, vars map[string]rel.ColRef) (rel.Expr, e
 		if len(x.Args) != 1 {
 			return nil, fmt.Errorf("translator: %s() wants 1 argument", x.Name)
 		}
-		id, err := g.idExpr(x.Args[0], vars)
+		id, err := g.termExpr(x.Args[0], vars)
 		if err != nil {
 			return nil, err
 		}
@@ -132,21 +154,27 @@ func (g *Gen) callExpr(x *sparql.ECall, vars map[string]rel.ColRef) (rel.Expr, e
 		if len(x.Args) != 2 {
 			return nil, fmt.Errorf("translator: sameterm() wants 2 arguments")
 		}
-		l, err := g.idExpr(x.Args[0], vars)
-		if err != nil {
-			return nil, err
-		}
-		r, err := g.idExpr(x.Args[1], vars)
-		if err != nil {
-			return nil, err
-		}
-		return Eq(l, r), nil
+		return g.idCompare("=", x.Args[0], x.Args[1], vars)
 	}
 	return nil, fmt.Errorf("translator: unsupported builtin %q", x.Name)
 }
 
-// idExpr is the dictionary id of a term-valued operand.
+// idExpr is the dictionary id of a term-valued operand compared by id
+// equality. A constant absent from the dictionary is -1, which equals
+// no stored id, as in a triple pattern (Gen.IDOf).
 func (g *Gen) idExpr(e sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, error) {
+	if x, ok := e.(*sparql.ELit); ok {
+		return IntLit(g.IDOf(x.Term)), nil
+	}
+	return g.termExpr(e, vars)
+}
+
+// termExpr is a term-valued operand as a value function's argument: a
+// variable's id column, or a constant's id. A constant absent from the
+// dictionary is passed as its term key (rdf.Term.Key) in a string
+// literal, which the value functions read in place, so compiling a
+// query never writes the dictionary.
+func (g *Gen) termExpr(e sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, error) {
 	switch x := e.(type) {
 	case *sparql.EVar:
 		if c, ok := ref(vars, x.Name); ok {
@@ -154,9 +182,10 @@ func (g *Gen) idExpr(e sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, error
 		}
 		return Null, nil
 	case *sparql.ELit:
-		// Encode (not Lookup): dcmp/disiri must be able to decode the
-		// constant even when it does not occur in the data.
-		return IntLit(g.backend.EncodeID(x.Term)), nil
+		if id, ok := g.backend.LookupID(x.Term); ok {
+			return IntLit(id), nil
+		}
+		return strLit(x.Term.Key()), nil
 	}
 	return nil, fmt.Errorf("translator: operand %T is not term-valued", e)
 }
@@ -183,7 +212,7 @@ func (g *Gen) strExpr(e sparql.Expr, vars map[string]rel.ColRef) (rel.Expr, erro
 		default:
 			return nil, fmt.Errorf("translator: operand %T is not string-valued", e)
 		}
-		id, err := g.idExpr(x.Args[0], vars)
+		id, err := g.termExpr(x.Args[0], vars)
 		if err != nil {
 			return nil, err
 		}

@@ -22,9 +22,6 @@ type Backend interface {
 	// LookupID resolves a constant term without interning; absent
 	// terms report false (they can match nothing).
 	LookupID(t rdf.Term) (int64, bool)
-	// EncodeID interns a constant (FILTER constants must be decodable
-	// by the value functions even when absent from the data).
-	EncodeID(t rdf.Term) int64
 	// MergeSafe reports whether the given triples may be answered by a
 	// single row access (§3.2.1); backends without star storage return
 	// false.

@@ -1,11 +1,13 @@
 package db2rdf_test
 
-// TestStorageEquivalence is the load-path oracle test. The same random
+// TestStorageEquivalence is the insert-path oracle test. The same random
 // datasets go in one Insert per triple, through the bulk loader
-// (LoadTriples), and as a top-up: half the data bulk-loaded, then all of
+// (LoadTriples), as a top-up — half the data bulk-loaded, then all of
 // it, so the loader meets existing entities, lists, spill rows and
-// already-stored triples. Every path places triples with the same
-// per-triple insert. All stores must export identical graphs, count
+// already-stored triples — as the same top-up by two INSERT DATA
+// requests, and through WAL replay of a load, a delete and an update
+// into a reopened store. Every path is one bulk load per write. All
+// stores must export identical graphs, count
 // each distinct triple once, and answer random BGPs exactly as the
 // brute-force matcher does, with morsel parallelism forced off and on.
 // Every write publishes, so the queries read sealed chunks. The benchmark corpus is refereed against
@@ -17,9 +19,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"db2rdf"
+	"db2rdf/internal/rdf"
 	"db2rdf/internal/rel"
 )
 
@@ -35,6 +39,7 @@ func TestStorageEquivalence(t *testing.T) {
 		loaders := []struct {
 			name string
 			load func(*db2rdf.Store) error
+			dir  string // a data directory: the load's store is dropped unclosed and reopened
 		}{
 			{"insert", func(s *db2rdf.Store) error {
 				for _, tr := range data {
@@ -43,24 +48,47 @@ func TestStorageEquivalence(t *testing.T) {
 					}
 				}
 				return nil
-			}},
-			{"bulk", func(s *db2rdf.Store) error { return s.LoadTriples(data) }},
+			}, ""},
+			{"bulk", func(s *db2rdf.Store) error { return s.LoadTriples(data) }, ""},
 			{"top-up", func(s *db2rdf.Store) error {
 				if err := s.LoadTriples(data[:len(data)/2]); err != nil {
 					return err
 				}
 				return s.LoadTriples(data)
-			}},
+			}, ""},
+			{"update", func(s *db2rdf.Store) error {
+				if _, err := s.Update(insertData(data[:len(data)/2])); err != nil {
+					return err
+				}
+				_, err := s.Update(insertData(data))
+				return err
+			}, ""},
+			{"WAL replay", func(s *db2rdf.Store) error {
+				if err := s.LoadTriples(data[:len(data)/2]); err != nil {
+					return err
+				}
+				if _, err := s.Delete(data[0]); err != nil {
+					return err
+				}
+				_, err := s.Update(insertData(data))
+				return err
+			}, t.TempDir()},
 		}
 		stores := make([]*db2rdf.Store, len(loaders))
 		exports := make([][]byte, len(loaders))
 		for i, l := range loaders {
-			s, err := db2rdf.Open(db2rdf.Options{K: k})
+			opts := db2rdf.Options{K: k, DataDir: l.dir}
+			s, err := db2rdf.Open(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := l.load(s); err != nil {
 				t.Fatalf("trial %d: %s load: %v", trial, l.name, err)
+			}
+			if l.dir != "" {
+				if s, err = db2rdf.Open(opts); err != nil {
+					t.Fatalf("trial %d: %s reopen: %v", trial, l.name, err)
+				}
 			}
 			var buf bytes.Buffer
 			if _, err := s.Export(&buf); err != nil {
@@ -96,4 +124,15 @@ func TestStorageEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// insertData is an INSERT DATA request for ts.
+func insertData(ts []rdf.Triple) string {
+	var b strings.Builder
+	b.WriteString("INSERT DATA {\n")
+	for _, tr := range ts {
+		b.WriteString(tr.String() + "\n")
+	}
+	b.WriteString("}")
+	return b.String()
 }

@@ -95,15 +95,11 @@ func (s *Store) UpdateContext(ctx context.Context, u string) (res *UpdateResult,
 		}
 		switch op.Kind {
 		case sparql.OpInsertData:
-			for _, t := range op.Data {
-				fresh, err := s.inner.InsertLocked(t)
-				if fresh {
-					result.Inserted++
-					changed++
-				}
-				if err != nil {
-					return result, err
-				}
+			fresh, err := s.inner.InsertTriplesLocked(op.Data)
+			result.Inserted += fresh
+			changed += fresh
+			if err != nil {
+				return result, err
 			}
 		case sparql.OpDeleteData:
 			for _, t := range op.Data {
@@ -134,7 +130,7 @@ func (s *Store) UpdateContext(ctx context.Context, u string) (res *UpdateResult,
 // applyModify runs one DELETE/INSERT ... WHERE operation: evaluate the
 // pattern against the current state, instantiate both templates over
 // the full solution set, then apply every delete before any insert
-// (SPARQL 1.1 Update §3.1.3). The caller holds the store write lock;
+// (SPARQL 1.1 Update §3.1.3), the inserts as one bulk load. The caller holds the store write lock;
 // WHERE evaluation runs on a live snapshot so it sees
 // the request's own earlier mutations, which are not published yet.
 func (s *Store) applyModify(ctx context.Context, prefixes map[string]string, op *sparql.UpdateOp, result *UpdateResult, changed *int) error {
@@ -166,20 +162,13 @@ func (s *Store) applyModify(ctx context.Context, prefixes map[string]string, op 
 			return err
 		}
 	}
-	for _, t := range ins {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		fresh, err := s.inner.InsertLocked(t)
-		if fresh {
-			result.Inserted++
-			*changed++
-		}
-		if err != nil {
-			return err
-		}
+	if err := ctxErr(ctx); err != nil {
+		return err
 	}
-	return nil
+	fresh, err := s.inner.InsertTriplesLocked(ins)
+	result.Inserted += fresh
+	*changed += fresh
+	return err
 }
 
 // instantiateTemplate grounds a CONSTRUCT or DELETE/INSERT template
