@@ -45,9 +45,9 @@ go test -race -count=3 \
     ./internal/rel/
 go test -race -count=3 \
     -run 'TestFilterNumericLiteralForms|TestFilterSpecForms|TestTranslatedSQLRoundTrip|TestWarmQueryAllocs|TestNaNIsUnordered|TestStorageEquivalence' .
-echo "== flat batches (row order pinned by a golden, kernels agree at 1 and 4 workers, two units per core laid out in FROM order, budgets charge rows kept, warm-path allocations) =="
+echo "== flat batches (row order pinned by a golden, kernels agree at 1 and 4 workers, two units per core laid out in FROM order, budgets charge rows kept, each core's rows written once at its projected width, warm-path allocations) =="
 go test -race -count=3 \
-    -run 'TestRowOrderGolden|TestParallelKernelEquivalence|TestJoinKernelsAgree|TestJoinLayoutFollowsFrom|TestBindRejectsOutsideDialect|TestGovern|TestBudget|TestMemoryBudget' \
+    -run 'TestRowOrderGolden|TestParallelKernelEquivalence|TestJoinKernelsAgree|TestJoinLayoutFollowsFrom|TestBindRejectsOutsideDialect|TestGovern|TestBudget|TestMemoryBudget|TestCoreWritesRowsOnce' \
     ./internal/rel/
 go test -race -count=3 -run 'TestWarmQueryAllocs' .
 echo "== one-pass result decode (one binding slab and one key arena per Results, per-cell reference, allocations independent of rows, driver rows) =="

@@ -184,14 +184,6 @@ func (db *DB) compileBoolOp(x *BoolOp, shift int) compiledExpr {
 }
 
 func (db *DB) compileBinOp(x *BinOp, shift int) compiledExpr {
-	// The translator's dominant predicate is `T.predN = <int>`:
-	// specialize column-vs-integer-literal comparison down to a direct
-	// slot read and int compare.
-	if x.Op == "=" || x.Op == "!=" {
-		if ce := db.compileIntEquality(x, shift); ce != nil {
-			return ce
-		}
-	}
 	l, r := db.compileExpr(x.L, shift), db.compileExpr(x.R, shift)
 	switch x.Op {
 	case "=", "!=", "<", "<=", ">", ">=":
@@ -222,25 +214,6 @@ func (db *DB) compileBinOp(x *BinOp, shift int) compiledExpr {
 		}
 	}
 	return errExpr(fmt.Errorf("sql: unknown binary op %q", x.Op))
-}
-
-// compileIntEquality specializes `col = <intlit>` and `col != <intlit>`
-// (either side) into a direct comparison of the column's cell; nil when
-// the shape does not match.
-func (db *DB) compileIntEquality(x *BinOp, shift int) compiledExpr {
-	c, want, ok := colInt(x)
-	if !ok {
-		return nil
-	}
-	i := c.at(shift)
-	eq := x.Op == "="
-	return func(r Row) (Value, error) {
-		v := r[i]
-		if v.IsNull() {
-			return Null, nil
-		}
-		return Bool((v.I == want) == eq), nil
-	}
 }
 
 // colInt matches a column against an integer literal, either side.
@@ -337,22 +310,145 @@ func arith(op string, l, r Value) (Value, error) {
 }
 
 // compilePred compiles a conjunct list into a single keep/drop
-// predicate: true iff every conjunct evaluates truthy.
+// predicate: true iff every conjunct evaluates truthy, stopping at the
+// first that does not.
 func (db *DB) compilePred(conds []Expr, shift int) func(Row) (bool, error) {
-	compiled := make([]compiledExpr, len(conds))
+	tests := make([]func(Row) (bool, error), len(conds))
 	for i, c := range conds {
-		compiled[i] = db.compileExpr(c, shift)
+		tests[i] = db.compileTest(c, shift)
 	}
 	return func(r Row) (bool, error) {
-		for _, c := range compiled {
-			v, err := c(r)
-			if err != nil {
+		for _, test := range tests {
+			if ok, err := test(r); !ok || err != nil {
 				return false, err
-			}
-			if !v.Truth() {
-				return false, nil
 			}
 		}
 		return true, nil
 	}
+}
+
+// compileTest compiles e into the test of whether it evaluates TRUE,
+// which is all a WHERE or ON conjunct and a CASE condition ask. The
+// translator's shapes compare ids without lifting them into Values:
+// `col = <int>`, `col != <int>`, `col = col` and an OR of `col = <int>`
+// (a predicate's candidate columns), TRUE when one argument is. Any
+// other shape tests its evaluated Value.
+func (db *DB) compileTest(e Expr, shift int) func(Row) (bool, error) {
+	if eqs := orOfIntEqualities(e, shift); eqs != nil {
+		return func(r Row) (bool, error) {
+			for _, q := range eqs {
+				if v := r[q.pos]; !v.IsNull() && v.I == q.id {
+					return true, nil
+				}
+			}
+			return false, nil
+		}
+	}
+	if x, ok := e.(*BinOp); ok {
+		if c, want, ok := colInt(x); ok && (x.Op == "=" || x.Op == "!=") {
+			i, eq := c.at(shift), x.Op == "="
+			return func(r Row) (bool, error) {
+				v := r[i]
+				return !v.IsNull() && (v.I == want) == eq, nil
+			}
+		}
+		if l, r, ok := colEquality(x); ok {
+			i, j := l.at(shift), r.at(shift)
+			return func(r Row) (bool, error) {
+				a, b := r[i], r[j]
+				return !a.IsNull() && !b.IsNull() && a.I == b.I, nil
+			}
+		}
+	}
+	ce := db.compileExpr(e, shift)
+	return func(r Row) (bool, error) {
+		v, err := ce(r)
+		return v.Truth(), err
+	}
+}
+
+// slotEq is `col = <int>` resolved to the column's slot.
+type slotEq struct {
+	pos int
+	id  int64
+}
+
+// orOfIntEqualities resolves e, an OR of `col = <int>` equalities, to
+// their slots; nil for any other shape.
+func orOfIntEqualities(e Expr, shift int) []slotEq {
+	x, ok := e.(*BoolOp)
+	if !ok || x.Op != "OR" {
+		return nil
+	}
+	eqs := make([]slotEq, len(x.Args))
+	for i, a := range x.Args {
+		c, id, ok := intEquality(a)
+		if !ok {
+			return nil
+		}
+		eqs[i] = slotEq{pos: c.at(shift), id: id}
+	}
+	return eqs
+}
+
+// cellExpr evaluates an id-valued item against one row.
+type cellExpr func(row Row) (Cell, error)
+
+// compileCell compiles e, an item Bind admitted (idValued: a column,
+// NULL, an integer, a CASE of id-valued results or a COALESCE of
+// id-valued arguments), into a closure that yields its cell without
+// lifting cells into Values. A CASE's conditions are tests
+// (compileTest).
+func (db *DB) compileCell(e Expr, shift int) cellExpr {
+	switch x := e.(type) {
+	case *ColRef:
+		i := x.at(shift)
+		return func(r Row) (Cell, error) { return r[i], nil }
+	case *Lit:
+		c := x.V.cell()
+		return func(Row) (Cell, error) { return c, nil }
+	case *CaseExpr:
+		conds := make([]func(Row) (bool, error), len(x.Whens))
+		results := make([]cellExpr, len(x.Whens))
+		for i, w := range x.Whens {
+			conds[i] = db.compileTest(w.Cond, shift)
+			results[i] = db.compileCell(w.Result, shift)
+		}
+		var elseC cellExpr
+		if x.Else != nil {
+			elseC = db.compileCell(x.Else, shift)
+		}
+		return func(r Row) (Cell, error) {
+			for i, cond := range conds {
+				ok, err := cond(r)
+				if err != nil {
+					return NullCell, err
+				}
+				if ok {
+					return results[i](r)
+				}
+			}
+			if elseC != nil {
+				return elseC(r)
+			}
+			return NullCell, nil
+		}
+	case *FuncCall:
+		if strings.EqualFold(x.Name, "coalesce") {
+			args := make([]cellExpr, len(x.Args))
+			for i, a := range x.Args {
+				args[i] = db.compileCell(a, shift)
+			}
+			return func(r Row) (Cell, error) {
+				for _, a := range args {
+					if c, err := a(r); !c.IsNull() || err != nil {
+						return c, err
+					}
+				}
+				return NullCell, nil
+			}
+		}
+	}
+	err := fmt.Errorf("sql: item %s is not id-valued", exprString(e))
+	return func(Row) (Cell, error) { return NullCell, err }
 }

@@ -109,8 +109,8 @@ func (db *DB) execContext(ctx context.Context, q *Query, lim Limits, prof *profi
 func (ex *exec) evalSelect(bs *boundSelect, env []batch) (batch, error) {
 	s := bs.sel
 	// LIMIT pushdown: with a single core, no ORDER BY and no DISTINCT,
-	// projection is an order-preserving 1:1 row map, so only the first
-	// OFFSET+LIMIT input rows can reach the output.
+	// the core's rows come out in their final order, so only the first
+	// OFFSET+LIMIT of them can reach the output.
 	rowCap := int64(-1)
 	if len(s.Cores) == 1 && len(s.OrderBy) == 0 && !s.Cores[0].Distinct && s.Limit >= 0 {
 		rowCap = s.Limit
@@ -260,77 +260,116 @@ input:
 	return out, nil
 }
 
-// evalCore evaluates one SELECT core. rowCap >= 0 bounds the number of
-// projected rows (LIMIT pushdown); the caller guarantees projection
-// order is final (no ORDER BY, no DISTINCT), so only the first rowCap
-// joined rows can appear in the result.
+// evalCore evaluates one SELECT core. Its last producer — the comma
+// join, the last join of a one-unit chain, or a one-unit core's read —
+// runs the core's emit step, so the rows it returns are the core's
+// output rows. rowCap >= 0 bounds their number (LIMIT pushdown); the
+// caller guarantees their order is final (no ORDER BY, no DISTINCT), so
+// only the first rowCap can appear in the result.
 func (ex *exec) evalCore(bc *boundCore, env []batch, rowCap int64) (batch, error) {
 	if err := ex.gov.check(CkCore); err != nil {
 		return batch{}, err
 	}
-	var units [2]*relation
-	for i := range bc.units {
-		u, err := ex.buildUnit(&bc.units[i], env)
-		if err != nil {
-			return batch{}, err
-		}
-		units[i] = u
-	}
-	cur := units[0]
+	em := ex.newEmitter(bc)
+	var cur *relation
 	var err error
 	if len(bc.units) == 2 {
-		if cur, err = ex.joinUnits(units, &bc.links); err != nil {
-			return batch{}, err
+		var units [2]*relation
+		for i := range bc.units {
+			if units[i], err = ex.buildUnit(&bc.units[i], env, nil, -1); err != nil {
+				return batch{}, err
+			}
 		}
+		cur, err = ex.joinUnits(units, &bc.links, em)
+	} else {
+		cur, err = ex.buildUnit(&bc.units[0], env, em, rowCap)
 	}
-	if cur, err = ex.materialize(cur); err != nil {
+	if err != nil {
 		return batch{}, err
 	}
-	if len(bc.residual) > 0 {
-		if cur, err = ex.filterRelation(cur, bc.residual, bc.shift()); err != nil {
-			return batch{}, err
+	out := cur.rows
+	if ex.prof != nil {
+		// One line per fused core, naming the operator that emitted its
+		// rows; a projection of a CTE batch is its own line.
+		if ops := ex.prof.stats.Ops; len(ops) > 0 && ops[len(ops)-1].Kind != "project" {
+			last := ops[len(ops)-1]
+			ex.opEnd(time.Now(), OpStat{Kind: "project", Label: "emit " + last.Kind, RowsIn: int64(out.n), RowsOut: int64(out.n), Workers: last.Workers})
 		}
 	}
-
-	if rowCap >= 0 && int64(cur.rows.n) > rowCap {
+	if rowCap >= 0 && int64(out.n) > rowCap {
 		if ex.prof != nil {
-			ex.opEnd(time.Now(), OpStat{Kind: "limit", Label: "pushdown", RowsIn: int64(cur.rows.n), RowsOut: rowCap, Workers: 1})
+			ex.opEnd(time.Now(), OpStat{Kind: "limit", Label: "pushdown", RowsIn: int64(out.n), RowsOut: rowCap, Workers: 1})
 		}
-		cur = &relation{rows: cur.rows.slice(0, int(rowCap))}
+		out = out.slice(0, int(rowCap))
 	}
-	return ex.project(bc, cur)
+	if bc.core.Distinct {
+		return ex.dedup(out)
+	}
+	return out, nil
 }
 
 // buildUnit materializes one unit: its FROM item with its WHERE
 // conjuncts pushed in — index-accelerated on a base table — and its
-// LEFT OUTER JOIN chain.
-func (ex *exec) buildUnit(u *boundUnit, env []batch) (*relation, error) {
+// LEFT OUTER JOIN chain. em is set when the unit is its core's only
+// one: its last producer (the chain's last join, or else the read of
+// its FROM item) emits the core's rows, of which only the first rowCap
+// (when >= 0) are read. Without em a base table with no chain is left
+// unread, for the core's join to scan or probe.
+func (ex *exec) buildUnit(u *boundUnit, env []batch, em *emitter, rowCap int64) (*relation, error) {
 	left, err := ex.buildPrimary(u.from, env)
 	if err != nil {
 		return nil, err
 	}
+	joins := u.from.joins
+	if em != nil && len(joins) == 0 {
+		return ex.read(left, u.where, em, rowCap)
+	}
 	switch {
 	case len(u.where) == 0:
 	case left.base != nil:
-		left, err = ex.scanWithFilters(left, u)
+		left, err = ex.scanWithFilters(left, u.where, nil)
 	default:
-		left, err = ex.filterRelation(left, u.where, 0)
+		left, err = ex.filterRelation(left, u.where, nil)
 	}
 	if err != nil {
 		return nil, err
 	}
-	for i := range u.from.joins {
-		j := &u.from.joins[i]
+	for i := range joins {
+		j := &joins[i]
 		right, err := ex.buildPrimary(j.right, env)
 		if err != nil {
 			return nil, err
 		}
-		left, err = ex.join(left, right, joinSpec{links: j.links, residual: j.residual, outer: true})
-		if err != nil {
+		spec := joinSpec{links: j.links, residual: j.residual, outer: true}
+		if i == len(joins)-1 {
+			spec.em = em
+		}
+		if left, err = ex.join(left, right, spec); err != nil {
 			return nil, err
 		}
 	}
 	return left, nil
+}
+
+// read runs the read of r, a core's only unit with no join chain,
+// under the unit's WHERE conjuncts: an index scan or the vectorized
+// scan of a base table, or a filter or projection of a CTE batch. It
+// is the core's last producer, so it emits through em. A projection
+// maps rows 1:1, so it reads only the first rowCap (when >= 0).
+func (ex *exec) read(r *relation, where []Expr, em *emitter, rowCap int64) (*relation, error) {
+	if r.base == nil {
+		if len(where) == 0 && em.res == nil && rowCap >= 0 && int64(r.rows.n) > rowCap {
+			r = &relation{rows: r.rows.slice(0, int(rowCap))}
+		}
+		return ex.filterRelation(r, where, em)
+	}
+	var err error
+	if len(where) > 0 {
+		if r, err = ex.scanWithFilters(r, where, em); err != nil {
+			return nil, err
+		}
+	}
+	return ex.materialize(r, em)
 }
 
 // buildPrimary resolves a table or CTE reference. A base table is an
@@ -375,17 +414,19 @@ func (t *Table) columnSet(bf *boundFrom) ([]int, error) {
 	return src, nil
 }
 
-// scanWithFilters applies u's WHERE conjuncts to r, the scan of its
-// base table — and, when a lateral item is fused into r, of its pairs —
-// using a hash index for the first "col = constant" conjunct on an
-// indexed column if any.
-func (ex *exec) scanWithFilters(r *relation, u *boundUnit) (*relation, error) {
+// scanWithFilters applies where, the WHERE conjuncts of r's unit, to
+// r, the scan of its base table — and, when a lateral item is fused
+// into r, of its pairs — using a hash index for the first "col =
+// constant" conjunct on an indexed column if any. The index scan emits
+// through em; without such a conjunct the scan is deferred, and r comes
+// back unread.
+func (ex *exec) scanWithFilters(r *relation, where []Expr, em *emitter) (*relation, error) {
 	t := r.base
 	// An index-usable equality is an indexed table column equal to an
 	// int literal. A conjunct with any other constant stays with the
 	// rest, whose compiled predicate decides it as it would without an
 	// index.
-	key := slices.IndexFunc(u.where, func(c Expr) bool {
+	key := slices.IndexFunc(where, func(c Expr) bool {
 		col, _, ok := intEquality(c)
 		return ok && col.pos < len(r.src) && t.HasIndex(col.Column)
 	})
@@ -393,17 +434,17 @@ func (ex *exec) scanWithFilters(r *relation, u *boundUnit) (*relation, error) {
 		// Defer the filters: a later index nested-loop join can apply
 		// them per probed row, avoiding a filtered copy of the table,
 		// and otherwise the scan runs them chunk-wise.
-		r.pending = u.where
+		r.pending = where
 		return r, nil
 	}
-	col, id, _ := intEquality(u.where[key])
-	rest := append(u.where[:key:key], u.where[key+1:]...)
+	col, id, _ := intEquality(where[key])
+	rest := append(where[:key:key], where[key+1:]...)
 	t0 := ex.opStart()
 	pre, run := ex.startUnpivot(r, rest)
 	pred := ex.db.compilePred(pre, 0)
 	ids, _ := t.IndexLookup(col.Column, id)
 	rd := t.reader(r.src)
-	width := r.rows.width
+	width := em.width(r.rows.width)
 	tk := ticker{g: ex.gov, site: CkFilter, rowBytes: int64(width) * cellBytes}
 	if run != nil {
 		tk.site = CkUnpivot
@@ -411,32 +452,22 @@ func (ex *exec) scanWithFilters(r *relation, u *boundUnit) (*relation, error) {
 	if err := tk.flush(); err != nil {
 		return nil, err
 	}
+	if err := em.start(ex.gov); err != nil {
+		return nil, err
+	}
 	kept := ex.workBufs(1, width)
-	uw := run.worker(&tk, &kept[0], false)
+	uw := run.worker(&tk, &kept[0], false, em)
 	for _, id := range ids {
-		// A plain row is read straight into the rowBuf and dropped if the
-		// filters reject it; an unpivoted one is expanded from scratch.
-		var row Row
-		if run != nil {
-			row = rd.rowAt(int(id))
-		} else {
-			row = kept[0].grow(1)
-			rd.rowInto(row, int(id))
-		}
+		row := rd.rowAt(int(id))
 		ok, err := pred(row)
-		if err != nil {
-			return nil, err
-		}
 		switch {
+		case err != nil:
 		case !ok:
-			if run == nil {
-				kept[0].pop()
-			}
 			err = tk.step()
 		case run != nil:
 			err = uw.expand(int(id), row, run.all, nil, nil, false)
 		default:
-			err = tk.emit()
+			err = em.put(&tk, &kept[0], row, nil)
 		}
 		if err != nil {
 			return nil, err
@@ -453,28 +484,43 @@ func (ex *exec) scanWithFilters(r *relation, u *boundUnit) (*relation, error) {
 }
 
 // filterRelation keeps the rows of r, a read relation, that pass every
-// one of conds, compiled with unit 1 at shift (compileExpr).
-func (ex *exec) filterRelation(r *relation, conds []Expr, shift int) (*relation, error) {
+// one of conds (over unit 0) and emits them through em. With no conds
+// it is the projection of a CTE batch, which an identity core (em
+// whole) skips: its rows are the batch itself.
+func (ex *exec) filterRelation(r *relation, conds []Expr, em *emitter) (*relation, error) {
 	t0 := ex.opStart()
-	pred := ex.db.compilePred(conds, shift)
+	kind, site := "filter", CkFilter
+	if len(conds) == 0 {
+		kind, site = "project", CkProject
+		if em.whole() {
+			if err := ex.gov.check(CkProject); err != nil {
+				return nil, err
+			}
+			ex.opEnd(t0, OpStat{Kind: kind, Label: "identity", RowsIn: int64(r.rows.n), RowsOut: int64(r.rows.n), Workers: 1})
+			return r, nil
+		}
+	}
+	pred := ex.db.compilePred(conds, 0)
+	width := em.width(r.rows.width)
 	w := planWorkers(r.rows.n)
-	parts := ex.workBufs(w, r.rows.width)
+	parts := ex.workBufs(w, width)
 	err := parallelChunks(r.rows.n, w, func(chunk, lo, hi int) error {
-		tk := ticker{g: ex.gov, site: CkFilter, rowBytes: int64(r.rows.width) * cellBytes}
+		tk := ticker{g: ex.gov, site: site, rowBytes: int64(width) * cellBytes}
 		if err := tk.flush(); err != nil {
+			return err
+		}
+		if err := em.start(ex.gov); err != nil {
 			return err
 		}
 		local := &parts[chunk]
 		for i := lo; i < hi; i++ {
 			row := r.rows.row(i)
 			keep, err := pred(row)
-			if err != nil {
-				return err
-			}
-			if keep {
-				local.push(row, nil)
-				err = tk.emit()
-			} else {
+			switch {
+			case err != nil:
+			case keep:
+				err = em.put(&tk, local, row, nil)
+			default:
 				err = tk.step()
 			}
 			if err != nil {
@@ -490,91 +536,155 @@ func (ex *exec) filterRelation(r *relation, conds []Expr, shift int) (*relation,
 	for _, p := range parts {
 		kept += p.n
 	}
-	out := &relation{rows: r.rows} // every row passed
-	if kept < r.rows.n {
-		out.rows = flatten(r.rows.width, parts)
+	out := &relation{rows: r.rows} // every row passed, as it was
+	if kept < r.rows.n || em != nil && em.cells != nil {
+		out.rows = flatten(width, parts)
 	}
-	ex.opEnd(t0, OpStat{Kind: "filter", RowsIn: int64(r.rows.n), RowsOut: int64(out.rows.n), Workers: w})
+	ex.opEnd(t0, OpStat{Kind: kind, RowsIn: int64(r.rows.n), RowsOut: int64(out.rows.n), Workers: w})
 	return out, nil
 }
 
 // materialize runs a deferred base-table scan with its pending
 // filters on the vectorized path (zone-map pruning, selection vectors),
-// detaching the relation from its base table.
-func (ex *exec) materialize(r *relation) (*relation, error) {
+// detaching the relation from its base table; the scan emits through
+// em. A relation already read is returned as it is.
+func (ex *exec) materialize(r *relation, em *emitter) (*relation, error) {
 	if r.base == nil {
 		return r, nil
 	}
-	return ex.vecScan(r)
+	return ex.vecScan(r, em)
 }
 
-// project evaluates the SELECT list over the joined relation. A column
-// item copies its cell; an item Bind marked dead (no downstream select
-// can observe it) is not evaluated, its slot left NULL, which is
-// indistinguishable to consumers of the live columns.
-func (ex *exec) project(bc *boundCore, r *relation) (batch, error) {
-	width := len(bc.cells)
-	out := batch{width: width}
-	t0 := ex.opStart()
-	if n := r.rows.n; n > 0 {
-		if bc.identity {
-			// Pure column-preserving rename (e.g. the translator's
-			// `SELECT A.r0 AS v_x FROM QT2 AS A` CTE hops): the output
-			// is the input batch itself.
-			if err := ex.gov.check(CkProject); err != nil {
-				return batch{}, err
+// emitter is a core's emit step. The core's last producer — a join
+// kernel, a scan, an index scan, the unpivot's expand, or a filter or
+// projection of a CTE batch — builds each candidate row and hands it to
+// put, which checks the core's residual and writes the row's items, in
+// the layout Bind fixed, into the worker's rowBuf. flatten then makes
+// the core's final slab, so every kept row is written once. A nil
+// emitter keeps rows whole and checks nothing: the producers before a
+// core's last (unit reads for its join, chain joins before the last).
+type emitter struct {
+	// cells is boundCore.cells: per item, the candidate position it
+	// copies, exprItem or deadItem; nil for an identity core, whose
+	// rows are kept whole.
+	cells []int
+	exprs []cellExpr              // per item, set where it is evaluated; nil when none is
+	res   func(Row) (bool, error) // the core's residual; nil when none
+}
+
+// keepWhole is the emit step of an identity core with no residual.
+var keepWhole = &emitter{}
+
+// newEmitter compiles bc's emit step — its evaluated items and its
+// residual, over the joined row — once per execution.
+func (ex *exec) newEmitter(bc *boundCore) *emitter {
+	if bc.identity && len(bc.residual) == 0 {
+		return keepWhole
+	}
+	em := &emitter{}
+	if len(bc.residual) > 0 {
+		em.res = ex.db.compilePred(bc.residual, bc.shift())
+	}
+	if bc.identity {
+		return em
+	}
+	em.cells = bc.cells
+	for i, c := range bc.cells {
+		if c == exprItem {
+			if em.exprs == nil {
+				em.exprs = make([]cellExpr, len(bc.cells))
 			}
-			out = r.rows
-			ex.opEnd(t0, OpStat{Kind: "project", Label: "identity", RowsIn: int64(n), RowsOut: int64(n), Workers: 1})
-		} else {
-			// Compile the expression items once; column copies stay nil.
-			compiled := make([]compiledExpr, width)
-			for i, c := range bc.cells {
-				if c == exprItem {
-					compiled[i] = ex.db.compileExpr(bc.core.Items[i].Expr, bc.shift())
-				}
-			}
-			// One n×width slab, each worker writing its range of rows in
-			// place, so the parallel fan-out is deterministic by
-			// construction.
-			out = batch{width: width, n: n, cells: make([]Cell, n*width)}
-			w := planWorkers(n)
-			err := parallelChunks(n, w, func(chunk, lo, hi int) error {
-				tk := ticker{g: ex.gov, site: CkProject, rowBytes: int64(width) * cellBytes}
-				if err := tk.flush(); err != nil {
-					return err
-				}
-				for ri := lo; ri < hi; ri++ {
-					if err := tk.emit(); err != nil {
-						return err
-					}
-					row := r.rows.row(ri)
-					outRow := out.row(ri)
-					for i, c := range bc.cells {
-						switch {
-						case c >= 0:
-							outRow[i] = row[c]
-						case c == deadItem:
-							outRow[i] = NullCell
-						default:
-							v, err := compiled[i](row)
-							if err != nil {
-								return err
-							}
-							outRow[i] = v.cell() // Bind admits id-valued items only
-						}
-					}
-				}
-				return tk.flush()
-			})
-			if err != nil {
-				return batch{}, err
-			}
-			ex.opEnd(t0, OpStat{Kind: "project", RowsIn: int64(n), RowsOut: int64(n), Workers: w})
+			em.exprs[i] = ex.db.compileCell(bc.core.Items[i].Expr, bc.shift())
 		}
 	}
-	if bc.core.Distinct {
-		return ex.dedup(out)
+	return em
+}
+
+// whole reports whether the emit step keeps every candidate as it is.
+func (e *emitter) whole() bool { return e == nil || e.cells == nil && e.res == nil }
+
+// width is the cells the emit step writes per row of candidates of in
+// cells.
+func (e *emitter) width(in int) int {
+	if e == nil || e.cells == nil {
+		return in
 	}
-	return out, nil
+	return len(e.cells)
+}
+
+// reader returns a reader of the table columns the emit step writes,
+// item by item, for a scan reading rd's: the scan then reads them
+// straight into place. It is nil when the residual, an evaluated item
+// or a dead one needs the scan's rows.
+func (e *emitter) reader(rd *tableReader) *tableReader {
+	if e.whole() {
+		return rd
+	}
+	if e.res != nil || e.exprs != nil || slices.Contains(e.cells, deadItem) {
+		return nil
+	}
+	out := &tableReader{cols: make([]*colVec, len(e.cells)), nrows: rd.nrows, tomb: rd.tomb}
+	for i, c := range e.cells {
+		out.cols[i] = rd.cols[c]
+	}
+	return out
+}
+
+// start checks a worker of the core's last producer in at the
+// projection's site before it emits.
+func (e *emitter) start(g *govern) error {
+	if e == nil {
+		return nil
+	}
+	return g.check(CkProject)
+}
+
+// put is the emit step for one candidate, l followed by r (r empty for
+// a producer that builds one row): it writes the candidate's items to
+// out when the residual accepts it, and ticks tk, charging an emitted
+// row or one unit of work for a rejected one. The candidate is copied
+// into out's scratch row when the residual or an evaluated item reads
+// it whole.
+func (e *emitter) put(tk *ticker, out *rowBuf, l, r Row) error {
+	if e == nil {
+		out.push(l, r)
+		return tk.emit()
+	}
+	if len(r) > 0 && (e.res != nil || e.exprs != nil) {
+		row := out.scratch(len(l) + len(r))
+		copy(row[copy(row, l):], r)
+		l, r = row, nil
+	}
+	if e.res != nil {
+		ok, err := e.res(l)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return tk.step()
+		}
+	}
+	if e.cells == nil {
+		out.push(l, r)
+		return tk.emit()
+	}
+	dst := out.grow(1)
+	for i, c := range e.cells {
+		switch {
+		case c >= len(l):
+			dst[i] = r[c-len(l)]
+		case c >= 0:
+			dst[i] = l[c]
+		case c == deadItem:
+			dst[i] = NullCell // never observed downstream (deadcols.go)
+		default:
+			v, err := e.exprs[i](l)
+			if err != nil {
+				out.pop()
+				return err
+			}
+			dst[i] = v
+		}
+	}
+	return tk.emit()
 }

@@ -311,7 +311,8 @@ func TestMemoryBudgetFollowsReadWidth(t *testing.T) {
 // TestBudgetChargesRowsKept: a query is charged for the rows its
 // operators keep — 8 bytes a cell — plus its hash entries and result
 // row headers, not for slab capacity. For a three-row join that stays
-// within twice the cells the scans, the join and the projection emit.
+// within twice the cells the scans and the join emit, the join writing
+// the core's projected rows (its "project" line reports them).
 func TestBudgetChargesRowsKept(t *testing.T) {
 	db := NewDB()
 	mustTable(t, db, "l", Schema{{Name: "k"}, {Name: "a"}}, []Row{{ID(1), ID(10)}, {ID(2), ID(20)}, {ID(3), ID(30)}})
@@ -324,9 +325,9 @@ func TestBudgetChargesRowsKept(t *testing.T) {
 	if len(rs.Rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rs.Rows))
 	}
-	// Each operator's width: a scan reads k and a value, the join
-	// carries both scans' columns, the projection two items.
-	width := map[string]int64{"scan": 2, "hash-join": 4, "project": 2}
+	// Each operator's width: a scan reads k and a value, the join emits
+	// the core's two items, and so does the line naming it.
+	width := map[string]int64{"scan": 2, "hash-join": 2, "project": 2}
 	var cells int64
 	for _, op := range st.Ops {
 		w, ok := width[op.Kind]
@@ -335,12 +336,62 @@ func TestBudgetChargesRowsKept(t *testing.T) {
 		}
 		cells += op.RowsOut * w
 	}
-	if cells != 3*(2+2+4+2) {
-		t.Fatalf("operators emitted %d cells, want %d: %+v", cells, 3*(2+2+4+2), st.Ops)
+	if cells != 3*(2+2+2+2) {
+		t.Fatalf("operators emitted %d cells, want %d: %+v", cells, 3*(2+2+2+2), st.Ops)
 	}
 	if kept := cells * cellBytes; st.BudgetBytesCharged > 2*kept {
 		t.Errorf("charged %d bytes for %d bytes of rows kept, over twice", st.BudgetBytesCharged, kept)
 	}
+}
+
+// TestCoreWritesRowsOnce: a core's last producer writes each kept row
+// once, at the core's projected width, so the memory budget charges
+// exactly the cells of the rows the scans feed a join, the kept rows at
+// their projected width, the hash entries and the result row headers.
+// The residual drops rows before they are written: a join, a LEFT OUTER
+// chain and a scan that wrote candidates whole, or projected them in a
+// pass of their own, would be charged more.
+func TestCoreWritesRowsOnce(t *testing.T) {
+	db := NewDB()
+	// l(k, a, x) and r(k, b, y): keys 1..4 and 2..5, so three keys match.
+	mustTable(t, db, "l", Schema{{Name: "k"}, {Name: "a"}, {Name: "x"}},
+		[]Row{{ID(1), ID(10), ID(1)}, {ID(2), ID(20), ID(1)}, {ID(3), ID(30), ID(0)}, {ID(4), ID(40), ID(1)}})
+	mustTable(t, db, "r", Schema{{Name: "k"}, {Name: "b"}, {Name: "y"}},
+		[]Row{{ID(2), ID(21), ID(0)}, {ID(3), ID(31), ID(0)}, {ID(4), ID(41), ID(0)}, {ID(5), ID(51), ID(0)}})
+	for _, tc := range []struct {
+		name, sql string
+		kept      int64 // result rows
+		width     int64 // projected cells per row
+		scanned   int64 // cells the scans feeding a join emit
+		hashed    int64 // hash entries
+	}{
+		// Both scans read three columns; the join keeps keys 2 and 4,
+		// the matches whose x is 1.
+		{"two-unit join", "SELECT l.a AS a, r.b AS b FROM l AS l, r AS r WHERE l.k = r.k AND l.x + r.y = 1",
+			2, 2, 4*3 + 4*3, 4},
+		// l reads k, a and x, r reads k and b; the chain's last join
+		// applies the WHERE residual to matched and NULL-extended rows.
+		{"one-unit LEFT OUTER chain", "SELECT l.a AS a, r.b AS b FROM l AS l LEFT OUTER JOIN r AS r ON l.k = r.k WHERE l.x = 1",
+			3, 2, 4*3 + 4*2, 4},
+		// The scan is the core's last producer.
+		{"one-unit scan", "SELECT l.a AS a FROM l AS l WHERE l.x = 1", 3, 1, 0, 0},
+	} {
+		for _, workers := range []int{1, 4} {
+			SetParallelism(workers, 1)
+			rs, st, err := db.AnalyzeContext(context.Background(), mustParse(t, tc.sql), Limits{MaxBytes: 1 << 30})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if int64(len(rs.Rows)) != tc.kept || len(rs.Rows[0]) != int(tc.width) {
+				t.Fatalf("%s: got %d rows of %d cells, want %d of %d", tc.name, len(rs.Rows), len(rs.Rows[0]), tc.kept, tc.width)
+			}
+			want := (tc.scanned+tc.kept*tc.width)*cellBytes + tc.hashed*hashEntryBytes + tc.kept*rowHeaderBytes
+			if st.BudgetBytesCharged != want {
+				t.Errorf("%s, workers=%d: charged %d bytes, want %d:\n%s", tc.name, workers, st.BudgetBytesCharged, want, st)
+			}
+		}
+	}
+	SetParallelism(0, 0)
 }
 
 // TestExecNilContext ensures a nil context behaves like Background.

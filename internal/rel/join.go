@@ -16,8 +16,11 @@ import "fmt"
 // Every kernel fans its probe rows out across morsel workers, each with
 // its own ticker and rowBuf, and flattens the rowBufs in input
 // order: rows come out in probe order, then candidate order, whatever
-// the worker count. Cells are written in the layout Bind fixed, FROM
-// order, whichever side probes. Links compare as ids (idEqual): NULL
+// the worker count. A pair is a candidate in the layout Bind fixed,
+// FROM order, whichever side probes. The join that is its core's last
+// producer hands each candidate to the core's emit step (joinSpec.em),
+// which writes only the core's items; a chain join before the last
+// writes the candidate whole. Links compare as ids (idEqual): NULL
 // joins nothing, and hash buckets and index postings are keyed by the
 // same ids, so whether an index exists never changes an answer. The
 // other conjuncts of an ON clause are checked per pair, and a LEFT
@@ -33,6 +36,9 @@ type joinSpec struct {
 	// swap writes each pair right side first: a comma join whose left
 	// side is unit 1 still lays its cells out in FROM order.
 	swap bool
+	// em is the core's emit step when the join is its core's last
+	// producer; nil keeps pairs whole.
+	em *emitter
 }
 
 // stat names a kernel's profile entry: a comma join reports the
@@ -45,14 +51,15 @@ func (s *joinSpec) stat(st OpStat, onLabel string) OpStat {
 	return st
 }
 
-// joinUnits joins a core's two units on the WHERE links between them.
-// The smaller by rowCount (unit 0 on a tie) is the join's left side.
-func (ex *exec) joinUnits(units [2]*relation, links *[2][]eqLink) (*relation, error) {
+// joinUnits joins a core's two units on the WHERE links between them
+// and emits the core's rows through em. The smaller by rowCount (unit 0
+// on a tie) is the join's left side.
+func (ex *exec) joinUnits(units [2]*relation, links *[2][]eqLink, em *emitter) (*relation, error) {
 	s := 0
 	if units[1].rowCount() < units[0].rowCount() {
 		s = 1
 	}
-	return ex.join(units[s], units[1-s], joinSpec{links: links[s], swap: s == 1})
+	return ex.join(units[s], units[1-s], joinSpec{links: links[s], swap: s == 1, em: em})
 }
 
 // indexLink finds a join link whose probe side is an indexed column of
@@ -94,7 +101,7 @@ func (ex *exec) join(l, r *relation, spec joinSpec) (*relation, error) {
 	var err error
 	if len(spec.links) > 0 {
 		if li, col := indexLink(r, spec.links, true); li >= 0 {
-			if ml, err = ex.materialize(l); err != nil {
+			if ml, err = ex.materialize(l, nil); err != nil {
 				return nil, err
 			}
 			if ml.rows.n < r.rowCount() {
@@ -102,7 +109,7 @@ func (ex *exec) join(l, r *relation, spec joinSpec) (*relation, error) {
 			}
 		}
 		if li, col := indexLink(l, spec.links, false); li >= 0 && !spec.outer {
-			if mr, err = ex.materialize(r); err != nil {
+			if mr, err = ex.materialize(r, nil); err != nil {
 				return nil, err
 			}
 			if mr.rows.n < l.rowCount() {
@@ -111,12 +118,12 @@ func (ex *exec) join(l, r *relation, spec joinSpec) (*relation, error) {
 		}
 	}
 	if ml == nil {
-		if ml, err = ex.materialize(l); err != nil {
+		if ml, err = ex.materialize(l, nil); err != nil {
 			return nil, err
 		}
 	}
 	if mr == nil {
-		if mr, err = ex.materialize(r); err != nil {
+		if mr, err = ex.materialize(r, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -139,57 +146,66 @@ func joined(out *relation, err error) (*relation, error) {
 type joinWorker struct {
 	tk    ticker
 	out   *rowBuf
-	res   func(Row) (bool, error) // the compiled residual; nil when none
+	em    *emitter
+	res   func(Row) (bool, error) // the compiled ON residual; nil when none
+	width int                     // a pair's cells
 	outer bool
 	swap  bool
 }
 
-// pair keeps l and r combined, in FROM order, when the residual accepts
-// them, and reports whether it did.
+// pair hands l and r, combined in FROM order, to the emit step when the
+// ON residual accepts them, and reports whether it did: a pair the
+// core's residual then drops still matched its left row.
 func (w *joinWorker) pair(l, r Row) (bool, error) {
-	var row Row
 	if w.swap {
-		row = w.out.push(r, l)
-	} else {
-		row = w.out.push(l, r)
+		l, r = r, l
 	}
 	if w.res != nil {
+		row := w.out.scratch(len(l) + len(r))
+		copy(row[copy(row, l):], r)
 		if ok, err := w.res(row); !ok || err != nil {
-			w.out.pop()
+			if err == nil {
+				err = w.tk.step() // a rejected pair is work too
+			}
 			return false, err
 		}
+		l, r = row, nil
 	}
-	return true, w.tk.emit()
+	return true, w.em.put(&w.tk, w.out, l, r)
 }
 
-// unmatched keeps left row l NULL-extended under an outer join; the
+// unmatched emits left row l NULL-extended under an outer join; the
 // join kept no pair for it. An outer join never swaps: its left side is
 // the chain before it.
 func (w *joinWorker) unmatched(l Row) error {
 	if !w.outer {
 		return nil
 	}
-	row := w.out.push(l, nil)
-	for i := len(l); i < len(row); i++ {
+	row := w.out.scratch(w.width)
+	for i := copy(row, l); i < len(row); i++ {
 		row[i] = NullCell
 	}
-	return w.tk.emit()
+	return w.em.put(&w.tk, w.out, row, nil)
 }
 
 // probeRows runs a kernel's probe loop, body, over rows in morsels, one
-// joinWorker each, and collects the workers' rows into out in input
-// order. It returns the worker count.
+// joinWorker each, and collects the rows the workers emitted into out
+// in input order. It returns the worker count.
 func (ex *exec) probeRows(out *relation, rows batch, site CheckSite, spec *joinSpec, body func(w *joinWorker, rows batch) error) (int, error) {
 	var res func(Row) (bool, error)
 	if len(spec.residual) > 0 {
 		res = ex.db.compilePred(spec.residual, 0) // an ON clause reads its unit's row
 	}
-	width := out.rows.width
+	width := spec.em.width(out.rows.width)
 	w := planWorkers(rows.n)
 	parts := ex.workBufs(w, width)
 	err := parallelChunks(rows.n, w, func(chunk, lo, hi int) error {
-		jw := &joinWorker{tk: ticker{g: ex.gov, site: site, rowBytes: int64(width) * cellBytes}, out: &parts[chunk], res: res, outer: spec.outer, swap: spec.swap}
+		jw := &joinWorker{tk: ticker{g: ex.gov, site: site, rowBytes: int64(width) * cellBytes}, out: &parts[chunk], em: spec.em, res: res,
+			width: out.rows.width, outer: spec.outer, swap: spec.swap}
 		if err := jw.tk.flush(); err != nil {
+			return err
+		}
+		if err := spec.em.start(ex.gov); err != nil {
 			return err
 		}
 		if err := body(jw, rows.slice(lo, hi)); err != nil {
@@ -233,9 +249,9 @@ func (ex *exec) indexProbe(out *relation, probe, indexed *relation, li int, col 
 	}
 	pendOK := ex.db.compilePred(pending, 0)
 	w, err := ex.probeRows(out, probe.rows, site, spec, func(jw *joinWorker, rows batch) error {
-		uw := run.worker(&jw.tk, jw.out, jw.swap)
+		uw := run.worker(&jw.tk, jw.out, jw.swap, spec.em)
 		// Each worker owns its reader: reads share a per-reader scratch
-		// row, consumed before the next rowAt (push copies).
+		// row, consumed before the next rowAt (the emit step copies).
 		rd := indexed.base.reader(indexed.src)
 		for i := 0; i < rows.n; i++ {
 			pr := rows.row(i)
@@ -372,9 +388,6 @@ func (ex *exec) nestedLoop(out *relation, l, r *relation, spec *joinSpec) error 
 			matched := false
 			for j := 0; j < r.rows.n; j++ {
 				ok, err := jw.pair(lr, r.rows.row(j))
-				if err == nil && !ok {
-					err = jw.tk.step() // a rejected pair is work too
-				}
 				if err != nil {
 					return err
 				}

@@ -7,13 +7,14 @@ import (
 )
 
 // Morsel-style parallelism for the executor's inner loops. The probe
-// side of every join kernel and the inputs of filters and projections
-// are partitioned into contiguous chunks across worker goroutines above
-// a row threshold; each worker appends to its own rowBuf and flatten
-// copies the rowBufs out in chunk order, so parallel execution
-// produces exactly the rows, in exactly the order, of the sequential
-// loop. Mutable state (tickers, rowBufs, table readers) is per
-// worker; compiled expressions are immutable and shared.
+// side of every join kernel, the chunks of a scan and the rows of a
+// filter or projection are partitioned into contiguous ranges across
+// worker goroutines above a row threshold; each worker appends the rows
+// it emits to its own rowBuf and flatten copies the rowBufs out in
+// chunk order, so parallel execution produces exactly the rows, in
+// exactly the order, of the sequential loop. Mutable state (tickers,
+// rowBufs, table readers) is per worker; compiled expressions are
+// immutable and shared.
 
 // defaultParallelThreshold is the minimum number of input rows before
 // a loop fans out. Below it, goroutine startup dominates any win.
@@ -100,14 +101,19 @@ func runChunk(fn func(chunk, lo, hi int) error, c, lo, hi int) (err error) {
 	return fn(c, lo, hi)
 }
 
-// rowBuf is one morsel worker's scratch: blocks of cells an operator
-// appends whole rows to, never copied as they grow. An execution's
-// operators run one at a time and share its rowBufs, and flatten copies
-// each operator's rows out once.
+// rowBuf is one morsel worker's output: blocks of cells an operator
+// appends whole rows to, never copied as they grow, and a scratch row
+// where a join assembles a candidate read whole: by an ON residual, by
+// the emit step, or NULL-extended. An execution's operators run one at
+// a time and share its rowBufs. A core's last producer writes each
+// kept row here once, in the core's output layout, and flatten copies
+// it into the core's slab; producers before the last write their rows
+// whole.
 type rowBuf struct {
 	width, n int
 	blocks   [][]Cell // each block's length is the cells in use
 	cur      int      // the block rows are appended to
+	spare    []Cell   // scratch's cells, kept across operators
 }
 
 // workBufs returns w empty rowBufs, one per morsel worker.
@@ -144,11 +150,19 @@ func (b *rowBuf) grow(k int) []Cell {
 	return b.blocks[b.cur]
 }
 
-// push appends l and r, in that order, as one row and returns it.
-func (b *rowBuf) push(l, r Row) Row {
+// scratch returns n cells of the worker's scratch space, valid until
+// its next scratch call.
+func (b *rowBuf) scratch(n int) []Cell {
+	if cap(b.spare) < n {
+		b.spare = make([]Cell, n)
+	}
+	return b.spare[:n]
+}
+
+// push appends l and r, in that order, as one row.
+func (b *rowBuf) push(l, r Row) {
 	row := b.grow(1)
 	copy(row[copy(row, l):], r)
-	return row
 }
 
 // pop drops the last row.

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -187,6 +188,61 @@ func TestSubqueryInFrom(t *testing.T) {
 	rs := queryPeople(t, db, "WITH s AS (SELECT P.name AS name, P.age AS age FROM people AS P WHERE P.age < 31) SELECT s.name AS name FROM s AS s WHERE s.age > 26")
 	if len(rs.Rows) != 1 || rs.Rows[0][0].I != alice {
 		t.Fatalf("unexpected result %v", rs.Rows)
+	}
+}
+
+// TestCompiledTestsMatchValues: the executor's cell-level compilations
+// — compileTest for WHERE, ON and CASE conditions, compileCell for
+// items — agree with the Value evaluator on every shape they
+// specialize and on the shapes they leave to it, over every row of
+// three cells drawn from NULL and ids around the literals.
+func TestCompiledTestsMatchValues(t *testing.T) {
+	db := NewDB()
+	col := func(i int) *ColRef { return &ColRef{Alias: "t", Column: itoa(i), pos: i} }
+	lit := func(i int64) *Lit { return &Lit{V: Int(i)} }
+	eq := func(c int, i int64) Expr { return &BinOp{Op: "=", L: col(c), R: lit(i)} }
+	or := &BoolOp{Op: "OR", Args: []Expr{eq(0, 1), eq(1, 2), eq(2, 1)}}
+	tests := []Expr{
+		eq(0, 1),
+		&BinOp{Op: "=", L: lit(1), R: col(0)},
+		&BinOp{Op: "!=", L: col(0), R: lit(1)},
+		&BinOp{Op: "=", L: col(0), R: lit(math.MinInt64)},
+		&BinOp{Op: "!=", L: col(1), R: lit(math.MinInt64)},
+		&BinOp{Op: "=", L: col(0), R: col(1)},
+		or,
+		&BoolOp{Op: "OR", Args: []Expr{eq(0, 1), &BinOp{Op: "<", L: col(1), R: lit(2)}}},
+		&BoolOp{Op: "AND", Args: []Expr{eq(0, 1), &BinOp{Op: "=", L: col(1), R: col(2)}}},
+		&UnOp{Op: "NOT", X: or},
+		&IsNullExpr{X: col(2), Not: true},
+	}
+	items := []Expr{
+		col(1), lit(7), &Lit{V: Null},
+		&CaseExpr{Whens: []CaseWhen{{Cond: eq(0, 1), Result: col(1)}, {Cond: or, Result: col(2)}}},
+		&CaseExpr{Whens: []CaseWhen{{Cond: &BinOp{Op: "=", L: col(0), R: col(2)}, Result: lit(5)}}, Else: col(0)},
+		&FuncCall{Name: "COALESCE", Args: []Expr{col(0), col(1), lit(3)}},
+		&FuncCall{Name: "coalesce", Args: []Expr{col(0), &Lit{V: Null}}},
+	}
+	vals := []Cell{NullCell, ID(0), ID(1), ID(2), ID(math.MinInt64 + 1)}
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, c := range vals {
+				row := Row{a, b, c}
+				for _, e := range tests {
+					v, verr := db.compileExpr(e, 0)(row)
+					got, err := db.compileTest(e, 0)(row)
+					if got != v.Truth() || err != nil || verr != nil {
+						t.Fatalf("%s on %v: test %v (%v), value %v (%v)", exprString(e), row, got, err, v, verr)
+					}
+				}
+				for _, e := range items {
+					v, verr := db.compileExpr(e, 0)(row)
+					got, err := db.compileCell(e, 0)(row)
+					if got != v.cell() || err != nil || verr != nil {
+						t.Fatalf("%s on %v: cell %v (%v), value %v (%v)", exprString(e), row, got, err, v, verr)
+					}
+				}
+			}
+		}
 	}
 }
 

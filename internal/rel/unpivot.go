@@ -15,7 +15,9 @@ import (
 // that turns row ids into rows — the vectorized scan, the index scan
 // and the index nested-loop join — hands each surviving row id to
 // expand, which walks the cell columns through the chunk presence
-// bitmaps and appends one row per pair that passes to a rowBuf. The
+// bitmaps and hands one candidate per pair that passes to the emit step
+// of the operator's core (or, when the operator is not its core's last
+// producer, appends it whole to a rowBuf). The
 // wide row is never built: a pair whose required cell is absent costs
 // a pointer test (nil chunk) or a bit test.
 
@@ -204,23 +206,25 @@ func (run *unpivotRun) opStat(st OpStat) OpStat {
 }
 
 // unpivotWorker is one goroutine's state for a run: the scratch row
-// candidates are assembled in, and the ticker (at CkUnpivot) and rowBuf
-// of the operator worker it runs under. swap is the join's (joinSpec).
+// candidates are assembled in, and the ticker (at CkUnpivot), rowBuf
+// and emit step of the operator worker it runs under. swap is the
+// join's (joinSpec).
 type unpivotWorker struct {
 	run     *unpivotRun
 	cand    Row
 	tk      *ticker
 	out     *rowBuf
+	em      *emitter
 	swap    bool
 	visited int64 // base rows expanded
 }
 
 // worker returns a worker for the run; nil for a nil run.
-func (run *unpivotRun) worker(tk *ticker, out *rowBuf, swap bool) *unpivotWorker {
+func (run *unpivotRun) worker(tk *ticker, out *rowBuf, swap bool, em *emitter) *unpivotWorker {
 	if run == nil {
 		return nil
 	}
-	return &unpivotWorker{run: run, cand: make(Row, run.nsrc+len(run.notNull)), tk: tk, out: out, swap: swap}
+	return &unpivotWorker{run: run, cand: make(Row, run.nsrc+len(run.notNull)), tk: tk, out: out, em: em, swap: swap}
 }
 
 // finish reports the worker's work to the run.
@@ -231,11 +235,12 @@ func (w *unpivotWorker) finish() {
 }
 
 // expand emits the rows of base row id, whose table columns are in
-// base: one per pair of pairs (in order) whose required cells are
-// present and that passes the post links and conjuncts. With a probe
-// row the emitted row is the probe row and the unpivoted row combined
-// in FROM order; links are verified between the two, sided as
-// indexedIsRight says. It charges one step for the base row and one emit per row.
+// base: one candidate per pair of pairs (in order) whose required cells
+// are present and that passes the post links and conjuncts, handed to
+// the emit step. With a probe row the candidate is the probe row and
+// the unpivoted row combined in FROM order; links are verified between
+// the two, sided as indexedIsRight says. It charges one step for the
+// base row, and the emit step one emit per row it keeps.
 func (w *unpivotWorker) expand(id int, base Row, pairs []int32, probe Row, links []eqLink, indexedIsRight bool) error {
 	run := w.run
 	w.visited++
@@ -284,8 +289,7 @@ pairs:
 		if w.swap {
 			l, r = r, l
 		}
-		w.out.push(l, r)
-		if err := w.tk.emit(); err != nil {
+		if err := w.em.put(w.tk, w.out, l, r); err != nil {
 			return err
 		}
 	}

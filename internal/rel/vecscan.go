@@ -17,8 +17,11 @@ import "math/bits"
 //     hand-written query brings) runs the ordinary compiled-closure
 //     path over a scratch-materialized row, but only for rows that
 //     survived step 2;
-//  4. gather — survivors are read straight into the worker's rowBuf,
-//     a whole live chunk column by column at the row stride.
+//  4. emit — survivors go through the core's emit step (exec.go's
+//     emitter) when the scan is its core's last producer. When that
+//     step only copies columns, or the scan feeds a join, the columns
+//     it writes are read straight into the worker's rowBuf instead, an
+//     unfiltered live chunk column by column at the row stride.
 //
 // Equality is the one vectorized shape because it is the one shape
 // translated SQL puts on a stored column: cells are dictionary ids, and
@@ -197,10 +200,11 @@ func (f eqFilter) refine(ck *colChunk, sel []int32) []int32 {
 
 // vecScan materializes a base-table scan relation (r.base), applying
 // its pending conjuncts with the chunk pipeline described at the top of
-// the file. Chunks are partitioned across morsel workers and the
-// per-worker outputs flattened in chunk order, so the result is
-// row-for-row identical to a sequential scan in row-id order.
-func (ex *exec) vecScan(r *relation) (*relation, error) {
+// the file, and emits its rows through em. Chunks are partitioned
+// across morsel workers and the per-worker outputs flattened in chunk
+// order, so the result is row-for-row identical to a sequential scan in
+// row-id order.
+func (ex *exec) vecScan(r *relation, em *emitter) (*relation, error) {
 	t0 := ex.opStart()
 	t := r.base
 	out := &relation{}
@@ -220,13 +224,20 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 	if len(residual) > 0 {
 		rowPred = ex.db.compilePred(residual, 0)
 	}
+	// direct reads the columns the scan writes, in place; nil when the
+	// emit step needs each selected row whole (or a lateral expands it).
+	var direct *tableReader
+	if run == nil {
+		direct = em.reader(head)
+	}
 	nchunks := (nrows + chunkRows - 1) >> chunkShift
 	w := planWorkers(nrows)
 	if w > nchunks && nchunks > 0 {
 		w = nchunks
 	}
 	width := len(cols)
-	parts := ex.workBufs(w, r.rows.width)
+	outWidth := em.width(r.rows.width)
+	parts := ex.workBufs(w, outWidth)
 	// Per-worker zone-skip counters, allocated only when profiling so
 	// the disabled path stays allocation-free.
 	var skips []int64
@@ -234,12 +245,15 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 		skips = make([]int64, w)
 	}
 	err := parallelChunks(nchunks, w, func(chunk, clo, chi int) error {
-		tk := ticker{g: ex.gov, site: site, rowBytes: int64(r.rows.width) * cellBytes}
+		tk := ticker{g: ex.gov, site: site, rowBytes: int64(outWidth) * cellBytes}
 		if err := tk.flush(); err != nil {
 			return err
 		}
+		if err := em.start(ex.gov); err != nil {
+			return err
+		}
 		local := &parts[chunk]
-		uw := run.worker(&tk, local, false)
+		uw := run.worker(&tk, local, false, em)
 		var sel, live []int32
 		rd := *head
 	chunks:
@@ -279,8 +293,9 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 			}
 			sel = sel[:0]
 			if len(eqs) == 0 {
-				if rowPred == nil && (tc == nil || tc.dead == 0) && uw == nil {
-					// Unfiltered scan over a fully live chunk: gather it
+				if rowPred == nil && (tc == nil || tc.dead == 0) && direct != nil {
+					// Unfiltered scan over a fully live chunk whose
+					// columns go straight into place: gather it
 					// column-wise. (A chunk with dead rows falls through
 					// to the selection-vector path so the tombstone
 					// filter below applies.)
@@ -288,8 +303,8 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 					for i := range cells {
 						cells[i] = NullCell
 					}
-					for j, c := range cols {
-						c.gatherChunk(ci, cells, width, j)
+					for j, c := range direct.cols {
+						c.gatherChunk(ci, cells, len(direct.cols), j)
 					}
 					if err := tk.emitN(n); err != nil {
 						return err
@@ -340,11 +355,18 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 						return err
 					}
 				}
-			} else {
+			} else if direct != nil {
+				dw := len(direct.cols)
 				cells := local.grow(len(sel))
 				for k, off := range sel {
-					rd.rowInto(cells[k*width:(k+1)*width], base+int(off))
+					direct.rowInto(cells[k*dw:(k+1)*dw], base+int(off))
 					if err := tk.emit(); err != nil {
+						return err
+					}
+				}
+			} else {
+				for _, off := range sel {
+					if err := em.put(&tk, local, rd.rowAt(base+int(off)), nil); err != nil {
 						return err
 					}
 				}
@@ -361,7 +383,7 @@ func (ex *exec) vecScan(r *relation) (*relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.rows = flatten(r.rows.width, parts)
+	out.rows = flatten(outWidth, parts)
 	if ex.prof != nil {
 		var skipped int64
 		for _, s := range skips {
